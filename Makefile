@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test goldens check-goldens check-kernel shard-check goldens-paper \
+.PHONY: test goldens check-goldens shard-check goldens-paper \
         check-goldens-paper goldens-sweeps check-goldens-sweeps \
         goldens-sweeps-paper sweep-smoke sweeps \
         bench-smoke bench scenarios api-surface api-surface-update \
@@ -26,15 +26,10 @@ goldens:
 check-goldens:
 	$(PYTHON) -m repro.scenarios.golden
 
-## verify the columnar kernel reproduces every standard-tier golden (CI step)
-check-kernel:
-	$(PYTHON) -m repro.scenarios.golden --kernel --tier standard
-
 ## verify the space-parallel shard engine reproduces the committed goldens
-## on both backends (the per-PR sharded-equivalence smoke)
+## (the per-PR sharded-equivalence smoke)
 shard-check:
 	$(PYTHON) -m repro.scenarios.golden --shards 2 paper-default multi-locality locality-partition partition-heal-reconcile
-	$(PYTHON) -m repro.scenarios.golden --shards 2 --kernel paper-default locality-partition
 	$(PYTHON) -m repro.scenarios.golden --shards 4 paper-default
 
 ## fast benchmark subset: parameter table + the headline Figure 6 comparison

@@ -206,19 +206,11 @@ class TestPaperScaleSection:
         baseline = suite.load_baseline()
         assert suite.PAPER_SCALE_SCENARIO not in baseline.get("scenarios", {})
 
-    def test_committed_baseline_has_the_kernel_section(self):
-        """Both backends' paper-scale numbers are tracked side by side."""
+    def test_baseline_has_one_paper_scale_section(self):
+        """One backend, one section: `paper_scale_kernel` was folded into it."""
         baseline = suite.load_baseline()
-        paper = baseline["paper_scale"]
-        kernel = baseline["paper_scale_kernel"]
-        assert kernel["scenario"] == suite.PAPER_SCALE_SCENARIO
-        assert kernel["kernel"] is True
-        assert paper["kernel"] is False
-        # Identical runs (byte-identical goldens), different implementations.
-        assert kernel["num_queries"] == paper["num_queries"]
-        assert kernel["events_fired"] == paper["events_fired"]
-        assert kernel["hit_ratio"] == paper["hit_ratio"]
-        assert kernel["events_per_s"] > 0
+        assert "paper_scale_kernel" not in baseline
+        assert "kernel" not in baseline["paper_scale"]
 
     def test_update_baseline_without_paper_scale_keeps_the_section(
         self, tmp_path, monkeypatch
@@ -228,7 +220,7 @@ class TestPaperScaleSection:
         baseline.write_text(
             json.dumps({"schema": suite.SCHEMA_VERSION, "scenarios": {},
                         "micro": {}, "paper_scale": {"wall_s": 1.0},
-                        "paper_scale_kernel": {"wall_s": 0.5}}),
+                        "paper_scale_sharded": {"wall_s": 0.5}}),
             encoding="utf-8",
         )
         monkeypatch.setenv(suite.BASELINE_PATH_ENV, str(baseline))
@@ -240,5 +232,5 @@ class TestPaperScaleSection:
         assert code == 0
         refreshed = json.loads(baseline.read_text())
         assert refreshed["paper_scale"] == {"wall_s": 1.0}
-        assert refreshed["paper_scale_kernel"] == {"wall_s": 0.5}
+        assert refreshed["paper_scale_sharded"] == {"wall_s": 0.5}
         assert "paper-default" in refreshed["scenarios"]

@@ -168,9 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_verb.add_argument("--shard-jobs", type=int, default=None, metavar="N",
                           help="worker processes for --shards (default: CPU "
                                "affinity count; 1 runs shards inline)")
-    run_verb.add_argument("--kernel", action="store_true",
-                          help="run Flower-CDN on the columnar kernel backend "
-                               "(digest-identical to the object backend)")
     run_verb.add_argument("--check-golden", action="store_true",
                           help="run at the pinned golden scale/seed and compare "
                                "against the committed golden file")
@@ -790,11 +787,11 @@ def _command_scenarios_run(args: argparse.Namespace, out) -> int:
     if args.shards is not None and args.shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
-    if args.update_goldens and (args.shards is not None or args.kernel):
+    if args.update_goldens and args.shards is not None:
         print(
-            "error: goldens are produced by the single-process object "
-            "backend; --shards/--kernel runs must match them, not define "
-            "them (use --check-golden to verify equivalence)",
+            "error: goldens are produced by the single-process path; "
+            "--shards runs must match them, not define them (use "
+            "--check-golden to verify equivalence)",
             file=sys.stderr,
         )
         return 2
@@ -804,12 +801,10 @@ def _command_scenarios_run(args: argparse.Namespace, out) -> int:
         return 0
     if args.check_golden:
         # Golden digests are pinned to a fixed scale and seed; --scale/--seed
-        # do not apply here.  --shards/--kernel pass through: the committed
-        # golden doubles as the equivalence oracle for both backends and for
-        # the space-parallel shard engine.
+        # do not apply here.  --shards passes through: the committed golden
+        # doubles as the equivalence oracle for the space-parallel shard
+        # engine.
         argv = [args.name]
-        if args.kernel:
-            argv.append("--kernel")
         if args.shards is not None and args.shards != 1:
             argv.extend(["--shards", str(args.shards)])
         return golden_module.main(argv, out=out)
@@ -821,7 +816,6 @@ def _command_scenarios_run(args: argparse.Namespace, out) -> int:
         spec,
         seed=args.seed,
         scale=args.scale,
-        kernel=args.kernel,
         shards=args.shards,
         shard_jobs=args.shard_jobs,
     )
@@ -890,7 +884,7 @@ def _command_perf(args: argparse.Namespace, out) -> int:
                 previous = {}
             carried = [
                 key
-                for key in ("paper_scale", "paper_scale_kernel", "paper_scale_sharded")
+                for key in ("paper_scale", "paper_scale_sharded")
                 if key in previous
             ]
             for key in carried:
@@ -942,49 +936,54 @@ def _command_serve(args: argparse.Namespace, out) -> int:
     if args.port < 0:
         print("error: --port must be >= 0", file=sys.stderr)
         return 2
-    try:
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            max_queue=args.max_queue,
-            store_dir=Path(args.store),
-            store_max_bytes=args.store_max_bytes,
-            timeout_s=None if args.timeout_s <= 0 else args.timeout_s,
-            verbose=args.verbose,
-        )
-        service = ReproService(config)
-        service.start()
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(
-        f"repro serve listening on {service.url} "
-        f"(store: {config.store_dir}, workers: {service.manager.workers}, "
-        f"max-queue: {config.max_queue})",
-        file=out,
-        flush=True,
-    )
     stop = threading.Event()
+    received: list[int] = []
 
     def _on_signal(signum: int, _frame: object) -> None:
-        print(
-            f"received {signal.Signals(signum).name}: draining in-flight jobs",
-            file=out,
-            flush=True,
-        )
+        # No I/O here: the signal may interrupt a write to the same stream.
+        received.append(signum)
         stop.set()
 
+    # Installed before the socket accepts: a supervisor that sends SIGTERM the
+    # moment /healthz answers must get a drain and exit 0, not the default kill.
     previous = {
         signum: signal.signal(signum, _on_signal)
         for signum in (signal.SIGTERM, signal.SIGINT)
     }
     try:
+        try:
+            config = ServiceConfig(
+                host=args.host,
+                port=args.port,
+                workers=args.workers,
+                max_queue=args.max_queue,
+                store_dir=Path(args.store),
+                store_max_bytes=args.store_max_bytes,
+                timeout_s=None if args.timeout_s <= 0 else args.timeout_s,
+                verbose=args.verbose,
+            )
+            service = ReproService(config)
+            service.start()
+        except (OSError, ValueError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+        print(
+            f"repro serve listening on {service.url} "
+            f"(store: {config.store_dir}, workers: {service.manager.workers}, "
+            f"max-queue: {config.max_queue})",
+            file=out,
+            flush=True,
+        )
         while not stop.is_set():
             stop.wait(0.2)
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
+    print(
+        f"received {signal.Signals(received[0]).name}: draining in-flight jobs",
+        file=out,
+        flush=True,
+    )
     drained = service.stop(drain=True)
     print("drained" if drained else "drain timed out", file=out, flush=True)
     return 0 if drained else 1

@@ -1,75 +1,41 @@
-"""Array-backed columnar state for the kernel backend.
+"""Array-backed columnar peer views.
 
-The object backend models every view entry as a frozen
-:class:`~repro.datastructures.aged_view.AgedEntry` and every content summary
-as a :class:`~repro.datastructures.bloom.BloomFilter` instance; per gossip
-period each peer rebuilds its whole view dict just to age it, and each local
-query probe chases two attributes per view entry.  At paper scale those
-per-object costs dominate the run.
+Modelling every view entry as a frozen
+:class:`~repro.datastructures.aged_view.AgedEntry` carrying a
+:class:`~repro.datastructures.bloom.BloomFilter` makes each peer rebuild its
+whole view once per gossip period just to age it, and chase two attributes
+per entry on every query probe; at paper scale those per-object costs
+dominated the run.  :class:`ColumnarView` keeps the *same protocol state* in
+columns (contact strings, birth stamps, packed summaries) under an epoch
+clock: ageing the whole view is one integer increment, a gossip merge is a
+batched pass over the message columns, and a query probe is one precomputed
+Bloom mask compared against a column of fixed-width ints.
 
-This module keeps the *same protocol state* in columns:
-
-* :class:`ColumnarView` — a peer view as parallel columns (contact strings,
-  birth stamps, packed summaries) under an epoch clock: ageing the whole
-  view is one integer increment, a gossip merge is a batched pass over the
-  message columns, and a query probe is one precomputed Bloom mask compared
-  against a column of fixed-width ints.
-* :class:`KernelContentPeer` / :class:`KernelDirectoryPeer` — drop-in
-  subclasses of the object peers whose hot methods run over the columns.
-  Everything else (push accounting, failure handling, the churn API, the
-  system orchestration in :mod:`repro.core.system`) is inherited unchanged,
-  which is what makes the two backends byte-identical: they share one
-  control flow and differ only in how the per-peer tables are stored.
-
-Equivalence invariants the columns preserve exactly:
+:class:`~repro.datastructures.aged_view.AgedView` stays in the tree as the
+reference model; ``tests/test_kernel_equivalence.py`` drives both through
+random operation sequences in lockstep.  What the columns preserve exactly:
 
 * dict insertion order — replacing an entry keeps its position, new entries
   append, trims rebuild in ``(age, contact)`` order — so subset sampling
-  sees candidates in the same order as the object path;
+  sees candidates in the same order;
 * random draws — ``rng.sample`` consumes a draw sequence that depends only
-  on the candidate *count*, which both backends present identically;
+  on the candidate *count*;
 * tie-breaks — ``(age, contact)`` orderings compare the same ints and the
   same contact strings;
-* Bloom bits — packed summaries are the same integers the object filters
-  hold (masks come from the same memoised table), and Python ints are
-  immutable, which is precisely the snapshot semantics the object path
-  implements with copy-on-write.
-
-The parametrised digest-equality suite (``tests/test_kernel_equivalence.py``)
-checks these invariants end to end on every standard-tier scenario.
+* Bloom bits — packed summaries are the integers the filters hold (masks
+  come from the same memoised table), and Python ints are immutable, which
+  is precisely the snapshot semantics a gossiped summary needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import random
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.content_peer import ContentPeer, PushMessage
-from repro.core.directory_peer import DirectoryEntry, DirectoryPeer
 from repro.datastructures.aged_view import AgedEntry
-from repro.datastructures.bloom import BloomFilter, mask_for
-from repro.datastructures.lru import LRUCache
-from repro.workload.catalog import ObjectId
+from repro.datastructures.bloom import BloomFilter
 
-__all__ = [
-    "SUMMARY_NUM_HASHES",
-    "ViewColumn",
-    "ColumnarView",
-    "ColumnarGossipMessage",
-    "KernelContentPeer",
-    "KernelDirectoryPeer",
-]
+__all__ = ["SUMMARY_NUM_HASHES", "ViewColumn", "ColumnarView"]
 
 #: Content and directory summaries are built with ``BloomFilter.from_items``
 #: without an explicit hash count, which resolves to this default; the packed
@@ -154,9 +120,7 @@ class ColumnarView:
     def _materialize(self, bits: Optional[int]) -> Optional[BloomFilter]:
         if bits is None:
             return None
-        bloom = BloomFilter(self.num_bits, self.num_hashes)
-        bloom._bits = bits
-        return bloom
+        return BloomFilter.from_bits(bits, self.num_bits, self.num_hashes)
 
     # -- columnar accessors -------------------------------------------------
 
@@ -199,9 +163,9 @@ class ColumnarView:
     ) -> None:
         """Algorithm 4's merge as one pass over the message columns.
 
-        Duplicates keep the younger instance (strictly smaller age wins, as
-        in the object path), the owner's own entry is skipped, then the view
-        trims to the ``capacity`` most recent entries.
+        Duplicates keep the younger instance (strictly smaller age wins), the
+        owner's own entry is skipped, then the view trims to the ``capacity``
+        most recent entries.
         """
         clock = self.clock
         pos = self._pos
@@ -249,7 +213,7 @@ class ColumnarView:
         rng: Optional[random.Random] = None,
         exclude: Iterable[str] = (),
     ) -> List[ViewColumn]:
-        """``Lgossip`` random columns; draw-for-draw identical to the object path."""
+        """``Lgossip`` random columns; draw-for-draw identical to ``AgedView``."""
         clock = self.clock
         rows = self._rows
         if exclude:
@@ -266,7 +230,7 @@ class ColumnarView:
         selected = [(row[1], clock + row[0], row[2]) for row in candidates]
         if size >= len(selected) or rng is not None:
             return selected
-        # Deterministic fallback: youngest entries first (object-path rule).
+        # Deterministic fallback: youngest entries first.
         selected.sort(key=lambda column: (column[1], column[0]))
         return selected[:size]
 
@@ -287,304 +251,3 @@ class ColumnarView:
                 append((clock + negated, contact))
         hits.sort()
         return [contact for _, contact in hits]
-
-    # -- object-path compatibility shims --------------------------------------
-
-    def merge(self, incoming: Iterable[AgedEntry], self_contact: Optional[str] = None) -> None:
-        """AgedView-compatible merge of object-form entries (cold paths/tests)."""
-        self.merge_columns(_columns_from_entries(incoming), self_contact=self_contact)
-
-    def put(self, entry: AgedEntry) -> None:
-        """AgedView-compatible put (cold paths/tests)."""
-        payload = entry.payload._bits if entry.payload is not None else None
-        negated = entry.age - self.clock
-        row = self._pos.get(entry.contact)
-        if row is not None:
-            row[0] = negated
-            row[2] = payload
-            return
-        row = [negated, entry.contact, payload]
-        self._pos[entry.contact] = row
-        self._rows.append(row)
-        self._trim()
-
-
-def _columns_from_entries(entries: Iterable[AgedEntry]) -> List[ViewColumn]:
-    return [
-        (
-            entry.contact,
-            entry.age,
-            entry.payload._bits if entry.payload is not None else None,
-        )
-        for entry in entries
-    ]
-
-
-class ColumnarGossipMessage(NamedTuple):
-    """A gossip exchange in column form: packed summary + view columns.
-
-    The wire-equivalent of :class:`~repro.core.content_peer.GossipMessage`;
-    the bandwidth model prices both identically (same entry count, same
-    summary width), so the accounting cannot tell the backends apart.
-    A NamedTuple rather than a frozen dataclass: construction happens once
-    per gossip exchange, and ``tuple.__new__`` is much cheaper than the
-    ``object.__setattr__`` dance frozen dataclasses generate.
-    """
-
-    sender: str
-    summary_bits: int
-    view_subset: Tuple[ViewColumn, ...]
-
-    @property
-    def num_entries(self) -> int:
-        return len(self.view_subset)
-
-
-@dataclass(slots=True)
-class KernelContentPeer(ContentPeer):
-    """A content peer whose view and summary live in columns.
-
-    Only the view/summary touch-points are overridden; push accounting,
-    failure handling and the statistics surface are inherited, so
-    :class:`~repro.core.system.FlowerCDN` drives both peer kinds through one
-    code path.
-    """
-
-    #: packed own-content summary (the same integer the object path's
-    #: BloomFilter holds); ``None`` after a removal forces a lazy rebuild,
-    #: exactly like the object path's summary-cache invalidation.
-    _packed_summary: Optional[int] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._view = ColumnarView(
-            capacity=self.config.gossip.view_size,
-            num_bits=self.config.summary_bits,
-            num_hashes=SUMMARY_NUM_HASHES,
-        )
-        if self.config.content_cache_capacity is not None:
-            self._cache = LRUCache(self.config.content_cache_capacity)
-
-    # -- packed summary -----------------------------------------------------
-
-    def _record_change(
-        self, added: Optional[ObjectId] = None, removed: Optional[ObjectId] = None
-    ) -> None:
-        if added is not None:
-            # Incremental OR of the object's mask — bit-identical to the
-            # object path's in-place BloomFilter.add; ints are immutable so
-            # no copy-on-write escape tracking is needed.
-            if self._packed_summary is not None:
-                self._packed_summary |= mask_for(
-                    self.config.summary_bits, SUMMARY_NUM_HASHES, added
-                )
-            self._pending_removed.discard(added)
-            self._pending_added.add(added)
-        if removed is not None:
-            # Removal cannot be expressed on a Bloom mask: rebuild lazily.
-            self._packed_summary = None
-            self._pending_added.discard(removed)
-            self._pending_removed.add(removed)
-
-    def summary_bits(self) -> int:
-        """The packed content summary (same bits as the object-path filter)."""
-        bits = self._packed_summary
-        if bits is None:
-            num_bits = self.config.summary_bits
-            bits = 0
-            for object_id in self._objects:
-                bits |= mask_for(num_bits, SUMMARY_NUM_HASHES, object_id)
-            self._packed_summary = bits
-        return bits
-
-    def content_summary(self) -> BloomFilter:
-        """Object-form summary for diagnostics and cross-backend call sites."""
-        bloom = BloomFilter(self.config.summary_bits, SUMMARY_NUM_HASHES)
-        bloom._bits = self.summary_bits()
-        return bloom
-
-    # -- view ----------------------------------------------------------------
-
-    def initialize_view(self, entries: Iterable[AgedEntry]) -> None:
-        self._view.merge_columns(
-            _columns_from_entries(entries), self_contact=self.peer_id
-        )
-
-    def initialize_view_columns(self, columns: Iterable[ViewColumn]) -> None:
-        """Seed the view straight from columns (the kernel system path)."""
-        self._view.merge_columns(columns, self_contact=self.peer_id)
-
-    def resolve_locally(self, object_id: ObjectId) -> List[str]:
-        mask = mask_for(self.config.summary_bits, SUMMARY_NUM_HASHES, object_id)
-        return self._view.probe(mask)
-
-    # -- Algorithm 4 over columns ---------------------------------------------
-
-    def select_gossip_partner(self) -> Optional[str]:
-        return self._view.select_oldest()
-
-    def build_gossip_message(
-        self, rng: Optional[random.Random] = None
-    ) -> ColumnarGossipMessage:
-        subset = self._view.select_subset_columns(
-            self.config.gossip.gossip_length, rng=rng
-        )
-        return ColumnarGossipMessage(
-            sender=self.peer_id,
-            summary_bits=self.summary_bits(),
-            view_subset=tuple(subset),
-        )
-
-    def apply_gossip(self, message: ColumnarGossipMessage) -> None:
-        self._view.merge_columns(message.view_subset, self_contact=self.peer_id)
-        if message.sender != self.peer_id:
-            self._view.put_fresh(message.sender, message.summary_bits)
-
-
-@dataclass(slots=True)
-class KernelDirectoryPeer(DirectoryPeer):
-    """A directory peer with an epoch-aged index and an inverted holder table.
-
-    * entry ages live in a stamp column under one epoch clock, so the
-      per-period ageing of the whole index is a single increment;
-    * ``lookup_index`` resolves through an object → holders inverted table
-      instead of scanning every index entry's object set.
-
-    The ``DirectoryEntry`` objects remain the canonical store of each
-    member's object list (their ``age`` field is synchronised on demand for
-    export and diagnostics), so the inherited Algorithm 3/6 control flow is
-    untouched.
-    """
-
-    _stamps: Dict[str, int] = field(default_factory=dict, init=False, repr=False)
-    _holders: Dict[ObjectId, Set[str]] = field(default_factory=dict, init=False, repr=False)
-    _clock: int = field(default=0, init=False, repr=False)
-
-    # -- ageing ----------------------------------------------------------------
-
-    def increment_ages(self) -> None:
-        self._clock += 1
-
-    def age_of(self, peer_id: str) -> Optional[int]:
-        stamp = self._stamps.get(peer_id)
-        return None if stamp is None else self._clock - stamp
-
-    def _synced_entry(self, entry: DirectoryEntry) -> DirectoryEntry:
-        entry.age = self._clock - self._stamps[entry.peer_id]
-        return entry
-
-    def entry(self, peer_id: str) -> Optional[DirectoryEntry]:
-        entry = self._index.get(peer_id)
-        return None if entry is None else self._synced_entry(entry)
-
-    # -- membership -------------------------------------------------------------
-
-    def register_client(self, peer_id: str, object_id: Optional[ObjectId] = None) -> bool:
-        entry = self._index.get(peer_id)
-        if entry is not None:
-            if object_id is not None:
-                self._record_objects(entry, [object_id])
-            self._stamps[peer_id] = self._clock
-            return True
-        if self.is_full:
-            return False
-        entry = DirectoryEntry(peer_id=peer_id, age=0)
-        if object_id is not None:
-            self._record_objects(entry, [object_id])
-        self._index[peer_id] = entry
-        self._stamps[peer_id] = self._clock
-        return True
-
-    def _record_objects(self, entry: DirectoryEntry, objects: Sequence[ObjectId]) -> None:
-        holders = self._holders
-        for object_id in objects:
-            if object_id not in entry.objects:
-                entry.objects.add(object_id)
-                self._unpublished_objects.add(object_id)
-                holder_set = holders.get(object_id)
-                if holder_set is None:
-                    holders[object_id] = {entry.peer_id}
-                else:
-                    holder_set.add(entry.peer_id)
-
-    def _unindex_object(self, peer_id: str, object_id: ObjectId) -> None:
-        holder_set = self._holders.get(object_id)
-        if holder_set is not None:
-            holder_set.discard(peer_id)
-            if not holder_set:
-                del self._holders[object_id]
-
-    def remove_client(self, peer_id: str) -> bool:
-        entry = self._index.pop(peer_id, None)
-        if entry is None:
-            return False
-        self._stamps.pop(peer_id, None)
-        for object_id in entry.objects:
-            self._unindex_object(peer_id, object_id)
-        return True
-
-    # -- Algorithm 6 -------------------------------------------------------------
-
-    def handle_push(self, push: PushMessage) -> None:
-        entry = self._index.get(push.sender)
-        if entry is None:
-            if self.is_full:
-                return
-            entry = DirectoryEntry(peer_id=push.sender, age=0)
-            self._index[push.sender] = entry
-        self._record_objects(entry, push.added)
-        for object_id in push.removed:
-            if object_id in entry.objects:
-                entry.objects.discard(object_id)
-                self._unindex_object(push.sender, object_id)
-        self._stamps[push.sender] = self._clock
-        self.pushes_received += 1
-
-    def handle_keepalive(self, peer_id: str) -> None:
-        if peer_id in self._stamps:
-            self._stamps[peer_id] = self._clock
-
-    def evict_dead_entries(self) -> List[str]:
-        dead_age = self.config.gossip.dead_age
-        clock = self._clock
-        dead = [
-            peer_id for peer_id, stamp in self._stamps.items() if clock - stamp > dead_age
-        ]
-        for peer_id in dead:
-            self.remove_client(peer_id)
-        return dead
-
-    # -- lookups -------------------------------------------------------------------
-
-    def indexed_objects(self) -> Set[ObjectId]:
-        return set(self._holders)
-
-    def lookup_index(self, object_id: ObjectId) -> List[str]:
-        holder_set = self._holders.get(object_id)
-        if not holder_set:
-            return []
-        clock = self._clock
-        stamps = self._stamps
-        holders = sorted((clock - stamps[peer_id], peer_id) for peer_id in holder_set)
-        return [peer_id for _, peer_id in holders]
-
-    # -- state transfer --------------------------------------------------------------
-
-    def export_state(self) -> Dict[str, DirectoryEntry]:
-        return {
-            peer_id: self._synced_entry(entry) for peer_id, entry in self._index.items()
-        }
-
-    def import_state(self, index: Dict[str, DirectoryEntry]) -> None:
-        self._index = dict(index)
-        clock = self._clock
-        self._stamps = {peer_id: clock - entry.age for peer_id, entry in index.items()}
-        holders: Dict[ObjectId, Set[str]] = {}
-        for peer_id, entry in index.items():
-            for object_id in entry.objects:
-                holder_set = holders.get(object_id)
-                if holder_set is None:
-                    holders[object_id] = {peer_id}
-                else:
-                    holder_set.add(peer_id)
-        self._holders = holders
-        self._unpublished_objects.update(holders)

@@ -15,26 +15,26 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from repro.core.columns import SUMMARY_NUM_HASHES, ColumnarView, ViewColumn
 from repro.core.config import FlowerConfig
-from repro.datastructures.aged_view import AgedEntry, AgedView
-from repro.datastructures.bloom import BloomFilter, entries_maybe_containing
+from repro.datastructures.bloom import BloomFilter, mask_for
 from repro.datastructures.lru import LRUCache
 from repro.workload.catalog import ObjectId
 
-#: C-level sort key for "youngest first, contact as tie-break" orderings
-_AGE_THEN_CONTACT = attrgetter("age", "contact")
 
+class GossipMessage(NamedTuple):
+    """One gossip message: the sender's packed summary plus view columns.
 
-@dataclass(frozen=True, slots=True)
-class GossipMessage:
-    """One gossip message: the sender's current summary plus a view subset."""
+    A NamedTuple rather than a frozen dataclass: one is built per exchange,
+    and ``tuple.__new__`` is much cheaper than the ``object.__setattr__``
+    dance frozen dataclasses generate.
+    """
 
     sender: str
-    content_summary: BloomFilter
-    view_subset: Tuple[AgedEntry[BloomFilter], ...]
+    summary_bits: int
+    view_subset: Tuple[ViewColumn, ...]
 
     @property
     def num_entries(self) -> int:
@@ -68,15 +68,14 @@ class ContentPeer:
     # internal state -----------------------------------------------------------
     _objects: Set[ObjectId] = field(default_factory=set, init=False, repr=False)
     _cache: Optional[LRUCache] = field(default=None, init=False, repr=False)
-    _view: AgedView = field(init=False, repr=False)
+    _view: ColumnarView = field(init=False, repr=False)
     _directory_age: int = field(default=0, init=False, repr=False)
     _pending_added: Set[ObjectId] = field(default_factory=set, init=False, repr=False)
     _pending_removed: Set[ObjectId] = field(default_factory=set, init=False, repr=False)
-    _summary_cache: Optional[BloomFilter] = field(default=None, init=False, repr=False)
-    #: True once the cached summary has been handed out (gossip messages and
-    #: view entries hold references); further changes must copy-on-write so
-    #: escaped snapshots never mutate.
-    _summary_escaped: bool = field(default=False, init=False, repr=False)
+    #: packed Bloom summary of ``_objects``; ``None`` after a removal, which
+    #: a Bloom mask cannot express, forces a lazy rebuild.  Python ints are
+    #: immutable, so a summary handed to a partner is a snapshot for free.
+    _packed_summary: Optional[int] = field(default=None, init=False, repr=False)
     alive: bool = field(default=True, init=False)
     #: statistics used by tests and experiment diagnostics
     gossip_initiated: int = field(default=0, init=False)
@@ -84,7 +83,11 @@ class ContentPeer:
     pushes_sent: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        self._view = AgedView(capacity=self.config.gossip.view_size)
+        self._view = ColumnarView(
+            capacity=self.config.gossip.view_size,
+            num_bits=self.config.summary_bits,
+            num_hashes=SUMMARY_NUM_HASHES,
+        )
         if self.config.content_cache_capacity is not None:
             self._cache = LRUCache(self.config.content_cache_capacity)
 
@@ -126,61 +129,55 @@ class ContentPeer:
         self, added: Optional[ObjectId] = None, removed: Optional[ObjectId] = None
     ) -> None:
         if added is not None:
-            # Bloom filters are add-only, so the cached summary can absorb a
-            # new object incrementally instead of being rebuilt from scratch
-            # (bit-identical result: OR is commutative and each object is
-            # recorded exactly once).  If the cache has escaped — a gossip
-            # message or a partner's view holds a reference — mutate a copy,
-            # so handed-out summaries stay the snapshots they were.
-            cache = self._summary_cache
-            if cache is not None:
-                if self._summary_escaped:
-                    cache = cache.copy()
-                    self._summary_cache = cache
-                    self._summary_escaped = False
-                cache.add(added)
+            # Bloom filters are add-only, so the packed summary absorbs a new
+            # object as one OR of its mask instead of a rebuild (bit-identical:
+            # OR is commutative and each object is recorded exactly once).
+            if self._packed_summary is not None:
+                self._packed_summary |= mask_for(
+                    self.config.summary_bits, SUMMARY_NUM_HASHES, added
+                )
             self._pending_removed.discard(added)
             self._pending_added.add(added)
         if removed is not None:
-            # Removal cannot be expressed on a Bloom filter: force a rebuild.
-            self._summary_cache = None
-            self._summary_escaped = False
+            self._packed_summary = None
             self._pending_added.discard(removed)
             self._pending_removed.add(removed)
 
-    def content_summary(self) -> BloomFilter:
-        """The current content summary (a Bloom filter of all stored object IDs).
+    def summary_bits(self) -> int:
+        """The content summary as the packed integer a ``BloomFilter`` would hold."""
+        bits = self._packed_summary
+        if bits is None:
+            num_bits = self.config.summary_bits
+            bits = 0
+            for object_id in self._objects:
+                bits |= mask_for(num_bits, SUMMARY_NUM_HASHES, object_id)
+            self._packed_summary = bits
+        return bits
 
-        The filter is maintained incrementally: newly stored objects are added
-        in place (copy-on-write once a reference has been handed out), and a
-        full rebuild only happens after a drop.  Callers receive a snapshot:
-        summaries embedded in gossip messages never change retroactively.
-        """
-        if self._summary_cache is None:
-            self._summary_cache = BloomFilter.from_items(
-                self._objects, num_bits=self.config.summary_bits
-            )
-        self._summary_escaped = True
-        return self._summary_cache
+    def content_summary(self) -> BloomFilter:
+        """The content summary in object form (diagnostics; gossip ships the bits)."""
+        return BloomFilter.from_bits(
+            self.summary_bits(), self.config.summary_bits, SUMMARY_NUM_HASHES
+        )
 
     # -- view management ------------------------------------------------------
 
     @property
-    def view(self) -> AgedView:
+    def view(self) -> ColumnarView:
         return self._view
 
     @property
     def view_contacts(self) -> Sequence[str]:
         return self._view.contacts()
 
-    def initialize_view(self, entries: Iterable[AgedEntry[BloomFilter]]) -> None:
+    def initialize_view(self, columns: Iterable[ViewColumn]) -> None:
         """Seed the view from the serving peer's view or the directory index.
 
         Per Section 4.2, the view of a joining peer is a subset of either the
         serving content peer's view (with summaries) or the directory index
         (addresses only — summaries fill in through later gossip).
         """
-        self._view.merge(entries, self_contact=self.peer_id)
+        self._view.merge_columns(columns, self_contact=self.peer_id)
 
     def note_directory(self, directory_peer_id: str) -> None:
         """Track the current directory peer of the overlay (special view entry)."""
@@ -205,25 +202,22 @@ class ContentPeer:
         consults the view.  Candidates are ordered youngest entry first since
         fresher summaries are less likely to be stale.
         """
-        # Hot path: probe every summary with one precomputed mask instead of
-        # one membership call per view entry.
-        candidates = entries_maybe_containing(self._view, object_id)
-        candidates.sort(key=_AGE_THEN_CONTACT)
-        return [entry.contact for entry in candidates]
+        return self._view.probe(
+            mask_for(self.config.summary_bits, SUMMARY_NUM_HASHES, object_id)
+        )
 
     # -- Algorithm 4: gossip behaviour ----------------------------------------------
 
     def select_gossip_partner(self) -> Optional[str]:
         """The oldest contact in the view (active behaviour's partner choice)."""
-        oldest = self._view.select_oldest()
-        return oldest.contact if oldest else None
+        return self._view.select_oldest()
 
     def build_gossip_message(self, rng: Optional[random.Random] = None) -> GossipMessage:
         """Build the message sent in an exchange: own summary + ``Lgossip`` entries."""
-        subset = self._view.select_subset(self.config.gossip.gossip_length, rng=rng)
+        subset = self._view.select_subset_columns(self.config.gossip.gossip_length, rng=rng)
         return GossipMessage(
             sender=self.peer_id,
-            content_summary=self.content_summary(),
+            summary_bits=self.summary_bits(),
             view_subset=tuple(subset),
         )
 
@@ -234,11 +228,9 @@ class ContentPeer:
         summary) as in Algorithm 4's ``viewEntry`` step; the forwarded view
         subset goes through the duplicate-resolving merge.
         """
-        self._view.merge(message.view_subset, self_contact=self.peer_id)
+        self._view.merge_columns(message.view_subset, self_contact=self.peer_id)
         if message.sender != self.peer_id:
-            self._view.put(
-                AgedEntry(contact=message.sender, age=0, payload=message.content_summary)
-            )
+            self._view.put_fresh(message.sender, message.summary_bits)
 
     def handle_gossip(
         self, message: GossipMessage, rng: Optional[random.Random] = None

@@ -6,6 +6,11 @@ the directory index: one entry per content peer carrying its address, an age
 keeps Bloom-filter *directory summaries* of the indexes of the neighbouring
 directory peers of the same website and answers queries with Algorithm 3:
 index lookup → summary lookup → origin server.
+
+Two tables keep the per-period and per-query work off the index itself:
+entry ages live in a stamp column under one epoch clock, so ageing the whole
+index is a single increment, and ``lookup_index`` resolves through an
+object → holders inverted table instead of scanning every entry's object set.
 """
 
 from __future__ import annotations
@@ -21,14 +26,16 @@ from repro.workload.catalog import ObjectId
 
 @dataclass(slots=True)
 class DirectoryEntry:
-    """One directory-index entry: a content peer, its age and its object list."""
+    """One directory-index entry: a content peer, its age and its object list.
+
+    Inside a :class:`DirectoryPeer` the authoritative age is the peer's stamp
+    column; ``age`` is brought up to date whenever an entry is handed out
+    (:meth:`DirectoryPeer.entry`, :meth:`DirectoryPeer.export_state`).
+    """
 
     peer_id: str
     age: int = 0
     objects: Set[ObjectId] = field(default_factory=set)
-
-    def refresh(self) -> None:
-        self.age = 0
 
 
 @dataclass(slots=True)
@@ -52,6 +59,11 @@ class DirectoryPeer:
     config: FlowerConfig
 
     _index: Dict[str, DirectoryEntry] = field(default_factory=dict, init=False, repr=False)
+    #: peer id -> value of ``_clock`` when the peer was last heard from
+    _stamps: Dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    #: object id -> ids of the index entries listing it
+    _holders: Dict[ObjectId, Set[str]] = field(default_factory=dict, init=False, repr=False)
+    _clock: int = field(default=0, init=False, repr=False)
     _summaries: Dict[str, BloomFilter] = field(default_factory=dict, init=False, repr=False)
     #: per-object query counts, used by the active-replication extension to
     #: decide which objects are popular enough to push to other overlays
@@ -80,42 +92,65 @@ class DirectoryPeer:
         return tuple(self._index)
 
     def entry(self, peer_id: str) -> Optional[DirectoryEntry]:
-        return self._index.get(peer_id)
+        entry = self._index.get(peer_id)
+        return None if entry is None else self._synced_entry(entry)
+
+    def age_of(self, peer_id: str) -> Optional[int]:
+        stamp = self._stamps.get(peer_id)
+        return None if stamp is None else self._clock - stamp
+
+    def _synced_entry(self, entry: DirectoryEntry) -> DirectoryEntry:
+        entry.age = self._clock - self._stamps[entry.peer_id]
+        return entry
 
     def indexed_objects(self) -> Set[ObjectId]:
         """Union of all object identifiers listed in the directory index."""
-        objects: Set[ObjectId] = set()
-        for entry in self._index.values():
-            objects.update(entry.objects)
-        return objects
+        return set(self._holders)
 
     def register_client(self, peer_id: str, object_id: Optional[ObjectId] = None) -> bool:
         """Optimistically add a new content peer after serving its query (Section 3.4).
 
         Returns ``False`` when the overlay is full and the peer was not added.
         """
-        if peer_id in self._index:
-            if object_id is not None:
-                self._record_objects(self._index[peer_id], [object_id])
-            self._index[peer_id].refresh()
-            return True
-        if self.is_full:
-            return False
-        entry = DirectoryEntry(peer_id=peer_id, age=0)
+        entry = self._index.get(peer_id)
+        if entry is None:
+            if self.is_full:
+                return False
+            entry = DirectoryEntry(peer_id=peer_id)
+            self._index[peer_id] = entry
         if object_id is not None:
             self._record_objects(entry, [object_id])
-        self._index[peer_id] = entry
+        self._stamps[peer_id] = self._clock
         return True
 
     def _record_objects(self, entry: DirectoryEntry, objects: Sequence[ObjectId]) -> None:
+        holders = self._holders
         for object_id in objects:
             if object_id not in entry.objects:
                 entry.objects.add(object_id)
                 self._unpublished_objects.add(object_id)
+                holder_set = holders.get(object_id)
+                if holder_set is None:
+                    holders[object_id] = {entry.peer_id}
+                else:
+                    holder_set.add(entry.peer_id)
+
+    def _unindex_object(self, peer_id: str, object_id: ObjectId) -> None:
+        holder_set = self._holders.get(object_id)
+        if holder_set is not None:
+            holder_set.discard(peer_id)
+            if not holder_set:
+                del self._holders[object_id]
 
     def remove_client(self, peer_id: str) -> bool:
         """Drop a content peer (failed, departed or changed locality)."""
-        return self._index.pop(peer_id, None) is not None
+        entry = self._index.pop(peer_id, None)
+        if entry is None:
+            return False
+        self._stamps.pop(peer_id, None)
+        for object_id in entry.objects:
+            self._unindex_object(peer_id, object_id)
+        return True
 
     # -- Algorithm 6: directory behaviour ----------------------------------------
 
@@ -125,32 +160,33 @@ class DirectoryPeer:
         if entry is None:
             if self.is_full:
                 return
-            entry = DirectoryEntry(peer_id=push.sender, age=0)
+            entry = DirectoryEntry(peer_id=push.sender)
             self._index[push.sender] = entry
         self._record_objects(entry, push.added)
         for object_id in push.removed:
-            entry.objects.discard(object_id)
-        entry.refresh()
+            if object_id in entry.objects:
+                entry.objects.discard(object_id)
+                self._unindex_object(push.sender, object_id)
+        self._stamps[push.sender] = self._clock
         self.pushes_received += 1
 
     def handle_keepalive(self, peer_id: str) -> None:
-        entry = self._index.get(peer_id)
-        if entry is not None:
-            entry.refresh()
+        if peer_id in self._stamps:
+            self._stamps[peer_id] = self._clock
 
     def increment_ages(self) -> None:
-        for entry in self._index.values():
-            entry.age += 1
+        """Age every entry: one clock tick instead of a per-entry pass."""
+        self._clock += 1
 
     def evict_dead_entries(self) -> List[str]:
         """Remove entries whose age exceeded ``Tdead`` (Section 5.1)."""
+        dead_age = self.config.gossip.dead_age
+        clock = self._clock
         dead = [
-            peer_id
-            for peer_id, entry in self._index.items()
-            if entry.age > self.config.gossip.dead_age
+            peer_id for peer_id, stamp in self._stamps.items() if clock - stamp > dead_age
         ]
         for peer_id in dead:
-            del self._index[peer_id]
+            self.remove_client(peer_id)
         return dead
 
     # -- directory summaries ----------------------------------------------------------
@@ -191,12 +227,12 @@ class DirectoryPeer:
         Results are ordered youngest entry first, so redirections prefer peers
         heard from recently (fewer redirection failures under churn).
         """
-        holders = [
-            (entry.age, peer_id)
-            for peer_id, entry in self._index.items()
-            if object_id in entry.objects
-        ]
-        holders.sort()
+        holder_set = self._holders.get(object_id)
+        if not holder_set:
+            return []
+        clock = self._clock
+        stamps = self._stamps
+        holders = sorted((clock - stamps[peer_id], peer_id) for peer_id in holder_set)
         return [peer_id for _, peer_id in holders]
 
     def lookup_summaries(self, object_id: ObjectId) -> List[str]:
@@ -249,8 +285,17 @@ class DirectoryPeer:
 
     def export_state(self) -> Dict[str, DirectoryEntry]:
         """Hand over the directory index (voluntary-leave replacement, Section 5.2)."""
-        return {peer_id: entry for peer_id, entry in self._index.items()}
+        return {
+            peer_id: self._synced_entry(entry) for peer_id, entry in self._index.items()
+        }
 
     def import_state(self, index: Dict[str, DirectoryEntry]) -> None:
         self._index = dict(index)
-        self._unpublished_objects.update(self.indexed_objects())
+        clock = self._clock
+        self._stamps = {peer_id: clock - entry.age for peer_id, entry in index.items()}
+        holders: Dict[ObjectId, Set[str]] = {}
+        for peer_id, entry in index.items():
+            for object_id in entry.objects:
+                holders.setdefault(object_id, set()).add(peer_id)
+        self._holders = holders
+        self._unpublished_objects.update(holders)

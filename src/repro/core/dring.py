@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.keys import KeyScheme
-from repro.overlay.chord import ChordRing
 import random
 
+from repro.core.keys import KeyScheme
+from repro.overlay.chord import ChordRing
 from repro.overlay.router import (
     KBRRouter,
     LatencyCallback,
@@ -39,7 +39,7 @@ class DirectoryPlacement:
 class DRing:
     """The directory overlay: engineered IDs over a Chord ring."""
 
-    __slots__ = ("_keys", "_ring", "_router", "_placements", "_by_pair")
+    __slots__ = ("_keys", "_ring", "_router", "_placements", "_by_website")
 
     def __init__(
         self,
@@ -64,7 +64,8 @@ class DRing:
         )
         self._router = KBRRouter(self._ring, latency_callback=latency_callback)
         self._placements: Dict[int, DirectoryPlacement] = {}
-        self._by_pair: Dict[tuple[str, int], DirectoryPlacement] = {}
+        #: website -> locality -> placement
+        self._by_website: Dict[str, Dict[int, DirectoryPlacement]] = {}
 
     # -- accessors ----------------------------------------------------------
 
@@ -88,7 +89,7 @@ class DRing:
         return tuple(self._placements.values())
 
     def placement_for(self, website: str, locality: int) -> Optional[DirectoryPlacement]:
-        return self._by_pair.get((website, locality))
+        return self._by_website.get(website, {}).get(locality)
 
     def placement_at(self, node_id: int) -> Optional[DirectoryPlacement]:
         return self._placements.get(node_id)
@@ -113,12 +114,12 @@ class DRing:
             website=website, locality=locality, node_id=node_id, peer_id=peer_id
         )
         self._placements[node_id] = placement
-        self._by_pair[(website, locality)] = placement
+        self._by_website.setdefault(website, {})[locality] = placement
         return placement
 
     def remove_directory(self, website: str, locality: int, failed: bool = False) -> None:
         """Remove a directory peer, gracefully or after a failure."""
-        placement = self._by_pair.pop((website, locality), None)
+        placement = self._by_website.get(website, {}).pop(locality, None)
         if placement is None:
             return
         del self._placements[placement.node_id]
@@ -135,8 +136,7 @@ class DRing:
         usual stabilisation repairs the routing tables — which
         :class:`~repro.overlay.chord.ChordRing` does on join.
         """
-        if (website, locality) in self._by_pair:
-            self.remove_directory(website, locality)
+        self.remove_directory(website, locality)
         self._ring.stabilize()
         return self.register_directory(website, locality, new_peer_id)
 
@@ -187,25 +187,22 @@ class DRing:
         exist (Figure 4 keeps summaries for exactly those two).
         """
         neighbors: List[DirectoryPlacement] = []
-        num_localities = max(
-            (p.locality for p in self._by_pair.values() if p.website == website), default=-1
-        ) + 1
+        by_locality = self._by_website.get(website, {})
+        num_localities = max(by_locality, default=-1) + 1
         if num_localities <= 1:
             return neighbors
         for delta in (-1, 1):
             neighbor_loc = (locality + delta) % num_localities
             if neighbor_loc == locality:
                 continue
-            placement = self._by_pair.get((website, neighbor_loc))
+            placement = by_locality.get(neighbor_loc)
             if placement is not None and placement not in neighbors:
                 neighbors.append(placement)
         return neighbors
 
     def website_directories(self, website: str) -> List[DirectoryPlacement]:
-        return sorted(
-            (p for p in self._by_pair.values() if p.website == website),
-            key=lambda p: p.locality,
-        )
+        by_locality = self._by_website.get(website, {})
+        return [by_locality[locality] for locality in sorted(by_locality)]
 
     def random_bootstrap_node(self, rng: random.Random) -> Optional[int]:
         """A random live D-ring node, used as the entry point of new clients."""

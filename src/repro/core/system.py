@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.columns import KernelContentPeer, KernelDirectoryPeer
 from repro.core.config import FlowerConfig
 from repro.core.content_peer import ContentPeer, PushMessage
 from repro.core.directory_peer import DirectoryPeer
 from repro.core.dring import DRing
 from repro.core.keys import KeyScheme
-from repro.datastructures.aged_view import AgedEntry
 from repro.metrics.collectors import (
     BandwidthAccountant,
     MetricsCollector,
@@ -87,7 +86,6 @@ class FlowerCDN:
         latency_model: Optional[LatencyModel] = None,
         catalog: Optional[Catalog] = None,
         compact_metrics: bool = False,
-        kernel: bool = False,
         owned_websites: Optional[frozenset] = None,
     ) -> None:
         self.config = config
@@ -100,13 +98,6 @@ class FlowerCDN:
         self._owned_websites = (
             frozenset(owned_websites) if owned_websites is not None else None
         )
-        #: backend toggle: the columnar kernel stores peer views, summaries
-        #: and directory indexes as packed columns (see repro.core.columns)
-        #: while sharing this class's orchestration; runs are digest-identical
-        #: across backends, the kernel is just faster at scale.
-        self.kernel = kernel
-        self._content_cls = KernelContentPeer if kernel else ContentPeer
-        self._directory_cls = KernelDirectoryPeer if kernel else DirectoryPeer
         self.sim = sim
         self.topology = topology
         self.latency = latency_model or LatencyModel(topology)
@@ -438,7 +429,7 @@ class FlowerCDN:
         peer_id = f"d({website},{locality})#{generation}"
         self.latency.register_peer(peer_id, host_id)
         placement = self.dring.register_directory(website, locality, peer_id)
-        directory = self._directory_cls(
+        directory = DirectoryPeer(
             peer_id=peer_id,
             host_id=host_id,
             website=website,
@@ -826,7 +817,7 @@ class FlowerCDN:
         peer_id = f"c({website})@{host_id}"
         if peer_id in self._content_peers:
             return self._content_peers[peer_id]
-        peer = self._content_cls(
+        peer = ContentPeer(
             peer_id=peer_id,
             host_id=host_id,
             website=website,
@@ -878,23 +869,21 @@ class FlowerCDN:
             and provider.website == peer.website
             and provider.locality == peer.locality
         ):
-            entries = list(provider.view.entries())
-            entries.append(AgedEntry(contact=provider.peer_id, age=0,
-                                     payload=provider.content_summary()))
-            subset = entries[: self.config.gossip.view_size]
-            peer.initialize_view(subset)
+            columns = provider.view.export_columns()
+            columns.append((provider.peer_id, 0, provider.summary_bits()))
+            peer.initialize_view(columns[: self.config.gossip.view_size])
             return
         directory = self.directory_for(peer.website, peer.locality)
         if directory is None:
             return
-        entries = [
-            AgedEntry(contact=member, age=entry.age, payload=None)
-            for member, entry in (
-                (m, directory.entry(m)) for m in directory.members()
-            )
-            if entry is not None and member != peer.peer_id
-        ]
-        peer.initialize_view(entries[: self.config.gossip.view_size])
+        # The index lists up to Sco members and the view keeps view_size of
+        # them: stop collecting as soon as the view is full.
+        members = (
+            (member, directory.age_of(member), None)
+            for member in directory.members()
+            if member != peer.peer_id
+        )
+        peer.initialize_view(islice(members, self.config.gossip.view_size))
 
     def _current_directory(
         self, website: str, locality: int, detector: Optional[ContentPeer] = None
@@ -1108,7 +1097,7 @@ class FlowerCDN:
         peer_id = f"d({website},{locality})#{generation}"
         self.latency.register_peer(peer_id, detector.host_id)
         placement = self.dring.replace_directory(website, locality, peer_id)
-        replacement = self._directory_cls(
+        replacement = DirectoryPeer(
             peer_id=peer_id,
             host_id=detector.host_id,
             website=website,

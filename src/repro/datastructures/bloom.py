@@ -144,6 +144,13 @@ class BloomFilter:
         bloom.update(items)
         return bloom
 
+    @classmethod
+    def from_bits(cls, bits: int, num_bits: int, num_hashes: int) -> "BloomFilter":
+        """Wrap an already packed bit array (the form peers gossip)."""
+        bloom = cls(num_bits=num_bits, num_hashes=num_hashes)
+        bloom._bits = bits
+        return bloom
+
     # -- core operations -------------------------------------------------------
 
     def _positions(self, item: str) -> Iterator[int]:

@@ -50,10 +50,6 @@ class ExperimentSetup:
     #: when True the metric collectors fold records into array reservoirs
     #: instead of retaining per-query objects (paper-scale memory mode)
     compact_metrics: bool = False
-    #: when True Flower-CDN peers run on the columnar kernel backend
-    #: (repro.core.columns) — digest-identical to the object backend,
-    #: substantially faster at paper scale; see docs/performance.md
-    kernel: bool = False
     #: compiled workload phases of a scenario program (empty: one stationary
     #: phase over the whole run — the historical behaviour)
     phases: Tuple[PhaseSpan, ...] = ()
@@ -202,7 +198,6 @@ class ExperimentRunner:
             latency_model=LatencyModel(self.topology),
             catalog=self.catalog,
             compact_metrics=self.setup.compact_metrics,
-            kernel=self.setup.kernel,
         )
         system.bootstrap()
         return sim, system

@@ -124,14 +124,14 @@ class ChordRing:
         live = self.live_ids()
         if not live:
             return None
-        return self._nodes[self.idspace.closest_to(key, live)]
+        return self._nodes[self.idspace.closest_in_sorted(key, live)]
 
     def owner_matching(self, key: int, predicate) -> Optional[ChordNode]:
         """The live node closest to ``key`` among nodes whose id satisfies ``predicate``."""
         candidates = [nid for nid in self.live_ids() if predicate(nid)]
         if not candidates:
             return None
-        return self._nodes[self.idspace.closest_to(key, candidates)]
+        return self._nodes[self.idspace.closest_in_sorted(key, candidates)]
 
     # -- idealised routing -------------------------------------------------------
 

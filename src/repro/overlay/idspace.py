@@ -10,7 +10,9 @@ distance, interval membership and key hashing.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -104,3 +106,21 @@ class IdSpace:
                 c,
             ),
         )
+
+    def closest_in_sorted(self, key: int, sorted_ids: Sequence[int]) -> int:
+        """:meth:`closest_to` for an ascending list of distinct ids, by bisection.
+
+        The numerically closest id is one of the key's two ring neighbours in
+        the list: every other id is strictly further both ways round.  On a
+        distance tie :meth:`closest_to` prefers the smaller clockwise
+        distance, which is the clockwise neighbour.
+        """
+        if not sorted_ids:
+            raise ValueError("candidates must not be empty")
+        size = self.size
+        index = bisect_left(sorted_ids, key)
+        clockwise = sorted_ids[index] if index < len(sorted_ids) else sorted_ids[0]
+        counter = sorted_ids[index - 1]
+        ahead = (clockwise - key) % size
+        behind = (key - counter) % size
+        return counter if min(behind, size - behind) < min(ahead, size - ahead) else clockwise

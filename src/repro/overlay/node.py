@@ -15,6 +15,12 @@ each node keeps *backward fingers* (the first live node counter-clockwise
 from ``id - 2^i``), so greedy numerically-closest routing halves the distance
 to a counter-clockwise key just as it does clockwise, and lookups are
 O(log n) in both directions instead of degrading to a predecessor walk.
+
+Both lookups run on every hop of every route, so they bisect a cached sorted
+*routing table* (the distinct known ids) instead of rebuilding and scanning
+the known set.  :meth:`ChordNode.remember`, :meth:`ChordNode.forget` and
+:func:`rebuild_routing_state` drop the cache; code that writes the slots
+directly must call :meth:`ChordNode.invalidate_routing_table` afterwards.
 """
 
 from __future__ import annotations
@@ -26,6 +32,18 @@ from repro.overlay.idspace import IdSpace
 
 class ChordNode:
     """Routing state of one DHT participant."""
+
+    __slots__ = (
+        "node_id",
+        "idspace",
+        "peer_name",
+        "fingers",
+        "back_fingers",
+        "successors",
+        "predecessor",
+        "alive",
+        "_table",
+    )
 
     def __init__(self, node_id: int, idspace: IdSpace, peer_name: str = "") -> None:
         idspace.validate(node_id)
@@ -39,6 +57,8 @@ class ChordNode:
         self.successors: List[int] = []
         self.predecessor: Optional[int] = None
         self.alive = True
+        #: sorted distinct known ids, built on the first lookup after a change
+        self._table: Optional[List[int]] = None
 
     # -- identity ----------------------------------------------------------
 
@@ -65,8 +85,19 @@ class ChordNode:
             known.add(self.predecessor)
         return known
 
+    def routing_table(self) -> List[int]:
+        """:meth:`known_nodes` in ascending order, cached until the state changes."""
+        table = self._table
+        if table is None:
+            table = self._table = sorted(self.known_nodes())
+        return table
+
+    def invalidate_routing_table(self) -> None:
+        self._table = None
+
     def forget(self, node_id: int) -> None:
         """Drop a failed node from every routing-state slot."""
+        self._table = None
         self.fingers = [None if f == node_id else f for f in self.fingers]
         self.back_fingers = [None if f == node_id else f for f in self.back_fingers]
         self.successors = [s for s in self.successors if s != node_id]
@@ -77,6 +108,7 @@ class ChordNode:
         """Opportunistically place ``node_id`` into any finger slot it improves."""
         if node_id == self.node_id:
             return
+        self._table = None
         for index in range(self.idspace.bits):
             start = self.finger_start(index)
             current = self.fingers[index]
@@ -101,16 +133,16 @@ class ChordNode:
 
     def local_lookup(self, key: int) -> int:
         """The known node (or self) numerically closest to ``key``."""
-        return self.idspace.closest_to(key, sorted(self.known_nodes()))
+        return self.idspace.closest_in_sorted(key, self.routing_table())
 
     def conditional_local_lookup(
         self, key: int, predicate: Callable[[int], bool]
     ) -> Optional[int]:
         """Closest known node satisfying ``predicate``, or ``None`` if there is none."""
-        candidates = [n for n in self.known_nodes() if predicate(n)]
+        candidates = [n for n in self.routing_table() if predicate(n)]
         if not candidates:
             return None
-        return self.idspace.closest_to(key, sorted(candidates))
+        return self.idspace.closest_in_sorted(key, candidates)
 
     def closest_preceding(self, key: int) -> int:
         """Chord's ``closest_preceding_finger``: used by tests to cross-check routing."""
@@ -180,6 +212,7 @@ def rebuild_routing_state(
             for offset in range(1, min(successor_list_size, ring_size) + 1)
         ]
         node.predecessor = live_ids[(position - 1) % ring_size]
+        node.invalidate_routing_table()
 
 
 def iter_live(nodes: Iterable[ChordNode]) -> Iterable[ChordNode]:

@@ -104,7 +104,7 @@ class PastryNode:
             if node != self.node_id and self._prefix_length(node, key) > own_prefix
         ]
         candidates = better_prefix if better_prefix else known
-        best = self.idspace.closest_to(key, candidates)
+        best = self.idspace.closest_in_sorted(key, candidates)
         # Never take a hop that moves numerically further from the key.
         if self.idspace.circular_distance(key, best) > self.idspace.circular_distance(
             key, self.node_id
@@ -115,10 +115,10 @@ class PastryNode:
     def conditional_local_lookup(
         self, key: int, predicate: Callable[[int], bool]
     ) -> Optional[int]:
-        candidates = [node for node in self.known_nodes() if predicate(node)]
+        candidates = sorted(node for node in self.known_nodes() if predicate(node))
         if not candidates:
             return None
-        return self.idspace.closest_to(key, sorted(candidates))
+        return self.idspace.closest_in_sorted(key, candidates)
 
     def _prefix_length(self, node_id: int, key: int) -> int:
         length = 0
@@ -239,13 +239,13 @@ class PastryRing:
         live = self.live_ids()
         if not live:
             return None
-        return self._nodes[self.idspace.closest_to(key, live)]
+        return self._nodes[self.idspace.closest_in_sorted(key, live)]
 
     def owner_matching(self, key: int, predicate) -> Optional[PastryNode]:
         candidates = [nid for nid in self.live_ids() if predicate(nid)]
         if not candidates:
             return None
-        return self._nodes[self.idspace.closest_to(key, candidates)]
+        return self._nodes[self.idspace.closest_in_sorted(key, candidates)]
 
     # -- bulk construction ------------------------------------------------------------------
 

@@ -285,7 +285,7 @@ def bench_squirrel(
 
 
 def bench_paper_scale(
-    name: str = PAPER_SCALE_SCENARIO, isolate: bool = False, kernel: bool = False
+    name: str = PAPER_SCALE_SCENARIO, isolate: bool = False
 ) -> Dict[str, float]:
     """One end-to-end paper-scale run with wall-clock and memory accounting.
 
@@ -294,10 +294,6 @@ def bench_paper_scale(
     phases, and reports peak RSS.  A single repetition: at minutes per run,
     best-of-N is not worth the wall clock — the nightly job tracks the trend
     instead.
-
-    ``kernel=True`` runs the Flower system on the columnar protocol kernel
-    (byte-identical metrics, different hot-path implementation), so the
-    document records both backends' throughput side by side.
 
     ``isolate=True`` runs the benchmark in a fresh child process so
     ``peak_rss_mb`` measures *this run* rather than the process-lifetime
@@ -314,7 +310,7 @@ def bench_paper_scale(
         code = (
             "import json\n"
             "from repro.perf.suite import bench_paper_scale\n"
-            f"print(json.dumps(bench_paper_scale({name!r}, kernel={kernel!r})))\n"
+            f"print(json.dumps(bench_paper_scale({name!r})))\n"
         )
         try:
             child = subprocess.run(
@@ -328,7 +324,7 @@ def bench_paper_scale(
         except (OSError, subprocess.CalledProcessError, ValueError, IndexError):
             pass  # fall through to the inline run
     spec = get_scenario(name)
-    session = Session.from_name(name, kernel=kernel)
+    session = Session.from_name(name)
     total_start = time.perf_counter()
     trace = session.resolved_trace()
     trace_elapsed = time.perf_counter() - total_start
@@ -343,7 +339,6 @@ def bench_paper_scale(
     info = session.experiment.topology.latency_cache_info()
     return {
         "scenario": name,
-        "kernel": kernel,
         "events_per_s": sim.events_fired / dispatch_elapsed,
         "queries_per_s": system.metrics.num_queries / dispatch_elapsed,
         "trace_s": trace_elapsed,
@@ -596,11 +591,8 @@ def run_suite(
         # Kept under its own key (not "scenarios") so the per-PR regression
         # gate never requires a minutes-long fresh run to compare against.
         # Isolated in a child process so peak_rss_mb reflects the paper-scale
-        # run alone, not whatever suite section peaked earlier.  Both backends
-        # run the identical scenario (byte-identical goldens), so the pair of
-        # numbers is the object-path vs columnar-kernel comparison.
+        # run alone, not whatever suite section peaked earlier.
         document["paper_scale"] = bench_paper_scale(isolate=True)
-        document["paper_scale_kernel"] = bench_paper_scale(isolate=True, kernel=True)
         if shards >= 2:
             document["paper_scale_sharded"] = bench_paper_scale_sharded(
                 shards=shards, isolate=True

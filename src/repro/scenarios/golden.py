@@ -127,21 +127,14 @@ def golden_spec(name: str) -> ScenarioSpec:
     return spec if scale == 1.0 else spec.scaled(scale)
 
 
-def compute_golden_digest(
-    name: str, kernel: bool = False, shards: int = 1
-) -> Dict[str, object]:
+def compute_golden_digest(name: str, shards: int = 1) -> Dict[str, object]:
     """Run ``name`` at golden scale/seed and return the digest to commit.
 
-    ``kernel=True`` runs on the columnar kernel backend; since the backends
-    are digest-identical the result must match the committed golden either
-    way — which is exactly what the kernel-equivalence gate checks.
-    ``shards >= 2`` runs the space-parallel shard engine, which is likewise
+    ``shards >= 2`` runs the space-parallel shard engine, which is
     digest-identical to the single-process path — the sharded-equivalence
     gate compares it against the very same committed goldens.
     """
-    result = run_scenario(
-        golden_spec(name), seed=GOLDEN_SEED, kernel=kernel, shards=shards
-    )
+    result = run_scenario(golden_spec(name), seed=GOLDEN_SEED, shards=shards)
     return result_digest(result, scale=golden_scale_for(name))
 
 
@@ -249,12 +242,11 @@ def _compare_metric_block(
 def verify_golden(
     name: str,
     golden_dir: Optional[Path] = None,
-    kernel: bool = False,
     shards: int = 1,
 ) -> List[str]:
     """Re-run ``name`` at golden scale and diff against the committed file."""
     expected = load_golden(name, golden_dir)
-    actual = compute_golden_digest(name, kernel=kernel, shards=shards)
+    actual = compute_golden_digest(name, shards=shards)
     return compare_digests(expected, actual)
 
 
@@ -277,10 +269,6 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
                              "(default: standard; the paper-scale tier takes "
                              "minutes per scenario and runs nightly)")
     parser.add_argument("--golden-dir", type=Path, default=None)
-    parser.add_argument("--kernel", action="store_true",
-                        help="run on the columnar kernel backend; the digest "
-                             "must still match the committed golden byte for "
-                             "byte (the kernel-equivalence gate)")
     parser.add_argument("--shards", type=int, default=1, metavar="N",
                         help="run through the space-parallel shard engine "
                              "with N shards; the digest must still match the "
@@ -289,11 +277,6 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
                              "scenarios qualify — see repro.core.sharding.")
     args = parser.parse_args(argv)
 
-    if args.kernel and args.update:
-        print("error: --kernel cannot be combined with --update; goldens are "
-              "produced by the default object backend (the kernel must match "
-              "them, not define them)", file=out)
-        return 2
     if args.shards != 1 and args.update:
         print("error: --shards cannot be combined with --update; goldens are "
               "produced by the single-process path (sharded runs must match "
@@ -321,9 +304,7 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
             print(f"updated {path}", file=out)
             continue
         try:
-            mismatches = verify_golden(
-                name, args.golden_dir, kernel=args.kernel, shards=args.shards
-            )
+            mismatches = verify_golden(name, args.golden_dir, shards=args.shards)
         except FileNotFoundError as error:
             print(f"FAIL {name}: {error}", file=out)
             failures += 1

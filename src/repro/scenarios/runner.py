@@ -209,7 +209,6 @@ def run_scenario(
     spec: ScenarioSpec,
     seed: Optional[int] = None,
     scale: Optional[float] = None,
-    kernel: bool = False,
     shards: Optional[int] = None,
     shard_jobs: Optional[int] = None,
 ) -> ScenarioResult:
@@ -218,6 +217,4 @@ def run_scenario(
 
     if scale is not None and scale != 1.0:
         spec = spec.scaled(scale)
-    return Session(
-        spec, seed=seed, kernel=kernel, shards=shards, shard_jobs=shard_jobs
-    ).run()
+    return Session(spec, seed=seed, shards=shards, shard_jobs=shard_jobs).run()

@@ -12,7 +12,7 @@ CPU-affinity heuristic as the batch runners
 
 Jobs are deduplicated by the canonical request digest
 (:func:`repro.service.store.request_digest`): submitting an identical
-``(spec, seed, scale, shards, kernel)`` request while a matching job is
+``(spec, seed, scale, shards)`` request while a matching job is
 queued, running or done returns the same job; a digest already present in
 the :class:`~repro.service.store.RunStore` completes instantly from cache.
 Everything executes through :class:`repro.session.Session` — the service
@@ -101,12 +101,11 @@ def canonical_scenario_payload(
     seed: Optional[int] = None,
     scale: float = 1.0,
     shards: Optional[int] = None,
-    kernel: bool = False,
 ) -> Dict[str, object]:
     """The canonical, digest-stable payload of one scenario run request.
 
     The scale factor is applied to the spec here, and every knob that can
-    change result *bytes or identity* (spec, seed, scale, shards, kernel) is
+    change result *bytes or identity* (spec, seed, scale, shards) is
     part of the payload — execution hints that cannot (worker counts) are
     not.  Two requests dedupe to one run exactly when these payloads match.
     """
@@ -123,7 +122,6 @@ def canonical_scenario_payload(
         "seed": spec.seed if seed is None else int(seed),
         "scale": scale,
         "shards": resolved_shards,
-        "kernel": bool(kernel),
     }
 
 
@@ -167,7 +165,6 @@ def execute_request(
         session = Session.from_spec(
             spec,
             seed=int(payload["seed"]),  # type: ignore[arg-type]
-            kernel=bool(payload["kernel"]),
             shards=int(payload["shards"]),  # type: ignore[arg-type]
         )
         result = session.run()

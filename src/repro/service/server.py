@@ -17,7 +17,7 @@ Routes (all JSON unless noted)::
 
 ``POST /runs`` accepts ``{"scenario": NAME}`` or an inline
 ``{"spec": {...}}`` (a :meth:`ScenarioSpec.to_dict` document) plus optional
-``seed`` / ``scale`` / ``shards`` / ``kernel`` / ``timeout_s`` overrides.
+``seed`` / ``scale`` / ``shards`` / ``timeout_s`` overrides.
 Identical submissions dedupe to the same run id; a digest already in the
 run store answers instantly with ``"cached": true``.  A full queue answers
 ``429`` with a ``Retry-After`` header; a draining server answers ``503``.
@@ -266,7 +266,6 @@ class ReproService:
                 seed=_opt_int(document, "seed"),
                 scale=1.0 if scale is None else scale,
                 shards=_opt_int(document, "shards"),
-                kernel=bool(document.get("kernel", False)),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ApiError(400, f"invalid run request: {_error_text(error)}") from None

@@ -33,7 +33,6 @@ reconstructing them.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup, RunResult
@@ -51,17 +50,11 @@ class Session:
         self,
         spec: ScenarioSpec,
         seed: Optional[int] = None,
-        kernel: bool = False,
         shards: Optional[int] = None,
         shard_jobs: Optional[int] = None,
     ) -> None:
         self.spec = spec
         self.seed = spec.seed if seed is None else seed
-        #: backend toggle: when True Flower-CDN runs on the columnar kernel
-        #: (repro.core.columns).  A runtime knob, not part of the spec — the
-        #: two backends are digest-identical, so results and goldens carry no
-        #: trace of which one produced them.
-        self.kernel = kernel
         #: space-parallel shard count (overrides the spec's ``shards`` field
         #: when given).  1 runs the historical single-process path; N >= 2
         #: routes flower runs through repro.sim.sharded — digest-identical to
@@ -78,10 +71,7 @@ class Session:
         self.shard_jobs = shard_jobs
         #: per-shard statistics of the most recent sharded flower run
         self.last_shard_stats = None
-        setup = spec.to_setup(seed=self.seed)
-        if kernel:
-            setup = replace(setup, kernel=True)
-        self._experiment = ExperimentRunner(setup)
+        self._experiment = ExperimentRunner(spec.to_setup(seed=self.seed))
         self._churn_model = build_churn_model(spec.churn_model)
         self._fault_model = build_fault_model(spec.fault_model)
         #: injectors attached to the most recent flower run (diagnostics)
@@ -94,12 +84,11 @@ class Session:
         cls,
         spec: ScenarioSpec,
         seed: Optional[int] = None,
-        kernel: bool = False,
         shards: Optional[int] = None,
         shard_jobs: Optional[int] = None,
     ) -> "Session":
         """A session for an explicit spec (the canonical constructor)."""
-        return cls(spec, seed=seed, kernel=kernel, shards=shards, shard_jobs=shard_jobs)
+        return cls(spec, seed=seed, shards=shards, shard_jobs=shard_jobs)
 
     @classmethod
     def from_name(
@@ -107,7 +96,6 @@ class Session:
         name: str,
         seed: Optional[int] = None,
         scale: Optional[float] = None,
-        kernel: bool = False,
         shards: Optional[int] = None,
         shard_jobs: Optional[int] = None,
     ) -> "Session":
@@ -117,7 +105,7 @@ class Session:
         spec = get_scenario(name)
         if scale is not None and scale != 1.0:
             spec = spec.scaled(scale)
-        return cls(spec, seed=seed, kernel=kernel, shards=shards, shard_jobs=shard_jobs)
+        return cls(spec, seed=seed, shards=shards, shard_jobs=shard_jobs)
 
     # -- the underlying layers ----------------------------------------------
 
@@ -181,7 +169,6 @@ class Session:
                     self.spec,
                     seed=self.seed,
                     shards=self.shards,
-                    kernel=self.kernel,
                     jobs=self.shard_jobs,
                 )
                 self.last_shard_stats = stats

@@ -57,7 +57,7 @@ class PeriodicProcess:
         if self.running:
             return
         if self._jitter_stream is not None:
-            phase = self._sim.streams.uniform(self._jitter_stream, 0.0, self._period)
+            phase = self._sim.streams.one_shot_uniform(self._jitter_stream, 0.0, self._period)
         else:
             phase = self._period
         self._handle = self._sim.call_every(

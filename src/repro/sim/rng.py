@@ -26,11 +26,14 @@ def derive_seed(master_seed: int, name: str) -> int:
 class RandomStreams:
     """A registry of named, independently seeded ``random.Random`` streams."""
 
-    __slots__ = ("_master_seed", "_streams")
+    __slots__ = ("_master_seed", "_streams", "_one_shot_draws")
 
     def __init__(self, master_seed: int = 42) -> None:
         self._master_seed = master_seed
         self._streams: Dict[str, random.Random] = {}
+        #: draws taken so far from streams that are only ever asked for one
+        #: value at a time (see :meth:`one_shot_uniform`)
+        self._one_shot_draws: Dict[str, int] = {}
 
     @property
     def master_seed(self) -> int:
@@ -38,12 +41,38 @@ class RandomStreams:
 
     def stream(self, name: str) -> random.Random:
         """Return the stream registered under ``name``, creating it on demand."""
-        if name not in self._streams:
-            self._streams[name] = random.Random(derive_seed(self._master_seed, name))
-        return self._streams[name]
+        rng = self._streams.get(name)
+        if rng is None:
+            rng = self._replay(name, self._one_shot_draws.pop(name, 0))
+            self._streams[name] = rng
+        return rng
+
+    def _replay(self, name: str, drawn: int) -> random.Random:
+        """A fresh generator for ``name`` advanced past ``drawn`` uniform draws."""
+        rng = random.Random(derive_seed(self._master_seed, name))
+        for _ in range(drawn):
+            rng.uniform(0.0, 1.0)  # the bounds do not change what a draw consumes
+        return rng
+
+    def one_shot_uniform(self, name: str, low: float, high: float) -> float:
+        """The next ``uniform(low, high)`` of stream ``name``, retaining no generator.
+
+        A simulation holds thousands of per-peer streams that are drawn from
+        once (the start phase of a periodic process); keeping a Mersenne
+        state alive for each costs ~2.5 KB apiece.  Only the number of draws
+        taken is kept: the k-th call re-derives the stream and replays k-1
+        draws, so it returns exactly what the k-th ``uniform`` of a retained
+        stream would — including after :meth:`stream` takes the name over.
+        """
+        rng = self._streams.get(name)
+        if rng is not None:
+            return rng.uniform(low, high)
+        drawn = self._one_shot_draws.get(name, 0)
+        self._one_shot_draws[name] = drawn + 1
+        return self._replay(name, drawn).uniform(low, high)
 
     def names(self) -> Sequence[str]:
-        return tuple(sorted(self._streams))
+        return tuple(sorted({*self._streams, *self._one_shot_draws}))
 
     # Convenience wrappers used throughout the code base -------------------
 

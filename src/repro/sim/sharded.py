@@ -32,7 +32,7 @@ from __future__ import annotations
 # Wall-clock reads below are perf accounting only (ShardRunStats); they
 # never feed simulated time or draws, hence the DET002 suppressions.
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -66,7 +66,6 @@ class ShardTask:
     shard_index: int
     num_shards: int
     websites: Tuple[str, ...]
-    kernel: bool = False
 
 
 @dataclass
@@ -152,8 +151,6 @@ def _run_shard(task: ShardTask) -> ShardOutcome:
     """Run one shard start to finish, advancing in conservative windows."""
     spec = task.spec
     setup = spec.to_setup(task.seed)
-    if task.kernel:
-        setup = replace(setup, kernel=True)
     duration = setup.flower.simulation_duration_s
 
     setup_started = _time.perf_counter()  # repro: allow(DET002)
@@ -171,7 +168,6 @@ def _run_shard(task: ShardTask) -> ShardOutcome:
         latency_model=LatencyModel(runner.topology),
         catalog=runner.catalog,
         compact_metrics=setup.compact_metrics,
-        kernel=setup.kernel,
         owned_websites=frozenset(task.websites),
     )
     system.bootstrap()
@@ -315,7 +311,6 @@ def run_sharded_flower(
     spec: "ScenarioSpec",
     seed: Optional[int] = None,
     shards: int = 2,
-    kernel: bool = False,
     jobs: Optional[int] = None,
 ) -> Tuple[RunResult, ShardRunStats]:
     """Run a flower scenario across ``shards`` shard engines and merge.
@@ -340,7 +335,6 @@ def run_sharded_flower(
             shard_index=index,
             num_shards=shards,
             websites=websites,
-            kernel=kernel,
         )
         for index, websites in enumerate(plan.assignments)
     ]

@@ -38,6 +38,24 @@ def simulator() -> Simulator:
     return Simulator(seed=7)
 
 
+class RecordingSimulator(Simulator):
+    """Records ``(label, first firing time)`` of every periodic activity."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.starts = []
+
+    def call_every(self, period, callback, start=None, label=""):
+        self.starts.append((label, start))
+        return super().call_every(period, callback, start=start, label=label)
+
+
+@pytest.fixture
+def recording_simulator() -> type:
+    """The :class:`RecordingSimulator` class, for tests that pick the seed."""
+    return RecordingSimulator
+
+
 @pytest.fixture
 def small_config() -> FlowerConfig:
     return FlowerConfig(

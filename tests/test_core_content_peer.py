@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import FlowerConfig, GossipConfig
 from repro.core.content_peer import ContentPeer, GossipMessage
-from repro.datastructures.aged_view import AgedEntry
 from repro.datastructures.bloom import BloomFilter
 
 
@@ -35,6 +34,11 @@ def make_peer(config: FlowerConfig, name: str = "c1", host: int = 0) -> ContentP
 
 def obj(i: int) -> str:
     return f"http://site-000.example.org/object/{i}"
+
+
+def col(contact: str, age: int = 0, payload: BloomFilter = None):
+    """One view column ``(contact, age, packed summary)`` as peers exchange them."""
+    return (contact, age, None if payload is None else payload._bits)
 
 
 class TestContentStorage:
@@ -68,11 +72,14 @@ class TestContentStorage:
         peer = make_peer(config)
         peer.store_object(obj(1))
         first = peer.content_summary()
-        assert first is peer.content_summary()  # cached
+        assert first == peer.content_summary()
         peer.store_object(obj(2))
         second = peer.content_summary()
-        assert second is not first
+        assert second != first
         assert second.might_contain(obj(2))
+        assert not first.might_contain(obj(2))  # handed-out summaries are snapshots
+        peer.drop_object(obj(2))
+        assert peer.content_summary() == first  # a drop forces the rebuild
 
     def test_lru_capacity_evicts_and_reports_removal(self):
         config = FlowerConfig(
@@ -90,19 +97,19 @@ class TestContentStorage:
 class TestView:
     def test_initialize_view_excludes_self(self, config):
         peer = make_peer(config, name="me")
-        peer.initialize_view([AgedEntry("me", 0), AgedEntry("other", 0)])
+        peer.initialize_view([col("me", 0), col("other", 0)])
         assert "me" not in peer.view
         assert "other" in peer.view
 
     def test_view_respects_capacity(self, config):
         peer = make_peer(config)
-        peer.initialize_view([AgedEntry(f"p{i}", age=i) for i in range(20)])
+        peer.initialize_view([col(f"p{i}", age=i) for i in range(20)])
         assert len(peer.view) == config.gossip.view_size
 
     def test_increment_ages_also_ages_directory_entry(self, config):
         peer = make_peer(config)
         peer.note_directory("d0")
-        peer.initialize_view([AgedEntry("p1", 0)])
+        peer.initialize_view([col("p1", 0)])
         peer.increment_ages()
         assert peer.view.get("p1").age == 1
         assert peer.directory_age == 1
@@ -117,7 +124,7 @@ class TestView:
     def test_forget_contact(self, config):
         peer = make_peer(config)
         peer.note_directory("d0")
-        peer.initialize_view([AgedEntry("p1", 0)])
+        peer.initialize_view([col("p1", 0)])
         peer.forget_contact("p1")
         assert "p1" not in peer.view
         peer.forget_contact("d0")
@@ -130,26 +137,26 @@ class TestLocalResolution:
         fresh = BloomFilter.from_items([obj(7)], num_bits=config.summary_bits)
         stale = BloomFilter.from_items([obj(7)], num_bits=config.summary_bits)
         peer.initialize_view(
-            [AgedEntry("stale", age=5, payload=stale), AgedEntry("fresh", age=0, payload=fresh)]
+            [col("stale", age=5, payload=stale), col("fresh", age=0, payload=fresh)]
         )
         assert peer.resolve_locally(obj(7)) == ["fresh", "stale"]
 
     def test_entries_without_summaries_are_skipped(self, config):
         peer = make_peer(config)
-        peer.initialize_view([AgedEntry("unknown", age=0, payload=None)])
+        peer.initialize_view([col("unknown", age=0, payload=None)])
         assert peer.resolve_locally(obj(1)) == []
 
     def test_non_matching_summaries_are_skipped(self, config):
         peer = make_peer(config)
         summary = BloomFilter.from_items([obj(1)], num_bits=config.summary_bits)
-        peer.initialize_view([AgedEntry("p", age=0, payload=summary)])
+        peer.initialize_view([col("p", age=0, payload=summary)])
         assert peer.resolve_locally(obj(15)) == []
 
 
 class TestGossip:
     def test_partner_is_oldest_view_entry(self, config):
         peer = make_peer(config)
-        peer.initialize_view([AgedEntry("young", age=0), AgedEntry("old", age=7)])
+        peer.initialize_view([col("young", age=0), col("old", age=7)])
         assert peer.select_gossip_partner() == "old"
 
     def test_partner_none_when_view_empty(self, config):
@@ -158,12 +165,13 @@ class TestGossip:
     def test_gossip_message_contains_summary_and_subset(self, config):
         peer = make_peer(config)
         peer.store_object(obj(1))
-        peer.initialize_view([AgedEntry(f"p{i}", age=i) for i in range(5)])
+        peer.initialize_view([col(f"p{i}", age=i) for i in range(5)])
         message = peer.build_gossip_message(rng=random.Random(0))
         assert isinstance(message, GossipMessage)
         assert message.sender == peer.peer_id
         assert message.num_entries == config.gossip.gossip_length
-        assert message.content_summary.might_contain(obj(1))
+        assert message.summary_bits == peer.content_summary()._bits
+        assert peer.content_summary().might_contain(obj(1))
 
     def test_exchange_adds_partner_with_fresh_summary(self, config):
         alice = make_peer(config, "alice", 0)
@@ -183,7 +191,7 @@ class TestGossip:
         alice = make_peer(config, "alice")
         bob = make_peer(config, "bob")
         carol_summary = BloomFilter.from_items([obj(9)], num_bits=config.summary_bits)
-        alice.initialize_view([AgedEntry("carol", age=1, payload=carol_summary)])
+        alice.initialize_view([col("carol", age=1, payload=carol_summary)])
         reply = bob.handle_gossip(alice.build_gossip_message())
         alice.apply_gossip(reply)
         assert "carol" in bob.view
@@ -192,7 +200,7 @@ class TestGossip:
     def test_view_never_contains_self_after_gossip(self, config):
         alice = make_peer(config, "alice")
         bob = make_peer(config, "bob")
-        bob.initialize_view([AgedEntry("alice", age=2)])
+        bob.initialize_view([col("alice", age=2)])
         reply = bob.handle_gossip(alice.build_gossip_message())
         alice.apply_gossip(reply)
         assert "alice" not in alice.view

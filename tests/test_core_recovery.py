@@ -1,6 +1,9 @@
 """Recovery-path tests: peer fail/recover round-trips, contact forgetting
 and directory replacement under repeated failures (Section 5 machinery)."""
 
+import gc
+import random
+
 import pytest
 
 from repro.core.config import FlowerConfig, GossipConfig
@@ -8,7 +11,7 @@ from repro.core.content_peer import ContentPeer
 from repro.core.system import FlowerCDN
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, derive_seed
 from repro.workload.assignment import ResolvedQuery
 
 
@@ -134,3 +137,80 @@ class TestRepeatedDirectoryReplacement:
         enroll(system)
         assert system.fail_directory(website, 0)
         assert not system.fail_directory(website, 0)
+
+
+class TestJitterStreamsAcrossReEnrolment:
+    """Start phases come from per-peer streams that are no longer retained;
+    a peer or directory that starts again must still draw what a retained
+    ``jitter:*`` stream would have given it (the goldens depend on it)."""
+
+    @pytest.fixture
+    def recorded(self, config: FlowerConfig, recording_simulator) -> FlowerCDN:
+        topology = Topology(
+            TopologyConfig(num_hosts=300, num_localities=3, locality_weights=(1.0, 1.0, 1.0)),
+            RandomStreams(31),
+        )
+        cdn = FlowerCDN(config, recording_simulator(seed=5, end_time=3600.0), topology)
+        cdn.bootstrap()
+        return cdn
+
+    @staticmethod
+    def retained(name: str, period: float = 60.0):
+        stream = random.Random(derive_seed(5, name))
+        return lambda: stream.uniform(0.0, period)
+
+    def test_change_locality_draws_the_second_phase_of_the_same_streams(self, recorded):
+        peer = enroll(recorded, locality=0)
+        recorded.sim.run(until=100.0)
+        assert recorded.change_locality(peer.peer_id, 1) == peer.peer_id
+        gossip = self.retained(f"jitter:{peer.peer_id}")
+        keepalive = self.retained(f"jitter:ka:{peer.peer_id}")
+        starts = [entry for entry in recorded.sim.starts if entry[0].endswith(peer.peer_id)]
+        assert starts == [
+            (f"gossip:{peer.peer_id}", 0.0 + gossip()),
+            (f"keepalive:{peer.peer_id}", 0.0 + keepalive()),
+            (f"gossip:{peer.peer_id}", 100.0 + gossip()),
+            (f"keepalive:{peer.peer_id}", 100.0 + keepalive()),
+        ]
+
+    def test_directory_replacement_draws_from_its_own_generation_stream(self, recorded):
+        website = recorded.catalog.websites[0].name
+        enroll(recorded, locality=0)
+        replacement_id = recorded.leave_directory(website, 0)
+        assert replacement_id == f"d({website},0)#1"
+        ticks = dict(entry for entry in recorded.sim.starts if entry[0].startswith("dir-tick:"))
+        for generation in (0, 1):
+            name = f"d({website},0)#{generation}"
+            assert ticks[f"dir-tick:{name}"] == self.retained(f"jitter:{name}")()
+
+    def test_paper_population_retains_generators_per_overlay_not_per_peer(self):
+        """600 directories + ~2000 content peers: ~4600 one-draw streams, none retained."""
+        from repro.session import Session
+
+        def generators() -> int:
+            return sum(1 for obj in gc.get_objects() if type(obj) is random.Random)
+
+        before = generators()
+        sim, system = Session.from_name("paper-default-full-scale").build_flower()
+        websites = system.catalog.websites[: system.config.active_websites]
+        enrolled = 0
+        for locality in range(system.config.num_localities):
+            hosts = [
+                host for host in system.topology.hosts_in_locality(locality)
+                if host not in system.reserved_hosts
+            ]
+            for index, host in enumerate(hosts[:400]):
+                website = websites[index % len(websites)]
+                system.handle_query(
+                    ResolvedQuery(
+                        query_id=enrolled, time=0.0, website=website.name,
+                        object_id=website.object_id(index % 50), locality=locality,
+                        client_host=host, is_new_client=True,
+                    )
+                )
+                enrolled += 1
+        assert system.num_directory_peers == 600
+        assert system.num_content_peers == enrolled >= 2000
+        overlays = len(websites) * system.config.num_localities
+        assert generators() - before <= overlays + 8
+        assert len(sim.streams.names()) >= 600 + 2 * enrolled

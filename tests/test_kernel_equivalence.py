@@ -1,16 +1,21 @@
-"""Kernel/object backend equivalence.
+"""The columnar protocol state against its reference models.
 
-The columnar kernel (``repro.core.columns``) must be *indistinguishable* from
-the object backend in everything but speed.  Two layers of evidence:
+Flower-CDN peers keep their views, summaries and directory indexes in
+columns (``repro.core.columns``, ``ContentPeer``, ``DirectoryPeer``); the
+object-form structures they replaced stay in the tree as reference models.
+Two layers of evidence that the columns changed nothing but speed:
 
-* **end to end** — every standard-tier scenario, run on the kernel at the
-  golden scale/seed, reproduces the committed golden digest byte for byte
-  (the object backend is pinned to the same files by
-  ``test_scenarios_golden.py``, so backend equality follows transitively);
+* **end to end** — every standard-tier scenario, run at the golden
+  scale/seed, reproduces the committed golden digest *byte for byte*.  The
+  goldens were produced by the per-object backend this one replaced, and
+  ``test_scenarios_golden.py`` only compares within tolerances, so this is
+  the tier-1 gate that keeps the fold (and any later kernel work that claims
+  byte-identity) honest;
 * **per structure** — property tests drive the columnar view, the packed
-  Bloom summaries and the kernel directory peer through random operation
-  sequences in lockstep with their object counterparts and require equal
-  observable state at every step.
+  Bloom summaries and the directory peer's stamp/holder tables through
+  random operation sequences in lockstep with ``AgedView``, ``BloomFilter``
+  and a naive per-entry directory model, and require equal observable state
+  at every step.
 """
 
 import random
@@ -20,12 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columns import (
-    SUMMARY_NUM_HASHES,
-    ColumnarView,
-    KernelContentPeer,
-    KernelDirectoryPeer,
-)
+from repro.core.columns import SUMMARY_NUM_HASHES, ColumnarView
 from repro.core.config import FlowerConfig
 from repro.core.content_peer import ContentPeer, PushMessage
 from repro.core.directory_peer import DirectoryPeer
@@ -33,7 +33,6 @@ from repro.datastructures.aged_view import AgedEntry, AgedView
 from repro.datastructures.bloom import BloomFilter, mask_for
 from repro.scenarios import golden
 from repro.scenarios.library import scenario_names
-from repro.session import Session
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -44,29 +43,11 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 @pytest.mark.parametrize("name", sorted(scenario_names(tier="standard")))
 def test_kernel_reproduces_committed_golden_exactly(name):
     committed = golden.load_golden(name, GOLDEN_DIR)
-    fresh = golden.compute_golden_digest(name, kernel=True)
+    fresh = golden.compute_golden_digest(name)
     assert fresh == committed, (
-        f"kernel backend diverged from the committed golden for {name!r}; "
-        "the two backends must be digest-identical"
+        f"the columnar backend diverged from the committed golden for {name!r}; "
+        "it must stay digest-identical to the object backend that produced it"
     )
-
-
-def test_session_kernel_flag_round_trips():
-    session = Session.from_name("paper-default", kernel=True)
-    assert session.kernel is True
-    assert session.setup.kernel is True
-    _, system = session.build_flower()
-    assert system.kernel is True
-    assert isinstance(next(iter(system._directory_peers.values())), KernelDirectoryPeer)
-
-
-def test_object_backend_remains_the_default():
-    session = Session.from_name("paper-default")
-    assert session.kernel is False
-    _, system = session.build_flower()
-    assert system.kernel is False
-    directory = next(iter(system._directory_peers.values()))
-    assert not isinstance(directory, KernelDirectoryPeer)
 
 
 # -- property: columnar view vs aged view -------------------------------------
@@ -192,33 +173,21 @@ object_lists = st.lists(st.integers(0, 40), min_size=0, max_size=60)
 @given(object_lists, object_lists)
 def test_packed_summary_tracks_bloom_filter(stored, dropped):
     config = _content_config()
-    kernel = KernelContentPeer(
-        peer_id="c(k)@1", host_id=1, website="w", locality=0, config=config
-    )
-    plain = ContentPeer(
-        peer_id="c(o)@1", host_id=1, website="w", locality=0, config=config
-    )
+    peer = ContentPeer(peer_id="c(k)@1", host_id=1, website="w", locality=0, config=config)
     for rank in stored:
-        object_id = f"http://site-000.example.org/object/{rank}"
-        kernel.store_object(object_id)
-        plain.store_object(object_id)
+        peer.store_object(f"http://site-000.example.org/object/{rank}")
     for rank in dropped:
-        object_id = f"http://site-000.example.org/object/{rank}"
-        kernel.drop_object(object_id)
-        plain.drop_object(object_id)
-    assert kernel.summary_bits() == plain.content_summary()._bits
-    assert kernel.content_summary() == plain.content_summary()
-    rebuilt = BloomFilter.from_items(plain.objects, num_bits=config.summary_bits)
-    assert kernel.summary_bits() == rebuilt._bits
+        peer.drop_object(f"http://site-000.example.org/object/{rank}")
+    rebuilt = BloomFilter.from_items(peer.objects, num_bits=config.summary_bits)
+    assert peer.summary_bits() == rebuilt._bits
+    assert peer.content_summary() == rebuilt
 
 
 @settings(max_examples=30, deadline=None)
 @given(object_lists)
 def test_packed_summary_incremental_add_is_bit_identical(stored):
     config = _content_config()
-    peer = KernelContentPeer(
-        peer_id="c(k)@1", host_id=1, website="w", locality=0, config=config
-    )
+    peer = ContentPeer(peer_id="c(k)@1", host_id=1, website="w", locality=0, config=config)
     for rank in stored:
         peer.store_object(f"http://site-000.example.org/object/{rank}")
         # the incrementally maintained mask must equal a fresh rebuild at
@@ -229,13 +198,20 @@ def test_packed_summary_incremental_add_is_bit_identical(stored):
         assert peer.summary_bits() == fresh
 
 
-# -- property: kernel directory peer vs object directory peer -----------------
+# -- property: directory peer vs a naive per-entry model -----------------------
 
 peer_ids = st.sampled_from([f"c{i}" for i in range(12)])
 dir_ops = st.lists(
     st.one_of(
         st.tuples(st.just("register"), peer_ids, st.integers(0, 20)),
-        st.tuples(st.just("push"), peer_ids, st.lists(st.integers(0, 20), max_size=5)),
+        st.tuples(
+            st.just("push"),
+            peer_ids,
+            st.tuples(
+                st.lists(st.integers(0, 20), max_size=5),
+                st.lists(st.integers(0, 20), max_size=3),
+            ),
+        ),
         st.tuples(st.just("keepalive"), peer_ids, st.none()),
         st.tuples(st.just("age"), st.none(), st.none()),
         st.tuples(st.just("evict"), st.none(), st.none()),
@@ -243,6 +219,50 @@ dir_ops = st.lists(
     ),
     max_size=50,
 )
+
+
+def _url(rank):
+    return f"http://site-000.example.org/object/{rank}"
+
+
+class NaiveDirectory:
+    """The directory index as the paper states it: one [age, objects] per peer,
+    aged entry by entry and searched by scanning (what ``DirectoryPeer`` did
+    before its stamp column and inverted holder table)."""
+
+    def __init__(self, config):
+        self.capacity = config.max_content_overlay_size
+        self.dead_age = config.gossip.dead_age
+        self.index = {}
+
+    def touch(self, peer_id, added=(), removed=(), create=True):
+        if peer_id not in self.index:
+            if not create or len(self.index) >= self.capacity:
+                return False
+            self.index[peer_id] = [0, set()]
+        entry = self.index[peer_id]
+        entry[0] = 0
+        entry[1].update(added)
+        entry[1].difference_update(removed)
+        return True
+
+    def age(self):
+        for entry in self.index.values():
+            entry[0] += 1
+
+    def evict(self):
+        dead = [p for p, (age, _) in self.index.items() if age > self.dead_age]
+        for peer_id in dead:
+            del self.index[peer_id]
+        return dead
+
+    def lookup(self, object_id):
+        return [
+            p for _, p in sorted((age, p) for p, (age, objs) in self.index.items() if object_id in objs)
+        ]
+
+    def state(self):
+        return {p: (age, sorted(objs)) for p, (age, objs) in self.index.items()}
 
 
 def _dir_state(directory):
@@ -256,53 +276,51 @@ def _dir_state(directory):
 @given(dir_ops)
 def test_kernel_directory_mirrors_object_directory(ops):
     config = FlowerConfig()
-    kwargs = dict(host_id=1, website="w", locality=0, node_id=0, config=config)
-    plain = DirectoryPeer(peer_id="d(o)", **kwargs)
-    kernel = KernelDirectoryPeer(peer_id="d(k)", **kwargs)
+    model = NaiveDirectory(config)
+    directory = DirectoryPeer(
+        peer_id="d(k)", host_id=1, website="w", locality=0, node_id=0, config=config
+    )
     for op, who, what in ops:
         if op == "register":
-            object_id = f"http://site-000.example.org/object/{what}"
-            assert plain.register_client(who, object_id) == kernel.register_client(
-                who, object_id
-            )
+            assert directory.register_client(who, _url(what)) == model.touch(who, [_url(what)])
         elif op == "push":
-            push_args = dict(
-                added=tuple(f"http://site-000.example.org/object/{r}" for r in what),
-                removed=(),
-            )
-            plain.handle_push(PushMessage(sender=who, **push_args))
-            kernel.handle_push(PushMessage(sender=who, **push_args))
+            added = tuple(_url(r) for r in what[0])
+            removed = tuple(_url(r) for r in what[1] if r not in what[0])
+            directory.handle_push(PushMessage(sender=who, added=added, removed=removed))
+            model.touch(who, added, removed)
         elif op == "keepalive":
-            plain.handle_keepalive(who)
-            kernel.handle_keepalive(who)
+            directory.handle_keepalive(who)
+            model.touch(who, create=False)
         elif op == "age":
-            plain.increment_ages()
-            kernel.increment_ages()
+            directory.increment_ages()
+            model.age()
         elif op == "evict":
-            assert plain.evict_dead_entries() == kernel.evict_dead_entries()
+            assert directory.evict_dead_entries() == model.evict()
         elif op == "remove":
-            assert plain.remove_client(who) == kernel.remove_client(who)
-        assert _dir_state(plain) == _dir_state(kernel)
-        assert plain.indexed_objects() == kernel.indexed_objects()
+            assert directory.remove_client(who) == (model.index.pop(who, None) is not None)
+        assert _dir_state(directory) == model.state()
+        assert all(directory.entry(p).age == directory.age_of(p) for p in model.index)
+        indexed = set().union(*(objs for _, objs in model.index.values()))
+        assert directory.indexed_objects() == indexed
         for rank in range(5):
-            object_id = f"http://site-000.example.org/object/{rank}"
-            assert plain.lookup_index(object_id) == kernel.lookup_index(object_id)
-        assert plain.should_refresh_summary() == kernel.should_refresh_summary()
-        assert plain.build_summary() == kernel.build_summary()
+            assert directory.lookup_index(_url(rank)) == model.lookup(_url(rank))
+        assert directory.build_summary() == BloomFilter.from_items(
+            indexed, num_bits=config.summary_bits
+        )
 
 
 def test_kernel_directory_state_transfer_round_trip():
     config = FlowerConfig()
     kwargs = dict(host_id=1, website="w", locality=0, node_id=0, config=config)
-    source = KernelDirectoryPeer(peer_id="d(a)", **kwargs)
-    source.register_client("c1", "http://site-000.example.org/object/1")
+    source = DirectoryPeer(peer_id="d(a)", **kwargs)
+    source.register_client("c1", _url(1))
     source.increment_ages()
-    source.register_client("c2", "http://site-000.example.org/object/2")
+    source.register_client("c2", _url(2))
     source.increment_ages()
-    target = KernelDirectoryPeer(peer_id="d(b)", **kwargs)
+    target = DirectoryPeer(peer_id="d(b)", **kwargs)
     target.import_state(source.export_state())
     assert _dir_state(target) == _dir_state(source)
     target.increment_ages()
     assert target.entry("c1").age == 3
     assert target.entry("c2").age == 2
-    assert target.lookup_index("http://site-000.example.org/object/1") == ["c1"]
+    assert target.lookup_index(_url(1)) == ["c1"]

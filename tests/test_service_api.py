@@ -10,7 +10,13 @@ injected in-thread executor so they are fast and fully deterministic.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -290,9 +296,11 @@ class TestBackpressure:
         try:
             client = Client(service)
             ids = set()
-            for _ in range(5):  # identical submissions: all join one run
+            # Identical submissions all join one run — also the ones that still
+            # send the retired `kernel` flag, which used to split the cache.
+            for extra in ({}, {}, {"kernel": True}, {"kernel": False}, {}):
                 status, _, text = client.request(
-                    "POST", "/runs", {"spec": TINY_SPEC, "seed": 1}
+                    "POST", "/runs", {"spec": TINY_SPEC, "seed": 1, **extra}
                 )
                 assert status in (200, 202)
                 ids.add(json.loads(text)["id"])
@@ -542,6 +550,58 @@ class TestDrain:
         job = service.manager.get(run_id)
         assert job is not None and job.state == DONE
         assert job.digest in service.store
+
+    def test_sigterm_at_first_healthz_drains_and_exits_zero(self, tmp_path: Path) -> None:
+        """`repro serve` handles SIGTERM from the first answered request on.
+
+        The server's stdout is a pipe that is already full, so its start-up
+        banner blocks: that holds the process at the point where it answers
+        requests but (before the fix) had not yet installed its handlers.
+        The port is chosen here because the banner cannot be read yet.
+        """
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, False)
+        try:
+            while True:
+                os.write(write_end, b"." * 4096)
+        except BlockingIOError:
+            os.set_blocking(write_end, True)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", str(port),
+             "--workers", "1", "--store", str(tmp_path / "store")],
+            stdout=write_end, stderr=subprocess.STDOUT,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        os.close(write_end)
+        try:
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    with urllib.request.urlopen(
+                        f"http://127.0.0.1:{port}/healthz", timeout=1
+                    ) as response:
+                        assert response.status == 200
+                        break
+                except (urllib.error.URLError, ConnectionError, socket.timeout):
+                    assert server.poll() is None, "server died before answering"
+                    assert time.monotonic() < deadline, "server never answered /healthz"
+            server.send_signal(signal.SIGTERM)
+            watchdog = threading.Timer(30, server.kill)  # bounds the read below
+            watchdog.start()
+            with open(read_end, "rb") as pipe:
+                output = pipe.read().lstrip(b".").decode()
+            server.wait(timeout=30)
+            watchdog.cancel()
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert server.returncode == 0, output
+        assert "received SIGTERM" in output and "drained" in output
 
     def test_draining_manager_rejects_submissions(self, tmp_path: Path) -> None:
         store = RunStore(tmp_path / "store")

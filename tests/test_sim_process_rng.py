@@ -1,5 +1,7 @@
 """Unit tests for periodic processes and the seeded random streams."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -48,6 +50,17 @@ class TestPeriodicProcess:
         sim.run(until=16.0)
         assert ticks[:2] == [5.0, 10.0]
         assert all(b - a == pytest.approx(2.0) for a, b in zip(ticks[2:], ticks[3:]))
+
+    def test_kth_start_sees_the_kth_draw_of_its_jitter_stream(self, recording_simulator):
+        """Restarts draw what a retained stream would, without retaining one."""
+        sim = recording_simulator(seed=3)
+        process = PeriodicProcess(sim, 10.0, lambda: None, jitter_stream="jitter:x")
+        for _ in range(4):
+            process.restart()
+        retained = random.Random(derive_seed(3, "jitter:x"))
+        assert [start for _, start in sim.starts] == [
+            retained.uniform(0.0, 10.0) for _ in range(4)
+        ]
 
     def test_double_start_is_noop(self):
         sim = Simulator()
@@ -124,8 +137,35 @@ class TestRandomStreams:
             streams.expovariate("e", 0.0)
         assert streams.expovariate("e", 2.0) >= 0.0
 
+    def test_one_shot_draws_follow_the_retained_sequence(self):
+        retained = RandomStreams(7)
+        expected = [retained.uniform("phase", 0.0, 60.0) for _ in range(5)]
+        streams = RandomStreams(7)
+        assert [streams.one_shot_uniform("phase", 0.0, 60.0) for _ in range(3)] == expected[:3]
+        # stream() takes the name over where the one-shot draws left off ...
+        assert streams.stream("phase").uniform(0.0, 60.0) == expected[3]
+        # ... and later one-shot draws continue on the now-retained generator.
+        assert streams.one_shot_uniform("phase", 0.0, 60.0) == expected[4]
+        assert streams.names() == ("phase",)
+
+    def test_one_shot_draws_retain_no_generator(self):
+        streams = RandomStreams(7)
+        for index in range(100):
+            streams.one_shot_uniform(f"jitter:{index}", 0.0, 1.0)
+        assert len(streams.names()) == 100
+        assert not any(isinstance(value, random.Random) for value in vars_of(streams))
+
     def test_names_lists_created_streams(self):
         streams = RandomStreams(7)
         streams.random("alpha")
         streams.random("beta")
         assert streams.names() == ("alpha", "beta")
+
+
+def vars_of(streams: RandomStreams):
+    """Every object a ``RandomStreams`` holds, one level into its containers."""
+    for slot in RandomStreams.__slots__:
+        value = getattr(streams, slot)
+        yield value
+        if isinstance(value, dict):
+            yield from value.values()

@@ -59,11 +59,6 @@ class TestShardCountIndependence:
         pooled = run_scenario(spec, seed=SEED, shards=2, shard_jobs=2).to_dict()
         assert pooled == inline
 
-    def test_kernel_backend_sharded_matches_kernel_single_process(self):
-        baseline = _result_dict("paper-default", 0.25, kernel=True)
-        sharded = _result_dict("paper-default", 0.25, kernel=True, shards=2)
-        assert sharded == baseline
-
     def test_session_records_shard_stats(self):
         spec = get_scenario("paper-default").scaled(0.1)
         session = Session(spec, seed=SEED, shards=2, shard_jobs=1)
