@@ -10,7 +10,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
         check-goldens-paper goldens-sweeps check-goldens-sweeps \
         goldens-sweeps-paper sweep-smoke sweeps \
         bench-smoke bench scenarios api-surface api-surface-update \
-        perf perf-check perf-baseline perf-paper \
+        perf perf-check perf-baseline perf-paper e2e-smoke \
         serve service-smoke \
         analyze analyze-changed lint typecheck
 
@@ -68,6 +68,12 @@ perf-baseline:
 ## perf suite including the end-to-end paper-scale benchmark (minutes)
 perf-paper:
 	$(PYTHON) -m repro.cli perf --paper-scale
+
+## the benchmark of record at smoke sizes: all four workloads, both passes,
+## every declared metric (benchmarks/e2e; reaches the program only through
+## schedule_trace, the event labels and the driver's constructor names)
+e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
 
 ## list the registered parameter sweeps
 sweeps:

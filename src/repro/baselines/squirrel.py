@@ -182,28 +182,45 @@ class Squirrel:
 
     # -- query processing -------------------------------------------------------------
 
-    def handle_query(self, query: ResolvedQuery) -> QueryRecord:
-        """Process one client query through the Squirrel overlay."""
+    def process_query(
+        self,
+        query_id: int,
+        time: float,
+        website: str,
+        object_id: ObjectId,
+        locality: int,
+        client_host: int,
+    ) -> tuple:
+        """Process one client query given as scalars through the overlay.
+
+        Same contract as :meth:`FlowerCDN.process_query`: records the query
+        and returns its outcome row ``(outcome, lookup_latency_ms,
+        transfer_distance_ms, overlay_hops, provider, redirection_failures)``.
+        """
         if not self._bootstrapped:
             raise RuntimeError("call bootstrap() before handling queries")
-        requester = self.peer_for_host(query.client_host)
+        requester = self.peer_for_host(client_host)
         if requester is None:
-            requester = self._join(query.client_host)
-        object_id = query.object_id
+            requester = self._join(client_host)
+        row = self._locate(requester, object_id)
+        self.metrics.record_row(query_id, time, website, locality, *row)
+        return row
 
+    def handle_query(self, query: ResolvedQuery) -> QueryRecord:
+        """Object adapter over :meth:`process_query` (same path, same row)."""
+        row = self.process_query(
+            query.query_id,
+            query.time,
+            query.website,
+            query.object_id,
+            query.locality,
+            query.client_host,
+        )
+        return QueryRecord(query.query_id, query.time, query.website, query.locality, *row)
+
+    def _locate(self, requester: SquirrelPeer, object_id: ObjectId) -> tuple:
         if requester.has_object(object_id):
-            record = QueryRecord(
-                query_id=query.query_id,
-                time=query.time,
-                website=query.website,
-                locality=query.locality,
-                outcome=QueryOutcome.PEER_HIT,
-                lookup_latency_ms=0.0,
-                transfer_distance_ms=0.0,
-                provider=requester.peer_id,
-            )
-            self.metrics.record(record)
-            return record
+            return (QueryOutcome.PEER_HIT, 0.0, 0.0, 0, requester.peer_id, 0)
 
         # Route through the DHT from the requester to the object's home node.
         path = self.ring.ideal_route(requester.node_id, self._object_key(object_id))
@@ -229,21 +246,7 @@ class Squirrel:
 
         self._record_download(home_node, requester, object_id)
         requester.store_object(object_id)
-
-        record = QueryRecord(
-            query_id=query.query_id,
-            time=query.time,
-            website=query.website,
-            locality=query.locality,
-            outcome=outcome,
-            lookup_latency_ms=latency,
-            transfer_distance_ms=distance,
-            overlay_hops=hops,
-            provider=provider_id,
-            redirection_failures=failures,
-        )
-        self.metrics.record(record)
-        return record
+        return (outcome, latency, distance, hops, provider_id, failures)
 
     def _locate_at_home(
         self, home_node: int, home_peer: SquirrelPeer, object_id: ObjectId
@@ -270,8 +273,7 @@ class Squirrel:
             return downloader, latency, failures
         return None, latency, failures
 
-    def _record_download(self, home_node: int, requester: SquirrelPeer,
-                         object_id: ObjectId) -> None:
+    def _record_download(self, home_node: int, requester: SquirrelPeer, object_id: ObjectId) -> None:
         """Register the requester as a recent downloader (or store the object)."""
         if self.config.strategy is SquirrelStrategy.HOME_STORE:
             self._home_store.add(object_id)

@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 from repro.analysis import cli as analysis_cli
 from repro.core.churn import ChurnConfig
 from repro.core.config import HOUR, MINUTE
+from repro.core.system import InfeasibleScenarioError
 from repro.experiments.comparison import run_hit_ratio_comparison
 from repro.experiments.churn import run_churn_experiment
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--check", action="store_true",
                       help="compare against the committed baseline and fail on "
                            "calibrated events/sec regressions > "
-                           f"{perf_module.REGRESSION_THRESHOLD:.0%}")
+                           f"{perf_module.REGRESSION_THRESHOLD:.0%}%")  # argparse %-formats help
     perf.add_argument("--baseline", type=str, default=None,
                       help="baseline path for --check (default: the committed "
                            "benchmarks/perf/BENCH_core.json)")
@@ -994,6 +995,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
         return _dispatch(build_parser().parse_args(argv), out)
+    except InfeasibleScenarioError as error:
+        # An expected outcome of some (spec, seed) pairs, not a crash.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. `... | head`) closed the pipe: that is a
         # normal way to stop reading, not an error.  Detach stdout so the

@@ -5,10 +5,11 @@
 * at bootstrap it places one directory peer per (website, locality) pair on
   the D-ring ("experiments start with a stable D-ring ... with an empty
   directory", Section 6.1) and starts their periodic maintenance;
-* :meth:`FlowerCDN.handle_query` processes one client query end to end —
+* :meth:`FlowerCDN.process_query` processes one client query end to end —
   either through the D-ring (new clients, Section 3.4) or inside the client's
-  content overlay (existing content peers, Section 4.1) — and returns the
-  :class:`~repro.metrics.collectors.QueryRecord` the evaluation needs;
+  content overlay (existing content peers, Section 4.1) — and records the
+  row the evaluation needs (:meth:`FlowerCDN.handle_query` is its object
+  adapter, returning a :class:`~repro.metrics.collectors.QueryRecord`);
 * content peers created on the way are given periodic gossip and keepalive
   processes (Algorithms 4 and 5), whose traffic is charged to the
   :class:`~repro.metrics.collectors.BandwidthAccountant`;
@@ -27,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import FlowerConfig
 from repro.core.content_peer import ContentPeer, PushMessage
@@ -50,6 +51,44 @@ from repro.sim.process import PeriodicProcess
 from repro.workload.assignment import ResolvedQuery
 from repro.workload.catalog import Catalog, ObjectId
 
+# Bound once: an enum member read is a metaclass attribute lookup, and the
+# query path returns one of these per query.
+_LOCAL_HIT = QueryOutcome.LOCAL_OVERLAY_HIT
+_SERVER_MISS = QueryOutcome.SERVER_MISS
+
+
+class InfeasibleScenarioError(RuntimeError):
+    """The topology cannot host the directory peers the configuration needs."""
+
+    def __init__(self, locality: int, hosts_available: int, directories_required: int) -> None:
+        super().__init__(
+            f"infeasible scenario: locality {locality} has {hosts_available} hosts but "
+            f"{directories_required} directory peers (one per website) are required; "
+            "enlarge the topology, reduce the number of websites or pick another seed"
+        )
+        self.locality = locality
+        self.hosts_available = hosts_available
+        self.directories_required = directories_required
+
+
+def directory_hosts(
+    topology: Topology, num_websites: int, num_localities: int
+) -> List[Sequence[int]]:
+    """Per locality, the hosts its directory peers occupy, in catalogue order.
+
+    The ``i``-th website's directory peer of a locality runs on the
+    locality's ``i``-th host: a pure function of the topology, shared by
+    :meth:`FlowerCDN.bootstrap` and the trace builder (which keeps those
+    hosts out of client assignment without building a system to ask).
+    """
+    placed: List[Sequence[int]] = []
+    for locality in range(num_localities):
+        hosts = topology.hosts_in_locality(locality)
+        if len(hosts) < num_websites:
+            raise InfeasibleScenarioError(locality, len(hosts), num_websites)
+        placed.append(hosts[:num_websites])
+    return placed
+
 
 @dataclass(slots=True)
 class _DirectoryFlowResult:
@@ -60,7 +99,6 @@ class _DirectoryFlowResult:
     provider_host: Optional[int]
     latency_ms: float
     redirection_failures: int
-    serving_directory: Optional[str]
 
 
 @dataclass
@@ -114,7 +152,7 @@ class FlowerCDN:
         self._peer_latency = self.latency.latency_ms
         self._host_latency = self.topology.latency_ms
         # Per-query constants, bound once instead of chased through attribute
-        # chains in the hottest function (`_handle_content_peer_query`).
+        # chains in the hottest function (`_content_peer_query`).
         self._max_redirects = config.max_redirection_attempts
         self._server_latency_ms = self.latency.server_latency_ms
         self._directory_fallback = config.content_miss_fallback == "directory"
@@ -131,13 +169,6 @@ class FlowerCDN:
         # sequences in any process, which is what makes a space-sharded run
         # reproduce the single-process draw sequences exactly.
         self._gossip_subset_rngs: Dict[Tuple[str, int], random.Random] = {}
-        #: optional transit filter for gossip exchanges: a callable
-        #: ``(initiator, partner) -> bool`` consulted once per attempted
-        #: exchange; returning False drops the message in transit (no view
-        #: update, no bandwidth).  ``None`` (the default) costs one attribute
-        #: check per tick and keeps runs byte-identical — the hook the
-        #: "gossip-loss" fault model attaches through.
-        self.gossip_message_filter: Optional[Callable[[ContentPeer, ContentPeer], bool]] = None
         #: optional message-delivery gate (see repro.network.reachability):
         #: when attached, every protocol interaction consults it through
         #: ``_delivery_allowed``; ``None`` keeps runs byte-identical.
@@ -334,24 +365,7 @@ class FlowerCDN:
             directory = self.directory_for(website, locality)
             if directory is None or not directory.alive:
                 continue
-            summary = directory.publish_summary()
-            size = self._summary_refresh_bytes
-            for neighbor_placement in self.dring.neighbors_of(website, locality):
-                neighbor = self._directory_peers.get(neighbor_placement.peer_id)
-                if neighbor is None or not neighbor.alive:
-                    continue
-                if self.reachability is not None and not self._delivery_allowed(
-                    "summary",
-                    directory.host_id,
-                    neighbor.host_id,
-                    directory.peer_id,
-                    neighbor.peer_id,
-                ):
-                    continue
-                neighbor.store_neighbor_summary(directory.peer_id, summary.copy())
-                self.bandwidth.record_message(
-                    self.sim.now, directory.peer_id, neighbor.peer_id, size, "summary"
-                )
+            self._publish_summary(directory)
 
     def resilience_summary(self, duration_s: Optional[float] = None) -> Optional[Dict[str, float]]:
         """The ``resilience_*`` metric block, or ``None`` when no model ran.
@@ -378,15 +392,16 @@ class FlowerCDN:
         if self._bootstrapped:
             raise RuntimeError("FlowerCDN.bootstrap() may only be called once")
         self._bootstrapped = True
-        host_cursor: Dict[int, int] = {loc: 0 for loc in range(self.config.num_localities)}
+        num_localities = self.config.num_localities
+        hosts = directory_hosts(self.topology, len(self.catalog), num_localities)
         # Batch the initial joins: stabilise the D-ring once at the end instead
         # of after every single directory peer (equivalent result, much cheaper).
         self.dring.ring.auto_stabilize = False
         owned = self._owned_websites
         try:
-            for website in self.catalog:
-                for locality in range(self.config.num_localities):
-                    host_id = self._next_directory_host(locality, host_cursor)
+            for index, website in enumerate(self.catalog):
+                for locality in range(num_localities):
+                    host_id = hosts[locality][index]
                     if owned is None or website.name in owned:
                         self._create_directory_peer(website.name, locality, host_id)
                     else:
@@ -409,20 +424,6 @@ class FlowerCDN:
         self.dring.register_directory(website, locality, peer_id)
         self._reserved_hosts.add(host_id)
 
-    def _next_directory_host(self, locality: int, cursor: Dict[int, int]) -> int:
-        hosts = self.topology.hosts_in_locality(locality)
-        if not hosts:
-            raise RuntimeError(f"locality {locality} has no hosts in the topology")
-        index = cursor[locality]
-        if index >= len(hosts):
-            raise RuntimeError(
-                f"locality {locality} has only {len(hosts)} hosts but more directory peers "
-                "are required; enlarge the topology or reduce the number of websites"
-            )
-        cursor[locality] = index + 1
-        host_id = hosts[index]
-        return host_id
-
     def _create_directory_peer(
         self, website: str, locality: int, host_id: int, generation: int = 0
     ) -> DirectoryPeer:
@@ -440,49 +441,72 @@ class FlowerCDN:
         self._directory_peers[peer_id] = directory
         self._directory_by_pair[(website, locality)] = peer_id
         self._reserved_hosts.add(host_id)
+        self._start_directory_process(directory)
+        return directory
+
+    def _start_directory_process(self, directory: DirectoryPeer) -> None:
+        peer_id = directory.peer_id
         process = PeriodicProcess(
             self.sim,
             self.config.gossip.gossip_period_s,
-            lambda d=directory: self._directory_tick(d),
+            lambda: self._directory_tick(directory),
             name=f"dir-tick:{peer_id}",
             jitter_stream=f"jitter:{peer_id}",
         )
         process.start()
         self._processes[peer_id] = [process]
-        return directory
 
     # ------------------------------------------------------------------ query processing
 
-    def handle_query(self, query: ResolvedQuery) -> QueryRecord:
-        """Process one client query and record its metrics."""
+    def process_query(
+        self,
+        query_id: int,
+        time: float,
+        website: str,
+        object_id: ObjectId,
+        locality: int,
+        client_host: int,
+    ) -> tuple:
+        """Process one client query given as scalars and record its metrics.
+
+        The one query path: the trace replay calls it straight from the trace
+        columns.  Returns the outcome row it recorded — ``(outcome,
+        lookup_latency_ms, transfer_distance_ms, overlay_hops, provider,
+        redirection_failures)``, the trailing fields of a
+        :class:`~repro.metrics.collectors.QueryRecord`.
+        """
         if not self._bootstrapped:
             raise RuntimeError("call bootstrap() before handling queries")
-        existing_id = self._content_by_host.get((query.website, query.client_host))
+        existing_id = self._content_by_host.get((website, client_host))
         peer = self._content_peers.get(existing_id) if existing_id is not None else None
         if peer is not None:
-            record = self._handle_content_peer_query(peer, query)
+            row = self._content_peer_query(peer, website, object_id, locality)
         else:
-            record = self._handle_new_client_query(query)
-        self.metrics.record(record)
-        return record
+            row = self._new_client_query(website, object_id, locality, client_host)
+        self.metrics.record_row(query_id, time, website, locality, *row)
+        return row
+
+    def handle_query(self, query: ResolvedQuery) -> QueryRecord:
+        """Object adapter over :meth:`process_query` (same path, same row)."""
+        row = self.process_query(
+            query.query_id,
+            query.time,
+            query.website,
+            query.object_id,
+            query.locality,
+            query.client_host,
+        )
+        return QueryRecord(query.query_id, query.time, query.website, query.locality, *row)
 
     # -- existing content peers (Section 4.1) -----------------------------------------
 
-    def _handle_content_peer_query(self, peer: ContentPeer, query: ResolvedQuery) -> QueryRecord:
-        object_id = query.object_id
+    def _content_peer_query(
+        self, peer: ContentPeer, website: str, object_id: ObjectId, locality: int
+    ) -> tuple:
         # Direct set membership: has_object() costs a Python frame per probe
         # and this is the single hottest branch of the whole simulation.
         if object_id in peer._objects:
-            return QueryRecord(
-                query_id=query.query_id,
-                time=query.time,
-                website=query.website,
-                locality=query.locality,
-                outcome=QueryOutcome.LOCAL_OVERLAY_HIT,
-                lookup_latency_ms=0.0,
-                transfer_distance_ms=0.0,
-                provider=peer.peer_id,
-            )
+            return (_LOCAL_HIT, 0.0, 0.0, 0, peer.peer_id, 0)
 
         latency = 0.0
         failures = 0
@@ -506,17 +530,7 @@ class FlowerCDN:
                     continue
                 distance = host_latency(peer_host, provider.host_id)
                 self._after_served(peer, object_id)
-                return QueryRecord(
-                    query_id=query.query_id,
-                    time=query.time,
-                    website=query.website,
-                    locality=query.locality,
-                    outcome=QueryOutcome.LOCAL_OVERLAY_HIT,
-                    lookup_latency_ms=latency,
-                    transfer_distance_ms=distance,
-                    provider=provider.peer_id,
-                    redirection_failures=failures,
-                )
+                return (_LOCAL_HIT, latency, distance, 0, provider.peer_id, failures)
         else:
             # Gated retry loop: per-attempt timeout on unreachable providers
             # and suspicion backoff, still bounded by max_redirection_attempts.
@@ -556,20 +570,10 @@ class FlowerCDN:
                 self._clear_suspicion(contact)
                 distance = host_latency(peer_host, provider.host_id)
                 self._after_served(peer, object_id)
-                return QueryRecord(
-                    query_id=query.query_id,
-                    time=query.time,
-                    website=query.website,
-                    locality=query.locality,
-                    outcome=QueryOutcome.LOCAL_OVERLAY_HIT,
-                    lookup_latency_ms=latency,
-                    transfer_distance_ms=distance,
-                    provider=provider.peer_id,
-                    redirection_failures=failures,
-                )
+                return (_LOCAL_HIT, latency, distance, 0, provider.peer_id, failures)
 
         if self._directory_fallback:
-            directory = self._current_directory(query.website, query.locality, peer)
+            directory = self._current_directory(website, locality, peer)
             if directory is not None:
                 if reach is not None and not self._delivery_allowed(
                     "query", peer_host, directory.host_id, peer.peer_id, directory.peer_id
@@ -581,7 +585,7 @@ class FlowerCDN:
                     latency += self._redirect_timeout_ms
                 else:
                     latency += host_latency(peer_host, directory.host_id)
-                    flow = self._run_directory_flow(directory, object_id, query.locality)
+                    flow = self._run_directory_flow(directory, object_id, locality)
                     latency += flow.latency_ms
                     failures += flow.redirection_failures
                     self._after_served(peer, object_id)
@@ -590,34 +594,14 @@ class FlowerCDN:
                         if flow.provider_host is not None
                         else self._server_latency_ms
                     )
-                    return QueryRecord(
-                        query_id=query.query_id,
-                        time=query.time,
-                        website=query.website,
-                        locality=query.locality,
-                        outcome=flow.outcome,
-                        lookup_latency_ms=latency,
-                        transfer_distance_ms=distance,
-                        provider=flow.provider,
-                        redirection_failures=failures,
-                    )
+                    return (flow.outcome, latency, distance, 0, flow.provider, failures)
 
         # Fall back to the origin web server.
         if reach is not None and blocked_attempts:
             self.delivery_stats.retries_exhausted += 1
         latency += self._server_latency_ms
         self._after_served(peer, object_id)
-        return QueryRecord(
-            query_id=query.query_id,
-            time=query.time,
-            website=query.website,
-            locality=query.locality,
-            outcome=QueryOutcome.SERVER_MISS,
-            lookup_latency_ms=latency,
-            transfer_distance_ms=self._server_latency_ms,
-            provider=None,
-            redirection_failures=failures,
-        )
+        return (_SERVER_MISS, latency, self._server_latency_ms, 0, None, failures)
 
     def _host_of_contact(self, contact: str, fallback: ContentPeer) -> int:
         provider = self._content_peers.get(contact)
@@ -629,10 +613,10 @@ class FlowerCDN:
 
     # -- new clients (Section 3.4) ----------------------------------------------------
 
-    def _handle_new_client_query(self, query: ResolvedQuery) -> QueryRecord:
-        object_id = query.object_id
-        client_host = query.client_host
-        rng = self.sim.streams.stream(f"dring:bootstrap:{query.website}")
+    def _new_client_query(
+        self, website: str, object_id: ObjectId, locality: int, client_host: int
+    ) -> tuple:
+        rng = self.sim.streams.stream(f"dring:bootstrap:{website}")
 
         # 1. The query enters the D-ring at a bootstrap node and is routed to
         #    the directory peer in charge of (website, locality).
@@ -658,7 +642,7 @@ class FlowerCDN:
                     latency += self._host_latency(client_host, bootstrap_host)
             if not bootstrap_blocked:
                 placement, route = self.dring.resolve_directory(
-                    query.website, query.locality, start_node_id=bootstrap_node
+                    website, locality, start_node_id=bootstrap_node
                 )
                 latency += route.latency_ms
                 hops = route.hops
@@ -678,20 +662,20 @@ class FlowerCDN:
                 # and degrade to the origin server (no replacement protocol).
                 latency += self._redirect_timeout_ms
                 self.delivery_stats.server_fallbacks += 1
-                outcome = QueryOutcome.SERVER_MISS
+                outcome = _SERVER_MISS
                 provider = None
                 provider_host = None
                 failures = 0
                 latency += self.latency.server_latency_ms
             else:
-                flow = self._run_directory_flow(serving_directory, object_id, query.locality)
+                flow = self._run_directory_flow(serving_directory, object_id, locality)
                 latency += flow.latency_ms
                 outcome = flow.outcome
                 provider = flow.provider
                 provider_host = flow.provider_host
                 failures = flow.redirection_failures
         else:
-            outcome = QueryOutcome.SERVER_MISS
+            outcome = _SERVER_MISS
             provider = None
             provider_host = None
             failures = 0
@@ -704,24 +688,13 @@ class FlowerCDN:
         )
 
         # 3. The client joins its content overlay as a content peer.
-        new_peer = self._enroll_content_peer(query.website, query.locality, client_host)
+        new_peer = self._enroll_content_peer(website, locality, client_host)
         if new_peer is not None:
             new_peer.store_object(object_id)
             self._register_with_directory(new_peer, object_id)
             self._initialize_view(new_peer, provider)
 
-        return QueryRecord(
-            query_id=query.query_id,
-            time=query.time,
-            website=query.website,
-            locality=query.locality,
-            outcome=outcome,
-            lookup_latency_ms=latency,
-            transfer_distance_ms=distance,
-            overlay_hops=hops,
-            provider=provider,
-            redirection_failures=failures,
-        )
+        return (outcome, latency, distance, hops, provider, failures)
 
     def _run_directory_flow(
         self, start: DirectoryPeer, object_id: ObjectId, query_locality: int
@@ -768,7 +741,6 @@ class FlowerCDN:
                     provider_host=provider.host_id,
                     latency_ms=latency,
                     redirection_failures=failures,
-                    serving_directory=current.peer_id,
                 )
             if decision.kind == "directory_peer" and decision.target is not None:
                 next_directory = self._directory_peers.get(decision.target)
@@ -802,7 +774,6 @@ class FlowerCDN:
             provider_host=None,
             latency_ms=latency,
             redirection_failures=failures,
-            serving_directory=current.peer_id,
         )
 
     # ------------------------------------------------------------------ membership
@@ -928,14 +899,8 @@ class FlowerCDN:
                 "gossip", peer.host_id, partner.host_id, peer.peer_id, partner.peer_id
             ):
                 # Message lost in transit (partition / outage / link loss):
-                # same consequences as a dropped filter message below.
-                pass
-            elif (
-                self.gossip_message_filter is not None
-                and not self.gossip_message_filter(peer, partner)
-            ):
-                # Message lost in transit: neither side exchanges views and
-                # no bandwidth is accounted; ages were already incremented.
+                # neither side exchanges views and no bandwidth is accounted;
+                # ages were already incremented.
                 pass
             else:
                 rng = self._gossip_subset_rng(peer)
@@ -1003,30 +968,27 @@ class FlowerCDN:
         if not directory.alive:
             return
         directory.increment_ages()
-        for dead_peer in directory.evict_dead_entries():
-            # The directory no longer redirects to peers it has not heard from.
-            del dead_peer
+        # The directory no longer redirects to peers it has not heard from.
+        directory.evict_dead_entries()
         if directory.should_refresh_summary():
-            summary = directory.publish_summary()
-            size = self._summary_refresh_bytes
-            for neighbor_placement in self.dring.neighbors_of(
-                directory.website, directory.locality
+            self._publish_summary(directory)
+
+    def _publish_summary(self, directory: DirectoryPeer) -> None:
+        """Send a fresh summary of ``directory`` to its live D-ring neighbours."""
+        summary = directory.publish_summary()
+        size = self._summary_refresh_bytes
+        for neighbor_placement in self.dring.neighbors_of(directory.website, directory.locality):
+            neighbor = self._directory_peers.get(neighbor_placement.peer_id)
+            if neighbor is None or not neighbor.alive:
+                continue
+            if self.reachability is not None and not self._delivery_allowed(
+                "summary", directory.host_id, neighbor.host_id, directory.peer_id, neighbor.peer_id
             ):
-                neighbor = self._directory_peers.get(neighbor_placement.peer_id)
-                if neighbor is None or not neighbor.alive:
-                    continue
-                if self.reachability is not None and not self._delivery_allowed(
-                    "summary",
-                    directory.host_id,
-                    neighbor.host_id,
-                    directory.peer_id,
-                    neighbor.peer_id,
-                ):
-                    continue
-                neighbor.store_neighbor_summary(directory.peer_id, summary.copy())
-                self.bandwidth.record_message(
-                    self.sim.now, directory.peer_id, neighbor.peer_id, size, "summary"
-                )
+                continue
+            neighbor.store_neighbor_summary(directory.peer_id, summary.copy())
+            self.bandwidth.record_message(
+                self.sim.now, directory.peer_id, neighbor.peer_id, size, "summary"
+            )
 
     def _after_served(self, peer: ContentPeer, object_id: ObjectId) -> None:
         """Progressive replication: the requester keeps the object it was served."""
@@ -1113,15 +1075,7 @@ class FlowerCDN:
         )
         self._directory_peers[peer_id] = replacement
         self._directory_by_pair[key] = peer_id
-        process = PeriodicProcess(
-            self.sim,
-            self.config.gossip.gossip_period_s,
-            lambda d=replacement: self._directory_tick(d),
-            name=f"dir-tick:{peer_id}",
-            jitter_stream=f"jitter:{peer_id}",
-        )
-        process.start()
-        self._processes[peer_id] = [process]
+        self._start_directory_process(replacement)
         self.directory_replacements += 1
         return replacement
 
@@ -1148,6 +1102,17 @@ class FlowerCDN:
             new_peer.store_object(object_id)
         self._maybe_push(new_peer)
         return new_peer.peer_id
+
+    def shutdown(self) -> None:
+        """Stop every background process (the end of a run).
+
+        Peers, directories, metrics and bandwidth stay readable; only the
+        periodic gossip / keepalive / directory ticks go.
+        """
+        for processes in self._processes.values():
+            for process in processes:
+                process.stop()
+        self._processes.clear()
 
     # ------------------------------------------------------------------ reporting
 

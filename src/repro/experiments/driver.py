@@ -16,19 +16,19 @@ EXPERIMENTS.md records which scale produced the committed numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.baselines.squirrel import Squirrel, SquirrelConfig
 from repro.core.churn import ChurnConfig, ChurnInjector
 from repro.core.config import HOUR, MINUTE, FlowerConfig
 from repro.core.replication import ActiveReplicator, ReplicationConfig
-from repro.core.system import FlowerCDN
+from repro.core.system import FlowerCDN, directory_hosts
 from repro.metrics.collectors import BandwidthAccountant, MetricsCollector
 from repro.network.latency import LatencyModel
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workload.assignment import ClientAssigner, ResolvedQuery
+from repro.workload.assignment import ClientAssigner
 from repro.workload.catalog import Catalog
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 from repro.workload.phases import PhaseSpan
@@ -138,6 +138,34 @@ class RunResult:
     #: model attached; None otherwise (see repro.metrics.resilience)
     resilience: Optional[dict] = None
 
+    @classmethod
+    def from_metrics(
+        cls,
+        system_name: str,
+        duration_s: float,
+        metrics: MetricsCollector,
+        events_fired: int,
+        bandwidth: Optional[BandwidthAccountant] = None,
+        resilience: Optional[dict] = None,
+    ) -> "RunResult":
+        """The headline aggregates read off a finished run's collectors."""
+        return cls(
+            system_name=system_name,
+            duration_s=duration_s,
+            num_queries=metrics.num_queries,
+            hit_ratio=metrics.hit_ratio,
+            average_lookup_latency_ms=metrics.average_lookup_latency_ms,
+            average_transfer_distance_ms=metrics.average_transfer_distance_ms,
+            background_bps_per_peer=(
+                0.0 if bandwidth is None else bandwidth.average_bps_per_peer(duration_s)
+            ),
+            redirection_failures=metrics.redirection_failures,
+            metrics=metrics,
+            bandwidth=bandwidth,
+            events_fired=events_fired,
+            resilience=resilience,
+        )
+
     def summary_row(self) -> tuple:
         return (
             self.system_name,
@@ -149,13 +177,22 @@ class RunResult:
         )
 
 
+def flatten_injectors(attached) -> list:
+    """What model attachments return — an injector, a list of them, or ``None``
+    for "nothing to inject" — as one flat list of ``start()``/``stop()`` objects."""
+    injectors = []
+    for item in attached:
+        if item is not None:
+            injectors.extend([item] if hasattr(item, "start") else item)
+    return injectors
+
+
 class ExperimentRunner:
     """Builds one environment and runs CDN systems against the same workload."""
 
     def __init__(self, setup: ExperimentSetup) -> None:
         self.setup = setup
         self._topology: Optional[Topology] = None
-        self._resolved: Optional[List[ResolvedQuery]] = None
         self._trace: Optional[ResolvedTraceArrays] = None
         self._catalog: Optional[Catalog] = None
         self._flower_system: Optional[FlowerCDN] = None
@@ -179,6 +216,13 @@ class ExperimentRunner:
             )
         return self._catalog
 
+    def _new_simulator(self) -> Simulator:
+        return Simulator(
+            seed=self.setup.seed,
+            end_time=self.setup.flower.simulation_duration_s,
+            queue_backend=self.setup.queue_backend,
+        )
+
     def build_flower(self) -> tuple[Simulator, FlowerCDN]:
         """Construct a bootstrapped Flower-CDN system plus its simulator.
 
@@ -186,11 +230,7 @@ class ExperimentRunner:
         suite, which times the dispatch phase in isolation) can drive the
         replay themselves instead of going through :meth:`run_flower`.
         """
-        sim = Simulator(
-            seed=self.setup.seed,
-            end_time=self.setup.flower.simulation_duration_s,
-            queue_backend=self.setup.queue_backend,
-        )
+        sim = self._new_simulator()
         system = FlowerCDN(
             self.setup.flower,
             sim,
@@ -202,20 +242,13 @@ class ExperimentRunner:
         system.bootstrap()
         return sim, system
 
-    # Backwards-compatible alias (pre-perf-suite name).
-    _build_flower = build_flower
-
     def build_squirrel(self) -> tuple[Simulator, Squirrel]:
         """Construct a bootstrapped Squirrel baseline plus its simulator.
 
         Public for the same reason as :meth:`build_flower`: the perf suite
         times Squirrel's trace-replay dispatch phase in isolation.
         """
-        sim = Simulator(
-            seed=self.setup.seed,
-            end_time=self.setup.flower.simulation_duration_s,
-            queue_backend=self.setup.queue_backend,
-        )
+        sim = self._new_simulator()
         system = Squirrel(
             self.setup.squirrel,
             sim,
@@ -230,18 +263,24 @@ class ExperimentRunner:
         """The query trace with concrete originating hosts, as array columns.
 
         Built once and shared by every system run (the comparative figures
-        require both systems to process the same stream).  Individual
-        :class:`ResolvedQuery` objects are materialised transiently at
-        dispatch time, so a paper-scale trace costs ~30 bytes per query
-        resident instead of several hundred.
+        require both systems to process the same stream) and replayed
+        straight from the columns (:meth:`ResolvedTraceArrays.replayer`), so
+        a paper-scale trace costs ~30 bytes per query resident and no
+        per-query object at all; ``iter_queries()`` materialises
+        :class:`~repro.workload.assignment.ResolvedQuery` objects on demand.
         """
         if self._trace is not None:
             return self._trace
         # Directory-peer hosts are excluded from client assignment so the same
         # trace is valid for both Flower-CDN (where those hosts are reserved)
         # and Squirrel (where they simply never ask anything).
-        _, probe_system = self._build_flower()
-        reserved = probe_system.reserved_hosts
+        reserved = {
+            host
+            for hosts in directory_hosts(
+                self.topology, len(self.catalog), self.setup.flower.num_localities
+            )
+            for host in hosts
+        }
         generator = QueryGenerator(
             self.setup.workload, RandomStreams(self.setup.seed + 1), catalog=self.catalog
         )
@@ -257,23 +296,12 @@ class ExperimentRunner:
         )
         return self._trace
 
-    def resolved_queries(self) -> List[ResolvedQuery]:
-        """The resolved trace as a list of objects (legacy interface).
-
-        Materialises — and retains — one :class:`ResolvedQuery` per query;
-        prefer :meth:`resolved_trace` anywhere memory matters.
-        """
-        if self._resolved is None:
-            trace = self.resolved_trace()
-            self._resolved = [trace.resolved_query(i) for i in range(len(trace))]
-        return self._resolved
-
     # -- runs -------------------------------------------------------------------------
 
     def _replay_trace(self, sim: Simulator, system) -> float:
         """Schedule the shared trace against ``system`` and run to the horizon."""
         trace = self.resolved_trace()
-        sim.schedule_trace(trace.times, trace.dispatcher(system.handle_query), label="query")
+        sim.schedule_trace(trace.times, trace.replayer(system.process_query), label="query")
         duration = self.setup.flower.simulation_duration_s
         sim.run(until=duration)
         return duration
@@ -296,18 +324,11 @@ class ExperimentRunner:
         (:meth:`repro.session.Session.attach_models`).
         """
         self.resolved_trace()  # build the trace before the live system exists
-        sim, system = self._build_flower()
+        sim, system = self.build_flower()
         injectors = []
         if churn is not None and churn.is_enabled:
             injectors.append(ChurnInjector(system, churn))
-        for attach in attachments:
-            attached = attach(system)
-            if attached is None:
-                continue
-            if hasattr(attached, "start"):
-                injectors.append(attached)
-            else:
-                injectors.extend(attached)
+        injectors += flatten_injectors(attach(system) for attach in attachments)
         for injector in injectors:
             injector.start()
         replicator = None
@@ -319,21 +340,20 @@ class ExperimentRunner:
             injector.stop()
         if replicator is not None:
             replicator.stop()
+        # The run is over: drop the background processes and whatever lies
+        # past the horizon.  The system stays inspectable, and without its
+        # reference cycles with the simulator it is freed by reference
+        # counting, not by some later full GC pass.
+        system.shutdown()
+        sim.discard_pending()
         self._flower_system = system
         self._last_replicator = replicator
-        metrics = system.metrics
-        return RunResult(
-            system_name="Flower-CDN",
-            duration_s=duration,
-            num_queries=metrics.num_queries,
-            hit_ratio=metrics.hit_ratio,
-            average_lookup_latency_ms=metrics.average_lookup_latency_ms,
-            average_transfer_distance_ms=metrics.average_transfer_distance_ms,
-            background_bps_per_peer=system.bandwidth.average_bps_per_peer(duration),
-            redirection_failures=metrics.redirection_failures,
-            metrics=metrics,
+        return RunResult.from_metrics(
+            "Flower-CDN",
+            duration,
+            system.metrics,
+            sim.events_fired,
             bandwidth=system.bandwidth,
-            events_fired=sim.events_fired,
             resilience=system.resilience_summary(duration),
         )
 
@@ -342,20 +362,8 @@ class ExperimentRunner:
         self.resolved_trace()  # build the trace before the live system exists
         sim, system = self.build_squirrel()
         duration = self._replay_trace(sim, system)
-        metrics = system.metrics
-        return RunResult(
-            system_name="Squirrel",
-            duration_s=duration,
-            num_queries=metrics.num_queries,
-            hit_ratio=metrics.hit_ratio,
-            average_lookup_latency_ms=metrics.average_lookup_latency_ms,
-            average_transfer_distance_ms=metrics.average_transfer_distance_ms,
-            background_bps_per_peer=0.0,
-            redirection_failures=metrics.redirection_failures,
-            metrics=metrics,
-            bandwidth=None,
-            events_fired=sim.events_fired,
-        )
+        sim.discard_pending()
+        return RunResult.from_metrics("Squirrel", duration, system.metrics, sim.events_fired)
 
     @property
     def last_flower_system(self) -> Optional[FlowerCDN]:

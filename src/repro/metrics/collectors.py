@@ -13,9 +13,12 @@ Two collectors exist:
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.metrics.histogram import Histogram
@@ -45,11 +48,11 @@ class QueryOutcome(Enum):
 class QueryRecord:
     """Everything the evaluation needs to know about one processed query.
 
-    Constructed once per simulated query inside the dispatch hot loop.
-    Deliberately *not* frozen — a frozen ``__init__`` routes every field
-    through ``object.__setattr__``, which costs real time at half a million
-    records per run; ``unsafe_hash`` keeps value-object hashing.  Treat
-    instances as immutable.
+    The object form of one collector row: built on demand by
+    :attr:`MetricsCollector.records` and by the ``handle_query`` adapters,
+    never on the simulated query path.  Deliberately *not* frozen (a frozen
+    ``__init__`` routes every field through ``object.__setattr__``);
+    ``unsafe_hash`` keeps value-object hashing.  Treat instances as immutable.
     """
 
     query_id: int
@@ -64,24 +67,31 @@ class QueryRecord:
     redirection_failures: int = 0
 
 
-#: compact-mode collectors fold their pending buffer into the aggregates once
-#: it reaches this many entries, so the buffer acts as a bounded ring rather
-#: than an ever-growing list
+#: collectors fold their columns into the aggregates once this many rows are
+#: pending, so a fold's temporaries stay bounded — and so do the columns of a
+#: compact collector, which a fold truncates
 PENDING_FLUSH_THRESHOLD = 4096
+
+#: the outcome column stores positions in this tuple
+_OUTCOMES = tuple(QueryOutcome)
+_MISS = _OUTCOMES.index(QueryOutcome.SERVER_MISS)
+#: a record's fields in ``record_row`` order (which is the field order)
+_ROW_OF = attrgetter(*QueryRecord.__slots__)
 
 
 class MetricsCollector:
-    """Accumulates :class:`QueryRecord` objects and derives the paper's metrics.
+    """Accumulates per-query rows and derives the paper's metrics.
 
-    Two storage modes share identical aggregate semantics:
+    Rows live in parallel columns (``array``s, plus one list for the provider
+    ids) and are folded into the series / histogram / counter reservoirs
+    lazily, on first read, one time window at a time.  ``retain_records``
+    only decides what happens to folded rows:
 
-    * ``retain_records=True`` (default) — every record is kept; ``record()``
-      is a bare list append and aggregation happens lazily on first read.
-    * ``retain_records=False`` (compact) — records are folded into the
-      series/histogram/counter reservoirs in bounded batches and then
-      discarded, plus two scalar accumulators for hops and redirection
-      failures.  Memory stays O(windows + bins) regardless of query count —
-      the paper-scale mode.  ``records`` is unavailable.
+    * ``True`` (default) — the columns are kept and :attr:`records`
+      materialises them as :class:`QueryRecord` objects on demand;
+    * ``False`` (compact) — a fold truncates the columns, so memory stays
+      O(windows + bins) regardless of query count — the paper-scale mode.
+      ``records`` is unavailable.
     """
 
     def __init__(
@@ -93,88 +103,127 @@ class MetricsCollector:
         distance_bins: int = 6,
         retain_records: bool = True,
     ) -> None:
-        self._records: List[QueryRecord] = []
+        #: one column per QueryRecord field, in field order; websites and
+        #: outcomes are stored as positions in their code tables
+        self._columns = (
+            array("q"), array("d"), array("I"), array("i"), array("b"),
+            array("d"), array("d"), array("i"), [], array("i"),
+        )
+        (
+            self._query_ids, self._times, self._websites, self._localities, self._outcomes,
+            self._latencies, self._distances, self._hops, self._providers, self._failures,
+        ) = self._columns
+        self._website_codes: Dict[str, int] = {}  # insertion-ordered
         self._hit_series = TimeSeries(window_s)
         self._latency_series = TimeSeries(window_s)
         self._distance_series = TimeSeries(window_s)
         self._latency_histogram = Histogram(latency_bin_ms, latency_bins)
         self._distance_histogram = Histogram(distance_bin_ms, distance_bins)
-        self._outcome_counts: Dict[QueryOutcome, int] = defaultdict(int)
+        self._outcome_counts = [0] * len(_OUTCOMES)
         self._retain = retain_records
-        # record() is on the per-query hot path, so it only appends; series,
-        # histograms and outcome counts are folded in lazily (and
-        # incrementally) by _sync() when an aggregate is read.  In compact
-        # mode the same buffer is flushed whenever it fills, so folded
-        # records can be dropped instead of retained.
-        self._append_record = self._records.append
-        if retain_records:
-            # Retained mode's hot path is the bare list append itself (the
-            # instance attribute shadows the compact-mode method below).
-            self.record = self._append_record
-        self._aggregated_upto = 0
-        #: compact-mode scalar reservoirs (folded counterparts of the
-        #: per-record reductions the retain mode computes on demand)
+        #: rows [0, _folded_upto) of the columns are already in the aggregates
+        self._folded_upto = 0
         self._folded_count = 0
         self._folded_hops = 0
         self._folded_failures = 0
 
     # -- recording -------------------------------------------------------------
 
+    def record_row(
+        self,
+        query_id: int,
+        time: float,
+        website: str,
+        locality: int,
+        outcome: QueryOutcome,
+        lookup_latency_ms: float,
+        transfer_distance_ms: float,
+        overlay_hops: int = 0,
+        provider: Optional[str] = None,
+        redirection_failures: int = 0,
+    ) -> None:
+        """Append one query's row (the fields of a :class:`QueryRecord`).
+
+        The per-query hot path: column appends only; aggregation is deferred
+        to :meth:`_fold`.
+        """
+        times = self._times
+        if len(times) - self._folded_upto >= PENDING_FLUSH_THRESHOLD:
+            self._fold()
+        codes = self._website_codes
+        code = codes.get(website)
+        if code is None:
+            code = codes[website] = len(codes)
+        self._query_ids.append(query_id)
+        times.append(time)
+        self._websites.append(code)
+        self._localities.append(locality)
+        self._outcomes.append(_OUTCOMES.index(outcome))
+        self._latencies.append(lookup_latency_ms)
+        self._distances.append(transfer_distance_ms)
+        self._hops.append(overlay_hops)
+        self._providers.append(provider)
+        self._failures.append(redirection_failures)
+
     def record(self, record: QueryRecord) -> None:
-        # Compact mode: append, then flush the buffer once it fills (retained
-        # mode rebinds ``record`` to the raw list append in __init__).
-        self._append_record(record)
-        if len(self._records) >= PENDING_FLUSH_THRESHOLD:
-            self._sync()
+        self.record_row(*_ROW_OF(record))
 
     def record_all(self, records: Iterable[QueryRecord]) -> None:
-        self._records.extend(records)
-        if not self._retain and len(self._records) >= PENDING_FLUSH_THRESHOLD:
-            self._sync()
+        for record in records:
+            self.record(record)
 
-    def _sync(self) -> None:
-        """Fold not-yet-aggregated records into the derived structures.
+    def _fold(self) -> None:
+        """Fold not-yet-aggregated rows into the derived structures.
 
-        Incremental: each record is folded exactly once, in append order, so
-        the resulting series/histograms/counts are identical to eager
-        per-record updates regardless of how reads and writes interleave.
-        Compact mode additionally drops the folded records.
+        Incremental: each row is folded exactly once, in append order and one
+        run of same-window rows at a time, so every float sum sees the same
+        additions in the same order as eager per-record ``TimeSeries.add`` /
+        ``Histogram.add`` calls, however reads and writes interleave.
+        Compact mode additionally truncates the columns.
         """
-        records = self._records
-        upto = self._aggregated_upto
-        if upto == len(records):
+        start = self._folded_upto
+        times = self._times[start:]
+        if not times:
             return
+        outcomes = self._outcomes[start:]
+        latencies = self._latencies[start:]
+        distances = self._distances[start:]
         counts = self._outcome_counts
-        hit_add = self._hit_series.add
-        latency_add = self._latency_series.add
-        latency_hist_add = self._latency_histogram.add
-        distance_add = self._distance_series.add
-        distance_hist_add = self._distance_histogram.add
-        miss = QueryOutcome.SERVER_MISS
-        folded_hops = 0
-        folded_failures = 0
-        for record in records[upto:]:
-            outcome = record.outcome
-            counts[outcome] += 1
-            time = record.time
-            hit_add(time, 0.0 if outcome is miss else 1.0)
-            latency_add(time, record.lookup_latency_ms)
-            latency_hist_add(record.lookup_latency_ms)
-            if outcome is not miss:
-                # The transfer-distance metric is defined over queries
-                # satisfied from the P2P system (Section 6).
-                distance_add(time, record.transfer_distance_ms)
-                distance_hist_add(record.transfer_distance_ms)
-            folded_hops += record.overlay_hops
-            folded_failures += record.redirection_failures
-        self._folded_count += len(records) - upto
-        self._folded_hops += folded_hops
-        self._folded_failures += folded_failures
+        for code in range(len(counts)):
+            counts[code] += outcomes.count(code)
+        self._latency_histogram.extend(latencies)
+        self._distance_histogram.extend(
+            [distance for distance, code in zip(distances, outcomes) if code != _MISS]
+        )
+        window_s = self._hit_series.window_s
+        low = 0
+        for window, run in groupby([int(time // window_s) for time in times]):
+            high = low + len(list(run))
+            run_outcomes = outcomes[low:high]
+            self._hit_series.add_run(
+                window, [0.0 if code == _MISS else 1.0 for code in run_outcomes]
+            )
+            self._latency_series.add_run(window, latencies[low:high])
+            # The transfer-distance metric is defined over queries satisfied
+            # from the P2P system (Section 6).
+            self._distance_series.add_run(
+                window,
+                [
+                    distance
+                    for distance, code in zip(distances[low:high], run_outcomes)
+                    if code != _MISS
+                ],
+            )
+            low = high
+        total = len(times)
+        self._folded_count += total
+        self._folded_hops += sum(self._hops[start:])
+        self._folded_failures += sum(self._failures[start:])
         if self._retain:
-            self._aggregated_upto = len(records)
+            self._folded_upto = len(self._times)
         else:
-            records.clear()
-            self._aggregated_upto = 0
+            for column in self._columns:
+                del column[:]
 
     def merge_compact_from(self, other: "MetricsCollector") -> None:
         """Fold another collector's *aggregates* into this one (compact merge).
@@ -183,23 +232,26 @@ class MetricsCollector:
         buckets, histogram bins, outcome counts and the folded scalars all
         add exactly (integer counts, integer-valued or identical floats).
         Retained-mode merging instead replays the concatenated records into
-        a fresh collector, which reproduces single-process output bitwise.
+        a fresh collector (``record_all``), which reproduces single-process
+        output bitwise.
         """
-        self._sync()
-        other._sync()
+        if self._retain:
+            raise RuntimeError(
+                "merge_compact_from() needs a compact collector; replay "
+                "other.records through record_all() to merge retained ones"
+            )
+        self._fold()
+        other._fold()
         self._hit_series.merge_from(other._hit_series)
         self._latency_series.merge_from(other._latency_series)
         self._distance_series.merge_from(other._distance_series)
         self._latency_histogram.merge_from(other._latency_histogram)
         self._distance_histogram.merge_from(other._distance_histogram)
-        for outcome, count in other._outcome_counts.items():
-            self._outcome_counts[outcome] += count
+        for code, count in enumerate(other._outcome_counts):
+            self._outcome_counts[code] += count
         self._folded_count += other._folded_count
         self._folded_hops += other._folded_hops
         self._folded_failures += other._folded_failures
-        if self._retain and other._retain:
-            self._records.extend(other._records)
-            self._aggregated_upto = len(self._records)
 
     # -- aggregates ---------------------------------------------------------------
 
@@ -209,18 +261,21 @@ class MetricsCollector:
 
     @property
     def num_queries(self) -> int:
-        if self._retain:
-            return len(self._records)
-        return self._folded_count + len(self._records)
+        return self._folded_count + len(self._times) - self._folded_upto
 
     @property
     def records(self) -> Sequence[QueryRecord]:
+        """The retained rows as :class:`QueryRecord` objects (built on demand)."""
         if not self._retain:
             raise RuntimeError(
                 "per-query records are not retained in compact mode "
                 "(MetricsCollector(retain_records=False))"
             )
-        return tuple(self._records)
+        names = list(self._website_codes)
+        return tuple(
+            QueryRecord(query_id, time, names[website], locality, _OUTCOMES[outcome], *rest)
+            for query_id, time, website, locality, outcome, *rest in zip(*self._columns)
+        )
 
     @property
     def hit_ratio(self) -> float:
@@ -228,18 +283,17 @@ class MetricsCollector:
         total = self.num_queries
         if not total:
             return 0.0
-        self._sync()
-        hits = sum(count for outcome, count in self._outcome_counts.items() if outcome.is_hit)
-        return hits / total
+        self._fold()
+        return (total - self._outcome_counts[_MISS]) / total
 
     @property
     def average_lookup_latency_ms(self) -> float:
-        self._sync()
+        self._fold()
         return self._latency_histogram.mean
 
     @property
     def average_transfer_distance_ms(self) -> float:
-        self._sync()
+        self._fold()
         return self._distance_histogram.mean
 
     @property
@@ -247,64 +301,63 @@ class MetricsCollector:
         total = self.num_queries
         if not total:
             return 0.0
-        self._sync()
-        if self._retain:
-            return sum(r.overlay_hops for r in self._records) / total
+        self._fold()
         return self._folded_hops / total
 
     @property
     def redirection_failures(self) -> int:
-        if self._retain:
-            return sum(r.redirection_failures for r in self._records)
-        self._sync()
+        self._fold()
         return self._folded_failures
 
     def outcome_counts(self) -> Dict[QueryOutcome, int]:
-        self._sync()
-        return dict(self._outcome_counts)
+        self._fold()
+        return {
+            outcome: count
+            for outcome, count in zip(_OUTCOMES, self._outcome_counts)
+            if count
+        }
 
     def outcome_fractions(self) -> Dict[QueryOutcome, float]:
         total = self.num_queries
-        if not total:
-            return {}
-        self._sync()
-        return {outcome: count / total for outcome, count in self._outcome_counts.items()}
+        return {
+            outcome: count / total for outcome, count in self.outcome_counts().items()
+        }
 
     # -- series and distributions ----------------------------------------------------
 
     @property
     def hit_ratio_series(self) -> TimeSeries:
-        self._sync()
+        self._fold()
         return self._hit_series
 
     @property
     def lookup_latency_series(self) -> TimeSeries:
-        self._sync()
+        self._fold()
         return self._latency_series
 
     @property
     def transfer_distance_series(self) -> TimeSeries:
-        self._sync()
+        self._fold()
         return self._distance_series
 
     @property
     def lookup_latency_histogram(self) -> Histogram:
-        self._sync()
+        self._fold()
         return self._latency_histogram
 
     @property
     def transfer_distance_histogram(self) -> Histogram:
-        self._sync()
+        self._fold()
         return self._distance_histogram
 
     def steady_state_latency_ms(self, warmup_s: float) -> float:
         """Mean of per-window lookup latencies after the warm-up period."""
-        self._sync()
+        self._fold()
         values = self._latency_series.values_after(warmup_s)
         return sum(values) / len(values) if values else 0.0
 
     def steady_state_distance_ms(self, warmup_s: float) -> float:
-        self._sync()
+        self._fold()
         values = self._distance_series.values_after(warmup_s)
         return sum(values) / len(values) if values else 0.0
 

@@ -46,24 +46,30 @@ class Histogram:
     # -- recording -------------------------------------------------------------
 
     def add(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"histogram values must be non-negative, got {value}")
-        index = int(value // self._bin_width)
-        if index >= self._num_bins:
-            index = self._num_bins
-        self._counts[index] += 1
-        self._total += 1
-        self._sum += value
-        current_min = self._min
-        if current_min is None or value < current_min:
-            self._min = value
-        current_max = self._max
-        if current_max is None or value > current_max:
-            self._max = value
+        self.extend((value,))
 
     def extend(self, values: Sequence[float]) -> None:
+        """Record ``values`` in order (the sum sees one ``+=`` per value)."""
+        if not values:
+            return
+        low = min(values)
+        if low < 0:
+            raise ValueError(f"histogram values must be non-negative, got {low}")
+        bin_width = self._bin_width
+        num_bins = self._num_bins
+        counts = self._counts
+        value_sum = self._sum
         for value in values:
-            self.add(value)
+            index = int(value // bin_width)
+            counts[index if index < num_bins else num_bins] += 1
+            value_sum += value
+        self._sum = value_sum
+        self._total += len(values)
+        if self._min is None or low < self._min:
+            self._min = low
+        high = max(values)
+        if self._max is None or high > self._max:
+            self._max = high
 
     def merge_from(self, other: "Histogram") -> None:
         """Fold another histogram's counts into this one (same binning)."""

@@ -83,6 +83,29 @@ class TimeSeries:
         self._total_sum += value
         self._total_count += 1
 
+    def add_run(self, index: int, values: Sequence[float]) -> None:
+        """Add consecutive samples that all fall into window ``index``.
+
+        One :meth:`add` per value — both sums see the same float additions in
+        the same order — without the per-sample window lookup.
+        """
+        if index < 0:
+            raise ValueError("sample time must be non-negative")
+        if not values:
+            return
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = [0.0, 0]
+        window_sum = bucket[0]
+        total_sum = self._total_sum
+        for value in values:
+            window_sum += value
+            total_sum += value
+        bucket[0] = window_sum
+        bucket[1] += len(values)
+        self._total_sum = total_sum
+        self._total_count += len(values)
+
     def windows(self) -> List[WindowStat]:
         """Per-window aggregates, ordered by time; empty windows are omitted."""
         stats: List[WindowStat] = []

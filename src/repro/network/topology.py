@@ -113,7 +113,7 @@ class Topology:
         self._streams = streams
         self._hosts: List[Host] = []
         self._centres: List[Tuple[float, float]] = []
-        self._by_locality: Dict[int, List[int]] = {}
+        self._by_locality: Dict[int, Sequence[int]] = {}
         self._build()
         # Memo of symmetric pair -> latency.  The value is a pure function of
         # the pair, so entries never go stale; the memo is bounded purely to
@@ -159,7 +159,7 @@ class Topology:
         for i in range(cfg.num_localities):
             angle = 2.0 * math.pi * i / cfg.num_localities
             self._centres.append((radius * math.cos(angle), radius * math.sin(angle)))
-            self._by_locality[i] = []
+        members: List[List[int]] = [[] for _ in range(cfg.num_localities)]
 
         weights = cfg.effective_weights()
         for host_id in range(cfg.num_hosts):
@@ -170,7 +170,9 @@ class Topology:
             dy = rng.gauss(0.0, cfg.intra_locality_spread_ms / 2.0)
             host = Host(host_id=host_id, locality=locality, x=cx + dx, y=cy + dy)
             self._hosts.append(host)
-            self._by_locality[locality].append(host_id)
+            members[locality].append(host_id)
+        # Hosts never move: freeze the membership so readers share one tuple.
+        self._by_locality = {i: tuple(ids) for i, ids in enumerate(members)}
 
     @staticmethod
     def _pick_locality(u: float, weights: Sequence[float]) -> int:
@@ -202,7 +204,8 @@ class Topology:
         return tuple(self._hosts)
 
     def hosts_in_locality(self, locality: int) -> Sequence[int]:
-        return tuple(self._by_locality.get(locality, ()))
+        """The locality's host ids in id order (the cached tuple, not a copy)."""
+        return self._by_locality.get(locality, ())
 
     def locality_of(self, host_id: int) -> int:
         return self._hosts[host_id].locality
@@ -214,7 +217,7 @@ class Topology:
         """Return one representative host per locality (closest to its centre)."""
         landmarks: List[int] = []
         for loc in range(self._config.num_localities):
-            members = self._by_locality.get(loc, [])
+            members = self._by_locality.get(loc, ())
             if not members:
                 continue
             cx, cy = self._centres[loc]
@@ -323,7 +326,7 @@ class Topology:
         sample)`` — never on how many estimates were requested before (a
         shared named stream would couple results to call order).
         """
-        members = self._by_locality.get(locality, [])
+        members = self._by_locality.get(locality, ())
         if len(members) < 2:
             return 0.0
         rng = random.Random(

@@ -9,7 +9,7 @@ Two tiers of benchmarks feed one JSON document (``BENCH_core.json``):
   timed separately per scenario:
 
   - ``events_per_s`` / ``queries_per_s``: throughput of the *event-dispatch
-    phase* (bulk-scheduling the resolved trace + running the simulator to the
+    phase* (registering the resolved trace + running the simulator to the
     horizon) — the standard events/sec figure of a discrete-event engine;
   - ``wall_s``: the complete scenario execution (environment + trace
     construction + dispatch + metric finalisation), the number a user waits
@@ -37,7 +37,7 @@ import tracemalloc
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.metrics.collectors import MetricsCollector, QueryOutcome, QueryRecord
+from repro.metrics.collectors import MetricsCollector, QueryOutcome
 from repro.network.topology import Topology, TopologyConfig
 from repro.scenarios.library import get_scenario
 from repro.session import Session
@@ -86,17 +86,34 @@ def default_baseline_path() -> Path:
 
 
 def bench_event_core(num_events: int = 100_000, repeats: int = 3) -> Dict[str, float]:
-    """Schedule and dispatch ``num_events`` trivial events; events/sec."""
-    best = 0.0
+    """Schedule and dispatch ``num_events`` trivial events; events/sec.
+
+    ``events_per_s`` goes through the queue (``schedule_batch``: one handle
+    and one heap entry per event — the figure the regression gate calibrates
+    against); ``trace_events_per_s`` feeds the same times as a merged trace
+    source (``schedule_trace``: no handle, no heap entry).
+    """
+    best = best_trace = 0.0
+    times = [float(i) for i in range(num_events)]
     for _ in range(repeats):
         sim = Simulator(seed=1)
         callback = _noop
         start = time.perf_counter()
-        sim.schedule_batch(((float(i), callback) for i in range(num_events)))
+        sim.schedule_batch(((t, callback) for t in times))
         sim.run()
         elapsed = time.perf_counter() - start
         best = max(best, num_events / elapsed)
-    return {"events_per_s": best, "num_events": num_events}
+        sim = Simulator(seed=1)
+        start = time.perf_counter()
+        sim.schedule_trace(times, callback)
+        sim.run()
+        elapsed = time.perf_counter() - start
+        best_trace = max(best_trace, num_events / elapsed)
+    return {
+        "events_per_s": best,
+        "trace_events_per_s": best_trace,
+        "num_events": num_events,
+    }
 
 
 def _noop() -> None:
@@ -189,13 +206,16 @@ def bench_zipf(
 
 
 def bench_scenario(
-    name: str, scale: float = 1.0, repeats: int = 3
+    name: str, scale: float = 1.0, repeats: int = 3, system: str = "flower"
 ) -> Dict[str, float]:
-    """End-to-end benchmark of one library scenario (Flower-CDN system).
+    """End-to-end benchmark of one system of one library scenario.
 
-    The event-dispatch phase (bulk trace scheduling + simulator run) is timed
+    The event-dispatch phase (trace registration + simulator run) is timed
     separately from the full execution; events/sec and queries/sec are
     defined over the dispatch phase, ``wall_s`` over the whole thing.
+    ``system="squirrel"`` replays the exact same resolved trace through the
+    baseline, so its events/sec are directly comparable — and regressions in
+    the Chord routing or directory path trip the same calibrated gate.
     """
     spec = get_scenario(name)
     if scale != 1.0:
@@ -209,24 +229,30 @@ def bench_scenario(
         session = Session.from_spec(spec)
         total_start = time.perf_counter()
         trace = session.resolved_trace()  # environment + trace construction
-        sim, system = session.build_flower()
-        # Attach the spec's churn/fault models through the same Session API
-        # run_system uses, so program scenarios benchmark what they execute.
-        injectors = session.attach_models(system)
+        injectors = []
+        if system == "flower":
+            sim, cdn = session.build_flower()
+            # Attach the spec's churn/fault models through the same Session
+            # API run_system uses, so program scenarios benchmark what they
+            # execute.
+            injectors = session.attach_models(cdn)
+        else:
+            sim, cdn = session.experiment.build_squirrel()
         for injector in injectors:
             injector.start()
         dispatch_start = time.perf_counter()
-        sim.schedule_trace(trace.times, trace.dispatcher(system.handle_query), label="query")
+        sim.schedule_trace(trace.times, trace.replayer(cdn.process_query), label="query")
         sim.run(until=spec.duration_s)
         dispatch_elapsed = time.perf_counter() - dispatch_start
         for injector in reversed(injectors):
             injector.stop()
         # Metric finalisation is part of the full wall clock.
-        system.metrics.hit_ratio
-        system.bandwidth.average_bps_per_peer(spec.duration_s)
+        cdn.metrics.hit_ratio
+        if system == "flower":
+            cdn.bandwidth.average_bps_per_peer(spec.duration_s)
         total_elapsed = time.perf_counter() - total_start
         events_fired = sim.events_fired
-        num_queries = system.metrics.num_queries
+        num_queries = cdn.metrics.num_queries
         best_events_per_s = max(best_events_per_s, events_fired / dispatch_elapsed)
         best_queries_per_s = max(best_queries_per_s, num_queries / dispatch_elapsed)
         best_wall = min(best_wall, total_elapsed)
@@ -240,48 +266,27 @@ def bench_scenario(
     }
 
 
-def bench_squirrel(
-    name: str = SQUIRREL_SCENARIO, scale: float = 1.0, repeats: int = 3
-) -> Dict[str, float]:
-    """Squirrel-baseline dispatch throughput over the shared trace replay.
+def _run_isolated(call: str) -> Optional[Dict[str, float]]:
+    """Evaluate ``repro.perf.suite.<call>`` in a fresh child process.
 
-    The baseline replays the exact same resolved trace as the Flower system
-    (bulk `schedule_trace` + array-column dispatcher), so its events/sec are
-    directly comparable — and regressions in the Chord routing or directory
-    path trip the same calibrated gate as the Flower scenarios.
+    ``peak_rss_mb`` then measures that run rather than the process-lifetime
+    maximum (``ru_maxrss`` is monotone, so an in-process measurement would
+    include whatever suite sections ran earlier).  ``None`` if the child
+    cannot be spawned: the caller falls back to the inline run.
     """
-    spec = get_scenario(name)
-    if scale != 1.0:
-        spec = spec.scaled(scale)
-    best_events_per_s = 0.0
-    best_queries_per_s = 0.0
-    best_wall = float("inf")
-    events_fired = 0
-    num_queries = 0
-    for _ in range(repeats):
-        session = Session.from_spec(spec)
-        total_start = time.perf_counter()
-        trace = session.resolved_trace()
-        sim, system = session.experiment.build_squirrel()
-        dispatch_start = time.perf_counter()
-        sim.schedule_trace(trace.times, trace.dispatcher(system.handle_query), label="query")
-        sim.run(until=spec.duration_s)
-        dispatch_elapsed = time.perf_counter() - dispatch_start
-        system.metrics.hit_ratio
-        total_elapsed = time.perf_counter() - total_start
-        events_fired = sim.events_fired
-        num_queries = system.metrics.num_queries
-        best_events_per_s = max(best_events_per_s, events_fired / dispatch_elapsed)
-        best_queries_per_s = max(best_queries_per_s, num_queries / dispatch_elapsed)
-        best_wall = min(best_wall, total_elapsed)
-    return {
-        "events_per_s": best_events_per_s,
-        "queries_per_s": best_queries_per_s,
-        "wall_s": best_wall,
-        "events_fired": events_fired,
-        "num_queries": num_queries,
-        "scale": scale,
-    }
+    src_root = str(Path(__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    code = f"import json\nfrom repro.perf import suite\nprint(json.dumps(suite.{call}))\n"
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        return json.loads(child.stdout.strip().splitlines()[-1])
+    except (OSError, subprocess.CalledProcessError, ValueError, IndexError):
+        return None
 
 
 def bench_paper_scale(
@@ -295,34 +300,13 @@ def bench_paper_scale(
     best-of-N is not worth the wall clock — the nightly job tracks the trend
     instead.
 
-    ``isolate=True`` runs the benchmark in a fresh child process so
-    ``peak_rss_mb`` measures *this run* rather than the process-lifetime
-    maximum (``ru_maxrss`` is monotone, so an in-process measurement would
-    include whatever suite sections ran earlier).  Falls back to the inline
-    run if the child cannot be spawned.
+    ``isolate=True`` runs the benchmark in a fresh child process (see
+    :func:`_run_isolated`).
     """
     if isolate:
-        src_root = str(Path(__file__).resolve().parents[2])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        code = (
-            "import json\n"
-            "from repro.perf.suite import bench_paper_scale\n"
-            f"print(json.dumps(bench_paper_scale({name!r})))\n"
-        )
-        try:
-            child = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            return json.loads(child.stdout.strip().splitlines()[-1])
-        except (OSError, subprocess.CalledProcessError, ValueError, IndexError):
-            pass  # fall through to the inline run
+        result = _run_isolated(f"bench_paper_scale({name!r})")
+        if result is not None:
+            return result
     spec = get_scenario(name)
     session = Session.from_name(name)
     total_start = time.perf_counter()
@@ -330,7 +314,7 @@ def bench_paper_scale(
     trace_elapsed = time.perf_counter() - total_start
     sim, system = session.build_flower()
     dispatch_start = time.perf_counter()
-    sim.schedule_trace(trace.times, trace.dispatcher(system.handle_query), label="query")
+    sim.schedule_trace(trace.times, trace.replayer(system.process_query), label="query")
     sim.run(until=spec.duration_s)
     dispatch_elapsed = time.perf_counter() - dispatch_start
     hit_ratio = system.metrics.hit_ratio
@@ -376,27 +360,9 @@ def bench_paper_scale_sharded(
     realise.  A single repetition, same as :func:`bench_paper_scale`.
     """
     if isolate:
-        src_root = str(Path(__file__).resolve().parents[2])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        code = (
-            "import json\n"
-            "from repro.perf.suite import bench_paper_scale_sharded\n"
-            f"print(json.dumps(bench_paper_scale_sharded({name!r}, shards={shards!r})))\n"
-        )
-        try:
-            child = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            return json.loads(child.stdout.strip().splitlines()[-1])
-        except (OSError, subprocess.CalledProcessError, ValueError, IndexError):
-            pass  # fall through to the inline run
+        result = _run_isolated(f"bench_paper_scale_sharded({name!r}, shards={shards!r})")
+        if result is not None:
+            return result
     from repro.scenarios.parallel import default_jobs
 
     session = Session.from_name(name, shards=shards)
@@ -440,7 +406,7 @@ def _traced_peak(fn) -> int:
 
 
 def bench_memory_event_queue(num_events: int = 50_000) -> Dict[str, float]:
-    """Peak bytes per scheduled event: retained handles vs pooled trace feed."""
+    """Peak bytes per scheduled event: queued handles vs a merged trace source."""
     results: Dict[str, float] = {"num_events": num_events}
     times = [float(i) for i in range(num_events)]
     for backend in ("heap", "calendar"):
@@ -479,11 +445,11 @@ def bench_memory_latency_cache(num_hosts: int = 500) -> Dict[str, float]:
 
 
 def bench_memory_metrics(num_records: int = 100_000) -> Dict[str, float]:
-    """Peak bytes per recorded query: retained records vs compact reservoirs.
+    """Peak bytes per recorded query: retained columns vs compact reservoirs.
 
-    Records are constructed *inside* the measured region — exactly as
-    ``handle_query`` does — so the retained mode pays for the resident
-    QueryRecord objects while the compact mode drops them at each fold.
+    Rows are recorded exactly as ``process_query`` does — scalars in, no
+    record object — so the retained mode pays for its columns while the
+    compact mode truncates them at each fold.
     """
     results: Dict[str, float] = {"num_records": num_records}
     hit, miss = QueryOutcome.LOCAL_OVERLAY_HIT, QueryOutcome.SERVER_MISS
@@ -491,18 +457,16 @@ def bench_memory_metrics(num_records: int = 100_000) -> Dict[str, float]:
         collector = MetricsCollector(window_s=3600.0, retain_records=retain)
 
         def fill(collector=collector):
-            record = collector.record
+            record_row = collector.record_row
             for i in range(num_records):
-                record(
-                    QueryRecord(
-                        query_id=i,
-                        time=float(i),
-                        website="site-000.example.org",
-                        locality=i % 3,
-                        outcome=hit if i % 3 else miss,
-                        lookup_latency_ms=float(i % 400),
-                        transfer_distance_ms=float(i % 200),
-                    )
+                record_row(
+                    i,
+                    float(i),
+                    "site-000.example.org",
+                    i % 3,
+                    hit if i % 3 else miss,
+                    float(i % 400),
+                    float(i % 200),
                 )
             collector.hit_ratio  # force the final fold
 
@@ -571,11 +535,11 @@ def run_suite(
     scenario_results = {
         name: bench_scenario(name, scale=scale, repeats=repeats) for name in scenarios
     }
-    # The Squirrel baseline replays the same trace through the same bulk
-    # scheduling path; tracked under its own key so Chord-routing or
+    # The Squirrel baseline replays the same trace through the same trace
+    # source; tracked under its own key so Chord-routing or
     # directory-path regressions trip the calibrated gate too.
-    scenario_results[f"{SQUIRREL_SCENARIO}:squirrel"] = bench_squirrel(
-        scale=scale, repeats=repeats
+    scenario_results[f"{SQUIRREL_SCENARIO}:squirrel"] = bench_scenario(
+        SQUIRREL_SCENARIO, scale=scale, repeats=repeats, system="squirrel"
     )
     document: Dict[str, object] = {
         "schema": SCHEMA_VERSION,

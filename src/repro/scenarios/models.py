@@ -392,10 +392,8 @@ class _GossipLossModel(ReachabilityModel):
 class GossipLossInjector:
     """Drops gossip messages in transit with a fixed probability.
 
-    Rides the system-wide delivery gate (message kind ``"gossip"`` only)
-    instead of the legacy ``gossip_message_filter`` hook, which remains
-    available for ad-hoc callers; drop decisions still draw from the
-    dedicated ``"fault:gossip-loss"`` stream in the same order as before,
+    Rides the system-wide delivery gate (message kind ``"gossip"`` only);
+    drop decisions draw from the dedicated ``"fault:gossip-loss"`` stream,
     so enabling the model never perturbs any other random stream and the
     committed ``gossip-lossy`` golden is reproduced byte for byte.
     """

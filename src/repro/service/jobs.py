@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.system import InfeasibleScenarioError
 from repro.scenarios.artifacts import dumps_json, run_documents
 from repro.scenarios.parallel import TaskError, default_jobs
 from repro.scenarios.spec import ScenarioSpec
@@ -191,6 +192,14 @@ def execute_request(
     raise ValueError(f"unknown request kind {kind!r}")
 
 
+def _failure_text(error: BaseException) -> str:
+    """What a failed job reports: one line for a typed, expected failure of
+    the request itself, the traceback for anything else."""
+    if isinstance(error, InfeasibleScenarioError):
+        return str(error)
+    return traceback.format_exc()
+
+
 def _subprocess_entry(
     conn: Connection,
     payload: Dict[str, object],
@@ -200,8 +209,8 @@ def _subprocess_entry(
     try:
         documents = execute_request(payload, execution)
         conn.send(("ok", documents))
-    except BaseException:
-        conn.send(("error", traceback.format_exc()))
+    except BaseException as error:
+        conn.send(("error", _failure_text(error)))
     finally:
         conn.close()
 
@@ -489,8 +498,8 @@ class JobManager:
         assert self._executor is not None
         try:
             return self._executor(job.payload, job.execution)
-        except Exception:
-            raise TaskError(0, job.label, traceback.format_exc()) from None
+        except Exception as error:
+            raise TaskError(0, job.label, _failure_text(error)) from None
 
     def _run_isolated(self, job: Job) -> Dict[str, str]:
         parent_conn, child_conn = multiprocessing.Pipe(duplex=False)

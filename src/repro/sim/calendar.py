@@ -17,8 +17,7 @@ non-uniform schedules degenerate to one entry per bucket, where the tuple
 heap is the better choice — hence the engine keeps the heap as its default.
 
 Both backends share the :class:`~repro.sim.events.Event` handle type and the
-freelist pool protocol (``extend_transient`` / ``recycle``) that lets trace
-replay reuse a bounded set of handles instead of allocating one per event.
+keyed :meth:`pop_before` the engine merges trace sources through.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 from repro.sim.events import (
     _COMPACT_MIN_DEAD,
     _COMPACT_DEAD_FRACTION,
-    _POOL_MAX,
     Event,
 )
 
@@ -58,7 +56,6 @@ class CalendarEventQueue:
         "_live",
         "_dead",
         "_entries",
-        "_pool",
     )
 
     def __init__(self, bucket_width: Optional[float] = None) -> None:
@@ -82,8 +79,6 @@ class CalendarEventQueue:
         #: physical entries across all buckets (live + cancelled) — kept as a
         #: counter so the compaction predicate in cancel() stays O(1)
         self._entries = 0
-        #: freelist of recycled transient Event handles
-        self._pool: list[Event] = []
 
     # -- sizing ------------------------------------------------------------
 
@@ -106,16 +101,6 @@ class CalendarEventQueue:
     def dead_entries(self) -> int:
         """Cancelled entries still awaiting lazy removal (diagnostic)."""
         return self._dead
-
-    @property
-    def num_buckets(self) -> int:
-        """Buckets currently materialised (diagnostic)."""
-        return len(self._buckets) + (1 if self._current is not None else 0)
-
-    @property
-    def pool_size(self) -> int:
-        """Recycled transient handles awaiting reuse (diagnostic)."""
-        return len(self._pool)
 
     # -- internal plumbing -------------------------------------------------
 
@@ -156,26 +141,6 @@ class CalendarEventQueue:
             self._pos = 0
         return True
 
-    def _new_event(
-        self,
-        time: float,
-        sequence: int,
-        callback: Callable[[], Any],
-        label: str,
-        poolable: bool,
-    ) -> Event:
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.sequence = sequence
-            event.callback = callback
-            event.cancelled = False
-            event.label = label
-            event.poolable = poolable
-            return event
-        return Event(time, sequence, callback, False, label, poolable)
-
     def _maybe_tune_width(self, times: Sequence[float]) -> None:
         """Fix the bucket width from the first large bulk schedule.
 
@@ -212,7 +177,7 @@ class CalendarEventQueue:
             raise ValueError(f"event time must be non-negative, got {time}")
         sequence = self._next_sequence
         self._next_sequence = sequence + 1
-        event = self._new_event(time, sequence, callback, label, False)
+        event = Event(time, sequence, callback, False, label)
         self._insert((time, sequence, event))
         self._live += 1
         self._entries += 1
@@ -241,31 +206,11 @@ class CalendarEventQueue:
         self._entries += len(entries)
         return [entry[2] for entry in entries]
 
-    def extend_transient(
-        self,
-        times: Iterable[float],
-        callback: Callable[[], Any],
-        label: str = "",
-    ) -> int:
-        """Bulk-schedule pooled fire-and-forget events sharing one ``callback``.
-
-        No handles are returned (they may be recycled the moment they fire),
-        which is what lets the queue reuse a bounded pool of Event objects for
-        an arbitrarily long trace.  Returns the number of events scheduled.
-        """
-        times = list(times)
-        for time in times:
-            if time < 0:
-                raise ValueError(f"event time must be non-negative, got {time}")
-        self._maybe_tune_width(times)
+    def reserve_sequence(self) -> int:
+        """Take the next sequence number without scheduling anything."""
         sequence = self._next_sequence
-        for time in times:
-            self._insert((time, sequence, self._new_event(time, sequence, callback, label, True)))
-            sequence += 1
-        self._next_sequence = sequence
-        self._live += len(times)
-        self._entries += len(times)
-        return len(times)
+        self._next_sequence = sequence + 1
+        return sequence
 
     def reschedule(self, event: Event, time: float) -> Event:
         """Re-arm a previously popped handle at a new time (fresh sequence)."""
@@ -279,17 +224,12 @@ class CalendarEventQueue:
         self._entries += 1
         return event
 
-    def recycle(self, event: Event) -> None:
-        """Return a fired transient handle to the freelist."""
-        pool = self._pool
-        if len(pool) < _POOL_MAX:
-            event.callback = None
-            pool.append(event)
-
     # -- consumption -------------------------------------------------------
 
-    def pop_before(self, horizon: Optional[float]) -> Optional[Event]:
-        """Pop the next live event, unless it fires after ``horizon``."""
+    def pop_before(
+        self, horizon: Optional[float], sequence: Optional[int] = None
+    ) -> Optional[Event]:
+        """Pop the next live event, unless it fires after ``(horizon, sequence)``."""
         while True:
             if (self._current is None or self._pos >= len(self._current)) and not self._advance():
                 self._live = 0
@@ -303,8 +243,9 @@ class CalendarEventQueue:
                 self._dead -= 1
                 self._entries -= 1
                 continue
-            if horizon is not None and entry[0] > horizon:
-                return None
+            if horizon is not None and entry[0] >= horizon:
+                if entry[0] > horizon or (sequence is not None and entry[1] > sequence):
+                    return None
             self._pos += 1
             self._live -= 1
             self._entries -= 1

@@ -12,7 +12,8 @@ latencies supplied by the network layer.
 
 from __future__ import annotations
 
-from itertools import islice
+import sys
+from array import array
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.sim.calendar import CalendarEventQueue
@@ -21,12 +22,35 @@ from repro.sim.rng import RandomStreams
 
 #: queue backends selectable per run
 QUEUE_BACKENDS = ("heap", "calendar")
-#: events scheduled per trace-feeder chunk (see Simulator.schedule_trace)
-TRACE_CHUNK_SIZE = 1 << 14
+#: trace entries per loader event: a merged trace source has no loader, so
+#: ``num_queries // TRACE_CHUNK_SIZE`` (how benchmarks/e2e counts them) is 0
+TRACE_CHUNK_SIZE = sys.maxsize
 
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduling requests or a corrupted simulation state."""
+
+
+class _TraceSource:
+    """A sorted time column the dispatch loop merges with the queue."""
+
+    __slots__ = ("times", "size", "cursor", "time", "callback", "sequence", "label")
+
+    def __init__(
+        self, times: Any, callback: Callable[[], Any], sequence: int, label: str
+    ) -> None:
+        self.times = times
+        self.size = len(times)
+        self.cursor = 0
+        #: the next entry's firing time
+        self.time: float = times[0]
+        self.callback = callback
+        #: reserved at registration; orders the entries against queue events
+        self.sequence = sequence
+        self.label = label
+
+    def key(self) -> Tuple[float, int]:
+        return (self.time, self.sequence)
 
 
 class Simulator:
@@ -48,9 +72,10 @@ class Simulator:
         "_queue_backend",
         "_now",
         "_end_time",
-        "_running",
         "_stopped",
         "_events_fired",
+        "_sources",
+        "_head",
         "streams",
     )
 
@@ -68,9 +93,11 @@ class Simulator:
         self._queue_backend = queue_backend
         self._now = 0.0
         self._end_time = end_time
-        self._running = False
         self._stopped = False
         self._events_fired = 0
+        #: live trace sources and the one whose next entry fires first
+        self._sources: List[_TraceSource] = []
+        self._head: Optional[_TraceSource] = None
         self.streams = RandomStreams(seed)
 
     @property
@@ -95,7 +122,10 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue)
+        """Queued events plus the entries trace sources have yet to fire."""
+        return len(self._queue) + sum(
+            source.size - source.cursor for source in self._sources
+        )
 
     # -- scheduling --------------------------------------------------------
 
@@ -138,43 +168,53 @@ class Simulator:
         times: Iterable[float],
         callback: Callable[[], Any],
         label: str = "trace",
-        chunk_size: int = TRACE_CHUNK_SIZE,
     ) -> None:
-        """Schedule a long, time-ordered series of calls to one ``callback``.
+        """Register a long, time-ordered series of calls to one ``callback``.
 
-        ``times`` must be non-decreasing (a pre-sorted trace).  The series is
-        fed to the queue in chunks: each chunk is bulk-scheduled with pooled
-        fire-and-forget handles, and a feeder event at the chunk's last
-        timestamp pulls the next chunk.  Peak live Event handles for the trace
-        therefore stay bounded by ``chunk_size`` (plus the pool), independent
-        of trace length — the memory-lean counterpart of :meth:`schedule_batch`
-        for workloads where no per-event handle is ever needed.
+        ``times`` must be non-decreasing (an ``array`` or list is used as is).
+        The column never enters the queue: it becomes a *trace source* that
+        :meth:`run` and :meth:`step` merge with the queue, so a trace costs no
+        handle and no heap entry however long it is.  Entries fire exactly
+        where :meth:`schedule_batch` of the same times would have put them:
+        at equal times a queue event fires first if it was scheduled before
+        this call, and after the trace entry otherwise.
 
         ``callback`` is invoked once per timestamp with no arguments; callers
-        that need per-event payloads close over their own cursor (the events
+        that need per-event payloads close over their own cursor (the entries
         fire in exactly the order of ``times``).
         """
-        if chunk_size <= 0:
-            raise SimulationError(f"chunk_size must be positive, got {chunk_size}")
-        iterator = iter(times)
-        queue = self._queue
+        if not isinstance(times, (array, list, tuple)):
+            times = array("d", times)
+        if not len(times):
+            return
+        if times[0] < self._now:
+            raise SimulationError(
+                f"trace time {times[0]:.6f} precedes the clock ({self._now:.6f})"
+            )
+        source = _TraceSource(times, callback, self._queue.reserve_sequence(), label)
+        self._sources.append(source)
+        self._head = min(self._sources, key=_TraceSource.key)
 
-        def feed() -> None:
-            batch = list(islice(iterator, chunk_size))
-            if not batch:
-                return
-            if batch[0] < self._now:
+    def _fire_trace(self, source: _TraceSource) -> None:
+        """Fire the head source's next entry and move its cursor on."""
+        time = source.time
+        self._now = time
+        self._events_fired += 1
+        cursor = source.cursor + 1
+        source.cursor = cursor
+        if cursor < source.size:
+            following = source.times[cursor]
+            if following < time:
                 raise SimulationError(
-                    f"trace time {batch[0]:.6f} precedes the clock ({self._now:.6f})"
+                    f"trace {source.label!r} is not sorted: {following:.6f} follows {time:.6f}"
                 )
-            queue.extend_transient(batch, callback, label=label)
-            if len(batch) == chunk_size:
-                # The feeder runs after every event of its own chunk (same
-                # timestamp, later sequence number), so the next chunk is
-                # scheduled before any later event fires.
-                queue.push(batch[-1], feed, label=label + ":feeder")
-
-        feed()
+            source.time = following
+            if len(self._sources) > 1:
+                self._head = min(self._sources, key=_TraceSource.key)
+        else:
+            self._sources.remove(source)
+            self._head = min(self._sources, key=_TraceSource.key, default=None)
+        source.callback()
 
     def cancel(self, event: Event) -> None:
         self._queue.cancel(event)
@@ -197,26 +237,31 @@ class Simulator:
         would otherwise be silently discarded while remaining counted as
         pending nowhere).
         """
-        next_time = self._queue.peek_time()
-        if next_time is None:
-            return False
-        if self._end_time is not None and next_time > self._end_time:
-            # Past the horizon: advance the clock to the horizon and stop,
-            # leaving the event in place.
-            self._now = self._end_time
-            return False
-        event = self._queue.pop()
+        source = self._head
+        end = self._end_time
+        if source is not None and (end is None or source.time <= end):
+            event = self._queue.pop_before(source.time, source.sequence)
+            if event is None:
+                self._fire_trace(source)
+                return True
+        else:
+            next_time = self._queue.peek_time()
+            if next_time is None or (end is not None and next_time > end):
+                if next_time is not None or source is not None:
+                    # Past the horizon: advance the clock to the horizon and
+                    # stop, leaving the event (or trace entry) in place.
+                    self._now = end
+                return False
+            event = self._queue.pop()
         if event.time < self._now:
             raise SimulationError("event queue returned an event in the past")
         self._now = event.time
         self._events_fired += 1
         event.callback()
-        if event.poolable:
-            self._queue.recycle(event)
         return True
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or :meth:`stop` is called.
+        """Run until nothing remains, ``until`` is reached, or :meth:`stop` is called.
 
         Returns the simulation time at which the run ended.
         """
@@ -229,34 +274,32 @@ class Simulator:
         else:
             horizon = self._end_time
 
-        self._running = True
         self._stopped = False
         # The dispatch loop is the single hottest loop of the simulator: bind
         # the queue method once and skip the per-event safety checks `step()`
-        # performs for external callers (the heap already guarantees time
+        # performs for external callers (the queue already guarantees time
         # order, and pop_before has filtered the horizon).
-        queue = self._queue
-        pop_before = queue.pop_before
-        recycle = queue.recycle
-        try:
-            while not self._stopped:
+        pop_before = self._queue.pop_before
+        fire_trace = self._fire_trace
+        while not self._stopped:
+            # Re-read per event: a callback may register another source.
+            source = self._head
+            if source is None or (horizon is not None and source.time > horizon):
                 event = pop_before(horizon)
                 if event is None:
-                    if queue:
-                        # Next event lies beyond the horizon.
-                        self._now = horizon
                     break
-                self._now = event.time
-                # Updated per event (not batched into a local) so callbacks
-                # reading `events_fired` mid-run observe the live count.
-                self._events_fired += 1
-                event.callback()
-                if event.poolable:
-                    recycle(event)
-        finally:
-            self._running = False
-        if horizon is not None and self._now < horizon and not self._stopped and not self._queue:
-            # Queue drained before the horizon: advance the clock so callers
+            else:
+                event = pop_before(source.time, source.sequence)
+                if event is None:
+                    fire_trace(source)
+                    continue
+            self._now = event.time
+            # Updated per event (not batched into a local) so callbacks
+            # reading `events_fired` mid-run observe the live count.
+            self._events_fired += 1
+            event.callback()
+        if horizon is not None and self._now < horizon and not self._stopped:
+            # Nothing left before the horizon: advance the clock so callers
             # observing `now` see the full requested duration.
             self._now = horizon
         return self._now
@@ -264,6 +307,16 @@ class Simulator:
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
+
+    def discard_pending(self) -> None:
+        """Drop every queued event and trace entry (the end of a run).
+
+        Pending callbacks are what ties a finished simulator to the systems
+        it drove; without them both are freed by reference counting.
+        """
+        self._queue.clear()
+        self._sources.clear()
+        self._head = None
 
     # -- helpers -----------------------------------------------------------
 

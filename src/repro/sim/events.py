@@ -14,8 +14,9 @@ built for speed:
   implementation instead of dispatching into a Python-level ``__lt__``;
 * :class:`Event` is a ``__slots__`` handle (no dataclass machinery, no
   per-instance ``__dict__``);
-* bulk scheduling (:meth:`EventQueue.extend`, used to replay query traces)
-  re-heapifies once — O(n) — instead of paying n heap-pushes;
+* bulk scheduling (:meth:`EventQueue.extend`) re-heapifies once — O(n) —
+  instead of paying n heap-pushes; long sorted traces never enter the queue
+  at all (see :meth:`repro.sim.engine.Simulator.schedule_trace`);
 * cancellation stays lazy, but the heap is compacted once more than half of
   its entries are dead, so workloads that cancel a lot (periodic gossip and
   keepalive processes under churn) cannot grow the heap without bound;
@@ -33,9 +34,6 @@ from typing import Any, Callable, Iterable, Optional, Tuple
 _COMPACT_MIN_DEAD = 64
 #: ... and triggered when the dead entries outnumber the live ones.
 _COMPACT_DEAD_FRACTION = 0.5
-#: upper bound on the freelist of recycled transient event handles; equal to
-#: the trace-feeder chunk size so a chunked replay reuses one chunk's handles
-_POOL_MAX = 1 << 14
 
 
 class Event:
@@ -49,12 +47,9 @@ class Event:
         cancelled: events may be cancelled in place instead of being removed
             from the heap (lazy deletion).
         label: free-form tag used in diagnostics and tests.
-        poolable: True for fire-and-forget handles created by
-            ``extend_transient`` — no external reference exists, so the engine
-            returns them to the queue's freelist right after they fire.
     """
 
-    __slots__ = ("time", "sequence", "callback", "cancelled", "label", "poolable")
+    __slots__ = ("time", "sequence", "callback", "cancelled", "label")
 
     def __init__(
         self,
@@ -63,14 +58,12 @@ class Event:
         callback: Callable[[], Any],
         cancelled: bool = False,
         label: str = "",
-        poolable: bool = False,
     ) -> None:
         self.time = time
         self.sequence = sequence
         self.callback = callback
         self.cancelled = cancelled
         self.label = label
-        self.poolable = poolable
 
     # Ordering mirrors the original dataclass(order=True) semantics: only
     # (time, sequence) participate; callback/cancelled/label are ignored.
@@ -102,23 +95,17 @@ class Event:
         """Mark the event so the queue skips it when it reaches the front."""
         self.cancelled = True
 
-    @property
-    def is_cancelled(self) -> bool:
-        return self.cancelled
-
 
 class EventQueue:
     """Priority queue of :class:`Event` objects with lazy cancellation."""
 
-    __slots__ = ("_heap", "_next_sequence", "_live", "_dead", "_pool")
+    __slots__ = ("_heap", "_next_sequence", "_live", "_dead")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Event]] = []
         self._next_sequence = 0
         self._live = 0
         self._dead = 0
-        #: freelist of recycled transient Event handles (see extend_transient)
-        self._pool: list[Event] = []
 
     def __len__(self) -> int:
         return self._live
@@ -174,55 +161,12 @@ class EventQueue:
         self._live += len(entries)
         return [entry[2] for entry in entries]
 
-    def extend_transient(
-        self,
-        times: Iterable[float],
-        callback: Callable[[], Any],
-        label: str = "",
-    ) -> int:
-        """Bulk-schedule pooled fire-and-forget events sharing one ``callback``.
-
-        Unlike :meth:`extend` no handles are returned: the events are marked
-        poolable, so the engine recycles each handle into the queue's freelist
-        the moment it has fired, and subsequent chunks of a long trace reuse
-        the same bounded set of Event objects.  Returns the number scheduled.
-        """
-        entries: list[tuple[float, int, Event]] = []
+    def reserve_sequence(self) -> int:
+        """Take the next sequence number without scheduling anything (a trace
+        source orders its entries against the queue with it)."""
         sequence = self._next_sequence
-        pool = self._pool
-        for time in times:
-            if time < 0:
-                raise ValueError(f"event time must be non-negative, got {time}")
-            if pool:
-                event = pool.pop()
-                event.time = time
-                event.sequence = sequence
-                event.callback = callback
-                event.cancelled = False
-                event.label = label
-                event.poolable = True
-            else:
-                event = Event(time, sequence, callback, False, label, True)
-            entries.append((time, sequence, event))
-            sequence += 1
-        self._next_sequence = sequence
-        heap = self._heap
-        heap.extend(entries)
-        heapq.heapify(heap)
-        self._live += len(entries)
-        return len(entries)
-
-    def recycle(self, event: Event) -> None:
-        """Return a fired transient handle to the freelist."""
-        pool = self._pool
-        if len(pool) < _POOL_MAX:
-            event.callback = None
-            pool.append(event)
-
-    @property
-    def pool_size(self) -> int:
-        """Recycled transient handles awaiting reuse (diagnostic)."""
-        return len(self._pool)
+        self._next_sequence = sequence + 1
+        return sequence
 
     def reschedule(self, event: Event, time: float) -> Event:
         """Re-arm a previously *popped* event handle at a new time.
@@ -242,13 +186,17 @@ class EventQueue:
         self._live += 1
         return event
 
-    def pop_before(self, horizon: Optional[float]) -> Optional[Event]:
+    def pop_before(
+        self, horizon: Optional[float], sequence: Optional[int] = None
+    ) -> Optional[Event]:
         """Pop the next live event, unless it fires after ``horizon``.
 
         Returns ``None`` when the queue is empty *or* the next live event lies
         beyond the horizon (check ``bool(queue)`` to tell the two apart).  One
         call replaces the peek+pop pair in the dispatch loop and runs once per
-        fired event.
+        fired event.  With ``sequence`` the bound is the key ``(horizon,
+        sequence)``: an event *at* the horizon is only popped if it was
+        scheduled before that sequence number was reserved.
         """
         heap = self._heap
         while heap:
@@ -257,8 +205,9 @@ class EventQueue:
                 heapq.heappop(heap)
                 self._dead -= 1
                 continue
-            if horizon is not None and head[0] > horizon:
-                return None
+            if horizon is not None and head[0] >= horizon:
+                if head[0] > horizon or (sequence is not None and head[1] > sequence):
+                    return None
             heapq.heappop(heap)
             self._live -= 1
             return head[2]

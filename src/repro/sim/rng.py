@@ -12,9 +12,32 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, Sequence, TypeVar
+from typing import Dict, Iterable, List, Sequence, TypeVar
 
 T = TypeVar("T")
+
+
+def randbelow_many(rng: random.Random, n: int, count: int) -> List[int]:
+    """``count`` uniform draws from ``range(n)``, as one inlined loop.
+
+    Draw for draw what ``rng.randrange(n)``, ``rng.randint(0, n - 1)`` or
+    ``rng.choice(range(n))`` return, and the same generator state afterwards:
+    the loop is ``Random._randbelow`` itself — ``getrandbits(n.bit_length())``
+    until the value is below ``n`` — without three Python frames per draw
+    (``tests/test_workload_inlined_draws.py`` pins the equivalence).
+    """
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    draws: List[int] = []
+    append = draws.append
+    for _ in range(count):
+        draw = getrandbits(bits)
+        while draw >= n:
+            draw = getrandbits(bits)
+        append(draw)
+    return draws
 
 
 def derive_seed(master_seed: int, name: str) -> int:

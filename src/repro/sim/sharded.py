@@ -32,8 +32,9 @@ from __future__ import annotations
 # Wall-clock reads below are perf accounting only (ShardRunStats); they
 # never feed simulated time or draws, hence the DET002 suppressions.
 import time as _time
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.scenarios.spec import ScenarioSpec
@@ -47,7 +48,7 @@ from repro.core.sharding import (
     window_boundaries,
 )
 from repro.core.system import FlowerCDN
-from repro.experiments.driver import ExperimentRunner, RunResult
+from repro.experiments.driver import ExperimentRunner, RunResult, flatten_injectors
 from repro.metrics.collectors import BandwidthAccountant, MetricsCollector
 from repro.metrics.resilience import summarise_resilience
 from repro.network.latency import LatencyModel
@@ -125,15 +126,10 @@ def _filter_trace(trace: ResolvedTraceArrays, websites: frozenset) -> ResolvedTr
         for index, website in enumerate(trace.websites)
         if website.name in websites
     }
-    keep = [i for i in range(len(trace)) if trace.website_index[i] in wanted]
+    keep = [i for i, w in enumerate(trace.website_index) if w in wanted]
 
-    def take(column: Sequence[Any]) -> Sequence[Any]:
-        # array.array columns stay arrays (typecode preserved); lists stay lists.
-        taken = type(column)(column.typecode) if hasattr(column, "typecode") else []
-        if hasattr(column, "typecode"):
-            taken.extend(column[i] for i in keep)
-            return taken
-        return [column[i] for i in keep]
+    def take(column: array) -> array:
+        return array(column.typecode, [column[i] for i in keep])
 
     return ResolvedTraceArrays(
         websites=trace.websites,
@@ -176,22 +172,17 @@ def _run_shard(task: ShardTask) -> ShardOutcome:
     # does on the single-process path.  validate_shardable() has already
     # guaranteed the churn profile is idle and the fault model time-driven,
     # so per-shard attachment reproduces the union run.
-    injectors = []
-    for attached in (
-        build_churn_model(spec.churn_model).attach(system, spec),
-        build_fault_model(spec.fault_model).attach(system, spec),
-    ):
-        if attached is None:
-            continue
-        if hasattr(attached, "start"):
-            injectors.append(attached)
-        else:
-            injectors.extend(attached)
+    injectors = flatten_injectors(
+        (
+            build_churn_model(spec.churn_model).attach(system, spec),
+            build_fault_model(spec.fault_model).attach(system, spec),
+        )
+    )
     for injector in injectors:
         injector.start()
 
     sim.schedule_trace(
-        sub_trace.times, sub_trace.dispatcher(system.handle_query), label="query"
+        sub_trace.times, sub_trace.replayer(system.process_query), label="query"
     )
     setup_s = _time.perf_counter() - setup_started  # repro: allow(DET002)
 
@@ -216,6 +207,8 @@ def _run_shard(task: ShardTask) -> ShardOutcome:
 
     for injector in reversed(injectors):
         injector.stop()
+    system.shutdown()
+    sim.discard_pending()
 
     model = system.reachability or system._last_reachability
     emits = bool(model is not None and model.emits_metrics and system.delivery_stats)
@@ -285,21 +278,13 @@ def merge_outcomes(
             merged.hit_ratio_series, fault_windows, duration, stats
         )
 
-    return RunResult(
-        system_name="Flower-CDN",
-        duration_s=duration,
-        num_queries=merged.num_queries,
-        hit_ratio=merged.hit_ratio,
-        average_lookup_latency_ms=merged.average_lookup_latency_ms,
-        average_transfer_distance_ms=merged.average_transfer_distance_ms,
-        background_bps_per_peer=bandwidth.average_bps_per_peer(duration),
-        redirection_failures=merged.redirection_failures,
-        metrics=merged,
+    return RunResult.from_metrics(
+        "Flower-CDN",
+        duration,
+        merged,
+        # Diagnostics, not a digest metric: summed over the shard engines.
+        sum(outcome.events_fired for outcome in outcomes),
         bandwidth=bandwidth,
-        # Diagnostics, not a digest metric: each shard chunks its own
-        # sub-trace, so the summed counter can differ from the
-        # single-process count by a few chunk-loader bookkeeping events.
-        events_fired=sum(outcome.events_fired for outcome in outcomes),
         resilience=resilience,
     )
 

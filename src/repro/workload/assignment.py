@@ -122,29 +122,19 @@ class ClientAssigner:
         if wants_new and can_add_new:
             host = candidates.pop()
             self._clients.setdefault(key, []).append(host)
-            return ResolvedQuery(
-                query_id=query.query_id,
-                time=query.time,
-                website=query.website,
-                object_id=query.object_id,
-                locality=query.locality,
-                client_host=host,
-                is_new_client=True,
-            )
-
-        if existing:
+        elif existing:
             host = self._streams.choice("assign:existing", existing)
-            return ResolvedQuery(
-                query_id=query.query_id,
-                time=query.time,
-                website=query.website,
-                object_id=query.object_id,
-                locality=query.locality,
-                client_host=host,
-                is_new_client=False,
-            )
-
-        return None
+        else:
+            return None
+        return ResolvedQuery(
+            query_id=query.query_id,
+            time=query.time,
+            website=query.website,
+            object_id=query.object_id,
+            locality=query.locality,
+            client_host=host,
+            is_new_client=wants_new and can_add_new,
+        )
 
     def assign_all(self, queries) -> List[ResolvedQuery]:
         """Assign a whole trace, silently dropping unassignable queries."""
@@ -162,51 +152,68 @@ class ClientAssigner:
         a :class:`~repro.workload.trace.ResolvedTraceArrays` whose
         materialised queries — and the post-call state of the assignment
         streams — are bit-identical to running :meth:`assign` per query.
+        Unless a query had to be dropped, the result shares the input's
+        time / website / rank / locality columns instead of copying them.
         """
         from repro.workload.trace import ResolvedTraceArrays
 
-        query_id = array("L")
-        times = array("d")
-        website_index = array("H")
-        object_rank = array("I")
-        locality = array("H")
-        client_host = array("l")
-        is_new = array("b")
-
         websites = trace.websites
-        first_query_id = trace.first_query_id
         clients = self._clients
         max_clients = self._max_clients
-        existing_choice = self._streams.stream("assign:existing").choice
-        for index in range(len(trace)):
-            w = trace.website_index[index]
-            loc = trace.locality[index]
-            website_name = websites[w].name
-            key = (website_name, loc)
-            existing = clients.get(key, [])
-            candidates = self._candidates(website_name, loc)
-
-            wants_new = trace.prefers_new[index] or not existing
-            can_add_new = bool(candidates) and len(existing) < max_clients
-
-            if wants_new and can_add_new:
+        # random.choice(existing), inlined: the _randbelow rejection loop.
+        getrandbits = self._streams.stream("assign:existing").getrandbits
+        #: (website index, locality) -> (enrolled clients, unused hosts)
+        overlays: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
+        client_host = array("l")
+        is_new = array("b")
+        add_host = client_host.append
+        add_is_new = is_new.append
+        dropped: List[int] = []
+        for index, pair in enumerate(zip(trace.website_index, trace.locality)):
+            overlay = overlays.get(pair)
+            if overlay is None:
+                name = websites[pair[0]].name
+                overlay = overlays[pair] = (
+                    clients.setdefault((name, pair[1]), []),
+                    self._candidates(name, pair[1]),
+                )
+            existing, candidates = overlay
+            if (
+                (trace.prefers_new[index] or not existing)
+                and candidates
+                and len(existing) < max_clients
+            ):
                 host = candidates.pop()
-                clients.setdefault(key, []).append(host)
-                new_client = True
+                existing.append(host)
+                add_is_new(1)
             elif existing:
-                host = existing_choice(existing)
-                new_client = False
+                size = len(existing)
+                bits = size.bit_length()
+                draw = getrandbits(bits)
+                while draw >= size:
+                    draw = getrandbits(bits)
+                host = existing[draw]
+                add_is_new(0)
             else:
-                continue  # degenerate: empty locality — drop the query
+                dropped.append(index)  # degenerate: empty locality
+                continue
+            add_host(host)
 
-            query_id.append(first_query_id + index)
-            times.append(trace.times[index])
-            website_index.append(w)
-            object_rank.append(trace.object_rank[index])
-            locality.append(loc)
-            client_host.append(host)
-            is_new.append(new_client)
-
+        first_query_id = trace.first_query_id
+        columns = [
+            array("L", range(first_query_id, first_query_id + len(trace))),
+            trace.times,
+            trace.website_index,
+            trace.object_rank,
+            trace.locality,
+        ]
+        if dropped:
+            gone = set(dropped)
+            columns = [
+                array(column.typecode, [v for i, v in enumerate(column) if i not in gone])
+                for column in columns
+            ]
+        query_id, times, website_index, object_rank, locality = columns
         return ResolvedTraceArrays(
             websites=websites,
             query_id=query_id,

@@ -39,16 +39,19 @@ class Website:
         """The URL of the ``index``-th object of this website."""
         if not 0 <= index < self.num_objects:
             raise IndexError(f"object index {index} outside [0, {self.num_objects})")
+        return self.object_ids()[index]
+
+    def object_ids(self) -> tuple:
+        """Every object URL, indexed by rank (the cached table itself)."""
         ids = self._ids
         if not ids:
             url = self.url
             ids = tuple(f"{url}/object/{i}" for i in range(self.num_objects))
             object.__setattr__(self, "_ids", ids)  # frozen dataclass: one-time cache
-        return ids[index]
+        return ids
 
     def objects(self) -> Iterator[ObjectId]:
-        for index in range(self.num_objects):
-            yield self.object_id(index)
+        return iter(self.object_ids())
 
     def owns(self, object_id: ObjectId) -> bool:
         return object_id.startswith(f"{self.url}/object/")

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from math import log
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, randbelow_many
 from repro.workload.catalog import Catalog, ObjectId, Website
 from repro.workload.phases import segment_counts, spans_are_trivial
 from repro.workload.zipf import ZipfSampler
@@ -235,41 +236,39 @@ class QueryGenerator:
         trivial program (empty, or default spans only) takes this exact
         single-phase path, so its draws stay byte-identical.
         """
-        from repro.workload.trace import QueryTraceArrays
-
         if duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if phases and not spans_are_trivial(phases):
             return self._generate_program_trace(tuple(phases), duration_s, start_time)
         cfg = self._config
         end = start_time + duration_s
-        first_query_id = self._next_id
 
         # 1. Arrival stream: cumulative inter-arrival sums up to the horizon.
         times = array("d")
+        append = times.append
         clock = start_time
         if cfg.arrival_process == "poisson":
-            expovariate = self._arrival_rng.expovariate
+            # expovariate(rate), inlined: -log(1 - random()) / rate.
+            uniform = self._arrival_rng.random
             rate = cfg.query_rate_per_s
             while True:
-                clock += expovariate(rate)
+                clock += -log(1.0 - uniform()) / rate
                 if clock >= end:
                     break
-                times.append(clock)
+                append(clock)
         else:
             step = 1.0 / cfg.query_rate_per_s
             while True:
                 clock += step
                 if clock >= end:
                     break
-                times.append(clock)
+                append(clock)
         count = len(times) + 1  # the crossing query consumed draws too
 
-        # 2. Website stream: random.choice over indices consumes the same
-        #    underlying _randbelow draw as choice over the Website list.
-        website_choice = self._website_rng.choice
-        indices = range(len(self._active))
-        website_index = array("H", (website_choice(indices) for _ in range(count)))
+        # 2. Website stream: the _randbelow draw random.choice consumes.
+        website_index = array(
+            "H", randbelow_many(self._website_rng, len(self._active), count)
+        )
 
         # 3. Zipf stream: one rank per query.  All synthetic websites share
         #    one population size, so a single sampler reproduces the per-site
@@ -288,23 +287,33 @@ class QueryGenerator:
                 ),
             )
 
-        # 4. Locality stream.
-        if cfg.locality_weights:
-            locality = array("H", (self._pick_locality() for _ in range(count)))
-        else:
-            randint = self._locality_rng.randint
-            top = cfg.num_localities - 1
-            locality = array("H", (randint(0, top) for _ in range(count)))
+        return self._finish_trace(tuple(self._active), times, website_index, object_rank)
 
-        # 5. Originator stream.
+    def _finish_trace(self, websites, times, website_index, object_rank):
+        """Streams 4 and 5 (locality, originator), then the column container.
+
+        Every stream was drawn once more than there are queries — the
+        horizon-crossing query consumed its draws too — so the last entry of
+        each per-query column is dropped.
+        """
+        from repro.workload.trace import QueryTraceArrays
+
+        cfg = self._config
+        n = len(times)
+        count = n + 1
+        if cfg.locality_weights:
+            locality = array("H", [self._pick_locality() for _ in range(count)])
+        else:
+            locality = array(
+                "H", randbelow_many(self._locality_rng, cfg.num_localities, count)
+            )
         originator = self._originator_rng.random
         bias = cfg.new_client_bias
-        prefers_new = array("b", (originator() < bias for _ in range(count)))
-
+        prefers_new = array("b", [originator() < bias for _ in range(count)])
+        first_query_id = self._next_id
         self._next_id += count
-        n = len(times)
         return QueryTraceArrays(
-            websites=tuple(self._active),
+            websites=websites,
             first_query_id=first_query_id,
             times=times,
             website_index=website_index[:n],
@@ -350,7 +359,7 @@ class QueryGenerator:
         cfg = self._config
         rate = cfg.query_rate_per_s
         poisson = cfg.arrival_process == "poisson"
-        expovariate = self._arrival_rng.expovariate
+        uniform = self._arrival_rng.random
         end = start_time + duration_s
         times = array("d")
         index = 0
@@ -359,7 +368,8 @@ class QueryGenerator:
         clock = start_time
         while True:
             if poisson:
-                t = clock + expovariate(rate * current.rate_multiplier)
+                # expovariate(rate * multiplier), inlined.
+                t = clock + -log(1.0 - uniform()) / (rate * current.rate_multiplier)
             else:
                 t = clock + 1.0 / (rate * current.rate_multiplier)
             while t >= boundary and index + 1 < len(spans):
@@ -388,10 +398,7 @@ class QueryGenerator:
         the single-phase path, so the draw sequences — and the post-call
         stream states — are byte-identical to an equivalent un-phased run.
         """
-        from repro.workload.trace import QueryTraceArrays
-
         cfg = self._config
-        first_query_id = self._next_id
 
         # 1. Arrival stream.
         times = self._program_arrivals(spans, duration_s, start_time)
@@ -399,7 +406,6 @@ class QueryGenerator:
             segment_counts(times, [start_time + span.end_s for span in spans])
         )
         counts[-1] += 1  # the horizon-crossing draw belongs to the last span
-        count = len(times) + 1
 
         # 2. Website stream: per-span windows mapped into one shared tuple of
         #    every website the program references, kept in catalogue order.
@@ -411,13 +417,14 @@ class QueryGenerator:
         trace_websites = tuple(self._catalog.websites[i] for i in used)
         trace_position = {self._catalog.websites[i].name: j for j, i in enumerate(used)}
 
-        website_choice = self._website_rng.choice
-        local_range = range(len(self._active))
         website_index = array("H")
         for window, seg_count in zip(windows, counts):
             window_positions = [trace_position[site.name] for site in window]
             website_index.extend(
-                window_positions[website_choice(local_range)] for _ in range(seg_count)
+                [
+                    window_positions[draw]
+                    for draw in randbelow_many(self._website_rng, len(self._active), seg_count)
+                ]
             )
 
         # 3. Zipf stream: per-span exponent; equal populations batch through
@@ -442,31 +449,9 @@ class QueryGenerator:
                 )
             cursor += seg_count
 
-        # 4. Locality stream (phase-independent: one full batch, as in the
-        #    single-phase path).
-        if cfg.locality_weights:
-            locality = array("H", (self._pick_locality() for _ in range(count)))
-        else:
-            randint = self._locality_rng.randint
-            top = cfg.num_localities - 1
-            locality = array("H", (randint(0, top) for _ in range(count)))
-
-        # 5. Originator stream.
-        originator = self._originator_rng.random
-        bias = cfg.new_client_bias
-        prefers_new = array("b", (originator() < bias for _ in range(count)))
-
-        self._next_id += count
-        n = len(times)
-        return QueryTraceArrays(
-            websites=trace_websites,
-            first_query_id=first_query_id,
-            times=times,
-            website_index=website_index[:n],
-            object_rank=object_rank[:n],
-            locality=locality[:n],
-            prefers_new=prefers_new[:n],
-        )
+        # 4./5. Phase-independent: one full batch each, as in the
+        #    single-phase path.
+        return self._finish_trace(trace_websites, times, website_index, object_rank)
 
     def generate_batch(self, count: int, start_time: float = 0.0) -> List[Query]:
         """Generate exactly ``count`` queries (used by benchmarks with fixed work)."""

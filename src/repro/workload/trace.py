@@ -9,9 +9,9 @@ for regression-testing experiment results.
 For paper-scale runs the object representations above are too heavy: half a
 million :class:`Query`/:class:`ResolvedQuery` instances cost hundreds of
 megabytes.  :class:`QueryTraceArrays` and :class:`ResolvedTraceArrays` hold
-the same information as parallel ``array`` columns (a few bytes per query)
-and materialise individual query objects only on demand — one transient
-object per dispatched event instead of a resident list.  They are produced
+the same information as parallel ``array`` columns (a few bytes per query);
+a simulated run replays them as scalars (:meth:`ResolvedTraceArrays.replayer`)
+and query objects are materialised only on demand.  They are produced
 by :meth:`repro.workload.generator.QueryGenerator.generate_trace` and
 :meth:`repro.workload.assignment.ClientAssigner.assign_trace`, whose draw
 sequences are bit-identical to the object-path equivalents.
@@ -284,39 +284,44 @@ class ResolvedTraceArrays:
         for index in range(len(self)):
             yield self.resolved_query(index)
 
-    def dispatcher(self, handle: Callable) -> Callable[[], None]:
+    def replayer(self, process: Callable) -> Callable[[], None]:
         """A zero-argument callback for :meth:`Simulator.schedule_trace`.
 
-        Each invocation materialises the next resolved query (in trace order)
-        and passes it to ``handle`` — one transient object per event, no
-        resident per-query closures or partials.
+        Each invocation passes the next query (in trace order) to ``process``
+        as scalars read straight from the columns — ``process(query_id, time,
+        website, object_id, locality, client_host)``, the signature of
+        ``FlowerCDN.process_query`` / ``Squirrel.process_query`` — so a
+        replayed query allocates no object of its own.
         """
-        cursor = 0
-        websites = self.websites
-        query_ids = self.query_id
-        times = self.times
-        website_index = self.website_index
-        object_ranks = self.object_rank
-        localities = self.locality
-        client_hosts = self.client_host
-        is_new = self.is_new
-        from repro.workload.assignment import ResolvedQuery
+        names = [website.name for website in self.websites]
+        object_ids = [website.object_ids() for website in self.websites]
+        rows = zip(
+            self.query_id,
+            self.times,
+            self.website_index,
+            self.object_rank,
+            self.locality,
+            self.client_host,
+        )
 
         def fire() -> None:
-            nonlocal cursor
-            index = cursor
-            cursor = index + 1
-            website = websites[website_index[index]]
-            handle(
-                ResolvedQuery(
-                    query_id=query_ids[index],
-                    time=times[index],
-                    website=website.name,
-                    object_id=website.object_id(object_ranks[index]),
-                    locality=localities[index],
-                    client_host=client_hosts[index],
-                    is_new_client=bool(is_new[index]),
-                )
+            query_id, time, website, rank, locality, client_host = next(rows)
+            process(
+                query_id, time, names[website], object_ids[website][rank], locality, client_host
             )
+
+        return fire
+
+    def dispatcher(self, handle: Callable) -> Callable[[], None]:
+        """:meth:`replayer` for generic handlers that take a query *object*.
+
+        Each invocation materialises the next :class:`ResolvedQuery` and
+        passes it to ``handle`` — an adapter for tests and ad-hoc consumers;
+        the simulated runs replay through :meth:`replayer`.
+        """
+        queries = self.iter_queries()
+
+        def fire() -> None:
+            handle(next(queries))
 
         return fire

@@ -166,10 +166,7 @@ class ZipfSampler:
         cdf = self._cdf
         guide = self._guide
         buckets = len(guide) - 1
-        bucket = int(u * buckets)
-        if bucket > buckets:
-            bucket = buckets
-        rank = guide[bucket]
+        rank = guide[int(u * buckets)]  # u < 1, so the index is at most `buckets`
         # Guard against u*buckets rounding up across a bucket boundary.
         while rank > 0 and cdf[rank - 1] >= u:
             rank -= 1
@@ -180,21 +177,32 @@ class ZipfSampler:
     def sample_many(self, rng: random.Random, count: int) -> Sequence[int]:
         """Draw ``count`` ranks; equivalent to ``count`` calls to :meth:`sample`.
 
-        The alias path is batched over locally bound lookups, which is
+        Both strategies are batched over locally bound lookups, which is
         measurably faster than repeated :meth:`sample` calls for large
         workloads.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        if self._method == "cdf":
-            sample = self._sample_cdf
-            return [sample(rng) for _ in range(count)]
-        n = self._population_size
-        prob = self._prob
-        alias = self._alias
         rand = rng.random
         ranks: List[int] = []
         append = ranks.append
+        if self._method == "cdf":
+            # _sample_cdf, inlined.
+            cdf = self._cdf
+            guide = self._guide
+            buckets = len(guide) - 1
+            for _ in range(count):
+                u = rand()
+                rank = guide[int(u * buckets)]
+                while rank > 0 and cdf[rank - 1] >= u:
+                    rank -= 1
+                while cdf[rank] < u:
+                    rank += 1
+                append(rank)
+            return ranks
+        n = self._population_size
+        prob = self._prob
+        alias = self._alias
         for _ in range(count):
             x = rand() * n
             column = int(x)

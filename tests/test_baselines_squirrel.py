@@ -119,6 +119,23 @@ class TestDirectoryStrategy:
         assert squirrel.metrics.num_queries == 2
         assert 0 < squirrel.metrics.hit_ratio < 1
 
+    def test_handle_query_returns_the_record_of_the_recorded_row(self, squirrel):
+        records = [
+            squirrel.handle_query(query(index, host=index % 3, time=float(index)))
+            for index in range(6)
+        ]
+        assert records == list(squirrel.metrics.records)
+        probe = query(6, host=5, time=6.0)
+        row = squirrel.process_query(
+            probe.query_id, probe.time, probe.website, probe.object_id,
+            probe.locality, probe.client_host,
+        )
+        last = squirrel.metrics.records[-1]
+        assert row == (
+            last.outcome, last.lookup_latency_ms, last.transfer_distance_ms,
+            last.overlay_hops, last.provider, last.redirection_failures,
+        )
+
 
 class TestHomeStoreStrategy:
     @pytest.fixture

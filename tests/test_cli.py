@@ -94,6 +94,37 @@ class TestCommands:
         assert "with churn" in output
 
 
+class TestInfeasibleSeed:
+    """A (spec, seed) whose topology cannot host the directory peers."""
+
+    ARGV = ["scenarios", "run", "multi-locality", "--seed", "7", "--scale", "0.25"]
+
+    def test_one_line_error_and_exit_2(self, capsys):
+        out = io.StringIO()
+        assert cli.main(self.ARGV, out=out) == 2
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: infeasible scenario: locality 5 has 4 hosts but 5 ")
+
+    def test_the_typed_error_names_the_shortfall(self):
+        from repro.core.system import InfeasibleScenarioError
+        from repro.scenarios.library import get_scenario
+        from repro.session import Session
+
+        session = Session.from_spec(get_scenario("multi-locality").scaled(0.25), seed=7)
+        # Both users of the placement helper fail alike: the trace builder ...
+        with pytest.raises(InfeasibleScenarioError) as trace_error:
+            session.resolved_trace()
+        # ... and bootstrap (a RuntimeError, as the seed-search of
+        # benchmarks/e2e expects).
+        with pytest.raises(RuntimeError) as bootstrap_error:
+            session.build_flower()
+        assert str(trace_error.value) == str(bootstrap_error.value)
+        error = trace_error.value
+        assert (error.locality, error.hosts_available, error.directories_required) == (5, 4, 5)
+
+
 class TestScenariosShow:
     def test_show_prints_spec_program_and_models(self):
         output = run_cli(["scenarios", "show", "adversarial-hotspots"])

@@ -164,6 +164,48 @@ class TestNewClientQueries:
         assert system.metrics.num_queries == 1
 
 
+class TestQueryAdapter:
+    """``handle_query`` is an object adapter over the scalar ``process_query``."""
+
+    def test_handle_query_returns_the_record_of_the_recorded_row(self, system: FlowerCDN):
+        hosts = [free_host(system, 0, offset) for offset in range(3)]
+        queries = [
+            make_query(system, 0, 0, hosts[0], time=1.0),
+            make_query(system, 1, 0, hosts[1], time=2.0),  # served by the first client
+            make_query(system, 2, 0, hosts[1], time=3.0),  # now a content peer itself
+            make_query(system, 3, 0, hosts[2], object_index=4, time=4.0),
+        ]
+        records = [system.handle_query(query) for query in queries]
+        assert records == list(system.metrics.records)
+        assert [record.query_id for record in records] == [0, 1, 2, 3]
+        assert {record.outcome for record in records} >= {
+            QueryOutcome.SERVER_MISS, QueryOutcome.LOCAL_OVERLAY_HIT,
+        }
+
+    def test_both_entries_take_the_same_path(self, config, topology):
+        def fresh():
+            cdn = FlowerCDN(config, Simulator(seed=5), topology)
+            cdn.bootstrap()
+            return cdn
+
+        by_object, by_scalars = fresh(), fresh()
+        for index in range(12):
+            query = make_query(
+                by_object, index, index % 3, free_host(by_object, index % 3, index % 2),
+                object_index=index % 4, time=float(index),
+            )
+            record = by_object.handle_query(query)
+            row = by_scalars.process_query(
+                query.query_id, query.time, query.website, query.object_id,
+                query.locality, query.client_host,
+            )
+            assert row == (
+                record.outcome, record.lookup_latency_ms, record.transfer_distance_ms,
+                record.overlay_hops, record.provider, record.redirection_failures,
+            )
+        assert by_object.metrics.records == by_scalars.metrics.records
+
+
 class TestContentPeerQueries:
     def test_repeat_query_is_a_zero_latency_local_hit(self, system: FlowerCDN):
         host = free_host(system, 0, 0)

@@ -64,16 +64,16 @@ class TestExperimentSetup:
 
 class TestExperimentRunner:
     def test_resolved_queries_are_cached_and_sorted(self, shared_runner):
-        queries = shared_runner.resolved_queries()
-        assert queries is shared_runner.resolved_queries()
-        times = [q.time for q in queries]
-        assert times == sorted(times)
-        assert len(queries) > 500
+        trace = shared_runner.resolved_trace()
+        assert trace is shared_runner.resolved_trace()
+        times = [q.time for q in trace.iter_queries()]
+        assert times == sorted(times) == list(trace.times)
+        assert len(trace) > 500
 
     def test_flower_and_squirrel_process_the_same_trace(self, shared_runner):
         flower = shared_runner.run_flower()
         squirrel = shared_runner.run_squirrel()
-        assert flower.num_queries == squirrel.num_queries == len(shared_runner.resolved_queries())
+        assert flower.num_queries == squirrel.num_queries == len(shared_runner.resolved_trace())
 
     def test_flower_run_produces_consistent_aggregates(self, shared_runner):
         result = shared_runner.run_flower()

@@ -44,17 +44,17 @@ def squirrel(runner: ExperimentRunner):
 class TestWorkloadIntegrity:
     def test_same_queries_for_both_systems(self, runner, flower, squirrel):
         assert flower.num_queries == squirrel.num_queries
-        assert flower.num_queries == len(runner.resolved_queries())
+        assert flower.num_queries == len(runner.resolved_trace())
 
     def test_only_active_websites_get_queries(self, runner, setup):
-        websites = {q.website for q in runner.resolved_queries()}
+        websites = {q.website for q in runner.resolved_trace().iter_queries()}
         assert len(websites) == setup.workload.active_websites
 
     def test_clients_respect_the_overlay_cap(self, runner, setup):
         from collections import defaultdict
 
         clients = defaultdict(set)
-        for q in runner.resolved_queries():
+        for q in runner.resolved_trace().iter_queries():
             clients[(q.website, q.locality)].add(q.client_host)
         assert all(
             len(hosts) <= setup.flower.max_content_overlay_size for hosts in clients.values()

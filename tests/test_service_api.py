@@ -343,6 +343,23 @@ class TestFailureIsolation:
         finally:
             service.stop(drain=False)
 
+    def test_infeasible_seed_fails_with_a_one_line_detail(self, tmp_path: Path) -> None:
+        # A real isolated worker: the typed error crosses the pipe as its
+        # message, not as a traceback.
+        service = make_service(tmp_path, workers=1)
+        try:
+            client = Client(service)
+            _, _, text = client.request(
+                "POST", "/runs", {"scenario": "multi-locality", "seed": 7, "scale": 0.25}
+            )
+            final = client.poll(json.loads(text)["id"])
+            assert final["state"] == FAILED
+            detail = final["detail"]
+            assert "\n" not in detail and "Traceback" not in detail
+            assert "infeasible scenario: locality 5 has 4 hosts but 5 directory peers" in detail
+        finally:
+            service.stop(drain=False)
+
     def test_worker_process_crash_is_contained(self, tmp_path: Path) -> None:
         # Real process isolation: a payload whose execution raises in the
         # child comes back as a failed job with the traceback, not a dead

@@ -128,36 +128,6 @@ class TestCalendarInternals:
             calendar.push(-1.0, lambda: None)
         with pytest.raises(ValueError):
             calendar.extend([(-1.0, lambda: None)])
-        with pytest.raises(ValueError):
-            calendar.extend_transient([-1.0], lambda: None)
-
-
-class TestTransientPooling:
-    @pytest.mark.parametrize("queue_cls", [EventQueue, CalendarEventQueue])
-    def test_handles_are_recycled(self, queue_cls):
-        queue = queue_cls()
-        queue.extend_transient([float(i) for i in range(100)], lambda: None)
-        seen = set()
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            assert event.poolable
-            seen.add(id(event))
-            queue.recycle(event)
-        assert queue.pool_size == len(seen) == 100
-        # The next transient batch reuses the pooled handles.
-        queue.extend_transient([float(i) for i in range(100)], lambda: None)
-        assert queue.pool_size == 0
-        reused = set()
-        while (event := queue.pop()) is not None:
-            reused.add(id(event))
-        assert reused == seen
-
-    def test_regular_push_is_not_poolable(self):
-        queue = CalendarEventQueue()
-        event = queue.push(1.0, lambda: None)
-        assert not event.poolable
 
 
 class TestEngineIntegration:
@@ -170,17 +140,20 @@ class TestEngineIntegration:
         sim = Simulator(seed=1, queue_backend=backend)
         times = sorted(random.Random(9).uniform(0.0, 100.0) for _ in range(5000))
         fired = []
-        sim.schedule_trace(times, lambda: fired.append(sim.now), chunk_size=512)
-        # Live trace handles never exceed one chunk (plus its feeder).
-        assert len(sim._queue) <= 513
+        sim.schedule_trace(times, lambda: fired.append(sim.now))
+        # A trace source is merged with the queue, never loaded into it: no
+        # handle per entry, and the entries still count as pending.
+        assert len(sim._queue) == 0
+        assert sim.pending_events == len(times)
         sim.run(until=100.0)
         assert fired == times
-        # events_fired counts the trace plus one feeder per full chunk
-        assert sim.events_fired >= len(times)
+        # events_fired counts exactly the trace: there is no loader event
+        assert sim.events_fired == len(times)
+        assert sim.pending_events == 0
 
     def test_schedule_trace_rejects_times_behind_the_clock(self):
         sim = Simulator(seed=1)
-        sim.schedule_trace([1.0, 2.0], lambda: None, chunk_size=1)
+        sim.schedule_trace([1.0, 2.0], lambda: None)
         sim.run(until=5.0)
         with pytest.raises(SimulationError):
             sim.schedule_trace([1.0], lambda: None)

@@ -123,7 +123,7 @@ class TestAssignTrace:
         seen = []
         fire = resolved.dispatcher(seen.append)
         sim = Simulator(seed=1)
-        sim.schedule_trace(resolved.times, fire, chunk_size=64)
+        sim.schedule_trace(resolved.times, fire)
         sim.run()
         assert seen == list(resolved.iter_queries())
 
