@@ -121,19 +121,21 @@ analyze:
 analyze-changed:
 	$(PYTHON) -m repro.cli analyze --changed src tests
 
-## ruff style/hygiene lint; skipped with a notice when ruff is not installed
+## ruff style/hygiene lint (CI installs ruff; fails with a hint when it is missing)
 lint:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
 	else \
-		echo "ruff not installed; skipping (CI runs it — see .github/workflows/ci.yml)"; \
+		echo "error: ruff is not installed; install it with 'python -m pip install ruff' (CI does — see .github/workflows/ci.yml)" >&2; \
+		exit 1; \
 	fi
 
 ## mypy typing gate (strict-ish for core/sim/datastructures/scenarios, mypy.ini);
-## skipped with a notice when mypy is not installed
+## CI installs mypy; fails with a hint when it is missing
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy --config-file mypy.ini; \
 	else \
-		echo "mypy not installed; skipping (CI runs it — see .github/workflows/ci.yml)"; \
+		echo "error: mypy is not installed; install it with 'python -m pip install mypy' (CI does — see .github/workflows/ci.yml)" >&2; \
+		exit 1; \
 	fi

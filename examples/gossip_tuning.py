@@ -4,62 +4,47 @@
 A website operator deploying Flower-CDN has to pick the gossip parameters
 (Tgossip, Lgossip, Vgossip) to balance how fast the hit ratio converges
 against how much background bandwidth volunteer peers spend.  This example
-re-runs the Table 2 sweeps on a laptop-scale deployment and then suggests a
-setting for a given per-peer bandwidth budget, mirroring the discussion at
-the end of Section 6.2 ("for relatively fast convergence we could set
-Tgossip = 30 min and Lgossip = 10 ...").
+re-runs the registered Table 2 sweeps on a laptop-scale deployment and then
+suggests a setting for a given per-peer bandwidth budget, mirroring the
+discussion at the end of Section 6.2 ("for relatively fast convergence we
+could set Tgossip = 30 min and Lgossip = 10 ...").
 
 Run with:  python examples/gossip_tuning.py
 """
 
-from repro.core.config import HOUR, MINUTE
-from repro.experiments import (
-    ExperimentSetup,
-    run_gossip_length_sweep,
-    run_gossip_period_sweep,
-    run_view_size_sweep,
-)
-from repro.experiments.gossip_tradeoff import format_sweep
-from repro.scenarios import get_scenario
+from repro.sweeps import format_sweep_result, run_sweep
 
 #: per-peer background bandwidth the volunteer community is willing to spend
 BANDWIDTH_BUDGET_BPS = 100.0
 
-
-def build_setup() -> ExperimentSetup:
-    # The sweeps vary the gossip knobs around the library's canonical
-    # paper-default workload, so the baseline matches every other figure.
-    return get_scenario("paper-default").with_seed(7).to_setup()
+#: the sweeps vary the gossip knobs around the library's canonical
+#: paper-default workload, so the baseline matches every other figure
+TABLE2_GRIDS = ("table2a-gossip-length", "table2b-gossip-period", "table2c-view-size")
 
 
 def main() -> None:
-    setup = build_setup()
-
     print("Reproducing the Table 2 sweeps at laptop scale\n")
-
-    length_rows = run_gossip_length_sweep(setup, values=(5, 10, 20))
-    print(format_sweep(length_rows, "Table 2(a): varying Lgossip (Tgossip=30min, Vgossip=50)"))
-    print()
-
-    period_rows = run_gossip_period_sweep(
-        setup, values=(1 * MINUTE, 30 * MINUTE, 1 * HOUR)
-    )
-    print(format_sweep(period_rows, "Table 2(b): varying Tgossip (Lgossip=10, Vgossip=50)"))
-    print()
-
-    view_rows = run_view_size_sweep(setup, values=(20, 50, 70))
-    print(format_sweep(view_rows, "Table 2(c): varying Vgossip (Lgossip=10, Tgossip=30min)"))
-    print()
+    results = {name: run_sweep(name, seed=7) for name in TABLE2_GRIDS}
+    for result in results.values():
+        print(format_sweep_result(result))
+        print()
 
     # Pick the setting with the best hit ratio under the bandwidth budget,
-    # exactly the trade-off the paper discusses.
-    candidates = [row for row in length_rows + period_rows if row.background_bps <= BANDWIDTH_BUDGET_BPS]
+    # exactly the trade-off the paper discusses (the view size costs no
+    # bandwidth, so only the length and period grids compete).
+    candidates = [
+        cell
+        for name in TABLE2_GRIDS[:2]
+        for cell in results[name]
+        if cell.metric("background_bps_per_peer") <= BANDWIDTH_BUDGET_BPS
+    ]
     if candidates:
-        best = max(candidates, key=lambda row: row.hit_ratio)
+        best = max(candidates, key=lambda cell: cell.metric("hit_ratio"))
+        setting = ", ".join(f"{label} = {value}" for label, value in best.labels)
         print(
             f"Recommended setting under a {BANDWIDTH_BUDGET_BPS:.0f} bps/peer budget: "
-            f"{best.parameter} = {best.value:g} "
-            f"(hit ratio {best.hit_ratio:.3f} at {best.background_bps:.1f} bps/peer)"
+            f"{setting} (hit ratio {best.metric('hit_ratio'):.3f} at "
+            f"{best.metric('background_bps_per_peer'):.1f} bps/peer)"
         )
     else:
         print(

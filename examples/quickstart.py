@@ -10,8 +10,9 @@ distance and background gossip traffic.
 Run with:  python examples/quickstart.py
 """
 
+from repro import Session
 from repro.metrics.report import format_table
-from repro.scenarios import ScenarioRunner, get_scenario
+from repro.scenarios import get_scenario
 
 
 def main() -> None:
@@ -20,10 +21,8 @@ def main() -> None:
     # finishes in a couple of seconds.  `scaled()` shrinks it further.
     spec = get_scenario("paper-default").scaled(0.67)  # ≈ two simulated hours
 
-    scenario_runner = ScenarioRunner(spec, seed=42)
-    scenario_result = scenario_runner.run()
-    runner = scenario_runner.experiment
-    result = scenario_result.flower.run
+    session = Session.from_spec(spec, seed=42)
+    result = session.run().flower.run
 
     print("Flower-CDN quickstart")
     print("=====================")
@@ -45,7 +44,7 @@ def main() -> None:
     )
 
     # The content overlays that formed during the run.
-    system = runner.last_flower_system
+    system = session.experiment.last_flower_system
     print()
     print(
         format_table(

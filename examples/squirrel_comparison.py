@@ -13,28 +13,26 @@ topology.  The example prints the three comparisons the paper plots:
 Run with:  python examples/squirrel_comparison.py
 """
 
-from repro.experiments import ExperimentSetup, run_hit_ratio_comparison, run_locality_experiment
+from repro.experiments import ExperimentSetup, run_locality_experiment
 from repro.scenarios import get_scenario
 
 
 def build_setup() -> ExperimentSetup:
-    # The head-to-head workload is a library scenario; the experiment modules
-    # below extract the per-figure curves from the same setup.
+    # The head-to-head workload is a library scenario; one shared pair of runs
+    # below yields the curves of all three figures.
     return get_scenario("squirrel-head-to-head").with_seed(11).to_setup()
 
 
 def main() -> None:
-    setup = build_setup()
+    locality = run_locality_experiment(build_setup())
 
     print("Figure 6: hit ratio, Flower-CDN vs Squirrel")
     print("===========================================")
-    comparison = run_hit_ratio_comparison(setup)
-    print(comparison.format())
+    print(locality.format_figure6())
     print()
 
     print("Figures 7 and 8: locality-awareness gains")
     print("=========================================")
-    locality = run_locality_experiment(setup)
     print(locality.format_figure7())
     print()
     print(locality.format_figure8())
@@ -50,7 +48,7 @@ def main() -> None:
         "(paper reports ~2x)"
     )
     print(
-        f"  final hit ratio gap        : {comparison.final_gap:+.3f} in Squirrel's favour "
+        f"  final hit ratio gap        : {locality.final_hit_ratio_gap:+.3f} in Squirrel's favour "
         "(paper reports ~0.13 after 24h)"
     )
 

@@ -29,10 +29,10 @@ point; see ``docs/api.md``)::
 
 The lower layers remain available for harnesses that need them::
 
-    from repro import ExperimentSetup, ExperimentRunner
+    from repro import ExperimentRunner, ScenarioSpec
 
-    setup = ExperimentSetup.laptop_scale(duration_s=1800, query_rate_per_s=1.0)
-    runner = ExperimentRunner(setup)
+    spec = ScenarioSpec(name="adhoc", duration_s=1800, query_rate_per_s=1.0)
+    runner = ExperimentRunner(spec.to_setup())
     result = runner.run_flower()
     print(result.hit_ratio, result.average_lookup_latency_ms)
 """
@@ -48,7 +48,6 @@ from repro.scenarios import (
     ChurnProfile,
     ModelRef,
     ScenarioResult,
-    ScenarioRunner,
     ScenarioSpec,
     WorkloadPhase,
     get_scenario,
@@ -82,7 +81,6 @@ __all__ = [
     "ChurnProfile",
     "ModelRef",
     "ScenarioSpec",
-    "ScenarioRunner",
     "ScenarioResult",
     "WorkloadPhase",
     "Session",

@@ -25,6 +25,17 @@ from repro.analysis.engine import EXCLUDED_DIR_NAMES, analyze_paths
 from repro.analysis.rules import get_rule, iter_rules
 
 
+def add_arguments(subparsers) -> None:
+    """Register the ``analyze`` verb on the ``repro`` command line."""
+    parser = subparsers.add_parser(
+        "analyze",
+        help="static determinism/invariant analysis of the source tree "
+             "(rules DET001..DET006, see docs/determinism.md)",
+    )
+    add_analyze_arguments(parser)
+    parser.set_defaults(run=run_analyze)
+
+
 def add_analyze_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the ``analyze`` options (shared by repro.cli and __main__)."""
     parser.add_argument(

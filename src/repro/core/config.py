@@ -7,7 +7,7 @@ simulation time, all sizes are bytes unless stated otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 #: seconds in one simulated minute / hour, used for readable defaults
 MINUTE = 60.0
@@ -137,7 +137,6 @@ class FlowerConfig:
     # -- simulation ----------------------------------------------------------------
     simulation_duration_s: float = 24 * HOUR
     metrics_window_s: float = HOUR
-    seed: int = 42
 
     def __post_init__(self) -> None:
         if self.num_websites <= 0:
@@ -200,32 +199,6 @@ class FlowerConfig:
         """Return a copy with updated gossip parameters (used by the Table 2 sweeps)."""
         return replace(self, gossip=replace(self.gossip, **changes))
 
-    def scaled_down(
-        self,
-        num_websites: int = 20,
-        active_websites: int = 2,
-        objects_per_website: int = 100,
-        num_localities: int = 3,
-        max_content_overlay_size: int = 40,
-        simulation_duration_s: float = 3 * HOUR,
-        metrics_window_s: float = 15 * MINUTE,
-    ) -> "FlowerConfig":
-        """A laptop-scale variant preserving the paper's parameter *ratios*.
-
-        Benchmarks default to this scale; ``FlowerConfig()`` itself keeps the
-        paper-scale values so paper-scale runs remain one call away.
-        """
-        return replace(
-            self,
-            num_websites=num_websites,
-            active_websites=active_websites,
-            objects_per_website=objects_per_website,
-            num_localities=num_localities,
-            max_content_overlay_size=max_content_overlay_size,
-            simulation_duration_s=simulation_duration_s,
-            metrics_window_s=metrics_window_s,
-        )
-
     def table1(self) -> Dict[str, object]:
         """The Table 1 parameter summary as printable rows."""
         gossip = self.gossip
@@ -242,10 +215,3 @@ class FlowerConfig:
             "Simulation duration (s)": self.simulation_duration_s,
         }
 
-
-#: the gossip sweeps of Table 2, expressed as (parameter name, values) pairs
-TABLE2_SWEEPS: Tuple[Tuple[str, Tuple[object, ...]], ...] = (
-    ("gossip_length", (5, 10, 20)),
-    ("gossip_period_s", (1 * MINUTE, 30 * MINUTE, 1 * HOUR)),
-    ("view_size", (20, 50, 70)),
-)

@@ -1,24 +1,16 @@
-"""Experiment harness reproducing every table and figure of the paper.
+"""Experiment harness behind the paper's single-run figures.
 
-Each module corresponds to one experiment family from Section 6 (see
-DESIGN.md's experiment index): the Table 2 gossip sweeps, the Figure 5
-trade-off time series, the Figure 6 hit-ratio comparison, the Figure 7/8
-locality-awareness measurements and the churn ablation.  The shared
-:class:`~repro.experiments.driver.ExperimentRunner` guarantees that
-comparative experiments feed the exact same query trace to Flower-CDN and
-Squirrel.
+The shared :class:`~repro.experiments.driver.ExperimentRunner` builds one
+environment and feeds the exact same query trace to Flower-CDN and Squirrel;
+the modules next to it extract what one figure family plots from such runs
+(Section 6): the Figure 5 trade-off time series, the Figure 6–8 comparison
+and locality-awareness measurements, and the churn ablation.  Multi-run
+families (the Table 2 grids, the ablation grids) are registered sweeps — see
+:mod:`repro.sweeps.library`.
 """
 
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup, RunResult
-from repro.experiments.gossip_tradeoff import (
-    GossipSweepRow,
-    run_gossip_length_sweep,
-    run_gossip_period_sweep,
-    run_push_threshold_sweep,
-    run_view_size_sweep,
-)
 from repro.experiments.timeseries import TradeoffTimeseries, run_tradeoff_timeseries
-from repro.experiments.comparison import HitRatioComparison, run_hit_ratio_comparison
 from repro.experiments.locality import LocalityResults, run_locality_experiment
 from repro.experiments.churn import ChurnResults, run_churn_experiment
 
@@ -26,15 +18,8 @@ __all__ = [
     "ExperimentRunner",
     "ExperimentSetup",
     "RunResult",
-    "GossipSweepRow",
-    "run_gossip_length_sweep",
-    "run_gossip_period_sweep",
-    "run_view_size_sweep",
-    "run_push_threshold_sweep",
     "TradeoffTimeseries",
     "run_tradeoff_timeseries",
-    "HitRatioComparison",
-    "run_hit_ratio_comparison",
     "LocalityResults",
     "run_locality_experiment",
     "ChurnResults",

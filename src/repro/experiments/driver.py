@@ -6,11 +6,11 @@ Flower-CDN configuration, topology parameters and workload parameters.  The
 + client assignment) and can then run Flower-CDN and/or Squirrel against the
 *same* resolved query stream, which is what the comparative figures require.
 
-Two scales are provided: :meth:`ExperimentSetup.paper_scale` follows Table 1
-(24 simulated hours, 6 queries/s, 100 websites) and
-:meth:`ExperimentSetup.laptop_scale` keeps the parameter ratios but shrinks
-the run so a full benchmark suite completes in minutes on a laptop.
-EXPERIMENTS.md records which scale produced the committed numbers.
+Setups are compiled from a declarative
+:class:`~repro.scenarios.spec.ScenarioSpec` (``spec.to_setup()``): the
+registered ``paper-default-full-scale`` scenario is the Table 1 configuration
+(24 simulated hours, 6 queries/s, 100 websites), ``paper-default`` keeps its
+parameter ratios at a scale that runs in seconds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from repro.baselines.squirrel import Squirrel, SquirrelConfig
 from repro.core.churn import ChurnConfig, ChurnInjector
-from repro.core.config import HOUR, MINUTE, FlowerConfig
+from repro.core.config import FlowerConfig
 from repro.core.replication import ActiveReplicator, ReplicationConfig
 from repro.core.system import FlowerCDN, directory_hosts
 from repro.metrics.collectors import BandwidthAccountant, MetricsCollector
@@ -45,7 +45,7 @@ class ExperimentSetup:
     squirrel: SquirrelConfig = field(default_factory=SquirrelConfig)
     seed: int = 42
     #: event-queue backend for the simulators ("heap" or "calendar"); both
-    #: produce byte-identical runs, see docs/performance.md for the heuristic
+    #: produce byte-identical runs
     queue_backend: str = "heap"
     #: when True the metric collectors fold records into array reservoirs
     #: instead of retaining per-query objects (paper-scale memory mode)
@@ -53,63 +53,6 @@ class ExperimentSetup:
     #: compiled workload phases of a scenario program (empty: one stationary
     #: phase over the whole run — the historical behaviour)
     phases: Tuple[PhaseSpan, ...] = ()
-
-    # -- canonical scales -----------------------------------------------------
-
-    @classmethod
-    def paper_scale(cls, seed: int = 42) -> "ExperimentSetup":
-        """The Table 1 configuration: 24 h, 6 q/s, 100 websites, 6 localities."""
-        flower = FlowerConfig()
-        return cls(
-            flower=flower,
-            topology=TopologyConfig(num_hosts=5000, num_localities=flower.num_localities),
-            workload=WorkloadConfig(
-                num_websites=flower.num_websites,
-                active_websites=flower.active_websites,
-                objects_per_website=flower.objects_per_website,
-                num_localities=flower.num_localities,
-                query_rate_per_s=6.0,
-            ),
-            squirrel=SquirrelConfig(metrics_window_s=flower.metrics_window_s),
-            seed=seed,
-        )
-
-    @classmethod
-    def laptop_scale(
-        cls,
-        seed: int = 42,
-        duration_s: float = 3 * HOUR,
-        query_rate_per_s: float = 2.0,
-        num_websites: int = 20,
-        active_websites: int = 2,
-        objects_per_website: int = 200,
-        num_localities: int = 3,
-        max_content_overlay_size: int = 40,
-        num_hosts: int = 600,
-    ) -> "ExperimentSetup":
-        """A scaled-down configuration preserving the paper's parameter ratios."""
-        flower = FlowerConfig().scaled_down(
-            num_websites=num_websites,
-            active_websites=active_websites,
-            objects_per_website=objects_per_website,
-            num_localities=num_localities,
-            max_content_overlay_size=max_content_overlay_size,
-            simulation_duration_s=duration_s,
-            metrics_window_s=max(5 * MINUTE, duration_s / 12),
-        )
-        return cls(
-            flower=flower,
-            topology=TopologyConfig(num_hosts=num_hosts, num_localities=num_localities),
-            workload=WorkloadConfig(
-                num_websites=num_websites,
-                active_websites=active_websites,
-                objects_per_website=objects_per_website,
-                num_localities=num_localities,
-                query_rate_per_s=query_rate_per_s,
-            ),
-            squirrel=SquirrelConfig(metrics_window_s=flower.metrics_window_s),
-            seed=seed,
-        )
 
     def with_flower(self, flower: FlowerConfig) -> "ExperimentSetup":
         return replace(self, flower=flower)

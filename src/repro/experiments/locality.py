@@ -1,7 +1,10 @@
-"""Figures 7 and 8: locality-awareness gains (Section 6.4).
+"""Figures 6, 7 and 8: Flower-CDN versus Squirrel (Sections 6.3 and 6.4).
 
 One shared run of Flower-CDN and Squirrel over the same trace produces:
 
+* Figure 6 — the cumulative hit ratio of both systems over time (Squirrel
+  converges faster because its search space is the whole overlay; Flower-CDN
+  trails by a modest margin, ≈13 % after 24 h in the paper);
 * Figure 7(a) — Flower-CDN's average lookup latency over time (it drops and
   stabilises at a low value once content overlays are populated);
 * Figure 7(b) — the lookup-latency distribution of both systems (the paper:
@@ -26,7 +29,7 @@ from repro.metrics.report import format_series, format_table
 
 @dataclass
 class LocalityResults:
-    """Everything Figures 7 and 8 need, for both systems."""
+    """Everything Figures 6, 7 and 8 need, for both systems."""
 
     flower_latency_over_time: List[Tuple[float, float]]
     flower_distance_over_time: List[Tuple[float, float]]
@@ -71,7 +74,31 @@ class LocalityResults:
     def squirrel_fraction_close_transfers(self, threshold_ms: float = 100.0) -> float:
         return self.squirrel_distance_histogram.fraction_below(threshold_ms)
 
+    @property
+    def final_hit_ratio_gap(self) -> float:
+        """Squirrel's final hit ratio minus Flower-CDN's (positive in the paper)."""
+        return self.squirrel_run.hit_ratio - self.flower_run.hit_ratio
+
     # -- formatting -------------------------------------------------------------------
+
+    def format_figure6(self) -> str:
+        squirrel = dict(self.squirrel_run.metrics.hit_ratio_series.cumulative_means())
+        rows = [
+            (f"{time:.0f}", flower_value, squirrel.get(time, float("nan")))
+            for time, flower_value in
+            self.flower_run.metrics.hit_ratio_series.cumulative_means()
+        ]
+        table = format_table(
+            ["t(s)", "Flower-CDN hit ratio", "Squirrel hit ratio"],
+            rows,
+            title="Figure 6: cumulative hit ratio over time",
+        )
+        summary = (
+            f"final hit ratio: Flower-CDN={self.flower_run.hit_ratio:.3f}, "
+            f"Squirrel={self.squirrel_run.hit_ratio:.3f}, "
+            f"gap={self.final_hit_ratio_gap:+.3f}"
+        )
+        return f"{table}\n{summary}"
 
     def format_figure7(self) -> str:
         distribution_rows = [
@@ -135,7 +162,7 @@ class LocalityResults:
 
 
 def run_locality_experiment(setup: ExperimentSetup) -> LocalityResults:
-    """Run both systems on the same trace and extract the Figure 7/8 data."""
+    """Run both systems on the same trace and extract the Figure 6/7/8 data."""
     runner = ExperimentRunner(setup)
     flower = runner.run_flower()
     squirrel = runner.run_squirrel()

@@ -1,10 +1,10 @@
 """Deterministic scenario harness.
 
 A *scenario* is a declarative, named description of one end-to-end workload
-(:class:`~repro.scenarios.spec.ScenarioSpec`); the
-:class:`~repro.scenarios.runner.ScenarioRunner` composes the simulator,
-topology and CDN systems from it and returns a structured, byte-for-byte
-reproducible :class:`~repro.scenarios.runner.ScenarioResult`.  The library
+(:class:`~repro.scenarios.spec.ScenarioSpec`); a
+:class:`~repro.session.Session` composes the simulator, topology and CDN
+systems from it and returns a structured, byte-for-byte reproducible
+:class:`~repro.scenarios.runner.ScenarioResult`.  The library
 (:mod:`repro.scenarios.library`) names the canonical workloads, and
 :mod:`repro.scenarios.golden` pins their headline metrics against committed
 golden files.
@@ -21,7 +21,6 @@ from repro.scenarios.models import (
 )
 from repro.scenarios.runner import (
     ScenarioResult,
-    ScenarioRunner,
     SystemResult,
     run_scenario,
     summarise_system,
@@ -30,7 +29,6 @@ from repro.scenarios.library import (
     PAPER_DEFAULT,
     get_scenario,
     iter_scenarios,
-    paper_default_full_scale,
     register_scenario,
     scenario_names,
     unregister_scenario,
@@ -47,14 +45,12 @@ __all__ = [
     "register_churn_model",
     "register_fault_model",
     "ScenarioResult",
-    "ScenarioRunner",
     "SystemResult",
     "run_scenario",
     "summarise_system",
     "PAPER_DEFAULT",
     "get_scenario",
     "iter_scenarios",
-    "paper_default_full_scale",
     "register_scenario",
     "scenario_names",
     "unregister_scenario",

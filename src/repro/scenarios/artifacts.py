@@ -22,7 +22,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Mapping
 
 from repro.scenarios.runner import ScenarioResult
 
@@ -32,6 +32,7 @@ __all__ = [
     "RESULT_FILENAME",
     "dumps_json",
     "run_documents",
+    "write_documents",
     "export_run_bundle",
 ]
 
@@ -102,17 +103,27 @@ def run_documents(result: ScenarioResult, scale: float = 1.0) -> Dict[str, str]:
     }
 
 
-def export_run_bundle(
-    result: ScenarioResult, out_dir: Path, scale: float = 1.0
-) -> List[Path]:
-    """Write the run bundle into ``out_dir`` (atomic per file); paths written."""
+def write_documents(documents: Mapping[str, str], out_dir: Path) -> List[Path]:
+    """Write a ``filename -> text`` mapping into ``out_dir``; paths written.
+
+    Each file is staged next to its destination and renamed into place, so an
+    interrupted export leaves every present file complete (old or new), never
+    truncated.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
-    for filename, text in run_documents(result, scale=scale).items():
+    for filename, text in documents.items():
         path = out_dir / filename
         tmp = out_dir / f".{filename}.tmp"
         tmp.write_text(text, encoding="utf-8")
         tmp.replace(path)
         written.append(path)
     return written
+
+
+def export_run_bundle(
+    result: ScenarioResult, out_dir: Path, scale: float = 1.0
+) -> List[Path]:
+    """Write the run bundle into ``out_dir`` (atomic per file); paths written."""
+    return write_documents(run_documents(result, scale=scale), out_dir)

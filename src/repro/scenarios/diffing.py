@@ -20,37 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.scenarios.golden import EXACT, FRACTION_TOLERANCE, Tolerance, _tolerance_for
-
-
-@dataclass(frozen=True, slots=True)
-class MetricDelta:
-    """One metric's comparison between two digests."""
-
-    metric: str  # dotted path, e.g. "flower.metrics.hit_ratio"
-    left: Optional[float]
-    right: Optional[float]
-    tolerance: Tolerance
-
-    @property
-    def delta(self) -> Optional[float]:
-        if self.left is None or self.right is None:
-            return None
-        return self.right - self.left
-
-    @property
-    def relative_delta(self) -> Optional[float]:
-        if self.left is None or self.right is None or self.left == 0:
-            return None
-        return (self.right - self.left) / abs(self.left)
-
-    @property
-    def within_tolerance(self) -> bool:
-        if self.left is None or self.right is None:
-            return False
-        return self.tolerance.allows(self.left, self.right)
+from repro.scenarios.golden import MetricDelta, system_deltas
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,17 +41,6 @@ class DigestDiff:
         return [delta for delta in self.deltas if delta.delta not in (0.0, None)]
 
 
-def _metric_blocks(
-    digest: Dict[str, object]
-) -> "Iterator[Tuple[str, bool, Dict[str, object]]]":
-    """Yield (prefix, is_phase, metric_dict) blocks of one digest."""
-    for system in sorted(digest.get("systems", {})):
-        entry = digest["systems"][system]
-        yield f"{system}.metrics", False, entry.get("metrics", {})
-        for phase in sorted(entry.get("phases", {})):
-            yield f"{system}.phases.{phase}", True, entry["phases"][phase]
-
-
 def diff_digests(
     left: Dict[str, object],
     right: Dict[str, object],
@@ -95,38 +56,18 @@ def diff_digests(
         field: (left.get(field), right.get(field))
         for field in ("scenario", "seed", "scale")
     }
-    left_blocks = dict(
-        (prefix, (phase, metrics)) for prefix, phase, metrics in _metric_blocks(left)
-    )
-    right_blocks = dict(
-        (prefix, (phase, metrics)) for prefix, phase, metrics in _metric_blocks(right)
-    )
-    deltas: List[MetricDelta] = []
-    for prefix in sorted(set(left_blocks) | set(right_blocks)):
-        phase, left_metrics = left_blocks.get(prefix, (False, {}))
-        phase_r, right_metrics = right_blocks.get(prefix, (phase, {}))
-        phase = phase or phase_r
-        for metric in sorted(set(left_metrics) | set(right_metrics)):
-            if exact:
-                tolerance = EXACT
-            elif metric.startswith("fraction_"):
-                tolerance = FRACTION_TOLERANCE
-            else:
-                tolerance = _tolerance_for(metric, phase=phase)
-            left_value = left_metrics.get(metric)
-            right_value = right_metrics.get(metric)
-            if metric.startswith("fraction_"):
-                # Fractions default to 0.0 when the outcome was never observed.
-                left_value = 0.0 if left_value is None else left_value
-                right_value = 0.0 if right_value is None else right_value
-            deltas.append(
-                MetricDelta(
-                    metric=f"{prefix}.{metric}",
-                    left=None if left_value is None else float(left_value),
-                    right=None if right_value is None else float(right_value),
-                    tolerance=tolerance,
-                )
-            )
+    left_systems = left.get("systems", {})
+    right_systems = right.get("systems", {})
+    deltas = [
+        delta
+        for system in sorted(set(left_systems) | set(right_systems))
+        for delta in system_deltas(
+            system,
+            left_systems.get(system, {}),
+            right_systems.get(system, {}),
+            exact=exact,
+        )
+    ]
     return DigestDiff(context=context, deltas=deltas)
 
 

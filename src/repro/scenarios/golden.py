@@ -30,7 +30,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO
 
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.runner import ScenarioResult, run_scenario
@@ -165,78 +165,126 @@ def load_golden(name: str, golden_dir: Optional[Path] = None) -> Dict[str, objec
 # -- comparison --------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class MetricDelta:
+    """One metric's two values and the tolerance band that applies to it.
+
+    The single comparison primitive: the golden gates (:func:`compare_digests`,
+    :func:`repro.sweeps.golden.compare_sweep_digests`) render out-of-band
+    deltas as messages, ``repro scenarios diff`` renders every delta as a row.
+    """
+
+    metric: str  # dotted path, e.g. "flower.metrics.hit_ratio"
+    left: Optional[float]  # None: the metric is absent on that side
+    right: Optional[float]
+    tolerance: Tolerance
+
+    @property
+    def delta(self) -> Optional[float]:
+        if self.left is None or self.right is None:
+            return None
+        return self.right - self.left
+
+    @property
+    def relative_delta(self) -> Optional[float]:
+        if self.left is None or self.right is None or self.left == 0:
+            return None
+        return (self.right - self.left) / abs(self.left)
+
+    @property
+    def within_tolerance(self) -> bool:
+        if self.left is None or self.right is None:
+            return False
+        return self.tolerance.allows(float(self.left), float(self.right))
+
+
+def system_deltas(
+    system: str,
+    left: Dict[str, object],
+    right: Dict[str, object],
+    exact: bool = False,
+) -> Iterator[MetricDelta]:
+    """One system's metric block, then its phase blocks in sorted order.
+
+    ``left``/``right`` are the system's digest entries (``{}`` for a side the
+    system is absent from).  ``exact`` replaces every band with :data:`EXACT`.
+    """
+    left_phases = left.get("phases", {})
+    right_phases = right.get("phases", {})
+    blocks = [("metrics", False, left.get("metrics", {}), right.get("metrics", {}))]
+    blocks.extend(
+        (f"phases.{phase}", True, left_phases.get(phase, {}), right_phases.get(phase, {}))
+        for phase in sorted(set(left_phases) | set(right_phases))
+    )
+    for block, is_phase, left_metrics, right_metrics in blocks:
+        for metric in sorted(set(left_metrics) | set(right_metrics)):
+            left_value = left_metrics.get(metric)
+            right_value = right_metrics.get(metric)
+            if metric.startswith("fraction_"):
+                # Outcome fractions only appear in a digest when the outcome
+                # was observed at least once; a rare outcome drifting to/from
+                # zero is an ordinary tolerance question, not a missing metric.
+                left_value = 0.0 if left_value is None else left_value
+                right_value = 0.0 if right_value is None else right_value
+            yield MetricDelta(
+                metric=f"{system}.{block}.{metric}",
+                left=left_value,
+                right=right_value,
+                tolerance=EXACT if exact else _tolerance_for(metric, phase=is_phase),
+            )
+
+
+def field_mismatches(
+    expected: Dict[str, object],
+    actual: Dict[str, object],
+    fields: Sequence[str],
+    prefix: str = "",
+) -> List[str]:
+    """The fields (compared exactly) on which two documents differ."""
+    return [
+        f"{prefix}{field}: golden={expected.get(field)!r} actual={actual.get(field)!r}"
+        for field in fields
+        if expected.get(field) != actual.get(field)
+    ]
+
+
+def system_mismatches(
+    expected: Dict[str, Dict[str, object]],
+    actual: Dict[str, Dict[str, object]],
+    prefix: str = "",
+) -> List[str]:
+    """The golden-gate view of the deltas between two ``systems`` mappings."""
+    mismatches: List[str] = []
+    for system in sorted(set(expected) | set(actual)):
+        if system not in actual:
+            mismatches.append(f"{prefix}{system}: missing from the fresh run")
+            continue
+        if system not in expected:
+            mismatches.append(f"{prefix}{system}: not present in the golden")
+            continue
+        for delta in system_deltas(system, expected[system], actual[system]):
+            if delta.right is None:
+                mismatches.append(f"{prefix}{delta.metric}: missing from the fresh run")
+            elif delta.left is None:
+                mismatches.append(f"{prefix}{delta.metric}: not present in the golden")
+            elif not delta.within_tolerance:
+                band = f"abs={delta.tolerance.absolute}"
+                if not delta.metric.rpartition(".")[2].startswith("fraction_"):
+                    band = f"rel={delta.tolerance.relative} {band}"
+                mismatches.append(
+                    f"{prefix}{delta.metric}: golden={delta.left} "
+                    f"actual={delta.right} (tolerance {band})"
+                )
+    return mismatches
+
+
 def compare_digests(
     expected: Dict[str, object], actual: Dict[str, object]
 ) -> List[str]:
     """Per-metric differences between two digests (empty list = match)."""
-    mismatches: List[str] = []
-    for field in ("scenario", "seed", "scale"):
-        if expected.get(field) != actual.get(field):
-            mismatches.append(
-                f"{field}: golden={expected.get(field)!r} actual={actual.get(field)!r}"
-            )
-    expected_systems = expected.get("systems", {})
-    actual_systems = actual.get("systems", {})
-    for system in sorted(set(expected_systems) | set(actual_systems)):
-        if system not in actual_systems:
-            mismatches.append(f"{system}: missing from the fresh run")
-            continue
-        if system not in expected_systems:
-            mismatches.append(f"{system}: not present in the golden")
-            continue
-        mismatches.extend(
-            _compare_metric_block(
-                expected_systems[system].get("metrics", {}),
-                actual_systems[system].get("metrics", {}),
-                prefix=f"{system}.metrics",
-                phase=False,
-            )
-        )
-        expected_phases = expected_systems[system].get("phases", {})
-        actual_phases = actual_systems[system].get("phases", {})
-        for phase in sorted(set(expected_phases) | set(actual_phases)):
-            mismatches.extend(
-                _compare_metric_block(
-                    expected_phases.get(phase, {}),
-                    actual_phases.get(phase, {}),
-                    prefix=f"{system}.phases.{phase}",
-                    phase=True,
-                )
-            )
-    return mismatches
-
-
-def _compare_metric_block(
-    expected: Dict[str, float], actual: Dict[str, float], prefix: str, phase: bool
-) -> List[str]:
-    mismatches: List[str] = []
-    for metric in sorted(set(expected) | set(actual)):
-        if metric.startswith("fraction_"):
-            # Outcome fractions only appear in a digest when the outcome was
-            # observed at least once; a rare outcome drifting to/from zero is
-            # an ordinary tolerance question, not a missing metric.
-            if not FRACTION_TOLERANCE.allows(
-                float(expected.get(metric, 0.0)), float(actual.get(metric, 0.0))
-            ):
-                mismatches.append(
-                    f"{prefix}.{metric}: golden={expected.get(metric, 0.0)} "
-                    f"actual={actual.get(metric, 0.0)} "
-                    f"(tolerance abs={FRACTION_TOLERANCE.absolute})"
-                )
-            continue
-        if metric not in actual:
-            mismatches.append(f"{prefix}.{metric}: missing from the fresh run")
-            continue
-        if metric not in expected:
-            mismatches.append(f"{prefix}.{metric}: not present in the golden")
-            continue
-        tolerance = _tolerance_for(metric, phase=phase)
-        if not tolerance.allows(float(expected[metric]), float(actual[metric])):
-            mismatches.append(
-                f"{prefix}.{metric}: golden={expected[metric]} actual={actual[metric]} "
-                f"(tolerance rel={tolerance.relative} abs={tolerance.absolute})"
-            )
-    return mismatches
+    return field_mismatches(expected, actual, ("scenario", "seed", "scale")) + (
+        system_mismatches(expected.get("systems", {}), actual.get("systems", {}))
+    )
 
 
 def verify_golden(
@@ -251,6 +299,40 @@ def verify_golden(
 
 
 # -- command line (used by `make goldens` / CI) ------------------------------
+
+
+def report_check(name: str, mismatches: Sequence[str], out: TextIO) -> bool:
+    """Print one golden check's outcome the way every gate does; True = ok."""
+    if mismatches:
+        print(f"FAIL {name}:", file=out)
+        for mismatch in mismatches:
+            print(f"  {mismatch}", file=out)
+        return False
+    print(f"ok   {name}", file=out)
+    return True
+
+
+def check_or_update(
+    names: Sequence[str],
+    update: bool,
+    write: Callable[[str], Path],
+    verify: Callable[[str], List[str]],
+    out: TextIO,
+) -> int:
+    """The loop behind both golden command lines (scenario and sweep); exit code."""
+    failures = 0
+    for name in names:
+        if update:
+            print(f"updated {write(name)}", file=out)
+            continue
+        try:
+            mismatches = verify(name)
+        except FileNotFoundError as error:
+            print(f"FAIL {name}: {error}", file=out)
+            failures += 1
+            continue
+        failures += not report_check(name, mismatches, out)
+    return 1 if failures else 0
 
 
 def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> int:
@@ -297,26 +379,13 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
         print(f"error: unknown scenario(s): {', '.join(unknown)}; "
               f"known scenarios: {', '.join(scenario_names())}", file=out)
         return 2
-    failures = 0
-    for name in names:
-        if args.update:
-            path = write_golden(name, args.golden_dir)
-            print(f"updated {path}", file=out)
-            continue
-        try:
-            mismatches = verify_golden(name, args.golden_dir, shards=args.shards)
-        except FileNotFoundError as error:
-            print(f"FAIL {name}: {error}", file=out)
-            failures += 1
-            continue
-        if mismatches:
-            failures += 1
-            print(f"FAIL {name}:", file=out)
-            for mismatch in mismatches:
-                print(f"  {mismatch}", file=out)
-        else:
-            print(f"ok   {name}", file=out)
-    return 1 if failures else 0
+    return check_or_update(
+        names,
+        args.update,
+        write=lambda name: write_golden(name, args.golden_dir),
+        verify=lambda name: verify_golden(name, args.golden_dir, shards=args.shards),
+        out=out,
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main() in tests

@@ -5,7 +5,7 @@ workload the system must keep handling well.  All library scenarios are
 defined at *laptop scale* — the Table 1 parameter ratios shrunk so a run
 finishes in a couple of seconds — because that is the scale the golden
 regression suite and CI exercise; ``spec.scaled(factor)`` reaches other
-scales (``paper_default_full_scale()`` returns the genuine Table 1 setup).
+scales (the ``paper-default-full-scale`` entry is the genuine Table 1 setup).
 
 Use :func:`get_scenario` / :func:`scenario_names` to consume the library and
 :func:`register_scenario` to extend it (e.g. from a plugin or a test).
@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional
 
 from repro.core.config import HOUR, MINUTE
-from repro.experiments.driver import ExperimentSetup
 from repro.scenarios.models import ModelRef
 from repro.scenarios.program import WorkloadPhase
 from repro.scenarios.spec import KNOWN_TIERS, ChurnProfile, ScenarioSpec
@@ -506,7 +505,3 @@ LOCALITY_PARTITION_FULL_SCALE = register_scenario(
     )
 )
 
-
-def paper_default_full_scale(seed: int = 42) -> ExperimentSetup:
-    """The genuine Table 1 setup (24 h, 5000 hosts) for paper-scale runs."""
-    return PAPER_DEFAULT_FULL_SCALE.to_setup(seed=seed)

@@ -20,6 +20,7 @@ import reprlib
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.system import InfeasibleScenarioError
 from repro.scenarios import golden as golden_module
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.runner import run_scenario
@@ -64,12 +65,19 @@ class _TaskCall:
     def __init__(self, fn: Callable[[Any], Any]) -> None:
         self.fn = fn
 
-    def __call__(self, indexed: Tuple[int, Any]) -> Tuple[bool, Any]:
+    def __call__(self, indexed: Tuple[int, Any]) -> Tuple[str, Any]:
         index, task = indexed
         try:
-            return True, self.fn(task)
+            return "ok", self.fn(task)
+        except InfeasibleScenarioError as error:
+            # A property of the request, not a crash.  The class does not
+            # pickle (``args`` holds its message, not its fields), so the
+            # fields travel and the parent raises it anew.
+            return "infeasible", (
+                error.locality, error.hosts_available, error.directories_required
+            )
         except Exception:
-            return False, (index, reprlib.repr(task), traceback.format_exc())
+            return "failed", (index, reprlib.repr(task), traceback.format_exc())
 
 
 def map_tasks(
@@ -89,7 +97,9 @@ def map_tasks(
     byte-identical to sequential output.
 
     A worker exception surfaces as :class:`TaskError` naming the failing
-    task's index and repr, with the worker traceback embedded.  ``chunksize``
+    task's index and repr, with the worker traceback embedded — except
+    :class:`~repro.core.system.InfeasibleScenarioError`, which is re-raised as
+    itself so callers report it the way a single-process run does.  ``chunksize``
     batches task dispatch (``pool.map`` semantics); large grids amortise
     IPC overhead with ``chunksize > 1`` without affecting result order.
     """
@@ -100,16 +110,19 @@ def map_tasks(
         raise ValueError(f"chunksize must be positive, got {chunksize}")
     tasks = list(tasks)
     call = _TaskCall(fn)
-    if jobs == 1 or len(tasks) <= 1:
+    if jobs == 1 or len(tasks) <= 1 or multiprocessing.current_process().daemon:
+        # (A daemonic process — a `repro serve` job worker — may not have
+        # children of its own; the service parallelises across jobs instead.)
         outcomes = [call(indexed) for indexed in enumerate(tasks)]
     else:
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             outcomes = pool.map(call, list(enumerate(tasks)), chunksize=chunksize)
     results = []
-    for ok, payload in outcomes:
-        if not ok:
-            index, task_repr, cause_text = payload
-            raise TaskError(index, task_repr, cause_text)
+    for status, payload in outcomes:
+        if status == "infeasible":
+            raise InfeasibleScenarioError(*payload)
+        if status == "failed":
+            raise TaskError(*payload)
         results.append(payload)
     return results
 
@@ -165,17 +178,12 @@ def run_scenarios(
     are identical to sequential :func:`repro.scenarios.runner.run_scenario`
     runs of the same ``(spec, seed, scale)``.
     """
-    names = resolve_names(names)
-    pairs = map_tasks(_run_one, [(name, seed, scale) for name in names], jobs=jobs)
-    ordered = dict(pairs)
-    return {name: ordered[name] for name in names}
+    tasks = [(name, seed, scale) for name in resolve_names(names)]
+    return dict(map_tasks(_run_one, tasks, jobs=jobs))
 
 
 def check_goldens(
     names: Optional[Sequence[str]] = None, jobs: Optional[int] = None
 ) -> Dict[str, List[str]]:
     """Verify committed goldens in parallel; name -> list of mismatches."""
-    names = resolve_names(names)
-    pairs = map_tasks(_check_one, names, jobs=jobs)
-    ordered = dict(pairs)
-    return {name: ordered[name] for name in names}
+    return dict(map_tasks(_check_one, resolve_names(names), jobs=jobs))

@@ -1,10 +1,10 @@
 """Scenario execution: spec in, structured deterministic result out.
 
-:class:`ScenarioRunner` composes the simulator, topology, workload and the
-requested CDN systems from a :class:`~repro.scenarios.spec.ScenarioSpec`
+:class:`~repro.session.Session` composes the simulator, topology, workload
+and the requested CDN systems from a :class:`~repro.scenarios.spec.ScenarioSpec`
 (via the shared :class:`~repro.experiments.driver.ExperimentRunner`, so every
-system in a scenario processes the exact same resolved query trace) and
-returns a :class:`ScenarioResult`:
+system in a scenario processes the exact same resolved query trace);
+:func:`summarise_system` folds each raw run into a :class:`ScenarioResult`:
 
 * per-system headline **metrics** (hit ratio, lookup latency, transfer
   distance, background bandwidth, outcome mix);
@@ -20,14 +20,11 @@ suite in :mod:`repro.scenarios.golden` relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.driver import ExperimentRunner, RunResult
+from repro.experiments.driver import RunResult
 from repro.metrics.timeseries import TimeSeries
 from repro.scenarios.spec import ScenarioSpec
-
-if TYPE_CHECKING:
-    from repro.session import Session
 
 #: digest metrics that are integer counts (never rounded in digests)
 INTEGER_METRICS = (
@@ -173,36 +170,6 @@ def summarise_system(spec: ScenarioSpec, system: str, run: RunResult) -> SystemR
     return SystemResult(
         system=system, metrics=headline, phases=phases, series=series, run=run
     )
-
-
-class ScenarioRunner:
-    """Back-compatible shim over :class:`repro.session.Session`.
-
-    Pre-Session code constructed a ``ScenarioRunner`` directly; the class
-    remains (same constructor, same ``run()``/``experiment`` surface) but
-    delegates everything to a Session so there is exactly one execution
-    path.  New code should use :meth:`repro.session.Session.from_spec`.
-    """
-
-    def __init__(self, spec: ScenarioSpec, seed: Optional[int] = None) -> None:
-        from repro.session import Session
-
-        self._session = Session(spec, seed=seed)
-        self.spec = spec
-        self.seed = self._session.seed
-
-    @property
-    def session(self) -> "Session":
-        """The Session this shim wraps."""
-        return self._session
-
-    @property
-    def experiment(self) -> ExperimentRunner:
-        """The underlying driver (exposed for tests and ad-hoc inspection)."""
-        return self._session.experiment
-
-    def run(self) -> ScenarioResult:
-        return self._session.run()
 
 
 def run_scenario(

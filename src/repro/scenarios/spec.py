@@ -258,7 +258,7 @@ class ScenarioSpec:
 
     # -- construction of the runtime configuration -------------------------
 
-    def to_flower_config(self, seed: Optional[int] = None) -> FlowerConfig:
+    def to_flower_config(self) -> FlowerConfig:
         return FlowerConfig(
             num_websites=self.num_websites,
             active_websites=self.active_websites,
@@ -278,12 +278,11 @@ class ScenarioSpec:
             ),
             simulation_duration_s=self.duration_s,
             metrics_window_s=self.effective_metrics_window_s,
-            seed=self.seed if seed is None else seed,
         )
 
     def to_setup(self, seed: Optional[int] = None) -> ExperimentSetup:
         """Compose the :class:`ExperimentSetup` this scenario describes."""
-        flower = self.to_flower_config(seed=seed)
+        flower = self.to_flower_config()
         return ExperimentSetup(
             flower=flower,
             topology=TopologyConfig(

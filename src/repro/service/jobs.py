@@ -37,7 +37,7 @@ from multiprocessing.connection import Connection
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.system import InfeasibleScenarioError
-from repro.scenarios.artifacts import dumps_json, run_documents
+from repro.scenarios.artifacts import run_documents
 from repro.scenarios.parallel import TaskError, default_jobs
 from repro.scenarios.spec import ScenarioSpec
 from repro.service.store import RunStore, request_digest
@@ -171,24 +171,19 @@ def execute_request(
         result = session.run()
         return run_documents(result, scale=float(payload["scale"]))  # type: ignore[arg-type]
     if kind == "sweep":
-        from repro.sweeps.artifacts import to_csv, to_markdown
+        from repro.sweeps.artifacts import sweep_documents
         from repro.sweeps.engine import run_sweep
 
         scale = float(payload["scale"])  # type: ignore[arg-type]
         seed = payload["seed"]
-        sweep_result = run_sweep(
-            str(payload["sweep"]),
-            jobs=int(execution.get("jobs", 1)),  # type: ignore[arg-type]
-            seed=None if seed is None else int(seed),  # type: ignore[arg-type]
-            scale=None if scale == 1.0 else scale,
+        return sweep_documents(
+            run_sweep(
+                str(payload["sweep"]),
+                jobs=int(execution.get("jobs", 1)),  # type: ignore[arg-type]
+                seed=None if seed is None else int(seed),  # type: ignore[arg-type]
+                scale=None if scale == 1.0 else scale,
+            )
         )
-        digest_text = dumps_json(sweep_result.to_dict())
-        return {
-            "digest.json": digest_text,
-            "result.json": digest_text,
-            "series.csv": to_csv(sweep_result),
-            "summary.md": to_markdown(sweep_result),
-        }
     raise ValueError(f"unknown request kind {kind!r}")
 
 

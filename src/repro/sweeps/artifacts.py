@@ -10,18 +10,25 @@ A :class:`~repro.sweeps.engine.SweepResult` renders to:
 * **Markdown** — a GitHub-flavoured table for docs and PR descriptions.
 
 ``export_artifacts`` writes all requested formats into a directory, named
-``<sweep-name>.<ext>``, and is what ``repro sweep run --out DIR`` calls.
+``<sweep-name>.<ext>``, and is what ``repro sweep run --out DIR`` calls;
+``sweep_documents`` is the same content in the run-bundle layout the
+``repro serve`` store keeps.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from pathlib import Path
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.metrics.report import format_table
+from repro.scenarios.artifacts import (
+    ARTIFACT_FILES,
+    DIGEST_FILENAME,
+    dumps_json,
+    write_documents,
+)
 from repro.sweeps.engine import SweepResult
 
 __all__ = [
@@ -30,6 +37,7 @@ __all__ = [
     "to_csv",
     "to_markdown",
     "format_sweep_result",
+    "sweep_documents",
     "export_artifacts",
 ]
 
@@ -102,6 +110,23 @@ def format_sweep_result(result: SweepResult) -> str:
     return format_table(header, [tuple(row) for row in rows], title=title)
 
 
+def sweep_documents(result: SweepResult) -> Dict[str, str]:
+    """One sweep result in the run-bundle layout, as ``filename -> file text``.
+
+    The layout :func:`repro.scenarios.artifacts.run_documents` gives a single
+    run: the ``repro serve`` run store keeps it as is, ``--out`` exports the
+    artifact kinds under the sweep's name.  A sweep's digest *is* its full
+    result, so both JSON documents carry the same text.
+    """
+    digest_text = dumps_json(result.to_dict())
+    return {
+        DIGEST_FILENAME: digest_text,
+        ARTIFACT_FILES["json"]: digest_text,
+        ARTIFACT_FILES["csv"]: to_csv(result),
+        ARTIFACT_FILES["md"]: to_markdown(result),
+    }
+
+
 def export_artifacts(
     result: SweepResult,
     out_dir: Path,
@@ -114,19 +139,8 @@ def export_artifacts(
         raise ValueError(
             f"unknown artifact format(s) {unknown}; expected a subset of {KNOWN_FORMATS}"
         )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    for fmt in formats:
-        path = out_dir / f"{result.sweep.name}.{fmt}"
-        if fmt == "csv":
-            path.write_text(to_csv(result), encoding="utf-8")
-        elif fmt == "json":
-            path.write_text(
-                json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        else:
-            path.write_text(to_markdown(result), encoding="utf-8")
-        written.append(path)
-    return written
+    documents = sweep_documents(result)
+    return write_documents(
+        {f"{result.sweep.name}.{fmt}": documents[ARTIFACT_FILES[fmt]] for fmt in formats},
+        out_dir,
+    )

@@ -32,7 +32,13 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.scenarios.golden import GOLDEN_SCALE, GOLDEN_SEED, _compare_metric_block
+from repro.scenarios.golden import (
+    GOLDEN_SCALE,
+    GOLDEN_SEED,
+    check_or_update,
+    field_mismatches,
+    system_mismatches,
+)
 from repro.sweeps.engine import run_sweep
 from repro.sweeps.library import sweep_names
 
@@ -122,16 +128,13 @@ def compare_sweep_digests(
     """Differences between two sweep digests (empty list = match).
 
     Grid structure — the sweep identity, axes, cell assignments, labels and
-    seeds — must match exactly; metric blocks are compared with the
+    seeds — must match exactly; each cell's systems are compared with the
     per-metric tolerances of the scenario goldens; per-cell ``digest``
     hashes are informational and never compared here.
     """
-    mismatches: List[str] = []
-    for field in ("sweep", "base", "base_seed", "scale", "seed_policy", "axes"):
-        if expected.get(field) != actual.get(field):
-            mismatches.append(
-                f"{field}: golden={expected.get(field)!r} actual={actual.get(field)!r}"
-            )
+    mismatches = field_mismatches(
+        expected, actual, ("sweep", "base", "base_seed", "scale", "seed_policy", "axes")
+    )
     expected_cells = expected.get("cells", [])
     actual_cells = actual.get("cells", [])
     if len(expected_cells) != len(actual_cells):
@@ -140,40 +143,13 @@ def compare_sweep_digests(
         )
         return mismatches
     for index, (want, got) in enumerate(zip(expected_cells, actual_cells)):
-        where = f"cell[{index}]"
-        for field in ("coordinates", "assignments", "labels", "seed"):
-            if want.get(field) != got.get(field):
-                mismatches.append(
-                    f"{where}.{field}: golden={want.get(field)!r} actual={got.get(field)!r}"
-                )
-        expected_systems = want.get("systems", {})
-        actual_systems = got.get("systems", {})
-        for system in sorted(set(expected_systems) | set(actual_systems)):
-            if system not in actual_systems:
-                mismatches.append(f"{where}.{system}: missing from the fresh run")
-                continue
-            if system not in expected_systems:
-                mismatches.append(f"{where}.{system}: not present in the golden")
-                continue
-            mismatches.extend(
-                _compare_metric_block(
-                    expected_systems[system].get("metrics", {}),
-                    actual_systems[system].get("metrics", {}),
-                    prefix=f"{where}.{system}.metrics",
-                    phase=False,
-                )
-            )
-            expected_phases = expected_systems[system].get("phases", {})
-            actual_phases = actual_systems[system].get("phases", {})
-            for phase in sorted(set(expected_phases) | set(actual_phases)):
-                mismatches.extend(
-                    _compare_metric_block(
-                        expected_phases.get(phase, {}),
-                        actual_phases.get(phase, {}),
-                        prefix=f"{where}.{system}.phases.{phase}",
-                        phase=True,
-                    )
-                )
+        where = f"cell[{index}]."
+        mismatches += field_mismatches(
+            want, got, ("coordinates", "assignments", "labels", "seed"), prefix=where
+        )
+        mismatches += system_mismatches(
+            want.get("systems", {}), got.get("systems", {}), prefix=where
+        )
     return mismatches
 
 
@@ -224,30 +200,17 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     if args.scale <= 0:
         print("error: --scale must be positive", file=sys.stderr)
         return 2
-    failures = 0
-    for name in names:
-        if args.update:
-            path = write_sweep_golden(
-                name, args.golden_dir, jobs=args.jobs, scale=args.scale
-            )
-            print(f"updated {path}", file=out)
-            continue
-        try:
-            mismatches = verify_sweep_golden(
-                name, args.golden_dir, jobs=args.jobs, scale=args.scale
-            )
-        except FileNotFoundError as error:
-            print(f"FAIL {name}: {error}", file=out)
-            failures += 1
-            continue
-        if mismatches:
-            failures += 1
-            print(f"FAIL {name}:", file=out)
-            for mismatch in mismatches:
-                print(f"  {mismatch}", file=out)
-        else:
-            print(f"ok   {name}", file=out)
-    return 1 if failures else 0
+    return check_or_update(
+        names,
+        args.update,
+        write=lambda name: write_sweep_golden(
+            name, args.golden_dir, jobs=args.jobs, scale=args.scale
+        ),
+        verify=lambda name: verify_sweep_golden(
+            name, args.golden_dir, jobs=args.jobs, scale=args.scale
+        ),
+        out=out,
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main() in tests

@@ -19,15 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List
 
-# The canonical Table 2 parameter values have always lived with the legacy
-# setup-based sweep functions; importing them keeps one source of truth
-# without creating an import cycle (sweeps -> experiments, never back).
-from repro.experiments.gossip_tradeoff import (
-    PAPER_GOSSIP_LENGTHS,
-    PAPER_GOSSIP_PERIODS_S,
-    PAPER_PUSH_THRESHOLDS,
-    PAPER_VIEW_SIZES,
-)
+from repro.core.config import HOUR, MINUTE
 from repro.scenarios.library import get_scenario
 from repro.scenarios.models import ModelRef
 from repro.scenarios.spec import ChurnProfile
@@ -40,6 +32,13 @@ __all__ = [
     "sweep_names",
     "iter_sweeps",
 ]
+
+#: the parameter values of the paper's Table 2 (and the push-threshold
+#: ablation its Section 6.2 reports in prose)
+PAPER_GOSSIP_LENGTHS = (5, 10, 20)
+PAPER_GOSSIP_PERIODS_S = (1 * MINUTE, 30 * MINUTE, 1 * HOUR)
+PAPER_VIEW_SIZES = (20, 50, 70)
+PAPER_PUSH_THRESHOLDS = (0.1, 0.5, 0.7)
 
 _REGISTRY: Dict[str, SweepSpec] = {}
 
@@ -109,10 +108,9 @@ register_sweep(
     )
 )
 
-# The legacy sweep clamped Lgossip to the view size against the *base*
-# configuration (a view cannot be gossiped about in messages longer than
-# itself); derive the clamp from the base scenario so retuning paper-default
-# keeps both code paths equivalent.
+# Lgossip is clamped to the view size (a view cannot be gossiped about in
+# messages longer than itself); the clamp derives from the base scenario so
+# retuning paper-default keeps the grid valid.
 _BASE_GOSSIP_LENGTH = get_scenario("paper-default").gossip_length
 
 register_sweep(

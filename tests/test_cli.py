@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -82,11 +83,32 @@ class TestCommands:
         assert "Figure 8" in output
         assert "Squirrel" in output
 
+    def test_compare_runs_each_system_once_on_one_environment(self, monkeypatch):
+        """Figures 6-8 all come from one shared pair of runs; the output is
+        what the two-environment, four-run implementation printed."""
+        from repro.experiments.driver import ExperimentRunner
+
+        calls = {"__init__": 0, "run_flower": 0, "run_squirrel": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _real=getattr(ExperimentRunner, name), **kwargs):
+                calls[_name] += 1
+                return _real(self, *args, **kwargs)
+            monkeypatch.setattr(ExperimentRunner, name, counted)
+        output = run_cli(["compare", *TINY])
+        assert calls == {"__init__": 1, "run_flower": 1, "run_squirrel": 1}
+        pinned = Path(__file__).parent / "data" / "compare_tiny_seed5.txt"
+        assert output == pinned.read_text(encoding="utf-8")
+
     def test_sweep_prints_all_three_tables(self):
-        output = run_cli(["sweep", *TINY])
-        assert "Table 2(a)" in output
-        assert "Table 2(b)" in output
-        assert "Table 2(c)" in output
+        """Table 2(a-c) come from the sweep registry, one `sweep run` each."""
+        for name, axis in (
+            ("table2a-gossip-length", "Lgossip"),
+            ("table2b-gossip-period", "Tgossip(s)"),
+            ("table2c-view-size", "Vgossip"),
+        ):
+            output = run_cli(["sweep", "run", name, "--scale", "0.1", "--table"])
+            assert f"Sweep: {name}" in output
+            assert axis in output and "hit_ratio" in output
 
     def test_churn_prints_ablation(self):
         output = run_cli(["churn", *TINY])
@@ -102,6 +124,18 @@ class TestInfeasibleSeed:
     def test_one_line_error_and_exit_2(self, capsys):
         out = io.StringIO()
         assert cli.main(self.ARGV, out=out) == 2
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: infeasible scenario: locality 5 has 4 hosts but 5 ")
+
+    @pytest.mark.parametrize("shard_jobs", ["1", "2"], ids=["inline", "pooled"])
+    def test_sharded_run_prints_the_same_one_line(self, capsys, shard_jobs):
+        """The shard workers hit the shortfall, not the parent; the typed
+        error crosses the pool and the CLI reports it as for shards=1."""
+        out = io.StringIO()
+        argv = [*self.ARGV, "--shards", "2", "--shard-jobs", shard_jobs]
+        assert cli.main(argv, out=out) == 2
         assert out.getvalue() == ""
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -168,7 +202,7 @@ class TestScenariosShow:
 
 
 class TestSweepVerbs:
-    """The `sweep list|show|run` verbs and the legacy deprecation shim."""
+    """The `sweep list|show|run` verbs."""
 
     def test_list_prints_the_registry(self):
         output = run_cli(["sweep", "list"])
@@ -261,25 +295,21 @@ class TestSweepVerbs:
         )
         assert "ok   table2a-gossip-length" in output
 
-    def test_legacy_flag_style_sweep_still_works(self, capsys):
-        output = run_cli(["sweep", *TINY])
-        assert "Table 2(a)" in output
-        assert "Table 2(b)" in output
-        assert "Table 2(c)" in output
-        assert "deprecated" in capsys.readouterr().err
+    def test_verbless_sweep_exits_2_with_the_list_hint(self, capsys):
+        out = io.StringIO()
+        assert cli.main(["sweep"], out=out) == 2
+        assert out.getvalue() == ""
+        assert "`repro sweep list`" in capsys.readouterr().err
 
     def test_legacy_flags_before_a_verb_are_rejected_not_dropped(self, capsys):
-        code = cli.main(
+        for argv in (
             ["sweep", "--seed", "7", "run", "table2a-gossip-length"],
-            out=io.StringIO(),
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--seed" in err and "cannot be combined" in err
-        code = cli.main(
-            ["sweep", "--paper-scale", "list"], out=io.StringIO()
-        )
-        assert code == 2
+            ["sweep", "--paper-scale", "list"],
+            ["sweep", *TINY],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv, out=io.StringIO())
+            assert exit_info.value.code == 2
         capsys.readouterr()
 
     def test_run_rejects_out_with_golden_flags(self, capsys, tmp_path):

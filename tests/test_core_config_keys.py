@@ -97,11 +97,6 @@ class TestFlowerConfig:
         assert tuned.gossip.gossip_length == 20
         assert config.gossip.gossip_length == 10  # original untouched
 
-    def test_scaled_down_preserves_gossip(self):
-        config = FlowerConfig().scaled_down()
-        assert config.num_websites < 100
-        assert config.gossip == FlowerConfig().gossip
-
 
 class TestKeyScheme:
     @pytest.fixture

@@ -2,7 +2,8 @@
 
 These use a very small laptop-scale setup so each simulated run completes in
 well under a second while still exercising the full pipeline (topology →
-workload → client assignment → both CDN systems → metrics).
+workload → client assignment → both CDN systems → metrics).  The Table 2
+sweep shapes run through the sweep engine over the same tiny base spec.
 """
 
 import pytest
@@ -10,22 +11,21 @@ import pytest
 from repro.core.churn import ChurnConfig
 from repro.experiments import (
     run_churn_experiment,
-    run_gossip_length_sweep,
-    run_gossip_period_sweep,
-    run_hit_ratio_comparison,
     run_locality_experiment,
-    run_push_threshold_sweep,
     run_tradeoff_timeseries,
-    run_view_size_sweep,
 )
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup
-from repro.experiments.gossip_tradeoff import format_sweep
+from repro.scenarios import ScenarioSpec, get_scenario
+from repro.sweeps import SweepAxis, SweepSpec, run_sweep
+from repro.sweeps.artifacts import format_sweep_result
 
 
-def tiny_setup(seed: int = 7, duration_s: float = 1200.0) -> ExperimentSetup:
-    return ExperimentSetup.laptop_scale(
+def tiny_spec(seed: int = 7, duration_s: float = 1200.0) -> ScenarioSpec:
+    return ScenarioSpec(
+        name="tiny",
         seed=seed,
         duration_s=duration_s,
+        metrics_window_s=max(300.0, duration_s / 12),
         query_rate_per_s=1.0,
         num_websites=6,
         active_websites=2,
@@ -36,6 +36,16 @@ def tiny_setup(seed: int = 7, duration_s: float = 1200.0) -> ExperimentSetup:
     )
 
 
+def tiny_setup(seed: int = 7, duration_s: float = 1200.0) -> ExperimentSetup:
+    return tiny_spec(seed=seed, duration_s=duration_s).to_setup()
+
+
+def tiny_sweep(axis: SweepAxis, duration_s: float = 1200.0):
+    """One axis swept over the tiny base spec; the cells, in grid order."""
+    sweep = SweepSpec(name="tiny-sweep", description="", base="tiny", axes=(axis,))
+    return run_sweep(sweep, base_spec=tiny_spec(duration_s=duration_s))
+
+
 @pytest.fixture(scope="module")
 def shared_runner() -> ExperimentRunner:
     return ExperimentRunner(tiny_setup())
@@ -43,7 +53,7 @@ def shared_runner() -> ExperimentRunner:
 
 class TestExperimentSetup:
     def test_paper_scale_matches_table1(self):
-        setup = ExperimentSetup.paper_scale()
+        setup = get_scenario("paper-default-full-scale").to_setup()
         assert setup.flower.num_websites == 100
         assert setup.flower.num_localities == 6
         assert setup.workload.query_rate_per_s == 6.0
@@ -101,33 +111,47 @@ class TestExperimentRunner:
 class TestGossipSweeps:
     def test_gossip_period_sweep_shapes(self):
         """Table 2(b): shorter periods cost more bandwidth and help the hit ratio."""
-        rows = run_gossip_period_sweep(tiny_setup(), values=(120.0, 1800.0))
-        fast, slow = rows
-        assert fast.background_bps > slow.background_bps
-        assert fast.hit_ratio >= slow.hit_ratio
+        fast, slow = tiny_sweep(
+            SweepAxis(
+                label="Tgossip(s)",
+                fields=("gossip_period_s", "keepalive_period_s"),
+                values=((120.0, 120.0), (1800.0, 1800.0)),
+            )
+        )
+        assert fast.metric("background_bps_per_peer") > slow.metric("background_bps_per_peer")
+        assert fast.metric("hit_ratio") >= slow.metric("hit_ratio")
 
     def test_gossip_length_sweep_shapes(self):
         """Table 2(a): longer gossip messages cost proportionally more bandwidth."""
-        rows = run_gossip_length_sweep(tiny_setup(), values=(5, 20))
-        short, long = rows
-        assert long.background_bps > short.background_bps
-        assert long.hit_ratio >= short.hit_ratio - 0.05
+        short, long = tiny_sweep(SweepAxis.single("Lgossip", "gossip_length", (5, 20)))
+        assert long.metric("background_bps_per_peer") > short.metric("background_bps_per_peer")
+        assert long.metric("hit_ratio") >= short.metric("hit_ratio") - 0.05
 
     def test_view_size_sweep_bandwidth_invariant(self):
         """Table 2(c): the view size does not change bandwidth consumption."""
-        rows = run_view_size_sweep(tiny_setup(), values=(10, 50))
-        small, large = rows
-        assert small.background_bps == pytest.approx(large.background_bps, rel=0.15)
+        small, large = tiny_sweep(
+            SweepAxis(
+                label="Vgossip",
+                fields=("view_size", "gossip_length"),
+                values=((10, 10), (50, 10)),
+            )
+        )
+        assert small.metric("background_bps_per_peer") == pytest.approx(
+            large.metric("background_bps_per_peer"), rel=0.15
+        )
 
     def test_push_threshold_sweep_is_insensitive(self):
-        rows = run_push_threshold_sweep(tiny_setup(), values=(0.1, 0.7))
-        low, high = rows
-        assert abs(low.hit_ratio - high.hit_ratio) < 0.1
+        low, high = tiny_sweep(
+            SweepAxis.single("push threshold", "push_threshold", (0.1, 0.7))
+        )
+        assert abs(low.metric("hit_ratio") - high.metric("hit_ratio")) < 0.1
 
     def test_format_sweep_renders_rows(self):
-        rows = run_gossip_length_sweep(tiny_setup(duration_s=600.0), values=(5,))
-        text = format_sweep(rows, "Table 2(a)")
-        assert "Table 2(a)" in text and "Hit ratio" in text
+        result = tiny_sweep(
+            SweepAxis.single("Lgossip", "gossip_length", (5,)), duration_s=600.0
+        )
+        text = format_sweep_result(result)
+        assert "Sweep: tiny-sweep" in text and "Lgossip" in text and "hit_ratio" in text
 
 
 class TestFigureExperiments:
@@ -140,11 +164,11 @@ class TestFigureExperiments:
 
     def test_hit_ratio_comparison_shape(self):
         """Figure 6: Squirrel converges faster; Flower-CDN trails at the end."""
-        result = run_hit_ratio_comparison(tiny_setup())
-        assert result.squirrel_final >= result.flower_final
-        assert result.final_gap >= 0
-        assert result.flower_curve and result.squirrel_curve
-        assert "Figure 6" in result.format()
+        result = run_locality_experiment(tiny_setup())
+        assert result.squirrel_run.hit_ratio >= result.flower_run.hit_ratio
+        assert result.final_hit_ratio_gap >= 0
+        text = result.format_figure6()
+        assert "Figure 6" in text and f"gap={result.final_hit_ratio_gap:+.3f}" in text
 
     def test_locality_experiment_shapes(self):
         """Figures 7 and 8: Flower-CDN is faster to look up and closer to transfer."""

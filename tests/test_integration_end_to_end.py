@@ -9,13 +9,16 @@ import pytest
 
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup
 from repro.metrics.collectors import QueryOutcome
+from repro.scenarios import ScenarioSpec
 
 
 @pytest.fixture(scope="module")
 def setup() -> ExperimentSetup:
-    return ExperimentSetup.laptop_scale(
+    return ScenarioSpec(
+        name="integration",
         seed=123,
         duration_s=2400.0,
+        metrics_window_s=300.0,
         query_rate_per_s=1.5,
         num_websites=8,
         active_websites=2,
@@ -23,7 +26,7 @@ def setup() -> ExperimentSetup:
         num_localities=3,
         max_content_overlay_size=20,
         num_hosts=400,
-    )
+    ).to_setup()
 
 
 @pytest.fixture(scope="module")

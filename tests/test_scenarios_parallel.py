@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro import cli
+from repro.core.system import InfeasibleScenarioError
 from repro.scenarios import parallel
 
 
@@ -60,6 +61,12 @@ def _fail_on_three(x):
     return x
 
 
+def _infeasible_on_three(x):
+    if x == 3:
+        raise InfeasibleScenarioError(5, 4, 6)
+    return x
+
+
 class TestMapTasks:
     def test_sequential_and_parallel_agree(self):
         tasks = list(range(8))
@@ -91,6 +98,17 @@ class TestMapTasks:
             parallel.map_tasks(_fail_on_three, [0, 1, 2, 3], jobs=2)
         assert excinfo.value.index == 3
         assert "ValueError" in excinfo.value.cause_text
+
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "pooled"])
+    def test_infeasible_scenario_crosses_the_pool_as_itself(self, jobs):
+        """The one typed, expected failure is re-raised, not wrapped."""
+        with pytest.raises(InfeasibleScenarioError) as excinfo:
+            parallel.map_tasks(_infeasible_on_three, [0, 1, 2, 3], jobs=jobs)
+        error = excinfo.value
+        assert (error.locality, error.hosts_available, error.directories_required) == (5, 4, 6)
+        assert str(error) == str(InfeasibleScenarioError(5, 4, 6))
+        assert "\n" not in str(error)
 
 
 class TestCheckGoldens:

@@ -16,7 +16,6 @@ from repro import cli
 from repro.experiments.driver import ExperimentSetup
 from repro.scenarios import (
     ChurnProfile,
-    ScenarioRunner,
     ScenarioSpec,
     get_scenario,
     iter_scenarios,
@@ -25,6 +24,7 @@ from repro.scenarios import (
     scenario_names,
     unregister_scenario,
 )
+from repro.session import Session
 
 #: scale used for the per-scenario smoke/determinism runs (keep them fast)
 TINY_SCALE = 0.1
@@ -89,7 +89,6 @@ class TestScenarioSpec:
     def test_to_setup_seed_override(self):
         setup = get_scenario("paper-default").to_setup(seed=9)
         assert setup.seed == 9
-        assert setup.flower.seed == 9
 
     def test_scaled_preserves_ratios_and_validity(self):
         for spec in iter_scenarios():
@@ -143,8 +142,8 @@ class TestLibrary:
 def test_every_scenario_runs_and_is_deterministic(name):
     """Each library scenario runs at reduced scale; two runs agree exactly."""
     spec = get_scenario(name).scaled(TINY_SCALE)
-    runner = ScenarioRunner(spec, seed=7)
-    first = runner.run()
+    session = Session.from_spec(spec, seed=7)
+    first = session.run()
     second = run_scenario(spec, seed=7)
 
     assert first.to_dict() == second.to_dict()  # byte-for-byte determinism
@@ -160,7 +159,7 @@ def test_every_scenario_runs_and_is_deterministic(name):
     if spec.churn.is_enabled:
         # Churn scenarios must actually injure the system: dead content
         # peers and/or directory replacements prove the injector ran.
-        flower_system = runner.experiment.last_flower_system
+        flower_system = session.experiment.last_flower_system
         assert flower_system is not None
         dead_peers = sum(
             1 for peer in flower_system._content_peers.values() if not peer.alive  # noqa: SLF001
@@ -268,18 +267,6 @@ class TestScenarioTiers:
         with pytest.raises(ValueError, match="queue backend"):
             dataclasses.replace(get_scenario("paper-default"), queue_backend="btree")
 
-    def test_full_scale_matches_the_legacy_paper_scale_setup(self):
-        """paper_default_full_scale() stays the Table 1 ExperimentSetup."""
-        from repro.experiments.driver import ExperimentSetup
-        from repro.scenarios.library import paper_default_full_scale
-
-        via_spec = paper_default_full_scale(seed=42)
-        legacy = ExperimentSetup.paper_scale(seed=42)
-        assert via_spec.flower == legacy.flower
-        assert via_spec.topology == legacy.topology
-        assert via_spec.workload == legacy.workload
-        assert via_spec.seed == legacy.seed
-
     def test_run_all_defaults_exclude_the_paper_tier(self):
         from repro.scenarios.parallel import resolve_names
 
@@ -294,8 +281,8 @@ class TestBackendEquivalence:
     def test_calendar_and_compact_modes_reproduce_the_heap_digest(self):
         """The fast-path run modes are byte-identical, not merely close."""
         spec = get_scenario("paper-default").scaled(TINY_SCALE)
-        baseline = ScenarioRunner(spec, seed=11).run().metrics_digest()
-        fast = ScenarioRunner(
+        baseline = Session.from_spec(spec, seed=11).run().metrics_digest()
+        fast = Session.from_spec(
             dataclasses.replace(spec, queue_backend="calendar", compact_metrics=True),
             seed=11,
         ).run().metrics_digest()

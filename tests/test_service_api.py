@@ -360,6 +360,47 @@ class TestFailureIsolation:
         finally:
             service.stop(drain=False)
 
+    def test_sharded_job_runs_inside_a_worker_process(self, tmp_path: Path) -> None:
+        # Job workers are daemonic and may not fork a shard pool; the shards
+        # run inline there and the digest is the single-process one.
+        service = make_service(tmp_path, workers=1)
+        try:
+            client = Client(service)
+            ids = []
+            for shards in (1, 2):
+                _, _, text = client.request(
+                    "POST", "/runs",
+                    {"scenario": "paper-default", "scale": 0.1, "shards": shards},
+                )
+                ids.append(json.loads(text)["id"])
+            digests = []
+            for run_id in ids:
+                assert client.poll(run_id)["state"] == DONE
+                digests.append(client.request("GET", f"/runs/{run_id}/result")[2])
+            assert digests[0] == digests[1]
+        finally:
+            service.stop(drain=False)
+
+    def test_sharded_infeasible_seed_fails_with_the_same_detail(
+        self, tmp_path: Path
+    ) -> None:
+        # With shards=2 the shortfall is found inside the shard pool, one
+        # process further down; the detail is still the one line.
+        service = make_service(tmp_path, workers=1)
+        try:
+            client = Client(service)
+            _, _, text = client.request(
+                "POST", "/runs",
+                {"scenario": "multi-locality", "seed": 7, "scale": 0.25, "shards": 2},
+            )
+            final = client.poll(json.loads(text)["id"])
+            assert final["state"] == FAILED
+            detail = final["detail"]
+            assert "\n" not in detail and "Traceback" not in detail
+            assert "infeasible scenario: locality 5 has 4 hosts but 5 directory peers" in detail
+        finally:
+            service.stop(drain=False)
+
     def test_worker_process_crash_is_contained(self, tmp_path: Path) -> None:
         # Real process isolation: a payload whose execution raises in the
         # child comes back as a failed job with the traceback, not a dead

@@ -1,9 +1,8 @@
-"""Tests for the unified Session facade and its back-compat shims.
+"""Tests for the unified Session facade.
 
-The redesign's contract: ``Session`` is the single execution path, and every
-pre-existing entry point (``ScenarioRunner``, ``run_scenario``, flat
-``ScenarioSpec`` kwargs + ``to_setup``) keeps producing byte-identical
-results through it.
+The contract: ``Session`` is the single execution path, and the wrappers
+around it (``run_scenario``, flat ``ScenarioSpec`` kwargs + ``to_setup``)
+produce byte-identical results through it.
 """
 
 import dataclasses
@@ -12,7 +11,7 @@ import pytest
 
 from repro import Session as SessionFromTopLevel
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup
-from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, run_scenario
+from repro.scenarios import ScenarioSpec, get_scenario, run_scenario
 from repro.session import Session
 
 TINY_SCALE = 0.1
@@ -72,7 +71,7 @@ class TestExecution:
 
 
 class TestBackCompatShims:
-    """Deprecation-path proofs: every old call site builds identical state."""
+    """The wrappers around Session build identical state."""
 
     def test_flat_kwargs_construct_the_same_setup_as_before(self):
         """A spec written against the pre-program API (flat kwargs only)
@@ -100,25 +99,12 @@ class TestBackCompatShims:
         assert spec.fault_model.name == "none"
         assert spec.content_cache_capacity is None
 
-    def test_scenario_runner_matches_session_byte_for_byte(self):
-        spec = get_scenario("heavy-churn").scaled(TINY_SCALE)
-        via_shim = ScenarioRunner(spec, seed=7).run().to_dict()
-        via_session = Session.from_spec(spec, seed=7).run().to_dict()
-        assert via_shim == via_session
-
     def test_run_scenario_matches_session(self):
         spec = get_scenario("cold-start").scaled(TINY_SCALE)
         assert (
             run_scenario(spec, seed=7).metrics_digest()
             == Session.from_spec(spec, seed=7).run().metrics_digest()
         )
-
-    def test_scenario_runner_still_exposes_the_experiment(self):
-        spec = get_scenario("paper-default").scaled(TINY_SCALE)
-        runner = ScenarioRunner(spec, seed=7)
-        runner.run()
-        assert runner.experiment.last_flower_system is not None
-        assert runner.session is not None
 
     def test_run_flower_churn_kwarg_still_works(self):
         """The pre-attachment ExperimentRunner signature is unchanged."""

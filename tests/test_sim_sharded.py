@@ -250,3 +250,33 @@ class TestShardMessages:
         merged = merge_messages([messages[:2], messages[2:]])
         assert merged == merge_messages([messages[2:], messages[:2]])
         assert [m.sort_key for m in merged] == sorted(m.sort_key for m in messages)
+
+
+class TestInfeasibleSeed:
+    """A (spec, seed) no shard can bootstrap fails as it does unsharded."""
+
+    @pytest.mark.parametrize("shard_jobs", [1, 2], ids=["inline", "pooled"])
+    def test_session_raises_the_typed_error(self, monkeypatch, shard_jobs):
+        from repro.core.system import InfeasibleScenarioError
+        from repro.network.topology import Topology
+
+        built = []
+        real_init = Topology.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Topology, "__init__", counting_init)
+        session = Session.from_spec(
+            get_scenario("multi-locality").scaled(0.25),
+            seed=7, shards=2, shard_jobs=shard_jobs,
+        )
+        with pytest.raises(InfeasibleScenarioError) as excinfo:
+            session.run()
+        error = excinfo.value
+        assert (error.locality, error.hosts_available, error.directories_required) == (5, 4, 5)
+        if shard_jobs > 1:
+            # The check is the workers' own bootstrap: the parent pays for no
+            # topology build to find out (forked workers count in their copy).
+            assert not built

@@ -95,3 +95,32 @@ class TestExport:
         target = tmp_path / "deep" / "nested"
         export_artifacts(table2a_result, target, formats=("json",))
         assert (target / "table2a-gossip-length.json").exists()
+
+    def test_interrupted_export_leaves_every_present_file_parseable(
+        self, tmp_path, table2a_result, monkeypatch
+    ):
+        """Killed between (or inside) file writes, an export over an existing
+        one leaves each artifact whole — old or new, never truncated."""
+        from pathlib import Path
+
+        export_artifacts(table2a_result, tmp_path)
+        json_path = tmp_path / "table2a-gossip-length.json"
+        before = json_path.read_text()
+        real_write_text = Path.write_text
+
+        def dying_write_text(self, text, *args, **kwargs):
+            if self.name.endswith(".csv") or self.name.endswith(".csv.tmp"):
+                return real_write_text(self, text, *args, **kwargs)
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise KeyboardInterrupt("killed mid-write")
+
+        monkeypatch.setattr(Path, "write_text", dying_write_text)
+        with pytest.raises(KeyboardInterrupt):
+            export_artifacts(table2a_result, tmp_path)
+        monkeypatch.undo()
+
+        assert json_path.read_text() == before
+        assert json.loads(json_path.read_text()) == table2a_result.to_dict()
+        rows = list(csv.reader(io.StringIO((tmp_path / "table2a-gossip-length.csv").read_text())))
+        assert len(rows) == 1 + len(table2a_result.cells)
+        assert (tmp_path / "table2a-gossip-length.md").read_text().endswith("|\n")
