@@ -26,11 +26,14 @@ goldens:
 check-goldens:
 	$(PYTHON) -m repro.scenarios.golden
 
-## verify the space-parallel shard engine reproduces the committed goldens
-## (the per-PR sharded-equivalence smoke)
+## verify that blocks placed over worker processes reproduce the committed
+## goldens, and that monolithic == default == --shards 2 byte for byte on both
+## documents (the per-PR sharded-equivalence smoke)
 shard-check:
 	$(PYTHON) -m repro.scenarios.golden --shards 2 paper-default multi-locality locality-partition partition-heal-reconcile
 	$(PYTHON) -m repro.scenarios.golden --shards 4 paper-default
+	$(PYTHON) scripts/block_check.py --table1-hours 0.5 paper-default multi-locality \
+		locality-partition partition-heal-reconcile adversarial-hotspots
 
 ## fast benchmark subset: parameter table + the headline Figure 6 comparison
 bench-smoke:

@@ -208,6 +208,18 @@ class TestPaperScaleSection:
         assert paper["events_per_s"] > 0
         assert paper["peak_rss_mb"] > 0
 
+    def test_committed_paper_scale_run_is_blocked_with_the_monolithic_run_beside_it(self):
+        """The run of record: measured through ``Session.run()`` (one flower at
+        a time), the hand-driven monolithic system kept beside it."""
+        paper = suite.load_baseline()["paper_scale"]
+        assert paper["blocks"] == len(paper["block_fixed_ms"]) == 6
+        # ms beyond a block's own sim.run, tearing down a 24 h flower included
+        # (the 600-placement ring used to cost ~45 ms per block on its own)
+        assert max(paper["block_fixed_ms"]) <= 30.0
+        assert paper["peak_rss_mb"] <= 100.0 < paper["monolithic_peak_rss_mb"]
+        assert paper["wall_s"] <= 0.75 * paper["monolithic_wall_s"]
+        assert paper["monolithic_events_per_s"] > 0
+
     def test_paper_scale_scenario_excluded_from_regression_gate(self):
         """The per-PR gate never requires a minutes-long fresh run."""
         baseline = suite.load_baseline()

@@ -40,8 +40,8 @@ def add_arguments(subparsers) -> None:
                              "accounting; takes minutes)")
     parser.add_argument("--shards", type=int, default=0, metavar="N",
                         help="with --paper-scale: additionally run the "
-                             "paper-scale scenario through the space-parallel "
-                             "shard engine with N shards and record the "
+                             "paper-scale scenario with its blocks placed over "
+                             "N worker processes and record the "
                              "paper_scale_sharded section")
     parser.add_argument("--no-memory", dest="memory", action="store_false",
                         help="skip the tracemalloc memory benchmarks")

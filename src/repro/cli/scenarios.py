@@ -60,10 +60,10 @@ def add_arguments(subparsers) -> None:
                                " — the exact layout the `repro serve` run "
                                "store keeps) into DIR")
     run_verb.add_argument("--shards", type=int, default=None, metavar="N",
-                          help="run through the space-parallel shard engine "
-                               "with N shard engines (N >= 2; results are "
-                               "digest-identical to the single-process "
-                               "default)")
+                          help="place the run's blocks (one website's flower "
+                               "each) over N worker processes (N >= 2; "
+                               "results are byte-identical to the "
+                               "one-process default)")
     run_verb.add_argument("--shard-jobs", type=int, default=None, metavar="N",
                           help="worker processes for --shards (default: CPU "
                                "affinity count; 1 runs shards inline)")
@@ -315,8 +315,7 @@ def run_run(args: argparse.Namespace, out) -> int:
     if args.check_golden:
         # Golden digests are pinned to a fixed scale and seed; --scale/--seed
         # do not apply here.  --shards passes through: the committed golden
-        # doubles as the equivalence oracle for the space-parallel shard
-        # engine.
+        # doubles as the equivalence oracle for block placement.
         argv = [args.name]
         if args.shards is not None and args.shards != 1:
             argv.extend(["--shards", str(args.shards)])

@@ -1,4 +1,4 @@
-"""Space-parallel shard planning for Flower-CDN scenarios.
+"""Flower-atomic block planning for Flower-CDN scenarios.
 
 Flower-CDN's protocol traffic is *website-local*: gossip, keepalives and
 pushes stay inside one ``(website, locality)`` content overlay, summary
@@ -9,41 +9,35 @@ between directories of the queried website.  A website's whole "flower"
 overlays) is therefore an atomic unit that never exchanges protocol
 messages with another website's flower.
 
-Sharding partitions the *queryable* websites across ``N`` shard engines.
-Each engine simulates its websites' flowers in full while registering every
-other website's directory placements as ghosts (ring nodes, latency entries
-and reserved hosts without live peers), so ring routing, bootstrap-node
-choice and client assignment are identical to the unsharded deployment.
-Because the partition is website-atomic, the cross-shard message channel is
-*empty by construction* under the supported regime — the conservative
-window barrier never has to deliver a remote event, which is what makes a
-sharded run reproduce the single-process digests exactly, independent of
-the shard count.
+A *block* is one queryable website's flower (plus a share of the
+non-queryable websites, whose directories carry no load but must tick
+somewhere): :func:`plan_blocks` cuts the catalogue into blocks, and a run
+simulates them one after another — or placed over worker processes — each
+in a complete engine that staffs its own websites' directories on the
+deployment's static D-ring, so ring routing, bootstrap-node choice and
+client assignment are identical to the undivided deployment.  Because the
+cut is website-atomic, the cross-block message channel is *empty by
+construction* under the supported regime, which is what makes a blocked run
+reproduce the monolithic documents exactly, however the blocks are grouped
+or placed.
 
-The supported regime is validated by :func:`validate_shardable`: no churn
-(churn victims are drawn from globally-ordered streams) and only
-time-driven, RNG-free fault models whose windows are pure functions of the
-clock.
+The supported regime is decided by :func:`inseparable_reason`: a flower-only
+spec whose churn and fault models each declare themselves website-separable
+(see :mod:`repro.scenarios.models`; churn victims and per-message loss draws
+come from globally-ordered streams and are not).
 
-The conservative lookahead is still derived and enforced as the window
-size: the minimum delay any cross-shard interaction *would* experience
-(one gossip/keepalive period plus the inter-locality latency floor).  Every
-shard advances window by window and emits a typed
-:class:`WindowReport`; reports and outcomes are merged in deterministic
-``(timestamp, shard, seq)`` order.
+The conservative lookahead is still derived and enforced as the stride at
+which every block advances: the minimum delay any cross-block interaction
+*would* experience (one gossip/keepalive period plus the inter-locality
+latency floor).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.scenarios.spec import ScenarioSpec
-
-#: fault models whose behaviour is a pure function of the simulation clock
-#: (no stream draws, no global victim selection) — safe to attach per shard
-SHARDABLE_FAULT_MODELS = frozenset({"none", "locality-partition"})
 
 #: window-count cap: pathologically small lookaheads (tiny gossip periods in
 #: scaled-down tests) degrade to barrier overhead without changing results
@@ -53,34 +47,44 @@ MAX_WINDOWS = 4096
 # -- validation ----------------------------------------------------------------
 
 
-def validate_shardable(spec: "ScenarioSpec") -> None:
-    """Raise ``ValueError`` unless ``spec`` fits the supported sharded regime.
+def inseparable_reason(spec: "ScenarioSpec") -> Optional[str]:
+    """Why ``spec`` must run as one monolithic system (``None``: it need not).
 
-    Sharding requires that every source of randomness is website-scoped or
-    replicated identically in every shard.  Global churn draws and
-    per-message loss draws consume globally-ordered streams, so specs using
-    them must run single-process.
+    Cutting a run into blocks requires that every source of randomness is
+    website-scoped or replicated identically in every block.  Each churn and
+    fault model answers that for itself through ``website_separable(spec)``;
+    a model that does not say (anything registered from outside) is taken to
+    draw from globally-ordered streams.
     """
+    from repro.scenarios.models import build_churn_model, build_fault_model
+
     if tuple(spec.systems) != ("flower",):
-        raise ValueError(
+        return (
             "sharded execution supports flower-only scenarios; "
             f"{spec.name!r} runs systems {tuple(spec.systems)}"
         )
-    if spec.churn.is_enabled:
-        raise ValueError(
-            "sharded execution requires a churn-free spec: churn victims are "
-            "drawn from globally-ordered streams and cannot be partitioned "
-            f"deterministically ({spec.name!r} has churn enabled)"
-        )
-    if spec.fault_model.name not in SHARDABLE_FAULT_MODELS:
-        raise ValueError(
-            f"fault model {spec.fault_model.name!r} is not shardable; "
-            f"supported models: {sorted(SHARDABLE_FAULT_MODELS)} "
-            "(time-driven models whose windows are pure functions of the clock)"
-        )
+    for kind, ref, build in (
+        ("churn", spec.churn_model, build_churn_model),
+        ("fault", spec.fault_model, build_fault_model),
+    ):
+        separable = getattr(build(ref), "website_separable", None)
+        if separable is None or not separable(spec):
+            return (
+                f"{kind} model {ref.name!r} is not website-separable for {spec.name!r}: "
+                "its victims or drops come from globally-ordered streams and cannot "
+                "be partitioned deterministically"
+            )
+    return None
 
 
-# -- shard planning ------------------------------------------------------------
+def validate_shardable(spec: "ScenarioSpec") -> None:
+    """Raise ``ValueError`` unless ``spec`` can be cut into blocks."""
+    reason = inseparable_reason(spec)
+    if reason is not None:
+        raise ValueError(reason)
+
+
+# -- block planning ------------------------------------------------------------
 
 
 def queryable_websites(spec: "ScenarioSpec") -> Tuple[str, ...]:
@@ -109,53 +113,34 @@ def queryable_websites(spec: "ScenarioSpec") -> Tuple[str, ...]:
     return tuple(names[i] for i in used)
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """A deterministic partition of the queryable websites into shards."""
+def plan_blocks(spec: "ScenarioSpec") -> Tuple[Tuple[str, ...], ...]:
+    """Cut the *whole catalogue* into one block per queryable website.
 
-    num_shards: int
-    #: per-shard website names, each in catalogue order; shards may be empty
-    #: when there are more shards than queryable websites
-    assignments: Tuple[Tuple[str, ...], ...]
-
-    @property
-    def websites(self) -> Tuple[str, ...]:
-        return tuple(name for shard in self.assignments for name in shard)
-
-
-def plan_shards(spec: "ScenarioSpec", num_shards: int) -> ShardPlan:
-    """Round-robin the *whole catalogue* over ``num_shards`` shards.
-
-    Every catalogue website is owned by exactly one shard — including the
-    non-queryable ones, whose directories carry no load but must exist
-    somewhere because reconciliation rounds republish every alive
-    directory's summary.  Queryable websites are contiguous catalogue
-    prefixes (or rotated windows), so round-robin in catalogue order also
-    balances the query load.  The assignment is a pure function of
-    ``(spec, num_shards)`` — but results do not depend on it: each
-    website's evolution is identical however the websites are grouped.
+    Every catalogue website is owned by exactly one block — including the
+    non-queryable ones, dealt round-robin over the blocks: their directories
+    carry no load but must exist somewhere because reconciliation rounds
+    republish every alive directory's summary.  The plan is a pure function
+    of ``spec`` — but results do not depend on it: each website's evolution
+    is identical however the websites are grouped.
     """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be positive, got {num_shards}")
     from repro.workload.catalog import Catalog
 
     catalog = Catalog.synthetic(spec.num_websites, spec.objects_per_website)
-    buckets: List[List[str]] = [[] for _ in range(num_shards)]
-    for index, site in enumerate(catalog.websites):
-        buckets[index % num_shards].append(site.name)
-    return ShardPlan(
-        num_shards=num_shards,
-        assignments=tuple(tuple(bucket) for bucket in buckets),
-    )
+    blocks: List[List[str]] = [[name] for name in queryable_websites(spec)]
+    queryable = {block[0] for block in blocks}
+    riders = [site.name for site in catalog.websites if site.name not in queryable]
+    for index, name in enumerate(riders):
+        blocks[index % len(blocks)].append(name)
+    return tuple(tuple(block) for block in blocks)
 
 
 # -- conservative windows ------------------------------------------------------
 
 
 def conservative_lookahead_s(spec: "ScenarioSpec") -> float:
-    """The minimum delay of any would-be cross-shard interaction.
+    """The minimum delay of any would-be cross-block interaction.
 
-    The earliest a shard could causally affect another is one background
+    The earliest a block could causally affect another is one background
     period (gossip or keepalive, whichever ticks faster) plus the
     inter-locality latency floor — no protocol message propagates faster.
     Window barriers at this stride are therefore conservative in the
@@ -190,40 +175,3 @@ def window_boundaries(duration_s: float, lookahead_s: float) -> Tuple[float, ...
         k += 1
     boundaries.append(duration_s)
     return tuple(boundaries)
-
-
-# -- typed inter-shard messages ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardMessage:
-    """Base class of everything exchanged at a window barrier.
-
-    Messages are applied in ``sort_key`` order — ``(timestamp, shard,
-    seq)`` — which makes every merge independent of arrival order.
-    """
-
-    timestamp: float
-    shard: int
-    seq: int
-
-    @property
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.timestamp, self.shard, self.seq)
-
-
-@dataclass(frozen=True)
-class WindowReport(ShardMessage):
-    """One shard's account of one closed conservative window."""
-
-    window_index: int = 0
-    window_end_s: float = 0.0
-    events_fired: int = 0
-    queries_handled: int = 0
-
-
-def merge_messages(batches: Iterable[Sequence[ShardMessage]]) -> List[ShardMessage]:
-    """Flatten per-shard message batches into deterministic apply order."""
-    merged = [message for batch in batches for message in batch]
-    merged.sort(key=lambda message: message.sort_key)
-    return merged

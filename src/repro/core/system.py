@@ -125,14 +125,17 @@ class FlowerCDN:
         catalog: Optional[Catalog] = None,
         compact_metrics: bool = False,
         owned_websites: Optional[frozenset] = None,
+        dring: Optional[DRing] = None,
     ) -> None:
         self.config = config
-        #: space-sharding support: when set, only these websites get real
-        #: directory/content peers and background processes; every other
-        #: website's directory placements are still registered as "ghosts"
-        #: (D-ring nodes, latency entries, reserved hosts) so ring routing,
-        #: bootstrap-node choice and client assignment match an unsharded
-        #: deployment exactly.  ``None`` (the default) owns everything.
+        #: block support: when set, only these websites get real directory /
+        #: content peers and background processes; every other website's
+        #: directory is still *placed* (D-ring node, latency entry, reserved
+        #: host) so ring routing, bootstrap-node choice and client assignment
+        #: match the undivided deployment exactly.  ``None`` owns everything.
+        #: ``dring`` is such a placed ring (with ``latency_model`` knowing its
+        #: peers), shared read-only by the blocks of a run instead of being
+        #: placed again: the bootstrap ring is static while no directory fails.
         self._owned_websites = (
             frozenset(owned_websites) if owned_websites is not None else None
         )
@@ -181,7 +184,9 @@ class FlowerCDN:
         self._suspicion_until: Dict[str, float] = {}
         self._suspicion_streak: Dict[str, int] = {}
         self._redirect_timeout_ms = config.redirect_timeout_ms
-        self.dring = DRing(self.keys, latency_callback=self._peer_latency, ring=substrate)
+        self.dring = dring if dring is not None else DRing(
+            self.keys, latency_callback=self._peer_latency, ring=substrate
+        )
         self.metrics = MetricsCollector(
             window_s=config.metrics_window_s, retain_records=not compact_metrics
         )
@@ -277,7 +282,8 @@ class FlowerCDN:
     def detach_reachability(self) -> Optional[ReachabilityModel]:
         """Remove the delivery gate, keeping its stats for end-of-run reports."""
         model = self.reachability
-        if model is not None:
+        if model is not None and model.emits_metrics:
+            # (A model that reports nothing is let go: it may point back here.)
             self._last_reachability = model
         self.reachability = None
         self._suspicion_until.clear()
@@ -374,16 +380,21 @@ class FlowerCDN:
         must keep pre-existing goldens byte-identical (the re-routed
         gossip-loss filter) stay invisible here.
         """
-        model = self.reachability or self._last_reachability
-        if model is None or self.delivery_stats is None or not model.emits_metrics:
+        windows = self.resilience_windows()
+        if windows is None:
             return None
         duration = duration_s if duration_s is not None else self.config.simulation_duration_s
         return summarise_resilience(
-            self.metrics.hit_ratio_series,
-            model.fault_windows(),
-            duration,
-            self.delivery_stats,
+            self.metrics.hit_ratio_series, windows, duration, self.delivery_stats
         )
+
+    def resilience_windows(self) -> Optional[Tuple[Tuple[float, float], ...]]:
+        """The fault episodes the ``resilience_*`` block is computed over
+        (``None``: no block) — a pure function of the clock."""
+        model = self.reachability or self._last_reachability
+        if model is None or self.delivery_stats is None or not model.emits_metrics:
+            return None
+        return tuple(model.fault_windows())
 
     # ------------------------------------------------------------------ bootstrap
 
@@ -394,55 +405,42 @@ class FlowerCDN:
         self._bootstrapped = True
         num_localities = self.config.num_localities
         hosts = directory_hosts(self.topology, len(self.catalog), num_localities)
+        ring, owned = self.dring.ring, self._owned_websites
+        place = not self.dring.size  # a shared ring arrives placed
         # Batch the initial joins: stabilise the D-ring once at the end instead
         # of after every single directory peer (equivalent result, much cheaper).
-        self.dring.ring.auto_stabilize = False
-        owned = self._owned_websites
+        if place:
+            ring.auto_stabilize = False
         try:
             for index, website in enumerate(self.catalog):
                 for locality in range(num_localities):
                     host_id = hosts[locality][index]
+                    self._reserved_hosts.add(host_id)
+                    if place:
+                        peer_id = f"d({website.name},{locality})#0"
+                        self.latency.register_peer(peer_id, host_id)
+                        self.dring.register_directory(website.name, locality, peer_id)
                     if owned is None or website.name in owned:
-                        self._create_directory_peer(website.name, locality, host_id)
-                    else:
-                        self._register_ghost_directory(website.name, locality, host_id)
+                        self._staff_directory(website.name, locality, host_id)
         finally:
-            self.dring.ring.auto_stabilize = True
-            self.dring.ring.stabilize()
+            if place:
+                ring.auto_stabilize = True
+                ring.stabilize()
 
-    def _register_ghost_directory(self, website: str, locality: int, host_id: int) -> None:
-        """Register a non-owned website's directory placement without a peer.
-
-        The ghost occupies exactly the ring position, latency entry and
-        reserved host the real peer would, so routing and host allocation in
-        a sharded engine are indistinguishable from the unsharded deployment;
-        it just never ticks, serves or gossips (its website's queries are
-        handled by another shard).
-        """
-        peer_id = f"d({website},{locality})#0"
-        self.latency.register_peer(peer_id, host_id)
-        self.dring.register_directory(website, locality, peer_id)
-        self._reserved_hosts.add(host_id)
-
-    def _create_directory_peer(
-        self, website: str, locality: int, host_id: int, generation: int = 0
-    ) -> DirectoryPeer:
-        peer_id = f"d({website},{locality})#{generation}"
-        self.latency.register_peer(peer_id, host_id)
-        placement = self.dring.register_directory(website, locality, peer_id)
+    def _staff_directory(self, website: str, locality: int, host_id: int) -> None:
+        """Run the generation-0 directory peer of an already placed position."""
+        placement = self.dring.placement_for(website, locality)
         directory = DirectoryPeer(
-            peer_id=peer_id,
+            peer_id=placement.peer_id,
             host_id=host_id,
             website=website,
             locality=locality,
             node_id=placement.node_id,
             config=self.config,
         )
-        self._directory_peers[peer_id] = directory
-        self._directory_by_pair[(website, locality)] = peer_id
-        self._reserved_hosts.add(host_id)
+        self._directory_peers[placement.peer_id] = directory
+        self._directory_by_pair[(website, locality)] = placement.peer_id
         self._start_directory_process(directory)
-        return directory
 
     def _start_directory_process(self, directory: DirectoryPeer) -> None:
         peer_id = directory.peer_id

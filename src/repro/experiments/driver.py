@@ -138,8 +138,9 @@ class ExperimentRunner:
         self._topology: Optional[Topology] = None
         self._trace: Optional[ResolvedTraceArrays] = None
         self._catalog: Optional[Catalog] = None
-        self._flower_system: Optional[FlowerCDN] = None
+        self._flower_system: Optional[object] = None
         self._last_replicator: Optional[ActiveReplicator] = None
+        self._ring_system: Optional[FlowerCDN] = None
 
     # -- environment construction ---------------------------------------------------
 
@@ -166,21 +167,38 @@ class ExperimentRunner:
             queue_backend=self.setup.queue_backend,
         )
 
-    def build_flower(self) -> tuple[Simulator, FlowerCDN]:
+    def block_ring(self) -> FlowerCDN:
+        """The deployment's bootstrap D-ring, placed once by a system that
+        owns no website; every block shares its ring (and starts from its peer
+        registrations) read-only — the ring is static while no directory fails."""
+        if self._ring_system is None:
+            self._ring_system = self.build_flower(frozenset())[1]
+        return self._ring_system
+
+    def build_flower(
+        self, owned_websites: Optional[frozenset] = None
+    ) -> tuple[Simulator, FlowerCDN]:
         """Construct a bootstrapped Flower-CDN system plus its simulator.
 
         Public so harnesses that need the simulator itself (e.g. the perf
         suite, which times the dispatch phase in isolation) can drive the
         replay themselves instead of going through :meth:`run_flower`.
+
+        ``owned_websites`` builds one *block* of the deployment instead: a
+        system that staffs only those websites' directories, on the shared
+        :meth:`block_ring`.
         """
+        ring = self.block_ring() if owned_websites else None
         sim = self._new_simulator()
         system = FlowerCDN(
             self.setup.flower,
             sim,
             self.topology,
-            latency_model=LatencyModel(self.topology),
+            latency_model=LatencyModel(self.topology) if ring is None else ring.latency.fork(),
             catalog=self.catalog,
             compact_metrics=self.setup.compact_metrics,
+            owned_websites=owned_websites,
+            dring=None if ring is None else ring.dring,
         )
         system.bootstrap()
         return sim, system
@@ -309,8 +327,11 @@ class ExperimentRunner:
         return RunResult.from_metrics("Squirrel", duration, system.metrics, sim.events_fired)
 
     @property
-    def last_flower_system(self) -> Optional[FlowerCDN]:
-        """The FlowerCDN instance of the most recent :meth:`run_flower` call."""
+    def last_flower_system(self):
+        """The system of the most recent flower run: the :class:`FlowerCDN`
+        itself after :meth:`run_flower`; after a run cut into blocks (see
+        :mod:`repro.sim.sharded`) a census of the whole run that holds no peer
+        (``num_content_peers``, ``num_directory_peers``, ``active_overlays()``)."""
         return self._flower_system
 
     @property

@@ -79,6 +79,64 @@ _MISS = _OUTCOMES.index(QueryOutcome.SERVER_MISS)
 _ROW_OF = attrgetter(*QueryRecord.__slots__)
 
 
+class OutcomeColumns:
+    """The outcome half of a run's query rows, one slot per trace position.
+
+    What the blocks of a run cut by website fill — each through
+    :meth:`record_row`, in place of its system's collector — and one
+    :meth:`MetricsCollector.record_trace` folds: ~25 bytes per query
+    (``providers`` only for a collector that retains records), while the
+    query half of every row stays in the trace.
+    """
+
+    __slots__ = ("outcomes", "latencies", "distances", "hops", "failures", "providers", "_next")
+
+    def __init__(self, size: int, keep_providers: bool) -> None:
+        self.outcomes = array("b", [-1]) * size  # -1: not answered (yet)
+        self.latencies = array("d", bytes(8 * size))
+        self.distances = array("d", bytes(8 * size))
+        self.hops = array("i", [0]) * size
+        self.failures = array("i", [0]) * size
+        self.providers: Optional[List[Optional[str]]] = [None] * size if keep_providers else None
+        self._next = iter(()).__next__
+
+    def begin_block(self, positions: Iterable[int]) -> None:
+        """Rows recorded from now on land at ``positions``, in that order."""
+        self._next = iter(positions).__next__
+
+    def record_row(
+        self,
+        query_id: int,
+        time: float,
+        website: str,
+        locality: int,
+        outcome: QueryOutcome,
+        lookup_latency_ms: float,
+        transfer_distance_ms: float,
+        overlay_hops: int = 0,
+        provider: Optional[str] = None,
+        redirection_failures: int = 0,
+    ) -> None:
+        """:meth:`MetricsCollector.record_row`, keeping the outcome fields only."""
+        position = self._next()
+        self.outcomes[position] = _OUTCOMES.index(outcome)
+        self.latencies[position] = lookup_latency_ms
+        self.distances[position] = transfer_distance_ms
+        self.hops[position] = overlay_hops
+        self.failures[position] = redirection_failures
+        if self.providers is not None:
+            self.providers[position] = provider
+
+    def adopt(self, packed: "OutcomeColumns", positions: Sequence[int]) -> None:
+        """Put the rows of ``packed`` (another process's blocks, in the order
+        it ran them) at ``positions``."""
+        for name in self.__slots__[:-1]:
+            mine, theirs = getattr(self, name), getattr(packed, name)
+            if mine is not None:
+                for position, value in zip(positions, theirs):
+                    mine[position] = value
+
+
 class MetricsCollector:
     """Accumulates per-query rows and derives the paper's metrics.
 
@@ -225,33 +283,44 @@ class MetricsCollector:
             for column in self._columns:
                 del column[:]
 
-    def merge_compact_from(self, other: "MetricsCollector") -> None:
-        """Fold another collector's *aggregates* into this one (compact merge).
+    def record_trace(
+        self,
+        website_names: Sequence[str],
+        query_ids: Sequence[int],
+        times: Sequence[float],
+        website_index: Sequence[int],
+        localities: Sequence[int],
+        outcomes: "OutcomeColumns",
+    ) -> None:
+        """Record a whole run at once, in trace order: the trace's query
+        columns beside the outcome columns its blocks filled.
 
-        Used by the sharded engine when records are not retained: series
-        buckets, histogram bins, outcome counts and the folded scalars all
-        add exactly (integer counts, integer-valued or identical floats).
-        Retained-mode merging instead replays the concatenated records into
-        a fresh collector (``record_all``), which reproduces single-process
-        output bitwise.
+        Row for row the :meth:`record_row` calls of one system that answered
+        the trace undivided, so every aggregate — and :attr:`records` — comes
+        out the same to the bit however the run was cut.  Needs a fresh
+        collector: the website codes become the trace's own indices.
         """
-        if self._retain:
-            raise RuntimeError(
-                "merge_compact_from() needs a compact collector; replay "
-                "other.records through record_all() to merge retained ones"
+        if self.num_queries:
+            raise RuntimeError("record_trace() needs a fresh collector")
+        if len(outcomes.outcomes) != len(times) or outcomes.outcomes.count(-1):
+            raise RuntimeError("a block left queries of its trace unanswered")
+        self._website_codes = {name: code for code, name in enumerate(website_names)}
+        providers = outcomes.providers
+        for low in range(0, len(times), PENDING_FLUSH_THRESHOLD):
+            high = min(low + PENDING_FLUSH_THRESHOLD, len(times))
+            chunk = (
+                query_ids[low:high], times[low:high], website_index[low:high],
+                localities[low:high], outcomes.outcomes[low:high],
+                outcomes.latencies[low:high], outcomes.distances[low:high],
+                outcomes.hops[low:high],
+                [None] * (high - low) if providers is None else providers[low:high],
+                outcomes.failures[low:high],
             )
-        self._fold()
-        other._fold()
-        self._hit_series.merge_from(other._hit_series)
-        self._latency_series.merge_from(other._latency_series)
-        self._distance_series.merge_from(other._distance_series)
-        self._latency_histogram.merge_from(other._latency_histogram)
-        self._distance_histogram.merge_from(other._distance_histogram)
-        for code, count in enumerate(other._outcome_counts):
-            self._outcome_counts[code] += count
-        self._folded_count += other._folded_count
-        self._folded_hops += other._folded_hops
-        self._folded_failures += other._folded_failures
+            for column, rows in zip(self._columns, chunk):
+                # (array.extend wants its own typecode; anything else iterates)
+                same = getattr(rows, "typecode", None) == getattr(column, "typecode", None)
+                column.extend(rows if same else iter(rows))
+            self._fold()
 
     # -- aggregates ---------------------------------------------------------------
 

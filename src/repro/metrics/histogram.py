@@ -71,22 +71,6 @@ class Histogram:
         if self._max is None or high > self._max:
             self._max = high
 
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold another histogram's counts into this one (same binning)."""
-        if (
-            other._bin_width != self._bin_width
-            or other._num_bins != self._num_bins
-        ):
-            raise ValueError("histogram binning mismatch")
-        for index, count in enumerate(other._counts):
-            self._counts[index] += count
-        self._total += other._total
-        self._sum += other._sum
-        if other._min is not None and (self._min is None or other._min < self._min):
-            self._min = other._min
-        if other._max is not None and (self._max is None or other._max > self._max):
-            self._max = other._max
-
     # -- aggregates ---------------------------------------------------------------
 
     @property

@@ -61,6 +61,12 @@ class LatencyModel:
             raise ValueError(f"host_id {host_id} outside topology of {self._topology.num_hosts}")
         self._peer_hosts[peer_id] = host_id
 
+    def fork(self) -> "LatencyModel":
+        """A model that starts from this one's registrations and shares none after."""
+        twin = LatencyModel(self._topology, ServerPlacement(self._server_latency_ms))
+        twin._peer_hosts = dict(self._peer_hosts)
+        return twin
+
     def unregister_peer(self, peer_id: str) -> None:
         self._peer_hosts.pop(peer_id, None)
 

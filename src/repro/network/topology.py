@@ -299,6 +299,12 @@ class Topology:
             "backend": backend,
         }
 
+    def drop_latency_memo(self) -> None:
+        """Forget the "lru" backend's memoised pairs (they recompute to the same
+        values; counters stay).  The dense table is preallocated and stays."""
+        if self._latency_cache is not None:
+            self._latency_cache.clear()
+
     def latency_cache_nbytes(self) -> int:
         """Approximate bytes held by the latency memo (diagnostic)."""
         if self._latency_dense is not None:

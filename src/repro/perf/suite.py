@@ -294,11 +294,14 @@ def bench_paper_scale(
 ) -> Dict[str, float]:
     """One end-to-end paper-scale run with wall-clock and memory accounting.
 
-    Runs the scenario exactly as ``repro scenarios run`` would (the spec pins
-    the calendar backend and compact metrics), split into the trace/dispatch
-    phases, and reports peak RSS.  A single repetition: at minutes per run,
-    best-of-N is not worth the wall clock — the nightly job tracks the trend
-    instead.
+    Runs the scenario exactly as ``repro scenarios run`` would —
+    ``Session.run()``: one website's flower at a time over one environment
+    (the spec pins the calendar backend and compact metrics) — and reports
+    peak RSS plus the run's own per-block account (its census):
+    ``dispatch_s`` is the blocks' ``sim.run`` time, ``block_fixed_ms`` what
+    each block cost beyond its own, ``ring_build_ms`` the static D-ring they
+    share.  A single repetition: at minutes per run, best-of-N is not worth
+    the wall clock — the nightly job tracks the trend instead.
 
     ``isolate=True`` runs the benchmark in a fresh child process (see
     :func:`_run_isolated`).
@@ -307,53 +310,74 @@ def bench_paper_scale(
         result = _run_isolated(f"bench_paper_scale({name!r})")
         if result is not None:
             return result
-    spec = get_scenario(name)
     session = Session.from_name(name)
     total_start = time.perf_counter()
     trace = session.resolved_trace()
     trace_elapsed = time.perf_counter() - total_start
-    sim, system = session.build_flower()
-    dispatch_start = time.perf_counter()
-    sim.schedule_trace(trace.times, trace.replayer(system.process_query), label="query")
-    sim.run(until=spec.duration_s)
-    dispatch_elapsed = time.perf_counter() - dispatch_start
-    hit_ratio = system.metrics.hit_ratio
-    system.bandwidth.average_bps_per_peer(spec.duration_s)
+    session.experiment.block_ring()  # (run() would place it; here it is timed on its own)
+    ring_elapsed = time.perf_counter() - total_start - trace_elapsed
+    result = session.run()
     total_elapsed = time.perf_counter() - total_start
+    run, census = result.flower.run, session.experiment.last_flower_system
+    dispatch_elapsed = census.dispatch_s
     info = session.experiment.topology.latency_cache_info()
     return {
         "scenario": name,
-        "events_per_s": sim.events_fired / dispatch_elapsed,
-        "queries_per_s": system.metrics.num_queries / dispatch_elapsed,
+        "events_per_s": run.events_fired / dispatch_elapsed,
+        "queries_per_s": run.num_queries / dispatch_elapsed,
         "trace_s": trace_elapsed,
         "dispatch_s": dispatch_elapsed,
         "wall_s": total_elapsed,
-        "events_fired": sim.events_fired,
-        "num_queries": system.metrics.num_queries,
-        "num_content_peers": system.num_content_peers,
-        "hit_ratio": hit_ratio,
+        "blocks": len(census.fixed_s),
+        "block_fixed_ms": [round(fixed_s * 1e3, 2) for fixed_s in census.fixed_s],
+        "ring_build_ms": ring_elapsed * 1e3,
+        "events_fired": run.events_fired,
+        "num_queries": run.num_queries,
+        "num_content_peers": census.num_content_peers,
+        "hit_ratio": run.hit_ratio,
         "peak_rss_mb": _peak_rss_mb(),
         "trace_nbytes": trace.nbytes,
         "latency_cache_backend": info["backend"],
-        "latency_cache_size": info["size"],
+        "latency_cache_misses": info["misses"],
+    }
+
+
+def bench_paper_scale_monolithic(
+    name: str = PAPER_SCALE_SCENARIO, isolate: bool = False
+) -> Dict[str, float]:
+    """The same run with every flower interleaved in one system, driven by
+    hand (:func:`bench_scenario`) — how ``paper_scale`` was measured before
+    runs were cut into blocks.  Recorded beside it (``monolithic_*``) so the
+    trajectory stays comparable.
+    """
+    if isolate:
+        result = _run_isolated(f"bench_paper_scale_monolithic({name!r})")
+        if result is not None:
+            return result
+    result = bench_scenario(name, repeats=1)
+    return {
+        "events_per_s": result["events_per_s"],
+        "wall_s": result["wall_s"],
+        "peak_rss_mb": _peak_rss_mb(),
     }
 
 
 def bench_paper_scale_sharded(
     name: str = PAPER_SCALE_SCENARIO, shards: int = 8, isolate: bool = False
 ) -> Dict[str, float]:
-    """One end-to-end paper-scale run through the space-parallel shard engine.
+    """One end-to-end paper-scale run with its blocks placed over ``shards``
+    worker processes (each holds one flower at a time).
 
     Reports two throughput numbers side by side:
 
     * ``events_per_s_wall`` — total events over the honest wall clock of the
-      whole sharded run (fan-out, per-shard setup, windowed dispatch, merge)
-      on *this* machine.  On a single-core container the shards time-slice
-      one CPU, so this is roughly the single-process rate minus overhead.
-    * ``events_per_s_critical_path`` — total events over the slowest shard's
+      whole placed run (environment, fork, per-worker blocks, fold) on *this*
+      machine.  On a single-core container the workers time-slice one CPU,
+      so this is roughly the single-process rate minus overhead.
+    * ``events_per_s_critical_path`` — total events over the slowest worker's
       dispatch time (:attr:`ShardRunStats.critical_path_s`).  This is the
-      lockstep-parallel bound: the rate an ``N``-core machine approaches
-      when every shard engine runs on its own core.
+      parallel bound: the rate an ``N``-core machine approaches when every
+      worker runs on its own core.
 
     ``cpu_affinity`` records how many CPUs the process was actually allowed
     to use so readers can tell which of the two numbers the hardware could
@@ -508,7 +532,7 @@ def run_suite(
     ``memory`` adds the tracemalloc section; ``paper_scale`` additionally runs
     the full Table 1 scenario end to end (minutes — the nightly job's tier).
     ``shards >= 2`` (with ``paper_scale``) additionally runs the same scenario
-    through the space-parallel shard engine and records the
+    with its blocks placed over that many worker processes and records the
     ``paper_scale_sharded`` section.
     """
     if quick:
@@ -557,6 +581,10 @@ def run_suite(
         # Isolated in a child process so peak_rss_mb reflects the paper-scale
         # run alone, not whatever suite section peaked earlier.
         document["paper_scale"] = bench_paper_scale(isolate=True)
+        document["paper_scale"].update(
+            (f"monolithic_{key}", value)
+            for key, value in bench_paper_scale_monolithic(isolate=True).items()
+        )
         if shards >= 2:
             document["paper_scale_sharded"] = bench_paper_scale_sharded(
                 shards=shards, isolate=True

@@ -130,8 +130,8 @@ def golden_spec(name: str) -> ScenarioSpec:
 def compute_golden_digest(name: str, shards: int = 1) -> Dict[str, object]:
     """Run ``name`` at golden scale/seed and return the digest to commit.
 
-    ``shards >= 2`` runs the space-parallel shard engine, which is
-    digest-identical to the single-process path — the sharded-equivalence
+    ``shards >= 2`` places the run's blocks over that many worker processes,
+    which is byte-identical to the one-process run — the sharded-equivalence
     gate compares it against the very same committed goldens.
     """
     result = run_scenario(golden_spec(name), seed=GOLDEN_SEED, shards=shards)
@@ -352,8 +352,8 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
                              "minutes per scenario and runs nightly)")
     parser.add_argument("--golden-dir", type=Path, default=None)
     parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="run through the space-parallel shard engine "
-                             "with N shards; the digest must still match the "
+                        help="place the run's blocks over N worker "
+                             "processes; the digest must still match the "
                              "committed golden byte for byte (the "
                              "sharded-equivalence gate).  Only shardable "
                              "scenarios qualify — see repro.core.sharding.")

@@ -406,11 +406,11 @@ PAPER_DEFAULT_FULL_SCALE = register_scenario(
 
 
 #: Table 1 at 10x population: 50000 hosts, 1000 websites (60 active) and a
-#: ~5.2M-query, 24-hour trace.  The flagship target of the space-parallel
-#: shard engine (``--shards N`` splits the websites over N shard engines with
-#: conservative window barriers; see docs/performance.md) — the committed
-#: golden is produced by the historical single-process path, which every
-#: sharded run reproduces digest-identically.  Nightly paper-scale tier;
+#: ~5.2M-query, 24-hour trace.  The flagship target of one-flower-at-a-time
+#: execution (60 blocks; ``--shards N`` places them over N worker processes;
+#: see docs/performance.md) — the committed golden was produced by the
+#: monolithic single-system path, which every blocked run reproduces byte
+#: for byte.  Nightly paper-scale tier;
 #: duration stays the genuine 24 h (only the population is scaled).
 PAPER_DEFAULT_SCALE10 = register_scenario(
     ScenarioSpec(

@@ -23,6 +23,12 @@ Returning ``None`` means "this model injects nothing for this spec" — the
 run then carries zero scheduling or random-stream overhead, which is what
 keeps pre-program goldens byte-identical.
 
+A model may also define ``website_separable(self, spec) -> bool``: ``True``
+promises that attaching it to each website's flower on its own (one *block*
+of :mod:`repro.core.sharding` at a time) reproduces the undivided run — no
+draw from a stream shared across websites, no victim picked from a global
+list.  A model without the method runs monolithically, always.
+
 Registering a custom model (e.g. from a test or a plugin)::
 
     from repro.scenarios.models import register_fault_model
@@ -31,9 +37,7 @@ Registering a custom model (e.g. from a test or a plugin)::
     class MyOutage:
         def __init__(self, at_s=600.0):
             self.at_s = at_s
-        def attach(
-        self, system: "FlowerCDN", spec: "ScenarioSpec"
-    ) -> Optional[Injector]:
+        def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
             ...
 """
 
@@ -59,7 +63,6 @@ from repro.network.reachability import (
 )
 from repro.sim.process import PeriodicProcess
 
-#: default model names (the behaviour of pre-registry specs)
 class Injector(Protocol):
     """What ``attach`` returns when a model has work to do: a start/stop
     handle the session drives over the run's lifetime."""
@@ -74,6 +77,7 @@ class Injector(Protocol):
 ModelFactory = Callable[..., object]
 
 
+#: default model names (the behaviour of pre-registry specs)
 DEFAULT_CHURN_MODEL = "poisson"
 DEFAULT_FAULT_MODEL = "none"
 
@@ -200,10 +204,11 @@ def _build(registry: Dict[str, ModelFactory], kind: str, ref: ModelRef) -> objec
 class NoChurn:
     """Churn disabled regardless of the spec's churn profile."""
 
-    def attach(
-        self, system: "FlowerCDN", spec: "ScenarioSpec"
-    ) -> Optional[Injector]:
+    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
         return None
+
+    def website_separable(self, spec: "ScenarioSpec") -> bool:
+        return True
 
 
 @register_churn_model("poisson")
@@ -221,9 +226,7 @@ class PoissonChurn:
             raise ValueError("tick_period_s must be positive or None")
         self.tick_period_s = tick_period_s
 
-    def attach(
-        self, system: "FlowerCDN", spec: "ScenarioSpec"
-    ) -> Optional[Injector]:
+    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
         config = spec.churn.to_config()
         if config is None:
             return None
@@ -233,13 +236,14 @@ class PoissonChurn:
             config = replace(config, tick_period_s=self.tick_period_s)
         return ChurnInjector(system, config)
 
+    def website_separable(self, spec: "ScenarioSpec") -> bool:
+        return not spec.churn.is_enabled  # an idle profile attaches nothing
+
 
 class BurstChurnInjector:
     """Periodic bursts of simultaneous content-peer failures."""
 
-    def __init__(
-        self, system: "FlowerCDN", period_s: float, burst_size: int
-    ) -> None:
+    def __init__(self, system: "FlowerCDN", period_s: float, burst_size: int) -> None:
         self._system = system
         self._period_s = period_s
         self._burst_size = burst_size
@@ -294,9 +298,7 @@ class BurstChurn:
         self.period_s = period_s
         self.burst_size = burst_size
 
-    def attach(
-        self, system: "FlowerCDN", spec: "ScenarioSpec"
-    ) -> Optional[Injector]:
+    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
         return BurstChurnInjector(system, self.period_s, self.burst_size)
 
 
@@ -307,10 +309,11 @@ class BurstChurn:
 class NoFaults:
     """No scheduled disturbance events (the default)."""
 
-    def attach(
-        self, system: "FlowerCDN", spec: "ScenarioSpec"
-    ) -> Optional[Injector]:
+    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
         return None
+
+    def website_separable(self, spec: "ScenarioSpec") -> bool:
+        return True
 
 
 @dataclass
@@ -430,9 +433,7 @@ class GossipLoss:
             raise ValueError("drop_probability must be in [0, 1]")
         self.drop_probability = drop_probability
 
-    def attach(
-        self, system: "FlowerCDN", spec: "ScenarioSpec"
-    ) -> Optional[Injector]:
+    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
         if self.drop_probability == 0.0:
             # No loss means no filter and no stream draws: the run stays
             # byte-identical to the "none" fault model.
@@ -471,18 +472,18 @@ class CorrelatedLocalityFaults:
         self.include_directories = include_directories
         self.repeat_every_s = repeat_every_s
 
-    def attach(
-        self, system: "FlowerCDN", spec: "ScenarioSpec"
-    ) -> Optional[Injector]:
-        duration = system.config.simulation_duration_s
-        injector = ScheduledFaultInjector(
+    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
+        # The callback writes the log it is handed, not ``injector.log``: a
+        # closure over the injector would be a cycle that keeps the whole
+        # system out of reach of reference counting after the run.
+        log: List[ChurnLogEntry] = []
+        return ScheduledFaultInjector(
             system=system,
-            at_s=self.at_fraction * duration,
-            fire=lambda: None,
+            at_s=self.at_fraction * system.config.simulation_duration_s,
+            fire=lambda: self._fire(system, log),
             repeat_every_s=self.repeat_every_s,
+            log=log,
         )
-        injector.fire = lambda: self._fire(system, injector.log)
-        return injector
 
     def _fire(self, system: "FlowerCDN", log: List[ChurnLogEntry]) -> None:
         sim = system.sim
@@ -601,9 +602,7 @@ class LocalityPartitionFault:
         self.asymmetric = asymmetric
         self.reconcile_on_heal = reconcile_on_heal
 
-    def attach(
-        self, system: "FlowerCDN", spec: "ScenarioSpec"
-    ) -> Optional[Injector]:
+    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
         duration = system.config.simulation_duration_s
         start = self.at_fraction * duration
         end = min(duration, start + self.duration_fraction * duration)
@@ -617,6 +616,9 @@ class LocalityPartitionFault:
         return ReachabilityInjector(
             system, model, reconcile_at=reconcile_at, localities=self.localities
         )
+
+    def website_separable(self, spec: "ScenarioSpec") -> bool:
+        return True  # windows and the partition test are pure functions of the clock
 
 
 @register_fault_model("link-loss")
@@ -642,9 +644,7 @@ class LinkLossFault:
         self.drop_probability = drop_probability
         self.kinds = kinds
 
-    def attach(
-        self, system: "FlowerCDN", spec: "ScenarioSpec"
-    ) -> Optional[Injector]:
+    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
         if self.drop_probability == 0.0:
             # No loss means no gate and no stream draws: the run stays
             # byte-identical to the "none" fault model.
@@ -690,9 +690,7 @@ class CascadingDirectoryFailures:
         self.locality = locality
         self.reconcile_on_heal = reconcile_on_heal
 
-    def attach(
-        self, system: "FlowerCDN", spec: "ScenarioSpec"
-    ) -> Optional[Injector]:
+    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
         duration = system.config.simulation_duration_s
         start = self.start_fraction * duration
         interval = self.interval_fraction * duration

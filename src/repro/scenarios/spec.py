@@ -160,11 +160,11 @@ class ScenarioSpec:
     #: fold metrics into compact array reservoirs instead of retaining
     #: per-query records (the paper-scale memory mode)
     compact_metrics: bool = False
-    #: space-parallel shard count: 1 (the default) runs the historical
-    #: single-process path; N >= 2 partitions the queryable websites over N
-    #: shard engines advanced in conservative windows (flower-only,
-    #: churn-free specs with time-driven fault models — see
-    #: repro.core.sharding and docs/performance.md)
+    #: over how many worker processes the run's blocks (one website's flower
+    #: each) are placed: 1 (the default) runs them one after another in this
+    #: process; N >= 2 needs a separable spec (flower-only, website-separable
+    #: churn and fault models — see repro.core.sharding and
+    #: docs/performance.md).  Results do not depend on it.
     shards: int = 1
 
     def __post_init__(self) -> None:

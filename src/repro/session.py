@@ -35,10 +35,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.sharding import inseparable_reason
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup, RunResult
 from repro.scenarios.models import build_churn_model, build_fault_model
 from repro.scenarios.runner import ScenarioResult, summarise_system
 from repro.scenarios.spec import ScenarioSpec
+from repro.sim.sharded import run_blocked_flower
 
 __all__ = ["Session"]
 
@@ -55,26 +57,29 @@ class Session:
     ) -> None:
         self.spec = spec
         self.seed = spec.seed if seed is None else seed
-        #: space-parallel shard count (overrides the spec's ``shards`` field
-        #: when given).  1 runs the historical single-process path; N >= 2
-        #: routes flower runs through repro.sim.sharded — digest-identical to
-        #: single-process, so results carry no trace of the shard count.
+        #: over how many worker processes a separable spec's blocks are placed
+        #: (overrides the spec's ``shards`` field when given; 1: this process).
+        #: A separable flower run executes one website's flower at a time
+        #: (repro.sim.sharded) wherever its blocks are placed — byte-identical
+        #: to the monolithic run, so results carry no trace of the shard count;
+        #: any other spec runs as one monolithic system and refuses shards > 1.
         self.shards = spec.shards if shards is None else shards
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.shards > 1:
-            from repro.core.sharding import validate_shardable
-
-            validate_shardable(spec)
-        #: worker-pool size for sharded runs (None: the CPU-affinity default;
-        #: 1 runs every shard inline — identical results either way)
+        self._inseparable = inseparable_reason(spec)
+        if self.shards > 1 and self._inseparable is not None:
+            raise ValueError(self._inseparable)
+        #: worker-pool size for placed runs (None: the CPU-affinity default;
+        #: 1 runs every placement inline — identical results either way)
         self.shard_jobs = shard_jobs
-        #: per-shard statistics of the most recent sharded flower run
+        #: per-worker statistics of the most recent flower run placed over
+        #: more than one shard (None after a one-process run)
         self.last_shard_stats = None
         self._experiment = ExperimentRunner(spec.to_setup(seed=self.seed))
         self._churn_model = build_churn_model(spec.churn_model)
         self._fault_model = build_fault_model(spec.fault_model)
-        #: injectors attached to the most recent flower run (diagnostics)
+        #: injectors attached to the most recent monolithic flower run
+        #: (diagnostics; a block's injectors go with the block)
         self.last_injectors: List[object] = []
 
     # -- construction -------------------------------------------------------
@@ -162,16 +167,10 @@ class Session:
     def run_system(self, system: str) -> RunResult:
         """Run one of the spec's systems over the shared trace."""
         if system == "flower":
-            if self.shards > 1:
-                from repro.sim.sharded import run_sharded_flower
-
-                result, stats = run_sharded_flower(
-                    self.spec,
-                    seed=self.seed,
-                    shards=self.shards,
-                    jobs=self.shard_jobs,
+            if self._inseparable is None:
+                result, self.last_shard_stats = run_blocked_flower(
+                    self._experiment, self.spec, shards=self.shards, jobs=self.shard_jobs
                 )
-                self.last_shard_stats = stats
                 return result
             return self._experiment.run_flower(attachments=(self.attach_models,))
         if system == "squirrel":

@@ -1,30 +1,32 @@
-"""Sharded space-parallel execution of Flower-CDN scenarios.
+"""One flower at a time: website-blocked execution of Flower-CDN scenarios.
 
-One scenario run is split into ``N`` shard engines, each a complete
+A separable run (see :func:`repro.core.sharding.inseparable_reason`) is cut
+into *blocks* — one queryable website's flower each, see
+:func:`repro.core.sharding.plan_blocks` for why the cut makes the
+cross-block message channel empty.  The environment (topology, catalogue,
+resolved trace, the static bootstrap D-ring) is built once; the trace is
+partitioned by website in one pass; then each block is a complete
 :class:`~repro.sim.engine.Simulator` + :class:`~repro.core.system.FlowerCDN`
-owning a website-atomic slice of the workload (see
-:mod:`repro.core.sharding` for why the partition makes the cross-shard
-message channel empty, and therefore the merged outputs exactly equal to a
-single-process run).  Shards fan out over the shared
-:func:`repro.scenarios.parallel.map_tasks` pool; each advances through the
-conservative window barriers derived from the spec's lookahead and reports
-a typed :class:`~repro.core.sharding.WindowReport` per window.
+that answers its own rows of the trace to the horizon, leaves what it
+produced in a :class:`BlockTally` and is dropped before the next one is
+built.  The live state of a run is therefore one flower, not all of them —
+which is what keeps a paper-scale run inside the cache and the collector's
+full passes short.
 
-Merging is exact, not approximate:
+``shards=N`` only *places* the same blocks over ``N`` worker processes
+(:func:`repro.scenarios.parallel.map_tasks`), each running its blocks one at
+a time with the same block runner; forked workers inherit the parent's
+environment instead of rebuilding it.
 
-* retained-records mode concatenates the per-shard query records, sorts
-  them by ``(time, query_id)`` (the single-process dispatch order) and
-  replays them into a fresh collector — bitwise-identical series,
-  histograms and counts;
-* compact mode (paper scale) folds the per-shard reservoirs bucket-wise —
-  integer counts and integer-valued byte totals add exactly;
-* bandwidth, delivery-gate and resilience blocks merge by the rules in
-  their classes (sums, min-first-seen, max reconciliation rounds, then a
-  recompute of the resilience summary over the merged series).
-
-``shards=1`` never reaches this module: the session runs the plain
-single-process path, which the shard-count-independence tests then compare
-against.
+Merging is one fold in trace order: every block writes its outcome rows into
+:class:`~repro.metrics.collectors.OutcomeColumns` at its queries' trace
+positions, and a single collector records trace and outcomes side by side
+(:meth:`~repro.metrics.collectors.MetricsCollector.record_trace`) — the very
+rows, in the very order, of the monolithic run, so ``result.json`` and
+``digest.json`` are byte-identical to it whatever the block plan, the
+placement or the metrics mode.  Bandwidth, delivery-gate and resilience
+blocks merge by the rules in their classes (exact sums, min-first-seen, then
+a recompute of the resilience summary over the merged series).
 """
 
 from __future__ import annotations
@@ -33,63 +35,28 @@ from __future__ import annotations
 # never feed simulated time or draws, hence the DET002 suppressions.
 import time as _time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.scenarios.spec import ScenarioSpec
 
-from repro.core.sharding import (
-    ShardPlan,
-    WindowReport,
-    conservative_lookahead_s,
-    plan_shards,
-    validate_shardable,
-    window_boundaries,
-)
-from repro.core.system import FlowerCDN
+from repro.core.sharding import conservative_lookahead_s, plan_blocks, window_boundaries
+from repro.core.system import OverlayStats
 from repro.experiments.driver import ExperimentRunner, RunResult, flatten_injectors
-from repro.metrics.collectors import BandwidthAccountant, MetricsCollector
+from repro.metrics.collectors import BandwidthAccountant, MetricsCollector, OutcomeColumns
 from repro.metrics.resilience import summarise_resilience
-from repro.network.latency import LatencyModel
 from repro.network.reachability import DeliveryStats
 from repro.scenarios.models import build_churn_model, build_fault_model
-from repro.sim.engine import Simulator
-from repro.workload.trace import ResolvedTraceArrays
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """Everything one worker needs to run one shard (picklable)."""
-
-    spec: object  # ScenarioSpec (kept duck-typed to avoid an import cycle)
-    seed: int
-    shard_index: int
-    num_shards: int
-    websites: Tuple[str, ...]
-
-
-@dataclass
-class ShardOutcome:
-    """One shard's complete result, shipped back for the barrier merge."""
-
-    shard_index: int
-    websites: Tuple[str, ...]
-    events_fired: int
-    num_queries: int
-    setup_s: float
-    dispatch_s: float
-    reports: Tuple[WindowReport, ...]
-    metrics: MetricsCollector
-    bandwidth: BandwidthAccountant
-    delivery_stats: Optional[DeliveryStats]
-    fault_windows: Tuple[Tuple[float, float], ...]
-    emits_resilience: bool
 
 
 @dataclass(frozen=True)
 class ShardRunStats:
-    """Coordinator-side accounting of one sharded run (perf reporting)."""
+    """Coordinator-side accounting of one placed run (perf reporting).
+
+    One entry per worker process — a *shard* of the block list — in every
+    per-shard tuple.
+    """
 
     num_shards: int
     lookahead_s: float
@@ -110,240 +77,245 @@ class ShardRunStats:
         return max(self.dispatch_s_per_shard) if self.dispatch_s_per_shard else 0.0
 
 
-# -- per-shard worker ----------------------------------------------------------
-
-
-def _filter_trace(trace: ResolvedTraceArrays, websites: frozenset) -> ResolvedTraceArrays:
-    """The sub-trace of queries targeting ``websites`` (columns copied).
-
-    Every worker rebuilds the *full* resolved trace from ``(spec, seed)``
-    (bit-identical across processes) and keeps only its own websites'
-    queries; query ids, times and client assignments are untouched, so the
-    union of all shards' sub-traces is exactly the original trace.
+@dataclass
+class BlockTally:
+    """What finished blocks leave behind: of one block, of one process's
+    blocks, of the whole run — which is the run's *census*
+    (:attr:`ExperimentRunner.last_flower_system`): it answers for every
+    flower of the deployment and holds no peer of any.
     """
-    wanted = {
-        index
-        for index, website in enumerate(trace.websites)
-        if website.name in websites
-    }
-    keep = [i for i, w in enumerate(trace.website_index) if w in wanted]
 
-    def take(column: array) -> array:
-        return array(column.typecode, [column[i] for i in keep])
+    bandwidth: BandwidthAccountant
+    delivery_stats: Optional[DeliveryStats] = None
+    #: episodes of the metric-emitting fault model (a pure function of the
+    #: clock, identical in every block); None: no resilience block
+    fault_windows: Optional[Tuple[Tuple[float, float], ...]] = None
+    num_content_peers: int = 0
+    num_directory_peers: int = 0
+    overlays: List[OverlayStats] = field(default_factory=list)
+    events_fired: int = 0
+    num_queries: int = 0
+    dispatch_s: float = 0.0
+    #: per block, what it cost beyond its own ``sim.run``: build, bootstrap,
+    #: attach, gathering its query times, tearing its state down
+    fixed_s: List[float] = field(default_factory=list)
 
-    return ResolvedTraceArrays(
-        websites=trace.websites,
-        query_id=take(trace.query_id),
-        times=take(trace.times),
-        website_index=take(trace.website_index),
-        object_rank=take(trace.object_rank),
-        locality=take(trace.locality),
-        client_host=take(trace.client_host),
-        is_new=take(trace.is_new),
-    )
+    def absorb(self, other: "BlockTally") -> None:
+        self.bandwidth.merge_from(other.bandwidth)
+        if other.delivery_stats is not None:
+            if self.delivery_stats is None:
+                self.delivery_stats = DeliveryStats()
+            self.delivery_stats.merge_from(other.delivery_stats)
+        if other.fault_windows is not None:
+            self.fault_windows = other.fault_windows
+        self.num_content_peers += other.num_content_peers
+        self.num_directory_peers += other.num_directory_peers
+        self.overlays += other.overlays
+        self.events_fired += other.events_fired
+        self.num_queries += other.num_queries
+        self.dispatch_s += other.dispatch_s
+        self.fixed_s += other.fixed_s
+
+    def active_overlays(self) -> List[OverlayStats]:
+        return sorted(self.overlays, key=lambda stats: (stats.website, stats.locality))
 
 
-def _run_shard(task: ShardTask) -> ShardOutcome:
-    """Run one shard start to finish, advancing in conservative windows."""
-    spec = task.spec
-    setup = spec.to_setup(task.seed)
-    duration = setup.flower.simulation_duration_s
+class BlockedRun:
+    """One separable flower run, cut into blocks over its shared environment."""
 
-    setup_started = _time.perf_counter()  # repro: allow(DET002)
-    runner = ExperimentRunner(setup)
-    trace = runner.resolved_trace()
-    sub_trace = _filter_trace(trace, frozenset(task.websites))
+    def __init__(self, runner: ExperimentRunner, spec: "ScenarioSpec") -> None:
+        self.runner = runner
+        self.spec = spec
+        self.models = (build_churn_model(spec.churn_model), build_fault_model(spec.fault_model))
+        self.blocks = plan_blocks(spec)
+        self.lookahead_s = conservative_lookahead_s(spec)
+        self.boundaries = window_boundaries(spec.duration_s, self.lookahead_s)
+        # The one pass that partitions the trace: each block's row positions.
+        trace = runner.resolved_trace()
+        block_of_name = {name: index for index, block in enumerate(self.blocks) for name in block}
+        block_of = [block_of_name[website.name] for website in trace.websites]
+        self.positions = [array("I") for _ in self.blocks]
+        appends = [positions.append for positions in self.positions]
+        for position, website in enumerate(trace.website_index):
+            appends[block_of[website]](position)
+        runner.block_ring()  # placed before any fork: workers inherit it with the rest
 
-    sim = Simulator(
-        seed=setup.seed, end_time=duration, queue_backend=setup.queue_backend
-    )
-    system = FlowerCDN(
-        setup.flower,
-        sim,
-        runner.topology,
-        latency_model=LatencyModel(runner.topology),
-        catalog=runner.catalog,
-        compact_metrics=setup.compact_metrics,
-        owned_websites=frozenset(task.websites),
-    )
-    system.bootstrap()
-
-    # Attach the spec's churn/fault models exactly like Session.attach_models
-    # does on the single-process path.  validate_shardable() has already
-    # guaranteed the churn profile is idle and the fault model time-driven,
-    # so per-shard attachment reproduces the union run.
-    injectors = flatten_injectors(
-        (
-            build_churn_model(spec.churn_model).attach(system, spec),
-            build_fault_model(spec.fault_model).attach(system, spec),
+    def run_block(self, index: int, rows: OutcomeColumns, slots: Sequence[int]) -> BlockTally:
+        """Simulate block ``index`` to the horizon, writing its outcome rows
+        into ``rows`` at ``slots``; the block's system is dropped on return."""
+        trace, positions = self.runner.resolved_trace(), self.positions[index]
+        sim, system = self.runner.build_flower(owned_websites=frozenset(self.blocks[index]))
+        placements = system.dring.placements()
+        rows.begin_block(slots)
+        # In place of the system's own collector: the run has one, at the fold.
+        system.metrics = rows  # type: ignore[assignment]
+        # The spec's churn/fault models attach exactly as they do to the
+        # monolithic system (inseparable_reason() has established that doing
+        # so block by block reproduces the union run); what they inject lives
+        # and dies with the block, on no session's record.
+        injectors = flatten_injectors(model.attach(system, self.spec) for model in self.models)
+        for injector in injectors:
+            injector.start()
+        sim.schedule_trace(
+            map(trace.times.__getitem__, positions),  # (the engine packs them)
+            trace.replayer(system.process_query, positions),
+            label="query",
         )
-    )
-    for injector in injectors:
-        injector.start()
-
-    sim.schedule_trace(
-        sub_trace.times, sub_trace.replayer(system.process_query), label="query"
-    )
-    setup_s = _time.perf_counter() - setup_started  # repro: allow(DET002)
-
-    lookahead = conservative_lookahead_s(spec)
-    boundaries = window_boundaries(duration, lookahead)
-    reports: List[WindowReport] = []
-    dispatch_started = _time.perf_counter()  # repro: allow(DET002)
-    for window_index, boundary in enumerate(boundaries):
-        sim.run(until=boundary)
-        reports.append(
-            WindowReport(
-                timestamp=boundary,
-                shard=task.shard_index,
-                seq=window_index,
-                window_index=window_index,
-                window_end_s=boundary,
-                events_fired=sim.events_fired,
-                queries_handled=system.metrics.num_queries,
+        dispatch_started = _time.perf_counter()  # repro: allow(DET002)
+        for boundary in self.boundaries:
+            sim.run(until=boundary)
+        dispatch_s = _time.perf_counter() - dispatch_started  # repro: allow(DET002)
+        for injector in reversed(injectors):
+            injector.stop()
+        system.shutdown()
+        sim.discard_pending()
+        # The host pairs a flower asks about are its own peers': its share of
+        # the latency memo goes with it.
+        self.runner.topology.drop_latency_memo()
+        if system.dring.placements() != placements:
+            raise RuntimeError(
+                f"block {self.blocks[index][0]!r} moved the shared D-ring: a spec whose "
+                "directories fail or are replaced must run monolithically"
             )
-        )
-    dispatch_s = _time.perf_counter() - dispatch_started  # repro: allow(DET002)
-
-    for injector in reversed(injectors):
-        injector.stop()
-    system.shutdown()
-    sim.discard_pending()
-
-    model = system.reachability or system._last_reachability
-    emits = bool(model is not None and model.emits_metrics and system.delivery_stats)
-    fault_windows = tuple(model.fault_windows()) if emits else ()
-    return ShardOutcome(
-        shard_index=task.shard_index,
-        websites=task.websites,
-        events_fired=sim.events_fired,
-        num_queries=system.metrics.num_queries,
-        setup_s=setup_s,
-        dispatch_s=dispatch_s,
-        reports=tuple(reports),
-        metrics=system.metrics,
-        bandwidth=system.bandwidth,
-        delivery_stats=system.delivery_stats,
-        fault_windows=fault_windows,
-        emits_resilience=emits,
-    )
-
-
-# -- barrier merge -------------------------------------------------------------
-
-
-def merge_outcomes(
-    spec: "ScenarioSpec", outcomes: Sequence[ShardOutcome]
-) -> RunResult:
-    """Fold per-shard outcomes into the single-process :class:`RunResult`.
-
-    Outcomes are consumed in shard order and their records in
-    ``(time, query_id)`` order — the deterministic merge order every digest
-    relies on.
-    """
-    duration = spec.duration_s
-    window_s = spec.effective_metrics_window_s
-    retained = not spec.compact_metrics
-
-    merged = MetricsCollector(window_s=window_s, retain_records=retained)
-    if retained:
-        records = [
-            record for outcome in outcomes for record in outcome.metrics.records
-        ]
-        records.sort(key=lambda record: (record.time, record.query_id))
-        merged.record_all(records)
-    else:
-        for outcome in outcomes:
-            merged.merge_compact_from(outcome.metrics)
-
-    bandwidth = BandwidthAccountant(window_s=window_s)
-    for outcome in outcomes:
-        bandwidth.merge_from(outcome.bandwidth)
-
-    stats: Optional[DeliveryStats] = None
-    if any(outcome.delivery_stats is not None for outcome in outcomes):
-        stats = DeliveryStats()
-        for outcome in outcomes:
-            if outcome.delivery_stats is not None:
-                stats.merge_from(outcome.delivery_stats)
-
-    resilience = None
-    if stats is not None and any(outcome.emits_resilience for outcome in outcomes):
-        fault_windows: Sequence[Tuple[float, float]] = ()
-        for outcome in outcomes:
-            if outcome.emits_resilience:
-                fault_windows = outcome.fault_windows
-                break
-        resilience = summarise_resilience(
-            merged.hit_ratio_series, fault_windows, duration, stats
+        return BlockTally(
+            bandwidth=system.bandwidth,
+            delivery_stats=system.delivery_stats,
+            fault_windows=system.resilience_windows(),
+            num_content_peers=system.num_content_peers,
+            num_directory_peers=system.num_directory_peers,
+            overlays=system.active_overlays(),
+            events_fired=sim.events_fired,
+            num_queries=len(positions),
+            dispatch_s=dispatch_s,
         )
 
-    return RunResult.from_metrics(
-        "Flower-CDN",
-        duration,
-        merged,
-        # Diagnostics, not a digest metric: summed over the shard engines.
-        sum(outcome.events_fired for outcome in outcomes),
-        bandwidth=bandwidth,
-        resilience=resilience,
-    )
+    def run_placement(
+        self, indices: Sequence[int], whole_run: bool
+    ) -> Tuple[BlockTally, OutcomeColumns]:
+        """Run the blocks one process was dealt, one at a time.
+
+        When that is the ``whole_run``, rows land at their trace positions
+        directly; a worker among several packs its rows in block order — it
+        sends back no more than it produced — and :meth:`fold` puts them in
+        place.
+        """
+        size = sum(len(self.positions[index]) for index in indices)
+        if whole_run:
+            size = len(self.runner.resolved_trace())
+        rows = OutcomeColumns(size, keep_providers=not self.spec.compact_metrics)
+        tally = BlockTally(BandwidthAccountant(window_s=self.spec.effective_metrics_window_s))
+        packed = 0
+        for index in indices:
+            positions = self.positions[index]
+            slots = positions if whole_run else range(packed, packed + len(positions))
+            packed += len(positions)
+            started = _time.perf_counter()  # repro: allow(DET002)
+            block = self.run_block(index, rows, slots)  # (its system dies with the call)
+            elapsed = _time.perf_counter() - started  # repro: allow(DET002)
+            block.fixed_s.append(elapsed - block.dispatch_s)
+            tally.absorb(block)
+        rows.begin_block(())  # (or the last block's positions travel with the rows)
+        return tally, rows
+
+    def fold(
+        self,
+        placements: Sequence[Sequence[int]],
+        outcomes: Sequence[Tuple[BlockTally, OutcomeColumns]],
+    ) -> Tuple[RunResult, BlockTally]:
+        """The one fold: every process's tally into one, all rows into one
+        collector in trace order."""
+        spec, trace = self.spec, self.runner.resolved_trace()
+        census, rows = outcomes[0]
+        if len(outcomes) > 1:
+            rows = OutcomeColumns(len(trace), keep_providers=not spec.compact_metrics)
+            for indices, (tally, packed) in zip(placements, outcomes):
+                positions = array("I")
+                for index in indices:
+                    positions.extend(self.positions[index])
+                rows.adopt(packed, positions)
+                if tally is not census:
+                    census.absorb(tally)
+        metrics = MetricsCollector(
+            window_s=spec.effective_metrics_window_s, retain_records=not spec.compact_metrics
+        )
+        metrics.record_trace(
+            [website.name for website in trace.websites],
+            trace.query_id, trace.times, trace.website_index, trace.locality, rows,
+        )
+        resilience = None
+        if census.fault_windows is not None:
+            resilience = summarise_resilience(
+                metrics.hit_ratio_series, census.fault_windows, spec.duration_s,
+                census.delivery_stats,
+            )
+        result = RunResult.from_metrics(
+            "Flower-CDN",
+            spec.duration_s,
+            metrics,
+            census.events_fired,  # diagnostics, not a digest metric: summed over the blocks
+            bandwidth=census.bandwidth,
+            resilience=resilience,
+        )
+        return result, census
 
 
-# -- public entry --------------------------------------------------------------
+#: the run whose placements a worker pool is executing: set only while the
+#: pool exists, so forked workers inherit it (environment included)
+_placed_run: Optional[BlockedRun] = None
 
 
-def run_sharded_flower(
+def _run_placement(
+    task: Tuple["ScenarioSpec", int, Tuple[int, ...]]
+) -> Tuple[BlockTally, OutcomeColumns]:
+    spec, seed, indices = task
+    run = _placed_run
+    if run is None:
+        # A spawned worker inherits nothing: rebuild the run from the request.
+        run = BlockedRun(ExperimentRunner(spec.to_setup(seed=seed)), spec)
+    return run.run_placement(indices, whole_run=False)
+
+
+def run_blocked_flower(
+    runner: ExperimentRunner,
     spec: "ScenarioSpec",
-    seed: Optional[int] = None,
-    shards: int = 2,
+    shards: int = 1,
     jobs: Optional[int] = None,
-) -> Tuple[RunResult, ShardRunStats]:
-    """Run a flower scenario across ``shards`` shard engines and merge.
+) -> Tuple[RunResult, Optional[ShardRunStats]]:
+    """Run a separable flower scenario block by block over ``runner``'s environment.
 
-    ``jobs`` sizes the worker pool (``None``: the CPU-affinity default;
-    ``1`` runs every shard inline in this process — same results, handy for
-    tests and debugging).  Returns the merged :class:`RunResult` plus the
-    coordinator's :class:`ShardRunStats`.
+    ``shards`` places the blocks over that many worker processes (``jobs``
+    sizes the pool: ``None`` is the CPU-affinity default, ``1`` runs every
+    placement inline in this process — same results, handy for tests and
+    debugging) and comes with :class:`ShardRunStats`; one shard is this
+    process, with no stats.  Leaves the run's census in
+    ``runner.last_flower_system``.
     """
-    if shards < 2:
-        raise ValueError(
-            f"shards must be >= 2 for sharded execution, got {shards} "
-            "(shards=1 is the single-process path)"
-        )
-    validate_shardable(spec)
-    resolved_seed = spec.seed if seed is None else seed
-    plan: ShardPlan = plan_shards(spec, shards)
-    tasks = [
-        ShardTask(
-            spec=spec,
-            seed=resolved_seed,
-            shard_index=index,
+    global _placed_run
+    run = BlockedRun(runner, spec)
+    placements = [tuple(range(shard, len(run.blocks), shards)) for shard in range(shards)]
+    stats: Optional[ShardRunStats] = None
+    if shards == 1:
+        outcomes = [run.run_placement(placements[0], whole_run=True)]
+    else:
+        from repro.scenarios.parallel import map_tasks
+
+        wall_started = _time.perf_counter()  # repro: allow(DET002)
+        _placed_run = run
+        try:
+            tasks = [(spec, runner.setup.seed, indices) for indices in placements]
+            outcomes = map_tasks(_run_placement, tasks, jobs=jobs)
+        finally:
+            _placed_run = None
+        tallies = [tally for tally, _rows in outcomes]
+        stats = ShardRunStats(
             num_shards=shards,
-            websites=websites,
+            lookahead_s=run.lookahead_s,
+            num_windows=len(run.boundaries),
+            wall_s=_time.perf_counter() - wall_started,  # repro: allow(DET002)
+            setup_s_per_shard=tuple(sum(tally.fixed_s) for tally in tallies),
+            dispatch_s_per_shard=tuple(tally.dispatch_s for tally in tallies),
+            events_per_shard=tuple(tally.events_fired for tally in tallies),
+            queries_per_shard=tuple(tally.num_queries for tally in tallies),
         )
-        for index, websites in enumerate(plan.assignments)
-    ]
-    wall_started = _time.perf_counter()  # repro: allow(DET002)
-    outcomes = map_tasks_shards(tasks, jobs=jobs)
-    wall_s = _time.perf_counter() - wall_started  # repro: allow(DET002)
-    result = merge_outcomes(spec, outcomes)
-    stats = ShardRunStats(
-        num_shards=shards,
-        lookahead_s=conservative_lookahead_s(spec),
-        num_windows=len(outcomes[0].reports) if outcomes else 0,
-        wall_s=wall_s,
-        setup_s_per_shard=tuple(outcome.setup_s for outcome in outcomes),
-        dispatch_s_per_shard=tuple(outcome.dispatch_s for outcome in outcomes),
-        events_per_shard=tuple(outcome.events_fired for outcome in outcomes),
-        queries_per_shard=tuple(outcome.num_queries for outcome in outcomes),
-    )
+    result, runner._flower_system = run.fold(placements, outcomes)
     return result, stats
-
-
-def map_tasks_shards(
-    tasks: Sequence[ShardTask], jobs: Optional[int] = None
-) -> List[ShardOutcome]:
-    """Fan the shard tasks over the shared scenario worker pool."""
-    from repro.scenarios.parallel import map_tasks
-
-    return map_tasks(_run_shard, tasks, jobs=jobs)

@@ -23,7 +23,7 @@ import json
 from array import array
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.workload.catalog import Website
 from repro.workload.generator import Query, QueryGenerator
@@ -284,18 +284,22 @@ class ResolvedTraceArrays:
         for index in range(len(self)):
             yield self.resolved_query(index)
 
-    def replayer(self, process: Callable) -> Callable[[], None]:
+    def replayer(
+        self, process: Callable, positions: Optional[Sequence[int]] = None
+    ) -> Callable[[], None]:
         """A zero-argument callback for :meth:`Simulator.schedule_trace`.
 
         Each invocation passes the next query (in trace order) to ``process``
         as scalars read straight from the columns — ``process(query_id, time,
         website, object_id, locality, client_host)``, the signature of
         ``FlowerCDN.process_query`` / ``Squirrel.process_query`` — so a
-        replayed query allocates no object of its own.
+        replayed query allocates no object of its own.  ``positions``
+        (ascending row indices) replays just those rows, still without
+        copying a column: one block of a run cut by website.
         """
         names = [website.name for website in self.websites]
         object_ids = [website.object_ids() for website in self.websites]
-        rows = zip(
+        columns = (
             self.query_id,
             self.times,
             self.website_index,
@@ -303,14 +307,31 @@ class ResolvedTraceArrays:
             self.locality,
             self.client_host,
         )
+        if positions is None:
+            rows = zip(*columns)
 
-        def fire() -> None:
-            query_id, time, website, rank, locality, client_host = next(rows)
+            def fire() -> None:
+                query_id, time, website, rank, locality, client_host = next(rows)
+                process(
+                    query_id, time, names[website], object_ids[website][rank], locality, client_host
+                )
+
+            return fire
+
+        # Index the shared columns row by row: cheaper than gathering six
+        # sub-columns first, whether eagerly or through six lazy iterators.
+        query_ids, times, website_index, object_rank, localities, client_hosts = columns
+        next_position = iter(positions).__next__
+
+        def fire_at_position() -> None:
+            row = next_position()
+            website = website_index[row]
             process(
-                query_id, time, names[website], object_ids[website][rank], locality, client_host
+                query_ids[row], times[row], names[website],
+                object_ids[website][object_rank[row]], localities[row], client_hosts[row],
             )
 
-        return fire
+        return fire_at_position
 
     def dispatcher(self, handle: Callable) -> Callable[[], None]:
         """:meth:`replayer` for generic handlers that take a query *object*.

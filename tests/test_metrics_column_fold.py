@@ -6,8 +6,10 @@ The reference is the parent's semantics: one ``TimeSeries.add`` /
 ``Histogram.add`` per record, in record order.  Every float the two produce
 — window sums, overall sums, histogram sums, minima, maxima — must be equal
 exactly, however reads interleave with writes, retained or compact, and
-through ``merge_compact_from``.
+when a run cut into blocks is folded in trace order (``record_trace``).
 """
+
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ import pytest
 from repro.metrics.collectors import (
     PENDING_FLUSH_THRESHOLD,
     MetricsCollector,
+    OutcomeColumns,
     QueryOutcome,
     QueryRecord,
 )
@@ -69,18 +72,6 @@ class ReferenceFold:
         self.hops += record.overlay_hops
         self.failures += record.redirection_failures
         self.total += 1
-
-    def merge(self, other):
-        self.hit_series.merge_from(other.hit_series)
-        self.latency_series.merge_from(other.latency_series)
-        self.distance_series.merge_from(other.distance_series)
-        self.latency_histogram.merge_from(other.latency_histogram)
-        self.distance_histogram.merge_from(other.distance_histogram)
-        for outcome, count in other.counts.items():
-            self.counts[outcome] = self.counts.get(outcome, 0) + count
-        self.hops += other.hops
-        self.failures += other.failures
-        self.total += other.total
 
 
 def _series_state(series):
@@ -159,20 +150,58 @@ def test_fold_equals_per_record_adds_under_interleaved_reads(records, retain, re
             collector.records
 
 
-@settings(max_examples=60, deadline=None)
-@given(record_lists(), st.integers(1, 4))
-def test_merge_compact_from_equals_merging_per_record_folds(records, shards):
-    merged = MetricsCollector(window_s=WINDOW_S, retain_records=False)
+def fold_in_trace_order(records, block_of, retain, processes=1):
+    """What a blocked run does with ``records``: every block writes its rows
+    (in its own order) — at their trace positions when one process runs them
+    all, else packed in the order its process ran them and then adopted at
+    their positions — and a single collector records trace and outcomes side
+    by side."""
+    blocks = sorted(set(block_of))
+    dealt = [blocks[rank::processes] for rank in range(processes)]
+    rows = OutcomeColumns(len(records), keep_providers=retain)
+    for mine in dealt:
+        positions = [
+            position for block in mine for position, owner in enumerate(block_of) if owner == block
+        ]
+        packed = rows if processes == 1 else OutcomeColumns(len(positions), keep_providers=retain)
+        packed.begin_block(positions if processes == 1 else range(len(positions)))
+        for position in positions:
+            record = records[position]
+            packed.record_row(
+                record.query_id, record.time, record.website, record.locality, record.outcome,
+                record.lookup_latency_ms, record.transfer_distance_ms, record.overlay_hops,
+                record.provider, record.redirection_failures,
+            )
+        if processes > 1:
+            rows.adopt(packed, positions)
+    names = sorted({record.website for record in records})
+    collector = MetricsCollector(window_s=WINDOW_S, retain_records=retain)
+    collector.record_trace(
+        names,
+        array("L", [record.query_id for record in records]),
+        array("d", [record.time for record in records]),
+        array("H", [names.index(record.website) for record in records]),
+        array("H", [record.locality for record in records]),
+        rows,
+    )
+    return collector
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_lists(), st.data(), st.booleans(), st.integers(1, 3))
+def test_record_trace_equals_the_per_record_fold_however_the_run_was_cut(
+    records, data, retain, processes
+):
+    block_of = data.draw(
+        st.lists(st.integers(0, 4), min_size=len(records), max_size=len(records))
+    )
+    collector = fold_in_trace_order(records, block_of, retain, processes)
     reference = ReferenceFold()
-    for shard in range(shards):
-        part = MetricsCollector(window_s=WINDOW_S, retain_records=False)
-        part_reference = ReferenceFold()
-        for record in records[shard::shards]:
-            part.record(record)
-            part_reference.add(record)
-        merged.merge_compact_from(part)
-        reference.merge(part_reference)
-    assert_same_aggregates(merged, reference)
+    for record in records:
+        reference.add(record)
+    assert_same_aggregates(collector, reference)
+    if retain:
+        assert list(collector.records) == records
 
 
 def test_compact_fold_across_the_flush_threshold():
@@ -193,10 +222,37 @@ def test_compact_fold_across_the_flush_threshold():
     assert_same_aggregates(retained, reference)
 
 
-def test_retained_collectors_merge_by_replay():
-    retained = MetricsCollector(window_s=WINDOW_S)
-    with pytest.raises(RuntimeError, match="record_all"):
-        retained.merge_compact_from(MetricsCollector(window_s=WINDOW_S))
+def test_record_trace_across_the_flush_threshold_and_its_refusals():
+    size = 2 * PENDING_FLUSH_THRESHOLD + 77
+    records = [
+        QueryRecord(
+            index, index * 0.37, f"ws-{index % 2}", index % 3, OUTCOMES[index % 4],
+            (index * 7919 % 1000) / 7.0, (index * 104729 % 600) / 3.0, index % 5, None, index % 2,
+        )
+        for index in range(size)
+    ]
+    reference = ReferenceFold()
+    for record in records:
+        reference.add(record)
+    block_of = [index % 3 for index in range(size)]
+    for retain in (True, False):
+        collector = fold_in_trace_order(records, block_of, retain)
+        assert_same_aggregates(collector, reference)
+        assert len(collector._times) == (size if retain else 0)
+        with pytest.raises(RuntimeError, match="fresh collector"):
+            collector.record_trace(
+                [], array("L"), array("d"), array("H"), array("H"), OutcomeColumns(0, False)
+            )
+    # A block that died before the horizon leaves rows unanswered: refuse.
+    short = OutcomeColumns(3, keep_providers=False)
+    short.begin_block([0, 2])
+    for _ in range(2):
+        short.record_row(0, 0.0, "ws", 0, OUTCOMES[0], 1.0, 1.0)
+    with pytest.raises(RuntimeError, match="unanswered"):
+        MetricsCollector(window_s=WINDOW_S).record_trace(
+            ["ws"], array("L", range(3)), array("d", [0.0] * 3), array("H", [0] * 3),
+            array("H", [0] * 3), short,
+        )
 
 
 def test_negative_time_is_rejected_at_the_fold():

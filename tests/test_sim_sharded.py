@@ -1,11 +1,12 @@
-"""Determinism tests for the space-parallel shard engine.
+"""Determinism tests for website-blocked execution and its placement.
 
-The shard engine's contract is exact: a sharded run must reproduce the
-single-process run *byte for byte* at full precision — metrics, phases and
-every series point — independent of the shard count, the worker-pool size
-and the protocol backend.  These tests pin that contract, plus the shard
-planning, the conservative window barriers and the RNG stream scoping the
-contract rests on.
+The contract is exact: a run cut into blocks must reproduce the monolithic
+run *byte for byte* at full precision — metrics, phases and every series
+point — independent of the shard count and the worker-pool size.  These
+tests pin that contract, plus the block planning, the conservative windows
+and the RNG stream scoping the contract rests on.  (``test_sim_blocks.py``
+holds the property tests over block plans and the liveness / harness
+contract of the block runner.)
 """
 
 from dataclasses import replace
@@ -14,20 +15,18 @@ import pytest
 
 from repro.core.sharding import (
     MAX_WINDOWS,
-    ShardMessage,
     conservative_lookahead_s,
-    merge_messages,
-    plan_shards,
+    plan_blocks,
     queryable_websites,
     validate_shardable,
     window_boundaries,
 )
 from repro.scenarios.library import get_scenario
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.models import ModelRef
+from repro.scenarios.runner import ScenarioResult, run_scenario, summarise_system
 from repro.session import Session
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.sharded import run_sharded_flower
 
 SEED = 42
 
@@ -37,20 +36,32 @@ def _result_dict(name, scale, **kwargs):
     return run_scenario(spec, seed=SEED, **kwargs).to_dict()
 
 
+def monolithic_result(spec, seed=SEED):
+    """The reference: all flowers interleaved in one system, models attached."""
+    session = Session(spec, seed=seed)
+    run = session.experiment.run_flower(attachments=(session.attach_models,))
+    return ScenarioResult(spec, seed, {"flower": summarise_system(spec, "flower", run)})
+
+
+def _monolithic_dict(name, scale):
+    return monolithic_result(get_scenario(name).scaled(scale)).to_dict()
+
+
 class TestShardCountIndependence:
-    """A sharded run equals the single-process run at full precision."""
+    """A blocked run equals the monolithic run at full precision, wherever
+    its blocks are placed."""
 
     def test_shard_counts_reproduce_single_process(self):
-        baseline = _result_dict("paper-default", 0.25)
-        for shards in (2, 4):
+        baseline = _monolithic_dict("paper-default", 0.25)
+        for shards in (1, 2, 4):
             assert _result_dict("paper-default", 0.25, shards=shards) == baseline
 
     def test_more_shards_than_websites_reproduces_single_process(self):
-        # paper-default at scale 0.25 has 5 websites; 7 shards leave at
-        # least two shard engines with no websites at all.
+        # paper-default at scale 0.25 has 5 websites; 7 shards leave most
+        # workers without a block at all.
         spec = get_scenario("paper-default").scaled(0.25)
         assert spec.num_websites < 7
-        baseline = _result_dict("paper-default", 0.25)
+        baseline = _monolithic_dict("paper-default", 0.25)
         assert _result_dict("paper-default", 0.25, shards=7) == baseline
 
     def test_pooled_workers_match_inline(self):
@@ -78,7 +89,8 @@ class TestResilienceComposition:
     """PR 7's partition-aware reachability composes with sharding."""
 
     def test_locality_partition_sharded_matches_incl_resilience(self):
-        baseline = _result_dict("locality-partition", 0.25)
+        baseline = _monolithic_dict("locality-partition", 0.25)
+        assert _result_dict("locality-partition", 0.25) == baseline
         assert _result_dict("locality-partition", 0.25, shards=2) == baseline
 
     def test_sharded_run_emits_the_resilience_block(self):
@@ -89,9 +101,10 @@ class TestResilienceComposition:
 
     def test_reconcile_on_heal_sharded_matches(self):
         # partition-heal-reconcile republishes *every* alive directory's
-        # summary at the heal — the scenario that forces shard ownership to
+        # summary at the heal — the scenario that forces block ownership to
         # cover the whole catalogue, not just the queryable websites.
-        baseline = _result_dict("partition-heal-reconcile", 0.25)
+        baseline = _monolithic_dict("partition-heal-reconcile", 0.25)
+        assert _result_dict("partition-heal-reconcile", 0.25) == baseline
         assert _result_dict("partition-heal-reconcile", 0.25, shards=2) == baseline
 
 
@@ -186,21 +199,32 @@ class TestConservativeWindows:
 
 class TestShardPlanning:
     def test_plan_covers_the_whole_catalog_disjointly(self):
-        spec = get_scenario("paper-default").scaled(0.25)
-        plan = plan_shards(spec, 3)
-        owned = [name for shard in plan.assignments for name in shard]
-        assert len(owned) == len(set(owned)) == spec.num_websites
-        assert set(queryable_websites(spec)) <= set(owned)
+        for name in ("paper-default", "adversarial-hotspots", "large-catalog"):
+            spec = get_scenario(name)
+            blocks = plan_blocks(spec)
+            owned = [name for block in blocks for name in block]
+            assert len(owned) == len(set(owned)) == spec.num_websites
+            # One flower per block: its queryable website leads, riders follow.
+            assert tuple(block[0] for block in blocks) == queryable_websites(spec)
+            assert not {name for block in blocks for name in block[1:]} & set(
+                queryable_websites(spec)
+            )
 
     def test_plan_is_deterministic_and_shards_may_be_empty(self):
         spec = get_scenario("paper-default").scaled(0.25)
-        plan = plan_shards(spec, spec.num_websites + 2)
-        assert plan.assignments == plan_shards(spec, spec.num_websites + 2).assignments
-        assert sum(1 for shard in plan.assignments if not shard) == 2
+        assert plan_blocks(spec) == plan_blocks(spec)
+        # More shards than blocks: the surplus workers are dealt nothing.
+        shards = len(plan_blocks(spec)) + 2
+        session = Session(spec, seed=SEED, shards=shards, shard_jobs=1)
+        session.run_system("flower")
+        stats = session.last_shard_stats
+        assert len(stats.queries_per_shard) == shards
+        assert stats.queries_per_shard.count(0) == stats.events_per_shard.count(0) == 2
 
     def test_rotating_programs_expand_the_queryable_set(self):
         spec = get_scenario("partition-heal-reconcile").scaled(0.25)
         assert len(queryable_websites(spec)) >= spec.active_websites
+        assert len(plan_blocks(get_scenario("adversarial-hotspots"))) == 8
 
 
 class TestValidation:
@@ -235,21 +259,43 @@ class TestValidation:
             replace(spec, shards=0)
         with pytest.raises(ValueError, match="shards"):
             Session(spec.scaled(0.1), shards=0)
-        with pytest.raises(ValueError, match="shards"):
-            run_sharded_flower(spec.scaled(0.1), shards=1)
 
+    def test_separability_is_the_models_not_the_profiles(self):
+        """Burst churn on an idle churn *profile* draws its victims from one
+        global list: it used to pass validation and silently return a
+        different run (hit ratio 0.687 against 0.710 monolithic)."""
+        spec = replace(
+            get_scenario("paper-default").scaled(0.2),
+            churn_model=ModelRef.of("burst", period_s=200, burst_size=3),
+        )
+        assert not spec.churn.is_enabled
+        with pytest.raises(ValueError, match="churn model 'burst' is not website-separable"):
+            Session(spec, seed=3, shards=2, shard_jobs=1)
+        with pytest.raises(ValueError, match="not website-separable"):
+            replace(spec, shards=2)
+        # The default run falls back to the monolithic system on its own.
+        assert Session(spec, seed=3).run().to_dict() == monolithic_result(spec, 3).to_dict()
+        # The converse: the "none" model makes an enabled profile irrelevant.
+        validate_shardable(replace(get_scenario("heavy-churn"), churn_model=ModelRef("none")))
 
-class TestShardMessages:
-    def test_merge_is_deterministic_across_arrival_orders(self):
-        messages = [
-            ShardMessage(timestamp=2.0, shard=1, seq=0),
-            ShardMessage(timestamp=1.0, shard=0, seq=1),
-            ShardMessage(timestamp=1.0, shard=0, seq=0),
-            ShardMessage(timestamp=1.0, shard=2, seq=0),
-        ]
-        merged = merge_messages([messages[:2], messages[2:]])
-        assert merged == merge_messages([messages[2:], messages[:2]])
-        assert [m.sort_key for m in merged] == sorted(m.sort_key for m in messages)
+    def test_models_registered_from_outside_run_monolithically(self):
+        from repro.scenarios.models import register_fault_model, unregister_fault_model
+
+        @register_fault_model("tmp-silent-model")
+        class Silent:
+            def attach(self, system, spec):
+                return None
+
+        try:
+            spec = replace(
+                get_scenario("paper-default").scaled(0.1), fault_model=ModelRef("tmp-silent-model")
+            )
+            with pytest.raises(ValueError, match="fault model 'tmp-silent-model'"):
+                validate_shardable(spec)
+            Silent.website_separable = lambda self, spec: True
+            validate_shardable(spec)
+        finally:
+            unregister_fault_model("tmp-silent-model")
 
 
 class TestInfeasibleSeed:
@@ -276,7 +322,6 @@ class TestInfeasibleSeed:
             session.run()
         error = excinfo.value
         assert (error.locality, error.hosts_available, error.directories_required) == (5, 4, 5)
-        if shard_jobs > 1:
-            # The check is the workers' own bootstrap: the parent pays for no
-            # topology build to find out (forked workers count in their copy).
-            assert not built
+        # The environment is the parent's, built once however the blocks are
+        # placed; it finds out while resolving the trace, before any worker.
+        assert len(built) == 1
