@@ -10,7 +10,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
         check-goldens-paper goldens-sweeps check-goldens-sweeps \
         goldens-sweeps-paper sweep-smoke sweeps \
         bench-smoke bench scenarios api-surface api-surface-update \
-        perf perf-check perf-baseline perf-paper e2e-smoke \
+        perf perf-check perf-baseline perf-paper e2e-smoke path-costs \
         serve service-smoke \
         analyze analyze-changed lint typecheck
 
@@ -77,6 +77,12 @@ perf-paper:
 ## schedule_trace, the event labels and the driver's constructor names)
 e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+## what each protocol path costs per call (miss path, join, gossip tick,
+## collector) at the benchmark of record's paper-scale size; wrappers installed
+## from outside src/, wrapped documents checked against an unwrapped run
+path-costs:
+	$(PYTHON) scripts/path_costs.py --table1-hours 1.5 --check-digest
 
 ## list the registered parameter sweeps
 sweeps:

@@ -18,8 +18,8 @@ random operation sequences in lockstep.  What the columns preserve exactly:
 * dict insertion order — replacing an entry keeps its position, new entries
   append, trims rebuild in ``(age, contact)`` order — so subset sampling
   sees candidates in the same order;
-* random draws — ``rng.sample`` consumes a draw sequence that depends only
-  on the candidate *count*;
+* random draws — :func:`~repro.sim.rng.sample_rows` consumes the draw
+  sequence of ``rng.sample``, which depends only on the candidate *count*;
 * tie-breaks — ``(age, contact)`` orderings compare the same ints and the
   same contact strings;
 * Bloom bits — packed summaries are the integers the filters hold (masks
@@ -34,6 +34,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datastructures.aged_view import AgedEntry
 from repro.datastructures.bloom import BloomFilter
+from repro.sim.rng import sample_rows
 
 __all__ = ["SUMMARY_NUM_HASHES", "ViewColumn", "ColumnarView"]
 
@@ -63,6 +64,15 @@ class ColumnarView:
     ``(age, contact)`` trim/tie-break key at C speed (contacts are unique, so
     a comparison never reaches the payload element), and a capacity trim is a
     bare ``list.sort`` plus one truncation — no column rebuilds.
+
+    Most query probes find nothing, so the view also keeps ``_union``, a
+    *superset* of the OR of its rows' payloads, and :meth:`probe` answers a
+    mask the union does not cover without looking at a row.  Every payload
+    written is OR-ed in (a replaced snapshot's bits may stay: still a
+    superset); only a row leaving with a payload — eviction by a trim,
+    :meth:`remove` — could make the union needlessly wide, so that drops it
+    to ``None`` ("unknown", and nothing to maintain) until a probe scans the
+    rows in vain and rebuilds it.
     """
 
     __slots__ = (
@@ -72,6 +82,7 @@ class ColumnarView:
         "clock",
         "_rows",
         "_pos",
+        "_union",
     )
 
     def __init__(self, capacity: Optional[int], num_bits: int, num_hashes: int) -> None:
@@ -85,6 +96,8 @@ class ColumnarView:
         self._rows: List[list] = []
         #: contact -> its row object (NOT its position, which sorts shift)
         self._pos: Dict[str, list] = {}
+        #: superset OR of the rows' payloads; None: unknown (see the class docstring)
+        self._union: Optional[int] = 0
 
     # -- container protocol (AgedView-compatible) ---------------------------
 
@@ -133,6 +146,8 @@ class ColumnarView:
 
     def put_fresh(self, contact: str, payload: Optional[int]) -> None:
         """Write an age-0 entry (the ``viewEntry`` step of Algorithm 4)."""
+        if payload is not None and self._union is not None:
+            self._union |= payload
         row = self._pos.get(contact)
         if row is not None:
             row[0] = -self.clock
@@ -148,11 +163,14 @@ class ColumnarView:
         if row is None:
             return False
         self._rows.remove(row)
+        if row[2] is not None:
+            self._union = None
         return True
 
     def clear(self) -> None:
         self._rows.clear()
         self._pos.clear()
+        self._union = 0
 
     def increment_ages(self, increment: int = 1) -> None:
         """Age every entry: one clock tick instead of a per-entry rebuild."""
@@ -170,6 +188,7 @@ class ColumnarView:
         clock = self.clock
         pos = self._pos
         rows = self._rows
+        union = self._union
         for contact, age, payload in incoming:
             if contact == self_contact:
                 continue
@@ -182,7 +201,45 @@ class ColumnarView:
             elif negated < row[0]:
                 row[0] = negated
                 row[2] = payload
+            else:
+                continue
+            if union is not None and payload is not None:
+                union |= payload
+        self._union = union
         self._trim()
+
+    def seed_from(
+        self, source: "ColumnarView", owner: ViewColumn, self_contact: Optional[str] = None
+    ) -> None:
+        """Section 4.2's view seeding: merge another peer's view and its owner.
+
+        Exactly ``merge_columns((source.export_columns() + [owner])[:capacity],
+        self_contact)``, read off ``source``'s rows (re-based from its clock
+        onto this one) instead of an exported column list, and with the
+        source's union taken over in one OR instead of one per payload.
+        """
+        limit = len(source._rows) + 1 if self.capacity is None else self.capacity
+        delta = source.clock - self.clock
+        pos = self._pos
+        rows = self._rows
+        for stamp, contact, payload in source._rows[:limit]:
+            if contact == self_contact:
+                continue
+            negated = stamp + delta
+            row = pos.get(contact)
+            if row is None:
+                row = [negated, contact, payload]
+                pos[contact] = row
+                rows.append(row)
+            elif negated < row[0]:
+                row[0] = negated
+                row[2] = payload
+        if self._union is not None:
+            self._union = None if source._union is None else self._union | source._union
+        if len(source._rows) < limit:
+            self.merge_columns((owner,), self_contact)
+        else:
+            self._trim()
 
     def _trim(self) -> None:
         capacity = self.capacity
@@ -196,6 +253,8 @@ class ColumnarView:
         pos = self._pos
         for row in rows[capacity:]:
             del pos[row[1]]
+            if row[2] is not None:
+                self._union = None
         del rows[capacity:]
 
     # -- selection -----------------------------------------------------------
@@ -222,11 +281,11 @@ class ColumnarView:
         else:
             candidates = rows
         if size < len(candidates) and rng is not None:
-            # ``rng.sample`` consumes randomness as a function of the candidate
+            # A sample consumes randomness as a function of the candidate
             # count alone, so sampling the row objects draws the very same view
             # positions as sampling materialised columns — the columns that end
             # up unselected are never built.
-            candidates = rng.sample(candidates, size)
+            candidates = sample_rows(rng, candidates, size)
         selected = [(row[1], clock + row[0], row[2]) for row in candidates]
         if size >= len(selected) or rng is not None:
             return selected
@@ -239,15 +298,31 @@ class ColumnarView:
     def probe(self, mask: int) -> List[str]:
         """Contacts whose packed summary matches ``mask``, youngest first.
 
-        One batched pass: the precomputed Bloom mask is AND-compared against
-        the payload of every row; absent payloads (directory-seeded entries)
-        never match because every mask has at least one bit set.
+        A mask the union of the payloads does not cover matches no row: the
+        common empty answer costs one AND.  Otherwise one batched pass: the
+        precomputed Bloom mask is AND-compared against the payload of every
+        row; absent payloads (directory-seeded entries) never match because
+        every mask has at least one bit set.  An unknown union is rebuilt only
+        when that pass found nothing — the answer it exists to make cheap —
+        so a view whose probes mostly hit carries no union to maintain.
         """
+        rows = self._rows
+        union = self._union
+        if union is not None and union & mask != mask:
+            return []
         hits: List[Tuple[int, str]] = []
         append = hits.append
         clock = self.clock
-        for negated, contact, payload in self._rows:
+        for negated, contact, payload in rows:
             if payload is not None and payload & mask == mask:
                 append((clock + negated, contact))
+        if not hits:
+            if union is None:
+                union = 0
+                for row in rows:
+                    if row[2] is not None:
+                        union |= row[2]
+                self._union = union
+            return hits
         hits.sort()
         return [contact for _, contact in hits]

@@ -19,7 +19,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.columns import SUMMARY_NUM_HASHES, ColumnarView, ViewColumn
 from repro.core.config import FlowerConfig
-from repro.datastructures.bloom import BloomFilter, mask_for
+from repro.datastructures.bloom import BloomFilter, MaskTable, mask_table
 from repro.datastructures.lru import LRUCache
 from repro.workload.catalog import ObjectId
 
@@ -76,6 +76,9 @@ class ContentPeer:
     #: a Bloom mask cannot express, forces a lazy rebuild.  Python ints are
     #: immutable, so a summary handed to a partner is a snapshot for free.
     _packed_summary: Optional[int] = field(default=None, init=False, repr=False)
+    #: object id -> Bloom mask for this deployment's summary geometry, bound
+    #: once: the query path reads a mask per probe and per stored object
+    _masks: MaskTable = field(init=False, repr=False)
     alive: bool = field(default=True, init=False)
     #: statistics used by tests and experiment diagnostics
     gossip_initiated: int = field(default=0, init=False)
@@ -83,11 +86,13 @@ class ContentPeer:
     pushes_sent: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
+        num_bits = self.config.summary_bits
         self._view = ColumnarView(
             capacity=self.config.gossip.view_size,
-            num_bits=self.config.summary_bits,
+            num_bits=num_bits,
             num_hashes=SUMMARY_NUM_HASHES,
         )
+        self._masks = mask_table(num_bits, SUMMARY_NUM_HASHES)
         if self.config.content_cache_capacity is not None:
             self._cache = LRUCache(self.config.content_cache_capacity)
 
@@ -113,9 +118,15 @@ class ContentPeer:
             if evicted is not None:
                 evicted_id = evicted[0]
                 self._objects.discard(evicted_id)
-                self._record_change(removed=evicted_id)
+                self._record_removed(evicted_id)
         self._objects.add(object_id)
-        self._record_change(added=object_id)
+        # Bloom filters are add-only, so the packed summary absorbs a new
+        # object as one OR of its mask instead of a rebuild (bit-identical:
+        # OR is commutative and each object is recorded exactly once).
+        if self._packed_summary is not None:
+            self._packed_summary |= self._masks[object_id]
+        self._pending_removed.discard(object_id)
+        self._pending_added.add(object_id)
 
     def drop_object(self, object_id: ObjectId) -> None:
         if object_id not in self._objects:
@@ -123,34 +134,21 @@ class ContentPeer:
         self._objects.discard(object_id)
         if self._cache is not None:
             self._cache.remove(object_id)
-        self._record_change(removed=object_id)
+        self._record_removed(object_id)
 
-    def _record_change(
-        self, added: Optional[ObjectId] = None, removed: Optional[ObjectId] = None
-    ) -> None:
-        if added is not None:
-            # Bloom filters are add-only, so the packed summary absorbs a new
-            # object as one OR of its mask instead of a rebuild (bit-identical:
-            # OR is commutative and each object is recorded exactly once).
-            if self._packed_summary is not None:
-                self._packed_summary |= mask_for(
-                    self.config.summary_bits, SUMMARY_NUM_HASHES, added
-                )
-            self._pending_removed.discard(added)
-            self._pending_added.add(added)
-        if removed is not None:
-            self._packed_summary = None
-            self._pending_added.discard(removed)
-            self._pending_removed.add(removed)
+    def _record_removed(self, object_id: ObjectId) -> None:
+        self._packed_summary = None  # a Bloom mask cannot express a removal
+        self._pending_added.discard(object_id)
+        self._pending_removed.add(object_id)
 
     def summary_bits(self) -> int:
         """The content summary as the packed integer a ``BloomFilter`` would hold."""
         bits = self._packed_summary
         if bits is None:
-            num_bits = self.config.summary_bits
+            masks = self._masks
             bits = 0
             for object_id in self._objects:
-                bits |= mask_for(num_bits, SUMMARY_NUM_HASHES, object_id)
+                bits |= masks[object_id]
             self._packed_summary = bits
         return bits
 
@@ -179,6 +177,13 @@ class ContentPeer:
         """
         self._view.merge_columns(columns, self_contact=self.peer_id)
 
+    def seed_view_from(self, provider: "ContentPeer") -> None:
+        """Seed the view from the peer that served the first query: its view
+        plus its own fresh entry (:meth:`initialize_view` of those columns)."""
+        self._view.seed_from(
+            provider._view, (provider.peer_id, 0, provider.summary_bits()), self.peer_id
+        )
+
     def note_directory(self, directory_peer_id: str) -> None:
         """Track the current directory peer of the overlay (special view entry)."""
         self.directory_peer_id = directory_peer_id
@@ -202,9 +207,7 @@ class ContentPeer:
         consults the view.  Candidates are ordered youngest entry first since
         fresher summaries are less likely to be stale.
         """
-        return self._view.probe(
-            mask_for(self.config.summary_bits, SUMMARY_NUM_HASHES, object_id)
-        )
+        return self._view.probe(self._masks[object_id])
 
     # -- Algorithm 4: gossip behaviour ----------------------------------------------
 
@@ -215,11 +218,7 @@ class ContentPeer:
     def build_gossip_message(self, rng: Optional[random.Random] = None) -> GossipMessage:
         """Build the message sent in an exchange: own summary + ``Lgossip`` entries."""
         subset = self._view.select_subset_columns(self.config.gossip.gossip_length, rng=rng)
-        return GossipMessage(
-            sender=self.peer_id,
-            summary_bits=self.summary_bits(),
-            view_subset=tuple(subset),
-        )
+        return GossipMessage(self.peer_id, self.summary_bits(), tuple(subset))
 
     def apply_gossip(self, message: GossipMessage) -> None:
         """Merge a partner's message into the view (both active and passive paths).
@@ -264,18 +263,25 @@ class ContentPeer:
             return False
         return self.pending_change_fraction() >= self.config.gossip.push_threshold
 
-    def build_push(self) -> PushMessage:
-        """Extract the delta list and reset the change counter (Algorithm 5)."""
-        push = PushMessage(
-            sender=self.peer_id,
-            added=tuple(sorted(self._pending_added)),
-            removed=tuple(sorted(self._pending_removed)),
+    def take_delta(self) -> Tuple[Sequence[ObjectId], Sequence[ObjectId]]:
+        """Extract the delta list ``(added, removed)`` and reset the change
+        counter (Algorithm 5).  Each side is in sorted order — which a side of
+        one change, the common case, is without sorting."""
+        added, removed = self._pending_added, self._pending_removed
+        delta = (
+            sorted(added) if len(added) > 1 else tuple(added),
+            sorted(removed) if len(removed) > 1 else tuple(removed),
         )
-        self._pending_added.clear()
-        self._pending_removed.clear()
+        added.clear()
+        removed.clear()
         self._directory_age = 0
         self.pushes_sent += 1
-        return push
+        return delta
+
+    def build_push(self) -> PushMessage:
+        """:meth:`take_delta` in message form."""
+        added, removed = self.take_delta()
+        return PushMessage(sender=self.peer_id, added=tuple(added), removed=tuple(removed))
 
     # -- failure handling ------------------------------------------------------------
 

@@ -16,8 +16,10 @@ object → holders inverted table instead of scanning every entry's object set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.columns import ViewColumn
 from repro.core.config import FlowerConfig
 from repro.core.content_peer import PushMessage
 from repro.datastructures.bloom import BloomFilter
@@ -99,6 +101,15 @@ class DirectoryPeer:
         stamp = self._stamps.get(peer_id)
         return None if stamp is None else self._clock - stamp
 
+    def member_columns(self, limit: int, exclude: Optional[str] = None) -> List[ViewColumn]:
+        """The first ``limit`` members other than ``exclude`` as address-only view
+        columns ``(peer, age, None)``, in index order (the stamp column's own
+        order: entries enter and leave both tables together) — what a joining
+        peer seeds its view from when no content peer served it (Section 4.2)."""
+        clock = self._clock
+        others = (item for item in self._stamps.items() if item[0] != exclude)
+        return [(peer_id, clock - stamp, None) for peer_id, stamp in islice(others, limit)]
+
     def _synced_entry(self, entry: DirectoryEntry) -> DirectoryEntry:
         entry.age = self._clock - self._stamps[entry.peer_id]
         return entry
@@ -154,21 +165,27 @@ class DirectoryPeer:
 
     # -- Algorithm 6: directory behaviour ----------------------------------------
 
-    def handle_push(self, push: PushMessage) -> None:
+    def apply_delta(
+        self, sender: str, added: Sequence[ObjectId], removed: Sequence[ObjectId]
+    ) -> None:
         """Update the index entry of the pushing content peer from its delta list."""
-        entry = self._index.get(push.sender)
+        entry = self._index.get(sender)
         if entry is None:
             if self.is_full:
                 return
-            entry = DirectoryEntry(peer_id=push.sender)
-            self._index[push.sender] = entry
-        self._record_objects(entry, push.added)
-        for object_id in push.removed:
+            entry = DirectoryEntry(peer_id=sender)
+            self._index[sender] = entry
+        self._record_objects(entry, added)
+        for object_id in removed:
             if object_id in entry.objects:
                 entry.objects.discard(object_id)
-                self._unindex_object(push.sender, object_id)
-        self._stamps[push.sender] = self._clock
+                self._unindex_object(sender, object_id)
+        self._stamps[sender] = self._clock
         self.pushes_received += 1
+
+    def handle_push(self, push: PushMessage) -> None:
+        """:meth:`apply_delta` of a push in message form."""
+        self.apply_delta(push.sender, push.added, push.removed)
 
     def handle_keepalive(self, peer_id: str) -> None:
         if peer_id in self._stamps:
@@ -193,7 +210,7 @@ class DirectoryPeer:
 
     def build_summary(self) -> BloomFilter:
         """A Bloom filter over every object identifier in the directory index."""
-        return BloomFilter.from_items(self.indexed_objects(), num_bits=self.config.summary_bits)
+        return BloomFilter.from_items(self._holders, num_bits=self.config.summary_bits)
 
     def should_refresh_summary(self) -> bool:
         """Delayed propagation rule: refresh when enough *new* objects accumulated."""
@@ -205,7 +222,7 @@ class DirectoryPeer:
     def publish_summary(self) -> BloomFilter:
         """Build a fresh summary and mark the current index content as published."""
         summary = self.build_summary()
-        self._published_object_count = len(self.indexed_objects())
+        self._published_object_count = len(self._holders)
         self._unpublished_objects.clear()
         self.summaries_sent += 1
         return summary
@@ -243,24 +260,55 @@ class DirectoryPeer:
             if summary.might_contain(object_id)
         )
 
-    def process_query(
-        self, object_id: ObjectId, exclude: Tuple[str, ...] = ()
-    ) -> RedirectionDecision:
-        """Algorithm 3: decide where to redirect a query for ``object_id``.
+    def redirect(
+        self, object_id: ObjectId, excluded: Container[str] = ()
+    ) -> Tuple[str, Optional[str]]:
+        """Algorithm 3: where to redirect a query for ``object_id``.
 
-        ``exclude`` lists targets already tried (redirection failures or the
-        directory peers the query already visited) so retries make progress.
+        Returns ``(kind, target)`` — ``"content_peer"`` with the youngest
+        index entry listing the object, else ``"directory_peer"`` with the
+        first neighbour whose summary may contain it, else ``("server",
+        None)``.  ``excluded`` holds targets already tried (redirection
+        failures or the directory peers the query already visited) so retries
+        make progress.  The first admissible element of :meth:`lookup_index` /
+        :meth:`lookup_summaries`, found in one walk without sorting either.
         """
         self.queries_processed += 1
         self._request_counts[object_id] = self._request_counts.get(object_id, 0) + 1
-        excluded = set(exclude)
-        for holder in self.lookup_index(object_id):
-            if holder not in excluded:
-                return RedirectionDecision(kind="content_peer", target=holder)
-        for neighbor in self.lookup_summaries(object_id):
-            if neighbor not in excluded:
-                return RedirectionDecision(kind="directory_peer", target=neighbor)
-        return RedirectionDecision(kind="server", target=None)
+        holder_set = self._holders.get(object_id)
+        if holder_set:
+            stamps = self._stamps
+            best = None
+            best_stamp = 0
+            for holder in holder_set:
+                if holder in excluded:
+                    continue
+                stamp = stamps[holder]
+                if (
+                    best is None
+                    or stamp > best_stamp
+                    or (stamp == best_stamp and holder < best)
+                ):
+                    best, best_stamp = holder, stamp
+            if best is not None:
+                return "content_peer", best
+        neighbor = min(
+            (
+                neighbor
+                for neighbor, summary in self._summaries.items()
+                if neighbor not in excluded and object_id in summary
+            ),
+            default=None,
+        )
+        if neighbor is not None:
+            return "directory_peer", neighbor
+        return "server", None
+
+    def process_query(
+        self, object_id: ObjectId, exclude: Tuple[str, ...] = ()
+    ) -> RedirectionDecision:
+        """:meth:`redirect` in object form."""
+        return RedirectionDecision(*self.redirect(object_id, exclude))
 
     # -- popularity (active-replication extension) ---------------------------------------
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
-from repro.overlay.idspace import IdSpace
+from repro.overlay.idspace import IdRange, IdSpace
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,16 @@ class KeyScheme:
         """True when two identifiers carry the same website ID."""
         return self.website_id_of(a) == self.website_id_of(b)
 
-    def website_constraint(self, key: int) -> Callable[[int], bool]:
-        """Predicate used by Algorithm 2: "same website ID as the key"."""
-        target = self.website_id_of(key)
-        return lambda node_id: self.website_id_of(node_id) == target
+    def website_constraint(self, key: int) -> IdRange:
+        """Algorithm 2's constraint, "same website ID as the key".
+
+        The website ID is an identifier's high-order bits, so the identifiers
+        sharing it are one contiguous range — returned as such (calling it is
+        the predicate), which lets a node bisect its routing table for them.
+        """
+        shift = self._locality_bits + self._replica_bits
+        low = (self._idspace.validate(key) >> shift) << shift
+        return IdRange(low, low + (1 << shift))
 
     def directory_ids_for(self, website_url: str, num_localities: int) -> List[int]:
         """All directory peer IDs of one website, in locality order (Figure 3)."""

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import FlowerConfig
-from repro.core.content_peer import ContentPeer, PushMessage
+from repro.core.content_peer import ContentPeer
 from repro.core.directory_peer import DirectoryPeer
 from repro.core.dring import DRing
 from repro.core.keys import KeyScheme
@@ -88,17 +87,6 @@ def directory_hosts(
             raise InfeasibleScenarioError(locality, len(hosts), num_websites)
         placed.append(hosts[:num_websites])
     return placed
-
-
-@dataclass(slots=True)
-class _DirectoryFlowResult:
-    """Internal result of running Algorithm 3 from a starting directory peer."""
-
-    outcome: QueryOutcome
-    provider: Optional[str]
-    provider_host: Optional[int]
-    latency_ms: float
-    redirection_failures: int
 
 
 @dataclass
@@ -159,6 +147,8 @@ class FlowerCDN:
         self._max_redirects = config.max_redirection_attempts
         self._server_latency_ms = self.latency.server_latency_ms
         self._directory_fallback = config.content_miss_fallback == "directory"
+        self._push_threshold = config.gossip.push_threshold
+        self._push_message_bytes = config.message_sizes.push_message_bytes
         # Fixed-size background messages, priced once instead of per tick.
         self._gossip_message_bytes = config.message_sizes.gossip_message_bytes(
             config.summary_bits, config.gossip.gossip_length
@@ -358,13 +348,7 @@ class FlowerCDN:
                     "push", peer.host_id, directory.host_id, peer.peer_id, directory.peer_id
                 ):
                     continue
-                push = peer.build_push()
-                directory.handle_push(push)
-                peer.note_directory(directory.peer_id)
-                size = self.config.message_sizes.push_message_bytes(push.num_changes)
-                self.bandwidth.record_message(
-                    self.sim.now, peer.peer_id, directory.peer_id, size, "push"
-                )
+                self._push(peer, directory)
         for website, locality in self.active_directory_pairs():
             if affected is not None and locality not in affected:
                 continue
@@ -583,16 +567,19 @@ class FlowerCDN:
                     latency += self._redirect_timeout_ms
                 else:
                     latency += host_latency(peer_host, directory.host_id)
-                    flow = self._run_directory_flow(directory, object_id, locality)
-                    latency += flow.latency_ms
-                    failures += flow.redirection_failures
+                    outcome, provider_id, provider_host, flow_latency, flow_failures = (
+                        self._run_directory_flow(directory, object_id, locality)
+                    )
                     self._after_served(peer, object_id)
                     distance = (
-                        host_latency(peer_host, flow.provider_host)
-                        if flow.provider_host is not None
+                        host_latency(peer_host, provider_host)
+                        if provider_host is not None
                         else self._server_latency_ms
                     )
-                    return (flow.outcome, latency, distance, 0, flow.provider, failures)
+                    return (
+                        outcome, latency + flow_latency, distance, 0, provider_id,
+                        failures + flow_failures,
+                    )
 
         # Fall back to the origin web server.
         if reach is not None and blocked_attempts:
@@ -666,12 +653,10 @@ class FlowerCDN:
                 failures = 0
                 latency += self.latency.server_latency_ms
             else:
-                flow = self._run_directory_flow(serving_directory, object_id, locality)
-                latency += flow.latency_ms
-                outcome = flow.outcome
-                provider = flow.provider
-                provider_host = flow.provider_host
-                failures = flow.redirection_failures
+                outcome, provider, provider_host, flow_latency, failures = (
+                    self._run_directory_flow(serving_directory, object_id, locality)
+                )
+                latency += flow_latency
         else:
             outcome = _SERVER_MISS
             provider = None
@@ -696,55 +681,53 @@ class FlowerCDN:
 
     def _run_directory_flow(
         self, start: DirectoryPeer, object_id: ObjectId, query_locality: int
-    ) -> _DirectoryFlowResult:
-        """Run Algorithm 3, possibly crossing to neighbouring directory peers."""
+    ) -> tuple:
+        """Run Algorithm 3, possibly crossing to neighbouring directory peers.
+
+        Returns ``(outcome, provider, provider_host, latency_ms, failures)``.
+        """
         latency = 0.0
         failures = 0
-        visited: List[str] = []
-        tried_providers: List[str] = []
+        #: directories visited and providers tried: no retry selects them again
+        excluded: Set[str] = set()
         current = start
-        for _ in range(self.config.max_redirection_attempts + len(self._directory_by_pair)):
-            visited.append(current.peer_id)
-            decision = current.process_query(object_id, exclude=tuple(visited + tried_providers))
-            if decision.kind == "content_peer" and decision.target is not None:
-                provider = self._content_peers.get(decision.target)
+        host_latency = self._host_latency
+        for _ in range(self._max_redirects + len(self._directory_by_pair)):
+            excluded.add(current.peer_id)
+            kind, target = current.redirect(object_id, excluded)
+            if kind == "content_peer":
+                provider = self._content_peers.get(target)
                 target_host = (
                     provider.host_id if provider is not None else current.host_id
                 )
                 if self.reachability is not None and not self._delivery_allowed(
-                    "redirect", current.host_id, target_host, current.peer_id, decision.target
+                    "redirect", current.host_id, target_host, current.peer_id, target
                 ):
                     # Timed-out redirection: the entry is not known stale, so
                     # it is kept (no remove_client) and the next candidate is
                     # tried within the same attempt budget.
                     latency += self._redirect_timeout_ms
-                    tried_providers.append(decision.target)
+                    excluded.add(target)
                     failures += 1
                     continue
-                latency += self._host_latency(current.host_id, target_host)
+                latency += host_latency(current.host_id, target_host)
                 if provider is None or not provider.alive or object_id not in provider._objects:
                     # Redirection failure: drop the stale entry and retry.
-                    current.remove_client(decision.target)
-                    tried_providers.append(decision.target)
+                    current.remove_client(target)
+                    excluded.add(target)
                     failures += 1
                     continue
                 outcome = (
-                    QueryOutcome.LOCAL_OVERLAY_HIT
+                    _LOCAL_HIT
                     if provider.locality == query_locality
                     else QueryOutcome.REMOTE_OVERLAY_HIT
                 )
-                return _DirectoryFlowResult(
-                    outcome=outcome,
-                    provider=provider.peer_id,
-                    provider_host=provider.host_id,
-                    latency_ms=latency,
-                    redirection_failures=failures,
-                )
-            if decision.kind == "directory_peer" and decision.target is not None:
-                next_directory = self._directory_peers.get(decision.target)
+                return (outcome, provider.peer_id, provider.host_id, latency, failures)
+            if kind == "directory_peer":
+                next_directory = self._directory_peers.get(target)
                 if next_directory is None or not next_directory.alive:
                     failures += 1
-                    current.drop_neighbor(decision.target)
+                    current.drop_neighbor(target)
                     continue
                 if self.reachability is not None and not self._delivery_allowed(
                     "dring",
@@ -758,21 +741,14 @@ class FlowerCDN:
                     # visited so this query stops re-selecting it.
                     latency += self._redirect_timeout_ms
                     failures += 1
-                    visited.append(decision.target)
+                    excluded.add(target)
                     continue
-                latency += self._host_latency(current.host_id, next_directory.host_id)
+                latency += host_latency(current.host_id, next_directory.host_id)
                 current = next_directory
                 continue
             break
 
-        latency += self.latency.server_latency_ms
-        return _DirectoryFlowResult(
-            outcome=QueryOutcome.SERVER_MISS,
-            provider=None,
-            provider_host=None,
-            latency_ms=latency,
-            redirection_failures=failures,
-        )
+        return (_SERVER_MISS, None, None, latency + self._server_latency_ms, failures)
 
     # ------------------------------------------------------------------ membership
 
@@ -838,21 +814,15 @@ class FlowerCDN:
             and provider.website == peer.website
             and provider.locality == peer.locality
         ):
-            columns = provider.view.export_columns()
-            columns.append((provider.peer_id, 0, provider.summary_bits()))
-            peer.initialize_view(columns[: self.config.gossip.view_size])
+            peer.seed_view_from(provider)
             return
         directory = self.directory_for(peer.website, peer.locality)
         if directory is None:
             return
-        # The index lists up to Sco members and the view keeps view_size of
-        # them: stop collecting as soon as the view is full.
-        members = (
-            (member, directory.age_of(member), None)
-            for member in directory.members()
-            if member != peer.peer_id
+        # The index lists up to Sco members and the view keeps view_size of them.
+        peer.initialize_view(
+            directory.member_columns(self.config.gossip.view_size, exclude=peer.peer_id)
         )
-        peer.initialize_view(islice(members, self.config.gossip.view_size))
 
     def _current_directory(
         self, website: str, locality: int, detector: Optional[ContentPeer] = None
@@ -919,14 +889,15 @@ class FlowerCDN:
         """Algorithm 5: push the delta list once the change threshold is reached."""
         # Inlined needs_push(): this guard runs after every served object, and
         # the two extra Python frames measurably slow the query hot path.
-        changes = len(peer._pending_added) + len(peer._pending_removed)
+        removed = peer._pending_removed
+        changes = len(peer._pending_added) + len(removed)
         if changes == 0:
             return
-        if not peer._objects and not peer._pending_removed:
+        if not peer._objects and not removed:
             fraction = 0.0
         else:
             fraction = changes / max(1, len(peer._objects))
-        if fraction < self.config.gossip.push_threshold:
+        if fraction < self._push_threshold:
             return
         directory = self._current_directory(peer.website, peer.locality, detector=peer)
         if directory is None:
@@ -937,10 +908,15 @@ class FlowerCDN:
             # The push is deferred: pending changes keep accumulating and the
             # next threshold crossing (or post-heal reconcile) retries.
             return
-        push = peer.build_push()
-        directory.handle_push(push)
+        self._push(peer, directory)
+
+    def _push(self, peer: ContentPeer, directory: DirectoryPeer) -> None:
+        """Algorithm 5's message as a call: the delta list leaves ``peer`` and is
+        applied at ``directory`` (``build_push`` / ``handle_push`` without the message)."""
+        added, removed = peer.take_delta()
+        directory.apply_delta(peer.peer_id, added, removed)
         peer.note_directory(directory.peer_id)
-        size = self.config.message_sizes.push_message_bytes(push.num_changes)
+        size = self._push_message_bytes(len(added) + len(removed))
         self.bandwidth.record_message(self.sim.now, peer.peer_id, directory.peer_id, size, "push")
 
     def _keepalive_tick(self, peer: ContentPeer) -> None:
@@ -1068,9 +1044,7 @@ class FlowerCDN:
         # The new directory answers first queries from what its host already
         # knows: its own content; the rest of the index rebuilds from pushes.
         replacement.register_client(detector.peer_id)
-        replacement.handle_push(
-            PushMessage(sender=detector.peer_id, added=tuple(sorted(detector.objects)), removed=())
-        )
+        replacement.apply_delta(detector.peer_id, sorted(detector._objects), ())
         self._directory_peers[peer_id] = replacement
         self._directory_by_pair[key] = peer_id
         self._start_directory_process(replacement)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator, List
+from functools import lru_cache
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List
 
 if TYPE_CHECKING:
     from repro.datastructures.aged_view import AgedEntry
@@ -63,6 +64,35 @@ def mask_for(num_bits: int, num_hashes: int, item: str) -> int:
     :class:`BloomFilter` guarantees bit-identical summaries across backends.
     """
     return _mask_for(num_bits, num_hashes, item)
+
+
+class MaskTable(Dict[str, int]):
+    """``table[item]`` is ``mask_for(num_bits, num_hashes, item)`` for one geometry.
+
+    A hot path that probes one geometry all run long binds its table once and
+    pays a single string-keyed lookup per mask instead of a call and a
+    three-part key.  Misses fill from the shared memo, so the masks are the
+    very ints :func:`mask_for` returns; bounded the same way.
+    """
+
+    __slots__ = ("_num_bits", "_num_hashes")
+
+    def __init__(self, num_bits: int, num_hashes: int) -> None:
+        super().__init__()
+        self._num_bits = num_bits
+        self._num_hashes = num_hashes
+
+    def __missing__(self, item: str) -> int:
+        if len(self) >= _MASK_CACHE_MAX:
+            self.clear()
+        mask = self[item] = _mask_for(self._num_bits, self._num_hashes, item)
+        return mask
+
+
+@lru_cache(maxsize=8)
+def mask_table(num_bits: int, num_hashes: int) -> MaskTable:
+    """The :class:`MaskTable` of a geometry, shared by everyone who asks for it."""
+    return MaskTable(num_bits, num_hashes)
 
 
 def entries_maybe_containing(

@@ -569,9 +569,8 @@ class BandwidthAccountant:
         self._sync()
         return self._series
 
-    def bps_series(self, duration_hint_s: Optional[float] = None) -> List[tuple[float, float]]:
+    def bps_series(self) -> List[tuple[float, float]]:
         """Per-window average bps per peer over time."""
-        del duration_hint_s  # reserved for future normalisation options
         self._sync()
         points = []
         peers = max(1, self.num_peers)

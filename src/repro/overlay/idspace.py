@@ -12,7 +12,18 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+
+class IdRange(NamedTuple):
+    """The identifiers ``low <= id < high``: a routing constraint a sorted
+    routing table answers by bisection.  Calling it is the predicate form."""
+
+    low: int
+    high: int
+
+    def __call__(self, identifier: int) -> bool:
+        return self.low <= identifier < self.high
 
 
 @dataclass(frozen=True)

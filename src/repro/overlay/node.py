@@ -8,7 +8,9 @@ paper's routing algorithms need are implemented here:
   node knows of (including itself), the one numerically closest to the key;
 * ``conditional_local_lookup(key, predicate)`` — Algorithm 2's extra step:
   the same, restricted to known nodes satisfying a predicate (D-ring uses
-  "same website ID as the key").
+  "same website ID as the key") — and ``lookup_in_range(key, low, high)``,
+  the same step for a predicate that is one contiguous identifier range,
+  which is what D-ring's engineered identifiers make of that constraint.
 
 Routing state is bidirectional: alongside the classic clockwise finger table
 each node keeps *backward fingers* (the first live node counter-clockwise
@@ -25,6 +27,7 @@ directly must call :meth:`ChordNode.invalidate_routing_table` afterwards.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from repro.overlay.idspace import IdSpace
@@ -144,6 +147,16 @@ class ChordNode:
             return None
         return self.idspace.closest_in_sorted(key, candidates)
 
+    def lookup_in_range(self, key: int, low: int, high: int) -> Optional[int]:
+        """:meth:`conditional_local_lookup` for the predicate ``low <= id < high``:
+        the ids in range are one slice of the sorted table, found by bisection."""
+        table = self.routing_table()
+        start = bisect_left(table, low)
+        stop = bisect_left(table, high, start)
+        if start == stop:
+            return None
+        return self.idspace.closest_in_sorted(key, table[start:stop])
+
     def closest_preceding(self, key: int) -> int:
         """Chord's ``closest_preceding_finger``: used by tests to cross-check routing."""
         best = self.node_id
@@ -176,28 +189,12 @@ def rebuild_routing_state(
     ring_size = len(live_ids)
 
     def successor_of(identifier: int) -> int:
-        """First live node clockwise from ``identifier`` (inclusive)."""
-        # live_ids is sorted; find the first id >= identifier, else wrap.
-        lo, hi = 0, ring_size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if live_ids[mid] < identifier:
-                lo = mid + 1
-            else:
-                hi = mid
-        return live_ids[lo % ring_size]
+        """First live node clockwise from ``identifier`` (inclusive), else wrap."""
+        return live_ids[bisect_left(live_ids, identifier) % ring_size]
 
     def predecessor_of(identifier: int) -> int:
-        """First live node counter-clockwise from ``identifier`` (inclusive)."""
-        # live_ids is sorted; find the last id <= identifier, else wrap.
-        lo, hi = 0, ring_size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if live_ids[mid] <= identifier:
-                lo = mid + 1
-            else:
-                hi = mid
-        return live_ids[(lo - 1) % ring_size]
+        """First live node counter-clockwise from ``identifier`` (inclusive), else wrap."""
+        return live_ids[bisect_right(live_ids, identifier) - 1]
 
     for position, node_id in enumerate(live_ids):
         node = nodes[node_id]

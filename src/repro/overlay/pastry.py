@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.overlay.idspace import IdSpace
+from repro.overlay.idspace import IdRange, IdSpace
 
 
 class PastryNode:
@@ -119,6 +119,9 @@ class PastryNode:
         if not candidates:
             return None
         return self.idspace.closest_in_sorted(key, candidates)
+
+    def lookup_in_range(self, key: int, low: int, high: int) -> Optional[int]:
+        return self.conditional_local_lookup(key, IdRange(low, high))
 
     def _prefix_length(self, node_id: int, key: int) -> int:
         length = 0

@@ -10,7 +10,9 @@ Two per-hop policies are available:
 * :attr:`RoutingPolicy.CONSTRAINED` — Algorithm 2: after the local lookup, if
   the candidate does not satisfy the key's constraint (for D-ring: same
   website ID), a conditional local lookup restricted to satisfying nodes is
-  attempted; if none is known, the original candidate is kept.
+  attempted; if none is known, the original candidate is kept.  A constraint
+  given as an :class:`~repro.overlay.idspace.IdRange` is answered by the
+  node's ``lookup_in_range`` (two bisections) instead of a predicate scan.
 
 The router accounts hops and per-hop latency (through an optional latency
 callback), which is how the experiments measure *lookup latency*.
@@ -23,6 +25,7 @@ from enum import Enum
 from typing import Callable, List, Optional
 
 from repro.overlay.chord import ChordRing
+from repro.overlay.idspace import IdRange
 
 
 class RoutingError(RuntimeError):
@@ -120,14 +123,19 @@ class KBRRouter:
         path = [current.node_id]
         latency_total = 0.0
         max_hops = self._hop_bound()
+        constrained = policy is RoutingPolicy.CONSTRAINED
+        bounds = constraint if isinstance(constraint, IdRange) else None
 
         for _ in range(max_hops):
             next_id = current.local_lookup(key)
-            if policy is RoutingPolicy.CONSTRAINED and next_id != current.node_id:
-                if not constraint(next_id):
-                    conditional = current.conditional_local_lookup(key, constraint)
-                    if conditional is not None:
-                        next_id = conditional
+            if constrained and next_id != current.node_id and not constraint(next_id):
+                conditional = (
+                    current.conditional_local_lookup(key, constraint)
+                    if bounds is None
+                    else current.lookup_in_range(key, bounds.low, bounds.high)
+                )
+                if conditional is not None:
+                    next_id = conditional
 
             if next_id == current.node_id:
                 # The message has reached the node closest to the key that the

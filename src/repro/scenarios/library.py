@@ -150,6 +150,15 @@ register_scenario(
     )
 )
 
+# Infeasible seeds: the two sparsest localities draw ~28 of the 900 hosts each
+# and must host one directory peer per website (20), so a few topologies fall
+# short and the run stops with InfeasibleScenarioError — seeds 7, 68 and 83 of
+# 0..99 at scale 1.0 (pinned by tests/test_cli.py::TestInfeasibleSeed; smaller
+# scales have their own set).  Harnesses that need a run for every workload
+# seed use the first feasible one of seed, seed + 1000, seed + 2000, ... (the
+# rule of benchmarks/e2e/simjobs.py::feasible_seed).  Kept out of the
+# description string, which is part of to_dict() and so of goldens and
+# request digests.
 register_scenario(
     ScenarioSpec(
         name="multi-locality",

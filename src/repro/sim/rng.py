@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, List, Sequence, TypeVar
+from _random import Random as _CoreRandom
+from functools import lru_cache
+from math import ceil, log
+from typing import Dict, Iterable, List, Sequence, Type, TypeVar
 
 T = TypeVar("T")
+G = TypeVar("G", bound=_CoreRandom)
 
 
 def randbelow_many(rng: random.Random, n: int, count: int) -> List[int]:
@@ -38,6 +42,56 @@ def randbelow_many(rng: random.Random, n: int, count: int) -> List[int]:
             draw = getrandbits(bits)
         append(draw)
     return draws
+
+
+@lru_cache(maxsize=64)
+def _pool_limit(k: int) -> int:
+    """The population size up to which ``random.sample`` of ``k`` items copies
+    the population into a pool instead of tracking picks in a set."""
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
+    return setsize
+
+
+def sample_rows(rng: random.Random, rows: Sequence[T], k: int) -> List[T]:
+    """``rng.sample(rows, k)`` as one frame: same picks, same generator state.
+
+    ``random.sample``'s two branches copied draw for draw — the shrinking
+    pool when ``rows`` is small against ``k``, the rejection set otherwise —
+    with ``Random._randbelow`` inlined as in :func:`randbelow_many`, so a
+    gossip subset costs one Python frame instead of one per element
+    (``tests/test_workload_inlined_draws.py`` pins picks and ``getstate()``
+    against the interpreter's own ``sample`` for both branches).
+    """
+    n = len(rows)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result: list = [None] * k
+    if n <= _pool_limit(k):
+        # An n-length list is smaller than a k-length set: draw from a pool
+        # whose non-selected items stay at pool[0 : n - i].
+        pool = list(rows)
+        for i in range(k):
+            bound = n - i
+            bits = bound.bit_length()
+            j = getrandbits(bits)
+            while j >= bound:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[bound - 1]  # move non-selected item into vacancy
+    else:
+        selected: set = set()
+        bits = n.bit_length()
+        for i in range(k):
+            while True:
+                j = getrandbits(bits)
+                if j < n and j not in selected:
+                    break
+            selected.add(j)
+            result[i] = rows[j]
+    return result
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -66,15 +120,15 @@ class RandomStreams:
         """Return the stream registered under ``name``, creating it on demand."""
         rng = self._streams.get(name)
         if rng is None:
-            rng = self._replay(name, self._one_shot_draws.pop(name, 0))
+            rng = self._replay(name, self._one_shot_draws.pop(name, 0), random.Random)
             self._streams[name] = rng
         return rng
 
-    def _replay(self, name: str, drawn: int) -> random.Random:
+    def _replay(self, name: str, drawn: int, generator: Type[G]) -> G:
         """A fresh generator for ``name`` advanced past ``drawn`` uniform draws."""
-        rng = random.Random(derive_seed(self._master_seed, name))
+        rng = generator(derive_seed(self._master_seed, name))
         for _ in range(drawn):
-            rng.uniform(0.0, 1.0)  # the bounds do not change what a draw consumes
+            rng.random()  # all a uniform() consumes, whatever its bounds
         return rng
 
     def one_shot_uniform(self, name: str, low: float, high: float) -> float:
@@ -86,13 +140,18 @@ class RandomStreams:
         taken is kept: the k-th call re-derives the stream and replays k-1
         draws, so it returns exactly what the k-th ``uniform`` of a retained
         stream would — including after :meth:`stream` takes the name over.
+
+        The throw-away generator is the C core itself: it seeds from the same
+        integer to the same state as its Python subclass ``random.Random``,
+        minus that class's ``seed()`` / ``uniform()`` frames, and ``uniform``
+        is by definition ``low + (high - low) * random()``.
         """
         rng = self._streams.get(name)
         if rng is not None:
             return rng.uniform(low, high)
         drawn = self._one_shot_draws.get(name, 0)
         self._one_shot_draws[name] = drawn + 1
-        return self._replay(name, drawn).uniform(low, high)
+        return low + (high - low) * self._replay(name, drawn, _CoreRandom).random()
 
     def names(self) -> Sequence[str]:
         return tuple(sorted({*self._streams, *self._one_shot_draws}))

@@ -158,6 +158,47 @@ class TestInfeasibleSeed:
         error = trace_error.value
         assert (error.locality, error.hosts_available, error.directories_required) == (5, 4, 5)
 
+    #: the full-scale seeds documented next to the spec in scenarios/library.py
+    #: and in docs/scenarios.md, with the shortfall each one hits
+    DOCUMENTED = {7: (5, 18, 20), 68: (4, 16, 20), 83: (5, 14, 20)}
+
+    @staticmethod
+    def _place_directories(seed):
+        from repro.core.system import directory_hosts
+        from repro.scenarios.library import get_scenario
+        from repro.session import Session
+
+        session = Session.from_spec(get_scenario("multi-locality"), seed=seed)
+        return directory_hosts(
+            session.experiment.topology,
+            len(session.experiment.catalog),
+            session.setup.flower.num_localities,
+        )
+
+    @pytest.mark.parametrize("seed", sorted(DOCUMENTED))
+    def test_documented_infeasible_seed_and_the_harness_rule(self, seed):
+        from repro.core.system import InfeasibleScenarioError
+
+        with pytest.raises(InfeasibleScenarioError) as raised:
+            self._place_directories(seed)
+        error = raised.value
+        assert (error.locality, error.hosts_available, error.directories_required) == (
+            self.DOCUMENTED[seed]
+        )
+        # benchmarks/e2e maps such a seed to the first feasible seed + 1000 * k.
+        assert len(self._place_directories(seed + 1000)) == 6
+
+    def test_no_other_seed_below_100_is_infeasible(self):
+        from repro.core.system import InfeasibleScenarioError
+
+        infeasible = set()
+        for seed in range(100):
+            try:
+                self._place_directories(seed)
+            except InfeasibleScenarioError:
+                infeasible.add(seed)
+        assert infeasible == set(self.DOCUMENTED)
+
 
 class TestScenariosShow:
     def test_show_prints_spec_program_and_models(self):

@@ -19,6 +19,7 @@ Two layers of evidence that the columns changed nothing but speed:
 """
 
 import random
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from repro.core.config import FlowerConfig
 from repro.core.content_peer import ContentPeer, PushMessage
 from repro.core.directory_peer import DirectoryPeer
 from repro.datastructures.aged_view import AgedEntry, AgedView
-from repro.datastructures.bloom import BloomFilter, mask_for
+from repro.datastructures.bloom import BloomFilter, entries_maybe_containing, mask_for
 from repro.scenarios import golden
 from repro.scenarios.library import scenario_names
 
@@ -137,9 +138,6 @@ def test_columnar_subset_sampling_is_draw_identical(pairs, size, seed):
 @given(st.lists(st.tuples(contacts, st.integers(0, 12)), max_size=20),
        st.text(min_size=1, max_size=12))
 def test_columnar_probe_matches_entries_maybe_containing(pairs, item):
-    from repro.datastructures.bloom import entries_maybe_containing
-    from operator import attrgetter
-
     num_bits = 64
     aged = AgedView(capacity=30)
     cols = ColumnarView(capacity=30, num_bits=num_bits, num_hashes=SUMMARY_NUM_HASHES)
@@ -157,6 +155,145 @@ def test_columnar_probe_matches_entries_maybe_containing(pairs, item):
     assert [e.contact for e in expected] == cols.probe(
         mask_for(num_bits, SUMMARY_NUM_HASHES, item)
     )
+
+
+# -- property: the union-rejected probe vs the reference scan ------------------
+
+ITEMS = [f"obj-{i}" for i in range(8)]
+item_sets = st.frozensets(st.integers(0, len(ITEMS) - 1), max_size=4)
+probe_view_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("merge"),
+            st.lists(
+                st.tuples(contacts, st.integers(0, 12), st.none() | item_sets), max_size=8
+            ),
+        ),
+        # put_fresh replaces a snapshot outright, also by one with *fewer*
+        # bits (a cache-bounded peer that evicted objects): the union may keep
+        # the old bits but must never lose a current one.
+        st.tuples(st.just("put"), st.tuples(contacts, st.none() | item_sets)),
+        st.tuples(st.just("seed"), st.lists(
+            st.tuples(contacts, st.integers(0, 12), st.none() | item_sets), max_size=8
+        )),
+        st.tuples(st.just("age"), st.none()),
+        st.tuples(st.just("remove"), contacts),
+        st.tuples(st.just("clear"), st.none()),
+        st.tuples(st.just("probe"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+def _summary(num_bits, items):
+    """(BloomFilter, packed bits) of ``items``; (None, None) for an absent summary."""
+    if items is None:
+        return None, None
+    bloom = BloomFilter.from_items(
+        [ITEMS[i] for i in sorted(items)], num_bits=num_bits, num_hashes=SUMMARY_NUM_HASHES
+    )
+    return bloom, bloom._bits
+
+
+def _assert_probes_match(aged, cols, num_bits):
+    for item in ITEMS + ["never-stored"]:
+        expected = entries_maybe_containing(aged, item)
+        expected.sort(key=attrgetter("age", "contact"))
+        assert cols.probe(mask_for(num_bits, SUMMARY_NUM_HASHES, item)) == [
+            e.contact for e in expected
+        ]
+
+
+def _assert_union_is_superset(cols):
+    if cols._union is None:
+        return
+    exact = 0
+    for _, _, bits in cols.export_columns():
+        if bits is not None:
+            exact |= bits
+    assert cols._union & exact == exact
+
+
+@settings(max_examples=120, deadline=None)
+@given(probe_view_ops, st.integers(1, 6))
+def test_union_rejected_probe_matches_reference_scan(ops, capacity):
+    num_bits = 64
+    aged = AgedView(capacity=capacity)
+    cols = ColumnarView(capacity=capacity, num_bits=num_bits, num_hashes=SUMMARY_NUM_HASHES)
+    for op, arg in ops:
+        if op == "merge":
+            summaries = [(c, a, *_summary(num_bits, items)) for c, a, items in arg]
+            aged.merge(
+                [AgedEntry(contact=c, age=a, payload=bloom) for c, a, bloom, _ in summaries],
+                self_contact="self",
+            )
+            cols.merge_columns([(c, a, bits) for c, a, _, bits in summaries], self_contact="self")
+        elif op == "put":
+            bloom, bits = _summary(num_bits, arg[1])
+            aged.put(AgedEntry(contact=arg[0], age=0, payload=bloom))
+            cols.put_fresh(arg[0], bits)
+        elif op == "seed":
+            # Seeding from another peer's view == merging its exported columns
+            # plus its owner's fresh entry, cut to the capacity.
+            source = ColumnarView(capacity=None, num_bits=num_bits, num_hashes=SUMMARY_NUM_HASHES)
+            source.increment_ages(3)
+            source.merge_columns([(c, a, _summary(num_bits, items)[1]) for c, a, items in arg])
+            if len(arg) % 2:
+                source.remove(arg[0][0])  # a source whose own union is unknown
+            owner_bloom, owner_bits = _summary(num_bits, frozenset({0, 1}))
+            columns = (source.export_columns() + [("owner", 0, owner_bits)])[:capacity]
+            aged.merge(
+                [
+                    AgedEntry(contact=c, age=a, payload=(
+                        None if bits is None
+                        else BloomFilter.from_bits(bits, num_bits, SUMMARY_NUM_HASHES)
+                    ))
+                    for c, a, bits in columns
+                ],
+                self_contact="self",
+            )
+            cols.seed_from(source, ("owner", 0, owner_bits), self_contact="self")
+        elif op == "age":
+            aged.increment_ages()
+            cols.increment_ages()
+        elif op == "remove":
+            assert aged.remove(arg) == cols.remove(arg)
+        elif op == "clear":
+            aged.clear()
+            cols.clear()
+        else:
+            _assert_probes_match(aged, cols, num_bits)
+        assert _view_state(aged) == _view_state(cols)
+        _assert_union_is_superset(cols)
+    _assert_probes_match(aged, cols, num_bits)
+    _assert_union_is_superset(cols)
+
+
+def test_union_is_dropped_when_a_row_leaves_and_rebuilt_by_a_probe_that_scans_in_vain():
+    num_bits = 64
+    cols = ColumnarView(capacity=2, num_bits=num_bits, num_hashes=SUMMARY_NUM_HASHES)
+    held = mask_for(num_bits, SUMMARY_NUM_HASHES, "held")
+    gone = mask_for(num_bits, SUMMARY_NUM_HASHES, "gone")
+    cols.merge_columns([("a", 5, gone), ("b", 1, held)])
+    assert cols._union == held | gone
+    cols.merge_columns([("c", 0, held)])  # capacity trim evicts the oldest row: "a"
+    assert cols._union is None and "a" not in cols
+    # A probe that hits needed no union and leaves none to maintain ...
+    assert cols.probe(held) == ["c", "b"] and cols._union is None
+    cols.put_fresh("d", gone | held)
+    assert cols._union is None and "b" not in cols
+    # ... one that scanned in vain rebuilds it, tight again.
+    cols.remove("d")
+    assert cols.probe(gone) == [] and cols._union == held
+    cols.put_fresh("c", None)  # a replaced snapshot's bits may stay
+    assert cols._union == held
+    assert cols.probe(held) == [] and cols._union == held  # covered, scanned, kept
+    cols.remove("c")  # an address-only row takes no bit with it
+    assert cols._union == held
+    cols.put_fresh("e", held)
+    cols.remove("e")
+    assert cols._union is None
+    assert cols.probe(held) == [] and cols._union == 0
 
 
 # -- property: packed summaries vs Bloom filters ------------------------------
@@ -304,6 +441,11 @@ def test_kernel_directory_mirrors_object_directory(ops):
         assert directory.indexed_objects() == indexed
         for rank in range(5):
             assert directory.lookup_index(_url(rank)) == model.lookup(_url(rank))
+        # The stamp column is in index order, which view seeding reads it in.
+        assert list(directory._stamps) == list(directory.members())
+        assert directory.member_columns(4, exclude="c0") == [
+            (p, directory.age_of(p), None) for p in directory.members() if p != "c0"
+        ][:4]
         assert directory.build_summary() == BloomFilter.from_items(
             indexed, num_bits=config.summary_bits
         )

@@ -1,8 +1,8 @@
 """The bisected routing table against the flat scan it replaced.
 
-``ChordNode.local_lookup`` / ``conditional_local_lookup`` (and the Pastry and
-ring-ownership call sites) pick the numerically closest node by bisecting a
-sorted id list — for Chord nodes a *cached* one.  ``IdSpace.closest_to`` over
+``ChordNode.local_lookup`` / ``conditional_local_lookup`` / ``lookup_in_range``
+(and the Pastry and ring-ownership call sites) pick the numerically closest
+node by bisecting a sorted id list — for Chord nodes a *cached* one.  ``IdSpace.closest_to`` over
 ``sorted(known_nodes())`` stays in the tree as the reference; these tests
 hold the two together, with the cache-invalidation paths (join, ``fail``,
 ``forget``, ``remember``, ``stabilize``) interleaved with lookups.
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.dring import DRing
 from repro.core.keys import KeyScheme
 from repro.overlay.chord import ChordRing
-from repro.overlay.idspace import IdSpace
+from repro.overlay.idspace import IdRange, IdSpace
 from repro.overlay.node import ChordNode
 from repro.overlay.pastry import PastryNode, PastryRing
 from repro.overlay.router import KBRRouter
@@ -66,6 +66,10 @@ def reference_conditional(node, key, predicate):
     return node.idspace.closest_to(key, candidates) if candidates else None
 
 
+def reference_in_range(node, key, low, high):
+    return reference_conditional(node, key, lambda n: low <= n < high)
+
+
 ring_ops = st.lists(
     st.one_of(
         st.tuples(st.just("join"), ids, ids),
@@ -99,6 +103,11 @@ def test_lookups_equal_reference_across_membership_changes(initial, ops, keys):
                     assert node.conditional_local_lookup(key, predicate) == (
                         reference_conditional(node, key, predicate)
                     )
+                # same_prefix is the contiguous range a D-ring website occupies
+                low = key >> 5 << 5
+                assert node.lookup_in_range(key, low, low + 32) == (
+                    reference_conditional(node, key, same_prefix)
+                )
 
     check()  # populates every node's cached table
     for op, a, b in ops:
@@ -118,6 +127,40 @@ def test_lookups_equal_reference_across_membership_changes(initial, ops, keys):
         else:
             ring.stabilize()
         check()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sets(ids, min_size=1, max_size=40),
+    st.integers(0, 7),  # the website: 8 ranges of 32 ids, incl. both ends of the space
+    ids,
+    st.sampled_from([ChordRing, PastryRing]),
+)
+def test_range_bisected_constraint_equals_predicate_filter(members, website, key, ring_class):
+    # Algorithm 2's constraint on engineered ids: website = high-order bits.
+    ring = ring_class.build(SPACE, sorted(members))
+    low, high = website << 5, (website + 1) << 5
+    constraint = IdRange(low, high)
+    assert [constraint(n) for n in (low - 1, low, high - 1, high)] == [False, True, True, False]
+    for node in ring.nodes():
+        expected = reference_conditional(node, key, lambda n: n >> 5 == website)
+        assert node.lookup_in_range(key, low, high) == expected
+        assert node.conditional_local_lookup(key, constraint) == expected
+        if not any(low <= n < high for n in node.known_nodes()):
+            assert expected is None  # a node that knows no same-website entry
+        assert node.lookup_in_range(key, low, low) is None  # an empty range
+
+
+def test_website_constraint_is_the_range_of_the_keys_website():
+    keys = KeyScheme(website_bits=4, locality_bits=3, replica_bits=1)
+    for website_id in (0, 5, keys.max_websites - 1):  # both ends of the id space
+        key = keys.encode(website_id, 2, 1)
+        constraint = keys.website_constraint(key)
+        assert isinstance(constraint, IdRange)
+        for identifier in range(keys.idspace.size):
+            assert constraint(identifier) == (keys.website_id_of(identifier) == website_id)
+    with pytest.raises(ValueError):
+        keys.website_constraint(keys.idspace.size)
 
 
 def test_direct_slot_writes_need_an_explicit_invalidate():
@@ -153,8 +196,10 @@ def flat_scan_lookups(monkeypatch):
     def install():
         monkeypatch.setattr(ChordNode, "local_lookup", reference_lookup)
         monkeypatch.setattr(ChordNode, "conditional_local_lookup", reference_conditional)
+        monkeypatch.setattr(ChordNode, "lookup_in_range", reference_in_range)
         monkeypatch.setattr(PastryNode, "local_lookup", _pastry_reference_lookup)
         monkeypatch.setattr(PastryNode, "conditional_local_lookup", reference_conditional)
+        monkeypatch.setattr(PastryNode, "lookup_in_range", reference_in_range)
 
     return install
 

@@ -1,14 +1,17 @@
 """The inlined draw loops consume the generators exactly as the stdlib calls do.
 
-``randbelow_many``, ``ZipfSampler.sample_many`` and the arrival / assignment
-loops re-implement ``Random._randbelow`` (``getrandbits(k)`` with rejection),
-``Random.expovariate`` and ``_sample_cdf`` inline.  The committed goldens
+``randbelow_many``, ``sample_rows``, ``ZipfSampler.sample_many`` and the
+arrival / assignment loops re-implement ``Random._randbelow`` (``getrandbits(k)``
+with rejection), ``Random.sample``, ``Random.expovariate`` and ``_sample_cdf``
+inline, and ``RandomStreams.one_shot_uniform`` draws from the C generator
+directly.  The committed goldens
 depend on them drawing what ``rng.choice`` / ``randint`` / ``randrange`` /
 ``expovariate`` / ``sample`` draw — same values, same generator state
 afterwards — on every supported interpreter; this file is what fails if a
 Python release changes one of those stdlib protocols.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.network.topology import Topology, TopologyConfig
-from repro.sim.rng import RandomStreams, randbelow_many
+from repro.sim.rng import RandomStreams, derive_seed, randbelow_many, sample_rows
 from repro.workload.assignment import ClientAssigner
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 from repro.workload.zipf import ZipfSampler
@@ -41,6 +44,48 @@ def test_randbelow_many_is_randrange_randint_and_choice(seed, n, count):
 def test_randbelow_many_rejects_an_empty_range():
     with pytest.raises(ValueError):
         randbelow_many(random.Random(1), 0, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 + 7])
+def test_sample_rows_is_rng_sample_on_both_branches(seed):
+    # n <= 21 (+ 4**ceil(log(3k, 4)) for k > 5) copies the population into a
+    # shrinking pool, anything larger tracks picks in a set: every (n, k) the
+    # gossip subset can meet and the boundaries between the two.
+    branches = set()
+    for n in [*range(1, 201), 500, 1000]:
+        rows = [[-i, f"c{i}", None] for i in range(n)]  # view rows: unhashable
+        for k in range(0, min(n, 30) + 1):
+            inlined, stdlib = random.Random(seed + 31 * n + k), random.Random(seed + 31 * n + k)
+            picked = sample_rows(inlined, rows, k)
+            expected = stdlib.sample(rows, k)
+            assert len(picked) == k and all(a is b for a, b in zip(picked, expected)), (n, k)
+            assert inlined.getstate() == stdlib.getstate(), (n, k)
+            branches.add(n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0))
+    assert branches == {True, False}
+
+
+def test_sample_rows_rejects_what_rng_sample_rejects():
+    with pytest.raises(ValueError):
+        sample_rows(random.Random(1), [1, 2, 3], 4)
+    with pytest.raises(ValueError):
+        sample_rows(random.Random(1), [1, 2, 3], -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.text(min_size=1, max_size=12), st.floats(-1e3, 1e3), st.floats(0.0, 1e4),
+       st.integers(1, 5))
+def test_one_shot_uniform_is_the_kth_uniform_of_a_python_level_stream(
+    seed, name, low, width, starts
+):
+    # The C-seeded throw-away generator against random.Random(seed).uniform:
+    # the k-th start of a periodic process replays k-1 draws first.
+    high = low + width
+    reference = random.Random(derive_seed(seed, name))
+    expected = [reference.uniform(low, high) for _ in range(starts)]
+    streams = RandomStreams(seed)
+    assert [streams.one_shot_uniform(name, low, high) for _ in range(starts)] == expected
+    # ... and a stream that takes the name over continues where they stopped.
+    assert streams.stream(name).getstate() == reference.getstate()
 
 
 @settings(max_examples=60, deadline=None)
