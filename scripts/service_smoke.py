@@ -8,12 +8,15 @@ headline service guarantees:
 2. Two **concurrent identical** submissions execute once: both resolve to
    the same run id, the second answers ``"cached": true``, and ``/stats``
    counts exactly one cache miss for the pair.
-3. A third, **distinct** submission executes separately.
+3. A third, **distinct** submission executes separately — and all of them
+   on the workers the server booted with (``worker_restarts == 0``).
 4. The returned result document is byte-identical to a direct
    ``Session.from_spec(...).run()`` of the same spec/seed.
 5. Artifact downloads (csv/json/md) match the shared bundle writer.
-6. Overfilling the queue yields HTTP 429 with a ``Retry-After`` header.
-7. SIGTERM drains gracefully: the server finishes in-flight jobs and
+6. ``DELETE`` on a **running** job answers ``cancelled`` in under a second
+   and costs exactly one worker (``worker_restarts == 1``).
+7. Overfilling the queue yields HTTP 429 with a ``Retry-After`` header.
+8. SIGTERM drains gracefully: the server finishes in-flight jobs and
    exits 0, leaving a durable run store behind.
 
 Usage: ``python scripts/service_smoke.py [--store DIR]`` (run from the repo
@@ -61,15 +64,21 @@ def request(base: str, method: str, path: str, body: dict | None = None):
         return error.code, dict(error.headers), error.read().decode()
 
 
-def poll_done(base: str, run_id: str, timeout_s: float = 120.0) -> dict:
+def poll_done(
+    base: str,
+    run_id: str,
+    timeout_s: float = 120.0,
+    interval_s: float = 0.2,
+    states: tuple[str, ...] = ("done", "failed", "cancelled"),
+) -> dict:
     deadline = time.monotonic() + timeout_s  # repro: allow(DET002)
     while time.monotonic() < deadline:  # repro: allow(DET002)
         _, _, text = request(base, "GET", f"/runs/{run_id}")
         document = json.loads(text)
-        if document["state"] in ("done", "failed", "cancelled"):
+        if document["state"] in states:
             return document
-        time.sleep(0.2)
-    raise AssertionError(f"run {run_id} did not finish within {timeout_s}s")
+        time.sleep(interval_s)
+    raise AssertionError(f"run {run_id} did not reach {states} within {timeout_s}s")
 
 
 def main() -> int:
@@ -145,8 +154,12 @@ def main() -> int:
         assert other_id != run_id
         poll_done(base, other_id)
         _, _, stats_text = request(base, "GET", "/stats")
-        assert json.loads(stats_text)["cache"]["misses"] == 2
-        print("smoke: distinct submission executed separately")
+        stats = json.loads(stats_text)
+        assert stats["cache"]["misses"] == 2
+        assert stats["worker_restarts"] == 0, (
+            f"a finished job cost a worker process: {stats['worker_restarts']} restarts"
+        )
+        print("smoke: distinct submission executed separately, on the boot workers")
 
         # -- result bytes == a direct Session run -----------------------------
         status, _, served = request(base, "GET", f"/runs/{run_id}/result")
@@ -166,6 +179,25 @@ def main() -> int:
                 f"artifact {kind} differs from the shared bundle writer"
             )
         print("smoke: result + artifacts byte-identical to a direct run")
+
+        # -- cancelling a running job is prompt and costs one worker ----------
+        # A simulated year at a trickle of queries: minutes of wall clock.
+        endless = dict(TINY_SPEC, duration_s=86400.0 * 365, query_rate_per_s=0.001)
+        status, _, text = request(base, "POST", "/runs", {"spec": endless, "seed": SEED})
+        assert status == 202
+        endless_id = json.loads(text)["id"]
+        poll_done(base, endless_id, timeout_s=30.0, interval_s=0.01, states=("running",))
+        cancel_started = time.monotonic()  # repro: allow(DET002)
+        status, _, _ = request(base, "DELETE", f"/runs/{endless_id}")
+        assert status == 200
+        final = poll_done(base, endless_id, timeout_s=30.0, interval_s=0.01)
+        cancel_s = time.monotonic() - cancel_started  # repro: allow(DET002)
+        assert final["state"] == "cancelled", f"DELETE left the run {final['state']}"
+        assert cancel_s < 1.0, f"cancelling a running job took {cancel_s:.2f}s"
+        _, _, stats_text = request(base, "GET", "/stats")
+        restarts = json.loads(stats_text)["worker_restarts"]
+        assert restarts == 1, f"one cancelled job, {restarts} worker restarts"
+        print(f"smoke: running job cancelled in {cancel_s:.2f}s, one worker replaced")
 
         # -- backpressure: overfill the queue ---------------------------------
         # Slower distinct jobs (longer simulated horizon, a few seconds of

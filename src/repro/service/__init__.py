@@ -4,8 +4,9 @@ Three layers, each its own module:
 
 * :mod:`repro.service.server` — the stdlib HTTP API
   (:class:`ReproService` + :class:`ServiceConfig`);
-* :mod:`repro.service.jobs` — bounded queue, process worker pool,
-  digest-keyed dedup (:class:`JobManager`);
+* :mod:`repro.service.jobs` — bounded queue, digest-keyed dedup
+  (:class:`JobManager`), over the warm worker processes of
+  :mod:`repro.service.workers`;
 * :mod:`repro.service.store` — on-disk content-addressed run cache
   (:class:`RunStore`).
 

@@ -1,12 +1,14 @@
 """Job-execution layer of the ``repro serve`` service.
 
 A :class:`JobManager` owns a bounded FIFO queue of jobs and a pool of worker
-threads.  Each worker executes one job at a time **in a child process**
-(fork + pipe), so a crashing or runaway run can never take the server down:
-a worker traceback comes back as text and becomes a ``failed`` status
-carrying the familiar :class:`~repro.scenarios.parallel.TaskError` detail,
-a per-job timeout terminates only that job's process, and ``DELETE`` on a
-running job terminates it cleanly.  Worker sizing defaults to the same
+threads.  Each thread drives its own **warm worker process**
+(:class:`repro.service.workers.JobWorker`, started at construction before any
+thread exists) and hands it one job at a time over a pipe, so a crashing or
+runaway run can never take the server down: a worker traceback comes back as
+text and becomes a ``failed`` status carrying the familiar
+:class:`~repro.scenarios.parallel.TaskError` detail; a per-job timeout,
+``DELETE`` on a running job or a dying worker costs only that job, and the
+worker is replaced before the next one.  Worker sizing defaults to the same
 CPU-affinity heuristic as the batch runners
 (:func:`repro.scenarios.parallel.default_jobs`).
 
@@ -27,20 +29,23 @@ whose default is the single wall-clock read of the package.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import queue
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.system import InfeasibleScenarioError
 from repro.scenarios.artifacts import run_documents
 from repro.scenarios.parallel import TaskError, default_jobs
 from repro.scenarios.spec import ScenarioSpec
 from repro.service.store import RunStore, request_digest
+from repro.service.workers import (
+    JobCancelled,
+    JobTimedOut,
+    JobWorker,
+    WorkerDied,
+    failure_text,
+)
 
 __all__ = [
     "QUEUED",
@@ -143,7 +148,7 @@ def canonical_sweep_payload(
     }
 
 
-# -- request execution (module-level so the forked child can run it) ----------
+# -- request execution (module-level so a worker process can run it) ----------
 
 
 def execute_request(
@@ -185,29 +190,6 @@ def execute_request(
             )
         )
     raise ValueError(f"unknown request kind {kind!r}")
-
-
-def _failure_text(error: BaseException) -> str:
-    """What a failed job reports: one line for a typed, expected failure of
-    the request itself, the traceback for anything else."""
-    if isinstance(error, InfeasibleScenarioError):
-        return str(error)
-    return traceback.format_exc()
-
-
-def _subprocess_entry(
-    conn: Connection,
-    payload: Dict[str, object],
-    execution: Dict[str, object],
-) -> None:
-    """Child-process entry: run the request, ship the outcome over the pipe."""
-    try:
-        documents = execute_request(payload, execution)
-        conn.send(("ok", documents))
-    except BaseException as error:
-        conn.send(("error", _failure_text(error)))
-    finally:
-        conn.close()
 
 
 # -- the job table ------------------------------------------------------------
@@ -284,6 +266,8 @@ class JobManager:
         self._jobs: Dict[str, Job] = {}
         self._by_digest: Dict[str, str] = {}
         self._queue: "queue.Queue[str]" = queue.Queue()
+        #: jobs in state QUEUED (kept, not scanned: the job table only grows)
+        self._queued = 0
         self._stop = threading.Event()
         self._accepting = True
         self._busy = 0
@@ -291,9 +275,20 @@ class JobManager:
         self.dedup_hits = 0
         self.store_hits = 0
         self.misses = 0
+        # Every worker process starts here, before the first thread does: the
+        # forks that happen on every boot happen in a single-threaded process.
+        # (Empty with an injected executor: its threads run the jobs themselves.)
+        self._pool: List[JobWorker] = (
+            [JobWorker(execute_request) for _ in range(self.workers)]
+            if executor is None
+            else []
+        )
         self._threads = [
             threading.Thread(
-                target=self._worker_loop, name=f"repro-serve-worker-{index}", daemon=True
+                target=self._worker_loop,
+                args=(self._pool[index] if self._pool else None,),
+                name=f"repro-serve-worker-{index}",
+                daemon=True,
             )
             for index in range(self.workers)
         ]
@@ -330,7 +325,7 @@ class JobManager:
                     self.dedup_hits += 1
                     return existing, True
                 # A failed/cancelled digest is re-runnable: requeue below.
-            if digest in self.store:
+            if self.store.touch(digest):  # present, and now recently used
                 self.store_hits += 1
                 job = self._register(
                     digest, kind, label, payload, execution, timeout_s
@@ -339,11 +334,11 @@ class JobManager:
                 job.cached = True
                 job.finished_at = job.submitted_at
                 return job, True
-            queued = sum(1 for job in self._jobs.values() if job.state == QUEUED)
-            if queued >= self.max_queue:
-                raise QueueFullError(self._retry_after_locked(queued))
+            if self._queued >= self.max_queue:
+                raise QueueFullError(self._retry_after_locked(self._queued))
             self.misses += 1
             job = self._register(digest, kind, label, payload, execution, timeout_s)
+            self._queued += 1
             self._queue.put(job.id)
             return job, False
 
@@ -395,7 +390,7 @@ class JobManager:
 
     def queue_depth(self) -> int:
         with self._lock:
-            return sum(1 for job in self._jobs.values() if job.state == QUEUED)
+            return self._queued
 
     def stats(self) -> Dict[str, object]:
         """The counters behind ``GET /stats``."""
@@ -409,6 +404,7 @@ class JobManager:
                 "workers": self.workers,
                 "busy_workers": self._busy,
                 "worker_utilisation": self._busy / self.workers,
+                "worker_restarts": sum(worker.restarts for worker in self._pool),
                 "queue_depth": states[QUEUED],
                 "max_queue": self.max_queue,
                 "accepting": self._accepting,
@@ -427,8 +423,9 @@ class JobManager:
         """Request cancellation; returns the job, or None when unknown.
 
         Queued jobs cancel immediately; running jobs have their worker
-        process terminated (in-thread executors finish their current step
-        and are then marked cancelled).  Terminal jobs are left untouched.
+        process terminated and replaced (in-thread executors finish their
+        current step and are then marked cancelled).  Terminal jobs are left
+        untouched.
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -444,39 +441,49 @@ class JobManager:
 
     # -- worker loop ---------------------------------------------------------
 
-    def _worker_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                job_id = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            with self._lock:
-                job = self._jobs.get(job_id)
-                if job is None or job.state != QUEUED:
-                    continue  # cancelled (or superseded) while queued
-                job.state = RUNNING
-                job.started_at = self._clock()
-                self._busy += 1
-            try:
-                self._execute(job)
-            finally:
-                with self._lock:
-                    self._busy -= 1
-
-    def _execute(self, job: Job) -> None:
+    def _worker_loop(self, worker: Optional[JobWorker]) -> None:
         try:
-            if self._executor is not None:
+            while not self._stop.is_set():
+                try:
+                    job_id = self._queue.get(timeout=0.1)
+                except queue.Empty:
+                    continue
+                with self._lock:
+                    job = self._jobs.get(job_id)
+                    if job is None or job.state != QUEUED:
+                        continue  # cancelled (or superseded) while queued
+                    job.state = RUNNING
+                    self._queued -= 1
+                    job.started_at = self._clock()
+                    self._busy += 1
+                try:
+                    self._execute(job, worker)
+                finally:
+                    with self._lock:
+                        self._busy -= 1
+        finally:
+            if worker is not None:
+                worker.stop()
+
+    def _execute(self, job: Job, worker: Optional[JobWorker]) -> None:
+        try:
+            if worker is None:
                 documents = self._run_inline(job)
             else:
-                documents = self._run_isolated(job)
+                documents = self._run_in_worker(job, worker)
         except TaskError as error:
             self._finish(job, FAILED, detail=str(error))
             return
-        except _CancelledExecution:
+        except JobCancelled:
             self._finish(job, CANCELLED, detail="cancelled while running")
             return
-        except _TimedOutExecution as error:
-            self._finish(job, FAILED, detail=str(error))
+        except JobTimedOut:
+            self._finish(
+                job,
+                FAILED,
+                detail=f"job {job.id} exceeded its {job.timeout_s:g}s timeout "
+                       "and was terminated",
+            )
             return
         if job.cancel_event.is_set():
             self._finish(job, CANCELLED, detail="cancelled while running")
@@ -494,58 +501,19 @@ class JobManager:
         try:
             return self._executor(job.payload, job.execution)
         except Exception as error:
-            raise TaskError(0, job.label, _failure_text(error)) from None
+            raise TaskError(0, job.label, failure_text(error)) from None
 
-    def _run_isolated(self, job: Job) -> Dict[str, str]:
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-        process = multiprocessing.Process(
-            target=_subprocess_entry,
-            args=(child_conn, job.payload, job.execution),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        deadline = (
-            None if job.timeout_s is None else self._clock() + job.timeout_s
-        )
+    def _run_in_worker(self, job: Job, worker: JobWorker) -> Dict[str, str]:
+        deadline = None if job.timeout_s is None else self._clock() + job.timeout_s
         try:
-            while True:
-                if job.cancel_event.is_set():
-                    _terminate(process)
-                    raise _CancelledExecution()
-                if deadline is not None and self._clock() >= deadline:
-                    _terminate(process)
-                    raise _TimedOutExecution(
-                        f"job {job.id} exceeded its {job.timeout_s:g}s timeout "
-                        "and was terminated"
-                    )
-                if parent_conn.poll(0.1):
-                    break
-                if not process.is_alive() and not parent_conn.poll(0):
-                    raise TaskError(
-                        0,
-                        job.label,
-                        f"worker process died with exit code {process.exitcode} "
-                        "before reporting a result",
-                    )
-            try:
-                status, detail = parent_conn.recv()
-            except EOFError:
-                raise TaskError(
-                    0,
-                    job.label,
-                    f"worker process died with exit code {process.exitcode} "
-                    "mid-result",
-                ) from None
-            if status != "ok":
-                raise TaskError(0, job.label, str(detail))
-            return dict(detail)
-        finally:
-            parent_conn.close()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - defensive
-                _terminate(process)
-                process.join(timeout=5.0)
+            status, detail = worker.run(
+                job.payload, job.execution, job.cancel_event, deadline, self._clock
+            )
+        except WorkerDied as error:
+            raise TaskError(0, job.label, str(error)) from None
+        if status != "ok":
+            raise TaskError(0, job.label, str(detail))
+        return dict(detail)
 
     def _finish(self, job: Job, state: str, detail: Optional[str] = None) -> None:
         with self._lock:
@@ -554,6 +522,8 @@ class JobManager:
     def _finish_locked(self, job: Job, state: str, detail: Optional[str]) -> None:
         if job.state in _TERMINAL_STATES:
             return  # first terminal transition wins
+        if job.state == QUEUED:
+            self._queued -= 1
         job.state = state
         job.detail = detail
         job.finished_at = self._clock()
@@ -586,31 +556,22 @@ class JobManager:
         return False
 
     def shutdown(self, drain: bool = True, timeout_s: float = 60.0) -> bool:
-        """Drain (optionally), then stop the worker threads."""
+        """Drain (optionally), then stop the worker threads and processes.
+
+        A job still running at this point (no drain, or a drain that timed
+        out) is cancelled, so its thread comes back and no process is left.
+        Each thread stops its own worker process on the way out.
+        """
         drained = self.drain(timeout_s=timeout_s) if drain else True
         with self._lock:
             self._accepting = False
-        self._stop.set()
+            self._stop.set()
+            for job in self._jobs.values():
+                if job.state == RUNNING:
+                    job.cancel_event.set()
         for thread in self._threads:
             thread.join(timeout=5.0)
         return drained
-
-
-class _CancelledExecution(Exception):
-    """Internal: the running job's process was terminated by a cancel."""
-
-
-class _TimedOutExecution(Exception):
-    """Internal: the running job's process was terminated by its timeout."""
-
-
-def _terminate(process: multiprocessing.Process) -> None:
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=5.0)
-        if process.is_alive():  # pragma: no cover - defensive
-            process.kill()
-            process.join(timeout=5.0)
 
 
 def job_payload_json(job: Job) -> str:

@@ -158,7 +158,10 @@ class ReproService:
 
         Returns True when every job reached a terminal state in time.  The
         run store is already durable at this point (every completed job was
-        published atomically), so a drained exit loses nothing.
+        published atomically), so a drained exit loses nothing.  Order: the
+        manager first (status polls are answered while jobs drain; its worker
+        processes are gone when it returns), then the listener, and the
+        store's index last, once nothing can touch an entry any more.
         """
         drained = self.manager.shutdown(drain=drain, timeout_s=timeout_s)
         if self._httpd is not None:
@@ -168,6 +171,7 @@ class ReproService:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        self.store.flush()
         return drained
 
     # -- request handling (called from handler threads) ----------------------
@@ -356,6 +360,19 @@ class ReproService:
             return 200, {}, document
         if rest == "/payload":
             return 200, {}, _Raw(job_payload_json(job), "application/json")
+        # A route that does not exist is a 404 whatever the job's state; only
+        # a real one can answer "not finished yet".
+        artifact = re.match(r"^/artifacts/(?P<kind>[a-z]+)$", rest)
+        if artifact is not None:
+            kind = artifact.group("kind")
+            if kind not in ARTIFACT_FILES:
+                raise ApiError(
+                    404,
+                    f"unknown artifact kind {kind!r}; "
+                    f"expected one of {sorted(ARTIFACT_FILES)}",
+                )
+        elif rest not in ("/result", "/metrics"):
+            raise ApiError(404, f"no route for GET /runs/{run_id}{rest}")
         if job.state != DONE:
             if job.state == FAILED:
                 raise ApiError(
@@ -373,25 +390,14 @@ class ReproService:
             )
         if rest == "/metrics":
             return self._metrics(job.digest, query)
-        artifact = re.match(r"^/artifacts/(?P<kind>[a-z]+)$", rest)
-        if artifact is not None:
-            kind = artifact.group("kind")
-            filename = ARTIFACT_FILES.get(kind)
-            if filename is None:
-                raise ApiError(
-                    404,
-                    f"unknown artifact kind {kind!r}; "
-                    f"expected one of {sorted(ARTIFACT_FILES)}",
-                )
-            content_type = {
-                "csv": "text/csv",
-                "json": "application/json",
-                "md": "text/markdown",
-            }[kind]
-            return 200, {}, _Raw(
-                self.store.read_document(job.digest, filename), content_type
-            )
-        raise ApiError(404, f"no route for GET /runs/{run_id}{rest}")
+        content_type = {
+            "csv": "text/csv",
+            "json": "application/json",
+            "md": "text/markdown",
+        }[kind]
+        return 200, {}, _Raw(
+            self.store.read_document(job.digest, ARTIFACT_FILES[kind]), content_type
+        )
 
     def _metrics(
         self, digest: str, query: Dict[str, List[str]]

@@ -27,7 +27,10 @@ Durability invariants:
 * **LRU eviction** — the index carries a logical access sequence (no wall
   clock; the store is deterministic given its call sequence).  When
   ``max_bytes`` is set, publishing a bundle evicts least-recently-used
-  entries until the store fits.
+  entries until the store fits.  Serving a bundle (:meth:`RunStore.touch`,
+  :meth:`RunStore.read_document`) bumps its sequence in memory only; the
+  index file catches up at the next ``put`` / ``remove`` / :meth:`RunStore.flush`,
+  so a crash can lose recency, never a bundle.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ class RunStore:
         self._seq = 0
         self._entries: Dict[str, StoredRun] = {}
         self._access: Dict[str, int] = {}
+        #: access sequences bumped in memory since the index was last written
+        self._dirty = False
         #: bundles evicted over this store's lifetime (reported by /stats)
         self.evictions = 0
         self._open()
@@ -170,6 +175,13 @@ class RunStore:
             json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         os.replace(tmp, self._index_path)
+        self._dirty = False
+
+    def flush(self) -> None:
+        """Persist access sequences that :meth:`touch` bumped in memory."""
+        with self._lock:
+            if self._dirty:
+                self._write_index()
 
     # -- queries -------------------------------------------------------------
 
@@ -193,20 +205,28 @@ class RunStore:
     def get(self, digest: str) -> Optional[StoredRun]:
         """The stored entry (bumping its LRU position), or ``None``."""
         with self._lock:
-            entry = self._entries.get(digest)
-            if entry is None:
+            if not self.touch(digest):
                 return None
+            self._write_index()
+            return self._entries[digest]
+
+    def touch(self, digest: str) -> bool:
+        """Bump one entry's LRU position in memory (O(1), no index rewrite)."""
+        with self._lock:
+            if digest not in self._entries:
+                return False
             self._seq += 1
             self._access[digest] = self._seq
-            self._write_index()
-            return entry
+            self._dirty = True
+            return True
 
     def read_document(self, digest: str, filename: str) -> str:
-        """One file of a stored bundle (``KeyError`` when absent)."""
+        """One file of a stored bundle (``KeyError`` when absent); a served
+        bundle is a recently used one."""
         if "/" in filename or "\\" in filename or filename.startswith("."):
             raise KeyError(f"invalid bundle filename {filename!r}")
         with self._lock:
-            if digest not in self._entries:
+            if not self.touch(digest):
                 raise KeyError(f"no stored run for digest {digest!r}")
             path = self.run_dir(digest) / filename
             if not path.is_file():
@@ -234,16 +254,17 @@ class RunStore:
             if staging.exists():
                 shutil.rmtree(staging)
             staging.mkdir(parents=True)
+            written = 0
             for filename, text in documents.items():
                 if "/" in filename or "\\" in filename:
                     raise ValueError(f"invalid bundle filename {filename!r}")
-                (staging / filename).write_text(text, encoding="utf-8")
+                written += (staging / filename).write_bytes(text.encode("utf-8"))
             final = self.run_dir(digest)
             os.replace(staging, final)
             self._seq += 1
             entry = StoredRun(
                 digest=digest,
-                bytes=_tree_bytes(final),
+                bytes=written,
                 kind=kind,
                 meta=dict(meta or {}),
             )

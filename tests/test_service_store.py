@@ -3,18 +3,22 @@
 Covers the durability invariants :mod:`repro.service.store` promises:
 atomic publication (tmp + rename), crash recovery on open (stale staging
 cleanup, dropped dangling index entries, orphan-bundle adoption) and LRU
-eviction under a byte budget.
+eviction under a byte budget — including that *serving* a bundle through the
+service counts as using it.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
+import threading
+import urllib.request
 from pathlib import Path
 
 import pytest
 
-from repro.service.store import RunStore, request_digest
+from repro.service import JobManager, ReproService, ServiceConfig
+from repro.service.store import RunStore, _tree_bytes, request_digest
 
 DOCS = {"digest.json": '{"a": 1}\n', "result.json": '{"b": 2}\n'}
 
@@ -61,6 +65,16 @@ class TestPutGet:
         assert digest in store
         assert len(store) == 1
         assert store.read_document(digest, "digest.json") == DOCS["digest.json"]
+
+    def test_stored_bytes_equal_the_tree_on_disk(self, store: RunStore) -> None:
+        # put() sums what it encoded instead of walking the bundle; multi-byte
+        # text is where a character count and a byte count part ways.
+        documents = {"digest.json": '{"π": "é…"}\n', "summary.md": "# ünïcode ✓\n", "e": ""}
+        entry = store.put(digest_of("unicode"), documents)
+        assert entry.bytes == _tree_bytes(store.run_dir(entry.digest))
+        assert entry.bytes == sum(len(text.encode("utf-8")) for text in documents.values())
+        assert entry.bytes > sum(len(text) for text in documents.values())
+        assert store.total_bytes() == entry.bytes
 
     def test_put_is_idempotent(self, store: RunStore) -> None:
         digest = digest_of("run-1")
@@ -219,3 +233,79 @@ class TestEviction:
     def test_invalid_max_bytes_rejected(self, tmp_path: Path) -> None:
         with pytest.raises(ValueError):
             RunStore(tmp_path / "store", max_bytes=0)
+
+    def test_touch_bumps_in_memory_and_persists_at_the_next_write(
+        self, tmp_path: Path
+    ) -> None:
+        root = tmp_path / "store"
+        store = RunStore(root)
+        for tag in ("a", "b", "c"):
+            store.put(digest_of(tag), self.bundle(10))
+        index_before = (root / "index.json").read_bytes()
+        assert store.touch(digest_of("a")) is True
+        assert store.touch(digest_of("missing")) is False
+        store.read_document(digest_of("b"), "digest.json")  # a read is a use
+        assert store.digests() == [digest_of("c"), digest_of("a"), digest_of("b")]
+        assert (root / "index.json").read_bytes() == index_before  # no rewrite per touch
+        store.flush()
+        assert RunStore(root).digests() == store.digests()
+        store.touch(digest_of("c"))
+        store.put(digest_of("d"), self.bundle(10))  # any index write carries the bumps
+        assert RunStore(root).digests() == [
+            digest_of(tag) for tag in ("a", "b", "c", "d")
+        ]
+
+
+class TestServedBundlesAreRecentlyUsed:
+    """`--store-max-bytes` evicts by *use*: a store hit or a result read is one."""
+
+    DOCS = {"digest.json": "x" * 100}
+
+    def service(self, tmp_path: Path) -> ReproService:
+        config = ServiceConfig(
+            port=0, workers=1, store_dir=tmp_path / "store", store_max_bytes=250,
+            timeout_s=None,
+        )
+        service = ReproService(config, executor=lambda _payload, _execution: self.DOCS)
+        service.start()
+        return service
+
+    @staticmethod
+    def run(manager: JobManager, tag: str) -> str:
+        job, _ = manager.submit({"kind": "scenario", "tag": tag}, label=tag)
+        for _ in range(2000):
+            if job.state == "done":
+                return job.digest
+            threading.Event().wait(0.005)
+        raise AssertionError(f"job {tag} never finished")
+
+    def test_a_reserved_bundle_outlives_a_newer_unserved_one(self, tmp_path: Path) -> None:
+        service = self.service(tmp_path)
+        try:
+            old = self.run(service.manager, "old")
+            newer = self.run(service.manager, "newer")
+            with urllib.request.urlopen(  # serve the old one again: a result read
+                f"{service.url}/runs/{old[:16]}/result", timeout=10
+            ) as response:
+                assert response.read() == self.DOCS["digest.json"].encode()
+            assert service.store.digests() == [newer, old]
+        finally:
+            assert service.stop() is True  # a clean stop persists the order
+        assert RunStore(tmp_path / "store").digests() == [newer, old]
+
+        service = self.service(tmp_path)
+        try:
+            # The budget holds two bundles.  Publish-order FIFO would evict
+            # "old" here; it was served since, so the never-served one goes.
+            third = self.run(service.manager, "third")
+            assert service.store.digests() == [old, third]
+            # A store-hit submission reads nothing, and is a use all the same.
+            job, cached = service.manager.submit(
+                {"kind": "scenario", "tag": "old"}, label="old"
+            )
+            assert cached is True and job.digest == old
+            fourth = self.run(service.manager, "fourth")
+            assert service.store.digests() == [old, fourth]
+            assert service.store.evictions == 2
+        finally:
+            service.stop()
