@@ -27,13 +27,13 @@ check-goldens:
 	$(PYTHON) -m repro.scenarios.golden
 
 ## verify that blocks placed over worker processes reproduce the committed
-## goldens, and that monolithic == default == --shards 2 byte for byte on both
-## documents (the per-PR sharded-equivalence smoke)
+## goldens, and that one block == default == --shards 2 byte for byte on both
+## documents, both halves of a Squirrel pair (the per-PR sharded-equivalence smoke)
 shard-check:
-	$(PYTHON) -m repro.scenarios.golden --shards 2 paper-default multi-locality locality-partition partition-heal-reconcile
+	$(PYTHON) -m repro.scenarios.golden --shards 2 paper-default multi-locality locality-partition partition-heal-reconcile squirrel-head-to-head
 	$(PYTHON) -m repro.scenarios.golden --shards 4 paper-default
 	$(PYTHON) scripts/block_check.py --table1-hours 0.5 paper-default multi-locality \
-		locality-partition partition-heal-reconcile adversarial-hotspots
+		locality-partition partition-heal-reconcile adversarial-hotspots squirrel-head-to-head
 
 ## fast benchmark subset: parameter table + the headline Figure 6 comparison
 bench-smoke:

@@ -7,7 +7,7 @@ effect on hit ratio and on remote-overlay hits, plus the extra bandwidth the
 replication pushes cost.
 """
 
-from repro.core.replication import ReplicationConfig
+from repro.core.replication import ActiveReplicator, ReplicationConfig
 from repro.experiments.driver import ExperimentRunner
 from repro.metrics.collectors import QueryOutcome
 from repro.metrics.report import format_table
@@ -17,11 +17,12 @@ def test_ablation_active_replication(benchmark, bench_setup, report):
     def run_both():
         baseline_runner = ExperimentRunner(bench_setup)
         baseline = baseline_runner.run_flower()
+        config = ReplicationConfig(period_s=1800.0, top_k=10, min_requests=3)
         replicated_runner = ExperimentRunner(bench_setup)
         replicated = replicated_runner.run_flower(
-            replication=ReplicationConfig(period_s=1800.0, top_k=10, min_requests=3)
+            attachments=(lambda system: ActiveReplicator(system, config),)
         )
-        replicator = replicated_runner.last_replicator
+        (replicator,) = replicated_runner.last_injectors
         return baseline, replicated, replicator
 
     baseline, replicated, replicator = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -1,19 +1,21 @@
 #!/usr/bin/env python
-"""Block check: one flower at a time must be the monolithic run, byte for byte.
+"""Block check: one flower at a time must be the one-block run, byte for byte.
 
 For each named library scenario (and, with ``--table1-hours H``, the Table 1
 spec cut to ``H`` simulated hours: compact metrics, calendar queue) three
 runs of the same ``(spec, seed)`` are compared:
 
-* **monolithic** — ``ExperimentRunner.run_flower`` with the spec's models
-  attached: every flower interleaved in one system (the reference);
+* **one block** — ``ExperimentRunner.run_flower`` with the spec's models
+  attached: the plan of one whole-catalogue block, every flower interleaved
+  in one system (the reference);
 * **default** — ``Session.run()``: one block per queryable website, one after
   another in this process;
 * **shards 2** — the same blocks placed over two worker processes.
 
-``result.json`` *and* ``digest.json`` must be identical in all three.  Exits
-1 on the first scenario where they are not.  Part of ``make shard-check`` and
-of CI's sharded-equivalence step.
+``result.json`` *and* ``digest.json`` — every system's blocks of them, for a
+Squirrel pair — must be identical in all three.  Exits 1 on the first
+scenario where they are not.  Part of ``make shard-check`` and of CI's
+sharded-equivalence step.
 
 Usage (repo root, ``PYTHONPATH=src``)::
 
@@ -38,10 +40,14 @@ def documents(result: ScenarioResult) -> tuple:
     return bundle[RESULT_FILENAME], bundle[DIGEST_FILENAME]
 
 
-def monolithic(spec, seed: int) -> ScenarioResult:
+def one_block(spec, seed: int) -> ScenarioResult:
     session = Session(spec, seed=seed)
-    run = session.experiment.run_flower(attachments=(session.attach_models,))
-    return ScenarioResult(spec, seed, {"flower": summarise_system(spec, "flower", run)})
+    runs = {
+        "flower": lambda: session.experiment.run_flower(attachments=(session.attach_models,)),
+        "squirrel": lambda: session.run_system("squirrel"),
+    }
+    systems = {name: summarise_system(spec, name, runs[name]()) for name in spec.systems}
+    return ScenarioResult(spec, seed, systems)
 
 
 def main(argv: list) -> int:
@@ -60,12 +66,12 @@ def main(argv: list) -> int:
             metrics_window_s=None,
         ))
     for spec in specs:
-        reference = documents(monolithic(spec, args.seed))
+        reference = documents(one_block(spec, args.seed))
         for label, placement in (("default", {}), ("shards 2", {"shards": 2})):
             if documents(Session(spec, seed=args.seed, **placement).run()) != reference:
-                print(f"FAIL {spec.name}: {label} differs from the monolithic run")
+                print(f"FAIL {spec.name}: {label} differs from the one-block run")
                 return 1
-        print(f"ok   {spec.name}: monolithic == default == shards 2 (result.json, digest.json)")
+        print(f"ok   {spec.name}: one block == default == shards 2 (result.json, digest.json)")
     return 0
 
 

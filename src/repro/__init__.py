@@ -27,14 +27,17 @@ point; see ``docs/api.md``)::
     result = Session.from_name("paper-default").run()
     print(result.flower.metrics["hit_ratio"])
 
-The lower layers remain available for harnesses that need them::
+The lower layers remain available for harnesses that need them — the same
+run loop, entered without a spec (one whole-catalogue block; churn or any
+other injector is an attachment)::
 
-    from repro import ExperimentRunner, ScenarioSpec
+    from repro import ChurnConfig, ChurnInjector, ExperimentRunner, ScenarioSpec
 
     spec = ScenarioSpec(name="adhoc", duration_s=1800, query_rate_per_s=1.0)
     runner = ExperimentRunner(spec.to_setup())
-    result = runner.run_flower()
-    print(result.hit_ratio, result.average_lookup_latency_ms)
+    churn = ChurnConfig(content_failures_per_hour=20.0)
+    result = runner.run_flower(attachments=(lambda system: ChurnInjector(system, churn),))
+    print(result.hit_ratio, runner.last_injectors[0].events_injected)
 """
 
 from repro.core.config import FlowerConfig, GossipConfig, MessageSizeModel

@@ -16,20 +16,16 @@ simulates them one after another — or placed over worker processes — each
 in a complete engine that staffs its own websites' directories on the
 deployment's static D-ring, so ring routing, bootstrap-node choice and
 client assignment are identical to the undivided deployment.  Because the
-cut is website-atomic, the cross-block message channel is *empty by
-construction* under the supported regime, which is what makes a blocked run
-reproduce the monolithic documents exactly, however the blocks are grouped
-or placed.
+cut is website-atomic, no block ever has a message for another, which is what
+makes a run cut into blocks reproduce the one-block run's documents exactly,
+however the blocks are grouped or placed — and why each block simply runs to
+the horizon on its own.
 
-The supported regime is decided by :func:`inseparable_reason`: a flower-only
-spec whose churn and fault models each declare themselves website-separable
-(see :mod:`repro.scenarios.models`; churn victims and per-message loss draws
-come from globally-ordered streams and are not).
-
-The conservative lookahead is still derived and enforced as the stride at
-which every block advances: the minimum delay any cross-block interaction
-*would* experience (one gossip/keepalive period plus the inter-locality
-latency floor).
+Whether a spec may be cut is decided by :func:`inseparable_reason`: its churn
+and fault models each declare themselves website-separable (see
+:mod:`repro.scenarios.models`; churn victims and per-message loss draws come
+from globally-ordered streams and are not).  A spec that may not runs as the
+plan of one block — the whole catalogue (:mod:`repro.sim.sharded`).
 """
 
 from __future__ import annotations
@@ -39,16 +35,12 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 if TYPE_CHECKING:
     from repro.scenarios.spec import ScenarioSpec
 
-#: window-count cap: pathologically small lookaheads (tiny gossip periods in
-#: scaled-down tests) degrade to barrier overhead without changing results
-MAX_WINDOWS = 4096
 
-
-# -- validation ----------------------------------------------------------------
+# -- separability --------------------------------------------------------------
 
 
 def inseparable_reason(spec: "ScenarioSpec") -> Optional[str]:
-    """Why ``spec`` must run as one monolithic system (``None``: it need not).
+    """Why ``spec`` must run as one whole-catalogue block (``None``: it need not).
 
     Cutting a run into blocks requires that every source of randomness is
     website-scoped or replicated identically in every block.  Each churn and
@@ -58,11 +50,6 @@ def inseparable_reason(spec: "ScenarioSpec") -> Optional[str]:
     """
     from repro.scenarios.models import build_churn_model, build_fault_model
 
-    if tuple(spec.systems) != ("flower",):
-        return (
-            "sharded execution supports flower-only scenarios; "
-            f"{spec.name!r} runs systems {tuple(spec.systems)}"
-        )
     for kind, ref, build in (
         ("churn", spec.churn_model, build_churn_model),
         ("fault", spec.fault_model, build_fault_model),
@@ -75,13 +62,6 @@ def inseparable_reason(spec: "ScenarioSpec") -> Optional[str]:
                 "be partitioned deterministically"
             )
     return None
-
-
-def validate_shardable(spec: "ScenarioSpec") -> None:
-    """Raise ``ValueError`` unless ``spec`` can be cut into blocks."""
-    reason = inseparable_reason(spec)
-    if reason is not None:
-        raise ValueError(reason)
 
 
 # -- block planning ------------------------------------------------------------
@@ -133,45 +113,3 @@ def plan_blocks(spec: "ScenarioSpec") -> Tuple[Tuple[str, ...], ...]:
         blocks[index % len(blocks)].append(name)
     return tuple(tuple(block) for block in blocks)
 
-
-# -- conservative windows ------------------------------------------------------
-
-
-def conservative_lookahead_s(spec: "ScenarioSpec") -> float:
-    """The minimum delay of any would-be cross-block interaction.
-
-    The earliest a block could causally affect another is one background
-    period (gossip or keepalive, whichever ticks faster) plus the
-    inter-locality latency floor — no protocol message propagates faster.
-    Window barriers at this stride are therefore conservative in the
-    classical parallel-discrete-event sense.
-    """
-    period_s = min(spec.gossip_period_s, spec.effective_keepalive_period_s)
-    min_latency_ms = spec.to_setup().topology.min_latency_ms
-    return period_s + min_latency_ms / 1000.0
-
-
-def window_boundaries(duration_s: float, lookahead_s: float) -> Tuple[float, ...]:
-    """Ascending barrier times ``k * lookahead`` capped at the duration.
-
-    The final boundary is exactly ``duration_s`` so the last window closes
-    on the run horizon; an event scheduled exactly on a boundary fires in
-    the window that boundary closes (the simulator's ``run(until=W)`` is
-    inclusive) and is consumed exactly once.
-    """
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    if lookahead_s <= 0 or lookahead_s >= duration_s:
-        return (duration_s,)
-    if duration_s / lookahead_s > MAX_WINDOWS:
-        lookahead_s = duration_s / MAX_WINDOWS
-    boundaries: List[float] = []
-    k = 1
-    while True:
-        boundary = k * lookahead_s
-        if boundary >= duration_s:
-            break
-        boundaries.append(boundary)
-        k += 1
-    boundaries.append(duration_s)
-    return tuple(boundaries)

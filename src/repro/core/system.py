@@ -40,7 +40,6 @@ from repro.metrics.collectors import (
     QueryOutcome,
     QueryRecord,
 )
-from repro.metrics.resilience import summarise_resilience
 from repro.network.latency import LatencyModel
 from repro.network.reachability import DeliveryStats, ReachabilityModel
 from repro.network.topology import Topology
@@ -356,21 +355,6 @@ class FlowerCDN:
             if directory is None or not directory.alive:
                 continue
             self._publish_summary(directory)
-
-    def resilience_summary(self, duration_s: Optional[float] = None) -> Optional[Dict[str, float]]:
-        """The ``resilience_*`` metric block, or ``None`` when no model ran.
-
-        Only models with ``emits_metrics`` produce a block, so adapters that
-        must keep pre-existing goldens byte-identical (the re-routed
-        gossip-loss filter) stay invisible here.
-        """
-        windows = self.resilience_windows()
-        if windows is None:
-            return None
-        duration = duration_s if duration_s is not None else self.config.simulation_duration_s
-        return summarise_resilience(
-            self.metrics.hit_ratio_series, windows, duration, self.delivery_stats
-        )
 
     def resilience_windows(self) -> Optional[Tuple[Tuple[float, float], ...]]:
         """The fault episodes the ``resilience_*`` block is computed over

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.churn import ChurnConfig
+from repro.core.churn import ChurnConfig, ChurnInjector
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup, RunResult
 from repro.metrics.report import format_table
 
@@ -68,26 +68,17 @@ def run_churn_experiment(
             directory_failures_per_hour=2.0,
             locality_changes_per_hour=5.0,
         )
-    baseline_runner = ExperimentRunner(setup)
-    baseline = baseline_runner.run_flower()
+    baseline = ExperimentRunner(setup).run_flower()
 
     churn_runner = ExperimentRunner(setup)
-    churned = churn_runner.run_flower(churn=churn)
-    system = churn_runner.last_flower_system
-    replacements = system.directory_replacements if system is not None else 0
-
-    # The injector is internal to run_flower; recover its event count from the
-    # difference in alive peers is brittle, so the runner exposes the system and
-    # we approximate injected events by replacements + failed peers.
-    failed_peers = 0
-    if system is not None:
-        failed_peers = sum(
-            1 for peer in system._content_peers.values() if not peer.alive  # noqa: SLF001
-        )
+    churned = churn_runner.run_flower(
+        attachments=(lambda system: ChurnInjector(system, churn),)
+    )
+    (injector,) = churn_runner.last_injectors
     return ChurnResults(
         baseline=baseline,
         churned=churned,
         churn_config=churn,
-        events_injected=failed_peers + replacements,
-        directory_replacements=replacements,
+        events_injected=injector.events_injected,
+        directory_replacements=churn_runner.last_flower_system.directory_replacements,
     )

@@ -19,9 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.baselines.squirrel import Squirrel, SquirrelConfig
-from repro.core.churn import ChurnConfig, ChurnInjector
 from repro.core.config import FlowerConfig
-from repro.core.replication import ActiveReplicator, ReplicationConfig
 from repro.core.system import FlowerCDN, directory_hosts
 from repro.metrics.collectors import BandwidthAccountant, MetricsCollector
 from repro.network.latency import LatencyModel
@@ -138,8 +136,15 @@ class ExperimentRunner:
         self._topology: Optional[Topology] = None
         self._trace: Optional[ResolvedTraceArrays] = None
         self._catalog: Optional[Catalog] = None
-        self._flower_system: Optional[object] = None
-        self._last_replicator: Optional[ActiveReplicator] = None
+        #: the system of the most recent flower run: the FlowerCDN itself after
+        #: a whole-catalogue block (run_flower(), a model that is not
+        #: website-separable); after a run cut into blocks (repro.sim.sharded)
+        #: a census of the whole run that holds no peer (num_content_peers,
+        #: num_directory_peers, active_overlays())
+        self.last_flower_system: Optional[object] = None
+        #: what that run's attachments built, while its system is kept; empty
+        #: after a run cut into blocks — a block's injectors go with the block
+        self.last_injectors: list = []
         self._ring_system: Optional[FlowerCDN] = None
 
     # -- environment construction ---------------------------------------------------
@@ -180,13 +185,13 @@ class ExperimentRunner:
     ) -> tuple[Simulator, FlowerCDN]:
         """Construct a bootstrapped Flower-CDN system plus its simulator.
 
-        Public so harnesses that need the simulator itself (e.g. the perf
-        suite, which times the dispatch phase in isolation) can drive the
-        replay themselves instead of going through :meth:`run_flower`.
-
-        ``owned_websites`` builds one *block* of the deployment instead: a
-        system that staffs only those websites' directories, on the shared
-        :meth:`block_ring`.
+        Every flower of a run is built here — one per block of the run's plan
+        (:mod:`repro.sim.sharded`).  ``None`` is the whole catalogue, on a
+        D-ring of its own; ``owned_websites`` builds one block of a catalogue
+        cut by website: a system that staffs only those websites'
+        directories, on the shared :meth:`block_ring`.  Public so harnesses
+        that need the simulator itself (the perf suite times the dispatch
+        phase in isolation) can drive the replay themselves.
         """
         ring = self.block_ring() if owned_websites else None
         sim = self._new_simulator()
@@ -259,82 +264,28 @@ class ExperimentRunner:
 
     # -- runs -------------------------------------------------------------------------
 
-    def _replay_trace(self, sim: Simulator, system) -> float:
-        """Schedule the shared trace against ``system`` and run to the horizon."""
-        trace = self.resolved_trace()
-        sim.schedule_trace(trace.times, trace.replayer(system.process_query), label="query")
-        duration = self.setup.flower.simulation_duration_s
-        sim.run(until=duration)
-        return duration
-
     def run_flower(
-        self,
-        churn: Optional[ChurnConfig] = None,
-        replication: Optional[ReplicationConfig] = None,
-        attachments: Sequence[Callable[[FlowerCDN], Optional[object]]] = (),
+        self, attachments: Sequence[Callable[[FlowerCDN], Optional[object]]] = ()
     ) -> RunResult:
-        """Run Flower-CDN over the shared trace.
+        """Run Flower-CDN over the shared trace, as one whole-catalogue block
+        of the one run loop (:func:`repro.sim.sharded.run_blocks`).
 
-        ``churn`` enables failure/mobility injection; ``replication`` enables
-        the active-replication extension (both off by default, matching the
-        configuration the paper evaluates).  ``attachments`` are callables
-        receiving the freshly built system and returning an injector with
-        ``start()``/``stop()``, a list of such injectors, or ``None`` for
-        "nothing to inject" — the hook the scenario layer's pluggable
-        churn/fault models attach through
+        ``attachments`` are callables receiving the freshly built system and
+        returning an injector with ``start()``/``stop()``, a list of such
+        injectors, or ``None`` for "nothing to inject": a ``ChurnInjector``,
+        an ``ActiveReplicator``, the scenario layer's churn/fault models
         (:meth:`repro.session.Session.attach_models`).
         """
-        self.resolved_trace()  # build the trace before the live system exists
-        sim, system = self.build_flower()
-        injectors = []
-        if churn is not None and churn.is_enabled:
-            injectors.append(ChurnInjector(system, churn))
-        injectors += flatten_injectors(attach(system) for attach in attachments)
-        for injector in injectors:
-            injector.start()
-        replicator = None
-        if replication is not None:
-            replicator = ActiveReplicator(system, replication)
-            replicator.start()
-        duration = self._replay_trace(sim, system)
-        for injector in reversed(injectors):
-            injector.stop()
-        if replicator is not None:
-            replicator.stop()
-        # The run is over: drop the background processes and whatever lies
-        # past the horizon.  The system stays inspectable, and without its
-        # reference cycles with the simulator it is freed by reference
-        # counting, not by some later full GC pass.
-        system.shutdown()
-        sim.discard_pending()
-        self._flower_system = system
-        self._last_replicator = replicator
-        return RunResult.from_metrics(
-            "Flower-CDN",
-            duration,
-            system.metrics,
-            sim.events_fired,
-            bandwidth=system.bandwidth,
-            resilience=system.resilience_summary(duration),
-        )
+        from repro.sim.sharded import run_blocks
+
+        return run_blocks(self, None, attachments)[0]
 
     def run_squirrel(self) -> RunResult:
         """Run the Squirrel baseline over the same trace."""
-        self.resolved_trace()  # build the trace before the live system exists
+        trace = self.resolved_trace()  # built before the live system exists
         sim, system = self.build_squirrel()
-        duration = self._replay_trace(sim, system)
+        sim.schedule_trace(trace.times, trace.replayer(system.process_query), label="query")
+        duration = self.setup.flower.simulation_duration_s
+        sim.run(until=duration)
         sim.discard_pending()
         return RunResult.from_metrics("Squirrel", duration, system.metrics, sim.events_fired)
-
-    @property
-    def last_flower_system(self):
-        """The system of the most recent flower run: the :class:`FlowerCDN`
-        itself after :meth:`run_flower`; after a run cut into blocks (see
-        :mod:`repro.sim.sharded`) a census of the whole run that holds no peer
-        (``num_content_peers``, ``num_directory_peers``, ``active_overlays()``)."""
-        return self._flower_system
-
-    @property
-    def last_replicator(self) -> Optional[ActiveReplicator]:
-        """The ActiveReplicator of the most recent run, if replication was enabled."""
-        return self._last_replicator

@@ -406,7 +406,6 @@ def bench_paper_scale_sharded(
         "critical_path_s": critical_path_s,
         "setup_s_max": max(stats.setup_s_per_shard),
         "dispatch_s_total": sum(stats.dispatch_s_per_shard),
-        "lookahead_s": stats.lookahead_s,
         "num_windows": stats.num_windows,
         "events_fired": run.events_fired,
         "num_queries": run.num_queries,

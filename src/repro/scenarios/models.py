@@ -27,7 +27,7 @@ A model may also define ``website_separable(self, spec) -> bool``: ``True``
 promises that attaching it to each website's flower on its own (one *block*
 of :mod:`repro.core.sharding` at a time) reproduces the undivided run — no
 draw from a stream shared across websites, no victim picked from a global
-list.  A model without the method runs monolithically, always.
+list.  A model without the method keeps the run one whole-catalogue block.
 
 Registering a custom model (e.g. from a test or a plugin)::
 

@@ -162,9 +162,9 @@ class ScenarioSpec:
     compact_metrics: bool = False
     #: over how many worker processes the run's blocks (one website's flower
     #: each) are placed: 1 (the default) runs them one after another in this
-    #: process; N >= 2 needs a separable spec (flower-only, website-separable
-    #: churn and fault models — see repro.core.sharding and
-    #: docs/performance.md).  Results do not depend on it.
+    #: process; N >= 2 needs a separable spec (website-separable churn and
+    #: fault models — see repro.core.sharding and docs/performance.md; a
+    #: Squirrel half stays one system).  Results do not depend on it.
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -202,11 +202,13 @@ class ScenarioSpec:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.shards > 1:
-            # Fail at construction time, not mid-run: sharding supports only
-            # churn-free flower scenarios with time-driven fault models.
-            from repro.core.sharding import validate_shardable
+            # Fail at construction time, not mid-run: a model that keeps the
+            # catalogue in one block leaves nothing to deal over workers.
+            from repro.core.sharding import inseparable_reason
 
-            validate_shardable(self)
+            reason = inseparable_reason(self)
+            if reason is not None:
+                raise ValueError(reason)
         if "squirrel" in self.systems:
             # The Squirrel baseline has no churn/fault-injection support;
             # allowing dynamicity here would silently present an unfair

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.sharding import inseparable_reason
+from repro.core.sharding import inseparable_reason, plan_blocks
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup, RunResult
 from repro.scenarios.models import build_churn_model, build_fault_model
 from repro.scenarios.runner import ScenarioResult, summarise_system
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.sharded import run_blocked_flower
+from repro.sim.sharded import run_blocks
 
 __all__ = ["Session"]
 
@@ -61,8 +61,8 @@ class Session:
         #: (overrides the spec's ``shards`` field when given; 1: this process).
         #: A separable flower run executes one website's flower at a time
         #: (repro.sim.sharded) wherever its blocks are placed — byte-identical
-        #: to the monolithic run, so results carry no trace of the shard count;
-        #: any other spec runs as one monolithic system and refuses shards > 1.
+        #: to the one-block run, so results carry no trace of the shard count;
+        #: any other spec is one whole-catalogue block and refuses shards > 1.
         self.shards = spec.shards if shards is None else shards
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
@@ -78,9 +78,6 @@ class Session:
         self._experiment = ExperimentRunner(spec.to_setup(seed=self.seed))
         self._churn_model = build_churn_model(spec.churn_model)
         self._fault_model = build_fault_model(spec.fault_model)
-        #: injectors attached to the most recent monolithic flower run
-        #: (diagnostics; a block's injectors go with the block)
-        self.last_injectors: List[object] = []
 
     # -- construction -------------------------------------------------------
 
@@ -134,6 +131,13 @@ class Session:
         """The resolved fault-model instance (from the spec's registry ref)."""
         return self._fault_model
 
+    @property
+    def last_injectors(self) -> List[object]:
+        """Injectors of the most recent flower run when it was one
+        whole-catalogue block (diagnostics; empty after a run cut into
+        blocks — a block's injectors go with the block)."""
+        return self._experiment.last_injectors
+
     def resolved_trace(self):
         """The shared resolved query trace (built once, array columns)."""
         return self._experiment.resolved_trace()
@@ -148,31 +152,25 @@ class Session:
         """Attach the spec's churn/fault models to a built Flower system.
 
         Returns the resulting injectors (each with ``start()``/``stop()``;
-        models that inject nothing contribute none) and records them as
-        :attr:`last_injectors`.  This is the single place the model-to-run
-        wiring lives: :meth:`run_system` goes through it, and so do harnesses
-        that drive the dispatch phase manually (e.g. the perf suite).
+        models that inject nothing contribute none).  This is the single
+        place the model-to-run wiring lives: :meth:`run_system` attaches
+        every block through it, and so do harnesses that drive the dispatch
+        phase manually (e.g. the perf suite).
         """
-        injectors = [
-            injector
-            for injector in (
-                self._churn_model.attach(system, self.spec),
-                self._fault_model.attach(system, self.spec),
-            )
-            if injector is not None
-        ]
-        self.last_injectors = injectors
-        return injectors
+        attached = (
+            model.attach(system, self.spec) for model in (self._churn_model, self._fault_model)
+        )
+        return [injector for injector in attached if injector is not None]
 
     def run_system(self, system: str) -> RunResult:
         """Run one of the spec's systems over the shared trace."""
         if system == "flower":
-            if self._inseparable is None:
-                result, self.last_shard_stats = run_blocked_flower(
-                    self._experiment, self.spec, shards=self.shards, jobs=self.shard_jobs
-                )
-                return result
-            return self._experiment.run_flower(attachments=(self.attach_models,))
+            plan = plan_blocks(self.spec) if self._inseparable is None else None
+            attachments = (self.attach_models,)
+            result, self.last_shard_stats = run_blocks(
+                self._experiment, plan, attachments, self.shards, self.shard_jobs, self.spec
+            )
+            return result
         if system == "squirrel":
             return self._experiment.run_squirrel()
         raise ValueError(f"unknown system {system!r}; expected 'flower' or 'squirrel'")

@@ -12,7 +12,7 @@ The backend is a drop-in replacement for :class:`repro.sim.events.EventQueue`
 (same entry ordering ``(time, sequence)``, same lazy cancellation and
 compaction semantics), so a run produces byte-identical results on either
 backend; which one is faster depends on the schedule shape (see
-``docs/performance.md`` for the selection heuristic).  Sparse or severely
+``docs/performance.md``, "the per-layer ledger").  Sparse or severely
 non-uniform schedules degenerate to one entry per bucket, where the tuple
 heap is the better choice — hence the engine keeps the heap as its default.
 

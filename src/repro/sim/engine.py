@@ -63,8 +63,8 @@ class Simulator:
         queue_backend: ``"heap"`` (tuple-heap queue, the default — best for
             sparse or irregular schedules) or ``"calendar"`` (bucketed
             calendar queue — best for dense, near-uniform schedules such as
-            paper-scale trace replay).  Both produce byte-identical runs; see
-            ``docs/performance.md`` for the selection heuristic.
+            paper-scale trace replay).  Both produce byte-identical runs;
+            ``docs/performance.md`` ("the per-layer ledger") times the two.
     """
 
     __slots__ = (

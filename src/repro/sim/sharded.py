@@ -1,32 +1,36 @@
-"""One flower at a time: website-blocked execution of Flower-CDN scenarios.
+"""The one Flower-CDN run loop: a plan of blocks, one flower at a time.
 
-A separable run (see :func:`repro.core.sharding.inseparable_reason`) is cut
-into *blocks* — one queryable website's flower each, see
-:func:`repro.core.sharding.plan_blocks` for why the cut makes the
-cross-block message channel empty.  The environment (topology, catalogue,
-resolved trace, the static bootstrap D-ring) is built once; the trace is
-partitioned by website in one pass; then each block is a complete
+Every Flower-CDN run goes through :func:`run_blocks` with a *plan*.  A
+separable spec (:func:`repro.core.sharding.inseparable_reason`) is cut into
+*blocks* — one queryable website's flower each,
+:func:`repro.core.sharding.plan_blocks`.  The environment (topology,
+catalogue, resolved trace, the static bootstrap D-ring) is built once; the
+trace is partitioned by website in one pass; then each block is a complete
 :class:`~repro.sim.engine.Simulator` + :class:`~repro.core.system.FlowerCDN`
 that answers its own rows of the trace to the horizon, leaves what it
 produced in a :class:`BlockTally` and is dropped before the next one is
 built.  The live state of a run is therefore one flower, not all of them —
 which is what keeps a paper-scale run inside the cache and the collector's
-full passes short.
+full passes short.  Everything else — a model that draws from
+globally-ordered streams, a caller with no spec — is the plan of **one
+whole-catalogue block** (``plan=None``): the same build, attach, replay,
+stop, shut down, on a D-ring of the block's own over every row of the trace;
+being the whole run, its system and injectors are kept for inspection.
 
-``shards=N`` only *places* the same blocks over ``N`` worker processes
-(:func:`repro.scenarios.parallel.map_tasks`), each running its blocks one at
-a time with the same block runner; forked workers inherit the parent's
-environment instead of rebuilding it.
+``shards=N`` only *places* the blocks of a cut plan over ``N`` worker
+processes (:func:`repro.scenarios.parallel.map_tasks`), each running its
+blocks one at a time with the same block runner; forked workers inherit the
+parent's environment instead of rebuilding it.
 
 Merging is one fold in trace order: every block writes its outcome rows into
 :class:`~repro.metrics.collectors.OutcomeColumns` at its queries' trace
 positions, and a single collector records trace and outcomes side by side
 (:meth:`~repro.metrics.collectors.MetricsCollector.record_trace`) — the very
-rows, in the very order, of the monolithic run, so ``result.json`` and
-``digest.json`` are byte-identical to it whatever the block plan, the
-placement or the metrics mode.  Bandwidth, delivery-gate and resilience
-blocks merge by the rules in their classes (exact sums, min-first-seen, then
-a recompute of the resilience summary over the merged series).
+rows, in the very order, whatever the plan, so ``result.json`` and
+``digest.json`` are byte-identical whatever the block plan, the placement or
+the metrics mode.  Bandwidth, delivery-gate and resilience blocks merge by
+the rules in their classes (exact sums, min-first-seen, then one resilience
+summary over the folded series).
 """
 
 from __future__ import annotations
@@ -36,18 +40,21 @@ from __future__ import annotations
 import time as _time
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.scenarios.spec import ScenarioSpec
 
-from repro.core.sharding import conservative_lookahead_s, plan_blocks, window_boundaries
 from repro.core.system import OverlayStats
 from repro.experiments.driver import ExperimentRunner, RunResult, flatten_injectors
 from repro.metrics.collectors import BandwidthAccountant, MetricsCollector, OutcomeColumns
 from repro.metrics.resilience import summarise_resilience
 from repro.network.reachability import DeliveryStats
 from repro.scenarios.models import build_churn_model, build_fault_model
+
+#: a run's plan: the blocks of website names its catalogue is cut into (None: one block)
+Plan = Optional[Sequence[Sequence[str]]]
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,9 @@ class ShardRunStats:
     per-shard tuple.
     """
 
+    #: ``sim.run`` calls a block makes (``benchmarks/e2e`` still reads it)
+    num_windows = 1
     num_shards: int
-    lookahead_s: float
-    num_windows: int
     wall_s: float
     setup_s_per_shard: Tuple[float, ...]
     dispatch_s_per_shard: Tuple[float, ...]
@@ -121,20 +128,25 @@ class BlockTally:
 
 
 class BlockedRun:
-    """One separable flower run, cut into blocks over its shared environment."""
+    """One flower run as the blocks of its plan, over one shared environment."""
 
-    def __init__(self, runner: ExperimentRunner, spec: "ScenarioSpec") -> None:
+    def __init__(
+        self, runner: ExperimentRunner, plan: Plan, attachments: Sequence[Callable] = ()
+    ) -> None:
         self.runner = runner
-        self.spec = spec
-        self.models = (build_churn_model(spec.churn_model), build_fault_model(spec.fault_model))
-        self.blocks = plan_blocks(spec)
-        self.lookahead_s = conservative_lookahead_s(spec)
-        self.boundaries = window_boundaries(spec.duration_s, self.lookahead_s)
-        # The one pass that partitions the trace: each block's row positions.
+        self.attachments = attachments
+        #: the whole-catalogue block's ``(system, injectors)``, once it has run
+        self.kept: Optional[Tuple[object, list]] = None
         trace = runner.resolved_trace()
-        block_of_name = {name: index for index, block in enumerate(self.blocks) for name in block}
+        if plan is None:
+            self.blocks: Sequence[Optional[Sequence[str]]] = (None,)
+            self.positions: List[Sequence[int]] = [range(len(trace))]
+            return
+        self.blocks = plan
+        # The one pass that partitions the trace: each block's row positions.
+        block_of_name = {name: index for index, block in enumerate(plan) for name in block}
         block_of = [block_of_name[website.name] for website in trace.websites]
-        self.positions = [array("I") for _ in self.blocks]
+        self.positions = [array("I") for _ in plan]
         appends = [positions.append for positions in self.positions]
         for position, website in enumerate(trace.website_index):
             appends[block_of[website]](position)
@@ -142,41 +154,48 @@ class BlockedRun:
 
     def run_block(self, index: int, rows: OutcomeColumns, slots: Sequence[int]) -> BlockTally:
         """Simulate block ``index`` to the horizon, writing its outcome rows
-        into ``rows`` at ``slots``; the block's system is dropped on return."""
-        trace, positions = self.runner.resolved_trace(), self.positions[index]
-        sim, system = self.runner.build_flower(owned_websites=frozenset(self.blocks[index]))
-        placements = system.dring.placements()
+        into ``rows`` at ``slots`` — the one place a Flower system runs over a
+        trace.  The system is dropped on return, the whole catalogue's :attr:`kept`."""
+        trace, block = self.runner.resolved_trace(), self.blocks[index]
+        whole = block is None
+        positions = None if whole else self.positions[index]
+        sim, system = self.runner.build_flower(None if whole else frozenset(block))
+        ring = system.dring.placements()
         rows.begin_block(slots)
         # In place of the system's own collector: the run has one, at the fold.
         system.metrics = rows  # type: ignore[assignment]
-        # The spec's churn/fault models attach exactly as they do to the
-        # monolithic system (inseparable_reason() has established that doing
-        # so block by block reproduces the union run); what they inject lives
-        # and dies with the block, on no session's record.
-        injectors = flatten_injectors(model.attach(system, self.spec) for model in self.models)
+        # What is attached to a cut block lives and dies with it (that doing
+        # so block by block reproduces the one-block run is inseparable_reason()'s).
+        injectors = flatten_injectors(attach(system) for attach in self.attachments)
         for injector in injectors:
             injector.start()
         sim.schedule_trace(
-            map(trace.times.__getitem__, positions),  # (the engine packs them)
+            # (the engine packs a block's times; the whole trace's are used as is)
+            trace.times if positions is None else map(trace.times.__getitem__, positions),
             trace.replayer(system.process_query, positions),
             label="query",
         )
         dispatch_started = _time.perf_counter()  # repro: allow(DET002)
-        for boundary in self.boundaries:
-            sim.run(until=boundary)
+        sim.run(until=self.runner.setup.flower.simulation_duration_s)
         dispatch_s = _time.perf_counter() - dispatch_started  # repro: allow(DET002)
         for injector in reversed(injectors):
             injector.stop()
+        # Drop the background processes and whatever lies past the horizon:
+        # without its reference cycles with the simulator the system is freed
+        # by reference counting, not by some later full GC pass.
         system.shutdown()
         sim.discard_pending()
-        # The host pairs a flower asks about are its own peers': its share of
-        # the latency memo goes with it.
-        self.runner.topology.drop_latency_memo()
-        if system.dring.placements() != placements:
-            raise RuntimeError(
-                f"block {self.blocks[index][0]!r} moved the shared D-ring: a spec whose "
-                "directories fail or are replaced must run monolithically"
-            )
+        if whole:
+            self.kept = system, injectors
+        else:
+            # The host pairs a flower asks about are its own peers': its share
+            # of the latency memo goes with it.
+            self.runner.topology.drop_latency_memo()
+            if system.dring.placements() != ring:
+                raise RuntimeError(
+                    f"block {block[0]!r} moved the shared D-ring: a spec whose "
+                    "directories fail or are replaced must run as one whole-catalogue block"
+                )
         return BlockTally(
             bandwidth=system.bandwidth,
             delivery_stats=system.delivery_stats,
@@ -185,7 +204,7 @@ class BlockedRun:
             num_directory_peers=system.num_directory_peers,
             overlays=system.active_overlays(),
             events_fired=sim.events_fired,
-            num_queries=len(positions),
+            num_queries=len(self.positions[index]),
             dispatch_s=dispatch_s,
         )
 
@@ -202,8 +221,9 @@ class BlockedRun:
         size = sum(len(self.positions[index]) for index in indices)
         if whole_run:
             size = len(self.runner.resolved_trace())
-        rows = OutcomeColumns(size, keep_providers=not self.spec.compact_metrics)
-        tally = BlockTally(BandwidthAccountant(window_s=self.spec.effective_metrics_window_s))
+        setup = self.runner.setup
+        rows = OutcomeColumns(size, keep_providers=not setup.compact_metrics)
+        tally = BlockTally(BandwidthAccountant(window_s=setup.flower.metrics_window_s))
         packed = 0
         for index in indices:
             positions = self.positions[index]
@@ -224,10 +244,11 @@ class BlockedRun:
     ) -> Tuple[RunResult, BlockTally]:
         """The one fold: every process's tally into one, all rows into one
         collector in trace order."""
-        spec, trace = self.spec, self.runner.resolved_trace()
+        setup, trace = self.runner.setup, self.runner.resolved_trace()
+        duration = setup.flower.simulation_duration_s
         census, rows = outcomes[0]
         if len(outcomes) > 1:
-            rows = OutcomeColumns(len(trace), keep_providers=not spec.compact_metrics)
+            rows = OutcomeColumns(len(trace), keep_providers=not setup.compact_metrics)
             for indices, (tally, packed) in zip(placements, outcomes):
                 positions = array("I")
                 for index in indices:
@@ -236,7 +257,7 @@ class BlockedRun:
                 if tally is not census:
                     census.absorb(tally)
         metrics = MetricsCollector(
-            window_s=spec.effective_metrics_window_s, retain_records=not spec.compact_metrics
+            window_s=setup.flower.metrics_window_s, retain_records=not setup.compact_metrics
         )
         metrics.record_trace(
             [website.name for website in trace.websites],
@@ -245,17 +266,18 @@ class BlockedRun:
         resilience = None
         if census.fault_windows is not None:
             resilience = summarise_resilience(
-                metrics.hit_ratio_series, census.fault_windows, spec.duration_s,
-                census.delivery_stats,
+                metrics.hit_ratio_series, census.fault_windows, duration, census.delivery_stats
             )
         result = RunResult.from_metrics(
             "Flower-CDN",
-            spec.duration_s,
+            duration,
             metrics,
             census.events_fired,  # diagnostics, not a digest metric: summed over the blocks
             bandwidth=census.bandwidth,
             resilience=resilience,
         )
+        if self.kept is not None:
+            self.kept[0].metrics = metrics  # the kept system reads like any finished one
         return result, census
 
 
@@ -265,33 +287,42 @@ _placed_run: Optional[BlockedRun] = None
 
 
 def _run_placement(
-    task: Tuple["ScenarioSpec", int, Tuple[int, ...]]
+    task: Tuple["ScenarioSpec", int, Plan, Tuple[int, ...]]
 ) -> Tuple[BlockTally, OutcomeColumns]:
-    spec, seed, indices = task
+    spec, seed, plan, indices = task
     run = _placed_run
     if run is None:
         # A spawned worker inherits nothing: rebuild the run from the request.
-        run = BlockedRun(ExperimentRunner(spec.to_setup(seed=seed)), spec)
+        models = (build_churn_model(spec.churn_model), build_fault_model(spec.fault_model))
+        attachments = [partial(model.attach, spec=spec) for model in models]
+        run = BlockedRun(ExperimentRunner(spec.to_setup(seed=seed)), plan, attachments)
     return run.run_placement(indices, whole_run=False)
 
 
-def run_blocked_flower(
+def run_blocks(
     runner: ExperimentRunner,
-    spec: "ScenarioSpec",
+    plan: Plan = None,
+    attachments: Sequence[Callable] = (),
     shards: int = 1,
     jobs: Optional[int] = None,
+    spec: Optional["ScenarioSpec"] = None,
 ) -> Tuple[RunResult, Optional[ShardRunStats]]:
-    """Run a separable flower scenario block by block over ``runner``'s environment.
+    """Run Flower-CDN over ``runner``'s environment, block by block of ``plan``
+    — the only way a Flower run executes.
 
-    ``shards`` places the blocks over that many worker processes (``jobs``
-    sizes the pool: ``None`` is the CPU-affinity default, ``1`` runs every
-    placement inline in this process — same results, handy for tests and
-    debugging) and comes with :class:`ShardRunStats`; one shard is this
-    process, with no stats.  Leaves the run's census in
-    ``runner.last_flower_system``.
+    ``attachments`` are called on every block's freshly built system (see
+    :meth:`ExperimentRunner.run_flower`).  ``shards`` places the blocks over
+    that many worker processes (``jobs`` sizes the pool: ``None`` is the
+    CPU-affinity default, ``1`` runs every placement inline in this process —
+    same results, handy for tests and debugging) and comes with
+    :class:`ShardRunStats`; one shard is this process, with no stats.  A
+    placed run needs the ``spec`` whose models ``attachments`` attach: a
+    worker that inherits nothing rebuilds the run from it.  Leaves the kept
+    system and injectors, or else the run's census and no injector, in
+    ``runner.last_flower_system`` / ``last_injectors``.
     """
     global _placed_run
-    run = BlockedRun(runner, spec)
+    run = BlockedRun(runner, plan, attachments)
     placements = [tuple(range(shard, len(run.blocks), shards)) for shard in range(shards)]
     stats: Optional[ShardRunStats] = None
     if shards == 1:
@@ -302,20 +333,19 @@ def run_blocked_flower(
         wall_started = _time.perf_counter()  # repro: allow(DET002)
         _placed_run = run
         try:
-            tasks = [(spec, runner.setup.seed, indices) for indices in placements]
+            tasks = [(spec, runner.setup.seed, plan, indices) for indices in placements]
             outcomes = map_tasks(_run_placement, tasks, jobs=jobs)
         finally:
             _placed_run = None
         tallies = [tally for tally, _rows in outcomes]
         stats = ShardRunStats(
             num_shards=shards,
-            lookahead_s=run.lookahead_s,
-            num_windows=len(run.boundaries),
             wall_s=_time.perf_counter() - wall_started,  # repro: allow(DET002)
             setup_s_per_shard=tuple(sum(tally.fixed_s) for tally in tallies),
             dispatch_s_per_shard=tuple(tally.dispatch_s for tally in tallies),
             events_per_shard=tuple(tally.events_fired for tally in tallies),
             queries_per_shard=tuple(tally.num_queries for tally in tallies),
         )
-    result, runner._flower_system = run.fold(placements, outcomes)
+    result, census = run.fold(placements, outcomes)
+    runner.last_flower_system, runner.last_injectors = run.kept or (census, [])
     return result, stats

@@ -110,14 +110,18 @@ class TestBuiltinChurnModels:
         assert profile.to_config() is None
 
     def test_poisson_model_reproduces_the_legacy_churn_path(self):
-        """Session + poisson model == the pre-registry run_flower(churn=...)."""
+        """Session + poisson model == a bare ``ChurnInjector`` attachment."""
+        from repro.core.churn import ChurnInjector
         from repro.experiments.driver import ExperimentRunner
 
         spec = get_scenario("heavy-churn").scaled(TINY_SCALE)
         via_session = run_scenario(spec, seed=11).metrics_digest()
 
         legacy_runner = ExperimentRunner(spec.to_setup(seed=11))
-        legacy = legacy_runner.run_flower(churn=spec.churn.to_config())
+        config = spec.churn.to_config()
+        legacy = legacy_runner.run_flower(
+            attachments=(lambda system: ChurnInjector(system, config),)
+        )
         fresh = Session.from_spec(spec, seed=11).run_system("flower")
         assert legacy.num_queries == fresh.num_queries
         assert legacy.hit_ratio == fresh.hit_ratio

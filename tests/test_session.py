@@ -10,6 +10,7 @@ import dataclasses
 import pytest
 
 from repro import Session as SessionFromTopLevel
+from repro.core.churn import ChurnInjector
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup
 from repro.scenarios import ScenarioSpec, get_scenario, run_scenario
 from repro.session import Session
@@ -106,12 +107,18 @@ class TestBackCompatShims:
             == Session.from_spec(spec, seed=7).run().metrics_digest()
         )
 
-    def test_run_flower_churn_kwarg_still_works(self):
-        """The pre-attachment ExperimentRunner signature is unchanged."""
+    def test_run_flower_takes_churn_as_an_attachment(self):
+        """``run_flower(churn=...)`` is gone: a ``ChurnInjector`` is an
+        attachment like any other, and the runner keeps it with the system."""
         spec = get_scenario("heavy-churn").scaled(TINY_SCALE)
+        config = spec.churn.to_config()
         runner = ExperimentRunner(spec.to_setup(seed=7))
-        result = runner.run_flower(churn=spec.churn.to_config())
+        result = runner.run_flower(attachments=(lambda system: ChurnInjector(system, config),))
         assert result.num_queries > 0
+        (injector,) = runner.last_injectors
+        assert injector.events_injected == len(injector.log) > 0
+        with pytest.raises(TypeError):
+            runner.run_flower(churn=config)
 
     def test_replace_still_supports_every_historical_kwarg(self):
         spec = get_scenario("paper-default")

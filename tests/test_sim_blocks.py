@@ -1,13 +1,16 @@
-"""One flower at a time: equivalence, liveness and the harness contract.
+"""One run loop, one flower at a time: equivalence, liveness, the harness contract.
 
-A separable spec runs as *blocks* — one website's flower after another over
-one shared environment (``repro.sim.sharded``).  Three things are pinned
-here:
+Every Flower-CDN run is a *plan* handed to one loop (``repro.sim.sharded``):
+a separable spec's blocks — one website's flower after another over one
+shared environment — or one whole-catalogue block for everything else.  Four
+things are pinned here:
 
 * **equivalence** — however the catalogue is grouped into blocks and
   wherever the blocks are placed, ``result.json`` and ``digest.json`` are the
-  bytes of the monolithic ``ExperimentRunner.run_flower`` with the same
-  model attachments, retained and compact metrics alike;
+  bytes of the whole-catalogue block (``ExperimentRunner.run_flower``) with
+  the same attachments, retained and compact metrics alike;
+* **one loop** — every registered spec and a bare ``run_flower()`` reach the
+  same block runner; what a whole-catalogue block keeps alive;
 * **liveness** — a block is gone (reference counting, no collector pass)
   before the next one is built, which is the memory the decomposition buys;
 * **the harness contract** — what ``benchmarks/e2e`` reaches of the program
@@ -32,10 +35,10 @@ import repro.experiments.driver as driver
 import repro.sim.sharded as sharded
 from repro.core.config import HOUR
 from repro.core.content_peer import ContentPeer
-from repro.core.sharding import plan_blocks
+from repro.core.sharding import inseparable_reason, plan_blocks
 from repro.core.system import InfeasibleScenarioError
 from repro.scenarios.artifacts import DIGEST_FILENAME, RESULT_FILENAME, run_documents
-from repro.scenarios.library import get_scenario, scenario_names
+from repro.scenarios.library import get_scenario, iter_scenarios, scenario_names
 from repro.scenarios.runner import ScenarioResult, summarise_system
 from repro.session import Session
 
@@ -71,17 +74,26 @@ def documents(result):
     return bundle[RESULT_FILENAME], bundle[DIGEST_FILENAME]
 
 
-@lru_cache(maxsize=None)
-def monolithic(name: str, seed: int):
-    """The reference bytes (``None``: the seed's topology cannot host the spec)."""
-    spec = SPECS[name]
+def run_plan(spec, seed: int, plan, shards: int = 1, shard_jobs=None):
+    """What ``Session.run_system("flower")`` does, with the plan an argument:
+    the flower documents and the peer count the run leaves behind."""
     session = Session(spec, seed=seed)
-    try:
-        run = session.experiment.run_flower(attachments=(session.attach_models,))
-    except InfeasibleScenarioError:
-        return None
+    run, _stats = sharded.run_blocks(
+        session.experiment, plan, (session.attach_models,),
+        shards=shards, jobs=shard_jobs, spec=spec,
+    )
     result = ScenarioResult(spec, seed, {"flower": summarise_system(spec, "flower", run)})
     return documents(result), session.experiment.last_flower_system.num_content_peers
+
+
+@lru_cache(maxsize=None)
+def monolithic(name: str, seed: int):
+    """The reference bytes — the plan of one whole-catalogue block (``None``:
+    the seed's topology cannot host the spec)."""
+    try:
+        return run_plan(SPECS[name], seed, None)
+    except InfeasibleScenarioError:
+        return None
 
 
 # -- (a) equivalence ------------------------------------------------------------
@@ -92,7 +104,7 @@ def monolithic(name: str, seed: int):
     max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(data=st.data())
-def test_any_block_plan_any_placement_is_the_monolithic_run(name, data, monkeypatch):
+def test_any_block_plan_any_placement_is_the_monolithic_run(name, data):
     spec = SPECS[name]
     seed = data.draw(st.sampled_from(SEEDS), label="seed")
     placement = data.draw(st.sampled_from(sorted(PLACEMENTS)), label="placement")
@@ -105,15 +117,12 @@ def test_any_block_plan_any_placement_is_the_monolithic_run(name, data, monkeypa
         tuple(site for site, label in zip(websites, labels) if label == wanted)
         for wanted in sorted(set(labels))
     )
-    monkeypatch.setattr(sharded, "plan_blocks", lambda _spec: plan)
-    session = Session(spec, seed=seed, **PLACEMENTS[placement])
     reference = monolithic(name, seed)
     if reference is None:
         with pytest.raises(InfeasibleScenarioError):
-            session.run()
+            run_plan(spec, seed, plan, **PLACEMENTS[placement])
         return
-    assert documents(session.run()) == reference[0]
-    assert session.experiment.last_flower_system.num_content_peers == reference[1]
+    assert run_plan(spec, seed, plan, **PLACEMENTS[placement]) == reference
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -128,10 +137,11 @@ def test_a_worker_that_inherits_nothing_rebuilds_the_run():
     """The ``spawn`` start method: no forked environment, same rows."""
     spec = SPECS["partition-heal-reconcile"]
     session = Session(spec, seed=42)
-    run = sharded.BlockedRun(session.experiment, spec)
-    indices = tuple(range(len(run.blocks)))
+    plan = plan_blocks(spec)
+    run = sharded.BlockedRun(session.experiment, plan, (session.attach_models,))
+    indices = tuple(range(len(plan)))
     assert sharded._placed_run is None
-    tally, rows = sharded._run_placement((spec, 42, indices))
+    tally, rows = sharded._run_placement((spec, 42, plan, indices))
     ours, our_rows = run.run_placement(indices, whole_run=False)
     assert (rows.outcomes, rows.latencies, rows.providers) == (
         our_rows.outcomes, our_rows.latencies, our_rows.providers
@@ -141,7 +151,85 @@ def test_a_worker_that_inherits_nothing_rebuilds_the_run():
     )
 
 
-# -- (b) liveness ---------------------------------------------------------------
+# -- (b) one loop ---------------------------------------------------------------
+
+#: the standard specs whose models draw from globally-ordered streams
+WHOLE_CATALOGUE = (
+    "heavy-churn", "correlated-failures", "gossip-lossy", "cascading-directory-failures"
+)
+
+
+@pytest.fixture
+def blocks_run(monkeypatch):
+    """The block indices each ``BlockedRun.run_block`` call was given."""
+    run_block, calls = sharded.BlockedRun.run_block, []
+
+    def counted(self, index, rows, slots):
+        calls.append(index)
+        return run_block(self, index, rows, slots)
+
+    monkeypatch.setattr(sharded.BlockedRun, "run_block", counted)
+    return calls
+
+
+def test_every_registered_spec_and_a_bare_runner_reach_the_one_block_runner(blocks_run):
+    specs = list(iter_scenarios())
+    assert len(specs) == 21
+    whole = set()
+    for spec in specs:
+        tiny = spec.scaled(0.25 if spec.tier == "standard" else 0.02)
+        del blocks_run[:]
+        Session(tiny, seed=42).run_system("flower")
+        if inseparable_reason(tiny) is None:
+            assert blocks_run == list(range(len(plan_blocks(tiny)))), spec.name
+        else:
+            assert blocks_run == [0], spec.name
+            whole.add(spec.name)
+    assert whole == {*WHOLE_CATALOGUE}
+    assert inseparable_reason(get_scenario("squirrel-head-to-head")) is None
+    del blocks_run[:]
+    runner = driver.ExperimentRunner(SPECS["paper-default"].to_setup(seed=42))
+    assert runner.run_flower().num_queries > 0
+    assert blocks_run == [0]
+    assert isinstance(runner.last_flower_system, driver.FlowerCDN)
+
+
+@pytest.mark.parametrize("name", WHOLE_CATALOGUE)
+def test_a_whole_catalogue_block_keeps_its_system_and_injectors(name):
+    spec = get_scenario(name).scaled(0.25)
+    for seed in SEEDS:
+        session = Session(spec, seed=seed)
+        result = session.run()
+        system = session.experiment.last_flower_system
+        assert isinstance(system, driver.FlowerCDN)
+        assert system.num_content_peers > 0
+        assert system.metrics.num_queries == result.flower.metrics["num_queries"]
+        assert session.last_shard_stats is None
+        assert session.last_injectors == session.experiment.last_injectors != []
+        logs = [injector.log for injector in session.last_injectors]
+        # (host outages fail no peer and reconcile nothing: an empty log)
+        assert any(logs) or name == "cascading-directory-failures"
+        # ...and, being one block, cannot be dealt over workers: the error
+        # names the model that keeps the catalogue whole.
+        with pytest.raises(ValueError, match="model '.*' is not website-separable"):
+            Session(spec, seed=seed, shards=2)
+
+
+def test_placing_a_pair_moves_no_byte_of_either_system():
+    spec = get_scenario("squirrel-head-to-head").scaled(0.25)
+    reference = Session(spec, seed=42).run()
+    assert set(reference.systems) == {"flower", "squirrel"}
+    for placement in ({"shards": 2}, {"shards": 2, "shard_jobs": 1}, {"shards": 4},
+                      {"shards": 4, "shard_jobs": 1}):
+        session = Session(spec, seed=42, **placement)
+        placed = session.run()
+        assert run_documents(placed) == run_documents(reference)
+        assert placed.squirrel.to_dict() == reference.squirrel.to_dict()
+        assert session.last_shard_stats.num_shards == placement["shards"]
+        assert session.last_injectors == []
+
+
+# -- (c) liveness ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["adversarial-hotspots", "partition-heal-reconcile"])
@@ -222,7 +310,7 @@ def test_blocked_table1_run_peaks_well_below_the_monolithic_one():
     assert blocked <= 0.65 * monolithic_peak
 
 
-# -- (c) the harness contract ---------------------------------------------------
+# -- (d) the harness contract ---------------------------------------------------
 
 
 def test_driver_level_constructor_swaps_see_every_block(monkeypatch):
@@ -257,8 +345,7 @@ def test_driver_level_constructor_swaps_see_every_block(monkeypatch):
     # One system per block, plus the one that places the static ring and owns nothing.
     assert built["systems"] == [frozenset(), *map(frozenset, blocks)]
     assert built["bootstraps"] == len(built["sims"]) == len(blocks) + 1
-    windows = len(sharded.BlockedRun(session.experiment, spec).boundaries)
-    assert built["runs"] == windows * len(blocks)
+    assert built["runs"] == len(blocks)  # each straight to the horizon
     assert run.events_fired > run.num_queries > 0
 
 

@@ -91,6 +91,27 @@ class TestRunControl:
         with pytest.raises(SimulationError):
             sim.run(until=1.0)
 
+    def test_boundary_event_fires_exactly_once(self):
+        # ``run(until=W)`` is inclusive: an event scheduled exactly on W fires
+        # in the run W closes, once, and a run resumed in strides reproduces
+        # the single run's schedule.
+        def schedule(sim, fired):
+            for t in (1.0, 2.0, 2.0, 4.0, 9.5, 10.0):
+                sim.at(t, lambda t=t: fired.append((t, sim.now)))
+
+        strided, fired_strided = Simulator(seed=1, end_time=10.0), []
+        schedule(strided, fired_strided)
+        for boundary in (2.0, 4.0, 6.0, 8.0, 10.0):
+            strided.run(until=boundary)
+
+        single, fired_single = Simulator(seed=1, end_time=10.0), []
+        schedule(single, fired_single)
+        single.run(until=10.0)
+
+        assert fired_strided == fired_single
+        assert strided.events_fired == single.events_fired
+        assert len(fired_strided) == 6
+
     def test_events_fired_counter(self):
         sim = Simulator()
         for t in range(5):

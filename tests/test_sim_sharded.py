@@ -1,31 +1,23 @@
 """Determinism tests for website-blocked execution and its placement.
 
-The contract is exact: a run cut into blocks must reproduce the monolithic
+The contract is exact: a run cut into blocks must reproduce the one-block
 run *byte for byte* at full precision — metrics, phases and every series
 point — independent of the shard count and the worker-pool size.  These
-tests pin that contract, plus the block planning, the conservative windows
-and the RNG stream scoping the contract rests on.  (``test_sim_blocks.py``
-holds the property tests over block plans and the liveness / harness
-contract of the block runner.)
+tests pin that contract, plus the block planning, what may be cut at all and
+the RNG stream scoping the contract rests on.  (``test_sim_blocks.py`` holds
+the property tests over block plans and the liveness / harness contract of
+the block runner.)
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.core.sharding import (
-    MAX_WINDOWS,
-    conservative_lookahead_s,
-    plan_blocks,
-    queryable_websites,
-    validate_shardable,
-    window_boundaries,
-)
+from repro.core.sharding import inseparable_reason, plan_blocks, queryable_websites
 from repro.scenarios.library import get_scenario
 from repro.scenarios.models import ModelRef
 from repro.scenarios.runner import ScenarioResult, run_scenario, summarise_system
 from repro.session import Session
-from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
 SEED = 42
@@ -37,7 +29,7 @@ def _result_dict(name, scale, **kwargs):
 
 
 def monolithic_result(spec, seed=SEED):
-    """The reference: all flowers interleaved in one system, models attached."""
+    """The reference: the whole catalogue as one block, models attached."""
     session = Session(spec, seed=seed)
     run = session.experiment.run_flower(attachments=(session.attach_models,))
     return ScenarioResult(spec, seed, {"flower": summarise_system(spec, "flower", run)})
@@ -78,9 +70,7 @@ class TestShardCountIndependence:
         assert stats is not None
         assert stats.num_shards == 2
         assert stats.total_events == run.events_fired
-        assert stats.num_windows == len(
-            window_boundaries(spec.duration_s, conservative_lookahead_s(spec))
-        )
+        assert stats.num_windows == 1  # a block runs straight to the horizon
         assert sum(stats.queries_per_shard) == run.num_queries
         assert stats.critical_path_s == max(stats.dispatch_s_per_shard)
 
@@ -146,57 +136,6 @@ class TestRngStreamScoping:
         assert len(set(draws.values())) == len(draws)
 
 
-class TestConservativeWindows:
-    def test_final_boundary_is_exactly_the_duration(self):
-        boundaries = window_boundaries(100.0, 7.0)
-        assert boundaries[-1] == 100.0
-        assert all(b1 < b2 for b1, b2 in zip(boundaries, boundaries[1:]))
-
-    def test_degenerate_lookaheads_collapse_to_one_window(self):
-        assert window_boundaries(100.0, 0.0) == (100.0,)
-        assert window_boundaries(100.0, 100.0) == (100.0,)
-        assert window_boundaries(100.0, 500.0) == (100.0,)
-
-    def test_pathological_lookahead_is_capped(self):
-        boundaries = window_boundaries(10_000.0, 1e-3)
-        assert len(boundaries) <= MAX_WINDOWS
-        assert boundaries[-1] == 10_000.0
-
-    def test_invalid_duration_rejected(self):
-        with pytest.raises(ValueError):
-            window_boundaries(0.0, 1.0)
-
-    def test_boundary_event_fires_exactly_once(self):
-        # An event scheduled exactly on a window barrier belongs to the
-        # window that barrier closes; the windowed run must fire it once
-        # and reproduce the single run's schedule.
-        def windowed_times():
-            sim = Simulator(seed=1, end_time=10.0)
-            fired = []
-            for t in (1.0, 2.0, 2.0, 4.0, 9.5, 10.0):
-                sim.at(t, lambda t=t: fired.append((t, sim.now)))
-            for boundary in window_boundaries(10.0, 2.0):
-                sim.run(until=boundary)
-            return fired, sim.events_fired
-
-        sim = Simulator(seed=1, end_time=10.0)
-        fired_single = []
-        for t in (1.0, 2.0, 2.0, 4.0, 9.5, 10.0):
-            sim.at(t, lambda t=t: fired_single.append((t, sim.now)))
-        sim.run(until=10.0)
-
-        fired_windowed, events_windowed = windowed_times()
-        assert fired_windowed == fired_single
-        assert events_windowed == sim.events_fired
-        assert len(fired_windowed) == 6
-
-    def test_lookahead_includes_latency_floor(self):
-        spec = get_scenario("paper-default").scaled(0.1)
-        period = min(spec.gossip_period_s, spec.effective_keepalive_period_s)
-        lookahead = conservative_lookahead_s(spec)
-        assert lookahead > period
-
-
 class TestShardPlanning:
     def test_plan_covers_the_whole_catalog_disjointly(self):
         for name in ("paper-default", "adversarial-hotspots", "large-catalog"):
@@ -230,18 +169,27 @@ class TestShardPlanning:
 class TestValidation:
     def test_churn_specs_are_rejected(self):
         spec = get_scenario("heavy-churn")
-        with pytest.raises(ValueError, match="churn"):
-            validate_shardable(spec)
-        with pytest.raises(ValueError, match="churn"):
+        assert "churn model 'poisson'" in inseparable_reason(spec)
+        with pytest.raises(ValueError, match="churn model 'poisson'"):
             replace(spec, shards=2)
 
-    def test_multi_system_specs_are_rejected(self):
-        with pytest.raises(ValueError, match="flower-only"):
-            validate_shardable(get_scenario("squirrel-head-to-head"))
+    def test_multi_system_specs_are_accepted(self):
+        """Separability follows the models only: the Flower half of a pair is
+        cut and placed like any flower run, Squirrel stays one system."""
+        pair = get_scenario("squirrel-head-to-head").scaled(0.25)
+        assert inseparable_reason(pair) is None
+        assert replace(pair, shards=2).shards == 2
+        baseline = run_scenario(pair, seed=SEED).to_dict()
+        assert set(baseline["systems"]) == {"flower", "squirrel"}
+        assert Session(pair, seed=SEED, shards=2).run().to_dict() == baseline
 
     def test_stream_drawing_fault_models_are_rejected(self):
+        spec = get_scenario("cascading-directory-failures")
+        assert "fault model 'cascading-directory-failures'" in inseparable_reason(spec)
+        with pytest.raises(ValueError, match="fault model 'cascading-directory-failures'"):
+            replace(spec, shards=2)
         with pytest.raises(ValueError, match="fault model"):
-            validate_shardable(get_scenario("cascading-directory-failures"))
+            Session(spec, shards=2)
 
     def test_shardable_library_scenarios_validate(self):
         for name in (
@@ -250,8 +198,9 @@ class TestValidation:
             "locality-partition",
             "partition-heal-reconcile",
             "paper-default-scale10",
+            "squirrel-head-to-head-full-scale",
         ):
-            validate_shardable(get_scenario(name))
+            assert replace(get_scenario(name), shards=2).shards == 2
 
     def test_spec_and_session_reject_bad_shard_counts(self):
         spec = get_scenario("paper-default")
@@ -273,10 +222,11 @@ class TestValidation:
             Session(spec, seed=3, shards=2, shard_jobs=1)
         with pytest.raises(ValueError, match="not website-separable"):
             replace(spec, shards=2)
-        # The default run falls back to the monolithic system on its own.
+        # The default run is one whole-catalogue block on its own.
         assert Session(spec, seed=3).run().to_dict() == monolithic_result(spec, 3).to_dict()
         # The converse: the "none" model makes an enabled profile irrelevant.
-        validate_shardable(replace(get_scenario("heavy-churn"), churn_model=ModelRef("none")))
+        idle = replace(get_scenario("heavy-churn"), churn_model=ModelRef("none"))
+        assert inseparable_reason(idle) is None
 
     def test_models_registered_from_outside_run_monolithically(self):
         from repro.scenarios.models import register_fault_model, unregister_fault_model
@@ -290,10 +240,12 @@ class TestValidation:
             spec = replace(
                 get_scenario("paper-default").scaled(0.1), fault_model=ModelRef("tmp-silent-model")
             )
+            assert "fault model 'tmp-silent-model'" in inseparable_reason(spec)
             with pytest.raises(ValueError, match="fault model 'tmp-silent-model'"):
-                validate_shardable(spec)
+                replace(spec, shards=2)
             Silent.website_separable = lambda self, spec: True
-            validate_shardable(spec)
+            assert inseparable_reason(spec) is None
+            assert replace(spec, shards=2).shards == 2
         finally:
             unregister_fault_model("tmp-silent-model")
 

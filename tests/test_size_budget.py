@@ -14,7 +14,7 @@ SRC = Path(__file__).parent.parent / "src" / "repro"
 LIMIT = 700
 #: shrink-only: module (relative to src/repro) -> line-count ceiling
 ALLOWLIST = {
-    "core/system.py": 1095,
+    "core/system.py": 1079,
     "scenarios/models.py": 719,
 }
 
@@ -41,3 +41,17 @@ def test_the_allowlist_only_shrinks():
     for name, ceiling in ALLOWLIST.items():
         assert ceiling > LIMIT, f"{name} fits the limit: drop it from the allowlist"
         assert counts[name] > LIMIT, f"{name} now fits the limit: drop it from the allowlist"
+
+
+def test_no_further_run_loop_replays_a_trace():
+    """One place runs a Flower system over a trace (``BlockedRun.run_block``):
+    a module that starts calling ``.schedule_trace(`` is a second run loop."""
+    callers = {
+        path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8").count(".schedule_trace(")
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert {name: count for name, count in callers.items() if count} == {
+        "sim/sharded.py": 1,  # the loop
+        "experiments/driver.py": 1,  # run_squirrel
+        "perf/suite.py": 3,  # the queue micro-benchmarks and bench_scenario's hand loop
+    }
