@@ -13,10 +13,15 @@ headline service guarantees:
 4. The returned result document is byte-identical to a direct
    ``Session.from_spec(...).run()`` of the same spec/seed.
 5. Artifact downloads (csv/json/md) match the shared bundle writer.
-6. ``DELETE`` on a **running** job answers ``cancelled`` in under a second
+6. **Repeats** of the requests just run — ``POST /runs`` + ``GET .../result``
+   pairs — are all ``200 "cached": true``, byte-identical to the cold body and
+   counted by ``/stats`` as dedup / store hits; pairs/s over HTTP and the
+   in-process microseconds per repeated ``POST`` and ``GET`` go on record in
+   the log (no threshold: a number to compare between CI runs).
+7. ``DELETE`` on a **running** job answers ``cancelled`` in under a second
    and costs exactly one worker (``worker_restarts == 1``).
-7. Overfilling the queue yields HTTP 429 with a ``Retry-After`` header.
-8. SIGTERM drains gracefully: the server finishes in-flight jobs and
+8. Overfilling the queue yields HTTP 429 with a ``Retry-After`` header.
+9. SIGTERM drains gracefully: the server finishes in-flight jobs and
    exits 0, leaving a durable run store behind.
 
 Usage: ``python scripts/service_smoke.py [--store DIR]`` (run from the repo
@@ -49,6 +54,7 @@ TINY_SPEC = {
     "query_rate_per_s": 0.5,
 }
 SEED = 7
+REPEAT_PAIRS = 200
 
 
 def request(base: str, method: str, path: str, body: dict | None = None):
@@ -79,6 +85,53 @@ def poll_done(
             return document
         time.sleep(interval_s)
     raise AssertionError(f"run {run_id} did not reach {states} within {timeout_s}s")
+
+
+def cache_hits(base: str) -> tuple[int, int]:
+    cache = json.loads(request(base, "GET", "/stats")[2])["cache"]
+    return cache["dedup_hits"] + cache["store_hits"], cache["misses"]
+
+
+def repeat_in_process(documents: dict) -> None:
+    """Microseconds per repeated request inside ``ReproService.handle`` — the
+    service's own share of a repeat, without sockets or handler threads."""
+    from repro.service import ReproService, ServiceConfig
+
+    bodies = {
+        "POST /runs (registered, scale 0.25)":
+            {"scenario": "paper-default", "seed": SEED, "scale": 0.25},
+        "POST /runs (inline spec)": {"spec": TINY_SPEC, "seed": SEED},
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        service = ReproService(
+            ServiceConfig(workers=1, store_dir=Path(scratch) / "store", timeout_s=None),
+            executor=lambda _payload, _execution: documents,
+        )
+        try:
+            requests = []
+            for name, body in bodies.items():
+                data = json.dumps(body).encode("utf-8")
+                _, _, submitted = service.handle("POST", "/runs", {}, data)
+                requests.append((name, "POST", "/runs", data))
+                job = service.manager.get(submitted["id"])
+                deadline = time.monotonic() + 30.0  # repro: allow(DET002)
+                while job.state != "done":
+                    assert time.monotonic() < deadline  # repro: allow(DET002)
+                    time.sleep(0.005)
+            requests.append(("GET result", "GET", f"/runs/{job.id}/result", b""))
+            costs = []
+            for name, method, path, data in requests:
+                started = time.perf_counter()  # repro: allow(DET002)
+                for _ in range(REPEAT_PAIRS):
+                    status, _, answer = service.handle(method, path, {}, data)
+                    assert status == 200
+                elapsed = time.perf_counter() - started  # repro: allow(DET002)
+                costs.append(f"{name} {elapsed / REPEAT_PAIRS * 1e6:.0f} us")
+            assert answer.text == documents["digest.json"]
+            assert service.manager.stats()["cache"]["misses"] == len(bodies)
+        finally:
+            service.stop(drain=False)
+    print("smoke: in-process repeat costs: " + ", ".join(costs))
 
 
 def main() -> int:
@@ -179,6 +232,30 @@ def main() -> int:
                 f"artifact {kind} differs from the shared bundle writer"
             )
         print("smoke: result + artifacts byte-identical to a direct run")
+
+        # -- repeats: a request the server has seen costs a lookup ------------
+        runs = {SEED: run_id, SEED + 1: other_id}
+        cold = {seed: request(base, "GET", f"/runs/{runs[seed]}/result")[2] for seed in runs}
+        hits_before = cache_hits(base)
+        repeats_started = time.monotonic()  # repro: allow(DET002)
+        for index in range(REPEAT_PAIRS):
+            seed = SEED + index % 2
+            status, _, text = request(base, "POST", "/runs", {"spec": TINY_SPEC, "seed": seed})
+            answer = json.loads(text)
+            assert status == 200 and answer["cached"] is True and answer["id"] == runs[seed], (
+                f"repeat {index} was not answered from cache: {status} {text}"
+            )
+            status, _, text = request(base, "GET", f"/runs/{runs[seed]}/result")
+            assert status == 200 and text == cold[seed], f"repeat {index}: result bytes moved"
+        repeats_s = time.monotonic() - repeats_started  # repro: allow(DET002)
+        hits, misses = cache_hits(base)
+        assert (hits - hits_before[0], misses - hits_before[1]) == (REPEAT_PAIRS, 0), (
+            f"{REPEAT_PAIRS} repeats counted as {hits - hits_before[0]} hits, "
+            f"{misses - hits_before[1]} misses"
+        )
+        print(f"smoke: {REPEAT_PAIRS} repeated pairs all cached and byte-identical, "
+              f"{REPEAT_PAIRS / repeats_s:.0f} pairs/s over HTTP")
+        repeat_in_process(expected)
 
         # -- cancelling a running job is prompt and costs one worker ----------
         # A simulated year at a trickle of queries: minutes of wall clock.

@@ -46,7 +46,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
 
 if TYPE_CHECKING:
@@ -110,6 +110,8 @@ class ModelRef:
 
 _CHURN_MODELS: Dict[str, ModelFactory] = {}
 _FAULT_MODELS: Dict[str, ModelFactory] = {}
+#: a registered factory's signature, taken when ``_build`` first needs it
+_SIGNATURES: Dict[object, inspect.Signature] = {}
 
 
 def register_churn_model(
@@ -136,6 +138,7 @@ def _register(
     def add(target: Callable) -> Callable:
         if name in registry and not overwrite:
             raise ValueError(f"{kind} model {name!r} is already registered")
+        _SIGNATURES.pop(registry.get(name), None)
         registry[name] = target
         return target
 
@@ -143,11 +146,11 @@ def _register(
 
 
 def unregister_churn_model(name: str) -> None:
-    _CHURN_MODELS.pop(name, None)
+    _SIGNATURES.pop(_CHURN_MODELS.pop(name, None), None)
 
 
 def unregister_fault_model(name: str) -> None:
-    _FAULT_MODELS.pop(name, None)
+    _SIGNATURES.pop(_FAULT_MODELS.pop(name, None), None)
 
 
 def churn_model_names() -> List[str]:
@@ -189,7 +192,10 @@ def _build(registry: Dict[str, ModelFactory], kind: str, ref: ModelRef) -> objec
     # constructor surfaces as the genuine bug it is instead of being
     # misreported as a ModelRef-argument mistake.
     try:
-        inspect.signature(factory).bind(**ref.kwargs)
+        signature = _SIGNATURES.get(factory)
+        if signature is None:
+            signature = _SIGNATURES[factory] = inspect.signature(factory)
+        signature.bind(**ref.kwargs)
     except TypeError as error:
         raise ValueError(
             f"invalid parameters for {kind} model {ref.name!r}: {error}"
@@ -231,8 +237,6 @@ class PoissonChurn:
         if config is None:
             return None
         if self.tick_period_s is not None:
-            from dataclasses import replace
-
             config = replace(config, tick_period_s=self.tick_period_s)
         return ChurnInjector(system, config)
 
@@ -411,9 +415,7 @@ class GossipLossInjector:
     def start(self) -> None:
         system = self._system
         stream = system.sim.streams.stream("fault:gossip-loss")
-        system.attach_reachability(
-            _GossipLossModel(self, stream, self._drop_probability)
-        )
+        system.attach_reachability(_GossipLossModel(self, stream, self._drop_probability))
 
     def stop(self) -> None:
         self._system.detach_reachability()
@@ -542,9 +544,7 @@ class ReachabilityInjector:
         system = self._system
         system.attach_reachability(self._model)
         for time in self._reconcile_at:
-            self._events.append(
-                system.sim.at(time, self._reconcile, label="fault")
-            )
+            self._events.append(system.sim.at(time, self._reconcile, label="fault"))
 
     def _reconcile(self) -> None:
         system = self._system

@@ -17,7 +17,7 @@ covers ad-hoc tweaks.  The named library of specs lives in
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.baselines.squirrel import SquirrelConfig
@@ -45,6 +45,11 @@ KNOWN_TIERS = ("standard", "paper-scale")
 KNOWN_QUEUE_BACKENDS = ("heap", "calendar")
 #: DHT substrates the D-ring layer can run on (see repro.core.dring)
 KNOWN_DHT_SUBSTRATES = ("chord", "pastry")
+_CHURN_RATES = (
+    "content_failures_per_hour",
+    "directory_failures_per_hour",
+    "locality_changes_per_hour",
+)
 
 
 @dataclass(frozen=True)
@@ -56,11 +61,7 @@ class ChurnProfile:
     locality_changes_per_hour: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "content_failures_per_hour",
-            "directory_failures_per_hour",
-            "locality_changes_per_hour",
-        ):
+        for name in _CHURN_RATES:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -344,11 +345,16 @@ class ScenarioSpec:
         return replace(self, seed=seed)
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-serialisable description (recorded in golden files)."""
-        data = asdict(self)
+        """A JSON-serialisable description (recorded in golden files).
+
+        Keys in field order; every nested value is a fresh plain container,
+        so the caller owns the document.
+        """
+        data: Dict[str, object] = {name: getattr(self, name) for name in _SPEC_FIELDS}
         data["systems"] = list(self.systems)
         data["locality_weights"] = list(self.locality_weights)
         data["program"] = [phase.to_dict() for phase in self.program]
+        data["churn"] = {name: getattr(self.churn, name) for name in _CHURN_RATES}
         data["churn_model"] = self.churn_model.to_dict()
         data["fault_model"] = self.fault_model.to_dict()
         return data
@@ -364,12 +370,11 @@ class ScenarioSpec:
         specs; unknown keys are rejected so a typo fails loudly instead of
         silently running the defaults.
         """
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data).difference(_SPEC_FIELDS))
         if unknown:
             raise ValueError(
                 f"unknown ScenarioSpec field(s): {', '.join(unknown)}; "
-                f"expected a subset of {sorted(known)}"
+                f"expected a subset of {sorted(_SPEC_FIELDS)}"
             )
         kwargs: Dict[str, object] = dict(data)
         churn = kwargs.get("churn")
@@ -408,6 +413,10 @@ class ScenarioSpec:
                 raise ValueError("systems must be a list of system names")
             kwargs["systems"] = tuple(systems)
         return cls(**kwargs)  # type: ignore[arg-type]
+
+
+#: the spec's field names, in declaration order (what ``to_dict`` walks)
+_SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(ScenarioSpec))
 
 
 def _freeze_value(value: object) -> object:

@@ -33,6 +33,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.scenarios.artifacts import run_documents
@@ -114,21 +115,62 @@ def canonical_scenario_payload(
     change result *bytes or identity* (spec, seed, scale, shards) is
     part of the payload — execution hints that cannot (worker counts) are
     not.  Two requests dedupe to one run exactly when these payloads match.
+
+    ``payload["spec"]`` is **shared and read-only**: every payload built from
+    the same spec object at the same scale carries the one document
+    :func:`_spec_document` remembers; seed, scale and shards are per call.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if scale != 1.0:
-        spec = spec.scaled(scale)
+    spec, document = _spec_document(_SpecIdentity(spec), scale)
     resolved_shards = spec.shards if shards is None else shards
     if resolved_shards < 1:
         raise ValueError("shards must be >= 1")
     return {
         "kind": "scenario",
-        "spec": spec.to_dict(),
+        "spec": document,
         "seed": spec.seed if seed is None else int(seed),
         "scale": scale,
         "shards": resolved_shards,
     }
+
+
+#: how many (spec, scale) documents :func:`_spec_document` remembers
+SPEC_DOCUMENT_MEMO_SIZE = 64
+
+
+class _SpecIdentity:
+    """A spec as a memo key: *this object*, kept alive by the key itself.
+
+    Identity, not value or name: equal specs can serialise differently (an
+    inline ``"duration_s": 900`` equals ``900.0`` and prints otherwise), and
+    re-registering a scenario name installs a different object.
+    """
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: ScenarioSpec) -> None:
+        self.spec = spec
+
+    def __hash__(self) -> int:
+        return id(self.spec)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _SpecIdentity) and other.spec is self.spec
+
+
+@lru_cache(maxsize=SPEC_DOCUMENT_MEMO_SIZE, typed=True)
+def _spec_document(
+    key: _SpecIdentity, scale: float
+) -> Tuple[ScenarioSpec, Dict[str, object]]:
+    """``spec.scaled(scale)`` and its ``to_dict()``, built once per (spec object, scale).
+
+    A repeated submission looks these up instead of re-scaling, re-validating
+    and re-serialising the spec.  ``typed``: ``scaled(2)`` and ``scaled(2.0)``
+    can print a duration differently.  Failures are not remembered.
+    """
+    spec = key.spec.scaled(scale) if scale != 1.0 else key.spec
+    return spec, spec.to_dict()
 
 
 def canonical_sweep_payload(
@@ -488,12 +530,23 @@ class JobManager:
         if job.cancel_event.is_set():
             self._finish(job, CANCELLED, detail="cancelled while running")
             return
-        self.store.put(
-            job.digest,
-            documents,
-            kind=job.kind,
-            meta={"label": job.label, "id": job.id},
-        )
+        try:
+            self.store.put(
+                job.digest,
+                documents,
+                kind=job.kind,
+                meta={"label": job.label, "id": job.id},
+            )
+        except Exception as error:
+            # A store that cannot take the bundle (disk full, directory gone)
+            # costs this job, not the thread that serves the next one.
+            self._finish(
+                job,
+                FAILED,
+                detail=f"publishing the result of job {job.id} to the run store "
+                       f"failed: {failure_text(error)}",
+            )
+            return
         self._finish(job, DONE)
 
     def _run_inline(self, job: Job) -> Dict[str, str]:

@@ -484,6 +484,8 @@ class _Handler(BaseHTTPRequestHandler):
             for key, value in headers.items():
                 self.send_header(key, value)
             self.end_headers()
+            if self.command == "HEAD":
+                return
             for chunk in document.chunks():
                 data = chunk.encode("utf-8")
                 self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))

@@ -228,10 +228,16 @@ class RunStore:
         with self._lock:
             if not self.touch(digest):
                 raise KeyError(f"no stored run for digest {digest!r}")
-            path = self.run_dir(digest) / filename
-            if not path.is_file():
-                raise KeyError(f"stored run {digest!r} has no document {filename!r}")
-            return path.read_text(encoding="utf-8")
+            # An indexed digest names a directory under runs/ (checked at
+            # publication or listed at open): one open, no path objects, no stat.
+            path = os.path.join(self.root, _RUNS_DIRNAME, digest, filename)
+            try:
+                with open(path, encoding="utf-8") as document:
+                    return document.read()
+            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+                raise KeyError(
+                    f"stored run {digest!r} has no document {filename!r}"
+                ) from None
 
     # -- writes --------------------------------------------------------------
 
@@ -253,14 +259,18 @@ class RunStore:
             staging = self._tmp_dir() / f"put-{digest}"
             if staging.exists():
                 shutil.rmtree(staging)
-            staging.mkdir(parents=True)
-            written = 0
-            for filename, text in documents.items():
-                if "/" in filename or "\\" in filename:
-                    raise ValueError(f"invalid bundle filename {filename!r}")
-                written += (staging / filename).write_bytes(text.encode("utf-8"))
-            final = self.run_dir(digest)
-            os.replace(staging, final)
+            try:
+                staging.mkdir(parents=True)
+                written = 0
+                for filename, text in documents.items():
+                    if "/" in filename or "\\" in filename:
+                        raise ValueError(f"invalid bundle filename {filename!r}")
+                    written += (staging / filename).write_bytes(text.encode("utf-8"))
+                os.replace(staging, self.run_dir(digest))
+            except BaseException:
+                # A bundle that could not be published leaves nothing staged.
+                shutil.rmtree(staging, ignore_errors=True)
+                raise
             self._seq += 1
             entry = StoredRun(
                 digest=digest,

@@ -71,6 +71,46 @@ class TestRegistries:
             unregister_churn_model("tmp-churn-model")
         assert "tmp-churn-model" not in churn_model_names()
 
+    @pytest.mark.parametrize(
+        "register, unregister, build",
+        [
+            (register_churn_model, unregister_churn_model, build_churn_model),
+            (register_fault_model, unregister_fault_model, build_fault_model),
+        ],
+    )
+    def test_a_reregistered_model_is_checked_against_its_new_signature(
+        self, register, unregister, build
+    ):
+        """The signature is kept per factory, so it leaves with the factory."""
+        from repro.scenarios.models import _SIGNATURES
+
+        class TakesA:
+            def __init__(self, a=1):
+                self.a = a
+
+        class TakesB:
+            def __init__(self, b=1):
+                self.b = b
+
+        try:
+            register("tmp-signature", TakesA)
+            for _ in range(2):  # first use and remembered use
+                assert build(ModelRef.of("tmp-signature", a=2)).a == 2
+                with pytest.raises(ValueError, match="invalid parameters .* 'b'"):
+                    build(ModelRef.of("tmp-signature", b=2))
+            assert TakesA in _SIGNATURES
+            register("tmp-signature", TakesB, overwrite=True)
+            assert TakesA not in _SIGNATURES
+            for _ in range(2):
+                assert build(ModelRef.of("tmp-signature", b=2)).b == 2
+                with pytest.raises(ValueError, match="invalid parameters .* 'a'"):
+                    build(ModelRef.of("tmp-signature", a=2))
+        finally:
+            unregister("tmp-signature")
+        assert TakesB not in _SIGNATURES
+        with pytest.raises(ValueError, match="unknown .* model 'tmp-signature'"):
+            build(ModelRef.of("tmp-signature", b=2))
+
     def test_custom_fault_model_attaches_through_a_session(self):
         fired = []
 

@@ -106,6 +106,19 @@ class TestPutGet:
         with pytest.raises(KeyError):
             store.read_document(digest_of("missing"), "digest.json")
 
+    def test_read_a_document_the_bundle_lacks_raises_and_still_counts_as_a_use(
+        self, store: RunStore
+    ) -> None:
+        first, second = digest_of("run-1"), digest_of("run-2")
+        store.put(first, DOCS)
+        store.put(second, DOCS)
+        (store.run_dir(first) / "nested").mkdir()
+        for name in ("series.csv", "nested"):
+            with pytest.raises(KeyError, match=f"has no document '{name}'"):
+                store.read_document(first, name)
+        assert store.digests() == [second, first]
+        assert store.read_document(first, "digest.json") == DOCS["digest.json"]
+
     def test_remove(self, store: RunStore) -> None:
         digest = digest_of("run-1")
         store.put(digest, DOCS)
@@ -119,6 +132,14 @@ class TestAtomicity:
     def test_no_staging_residue_after_put(self, store: RunStore) -> None:
         store.put(digest_of("run-1"), DOCS)
         assert list((store.root / "tmp").iterdir()) == []
+
+    def test_no_staging_residue_after_a_put_that_failed(self, store: RunStore) -> None:
+        digest = digest_of("run-1")
+        with pytest.raises(ValueError):  # the first document is staged by then
+            store.put(digest, {"digest.json": "{}\n", "no/such": "x"})
+        assert list((store.root / "tmp").iterdir()) == []
+        assert digest not in store and not store.run_dir(digest).exists()
+        assert store.put(digest, DOCS).bytes == sum(len(text) for text in DOCS.values())
 
     def test_bundle_published_as_one_directory(self, store: RunStore) -> None:
         digest = digest_of("run-1")

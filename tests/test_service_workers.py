@@ -11,11 +11,13 @@ and only exists to be interrupted.
 
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
 import os
 import random
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -309,6 +311,36 @@ class TestManagerLifecycle:
         assert detail.startswith("task #0 (broken) failed in worker: Traceback")
         assert "ValueError: unknown request kind 'unknown-kind'" in detail
         assert finish(manager.submit(payload(1), label="tiny")[0]).state == DONE
+        assert worker_pid(manager) == first
+        assert manager.stats()["worker_restarts"] == 0
+
+    def test_a_failing_publish_fails_that_job_and_spares_the_thread(
+        self, manager: JobManager, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        """An unguarded ``store.put`` raising killed the worker thread: the job
+        stayed ``running`` and, with one worker, every later one ``queued``."""
+        first = worker_pid(manager)
+        real_put = manager.store.put
+        full = [OSError(errno.ENOSPC, "No space left on device")]
+
+        def put_on_a_full_disk_once(*args: Any, **kwargs: Any) -> Any:
+            if full:
+                raise full.pop()
+            return real_put(*args, **kwargs)
+
+        monkeypatch.setattr(manager.store, "put", put_on_a_full_disk_once)
+        stranded, _ = manager.submit(payload(1), label="tiny")
+        assert finish(stranded).state == FAILED
+        detail = stranded.detail or ""
+        assert f"publishing the result of job {stranded.id} to the run store failed" in detail
+        assert "No space left on device" in detail
+        assert stranded.digest not in manager.store
+        assert all(thread.is_alive() for thread in manager._threads)
+        assert manager.stats()["busy_workers"] == 0
+
+        assert finish(manager.submit(payload(2), label="tiny")[0]).state == DONE
+        again, cached = manager.submit(payload(1), label="tiny")  # failed: re-runnable
+        assert not cached and finish(again).state == DONE
         assert worker_pid(manager) == first
         assert manager.stats()["worker_restarts"] == 0
 
@@ -607,6 +639,36 @@ class TestRealCli:
         assert pid_exists(worker) and server.state(submitted["id"]) == RUNNING
         server.request("DELETE", f"/runs/{submitted['id']}")
         wait_until(lambda: server.state(submitted["id"]) == CANCELLED, "the cancel")
+
+    def test_a_store_that_cannot_be_written_costs_the_job_not_the_service(
+        self, server: CliServer, tmp_path: Path
+    ) -> None:
+        """At the parent commit the worker thread died in ``store.put``: this
+        job stayed ``running`` and the next one ``queued``, for good."""
+        (worker,) = child_pids(server.process.pid)
+        # The staging area becomes a file: unlike a read-only mode, that stops
+        # a server running as root too.
+        staging = tmp_path / "store" / "tmp"
+        shutil.rmtree(staging)
+        staging.write_text("not a directory\n")
+        _, submitted = server.request("POST", "/runs", {"spec": TINY_SPEC, "seed": 7})
+        wait_until(lambda: server.state(submitted["id"]) in TERMINAL, "the first job")
+        _, status = server.request("GET", f"/runs/{submitted['id']}")
+        assert status["state"] == FAILED
+        assert "to the run store failed: Traceback" in status["detail"]
+        assert "NotADirectoryError" in status["detail"]
+        assert server.request("GET", "/healthz")[0] == 200
+
+        staging.unlink()
+        staging.mkdir()
+        for seed in (8, 7):  # a new request, then the one that failed
+            code, submitted = server.request("POST", "/runs", {"spec": TINY_SPEC, "seed": seed})
+            assert code == 202
+            wait_until(lambda: server.state(submitted["id"]) in TERMINAL, f"job {seed}")
+            assert server.state(submitted["id"]) == DONE
+        assert child_pids(server.process.pid) == [worker]
+        assert list(staging.iterdir()) == []
+        assert server.request("GET", "/stats")[1]["worker_restarts"] == 0
 
     def test_kill_dash_nine_of_the_server_leaves_no_orphan(self, server: CliServer) -> None:
         (worker,) = child_pids(server.process.pid)
