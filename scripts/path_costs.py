@@ -39,6 +39,7 @@ from repro.core.columns import ColumnarView
 from repro.core.config import HOUR
 from repro.core.content_peer import ContentPeer
 from repro.core.dring import DRing
+from repro.core.maintenance import OverlayMaintenance
 from repro.core.system import FlowerCDN
 from repro.metrics.collectors import QueryOutcome
 from repro.scenarios.artifacts import DIGEST_FILENAME, RESULT_FILENAME, run_documents
@@ -100,9 +101,9 @@ class PathCosts:
         self._time(FlowerCDN, "_after_served", "_after_served")
         self._time(FlowerCDN, "_new_client_query", "join (_new_client_query)")
         self._time(DRing, "resolve_directory", "D-ring route")
-        self._time(FlowerCDN, "_start_content_processes", "process starts")
+        self._time(OverlayMaintenance, "_start_content_processes", "process starts")
         self._time(FlowerCDN, "_initialize_view", "view seeding")
-        self._time(FlowerCDN, "_gossip_tick", "gossip tick")
+        self._time(OverlayMaintenance, "_gossip_tick", "gossip tick")
         self._time(ContentPeer, "build_gossip_message", "build_gossip_message")
         self._install_query_split()
         self._install_probe()

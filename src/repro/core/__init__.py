@@ -9,7 +9,7 @@ from repro.core.config import FlowerConfig, GossipConfig, MessageSizeModel
 from repro.core.keys import DRingKey, KeyScheme
 from repro.core.dring import DRing
 from repro.core.directory_peer import DirectoryEntry, DirectoryPeer
-from repro.core.content_peer import ContentPeer, GossipMessage, PushMessage
+from repro.core.content_peer import ContentPeer, GossipMessage
 from repro.core.system import FlowerCDN
 from repro.core.churn import ChurnConfig, ChurnInjector
 from repro.core.replication import ActiveReplicator, ReplicationConfig
@@ -25,7 +25,6 @@ __all__ = [
     "DirectoryEntry",
     "ContentPeer",
     "GossipMessage",
-    "PushMessage",
     "FlowerCDN",
     "ChurnConfig",
     "ChurnInjector",

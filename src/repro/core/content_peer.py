@@ -41,19 +41,6 @@ class GossipMessage(NamedTuple):
         return len(self.view_subset)
 
 
-@dataclass(frozen=True, slots=True)
-class PushMessage:
-    """A one-way push of content-list changes towards the directory peer."""
-
-    sender: str
-    added: Tuple[ObjectId, ...]
-    removed: Tuple[ObjectId, ...]
-
-    @property
-    def num_changes(self) -> int:
-        return len(self.added) + len(self.removed)
-
-
 @dataclass(slots=True)
 class ContentPeer:
     """State and behaviour of one content peer ``c(ws, loc)``."""
@@ -164,10 +151,6 @@ class ContentPeer:
     def view(self) -> ColumnarView:
         return self._view
 
-    @property
-    def view_contacts(self) -> Sequence[str]:
-        return self._view.contacts()
-
     def initialize_view(self, columns: Iterable[ViewColumn]) -> None:
         """Seed the view from the serving peer's view or the directory index.
 
@@ -245,7 +228,7 @@ class ContentPeer:
     def pending_change_fraction(self) -> float:
         """Fraction of the content list affected by unpushed changes.
 
-        NOTE: ``FlowerCDN._maybe_push`` inlines this computation (together
+        NOTE: ``OverlayMaintenance._maybe_push`` inlines this computation (together
         with :meth:`needs_push`) on its hot path — keep the two in sync.
         """
         if not self._objects and not self._pending_removed:
@@ -256,7 +239,7 @@ class ContentPeer:
     def needs_push(self) -> bool:
         """True when the accumulated changes reach the push threshold.
 
-        NOTE: inlined by ``FlowerCDN._maybe_push`` — keep the two in sync.
+        NOTE: inlined by ``OverlayMaintenance._maybe_push`` — keep the two in sync.
         """
         changes = len(self._pending_added) + len(self._pending_removed)
         if changes == 0:
@@ -277,11 +260,6 @@ class ContentPeer:
         self._directory_age = 0
         self.pushes_sent += 1
         return delta
-
-    def build_push(self) -> PushMessage:
-        """:meth:`take_delta` in message form."""
-        added, removed = self.take_delta()
-        return PushMessage(sender=self.peer_id, added=tuple(added), removed=tuple(removed))
 
     # -- failure handling ------------------------------------------------------------
 

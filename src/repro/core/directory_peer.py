@@ -21,7 +21,6 @@ from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.columns import ViewColumn
 from repro.core.config import FlowerConfig
-from repro.core.content_peer import PushMessage
 from repro.datastructures.bloom import BloomFilter
 from repro.workload.catalog import ObjectId
 
@@ -38,15 +37,6 @@ class DirectoryEntry:
     peer_id: str
     age: int = 0
     objects: Set[ObjectId] = field(default_factory=set)
-
-
-@dataclass(slots=True)
-class RedirectionDecision:
-    """Outcome of Algorithm 3 at one directory peer."""
-
-    #: "content_peer", "directory_peer" or "server"
-    kind: str
-    target: Optional[str] = None
 
 
 @dataclass(slots=True)
@@ -183,10 +173,6 @@ class DirectoryPeer:
         self._stamps[sender] = self._clock
         self.pushes_received += 1
 
-    def handle_push(self, push: PushMessage) -> None:
-        """:meth:`apply_delta` of a push in message form."""
-        self.apply_delta(push.sender, push.added, push.removed)
-
     def handle_keepalive(self, peer_id: str) -> None:
         if peer_id in self._stamps:
             self._stamps[peer_id] = self._clock
@@ -304,17 +290,7 @@ class DirectoryPeer:
             return "directory_peer", neighbor
         return "server", None
 
-    def process_query(
-        self, object_id: ObjectId, exclude: Tuple[str, ...] = ()
-    ) -> RedirectionDecision:
-        """:meth:`redirect` in object form."""
-        return RedirectionDecision(*self.redirect(object_id, exclude))
-
     # -- popularity (active-replication extension) ---------------------------------------
-
-    def record_request(self, object_id: ObjectId) -> None:
-        """Count a request observed for ``object_id`` (popularity tracking)."""
-        self._request_counts[object_id] = self._request_counts.get(object_id, 0) + 1
 
     def request_count(self, object_id: ObjectId) -> int:
         return self._request_counts.get(object_id, 0)

@@ -111,7 +111,8 @@ class ActiveReplicator:
 
     def _tick(self) -> None:
         system = self._system
-        for website, locality in sorted(system._overlay_members):  # noqa: SLF001
+        for overlay in system.active_overlays():
+            website, locality = overlay.website, overlay.locality
             source = system.directory_for(website, locality)
             if source is None or not source.alive:
                 continue
@@ -146,7 +147,8 @@ class ActiveReplicator:
             # Place the copy at the member currently holding the fewest objects,
             # spreading the storage load across the target overlay.
             receiver = min(members, key=lambda peer: (peer.num_objects, peer.peer_id))
-            if system.reachability is not None and not system._delivery_allowed(  # noqa: SLF001
+            gate = system.gate
+            if gate is not None and not gate.delivers(
                 "replication",
                 source.host_id,
                 receiver.host_id,

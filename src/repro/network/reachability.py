@@ -9,13 +9,13 @@ layer: a :class:`ReachabilityModel` attached to a running
 :meth:`~repro.core.system.FlowerCDN.attach_reachability`, consulted once per
 protocol message — gossip exchanges, keepalives, directory pushes and
 queries, query redirections, D-ring summary refreshes and active
-replication — through the system's single delivery gate.
+replication — through the system's :class:`DeliveryGate`.
 
 Design rules:
 
-* **No model, no cost.**  Every gate site in ``core/system.py`` is guarded
-  by ``if self.reachability is not None``; with no model attached a run is
-  byte-identical to the pre-gate code under both peer backends.
+* **No model, no cost.**  The system's ``gate`` attribute is ``None`` while
+  no model is attached, and every gate site is guarded by ``if gate is not
+  None``: an ungated run is byte-identical to the pre-gate code.
 * **Pure functions of time.**  Episode-based models (locality partitions,
   directory outages) answer :meth:`ReachabilityModel.allows` from the
   simulation clock alone — no scheduled events, no hidden state — so
@@ -34,11 +34,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.core.config import FlowerConfig
+    from repro.sim.engine import Simulator
 
 __all__ = [
     "MESSAGE_KINDS",
     "DeliveryStats",
+    "DeliveryGate",
     "ReachabilityModel",
     "LocalityPartition",
     "HostOutage",
@@ -114,11 +119,11 @@ class DeliveryStats:
         }
 
     def merge_from(self, other: "DeliveryStats") -> None:
-        """Fold another gate's counters into this one (sharded merge).
+        """Fold another block's gate counters into this one.
 
-        All counters sum across shards except ``reconciliations``: every
-        shard performs the same post-heal reconciliation rounds on its own
-        clock, so the union-run equivalent is the maximum, not the sum.
+        All counters sum across blocks except ``reconciliations``: every
+        block performs the same post-heal reconciliation rounds on its own
+        clock, so the whole-run equivalent is the maximum, not the sum.
         """
         for kind, count in other.delivered.items():
             self.delivered[kind] = self.delivered.get(kind, 0) + count
@@ -139,8 +144,8 @@ class ReachabilityModel:
     """
 
     #: whether a run under this model reports the ``resilience_*`` metric
-    #: block (fault adapters that must keep existing goldens byte-identical,
-    #: e.g. the re-routed gossip-loss model, set this False)
+    #: block (a model that must keep an existing golden byte-identical, e.g.
+    #: the ``gossip-loss`` fault's :class:`LinkLoss`, sets this False)
     emits_metrics: bool = True
 
     def allows(
@@ -168,6 +173,89 @@ class ReachabilityModel:
         temporal footprint (e.g. stationary link loss) return ``()``.
         """
         return ()
+
+
+class DeliveryGate:
+    """What a system keeps while a model is attached: the model, the
+    per-kind :class:`DeliveryStats`, the contact-suspicion backoff and the
+    redirect timeout.
+
+    The system consults it through its ``gate`` attribute and keeps it after
+    detachment for end-of-run reporting (:attr:`stats`,
+    :meth:`fault_windows`).  The timeout and the suspicion backoff come from
+    the system's configuration; every decision reads the simulation clock.
+    """
+
+    __slots__ = (
+        "model", "stats", "redirect_timeout_ms", "_clock", "_backoff_s", "_backoff_max_s",
+        "_suspected_until", "_streak",
+    )
+
+    def __init__(
+        self, model: ReachabilityModel, clock: "Simulator", config: "FlowerConfig"
+    ) -> None:
+        self.model = model
+        self.stats = DeliveryStats()
+        #: what a message lost in transit costs its sender before it gives up
+        self.redirect_timeout_ms = config.redirect_timeout_ms
+        self._clock = clock
+        self._backoff_s = config.suspicion_backoff_s
+        self._backoff_max_s = config.suspicion_backoff_max_s
+        #: contact id -> earliest retry time, and timeouts in a row
+        self._suspected_until: Dict[str, float] = {}
+        self._streak: Dict[str, int] = {}
+
+    def delivers(
+        self,
+        kind: str,
+        src_host: int,
+        dst_host: int,
+        src_id: Optional[str],
+        dst_id: Optional[str],
+    ) -> bool:
+        """Whether one ``kind`` message reaches ``dst_host`` (counted by kind)."""
+        stats = self.stats
+        if self.model.allows(kind, src_host, dst_host, src_id, dst_id, self._clock.now):
+            stats.count_delivered(kind)
+            return True
+        stats.count_blocked(kind)
+        return False
+
+    def fall_back(self) -> float:
+        """A query gives up on an unreachable directory path for the origin
+        server: counted, and the timeout it waited returned."""
+        self.stats.server_fallbacks += 1
+        return self.redirect_timeout_ms
+
+    def skips(self, contact: str) -> bool:
+        """Whether ``contact`` is under suspicion backoff (a counted skip)."""
+        not_before = self._suspected_until.get(contact)
+        if not_before is not None and self._clock.now < not_before:
+            self.stats.suspicion_skips += 1
+            return True
+        return False
+
+    def suspect(self, contact: str) -> None:
+        """Back off from a contact that timed out: doubling suspicion window."""
+        streak = self._streak.get(contact, 0) + 1
+        self._streak[contact] = streak
+        backoff = min(self._backoff_s * (2 ** (streak - 1)), self._backoff_max_s)
+        self._suspected_until[contact] = self._clock.now + backoff
+
+    def clear_suspicion(self, contact: Optional[str] = None) -> None:
+        """Forget the suspicion of ``contact`` (it answered), or of everyone."""
+        if contact is None:
+            self._suspected_until.clear()
+            self._streak.clear()
+        else:
+            self._suspected_until.pop(contact, None)
+            self._streak.pop(contact, None)
+
+    def fault_windows(self) -> Optional[Tuple[Tuple[float, float], ...]]:
+        """The episodes the ``resilience_*`` block is computed over (``None``:
+        the model reports no block) — a pure function of the clock."""
+        model = self.model
+        return tuple(model.fault_windows()) if model.emits_metrics else None
 
 
 class LocalityPartition(ReachabilityModel):

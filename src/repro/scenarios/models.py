@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import random
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
 
@@ -355,94 +354,6 @@ class ScheduledFaultInjector:
         self._events.clear()
 
 
-class _GossipLossModel(ReachabilityModel):
-    """Delivery-gate adapter of the gossip-loss fault: draws only for the
-    ``"gossip"`` kind, lets every other message kind through untouched, and
-    reports into its owning injector's counters/log.  ``emits_metrics`` is
-    off so the pre-reachability ``gossip-lossy`` golden stays byte-identical.
-    """
-
-    emits_metrics = False
-
-    def __init__(
-        self,
-        injector: "GossipLossInjector",
-        stream: random.Random,
-        probability: float,
-    ) -> None:
-        self._injector = injector
-        self._stream = stream
-        self._probability = probability
-
-    def allows(
-        self,
-        kind: str,
-        src_host: int,
-        dst_host: int,
-        src_id: Optional[str],
-        dst_id: Optional[str],
-        now: float,
-    ) -> bool:
-        if kind != "gossip":
-            return True
-        injector = self._injector
-        if self._stream.random() < self._probability:
-            injector.dropped += 1
-            injector.log.append(
-                ChurnLogEntry(time=now, kind="gossip_message_drop", target=src_id)
-            )
-            return False
-        injector.delivered += 1
-        return True
-
-
-class GossipLossInjector:
-    """Drops gossip messages in transit with a fixed probability.
-
-    Rides the system-wide delivery gate (message kind ``"gossip"`` only);
-    drop decisions draw from the dedicated ``"fault:gossip-loss"`` stream,
-    so enabling the model never perturbs any other random stream and the
-    committed ``gossip-lossy`` golden is reproduced byte for byte.
-    """
-
-    def __init__(self, system: "FlowerCDN", drop_probability: float) -> None:
-        self._system = system
-        self._drop_probability = drop_probability
-        self.dropped = 0
-        self.delivered = 0
-        self.log: List[ChurnLogEntry] = []
-
-    def start(self) -> None:
-        system = self._system
-        stream = system.sim.streams.stream("fault:gossip-loss")
-        system.attach_reachability(_GossipLossModel(self, stream, self._drop_probability))
-
-    def stop(self) -> None:
-        self._system.detach_reachability()
-
-
-@register_fault_model("gossip-loss")
-class GossipLoss:
-    """Probabilistic gossip-message loss: each attempted gossip exchange is
-    dropped in transit with ``drop_probability`` — the lossy-network regime
-    the paper's reliable-delivery assumption glosses over.  Knowledge then
-    disseminates only through the surviving exchanges, stressing the same
-    view/summary machinery as ``gossip-starved`` but stochastically.
-    """
-
-    def __init__(self, drop_probability: float = 0.2) -> None:
-        if not 0.0 <= drop_probability <= 1.0:
-            raise ValueError("drop_probability must be in [0, 1]")
-        self.drop_probability = drop_probability
-
-    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
-        if self.drop_probability == 0.0:
-            # No loss means no filter and no stream draws: the run stays
-            # byte-identical to the "none" fault model.
-            return None
-        return GossipLossInjector(system, self.drop_probability)
-
-
 @register_fault_model("correlated-locality")
 class CorrelatedLocalityFaults:
     """A correlated locality outage: at ``at_fraction`` of the run, a
@@ -619,6 +530,36 @@ class LocalityPartitionFault:
 
     def website_separable(self, spec: "ScenarioSpec") -> bool:
         return True  # windows and the partition test are pure functions of the clock
+
+
+@register_fault_model("gossip-loss")
+class GossipLoss:
+    """Probabilistic gossip-message loss: each attempted gossip exchange is
+    dropped in transit with ``drop_probability`` — the lossy-network regime
+    the paper's reliable-delivery assumption glosses over.  Knowledge then
+    disseminates only through the surviving exchanges, stressing the same
+    view/summary machinery as ``gossip-starved`` but stochastically.
+
+    It is ``link-loss`` restricted to the ``"gossip"`` kind, drawing from its
+    own ``"fault:gossip-loss"`` stream; drops and deliveries are counted in
+    the system's ``delivery_stats``.
+    """
+
+    def __init__(self, drop_probability: float = 0.2) -> None:
+        if not 0.0 <= drop_probability <= 1.0:
+            raise ValueError("drop_probability must be in [0, 1]")
+        self.drop_probability = drop_probability
+
+    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
+        if self.drop_probability == 0.0:
+            # No loss means no filter and no stream draws: the run stays
+            # byte-identical to the "none" fault model.
+            return None
+        stream = system.sim.streams.stream("fault:gossip-loss")
+        model = LinkLoss(self.drop_probability, stream, kinds=("gossip",))
+        # No resilience block: the gossip-lossy golden predates it.
+        model.emits_metrics = False
+        return ReachabilityInjector(system, model)
 
 
 @register_fault_model("link-loss")

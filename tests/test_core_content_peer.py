@@ -3,8 +3,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.config import FlowerConfig, GossipConfig
 from repro.core.content_peer import ContentPeer, GossipMessage
@@ -220,7 +218,7 @@ class TestPush:
         peer = make_peer(config)
         for i in range(8):
             peer.store_object(obj(i))
-        peer.build_push()  # flush
+        peer.take_delta()  # flush
         peer.store_object(obj(9))
         # 1 change / 9 objects ≈ 11% < 25%
         assert not peer.needs_push()
@@ -228,47 +226,20 @@ class TestPush:
         peer.store_object(obj(11))
         assert peer.needs_push()
 
-    def test_build_push_carries_delta_and_resets(self, config):
+    def test_take_delta_carries_delta_and_resets(self, config):
         peer = make_peer(config)
-        peer.store_object(obj(1))
-        peer.store_object(obj(2))
+        for rank in (3, 1, 2):
+            peer.store_object(obj(rank))
         peer.drop_object(obj(2))
-        push = peer.build_push()
-        assert push.sender == peer.peer_id
-        assert obj(1) in push.added
-        assert obj(2) in push.removed
+        added, removed = peer.take_delta()
+        assert list(added) == sorted([obj(1), obj(3)])
+        assert list(removed) == [obj(2)]
         assert not peer.needs_push()
         assert peer.pushes_sent == 1
         assert peer.directory_age == 0
 
     def test_pending_change_fraction_empty_peer(self, config):
         assert make_peer(config).pending_change_fraction() == 0.0
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(["store", "drop", "push"]), st.integers(0, 9)),
-                    max_size=40))
-    def test_build_push_is_take_delta_in_message_form(self, ops):
-        # Two peers in lockstep, one drained through each form: the same
-        # delta (each side sorted), the same resets, the same summary after.
-        config = FlowerConfig(content_cache_capacity=4)
-        by_message, by_call = make_peer(config, "m"), make_peer(config, "c")
-        for op, rank in ops:
-            if op == "push":
-                push = by_message.build_push()
-                added, removed = by_call.take_delta()
-                assert (push.sender, push.added, push.removed) == (
-                    "m", tuple(added), tuple(removed)
-                )
-                assert list(added) == sorted(added) and list(removed) == sorted(removed)
-                assert push.num_changes == len(added) + len(removed)
-            else:
-                for peer in (by_message, by_call):
-                    getattr(peer, f"{op}_object")(obj(rank))
-            for field in ("objects", "pushes_sent", "directory_age", "_pending_added",
-                          "_pending_removed"):
-                assert getattr(by_message, field) == getattr(by_call, field)
-            assert by_message.needs_push() == by_call.needs_push()
-            assert by_message.summary_bits() == by_call.summary_bits()
 
 
 class TestLifecycle:

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FlowerConfig, GossipConfig
-from repro.core.content_peer import ContentPeer, PushMessage
-from repro.core.directory_peer import DirectoryPeer, RedirectionDecision
+from repro.core.directory_peer import DirectoryPeer
 
 
 @pytest.fixture
@@ -74,19 +73,19 @@ class TestDirectoryIndex:
 class TestPushAndAgeing:
     def test_push_updates_entry(self, directory):
         directory.register_client("c1", obj(1))
-        directory.handle_push(PushMessage(sender="c1", added=(obj(2), obj(3)), removed=(obj(1),)))
+        directory.apply_delta("c1", (obj(2), obj(3)), (obj(1),))
         entry = directory.entry("c1")
         assert entry.objects == {obj(2), obj(3)}
         assert directory.pushes_received == 1
 
     def test_push_from_unknown_peer_creates_entry(self, directory):
-        directory.handle_push(PushMessage(sender="newcomer", added=(obj(5),), removed=()))
+        directory.apply_delta("newcomer", (obj(5),), ())
         assert directory.lookup_index(obj(5)) == ["newcomer"]
 
     def test_push_from_unknown_peer_ignored_when_full(self, directory, config):
         for i in range(config.max_content_overlay_size):
             directory.register_client(f"c{i}", obj(i))
-        directory.handle_push(PushMessage(sender="late", added=(obj(9),), removed=()))
+        directory.apply_delta("late", (obj(9),), ())
         assert "late" not in directory.members()
 
     def test_keepalive_resets_age(self, directory):
@@ -146,113 +145,46 @@ class TestSummaries:
 class TestQueryProcessing:
     def test_redirects_to_content_peer_holding_object(self, directory):
         directory.register_client("c1", obj(1))
-        decision = directory.process_query(obj(1))
-        assert decision.kind == "content_peer"
-        assert decision.target == "c1"
+        assert directory.redirect(obj(1)) == ("content_peer", "c1")
         assert directory.queries_processed == 1
 
     def test_prefers_recently_heard_holders(self, directory):
         directory.register_client("stale", obj(1))
         directory.increment_ages()
         directory.register_client("fresh", obj(1))
-        assert directory.process_query(obj(1)).target == "fresh"
+        assert directory.redirect(obj(1)) == ("content_peer", "fresh")
 
     def test_excluded_holders_are_skipped(self, directory):
         directory.register_client("c1", obj(1))
         directory.register_client("c2", obj(1))
-        decision = directory.process_query(obj(1), exclude=("c1",))
-        assert decision.target == "c2"
+        assert directory.redirect(obj(1), {"c1"}) == ("content_peer", "c2")
 
     def test_falls_back_to_neighbor_directory_summary(self, directory, config):
         neighbor_summary = directory.build_summary()
         neighbor_summary.add(obj(9))
         directory.store_neighbor_summary("d-neighbor", neighbor_summary)
-        decision = directory.process_query(obj(9))
-        assert decision.kind == "directory_peer"
-        assert decision.target == "d-neighbor"
+        assert directory.redirect(obj(9)) == ("directory_peer", "d-neighbor")
 
     def test_falls_back_to_server_when_nothing_matches(self, directory):
-        decision = directory.process_query(obj(17))
-        assert decision.kind == "server"
-        assert decision.target is None
+        assert directory.redirect(obj(17)) == ("server", None)
 
     def test_algorithm3_order_index_before_summaries(self, directory):
         """Algorithm 3 checks the local index before the neighbour summaries."""
         directory.register_client("local-holder", obj(3))
         neighbor_summary = directory.build_summary()
         directory.store_neighbor_summary("d-neighbor", neighbor_summary)
-        decision = directory.process_query(obj(3))
-        assert decision.kind == "content_peer"
+        assert directory.redirect(obj(3)) == ("content_peer", "local-holder")
 
 
 peer_names = st.sampled_from([f"c{i}" for i in range(6)])
-push_ops = st.lists(
-    st.one_of(
-        st.tuples(st.sampled_from(["store", "drop"]), peer_names, st.integers(0, 9)),
-        st.tuples(st.sampled_from(["push", "register", "remove"]), peer_names, st.integers(0, 9)),
-        st.tuples(st.sampled_from(["age", "evict", "publish"]), st.none(), st.none()),
-    ),
-    max_size=60,
-)
 
 
 class TestPushAsCall:
-    """``take_delta`` → ``apply_delta`` is the push the simulation runs;
-    ``build_push`` → ``handle_push`` is the same push in message form."""
-
-    @staticmethod
-    def _observable(directory: DirectoryPeer):
-        return (
-            [(p, e.age, sorted(e.objects)) for p, e in directory.export_state().items()],
-            list(directory._stamps.items()),
-            # iteration order included: lookups walk these tables
-            [(o, sorted(holders)) for o, holders in directory._holders.items()],
-            sorted(directory._unpublished_objects),
-            directory._published_object_count,
-            directory.pushes_received,
-        )
-
-    @settings(max_examples=80, deadline=None)
-    @given(push_ops)
-    def test_both_forms_leave_the_same_directory(self, ops):
-        config = FlowerConfig(max_content_overlay_size=4, content_cache_capacity=3)
-
-        def deployment():
-            directory = DirectoryPeer(
-                peer_id="d0", host_id=0, website="w", locality=0, node_id=1, config=config
-            )
-            peers = {
-                name: ContentPeer(peer_id=name, host_id=i, website="w", locality=0, config=config)
-                for i, name in enumerate(f"c{i}" for i in range(6))
-            }
-            return directory, peers
-
-        (by_message, message_peers), (by_call, call_peers) = deployment(), deployment()
-        for op, who, rank in ops:
-            if op in ("store", "drop"):
-                for peers in (message_peers, call_peers):
-                    getattr(peers[who], f"{op}_object")(obj(rank))
-            elif op == "push":
-                by_message.handle_push(message_peers[who].build_push())
-                by_call.apply_delta(who, *call_peers[who].take_delta())
-            elif op == "register":
-                assert by_message.register_client(who, obj(rank)) == (
-                    by_call.register_client(who, obj(rank))
-                )
-            elif op == "remove":
-                assert by_message.remove_client(who) == by_call.remove_client(who)
-            elif op == "age":
-                by_message.increment_ages()
-                by_call.increment_ages()
-            elif op == "evict":
-                assert by_message.evict_dead_entries() == by_call.evict_dead_entries()
-            else:
-                assert by_message.publish_summary() == by_call.publish_summary()
-            assert self._observable(by_message) == self._observable(by_call)
+    """``apply_delta`` is Algorithm 5's push as the simulation runs it."""
 
     def test_publish_summary_counts_the_indexed_objects(self, directory):
-        directory.handle_push(PushMessage(sender="c1", added=(obj(1), obj(2)), removed=()))
-        directory.handle_push(PushMessage(sender="c2", added=(obj(2), obj(3)), removed=()))
+        directory.apply_delta("c1", (obj(1), obj(2)), ())
+        directory.apply_delta("c2", (obj(2), obj(3)), ())
         summary = directory.publish_summary()
         assert directory._published_object_count == len(directory.indexed_objects()) == 3
         assert summary == directory.build_summary()
@@ -261,8 +193,8 @@ class TestPushAsCall:
 
 
 class TestRedirectCore:
-    """``redirect`` is Algorithm 3 as the simulation runs it; ``process_query``
-    is its object form, and ``lookup_index`` / ``lookup_summaries`` its reference."""
+    """``redirect`` is Algorithm 3 as the simulation runs it; ``lookup_index``
+    / ``lookup_summaries`` are its reference."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -270,42 +202,35 @@ class TestRedirectCore:
         st.lists(st.tuples(st.sampled_from(["n1", "n2", "n3"]), st.integers(0, 4)), max_size=6),
         st.sets(st.sampled_from([f"c{i}" for i in range(6)] + ["n1", "n2", "n3", "d0"])),
     )
-    def test_adapter_core_and_reference_agree(self, registrations, neighbours, exclude):
+    def test_core_and_reference_agree(self, registrations, neighbours, exclude):
         config = FlowerConfig(max_content_overlay_size=6)
-
-        def build():
-            directory = DirectoryPeer(
-                peer_id="d0", host_id=0, website="w", locality=0, node_id=1, config=config
+        directory = DirectoryPeer(
+            peer_id="d0", host_id=0, website="w", locality=0, node_id=1, config=config
+        )
+        for who, rank, age_after in registrations:
+            directory.register_client(who, obj(rank))
+            if age_after:
+                directory.increment_ages()
+        for name, rank in neighbours:
+            summary = directory.neighbor_summaries().get(name) or (
+                DirectoryPeer(
+                    peer_id=name, host_id=1, website="w", locality=1, node_id=2, config=config
+                ).build_summary()
             )
-            for who, rank, age_after in registrations:
-                directory.register_client(who, obj(rank))
-                if age_after:
-                    directory.increment_ages()
-            for name, rank in neighbours:
-                summary = directory.neighbor_summaries().get(name) or (
-                    DirectoryPeer(
-                        peer_id=name, host_id=1, website="w", locality=1, node_id=2, config=config
-                    ).build_summary()
-                )
-                summary.add(obj(rank))
-                directory.store_neighbor_summary(name, summary)
-            return directory
-
-        by_adapter, by_core = build(), build()
+            summary.add(obj(rank))
+            directory.store_neighbor_summary(name, summary)
         for rank in range(6):
-            decision = by_adapter.process_query(obj(rank), exclude=tuple(sorted(exclude)))
-            kind, target = by_core.redirect(obj(rank), exclude)
-            assert decision == RedirectionDecision(kind, target)
-            holders = [p for p in by_core.lookup_index(obj(rank)) if p not in exclude]
-            matching = [n for n in by_core.lookup_summaries(obj(rank)) if n not in exclude]
+            kind, target = directory.redirect(obj(rank), exclude)
+            holders = [p for p in directory.lookup_index(obj(rank)) if p not in exclude]
+            matching = [n for n in directory.lookup_summaries(obj(rank)) if n not in exclude]
             if holders:
                 assert (kind, target) == ("content_peer", holders[0])
             elif matching:
                 assert (kind, target) == ("directory_peer", matching[0])
             else:
                 assert (kind, target) == ("server", None)
-        assert by_adapter.queries_processed == by_core.queries_processed == 6
-        assert by_adapter._request_counts == by_core._request_counts
+        assert directory.queries_processed == 6
+        assert directory._request_counts == {obj(rank): 1 for rank in range(6)}
 
 
 class TestStateTransfer:

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.columns import SUMMARY_NUM_HASHES, ColumnarView
 from repro.core.config import FlowerConfig
-from repro.core.content_peer import ContentPeer, PushMessage
+from repro.core.content_peer import ContentPeer
 from repro.core.directory_peer import DirectoryPeer
 from repro.datastructures.aged_view import AgedEntry, AgedView
 from repro.datastructures.bloom import BloomFilter, entries_maybe_containing, mask_for
@@ -423,7 +423,7 @@ def test_kernel_directory_mirrors_object_directory(ops):
         elif op == "push":
             added = tuple(_url(r) for r in what[0])
             removed = tuple(_url(r) for r in what[1] if r not in what[0])
-            directory.handle_push(PushMessage(sender=who, added=added, removed=removed))
+            directory.apply_delta(who, added, removed)
             model.touch(who, added, removed)
         elif op == "keepalive":
             directory.handle_keepalive(who)

@@ -4,21 +4,23 @@ Covers the pure models (`repro.network.reachability`), the FlowerCDN
 delivery gate (suspicion backoff, graceful degradation, reconciliation) and
 the two golden-pinned invariants of the subsystem:
 
-* with no model attached — or with a non-emitting adapter such as the
-  re-routed gossip-loss filter — digests stay byte-identical to the
-  pre-gate code;
+* with no model attached — or with a non-emitting model such as the
+  gossip-loss fault's — digests stay byte-identical to the pre-gate code;
 * the partition-heal-reconcile golden records an actual dip-and-recovery.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.config import FlowerConfig, GossipConfig
+from repro.core.replication import ActiveReplicator, ReplicationConfig
 from repro.core.system import FlowerCDN
 from repro.metrics.collectors import QueryOutcome
 from repro.network.reachability import (
     MESSAGE_KINDS,
+    DeliveryGate,
     DeliveryStats,
     HostOutage,
     LinkLoss,
@@ -33,8 +35,9 @@ from repro.scenarios.models import (
     register_fault_model,
     unregister_fault_model,
 )
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.runner import run_scenario, summarise_system
 from repro.scenarios.spec import replace
+from repro.session import Session
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.assignment import ResolvedQuery
@@ -163,7 +166,7 @@ class _BlockKinds(ReachabilityModel):
 
 
 class _SilentAllowAll(ReachabilityModel):
-    """Always-allow model that, like the gossip-loss adapter, emits no
+    """Always-allow model that, like the gossip-loss fault's, emits no
     resilience metrics — runs under it must stay byte-identical."""
 
     emits_metrics = False
@@ -235,23 +238,49 @@ class TestDeliveryGate:
         # stats survive detachment for end-of-run reporting
         assert system.delivery_stats is not None
 
+    def test_a_detached_gate_still_reports(self, system: FlowerCDN):
+        partition = LocalityPartition(((100.0, 200.0),), frozenset({0}), lambda host: 0)
+        system.attach_reachability(partition)
+        gate = system.gate
+        system.detach_reachability()
+        assert system.gate is None and system.reachability is None
+        assert system.delivery_stats is gate.stats
+        assert system.resilience_windows() == ((100.0, 200.0),)
+        system.attach_reachability(_SilentAllowAll())
+        system.detach_reachability()
+        assert system.resilience_windows() is None  # the last model reports no block
+
     def test_double_attach_rejected(self, system: FlowerCDN):
         system.attach_reachability(ReachabilityModel())
         with pytest.raises(RuntimeError, match="already attached"):
             system.attach_reachability(ReachabilityModel())
 
-    def test_suspicion_backoff_doubles_and_saturates(self, system: FlowerCDN):
-        base = system.config.suspicion_backoff_s
-        cap = system.config.suspicion_backoff_max_s
+    def test_suspicion_backoff_doubles_and_saturates(self, config: FlowerConfig):
+        base = config.suspicion_backoff_s
+        cap = config.suspicion_backoff_max_s
+        clock = SimpleNamespace(now=0.0)
+        gate = DeliveryGate(ReachabilityModel(), clock, config)
+
         for _ in range(20):
-            system._suspect("c(x)@1", 0.0)
-        assert system._suspicion_until["c(x)@1"] == cap
-        system._suspect("c(y)@2", 10.0)
-        system._suspect("c(y)@2", 10.0)
-        assert system._suspicion_until["c(y)@2"] == 10.0 + 2 * base
-        system._clear_suspicion("c(y)@2")
-        assert "c(y)@2" not in system._suspicion_until
-        assert "c(y)@2" not in system._suspicion_streak
+            gate.suspect("c(x)@1")
+        clock.now = cap - 1e-9
+        assert gate.skips("c(x)@1")
+        clock.now = cap
+        assert not gate.skips("c(x)@1")
+        clock.now = 10.0
+        gate.suspect("c(y)@2")
+        gate.suspect("c(y)@2")
+        clock.now = 10.0 + 2 * base - 1e-9
+        assert gate.skips("c(y)@2")
+        clock.now = 10.0 + 2 * base
+        assert not gate.skips("c(y)@2")
+        clock.now = 10.0
+        gate.clear_suspicion("c(y)@2")
+        assert not gate.skips("c(y)@2")
+        gate.suspect("c(y)@2")  # the streak starts over
+        clock.now = 10.0 + base
+        assert not gate.skips("c(y)@2")
+        assert gate.stats.suspicion_skips == 2
 
     def test_unreachable_directory_degrades_to_server_without_replacement(
         self, system: FlowerCDN
@@ -284,10 +313,10 @@ class TestDeliveryGate:
     def test_reconcile_counts_and_clears_suspicion(self, system: FlowerCDN):
         enroll_peer(system)
         system.attach_reachability(ReachabilityModel())
-        system._suspect("c(x)@1", 0.0)
+        system.gate.suspect("c(x)@1")
         system.reconcile((0,))
         assert system.delivery_stats.reconciliations == 1
-        assert not system._suspicion_until
+        assert not system.gate.skips("c(x)@1")
         # reconciliation keepalives went through the gate
         assert system.delivery_stats.delivered.get("keepalive", 0) >= 1
 
@@ -323,6 +352,51 @@ class TestGateInvariants:
             assert through_gate == baseline
         finally:
             unregister_fault_model("test-always-reachable")
+
+    def test_every_message_kind_passes_the_one_gate(self):
+        """Query path, upkeep and the replicator all consult ``system.gate``:
+        a recording allow-all model sees all eight kinds, delivers the pinned
+        per-kind counts, and changes no byte."""
+
+        class _Recording(_SilentAllowAll):
+            def __init__(self):
+                self.kinds = set()
+
+            def allows(self, kind, src_host, dst_host, src_id, dst_id, now):
+                self.kinds.add(kind)
+                return True
+
+        spec = replace(
+            get_scenario("multi-locality").scaled(0.25), content_miss_fallback="directory"
+        )
+        model = _Recording()
+
+        def replicate(system):
+            return ActiveReplicator(system, ReplicationConfig(period_s=600.0, min_requests=1))
+
+        def gate(system):
+            injector = SimpleNamespace(log=[])
+            injector.start = lambda: system.attach_reachability(model)
+            injector.stop = system.detach_reachability
+            return injector
+
+        def run(*attachments):
+            session = Session(spec, seed=42)
+            result = session.experiment.run_flower(
+                attachments=(session.attach_models, replicate, *attachments)
+            )
+            digest = summarise_system(spec, "flower", result).to_dict()
+            return digest, session.experiment.last_flower_system
+
+        ungated, _ = run()
+        gated, system = run(gate)
+        assert model.kinds == set(MESSAGE_KINDS)
+        assert system.delivery_stats.delivered == {
+            "dring": 66, "gossip": 84, "keepalive": 84, "push": 1081,
+            "query": 1492, "redirect": 1374, "replication": 35, "summary": 20,
+        }
+        assert not system.delivery_stats.blocked
+        assert gated == ungated
 
     def test_gossip_lossy_golden_still_byte_identical(self):
         # Satellite pin: PR 5's gossip-loss filter now routes through the

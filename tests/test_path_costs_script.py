@@ -18,6 +18,7 @@ import pytest
 from repro.core.columns import ColumnarView
 from repro.core.content_peer import ContentPeer
 from repro.core.dring import DRing
+from repro.core.maintenance import OverlayMaintenance
 from repro.core.system import FlowerCDN
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "path_costs.py"
@@ -41,11 +42,12 @@ def test_wrapped_run_is_digest_neutral_and_every_path_is_seen(path_costs, capsys
     patched = [
         (FlowerCDN, "_content_peer_query"), (FlowerCDN, "_run_directory_flow"),
         (FlowerCDN, "_after_served"), (FlowerCDN, "_new_client_query"),
-        (FlowerCDN, "_start_content_processes"), (FlowerCDN, "_initialize_view"),
-        (FlowerCDN, "_gossip_tick"), (DRing, "resolve_directory"),
+        (OverlayMaintenance, "_start_content_processes"), (FlowerCDN, "_initialize_view"),
+        (OverlayMaintenance, "_gossip_tick"), (DRing, "resolve_directory"),
         (ContentPeer, "build_gossip_message"), (ColumnarView, "probe"),
     ]
-    before = [getattr(owner, name) for owner, name in patched]
+    classes = {owner for owner, _ in patched} | {FlowerCDN}
+    before = {owner: dict(vars(owner)) for owner in classes}
     callbacks = list(gc.callbacks)
 
     assert path_costs.main(["--scenario", "paper-default", "--check-digest"]) == 0
@@ -68,8 +70,8 @@ def test_wrapped_run_is_digest_neutral_and_every_path_is_seen(path_costs, capsys
         r"found nothing: (\d+) of \d+ .*rejected by the union mask: (\d+)", report
     ).groups())
     assert 0 < rejected <= empty <= probes
-    # The program is left as it was found.
-    assert [getattr(owner, name) for owner, name in patched] == before
+    # The program is left as it was found: no class gained or lost a name.
+    assert {owner: dict(vars(owner)) for owner in classes} == before
     assert gc.callbacks == callbacks
 
 

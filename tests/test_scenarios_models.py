@@ -16,6 +16,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.models import (
+    ReachabilityInjector,
     build_churn_model,
     build_fault_model,
     unregister_churn_model,
@@ -294,11 +295,11 @@ class TestGossipLossFaultModel:
     def test_total_loss_suppresses_every_exchange(self):
         session = Session.from_spec(self.make_spec(1.0), seed=7)
         session.run()
-        (injector,) = session.last_injectors
-        assert injector.delivered == 0
-        assert injector.dropped > 0
-        assert all(entry.kind == "gossip_message_drop" for entry in injector.log)
         system = session.experiment.last_flower_system
+        stats = system.delivery_stats
+        assert "gossip" not in stats.delivered
+        assert set(stats.blocked) == {"gossip"} and stats.blocked["gossip"] > 0
+        assert stats.delivered["keepalive"] > 0  # other kinds pass untouched
         assert all(
             peer.gossip_initiated == 0 for peer in system._content_peers.values()
         )
@@ -306,9 +307,9 @@ class TestGossipLossFaultModel:
     def test_partial_loss_drops_some_and_delivers_some(self):
         session = Session.from_spec(self.make_spec(0.5), seed=7)
         lossy = session.run()
-        (injector,) = session.last_injectors
-        assert injector.dropped > 0
-        assert injector.delivered > 0
+        stats = session.experiment.last_flower_system.delivery_stats
+        assert stats.blocked["gossip"] > 0
+        assert stats.delivered["gossip"] > 0
         baseline = run_scenario(get_scenario("paper-default").scaled(TINY_SCALE), seed=7)
         assert lossy.metrics_digest() != baseline.metrics_digest()
 
@@ -323,13 +324,12 @@ class TestGossipLossFaultModel:
         assert first == second
 
     def test_double_attach_rejected(self):
-        from repro.scenarios.models import GossipLossInjector
-
         session = Session.from_spec(self.make_spec(0.5), seed=7)
         _, system = session.build_flower()
-        injector = GossipLossInjector(system, 0.5)
+        (injector,) = session.attach_models(system)
+        assert isinstance(injector, ReachabilityInjector)
         injector.start()
-        other = GossipLossInjector(system, 0.5)
+        (other,) = session.attach_models(system)
         with pytest.raises(RuntimeError, match="already attached"):
             other.start()
         injector.stop()

@@ -37,10 +37,12 @@ from repro.core.config import HOUR
 from repro.core.content_peer import ContentPeer
 from repro.core.sharding import inseparable_reason, plan_blocks
 from repro.core.system import InfeasibleScenarioError
+from repro.metrics.collectors import QueryOutcome
 from repro.scenarios.artifacts import DIGEST_FILENAME, RESULT_FILENAME, run_documents
 from repro.scenarios.library import get_scenario, iter_scenarios, scenario_names
 from repro.scenarios.runner import ScenarioResult, summarise_system
 from repro.session import Session
+from repro.workload.assignment import ResolvedQuery
 
 SEEDS = (42, 7, 1234)
 
@@ -133,6 +135,42 @@ def test_the_default_plan_is_the_monolithic_run_at_every_seed(name):
             assert documents(Session(SPECS[name], seed=seed).run()) == reference[0]
 
 
+def test_algorithm3_retry_bound_does_not_depend_on_the_block_plan():
+    """Algorithm 3 tries as many stale holders in a one-website block as in
+    the whole catalogue: the bound is the deployment's, not the block's."""
+    session = Session(SPECS["paper-default"], seed=42)
+    config = session.experiment.setup.flower
+    website = session.experiment.catalog.websites[0]
+    wanted = website.object_id(0)
+    # More stale entries than a block staffs directories, fewer than the deployment.
+    stale = config.max_redirection_attempts + config.num_localities
+    assert stale + 1 <= config.max_content_overlay_size
+
+    def served(owned):
+        _, system = session.experiment.build_flower(owned)
+        directory = system.directory_for(website.name, 0)
+        clients = [
+            host for host in system.topology.hosts_in_locality(0)
+            if host not in system.reserved_hosts
+        ]
+
+        def query(query_id, host):
+            return system.handle_query(ResolvedQuery(
+                query_id, 0.0, website.name, wanted, 0, host, is_new_client=True
+            ))
+
+        query(0, clients[0])  # the one real holder, indexed first
+        directory.increment_ages()
+        for index in range(stale):  # fresher entries of holders long gone
+            directory.register_client(f"gone-{index}", wanted)
+        record = query(1, clients[1])
+        return record.outcome, record.provider, directory.queries_processed
+
+    whole = served(None)
+    assert whole[0] is QueryOutcome.LOCAL_OVERLAY_HIT
+    assert served(frozenset({website.name})) == whole
+
+
 def test_a_worker_that_inherits_nothing_rebuilds_the_run():
     """The ``spawn`` start method: no forked environment, same rows."""
     spec = SPECS["partition-heal-reconcile"]
@@ -207,8 +245,9 @@ def test_a_whole_catalogue_block_keeps_its_system_and_injectors(name):
         assert session.last_shard_stats is None
         assert session.last_injectors == session.experiment.last_injectors != []
         logs = [injector.log for injector in session.last_injectors]
-        # (host outages fail no peer and reconcile nothing: an empty log)
-        assert any(logs) or name == "cascading-directory-failures"
+        # (host outages and gossip loss fail no peer and reconcile nothing:
+        # an empty log; a lost message shows in delivery_stats)
+        assert any(logs) or name in ("cascading-directory-failures", "gossip-lossy")
         # ...and, being one block, cannot be dealt over workers: the error
         # names the model that keeps the catalogue whole.
         with pytest.raises(ValueError, match="model '.*' is not website-separable"):

@@ -1,9 +1,7 @@
 """Size budget: no module under ``src/repro/`` grows past 700 lines.
 
-ROADMAP direction 3 ("no file in ``src/`` over 700 lines") as a gate.  The two
-modules still above the limit are allowlisted with today's line counts as
-ceilings: they may shrink (lower the ceiling when they do), never grow, and
-nothing may be added to the list.
+ROADMAP direction 3 ("no file in ``src/`` over 700 lines") as a gate, with
+no exceptions.
 """
 
 from __future__ import annotations
@@ -12,11 +10,6 @@ from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
 LIMIT = 700
-#: shrink-only: module (relative to src/repro) -> line-count ceiling
-ALLOWLIST = {
-    "core/system.py": 1079,
-    "scenarios/models.py": 719,
-}
 
 
 def _line_counts() -> dict:
@@ -27,20 +20,8 @@ def _line_counts() -> dict:
 
 
 def test_no_module_exceeds_its_budget():
-    over = {
-        name: lines
-        for name, lines in _line_counts().items()
-        if lines > ALLOWLIST.get(name, LIMIT)
-    }
-    assert not over, f"modules over their line budget (limit {LIMIT}): {over}"
-
-
-def test_the_allowlist_only_shrinks():
-    counts = _line_counts()
-    assert set(ALLOWLIST) <= {"core/system.py", "scenarios/models.py"}
-    for name, ceiling in ALLOWLIST.items():
-        assert ceiling > LIMIT, f"{name} fits the limit: drop it from the allowlist"
-        assert counts[name] > LIMIT, f"{name} now fits the limit: drop it from the allowlist"
+    over = {name: lines for name, lines in _line_counts().items() if lines > LIMIT}
+    assert not over, f"modules over the {LIMIT}-line budget: {over}"
 
 
 def test_no_further_run_loop_replays_a_trace():
