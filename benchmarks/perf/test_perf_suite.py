@@ -13,7 +13,10 @@ import json
 import pytest
 
 from repro import cli
+from repro.core.sharding import plan_blocks
 from repro.perf import suite
+from repro.scenarios.library import get_scenario
+from repro.session import Session
 
 
 class TestRunSuite:
@@ -32,7 +35,7 @@ class TestRunSuite:
             assert key in micro, key
         assert micro["event_core"]["events_per_s"] > 0
         assert micro["latency_cache"]["cache_hits"] > micro["latency_cache"]["cache_misses"]
-        assert micro["zipf"]["alias_draws_per_s"] > 0
+        assert micro["zipf"]["draws_per_s"] > 0
         scenario = document["scenarios"]["paper-default"]
         assert scenario["events_per_s"] > 0
         assert scenario["queries_per_s"] > 0
@@ -40,10 +43,21 @@ class TestRunSuite:
         assert scenario["events_fired"] > scenario["num_queries"] > 0
 
     def test_scenario_benchmark_deterministic_event_counts(self):
-        first = suite.bench_scenario("paper-default", scale=0.25, repeats=1)
-        second = suite.bench_scenario("paper-default", scale=0.25, repeats=1)
+        first = suite.bench_run("paper-default", scale=0.25)
+        second = suite.bench_run("paper-default", scale=0.25)
         assert first["events_fired"] == second["events_fired"]
         assert first["num_queries"] == second["num_queries"]
+
+    def test_bench_times_the_run_session_runs(self):
+        """The gate times ``Session.run_system``: the same blocks, the same events."""
+        bench = suite.bench_run("paper-default")
+        spec = get_scenario("paper-default")
+        assert bench["blocks"] == len(bench["block_fixed_ms"]) == len(plan_blocks(spec)) == 2
+        run = Session.from_name("paper-default").run_system("flower")
+        assert bench["events_fired"] == run.events_fired
+        assert bench["num_queries"] == run.num_queries
+        assert bench["events_per_s"] == bench["events_fired"] / bench["run_s"]
+        assert bench["wall_s"] == bench["trace_s"] + bench["run_s"]
 
 
 class TestBaselineComparison:
@@ -119,6 +133,16 @@ class TestCli:
     def test_perf_invalid_repeats_rejected(self):
         assert cli.main(["perf", "--repeats", "0"], out=io.StringIO()) == 2
 
+    def test_unknown_scenario_is_a_usage_error_before_any_benchmark(self, monkeypatch, capsys):
+        def fail(**_kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr("repro.perf.run_suite", fail)
+        assert cli.main(["perf", "--quick", "--scenarios", "nope"], out=io.StringIO()) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: unknown scenario 'nope'")
+        assert len(error.splitlines()) == 1
+
     def test_perf_help_renders(self, capsys):
         """argparse %-formats help strings: the threshold's '%' must be escaped."""
         with pytest.raises(SystemExit) as exit_info:
@@ -190,10 +214,6 @@ class TestMemoryBudgets:
         assert set(memory) == {"event_queue", "latency_cache", "metrics"}
         assert memory["metrics"]["compact_peak_bytes_per_record"] > 0
 
-    def test_memory_section_can_be_disabled(self):
-        document = suite.run_suite(scenarios=["paper-default"], quick=True, memory=False)
-        assert "memory" not in document
-
 
 class TestPaperScaleSection:
     def test_paper_scale_is_not_part_of_the_default_suite(self):
@@ -208,17 +228,20 @@ class TestPaperScaleSection:
         assert paper["events_per_s"] > 0
         assert paper["peak_rss_mb"] > 0
 
-    def test_committed_paper_scale_run_is_blocked_with_the_monolithic_run_beside_it(self):
-        """The run of record: measured through ``Session.run()`` (one flower at
-        a time), the hand-driven monolithic system kept beside it."""
-        paper = suite.load_baseline()["paper_scale"]
+    def test_committed_paper_scale_run_is_blocked(self):
+        """The run of record: measured through ``Session.run_system`` (one
+        flower at a time), and nothing else beside it."""
+        baseline = suite.load_baseline()
+        paper = baseline["paper_scale"]
         assert paper["blocks"] == len(paper["block_fixed_ms"]) == 6
         # ms beyond a block's own sim.run, tearing down a 24 h flower included
         # (the 600-placement ring used to cost ~45 ms per block on its own)
         assert max(paper["block_fixed_ms"]) <= 30.0
-        assert paper["peak_rss_mb"] <= 100.0 < paper["monolithic_peak_rss_mb"]
-        assert paper["wall_s"] <= 0.75 * paper["monolithic_wall_s"]
-        assert paper["monolithic_events_per_s"] > 0
+        assert paper["peak_rss_mb"] <= 100.0
+        assert not any(key.startswith("monolithic_") for key in paper)
+        sharded = baseline["paper_scale_sharded"]
+        assert sharded["events_fired"] == paper["events_fired"]
+        assert "num_windows" not in sharded
 
     def test_paper_scale_scenario_excluded_from_regression_gate(self):
         """The per-PR gate never requires a minutes-long fresh run."""
@@ -231,10 +254,9 @@ class TestPaperScaleSection:
         assert "paper_scale_kernel" not in baseline
         assert "kernel" not in baseline["paper_scale"]
 
-    def test_update_baseline_without_paper_scale_keeps_the_section(
-        self, tmp_path, monkeypatch
-    ):
-        """`make perf-baseline` (no --paper-scale) must not drop paper_scale."""
+    def test_update_baseline_without_paper_scale_keeps_the_section(self, tmp_path):
+        """`make perf-baseline` (no --paper-scale) must not drop paper_scale:
+        the sections a run produced are merged into the committed document."""
         baseline = tmp_path / "BENCH_core.json"
         baseline.write_text(
             json.dumps({"schema": suite.SCHEMA_VERSION, "scenarios": {},
@@ -242,9 +264,8 @@ class TestPaperScaleSection:
                         "paper_scale_sharded": {"wall_s": 0.5}}),
             encoding="utf-8",
         )
-        monkeypatch.setenv(suite.BASELINE_PATH_ENV, str(baseline))
         code = cli.main(
-            ["perf", "--quick", "--no-memory", "--update-baseline",
+            ["perf", "--quick", "--update-baseline", "--baseline", str(baseline),
              "--scenarios", "paper-default", "--output", "-"],
             out=io.StringIO(),
         )

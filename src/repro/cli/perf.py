@@ -8,6 +8,7 @@ from pathlib import Path
 
 from repro import perf as perf_module
 from repro.cli.usage import usage_error
+from repro.scenarios.library import get_scenario
 
 
 def add_arguments(subparsers) -> None:
@@ -30,10 +31,11 @@ def add_arguments(subparsers) -> None:
                              "calibrated events/sec regressions > "
                              f"{perf_module.REGRESSION_THRESHOLD:.0%}%")  # argparse %-formats help
     parser.add_argument("--baseline", type=str, default=None,
-                        help="baseline path for --check (default: the committed "
-                             "benchmarks/perf/BENCH_core.json)")
+                        help="baseline path for --check and --update-baseline "
+                             "(default: the committed benchmarks/perf/BENCH_core.json)")
     parser.add_argument("--update-baseline", action="store_true",
-                        help="write the results to the committed baseline path")
+                        help="merge the sections this run produced into the "
+                             "baseline document")
     parser.add_argument("--paper-scale", action="store_true",
                         help="additionally run the paper-scale benchmark "
                              "(paper-default-full-scale end to end with wall/RSS "
@@ -43,8 +45,6 @@ def add_arguments(subparsers) -> None:
                              "paper-scale scenario with its blocks placed over "
                              "N worker processes and record the "
                              "paper_scale_sharded section")
-    parser.add_argument("--no-memory", dest="memory", action="store_false",
-                        help="skip the tracemalloc memory benchmarks")
     parser.set_defaults(run=run)
 
 
@@ -64,49 +64,35 @@ def run(args: argparse.Namespace, out) -> int:
                            "benchmark is a paper-scale section)")
     if args.shards and args.shards < 2:
         return usage_error("--shards must be >= 2")
-    scenario_names_arg = [name for name in args.scenarios.split(",") if name]
+    scenario_names = [name for name in args.scenarios.split(",") if name]
+    for name in scenario_names:
+        try:
+            get_scenario(name)
+        except KeyError as error:
+            return usage_error(error.args[0])
     document = perf_module.run_suite(
-        scenarios=scenario_names_arg,
+        scenarios=scenario_names,
         scale=args.scale,
         repeats=args.repeats,
         quick=args.quick,
-        memory=args.memory,
         paper_scale=args.paper_scale,
         shards=args.shards,
     )
+    baseline_path = Path(args.baseline) if args.baseline else perf_module.DEFAULT_BASELINE_PATH
     if args.update_baseline:
-        baseline_path = perf_module.default_baseline_path()
-        if "paper_scale" not in document and baseline_path.exists():
-            # A refresh without --paper-scale must not silently drop the
-            # committed paper-scale sections (the nightly tier and its tests
-            # rely on them): carry the previous numbers over.
-            try:
-                previous = perf_module.suite.load_baseline(baseline_path)
-            except (OSError, json.JSONDecodeError):
-                previous = {}
-            carried = [
-                key
-                for key in ("paper_scale", "paper_scale_sharded")
-                if key in previous
-            ]
-            for key in carried:
-                document[key] = previous[key]
-            if carried:
-                print(
-                    "note: kept the previous {} baseline section(s) "
-                    "(re-run with --paper-scale to refresh)".format(
-                        "/".join(carried)
-                    ),
-                    file=out,
-                )
-        path = perf_module.suite.write_document(document, baseline_path)
+        # Sections this run did not produce (paper_scale without --paper-scale)
+        # keep their committed numbers.
+        merged: dict = {}
+        if baseline_path.exists():
+            merged = perf_module.suite.load_baseline(baseline_path)
+        merged.update(document)
+        path = perf_module.suite.write_document(merged, baseline_path)
         print(f"updated baseline {path}", file=out)
     if args.output and args.output != "-":
         path = perf_module.suite.write_document(document, Path(args.output))
         print(f"wrote {path}", file=out)
     print(json.dumps(document, indent=2, sort_keys=True), file=out)
     if args.check:
-        baseline_path = Path(args.baseline) if args.baseline else None
         try:
             baseline = perf_module.suite.load_baseline(baseline_path)
         except FileNotFoundError as error:

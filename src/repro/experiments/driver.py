@@ -189,9 +189,7 @@ class ExperimentRunner:
         (:mod:`repro.sim.sharded`).  ``None`` is the whole catalogue, on a
         D-ring of its own; ``owned_websites`` builds one block of a catalogue
         cut by website: a system that staffs only those websites'
-        directories, on the shared :meth:`block_ring`.  Public so harnesses
-        that need the simulator itself (the perf suite times the dispatch
-        phase in isolation) can drive the replay themselves.
+        directories, on the shared :meth:`block_ring`.
         """
         ring = self.block_ring() if owned_websites else None
         sim = self._new_simulator()
@@ -204,23 +202,6 @@ class ExperimentRunner:
             compact_metrics=self.setup.compact_metrics,
             owned_websites=owned_websites,
             dring=None if ring is None else ring.dring,
-        )
-        system.bootstrap()
-        return sim, system
-
-    def build_squirrel(self) -> tuple[Simulator, Squirrel]:
-        """Construct a bootstrapped Squirrel baseline plus its simulator.
-
-        Public for the same reason as :meth:`build_flower`: the perf suite
-        times Squirrel's trace-replay dispatch phase in isolation.
-        """
-        sim = self._new_simulator()
-        system = Squirrel(
-            self.setup.squirrel,
-            sim,
-            self.topology,
-            latency_model=LatencyModel(self.topology),
-            compact_metrics=self.setup.compact_metrics,
         )
         system.bootstrap()
         return sim, system
@@ -283,7 +264,15 @@ class ExperimentRunner:
     def run_squirrel(self) -> RunResult:
         """Run the Squirrel baseline over the same trace."""
         trace = self.resolved_trace()  # built before the live system exists
-        sim, system = self.build_squirrel()
+        sim = self._new_simulator()
+        system = Squirrel(
+            self.setup.squirrel,
+            sim,
+            self.topology,
+            latency_model=LatencyModel(self.topology),
+            compact_metrics=self.setup.compact_metrics,
+        )
+        system.bootstrap()
         sim.schedule_trace(trace.times, trace.replayer(system.process_query), label="query")
         duration = self.setup.flower.simulation_duration_s
         sim.run(until=duration)

@@ -1,22 +1,20 @@
 """Performance benchmark suite and tracked baselines.
 
 ``repro perf`` (see :mod:`repro.perf.suite`) runs microbenchmarks of the hot
-layers (event core, latency cache, Zipf samplers) plus end-to-end scenario
-benchmarks, and emits ``BENCH_core.json``.  The committed baseline lives at
-``benchmarks/perf/BENCH_core.json``; CI re-runs the suite and fails when
-events/sec regresses more than the configured threshold against it.  See
-``docs/performance.md`` for the workflow.
+layers (event core, latency cache, Zipf sampler) plus library scenarios timed
+as ``Session`` runs them, and emits ``BENCH_core.json``.  The committed
+baseline lives at ``benchmarks/perf/BENCH_core.json``; CI re-runs the suite
+and fails when events/sec regresses more than the configured threshold
+against it.  See ``docs/performance.md`` for the workflow.
 """
 
 from repro.perf.suite import (  # noqa: F401
-    BASELINE_PATH_ENV,
+    DEFAULT_BASELINE_PATH,
     DEFAULT_SCENARIOS,
     PAPER_SCALE_SCENARIO,
     REGRESSION_THRESHOLD,
-    bench_paper_scale,
-    bench_paper_scale_sharded,
+    bench_run,
     compare_to_baseline,
-    default_baseline_path,
     run_memory_suite,
     run_suite,
 )

@@ -3,17 +3,11 @@
 Two tiers of benchmarks feed one JSON document (``BENCH_core.json``):
 
 * **micro** — tight loops over the hot primitives: event scheduling/dispatch,
-  event cancellation + heap compaction, the topology latency cache, and both
-  Zipf sampling strategies.  These isolate layer-level regressions.
-* **scenarios** — named library scenarios run end to end.  Two phases are
-  timed separately per scenario:
-
-  - ``events_per_s`` / ``queries_per_s``: throughput of the *event-dispatch
-    phase* (registering the resolved trace + running the simulator to the
-    horizon) — the standard events/sec figure of a discrete-event engine;
-  - ``wall_s``: the complete scenario execution (environment + trace
-    construction + dispatch + metric finalisation), the number a user waits
-    for.
+  event cancellation + heap compaction, the topology latency cache and the
+  Zipf sampler.  These isolate layer-level regressions.
+* **scenarios** — named library scenarios timed as ``Session`` runs them
+  (:func:`bench_run`): ``events_per_s`` / ``queries_per_s`` over
+  ``session.run_system(system)``, ``wall_s`` with the trace construction.
 
 All numbers are best-of-``repeats`` (the standard way to suppress scheduler
 noise in wall-clock benchmarks).  ``python -m repro.cli perf --check``
@@ -39,14 +33,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.collectors import MetricsCollector, QueryOutcome
 from repro.network.topology import Topology, TopologyConfig
-from repro.scenarios.library import get_scenario
 from repro.session import Session
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.sharded import BlockTally
 from repro.workload.zipf import ZipfSampler
 
 #: schema version of BENCH_core.json
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 #: scenarios benchmarked by default (paper-default is the headline)
 DEFAULT_SCENARIOS = ("paper-default", "flash-crowd")
 #: the scenario whose Squirrel system the baseline-replay benchmark times
@@ -55,8 +49,10 @@ SQUIRREL_SCENARIO = "squirrel-head-to-head"
 PAPER_SCALE_SCENARIO = "paper-default-full-scale"
 #: relative events/sec regression that fails the CI gate
 REGRESSION_THRESHOLD = 0.20
-#: environment override for the committed baseline location
-BASELINE_PATH_ENV = "REPRO_PERF_BASELINE"
+#: the committed baseline of this checkout
+DEFAULT_BASELINE_PATH = (
+    Path(__file__).resolve().parents[3] / "benchmarks" / "perf" / "BENCH_core.json"
+)
 
 
 def _peak_rss_mb() -> float:
@@ -72,14 +68,6 @@ def _peak_rss_mb() -> float:
     if sys.platform == "darwin":
         return peak / (1024.0 * 1024.0)
     return peak / 1024.0
-
-
-def default_baseline_path() -> Path:
-    """``benchmarks/perf/BENCH_core.json`` of this checkout (env-overridable)."""
-    override = os.environ.get(BASELINE_PATH_ENV)
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parents[3] / "benchmarks" / "perf" / "BENCH_core.json"
 
 
 # -- micro benchmarks ---------------------------------------------------------
@@ -185,233 +173,95 @@ def bench_latency_cache(
 def bench_zipf(
     population: int = 10_000, draws: int = 200_000, repeats: int = 3
 ) -> Dict[str, float]:
-    """Draws/sec of both sampling strategies over a large rank population."""
+    """Draws/sec of the sampler over a large rank population."""
     import random as _random
 
-    results: Dict[str, float] = {"population": population, "draws": draws}
-    for method in ("alias", "cdf"):
-        sampler = ZipfSampler(population, 0.8, method=method)
-        best = 0.0
-        for _ in range(repeats):
-            rng = _random.Random(3)
-            start = time.perf_counter()
-            sampler.sample_many(rng, draws)
-            elapsed = time.perf_counter() - start
-            best = max(best, draws / elapsed)
-        results[f"{method}_draws_per_s"] = best
-    return results
-
-
-# -- scenario benchmarks ------------------------------------------------------
-
-
-def bench_scenario(
-    name: str, scale: float = 1.0, repeats: int = 3, system: str = "flower"
-) -> Dict[str, float]:
-    """End-to-end benchmark of one system of one library scenario.
-
-    The event-dispatch phase (trace registration + simulator run) is timed
-    separately from the full execution; events/sec and queries/sec are
-    defined over the dispatch phase, ``wall_s`` over the whole thing.
-    ``system="squirrel"`` replays the exact same resolved trace through the
-    baseline, so its events/sec are directly comparable — and regressions in
-    the Chord routing or directory path trip the same calibrated gate.
-    """
-    spec = get_scenario(name)
-    if scale != 1.0:
-        spec = spec.scaled(scale)
-    best_events_per_s = 0.0
-    best_queries_per_s = 0.0
-    best_wall = float("inf")
-    events_fired = 0
-    num_queries = 0
+    sampler = ZipfSampler(population, 0.8)
+    best = 0.0
     for _ in range(repeats):
-        session = Session.from_spec(spec)
-        total_start = time.perf_counter()
-        trace = session.resolved_trace()  # environment + trace construction
-        injectors = []
-        if system == "flower":
-            sim, cdn = session.build_flower()
-            # Attach the spec's churn/fault models through the same Session
-            # API run_system uses, so program scenarios benchmark what they
-            # execute.
-            injectors = session.attach_models(cdn)
-        else:
-            sim, cdn = session.experiment.build_squirrel()
-        for injector in injectors:
-            injector.start()
-        dispatch_start = time.perf_counter()
-        sim.schedule_trace(trace.times, trace.replayer(cdn.process_query), label="query")
-        sim.run(until=spec.duration_s)
-        dispatch_elapsed = time.perf_counter() - dispatch_start
-        for injector in reversed(injectors):
-            injector.stop()
-        # Metric finalisation is part of the full wall clock.
-        cdn.metrics.hit_ratio
-        if system == "flower":
-            cdn.bandwidth.average_bps_per_peer(spec.duration_s)
-        total_elapsed = time.perf_counter() - total_start
-        events_fired = sim.events_fired
-        num_queries = cdn.metrics.num_queries
-        best_events_per_s = max(best_events_per_s, events_fired / dispatch_elapsed)
-        best_queries_per_s = max(best_queries_per_s, num_queries / dispatch_elapsed)
-        best_wall = min(best_wall, total_elapsed)
-    return {
-        "events_per_s": best_events_per_s,
-        "queries_per_s": best_queries_per_s,
-        "wall_s": best_wall,
-        "events_fired": events_fired,
-        "num_queries": num_queries,
+        rng = _random.Random(3)
+        start = time.perf_counter()
+        sampler.sample_many(rng, draws)
+        elapsed = time.perf_counter() - start
+        best = max(best, draws / elapsed)
+    return {"draws_per_s": best, "population": population, "draws": draws}
+
+
+# -- run benchmarks -----------------------------------------------------------
+
+
+def bench_run(
+    name: str, scale: float = 1.0, system: str = "flower", shards: int = 1, repeats: int = 1
+) -> Dict[str, object]:
+    """Time one system of a library scenario the way ``Session`` runs it.
+
+    ``trace_s`` is ``session.resolved_trace()`` (environment + trace
+    construction), ``run_s`` is ``session.run_system(system)`` — build,
+    attach, replay and tear down every block, then the fold — and
+    ``events_per_s`` / ``queries_per_s`` are over ``run_s``.  A run cut into
+    blocks adds its census (``blocks``, ``block_fixed_ms``: what each block
+    cost beyond its own ``sim.run``, ``dispatch_s``: those ``sim.run``
+    calls); a run placed over ``shards > 1`` workers adds its
+    :class:`~repro.sim.sharded.ShardRunStats` (``critical_path_s``: the
+    slowest worker's dispatch, the bound ``N`` cores approach).  The fastest
+    of ``repeats`` runs is reported.
+    """
+    fastest = None
+    for _ in range(repeats):
+        session = Session.from_name(name, scale=scale, shards=shards)
+        started = time.perf_counter()
+        session.resolved_trace()
+        trace_s = time.perf_counter() - started
+        run = session.run_system(system)
+        run_s = time.perf_counter() - started - trace_s
+        if fastest is None or run_s < fastest[0]:
+            fastest = run_s, trace_s, run, session
+    run_s, trace_s, run, session = fastest
+    result: Dict[str, object] = {
+        "scenario": name,
         "scale": scale,
+        "events_per_s": run.events_fired / run_s,
+        "queries_per_s": run.num_queries / run_s,
+        "trace_s": trace_s,
+        "run_s": run_s,
+        "wall_s": trace_s + run_s,
+        "events_fired": run.events_fired,
+        "num_queries": run.num_queries,
+        "hit_ratio": run.hit_ratio,
     }
+    census = session.experiment.last_flower_system
+    if isinstance(census, BlockTally):
+        result["blocks"] = len(census.fixed_s)
+        result["block_fixed_ms"] = [round(fixed_s * 1e3, 2) for fixed_s in census.fixed_s]
+        result["dispatch_s"] = census.dispatch_s
+    stats = session.last_shard_stats
+    if stats is not None:
+        result["shards"] = shards
+        result["critical_path_s"] = stats.critical_path_s
+        result["setup_s_max"] = max(stats.setup_s_per_shard)
+        result["pool_wall_s"] = stats.wall_s
+    return result
 
 
-def _run_isolated(call: str) -> Optional[Dict[str, float]]:
-    """Evaluate ``repro.perf.suite.<call>`` in a fresh child process.
-
-    ``peak_rss_mb`` then measures that run rather than the process-lifetime
-    maximum (``ru_maxrss`` is monotone, so an in-process measurement would
-    include whatever suite sections ran earlier).  ``None`` if the child
-    cannot be spawned: the caller falls back to the inline run.
+def _run_isolated(name: str, shards: int = 1) -> Dict[str, object]:
+    """:func:`bench_run` of ``name`` in a fresh child process, plus its
+    ``peak_rss_mb`` — which then measures that run alone (``ru_maxrss`` is
+    monotone: in this process it would include every earlier suite section).
     """
     src_root = str(Path(__file__).resolve().parents[2])
     env = dict(os.environ)
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    code = f"import json\nfrom repro.perf import suite\nprint(json.dumps(suite.{call}))\n"
-    try:
-        child = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        return json.loads(child.stdout.strip().splitlines()[-1])
-    except (OSError, subprocess.CalledProcessError, ValueError, IndexError):
-        return None
-
-
-def bench_paper_scale(
-    name: str = PAPER_SCALE_SCENARIO, isolate: bool = False
-) -> Dict[str, float]:
-    """One end-to-end paper-scale run with wall-clock and memory accounting.
-
-    Runs the scenario exactly as ``repro scenarios run`` would —
-    ``Session.run()``: one website's flower at a time over one environment
-    (the spec pins the calendar backend and compact metrics) — and reports
-    peak RSS plus the run's own per-block account (its census):
-    ``dispatch_s`` is the blocks' ``sim.run`` time, ``block_fixed_ms`` what
-    each block cost beyond its own, ``ring_build_ms`` the static D-ring they
-    share.  A single repetition: at minutes per run, best-of-N is not worth
-    the wall clock — the nightly job tracks the trend instead.
-
-    ``isolate=True`` runs the benchmark in a fresh child process (see
-    :func:`_run_isolated`).
-    """
-    if isolate:
-        result = _run_isolated(f"bench_paper_scale({name!r})")
-        if result is not None:
-            return result
-    session = Session.from_name(name)
-    total_start = time.perf_counter()
-    trace = session.resolved_trace()
-    trace_elapsed = time.perf_counter() - total_start
-    session.experiment.block_ring()  # (run() would place it; here it is timed on its own)
-    ring_elapsed = time.perf_counter() - total_start - trace_elapsed
-    result = session.run()
-    total_elapsed = time.perf_counter() - total_start
-    run, census = result.flower.run, session.experiment.last_flower_system
-    dispatch_elapsed = census.dispatch_s
-    info = session.experiment.topology.latency_cache_info()
-    return {
-        "scenario": name,
-        "events_per_s": run.events_fired / dispatch_elapsed,
-        "queries_per_s": run.num_queries / dispatch_elapsed,
-        "trace_s": trace_elapsed,
-        "dispatch_s": dispatch_elapsed,
-        "wall_s": total_elapsed,
-        "blocks": len(census.fixed_s),
-        "block_fixed_ms": [round(fixed_s * 1e3, 2) for fixed_s in census.fixed_s],
-        "ring_build_ms": ring_elapsed * 1e3,
-        "events_fired": run.events_fired,
-        "num_queries": run.num_queries,
-        "num_content_peers": census.num_content_peers,
-        "hit_ratio": run.hit_ratio,
-        "peak_rss_mb": _peak_rss_mb(),
-        "trace_nbytes": trace.nbytes,
-        "latency_cache_backend": info["backend"],
-        "latency_cache_misses": info["misses"],
-    }
-
-
-def bench_paper_scale_monolithic(
-    name: str = PAPER_SCALE_SCENARIO, isolate: bool = False
-) -> Dict[str, float]:
-    """The same run with every flower interleaved in one system, driven by
-    hand (:func:`bench_scenario`) — how ``paper_scale`` was measured before
-    runs were cut into blocks.  Recorded beside it (``monolithic_*``) so the
-    trajectory stays comparable.
-    """
-    if isolate:
-        result = _run_isolated(f"bench_paper_scale_monolithic({name!r})")
-        if result is not None:
-            return result
-    result = bench_scenario(name, repeats=1)
-    return {
-        "events_per_s": result["events_per_s"],
-        "wall_s": result["wall_s"],
-        "peak_rss_mb": _peak_rss_mb(),
-    }
-
-
-def bench_paper_scale_sharded(
-    name: str = PAPER_SCALE_SCENARIO, shards: int = 8, isolate: bool = False
-) -> Dict[str, float]:
-    """One end-to-end paper-scale run with its blocks placed over ``shards``
-    worker processes (each holds one flower at a time).
-
-    Reports two throughput numbers side by side:
-
-    * ``events_per_s_wall`` — total events over the honest wall clock of the
-      whole placed run (environment, fork, per-worker blocks, fold) on *this*
-      machine.  On a single-core container the workers time-slice one CPU,
-      so this is roughly the single-process rate minus overhead.
-    * ``events_per_s_critical_path`` — total events over the slowest worker's
-      dispatch time (:attr:`ShardRunStats.critical_path_s`).  This is the
-      parallel bound: the rate an ``N``-core machine approaches when every
-      worker runs on its own core.
-
-    ``cpu_affinity`` records how many CPUs the process was actually allowed
-    to use so readers can tell which of the two numbers the hardware could
-    realise.  A single repetition, same as :func:`bench_paper_scale`.
-    """
-    if isolate:
-        result = _run_isolated(f"bench_paper_scale_sharded({name!r}, shards={shards!r})")
-        if result is not None:
-            return result
-    from repro.scenarios.parallel import default_jobs
-
-    session = Session.from_name(name, shards=shards)
-    total_start = time.perf_counter()
-    run = session.run_system("flower")
-    total_elapsed = time.perf_counter() - total_start
-    stats = session.last_shard_stats
-    critical_path_s = stats.critical_path_s
-    return {
-        "scenario": name,
-        "shards": shards,
-        "cpu_affinity": default_jobs(),
-        "events_per_s_wall": run.events_fired / total_elapsed,
-        "events_per_s_critical_path": run.events_fired / critical_path_s,
-        "wall_s": total_elapsed,
-        "pool_wall_s": stats.wall_s,
-        "critical_path_s": critical_path_s,
-        "setup_s_max": max(stats.setup_s_per_shard),
-        "dispatch_s_total": sum(stats.dispatch_s_per_shard),
-        "num_windows": stats.num_windows,
-        "events_fired": run.events_fired,
-        "num_queries": run.num_queries,
-        "hit_ratio": run.hit_ratio,
-        "peak_rss_mb": _peak_rss_mb(),
-    }
+    code = (
+        "import json\nfrom repro.perf import suite\n"
+        f"result = suite.bench_run({name!r}, shards={shards!r})\n"
+        "print(json.dumps(dict(result, peak_rss_mb=suite._peak_rss_mb())))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    if child.returncode != 0:
+        raise RuntimeError(f"isolated bench_run({name!r}, shards={shards}) failed:\n{child.stderr}")
+    return json.loads(child.stdout.strip().splitlines()[-1])
 
 
 # -- memory benchmarks --------------------------------------------------------
@@ -520,7 +370,6 @@ def run_suite(
     scale: float = 1.0,
     repeats: int = 3,
     quick: bool = False,
-    memory: bool = True,
     paper_scale: bool = False,
     shards: int = 0,
 ) -> Dict[str, object]:
@@ -528,10 +377,9 @@ def run_suite(
 
     ``quick`` shrinks every workload (used by the pytest smoke tests and the
     CI smoke job) — the numbers stay comparable in *shape*, not magnitude.
-    ``memory`` adds the tracemalloc section; ``paper_scale`` additionally runs
-    the full Table 1 scenario end to end (minutes — the nightly job's tier).
-    ``shards >= 2`` (with ``paper_scale``) additionally runs the same scenario
-    with its blocks placed over that many worker processes and records the
+    ``paper_scale`` additionally runs the full Table 1 scenario end to end
+    (minutes — the nightly job's tier); ``shards >= 2`` with it places the
+    same run's blocks over that many worker processes as the
     ``paper_scale_sharded`` section.
     """
     if quick:
@@ -556,13 +404,12 @@ def run_suite(
             "zipf": bench_zipf(repeats=repeats),
         }
     scenario_results = {
-        name: bench_scenario(name, scale=scale, repeats=repeats) for name in scenarios
+        name: bench_run(name, scale=scale, repeats=repeats) for name in scenarios
     }
-    # The Squirrel baseline replays the same trace through the same trace
-    # source; tracked under its own key so Chord-routing or
-    # directory-path regressions trip the calibrated gate too.
-    scenario_results[f"{SQUIRREL_SCENARIO}:squirrel"] = bench_scenario(
-        SQUIRREL_SCENARIO, scale=scale, repeats=repeats, system="squirrel"
+    # The Squirrel baseline over the same trace, under its own key, so
+    # Chord-routing or directory-path regressions trip the calibrated gate too.
+    scenario_results[f"{SQUIRREL_SCENARIO}:squirrel"] = bench_run(
+        SQUIRREL_SCENARIO, scale=scale, system="squirrel", repeats=repeats
     )
     document: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
@@ -571,23 +418,14 @@ def run_suite(
         "quick": quick,
         "micro": micro,
         "scenarios": scenario_results,
+        "memory": run_memory_suite(quick=quick),
     }
-    if memory:
-        document["memory"] = run_memory_suite(quick=quick)
     if paper_scale:
         # Kept under its own key (not "scenarios") so the per-PR regression
         # gate never requires a minutes-long fresh run to compare against.
-        # Isolated in a child process so peak_rss_mb reflects the paper-scale
-        # run alone, not whatever suite section peaked earlier.
-        document["paper_scale"] = bench_paper_scale(isolate=True)
-        document["paper_scale"].update(
-            (f"monolithic_{key}", value)
-            for key, value in bench_paper_scale_monolithic(isolate=True).items()
-        )
+        document["paper_scale"] = _run_isolated(PAPER_SCALE_SCENARIO)
         if shards >= 2:
-            document["paper_scale_sharded"] = bench_paper_scale_sharded(
-                shards=shards, isolate=True
-            )
+            document["paper_scale_sharded"] = _run_isolated(PAPER_SCALE_SCENARIO, shards)
     return document
 
 
@@ -636,14 +474,13 @@ def _core_events_per_s(document: Dict[str, object]) -> Optional[float]:
         return None
 
 
-def load_baseline(path: Optional[Path] = None) -> Dict[str, object]:
-    baseline_path = path if path is not None else default_baseline_path()
-    if not baseline_path.exists():
+def load_baseline(path: Path = DEFAULT_BASELINE_PATH) -> Dict[str, object]:
+    if not path.exists():
         raise FileNotFoundError(
-            f"no committed perf baseline at {baseline_path}; run "
+            f"no committed perf baseline at {path}; run "
             f"`python -m repro.cli perf --update-baseline` to create it"
         )
-    return json.loads(baseline_path.read_text(encoding="utf-8"))
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def write_document(document: Dict[str, object], path: Path) -> Path:

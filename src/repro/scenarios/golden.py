@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO
 
+from repro.core.sharding import inseparable_reason
 from repro.scenarios.library import get_scenario, scenario_names
 from repro.scenarios.runner import ScenarioResult, run_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -355,8 +356,9 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
                         help="place the run's blocks over N worker "
                              "processes; the digest must still match the "
                              "committed golden byte for byte (the "
-                             "sharded-equivalence gate).  Only shardable "
-                             "scenarios qualify — see repro.core.sharding.")
+                             "sharded-equivalence gate).  Scenarios that must "
+                             "run as one block are skipped — see "
+                             "repro.core.sharding.")
     args = parser.parse_args(argv)
 
     if args.shards != 1 and args.update:
@@ -379,6 +381,16 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
         print(f"error: unknown scenario(s): {', '.join(unknown)}; "
               f"known scenarios: {', '.join(scenario_names())}", file=out)
         return 2
+    if args.shards > 1:
+        # A spec that must run as one block cannot be placed: say so, check the rest.
+        separable = []
+        for name in names:
+            reason = inseparable_reason(golden_spec(name))
+            if reason is None:
+                separable.append(name)
+            else:
+                print(f"skip {name}: {reason}", file=out)
+        names = separable
     return check_or_update(
         names,
         args.update,

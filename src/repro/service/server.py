@@ -471,8 +471,16 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0") or "0")
-        if length < 0 or length > _MAX_BODY_BYTES:
+        declared = self.headers.get("Content-Length", "0") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's end is unknown: nothing after it can be parsed.
+            self.close_connection = True
+            raise ApiError(400, f"invalid Content-Length {declared!r}")
+        if length > _MAX_BODY_BYTES:
             raise ApiError(413, f"request body too large ({length} bytes)")
         return self.rfile.read(length) if length else b""
 

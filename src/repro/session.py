@@ -2,9 +2,9 @@
 
 Historically every consumer of the simulation re-assembled the
 ``ScenarioSpec → ExperimentSetup → ExperimentRunner`` chain by hand — the
-CLI, the scenario runner, the perf suite and the parallel runner each knew
-how to build topology, catalogue and trace, and each had its own churn
-wiring.  A :class:`Session` collapses that chain behind one facade::
+CLI, the scenario runner and the parallel runner each knew how to build
+topology, catalogue and trace, and each had its own churn wiring.  A
+:class:`Session` collapses that chain behind one facade::
 
     from repro.session import Session
 
@@ -25,10 +25,9 @@ A session owns:
 
 Sessions are deterministic functions of ``(spec, seed)``; running the same
 session twice (or two sessions of the same spec) yields byte-identical
-results.  Harnesses that need the lower layers (the perf suite times the
-dispatch phase in isolation) reach them through :attr:`Session.experiment`,
+results.  The lower layers stay reachable through :attr:`Session.experiment`,
 :meth:`Session.build_flower` and :meth:`Session.resolved_trace` instead of
-reconstructing them.
+being reconstructed.
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ class Session:
 
     @property
     def experiment(self) -> ExperimentRunner:
-        """The underlying driver (exposed for perf harnesses and tests)."""
+        """The underlying driver (exposed for tests and diagnostics)."""
         return self._experiment
 
     @property
@@ -143,7 +142,8 @@ class Session:
         return self._experiment.resolved_trace()
 
     def build_flower(self):
-        """A bootstrapped ``(simulator, FlowerCDN)`` pair for manual driving."""
+        """A bootstrapped ``(simulator, FlowerCDN)`` of the whole catalogue —
+        what a one-block plan builds — to inspect before any query runs."""
         return self._experiment.build_flower()
 
     # -- execution ----------------------------------------------------------
@@ -154,8 +154,7 @@ class Session:
         Returns the resulting injectors (each with ``start()``/``stop()``;
         models that inject nothing contribute none).  This is the single
         place the model-to-run wiring lives: :meth:`run_system` attaches
-        every block through it, and so do harnesses that drive the dispatch
-        phase manually (e.g. the perf suite).
+        every block through it.
         """
         attached = (
             model.attach(system, self.spec) for model in (self._churn_model, self._fault_model)

@@ -121,7 +121,7 @@ class QueryGenerator:
         # sequence bit for bit (in O(1) expected time): the committed golden
         # digests are defined over that exact u -> rank mapping.
         self._samplers: Dict[str, ZipfSampler] = {
-            site.name: ZipfSampler(site.num_objects, config.zipf_alpha, method="cdf")
+            site.name: ZipfSampler(site.num_objects, config.zipf_alpha)
             for site in self._active
         }
         # Samplers for phased programs, keyed by (population, alpha); seeded
@@ -325,11 +325,11 @@ class QueryGenerator:
     # -- phased programs ----------------------------------------------------
 
     def _sampler_for(self, population: int, alpha: float) -> ZipfSampler:
-        """The (cached) cdf-method sampler for one ``(population, alpha)``."""
+        """The (cached) sampler for one ``(population, alpha)``."""
         key = (population, alpha)
         sampler = self._phase_samplers.get(key)
         if sampler is None:
-            sampler = ZipfSampler(population, alpha, method="cdf")
+            sampler = ZipfSampler(population, alpha)
             self._phase_samplers[key] = sampler
         return sampler
 

@@ -150,6 +150,19 @@ class TestGoldenWorkflow:
         assert code == 1
         assert "FAIL cold-start" in buffer.getvalue()
 
+    def test_main_with_shards_skips_inseparable_scenarios_and_checks_the_rest(self):
+        buffer = io.StringIO()
+        code = golden.main(
+            ["cascading-directory-failures", "cold-start", "--shards", "2",
+             "--golden-dir", str(GOLDEN_DIR)],
+            out=buffer,
+        )
+        assert code == 0
+        lines = buffer.getvalue().splitlines()
+        assert lines[0].startswith("skip cascading-directory-failures: ")
+        assert "not website-separable" in lines[0]
+        assert lines[1:] == ["ok   cold-start"]
+
     def test_main_update_writes_files(self, tmp_path):
         buffer = io.StringIO()
         code = golden.main(

@@ -113,3 +113,29 @@ def test_head_sends_the_headers_of_the_get_and_no_body(tmp_path: Path) -> None:
         assert answer.endswith(b"\r\n\r\n") and dateless(answer[:-4]) == dateless(head)
     finally:
         service.stop(drain=False)
+
+
+def test_a_content_length_that_is_not_a_size_is_400_and_closes(tmp_path: Path) -> None:
+    def executor(_payload: dict, _execution: dict) -> Dict[str, str]:
+        return {"digest.json": "{}\n"}
+
+    config = ServiceConfig(port=0, workers=1, store_dir=tmp_path / "store", timeout_s=None)
+    service = ReproService(config, executor=executor)
+    service.start()
+    try:
+        for declared in ("ten", "-5"):
+            # No "Connection: close": the server must close by itself, since
+            # the end of the body is unknown.
+            request = (
+                f"POST /runs HTTP/1.1\r\nHost: test\r\nContent-Length: {declared}\r\n\r\n{{}}"
+            )
+            with socket.create_connection(("127.0.0.1", service.port), timeout=10) as connection:
+                connection.sendall(request.encode("ascii"))
+                received = b""
+                while chunk := connection.recv(65536):
+                    received += chunk
+            head, _, body = received.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), (declared, head)
+            assert json.loads(body) == {"error": f"invalid Content-Length {declared!r}"}
+    finally:
+        service.stop(drain=False)

@@ -34,5 +34,5 @@ def test_no_further_run_loop_replays_a_trace():
     assert {name: count for name, count in callers.items() if count} == {
         "sim/sharded.py": 1,  # the loop
         "experiments/driver.py": 1,  # run_squirrel
-        "perf/suite.py": 3,  # the queue micro-benchmarks and bench_scenario's hand loop
+        "perf/suite.py": 2,  # the queue micro-benchmarks
     }

@@ -2,7 +2,7 @@
 
 ``randbelow_many``, ``sample_rows``, ``ZipfSampler.sample_many`` and the
 arrival / assignment loops re-implement ``Random._randbelow`` (``getrandbits(k)``
-with rejection), ``Random.sample``, ``Random.expovariate`` and ``_sample_cdf``
+with rejection), ``Random.sample``, ``Random.expovariate`` and ``ZipfSampler.sample``
 inline, and ``RandomStreams.one_shot_uniform`` draws from the C generator
 directly.  The committed goldens
 depend on them drawing what ``rng.choice`` / ``randint`` / ``randrange`` /
@@ -93,11 +93,10 @@ def test_one_shot_uniform_is_the_kth_uniform_of_a_python_level_stream(
     SEEDS,
     st.integers(1, 400),
     st.sampled_from([0.0, 0.4, 0.8, 1.3]),
-    st.sampled_from(["cdf", "alias"]),
     st.integers(0, 200),
 )
-def test_sample_many_is_repeated_sample(seed, population, alpha, method, count):
-    sampler = ZipfSampler(population, alpha, method=method)
+def test_sample_many_is_repeated_sample(seed, population, alpha, count):
+    sampler = ZipfSampler(population, alpha)
     batched, single = random.Random(seed), random.Random(seed)
     assert list(sampler.sample_many(batched, count)) == [
         sampler.sample(single) for _ in range(count)
