@@ -22,10 +22,8 @@ SRC = Path(__file__).parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.experiments.driver import ExperimentSetup  # noqa: E402
 from repro.scenarios.library import get_scenario  # noqa: E402
 from repro.scenarios.spec import ScenarioSpec  # noqa: E402
-from repro.session import Session  # noqa: E402
 from repro.sweeps.engine import SweepResult, run_sweep  # noqa: E402
 from repro.sweeps.library import get_sweep  # noqa: E402
 
@@ -47,26 +45,16 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 
 @pytest.fixture(scope="session")
 def bench_scenario(request: pytest.FixtureRequest) -> ScenarioSpec:
-    """The library scenario every benchmark harness is configured from.
+    """The library scenario every single-run benchmark harness runs.
 
-    ``paper-default`` *is* the Table 1 parameter set at laptop scale — the
-    scenario library is the single source of truth for these parameters.
-    """
-    return get_scenario("paper-default")
-
-
-@pytest.fixture(scope="session")
-def bench_setup(
-    request: pytest.FixtureRequest, bench_scenario: ScenarioSpec
-) -> ExperimentSetup:
-    """The experiment configuration shared by all benchmark harnesses.
-
-    Compiled through the :class:`~repro.session.Session` facade — the same
-    construction path the CLI, scenario runner and perf suite use.
+    ``paper-default`` *is* the Table 1 parameter set at laptop scale, and
+    ``--paper-scale`` swaps in ``paper-default-full-scale`` — the scenario
+    library is the single source of truth for these parameters.  Harnesses
+    run it (or a ``replace()`` of it) through a :class:`~repro.session.Session`.
     """
     if request.config.getoption("--paper-scale"):
-        return Session.from_name("paper-default-full-scale", seed=42).setup
-    return Session.from_spec(bench_scenario).setup
+        return get_scenario(FULL_SCALE_BASES["paper-default"])
+    return get_scenario("paper-default")
 
 
 @pytest.fixture(scope="session")

@@ -8,21 +8,25 @@ replication pushes cost.
 """
 
 from repro.core.replication import ActiveReplicator, ReplicationConfig
-from repro.experiments.driver import ExperimentRunner
 from repro.metrics.collectors import QueryOutcome
 from repro.metrics.report import format_table
+from repro.session import Session
+from repro.sim.sharded import run_blocks
 
 
-def test_ablation_active_replication(benchmark, bench_setup, report):
+def test_ablation_active_replication(benchmark, bench_scenario, report):
     def run_both():
-        baseline_runner = ExperimentRunner(bench_setup)
-        baseline = baseline_runner.run_flower()
+        baseline = Session(bench_scenario).run_system("flower")
+        # The replicator is an attachment no spec can name: the run is one
+        # whole-catalogue block below the session, which keeps its injector.
         config = ReplicationConfig(period_s=1800.0, top_k=10, min_requests=3)
-        replicated_runner = ExperimentRunner(bench_setup)
-        replicated = replicated_runner.run_flower(
-            attachments=(lambda system: ActiveReplicator(system, config),)
+        session = Session(bench_scenario)
+        replicated, _stats = run_blocks(
+            session.experiment,
+            None,
+            (session.attach_models, lambda system: ActiveReplicator(system, config)),
         )
-        (replicator,) = replicated_runner.last_injectors
+        (replicator,) = session.last_injectors
         return baseline, replicated, replicator
 
     baseline, replicated, replicator = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -16,21 +16,16 @@ target.
 
 from dataclasses import replace
 
-from repro.experiments.driver import ExperimentRunner
 from repro.metrics.report import format_table
+from repro.session import Session
 
 
-def test_ablation_content_miss_fallback(benchmark, bench_setup, report):
+def test_ablation_content_miss_fallback(benchmark, bench_scenario, report):
     def run_both():
-        server_runner = ExperimentRunner(bench_setup)
-        server_result = server_runner.run_flower()
-
-        directory_setup = bench_setup.with_flower(
-            replace(bench_setup.flower, content_miss_fallback="directory")
+        return tuple(
+            Session(replace(bench_scenario, content_miss_fallback=fallback)).run_system("flower")
+            for fallback in ("server", "directory")
         )
-        directory_runner = ExperimentRunner(directory_setup)
-        directory_result = directory_runner.run_flower()
-        return server_result, directory_result
 
     server_result, directory_result = benchmark.pedantic(run_both, rounds=1, iterations=1)
 

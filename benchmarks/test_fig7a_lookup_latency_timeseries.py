@@ -12,9 +12,9 @@ from repro.experiments.locality import run_locality_experiment
 from repro.metrics.report import format_series
 
 
-def test_fig7a_lookup_latency_over_time(benchmark, bench_setup, report):
+def test_fig7a_lookup_latency_over_time(benchmark, bench_scenario, report):
     result = benchmark.pedantic(
-        run_locality_experiment, args=(bench_setup,), rounds=1, iterations=1
+        run_locality_experiment, args=(bench_scenario,), rounds=1, iterations=1
     )
 
     report(

@@ -11,9 +11,9 @@ bins, Squirrel's in the high bins, and the average speedup is a multiple.
 from repro.experiments.locality import run_locality_experiment
 
 
-def test_fig7b_lookup_latency_distribution(benchmark, bench_setup, report):
+def test_fig7b_lookup_latency_distribution(benchmark, bench_scenario, report):
     result = benchmark.pedantic(
-        run_locality_experiment, args=(bench_setup,), rounds=1, iterations=1
+        run_locality_experiment, args=(bench_scenario,), rounds=1, iterations=1
     )
 
     report(result.format_figure7())

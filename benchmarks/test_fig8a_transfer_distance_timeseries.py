@@ -12,9 +12,9 @@ from repro.experiments.locality import run_locality_experiment
 from repro.metrics.report import format_series
 
 
-def test_fig8a_transfer_distance_over_time(benchmark, bench_setup, report):
+def test_fig8a_transfer_distance_over_time(benchmark, bench_scenario, report):
     result = benchmark.pedantic(
-        run_locality_experiment, args=(bench_setup,), rounds=1, iterations=1
+        run_locality_experiment, args=(bench_scenario,), rounds=1, iterations=1
     )
 
     report(
@@ -31,5 +31,5 @@ def test_fig8a_transfer_distance_over_time(benchmark, bench_setup, report):
     # After the warm-up the transfer distance settles below its initial level ...
     assert curve[-1] <= curve[0]
     # ... and well below the origin-server distance (the topology's max latency).
-    server_distance = bench_setup.topology.max_latency_ms
+    server_distance = bench_scenario.to_setup().topology.max_latency_ms
     assert curve[-1] < 0.5 * server_distance

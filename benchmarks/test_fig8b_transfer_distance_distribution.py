@@ -11,9 +11,9 @@ than Squirrel does, and its average transfer distance is at least ~2× lower.
 from repro.experiments.locality import run_locality_experiment
 
 
-def test_fig8b_transfer_distance_distribution(benchmark, bench_setup, report):
+def test_fig8b_transfer_distance_distribution(benchmark, bench_scenario, report):
     result = benchmark.pedantic(
-        run_locality_experiment, args=(bench_setup,), rounds=1, iterations=1
+        run_locality_experiment, args=(bench_scenario,), rounds=1, iterations=1
     )
 
     report(result.format_figure8())

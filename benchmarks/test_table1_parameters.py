@@ -11,17 +11,17 @@ from repro.metrics.report import format_table
 from repro.scenarios.library import get_scenario
 
 
-def test_table1_simulation_parameters(benchmark, bench_setup, report):
+def test_table1_simulation_parameters(benchmark, bench_scenario, report):
     def build_tables():
         paper = FlowerConfig().table1()
-        used = bench_setup.flower.table1()
+        used = bench_scenario.to_flower_config().table1()
         return paper, used
 
     paper, used = benchmark.pedantic(build_tables, rounds=1, iterations=1)
 
     rows = [(key, paper[key], used.get(key, "-")) for key in paper]
-    rows.append(("Query rate (q/s)", 6.0, bench_setup.workload.query_rate_per_s))
-    rows.append(("Underlying hosts", 5000, bench_setup.topology.num_hosts))
+    rows.append(("Query rate (q/s)", 6.0, bench_scenario.query_rate_per_s))
+    rows.append(("Underlying hosts", 5000, bench_scenario.num_hosts))
     report(
         format_table(
             ["parameter", "paper (Table 1)", "this benchmark run"],
@@ -33,7 +33,7 @@ def test_table1_simulation_parameters(benchmark, bench_setup, report):
     assert paper["Nb of localities (k)"] == 6
     assert paper["Nb of websites (|W|)"] == 100
     assert paper["View size (Vgossip)"] == 50
-    assert used["Nb of localities (k)"] == bench_setup.flower.num_localities
+    assert used["Nb of localities (k)"] == bench_scenario.num_localities
 
     # The benchmark parameters are sourced from the scenario library
     # (paper-default is the single source of truth for this table).

@@ -20,8 +20,7 @@ def main() -> None:
     # Both the workload and the churn rates come from the library's
     # heavy-churn scenario (scaled down a little for a snappier example).
     spec = get_scenario("heavy-churn").scaled(0.7).with_seed(23)
-    setup = spec.to_setup()
-    churn = spec.churn.to_config()
+    churn = spec.churn
 
     print("Injected churn rates (events per hour over the whole system):")
     print(f"  content-peer failures : {churn.content_failures_per_hour:g}")
@@ -29,7 +28,7 @@ def main() -> None:
     print(f"  locality changes      : {churn.locality_changes_per_hour:g}")
     print()
 
-    result = run_churn_experiment(setup, churn=churn)
+    result = run_churn_experiment(spec, churn=churn)
     print(result.format())
     print()
 

@@ -13,18 +13,14 @@ topology.  The example prints the three comparisons the paper plots:
 Run with:  python examples/squirrel_comparison.py
 """
 
-from repro.experiments import ExperimentSetup, run_locality_experiment
+from repro.experiments import run_locality_experiment
 from repro.scenarios import get_scenario
 
 
-def build_setup() -> ExperimentSetup:
-    # The head-to-head workload is a library scenario; one shared pair of runs
-    # below yields the curves of all three figures.
-    return get_scenario("squirrel-head-to-head").with_seed(11).to_setup()
-
-
 def main() -> None:
-    locality = run_locality_experiment(build_setup())
+    # The head-to-head workload is a library scenario; one session of its two
+    # systems over one trace yields the curves of all three figures.
+    locality = run_locality_experiment(get_scenario("squirrel-head-to-head").with_seed(11))
 
     print("Figure 6: hit ratio, Flower-CDN vs Squirrel")
     print("===========================================")

@@ -5,9 +5,9 @@ For each named library scenario (and, with ``--table1-hours H``, the Table 1
 spec cut to ``H`` simulated hours: compact metrics, calendar queue) three
 runs of the same ``(spec, seed)`` are compared:
 
-* **one block** — ``ExperimentRunner.run_flower`` with the spec's models
-  attached: the plan of one whole-catalogue block, every flower interleaved
-  in one system (the reference);
+* **one block** — ``run_blocks(session.experiment, None, ...)`` with the
+  spec's models attached: the plan of one whole-catalogue block, every flower
+  interleaved in one system (the reference);
 * **default** — ``Session.run()``: one block per queryable website, one after
   another in this process;
 * **shards 2** — the same blocks placed over two worker processes.
@@ -33,6 +33,7 @@ from repro.scenarios.artifacts import DIGEST_FILENAME, RESULT_FILENAME, run_docu
 from repro.scenarios.library import get_scenario
 from repro.scenarios.runner import ScenarioResult, summarise_system
 from repro.session import Session
+from repro.sim.sharded import run_blocks
 
 
 def documents(result: ScenarioResult) -> tuple:
@@ -43,7 +44,7 @@ def documents(result: ScenarioResult) -> tuple:
 def one_block(spec, seed: int) -> ScenarioResult:
     session = Session(spec, seed=seed)
     runs = {
-        "flower": lambda: session.experiment.run_flower(attachments=(session.attach_models,)),
+        "flower": lambda: run_blocks(session.experiment, None, (session.attach_models,))[0],
         "squirrel": lambda: session.run_system("squirrel"),
     }
     systems = {name: summarise_system(spec, name, runs[name]()) for name in spec.systems}

@@ -22,22 +22,18 @@ The package is organised bottom-up:
 Quickstart (the :class:`~repro.session.Session` facade is the public entry
 point; see ``docs/api.md``)::
 
-    from repro import Session
+    from repro import ChurnProfile, ScenarioSpec, Session
 
     result = Session.from_name("paper-default").run()
     print(result.flower.metrics["hit_ratio"])
 
-The lower layers remain available for harnesses that need them — the same
-run loop, entered without a spec (one whole-catalogue block; churn or any
-other injector is an attachment)::
-
-    from repro import ChurnConfig, ChurnInjector, ExperimentRunner, ScenarioSpec
-
-    spec = ScenarioSpec(name="adhoc", duration_s=1800, query_rate_per_s=1.0)
-    runner = ExperimentRunner(spec.to_setup())
-    churn = ChurnConfig(content_failures_per_hour=20.0)
-    result = runner.run_flower(attachments=(lambda system: ChurnInjector(system, churn),))
-    print(result.hit_ratio, runner.last_injectors[0].events_injected)
+    # an ad-hoc spec: Flower-CDN and Squirrel on one trace, or Flower-CDN under churn
+    spec = ScenarioSpec(name="adhoc", duration_s=1800, systems=("flower", "squirrel"))
+    pair = Session.from_spec(spec).run()
+    print(pair.flower.series["hit_ratio_cumulative"], pair.squirrel.metrics["hit_ratio"])
+    churned = ScenarioSpec(name="churned", churn=ChurnProfile(content_failures_per_hour=20.0))
+    session = Session.from_spec(churned)
+    print(session.run_system("flower").hit_ratio, session.last_injectors[0].events_injected)
 """
 
 from repro.core.config import FlowerConfig, GossipConfig, MessageSizeModel

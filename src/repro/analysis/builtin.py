@@ -1,4 +1,4 @@
-"""Built-in determinism and invariant rules (DET001..DET006).
+"""Built-in determinism and invariant rules (DET001..DET007).
 
 Each rule encodes one invariant the reproduction's golden regression relies
 on; ``docs/determinism.md`` catalogues them with rationale and real
@@ -535,6 +535,44 @@ class MutableDefaultRule(Rule):
                     )
 
 
+#: the only modules that may build an ExperimentRunner (DET007): the Session,
+#: and the spawned worker that rebuilds a placed run from its request.
+RUNNER_BUILDERS = frozenset({("session",), ("sim", "sharded")})
+
+
+class OneEntryPointRule(Rule):
+    """DET007: every run is a ScenarioSpec through a Session."""
+
+    rule_id = "DET007"
+    title = "no ExperimentRunner built outside repro.session and repro.sim.sharded"
+    rationale = (
+        "A run is described in one place — the spec the service digests, "
+        "the goldens pin and the sweeps vary.  A hand-built "
+        "`ExperimentRunner` is a second entry point with its own setup; "
+        "build a `ScenarioSpec` and run it through `Session` (reaching the "
+        "runner as `session.experiment`)."
+    )
+
+    def check(self, context: ModuleContext) -> Iterator[Tuple[ast.AST, str]]:
+        if context.repro_parts is None or context.repro_parts in RUNNER_BUILDERS:
+            return
+        names = {"ExperimentRunner"} | {
+            alias.asname
+            for node in ast.walk(context.tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name == "ExperimentRunner" and alias.asname
+        }
+        for node in ast.walk(context.tree):
+            if isinstance(node, ast.Call):
+                dotted = _dotted_name(node.func)
+                if dotted is not None and dotted[-1] in names:
+                    yield node, (
+                        "an `ExperimentRunner` built outside the Session; run "
+                        "a `ScenarioSpec` through `Session` instead"
+                    )
+
+
 #: the built-in rule set, registered on import.
 BUILTIN_RULES = tuple(
     register_rule(rule)
@@ -545,5 +583,6 @@ BUILTIN_RULES = tuple(
         StreamNameRule(),
         SlotsRule(),
         MutableDefaultRule(),
+        OneEntryPointRule(),
     )
 )

@@ -36,11 +36,11 @@ from typing import Optional, Sequence
 
 from repro.analysis import cli as analyze
 from repro.cli import experiment, perf, scenarios, serve, sweep
-from repro.cli.experiment import setup_from_args
+from repro.cli.experiment import spec_from_args
 from repro.cli.usage import usage_error
 from repro.core.system import InfeasibleScenarioError
 
-__all__ = ["build_parser", "main", "setup_from_args"]
+__all__ = ["build_parser", "main", "spec_from_args"]
 
 #: the verb modules, in the order ``repro --help`` lists their commands
 VERB_MODULES = (experiment, sweep, scenarios, analyze, perf, serve)

@@ -1,25 +1,27 @@
 """``repro run``, ``repro compare``, ``repro churn``: the ad-hoc experiment verbs.
 
-All three take the classic scale options and build their setup from them
-through a :class:`~repro.scenarios.spec.ScenarioSpec`.
+All three take the classic scale options, turn them into one
+:class:`~repro.scenarios.spec.ScenarioSpec` and run it through a
+:class:`~repro.session.Session`; an out-of-range option is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+from functools import partial
 
-from repro.core.churn import ChurnConfig
+from repro.cli.usage import usage_error
 from repro.core.config import HOUR, MINUTE
 from repro.experiments.churn import run_churn_experiment
-from repro.experiments.driver import ExperimentRunner, ExperimentSetup
 from repro.experiments.locality import run_locality_experiment
 from repro.metrics.report import format_table
 from repro.scenarios.library import get_scenario
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ChurnProfile, ScenarioSpec
+from repro.session import Session
 
 
 def add_arguments(subparsers) -> None:
-    for name, run, help_text in (
+    for name, verb, help_text in (
         ("run", run_once, "run Flower-CDN once and print the headline metrics"),
         ("compare", run_compare,
          "run Flower-CDN and Squirrel on the same trace (Figures 6-8)"),
@@ -37,17 +39,19 @@ def add_arguments(subparsers) -> None:
         parser.add_argument("--overlay-size", type=int, default=40)
         parser.add_argument("--hosts", type=int, default=600)
         parser.add_argument("--seed", type=int, default=42)
-        parser.set_defaults(run=run)
+        parser.set_defaults(run=partial(run_verb, verb))
 
 
-def setup_from_args(args: argparse.Namespace) -> ExperimentSetup:
-    """Build the experiment setup the scale options describe.
+def spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
+    """The scenario the scale options describe (``ValueError`` when one is
+    out of range).
 
-    Everything flows through a :class:`ScenarioSpec` so the command line, the
-    scenario library and the benchmarks share one construction path.
+    ``--paper-scale`` is the registered Table 1 scenario; otherwise an ad-hoc
+    spec, so the command line, the scenario library and the benchmarks share
+    one construction path.
     """
     if args.paper_scale:
-        return get_scenario("paper-default-full-scale").to_setup(seed=args.seed)
+        return get_scenario("paper-default-full-scale").with_seed(args.seed)
     duration_s = args.duration_hours * HOUR
     return ScenarioSpec(
         name="cli-adhoc",
@@ -64,11 +68,22 @@ def setup_from_args(args: argparse.Namespace) -> ExperimentSetup:
         max_content_overlay_size=args.overlay_size,
         num_hosts=args.hosts,
         seed=args.seed,
-    ).to_setup()
+    )
 
 
-def run_once(args: argparse.Namespace, out) -> int:
-    result = ExperimentRunner(setup_from_args(args)).run_flower()
+def run_verb(verb, args: argparse.Namespace, out) -> int:
+    """Build the verb's spec — one usage line when an option is out of range
+    — and hand it over."""
+    try:
+        spec = spec_from_args(args)
+    except ValueError as error:
+        return usage_error(error)
+    verb(spec, out)
+    return 0
+
+
+def run_once(spec: ScenarioSpec, out) -> None:
+    result = Session(spec).run_system("flower")
     print(
         format_table(
             ["metric", "value"],
@@ -84,27 +99,24 @@ def run_once(args: argparse.Namespace, out) -> int:
         ),
         file=out,
     )
-    return 0
 
 
-def run_compare(args: argparse.Namespace, out) -> int:
-    results = run_locality_experiment(setup_from_args(args))
+def run_compare(spec: ScenarioSpec, out) -> None:
+    results = run_locality_experiment(spec)
     print(results.format_figure6(), file=out)
     print(file=out)
     print(results.format_figure7(), file=out)
     print(file=out)
     print(results.format_figure8(), file=out)
-    return 0
 
 
-def run_churn(args: argparse.Namespace, out) -> int:
+def run_churn(spec: ScenarioSpec, out) -> None:
     result = run_churn_experiment(
-        setup_from_args(args),
-        churn=ChurnConfig(
+        spec,
+        churn=ChurnProfile(
             content_failures_per_hour=30.0,
             directory_failures_per_hour=3.0,
             locality_changes_per_hour=6.0,
         ),
     )
     print(result.format(), file=out)
-    return 0

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from repro.cli.usage import usage_error
 from repro.core.config import HOUR
+from repro.core.sharding import inseparable_reason
 from repro.metrics.report import format_table
 from repro.scenarios import diffing as diffing_module
 from repro.scenarios import golden as golden_module
@@ -302,6 +303,8 @@ def run_run(args: argparse.Namespace, out) -> int:
         )
     if args.shards is not None and args.shards < 1:
         return usage_error("--shards must be >= 1")
+    if args.shard_jobs is not None and args.shard_jobs < 1:
+        return usage_error("--shard-jobs must be >= 1")
     if args.update_goldens and args.shards is not None:
         return usage_error(
             "goldens are produced by the single-process path; "
@@ -323,6 +326,11 @@ def run_run(args: argparse.Namespace, out) -> int:
 
     if args.scale <= 0:
         return usage_error("--scale must be positive")
+    # A spec that must run as one block has nothing to place: the reason is
+    # what `python -m repro.scenarios.golden --shards N` skips it with.
+    reason = inseparable_reason(spec) if (args.shards or 1) > 1 else None
+    if reason is not None:
+        return usage_error(reason)
     result = run_scenario(
         spec,
         seed=args.seed,

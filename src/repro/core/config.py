@@ -6,8 +6,8 @@ simulation time, all sizes are bytes unless stated otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict
+from dataclasses import dataclass, field
+from typing import Dict
 
 #: seconds in one simulated minute / hour, used for readable defaults
 MINUTE = 60.0
@@ -194,10 +194,6 @@ class FlowerConfig:
     def num_directory_peers(self) -> int:
         """D-ring size in its stable structure: one peer per (website, locality)."""
         return self.num_websites * self.num_localities
-
-    def with_gossip(self, **changes: Any) -> "FlowerConfig":
-        """Return a copy with updated gossip parameters (used by the Table 2 sweeps)."""
-        return replace(self, gossip=replace(self.gossip, **changes))
 
     def table1(self) -> Dict[str, object]:
         """The Table 1 parameter summary as printable rows."""

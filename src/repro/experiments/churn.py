@@ -9,11 +9,14 @@ respond — exercising exactly the recovery paths of Section 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.churn import ChurnConfig, ChurnInjector
-from repro.experiments.driver import ExperimentRunner, ExperimentSetup, RunResult
+from repro.experiments.driver import RunResult
 from repro.metrics.report import format_table
+
+if TYPE_CHECKING:
+    from repro.scenarios.spec import ChurnProfile, ScenarioSpec
 
 
 @dataclass
@@ -22,7 +25,7 @@ class ChurnResults:
 
     baseline: RunResult
     churned: RunResult
-    churn_config: ChurnConfig
+    churn: "ChurnProfile"
     events_injected: int
     directory_replacements: int
 
@@ -59,26 +62,31 @@ class ChurnResults:
 
 
 def run_churn_experiment(
-    setup: ExperimentSetup, churn: ChurnConfig | None = None
+    spec: "ScenarioSpec", churn: Optional["ChurnProfile"] = None
 ) -> ChurnResults:
-    """Run Flower-CDN without and with churn on the same trace."""
+    """Run ``spec`` without churn and with the ``churn`` profile, on the same trace.
+
+    The churned run is the spec with that profile for its churn model; being
+    one whole-catalogue block, it keeps its system and injectors to count
+    from.
+    """
+    from repro.scenarios.spec import ChurnProfile
+    from repro.session import Session
+
     if churn is None:
-        churn = ChurnConfig(
+        churn = ChurnProfile(
             content_failures_per_hour=20.0,
             directory_failures_per_hour=2.0,
             locality_changes_per_hour=5.0,
         )
-    baseline = ExperimentRunner(setup).run_flower()
-
-    churn_runner = ExperimentRunner(setup)
-    churned = churn_runner.run_flower(
-        attachments=(lambda system: ChurnInjector(system, churn),)
-    )
-    (injector,) = churn_runner.last_injectors
+    baseline = Session(replace(spec, churn=ChurnProfile())).run_system("flower")
+    session = Session(replace(spec, churn=churn))
+    churned = session.run_system("flower")
+    injector = session.last_injectors[0]  # (the churn model attaches first)
     return ChurnResults(
         baseline=baseline,
         churned=churned,
-        churn_config=churn,
+        churn=churn,
         events_injected=injector.events_injected,
-        directory_replacements=churn_runner.last_flower_system.directory_replacements,
+        directory_replacements=session.experiment.last_flower_system.directory_replacements,
     )

@@ -3,8 +3,9 @@
 An :class:`ExperimentSetup` bundles everything one simulated run needs:
 Flower-CDN configuration, topology parameters and workload parameters.  The
 :class:`ExperimentRunner` builds the environment once (topology + query trace
-+ client assignment) and can then run Flower-CDN and/or Squirrel against the
-*same* resolved query stream, which is what the comparative figures require.
++ client assignment) under a :class:`~repro.session.Session`, which runs
+Flower-CDN (through :func:`repro.sim.sharded.run_blocks`) and Squirrel
+against the *same* resolved query stream, as the comparative figures require.
 
 Setups are compiled from a declarative
 :class:`~repro.scenarios.spec.ScenarioSpec` (``spec.to_setup()``): the
@@ -15,8 +16,8 @@ parameter ratios at a scale that runs in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from repro.baselines.squirrel import Squirrel, SquirrelConfig
 from repro.core.config import FlowerConfig
@@ -51,12 +52,6 @@ class ExperimentSetup:
     #: compiled workload phases of a scenario program (empty: one stationary
     #: phase over the whole run — the historical behaviour)
     phases: Tuple[PhaseSpan, ...] = ()
-
-    def with_flower(self, flower: FlowerConfig) -> "ExperimentSetup":
-        return replace(self, flower=flower)
-
-    def with_gossip(self, **changes) -> "ExperimentSetup":
-        return replace(self, flower=self.flower.with_gossip(**changes))
 
 
 @dataclass
@@ -107,16 +102,6 @@ class RunResult:
             resilience=resilience,
         )
 
-    def summary_row(self) -> tuple:
-        return (
-            self.system_name,
-            self.num_queries,
-            round(self.hit_ratio, 3),
-            round(self.average_lookup_latency_ms, 1),
-            round(self.average_transfer_distance_ms, 1),
-            round(self.background_bps_per_peer, 1),
-        )
-
 
 def flatten_injectors(attached) -> list:
     """What model attachments return — an injector, a list of them, or ``None``
@@ -137,10 +122,10 @@ class ExperimentRunner:
         self._trace: Optional[ResolvedTraceArrays] = None
         self._catalog: Optional[Catalog] = None
         #: the system of the most recent flower run: the FlowerCDN itself after
-        #: a whole-catalogue block (run_flower(), a model that is not
-        #: website-separable); after a run cut into blocks (repro.sim.sharded)
-        #: a census of the whole run that holds no peer (num_content_peers,
-        #: num_directory_peers, active_overlays())
+        #: a whole-catalogue block (a model that is not website-separable,
+        #: ``run_blocks(runner)`` without a plan); after a run cut into blocks
+        #: (repro.sim.sharded) a census of the whole run that holds no peer
+        #: (num_content_peers, num_directory_peers, active_overlays())
         self.last_flower_system: Optional[object] = None
         #: what that run's attachments built, while its system is kept; empty
         #: after a run cut into blocks — a block's injectors go with the block
@@ -244,22 +229,6 @@ class ExperimentRunner:
         return self._trace
 
     # -- runs -------------------------------------------------------------------------
-
-    def run_flower(
-        self, attachments: Sequence[Callable[[FlowerCDN], Optional[object]]] = ()
-    ) -> RunResult:
-        """Run Flower-CDN over the shared trace, as one whole-catalogue block
-        of the one run loop (:func:`repro.sim.sharded.run_blocks`).
-
-        ``attachments`` are callables receiving the freshly built system and
-        returning an injector with ``start()``/``stop()``, a list of such
-        injectors, or ``None`` for "nothing to inject": a ``ChurnInjector``,
-        an ``ActiveReplicator``, the scenario layer's churn/fault models
-        (:meth:`repro.session.Session.attach_models`).
-        """
-        from repro.sim.sharded import run_blocks
-
-        return run_blocks(self, None, attachments)[0]
 
     def run_squirrel(self) -> RunResult:
         """Run the Squirrel baseline over the same trace."""

@@ -19,12 +19,15 @@ One shared run of Flower-CDN and Squirrel over the same trace produces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, List, Tuple
 
-from repro.experiments.driver import ExperimentRunner, ExperimentSetup, RunResult
+from repro.experiments.driver import RunResult
 from repro.metrics.histogram import Histogram
 from repro.metrics.report import format_series, format_table
+
+if TYPE_CHECKING:
+    from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass
@@ -161,18 +164,20 @@ class LocalityResults:
         return "\n".join(parts)
 
 
-def run_locality_experiment(setup: ExperimentSetup) -> LocalityResults:
-    """Run both systems on the same trace and extract the Figure 6/7/8 data."""
-    runner = ExperimentRunner(setup)
-    flower = runner.run_flower()
-    squirrel = runner.run_squirrel()
+def run_locality_experiment(spec: "ScenarioSpec") -> LocalityResults:
+    """Run ``spec`` as a Flower-CDN / Squirrel pair — one session, one trace —
+    and extract the Figure 6/7/8 data."""
+    from repro.session import Session
+
+    result = Session(replace(spec, systems=("flower", "squirrel"))).run()
+    flower, squirrel = result.flower, result.squirrel
     return LocalityResults(
-        flower_latency_over_time=flower.metrics.lookup_latency_series.window_means(),
-        flower_distance_over_time=flower.metrics.transfer_distance_series.window_means(),
-        flower_latency_histogram=flower.metrics.lookup_latency_histogram,
-        squirrel_latency_histogram=squirrel.metrics.lookup_latency_histogram,
-        flower_distance_histogram=flower.metrics.transfer_distance_histogram,
-        squirrel_distance_histogram=squirrel.metrics.transfer_distance_histogram,
-        flower_run=flower,
-        squirrel_run=squirrel,
+        flower_latency_over_time=flower.series["lookup_latency_ms"],
+        flower_distance_over_time=flower.series["transfer_distance_ms"],
+        flower_latency_histogram=flower.run.metrics.lookup_latency_histogram,
+        squirrel_latency_histogram=squirrel.run.metrics.lookup_latency_histogram,
+        flower_distance_histogram=flower.run.metrics.transfer_distance_histogram,
+        squirrel_distance_histogram=squirrel.run.metrics.transfer_distance_histogram,
+        flower_run=flower.run,
+        squirrel_run=squirrel.run,
     )

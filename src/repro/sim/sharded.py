@@ -12,10 +12,11 @@ produced in a :class:`BlockTally` and is dropped before the next one is
 built.  The live state of a run is therefore one flower, not all of them —
 which is what keeps a paper-scale run inside the cache and the collector's
 full passes short.  Everything else — a model that draws from
-globally-ordered streams, a caller with no spec — is the plan of **one
-whole-catalogue block** (``plan=None``): the same build, attach, replay,
-stop, shut down, on a D-ring of the block's own over every row of the trace;
-being the whole run, its system and injectors are kept for inspection.
+globally-ordered streams, a caller with attachments no spec can name — is
+the plan of **one whole-catalogue block** (``plan=None``): the same build,
+attach, replay, stop, shut down, on a D-ring of the block's own over every
+row of the trace; being the whole run, its system and injectors are kept for
+inspection.
 
 ``shards=N`` only *places* the blocks of a cut plan over ``N`` worker
 processes (:func:`repro.scenarios.parallel.map_tasks`), each running its
@@ -310,8 +311,10 @@ def run_blocks(
     """Run Flower-CDN over ``runner``'s environment, block by block of ``plan``
     — the only way a Flower run executes.
 
-    ``attachments`` are called on every block's freshly built system (see
-    :meth:`ExperimentRunner.run_flower`).  ``shards`` places the blocks over
+    ``attachments`` are called on every block's freshly built system and
+    return an injector with ``start()``/``stop()``, a list of them, or
+    ``None``: the spec's models (:meth:`repro.session.Session.attach_models`),
+    a ``ChurnInjector``, an ``ActiveReplicator``.  ``shards`` places the blocks over
     that many worker processes (``jobs`` sizes the pool: ``None`` is the
     CPU-affinity default, ``1`` runs every placement inline in this process —
     same results, handy for tests and debugging) and comes with

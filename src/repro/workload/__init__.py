@@ -12,7 +12,6 @@ the targeted website, drawn from a random locality.
 from repro.workload.catalog import Catalog, ObjectId, Website
 from repro.workload.zipf import ZipfSampler
 from repro.workload.generator import Query, QueryGenerator, WorkloadConfig
-from repro.workload.trace import QueryTrace, TraceRecord
 
 __all__ = [
     "Catalog",
@@ -22,6 +21,4 @@ __all__ = [
     "Query",
     "QueryGenerator",
     "WorkloadConfig",
-    "QueryTrace",
-    "TraceRecord",
 ]

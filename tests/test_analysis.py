@@ -3,7 +3,7 @@
 Fixture files under ``tests/analysis_fixtures/`` carry deliberate rule
 violations; lines expected to be flagged end in an ``# expect: RULE-ID``
 marker, which these tests compare against the engine's actual findings.
-Scoped rules (DET002/DET003/DET005) are exercised by analyzing fixtures
+Scoped rules (DET002/DET003/DET005/DET007) are exercised by analyzing fixtures
 under virtual ``src/repro/<package>/...`` paths.
 """
 
@@ -46,12 +46,15 @@ VIRTUAL_PATHS = {
     "det005_positive.py": "src/repro/datastructures/fixture.py",
     "det005_negative.py": "src/repro/datastructures/fixture.py",
     "det005_suppressed.py": "src/repro/core/fixture.py",
+    "det007_positive.py": "src/repro/cli/fixture.py",
+    "det007_negative.py": "src/repro/experiments/fixture.py",
+    "det007_suppressed.py": "src/repro/experiments/fixture.py",
 }
 DEFAULT_VIRTUAL = "src/repro/workload/fixture.py"
 
 _EXPECT = re.compile(r"#\s*expect:\s*([A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)")
 
-ALL_RULES = ("DET001", "DET002", "DET003", "DET004", "DET005", "DET006")
+ALL_RULES = ("DET001", "DET002", "DET003", "DET004", "DET005", "DET006", "DET007")
 
 
 def analyze_fixture(name: str):
@@ -176,6 +179,18 @@ class TestEngine:
         outside = ModuleContext(path="scripts/tool.py", tree=None, source_lines=())
         assert outside.repro_parts is None
         assert outside.package() is None
+
+    @pytest.mark.parametrize("path, flagged", [
+        ("src/repro/session.py", False),
+        ("src/repro/sim/sharded.py", False),
+        ("src/repro/sim/engine.py", True),
+        ("src/repro/experiments/driver.py", True),
+        ("scripts/block_check.py", False),
+    ])
+    def test_only_the_session_and_the_worker_rebuild_build_a_runner(self, path, flagged):
+        source = "def build(setup):\n    return ExperimentRunner(setup)\n"
+        rules = [finding.rule for finding in analyze_source(source, path=path).findings]
+        assert rules == (["DET007"] if flagged else [])
 
 
 class TestRegistry:

@@ -7,6 +7,8 @@ import pytest
 
 from repro import cli
 
+DATA = Path(__file__).parent / "data"
+
 
 def run_cli(args) -> str:
     """Run the CLI with a tiny scale and capture its output."""
@@ -54,19 +56,20 @@ class TestParser:
         assert args.localities == 3
         assert not args.paper_scale
 
-    def test_setup_from_args_laptop_scale(self):
+    def test_spec_from_args_laptop_scale(self):
         args = cli.build_parser().parse_args(["run", *TINY])
-        setup = cli.setup_from_args(args)
-        assert setup.flower.num_websites == 6
-        assert setup.flower.simulation_duration_s == pytest.approx(0.25 * 3600)
-        assert setup.workload.query_rate_per_s == 1.0
-        assert setup.seed == 5
+        spec = cli.spec_from_args(args)
+        assert spec.num_websites == 6
+        assert spec.duration_s == pytest.approx(0.25 * 3600)
+        assert spec.query_rate_per_s == 1.0
+        assert spec.seed == 5
 
-    def test_setup_from_args_paper_scale(self):
+    def test_spec_from_args_paper_scale(self):
         args = cli.build_parser().parse_args(["run", "--paper-scale", "--seed", "9"])
-        setup = cli.setup_from_args(args)
-        assert setup.flower.num_websites == 100
-        assert setup.seed == 9
+        spec = cli.spec_from_args(args)
+        assert spec.name == "paper-default-full-scale"
+        assert spec.num_websites == 100
+        assert spec.seed == 9
 
 
 class TestCommands:
@@ -84,20 +87,44 @@ class TestCommands:
         assert "Squirrel" in output
 
     def test_compare_runs_each_system_once_on_one_environment(self, monkeypatch):
-        """Figures 6-8 all come from one shared pair of runs; the output is
-        what the two-environment, four-run implementation printed."""
+        """Figures 6-8 all come from one session of a two-system spec; the
+        output is what the two-environment, four-run implementation printed."""
         from repro.experiments.driver import ExperimentRunner
+        from repro.session import Session
 
-        calls = {"__init__": 0, "run_flower": 0, "run_squirrel": 0}
-        for name in calls:
-            def counted(self, *args, _name=name, _real=getattr(ExperimentRunner, name), **kwargs):
-                calls[_name] += 1
-                return _real(self, *args, **kwargs)
-            monkeypatch.setattr(ExperimentRunner, name, counted)
+        environments, systems = [], []
+        build, run_system = ExperimentRunner.__init__, Session.run_system
+        monkeypatch.setattr(
+            ExperimentRunner, "__init__",
+            lambda self, setup: environments.append(setup) or build(self, setup),
+        )
+        monkeypatch.setattr(
+            Session, "run_system",
+            lambda self, system: systems.append(system) or run_system(self, system),
+        )
         output = run_cli(["compare", *TINY])
-        assert calls == {"__init__": 1, "run_flower": 1, "run_squirrel": 1}
-        pinned = Path(__file__).parent / "data" / "compare_tiny_seed5.txt"
-        assert output == pinned.read_text(encoding="utf-8")
+        assert len(environments) == 1 and systems == ["flower", "squirrel"]
+        assert output == (DATA / "compare_tiny_seed5.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("verb", ["run", "churn"])
+    def test_experiment_verbs_print_the_pinned_bytes(self, verb):
+        """What each verb printed before it ran through a Session, byte for
+        byte (``compare``'s pin is checked above)."""
+        pinned = DATA / f"{verb}_tiny_seed5.txt"
+        assert run_cli([verb, *TINY]) == pinned.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("verb", ["run", "compare", "churn"])
+    @pytest.mark.parametrize("options, message", [
+        (["--duration-hours", "0"], "duration_s must be positive"),
+        (["--websites", "1", "--active-websites", "2"], "active_websites must be in"),
+    ], ids=["zero-duration", "more-active-than-websites"])
+    def test_an_out_of_range_option_is_one_usage_line(self, capsys, verb, options, message):
+        out = io.StringIO()
+        assert cli.main([verb, *options], out=out) == 2
+        assert out.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: {message}")
 
     def test_sweep_prints_all_three_tables(self):
         """Table 2(a-c) come from the sweep registry, one `sweep run` each."""
@@ -198,6 +225,39 @@ class TestInfeasibleSeed:
             except InfeasibleScenarioError:
                 infeasible.add(seed)
         assert infeasible == set(self.DOCUMENTED)
+
+
+class TestScenariosRunShards:
+    """A placement that cannot be made is refused before anything is built."""
+
+    def test_an_inseparable_spec_is_refused_with_the_golden_skip_reason(
+        self, capsys, monkeypatch
+    ):
+        from repro.core.sharding import inseparable_reason
+        from repro.experiments.driver import ExperimentRunner
+        from repro.scenarios import golden
+        from repro.scenarios.library import get_scenario
+
+        monkeypatch.setattr(ExperimentRunner, "resolved_trace", lambda self: pytest.fail("built"))
+        out = io.StringIO()
+        assert cli.main(["scenarios", "run", "heavy-churn", "--shards", "2"], out=out) == 2
+        assert out.getvalue() == ""
+        reason = inseparable_reason(get_scenario("heavy-churn"))
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        skipped = io.StringIO()
+        monkeypatch.setattr(golden, "check_or_update", lambda names, *args, **kwargs: 0)
+        assert golden.main(["heavy-churn", "--shards", "2"], out=skipped) == 0
+        assert skipped.getvalue() == f"skip heavy-churn: {reason}\n"
+
+    def test_zero_shard_jobs_is_refused_before_any_simulation(self, capsys, monkeypatch):
+        from repro.experiments.driver import ExperimentRunner
+
+        monkeypatch.setattr(ExperimentRunner, "resolved_trace", lambda self: pytest.fail("built"))
+        argv = ["scenarios", "run", "paper-default", "--shards", "2", "--shard-jobs", "0"]
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == "error: --shard-jobs must be >= 1\n"
 
 
 class TestScenariosShow:

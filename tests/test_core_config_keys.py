@@ -91,12 +91,6 @@ class TestFlowerConfig:
         with pytest.raises(ValueError):
             FlowerConfig(**kwargs)
 
-    def test_with_gossip_returns_modified_copy(self):
-        config = FlowerConfig()
-        tuned = config.with_gossip(gossip_length=20)
-        assert tuned.gossip.gossip_length == 20
-        assert config.gossip.gossip_length == 10  # original untouched
-
 
 class TestKeyScheme:
     @pytest.fixture

@@ -1,21 +1,19 @@
 """Tests for the experiment driver and the per-figure experiment modules.
 
-These use a very small laptop-scale setup so each simulated run completes in
+These use a very small laptop-scale spec so each simulated run completes in
 well under a second while still exercising the full pipeline (topology →
-workload → client assignment → both CDN systems → metrics).  The Table 2
-sweep shapes run through the sweep engine over the same tiny base spec.
+workload → client assignment → both CDN systems → metrics), through the
+``Session`` every run goes through.  The Table 2 sweep shapes run through
+the sweep engine over the same tiny base spec.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.core.churn import ChurnConfig
-from repro.experiments import (
-    run_churn_experiment,
-    run_locality_experiment,
-    run_tradeoff_timeseries,
-)
-from repro.experiments.driver import ExperimentRunner, ExperimentSetup
-from repro.scenarios import ScenarioSpec, get_scenario
+from repro.experiments import run_churn_experiment, run_locality_experiment
+from repro.scenarios import ChurnProfile, ScenarioSpec, get_scenario
+from repro.session import Session
 from repro.sweeps import SweepAxis, SweepSpec, run_sweep
 from repro.sweeps.artifacts import format_sweep_result
 
@@ -36,19 +34,19 @@ def tiny_spec(seed: int = 7, duration_s: float = 1200.0) -> ScenarioSpec:
     )
 
 
-def tiny_setup(seed: int = 7, duration_s: float = 1200.0) -> ExperimentSetup:
-    return tiny_spec(seed=seed, duration_s=duration_s).to_setup()
-
-
 def tiny_sweep(axis: SweepAxis, duration_s: float = 1200.0):
     """One axis swept over the tiny base spec; the cells, in grid order."""
     sweep = SweepSpec(name="tiny-sweep", description="", base="tiny", axes=(axis,))
     return run_sweep(sweep, base_spec=tiny_spec(duration_s=duration_s))
 
 
+def tiny_flower(seed: int, duration_s: float):
+    return Session(tiny_spec(seed=seed, duration_s=duration_s)).run_system("flower")
+
+
 @pytest.fixture(scope="module")
-def shared_runner() -> ExperimentRunner:
-    return ExperimentRunner(tiny_setup())
+def shared_session() -> Session:
+    return Session(replace(tiny_spec(), systems=("flower", "squirrel")))
 
 
 class TestExperimentSetup:
@@ -60,48 +58,41 @@ class TestExperimentSetup:
         assert setup.topology.num_hosts == 5000
 
     def test_laptop_scale_preserves_ratios(self):
-        setup = tiny_setup()
+        setup = tiny_spec().to_setup()
         assert setup.flower.num_websites == setup.workload.num_websites
         assert setup.flower.num_localities == setup.topology.num_localities
         assert setup.flower.active_websites == setup.workload.active_websites
 
-    def test_with_gossip_returns_new_setup(self):
-        setup = tiny_setup()
-        tuned = setup.with_gossip(gossip_length=20)
-        assert tuned.flower.gossip.gossip_length == 20
-        assert setup.flower.gossip.gossip_length == 10
-
 
 class TestExperimentRunner:
-    def test_resolved_queries_are_cached_and_sorted(self, shared_runner):
-        trace = shared_runner.resolved_trace()
-        assert trace is shared_runner.resolved_trace()
+    def test_resolved_queries_are_cached_and_sorted(self, shared_session):
+        trace = shared_session.resolved_trace()
+        assert trace is shared_session.resolved_trace()
         times = [q.time for q in trace.iter_queries()]
         assert times == sorted(times) == list(trace.times)
         assert len(trace) > 500
 
-    def test_flower_and_squirrel_process_the_same_trace(self, shared_runner):
-        flower = shared_runner.run_flower()
-        squirrel = shared_runner.run_squirrel()
-        assert flower.num_queries == squirrel.num_queries == len(shared_runner.resolved_trace())
+    def test_flower_and_squirrel_process_the_same_trace(self, shared_session):
+        flower = shared_session.run_system("flower")
+        squirrel = shared_session.run_system("squirrel")
+        assert flower.num_queries == squirrel.num_queries == len(shared_session.resolved_trace())
 
-    def test_flower_run_produces_consistent_aggregates(self, shared_runner):
-        result = shared_runner.run_flower()
+    def test_flower_run_produces_consistent_aggregates(self, shared_session):
+        result = shared_session.run_system("flower")
         assert 0.0 < result.hit_ratio < 1.0
         assert result.average_lookup_latency_ms > 0
         assert result.background_bps_per_peer > 0
         assert result.metrics.num_queries == result.num_queries
-        assert len(result.summary_row()) == 6
 
     def test_runs_are_deterministic_for_a_seed(self):
-        first = ExperimentRunner(tiny_setup(seed=3, duration_s=600.0)).run_flower()
-        second = ExperimentRunner(tiny_setup(seed=3, duration_s=600.0)).run_flower()
+        first = tiny_flower(seed=3, duration_s=600.0)
+        second = tiny_flower(seed=3, duration_s=600.0)
         assert first.hit_ratio == second.hit_ratio
         assert first.average_lookup_latency_ms == second.average_lookup_latency_ms
 
     def test_different_seeds_differ(self):
-        first = ExperimentRunner(tiny_setup(seed=3, duration_s=600.0)).run_flower()
-        second = ExperimentRunner(tiny_setup(seed=4, duration_s=600.0)).run_flower()
+        first = tiny_flower(seed=3, duration_s=600.0)
+        second = tiny_flower(seed=4, duration_s=600.0)
         assert (
             first.hit_ratio != second.hit_ratio
             or first.average_lookup_latency_ms != second.average_lookup_latency_ms
@@ -156,15 +147,18 @@ class TestGossipSweeps:
 
 class TestFigureExperiments:
     def test_tradeoff_timeseries_curves(self):
-        result = run_tradeoff_timeseries(tiny_setup())
-        assert result.hit_ratio_is_non_decreasing()
-        assert result.final_hit_ratio > 0.2
-        assert result.final_background_bps > 0
-        assert "Figure 5" in result.format()
+        """Figure 5: the series of one Flower-CDN run."""
+        flower = Session(tiny_spec()).run().flower
+        hit_ratio = [value for _, value in flower.series["hit_ratio_cumulative"]]
+        assert all(b >= a - 0.05 for a, b in zip(hit_ratio, hit_ratio[1:]))
+        assert hit_ratio[-1] == pytest.approx(flower.metrics["hit_ratio"])
+        assert flower.metrics["hit_ratio"] > 0.2
+        assert flower.series["background_bps_per_peer"]
+        assert flower.metrics["background_bps_per_peer"] > 0
 
     def test_hit_ratio_comparison_shape(self):
         """Figure 6: Squirrel converges faster; Flower-CDN trails at the end."""
-        result = run_locality_experiment(tiny_setup())
+        result = run_locality_experiment(tiny_spec())
         assert result.squirrel_run.hit_ratio >= result.flower_run.hit_ratio
         assert result.final_hit_ratio_gap >= 0
         text = result.format_figure6()
@@ -172,7 +166,7 @@ class TestFigureExperiments:
 
     def test_locality_experiment_shapes(self):
         """Figures 7 and 8: Flower-CDN is faster to look up and closer to transfer."""
-        result = run_locality_experiment(tiny_setup())
+        result = run_locality_experiment(tiny_spec())
         assert result.lookup_latency_speedup > 1.5
         assert result.transfer_distance_reduction > 1.5
         assert result.flower_fraction_fast_lookups(300.0) > 0.3
@@ -185,8 +179,8 @@ class TestFigureExperiments:
 
     def test_churn_experiment_reports_recovery(self):
         result = run_churn_experiment(
-            tiny_setup(),
-            churn=ChurnConfig(
+            tiny_spec(),
+            churn=ChurnProfile(
                 content_failures_per_hour=60.0,
                 directory_failures_per_hour=6.0,
                 locality_changes_per_hour=12.0,

@@ -10,11 +10,13 @@ import pytest
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup
 from repro.metrics.collectors import QueryOutcome
 from repro.scenarios import ScenarioSpec
+from repro.session import Session
+from repro.sim.sharded import run_blocks
 
 
 @pytest.fixture(scope="module")
-def setup() -> ExperimentSetup:
-    return ScenarioSpec(
+def session() -> Session:
+    return Session(ScenarioSpec(
         name="integration",
         seed=123,
         duration_s=2400.0,
@@ -26,17 +28,23 @@ def setup() -> ExperimentSetup:
         num_localities=3,
         max_content_overlay_size=20,
         num_hosts=400,
-    ).to_setup()
+    ))
 
 
 @pytest.fixture(scope="module")
-def runner(setup: ExperimentSetup) -> ExperimentRunner:
-    return ExperimentRunner(setup)
+def setup(session: Session) -> ExperimentSetup:
+    return session.setup
+
+
+@pytest.fixture(scope="module")
+def runner(session: Session) -> ExperimentRunner:
+    return session.experiment
 
 
 @pytest.fixture(scope="module")
 def flower(runner: ExperimentRunner):
-    return runner.run_flower()
+    # One whole-catalogue block: its FlowerCDN stays for TestSystemConsistency.
+    return run_blocks(runner)[0]
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,7 @@ from repro.scenarios.spec import replace
 from repro.session import Session
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from repro.sim.sharded import run_blocks
 from repro.workload.assignment import ResolvedQuery
 
 TINY_SCALE = 0.1
@@ -382,8 +383,8 @@ class TestGateInvariants:
 
         def run(*attachments):
             session = Session(spec, seed=42)
-            result = session.experiment.run_flower(
-                attachments=(session.attach_models, replicate, *attachments)
+            result, _stats = run_blocks(
+                session.experiment, None, (session.attach_models, replicate, *attachments)
             )
             digest = summarise_system(spec, "flower", result).to_dict()
             return digest, session.experiment.last_flower_system

@@ -153,15 +153,16 @@ class TestBuiltinChurnModels:
     def test_poisson_model_reproduces_the_legacy_churn_path(self):
         """Session + poisson model == a bare ``ChurnInjector`` attachment."""
         from repro.core.churn import ChurnInjector
-        from repro.experiments.driver import ExperimentRunner
+        from repro.sim.sharded import run_blocks
 
         spec = get_scenario("heavy-churn").scaled(TINY_SCALE)
         via_session = run_scenario(spec, seed=11).metrics_digest()
 
-        legacy_runner = ExperimentRunner(spec.to_setup(seed=11))
         config = spec.churn.to_config()
-        legacy = legacy_runner.run_flower(
-            attachments=(lambda system: ChurnInjector(system, config),)
+        legacy, _stats = run_blocks(
+            Session.from_spec(spec, seed=11).experiment,
+            None,
+            (lambda system: ChurnInjector(system, config),),
         )
         fresh = Session.from_spec(spec, seed=11).run_system("flower")
         assert legacy.num_queries == fresh.num_queries

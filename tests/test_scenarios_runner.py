@@ -230,9 +230,9 @@ class TestScenarioCli:
         args = cli.build_parser().parse_args(
             ["run", "--websites", "6", "--active-websites", "2", "--seed", "5"]
         )
-        setup = cli.setup_from_args(args)
-        assert setup.flower.num_websites == 6
-        assert setup.seed == 5
+        spec = cli.spec_from_args(args)
+        assert spec.to_setup().flower.num_websites == 6
+        assert spec.seed == 5
 
 
 class TestScenarioTiers:

@@ -14,6 +14,7 @@ from repro.core.churn import ChurnInjector
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup
 from repro.scenarios import ScenarioSpec, get_scenario, run_scenario
 from repro.session import Session
+from repro.sim.sharded import run_blocks
 
 TINY_SCALE = 0.1
 
@@ -107,18 +108,20 @@ class TestBackCompatShims:
             == Session.from_spec(spec, seed=7).run().metrics_digest()
         )
 
-    def test_run_flower_takes_churn_as_an_attachment(self):
-        """``run_flower(churn=...)`` is gone: a ``ChurnInjector`` is an
-        attachment like any other, and the runner keeps it with the system."""
+    def test_a_churn_injector_is_an_attachment_of_the_one_block_run(self):
+        """Attachments no spec can name run as one whole-catalogue block
+        below the session, which keeps what they built with the system."""
         spec = get_scenario("heavy-churn").scaled(TINY_SCALE)
         config = spec.churn.to_config()
-        runner = ExperimentRunner(spec.to_setup(seed=7))
-        result = runner.run_flower(attachments=(lambda system: ChurnInjector(system, config),))
-        assert result.num_queries > 0
-        (injector,) = runner.last_injectors
+        session = Session(spec, seed=7)
+        result, stats = run_blocks(
+            session.experiment, None, (lambda system: ChurnInjector(system, config),)
+        )
+        assert result.num_queries > 0 and stats is None
+        (injector,) = session.last_injectors
         assert injector.events_injected == len(injector.log) > 0
-        with pytest.raises(TypeError):
-            runner.run_flower(churn=config)
+        # ... the very run the spec's poisson model makes of the same profile
+        assert result.hit_ratio == Session(spec, seed=7).run_system("flower").hit_ratio
 
     def test_replace_still_supports_every_historical_kwarg(self):
         spec = get_scenario("paper-default")

@@ -7,9 +7,9 @@ things are pinned here:
 
 * **equivalence** — however the catalogue is grouped into blocks and
   wherever the blocks are placed, ``result.json`` and ``digest.json`` are the
-  bytes of the whole-catalogue block (``ExperimentRunner.run_flower``) with
-  the same attachments, retained and compact metrics alike;
-* **one loop** — every registered spec and a bare ``run_flower()`` reach the
+  bytes of the whole-catalogue block (``run_blocks(runner, None, ...)``)
+  with the same attachments, retained and compact metrics alike;
+* **one loop** — every registered spec and a runner without a plan reach the
   same block runner; what a whole-catalogue block keeps alive;
 * **liveness** — a block is gone (reference counting, no collector pass)
   before the next one is built, which is the memory the decomposition buys;
@@ -226,8 +226,8 @@ def test_every_registered_spec_and_a_bare_runner_reach_the_one_block_runner(bloc
     assert whole == {*WHOLE_CATALOGUE}
     assert inseparable_reason(get_scenario("squirrel-head-to-head")) is None
     del blocks_run[:]
-    runner = driver.ExperimentRunner(SPECS["paper-default"].to_setup(seed=42))
-    assert runner.run_flower().num_queries > 0
+    runner = Session(SPECS["paper-default"], seed=42).experiment
+    assert sharded.run_blocks(runner)[0].num_queries > 0
     assert blocks_run == [0]
     assert isinstance(runner.last_flower_system, driver.FlowerCDN)
 
@@ -344,7 +344,7 @@ def test_blocked_table1_run_peaks_well_below_the_monolithic_one():
 
     blocked = peak(lambda session: session.run_system("flower"))
     monolithic_peak = peak(
-        lambda session: session.experiment.run_flower(attachments=(session.attach_models,))
+        lambda session: sharded.run_blocks(session.experiment, None, (session.attach_models,))
     )
     assert blocked <= 0.65 * monolithic_peak
 
@@ -404,7 +404,7 @@ def test_shard_stats_exist_per_worker_only():
 def test_the_census_answers_for_the_whole_run():
     spec = SPECS["multi-locality"]
     reference = Session(spec, seed=42)
-    reference.experiment.run_flower(attachments=(reference.attach_models,))
+    sharded.run_blocks(reference.experiment, None, (reference.attach_models,))
     system = reference.experiment.last_flower_system
     for placement in PLACEMENTS.values():
         session = Session(spec, seed=42, **placement)

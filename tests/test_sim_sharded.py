@@ -19,6 +19,7 @@ from repro.scenarios.models import ModelRef
 from repro.scenarios.runner import ScenarioResult, run_scenario, summarise_system
 from repro.session import Session
 from repro.sim.rng import RandomStreams
+from repro.sim.sharded import run_blocks
 
 SEED = 42
 
@@ -31,7 +32,7 @@ def _result_dict(name, scale, **kwargs):
 def monolithic_result(spec, seed=SEED):
     """The reference: the whole catalogue as one block, models attached."""
     session = Session(spec, seed=seed)
-    run = session.experiment.run_flower(attachments=(session.attach_models,))
+    run, _stats = run_blocks(session.experiment, None, (session.attach_models,))
     return ScenarioResult(spec, seed, {"flower": summarise_system(spec, "flower", run)})
 
 

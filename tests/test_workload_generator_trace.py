@@ -1,4 +1,4 @@
-"""Unit tests for the query generator, trace recording and client assignment."""
+"""Unit tests for the query generator and client assignment."""
 
 import pytest
 
@@ -6,8 +6,7 @@ from repro.network.topology import Topology, TopologyConfig
 from repro.sim.rng import RandomStreams
 from repro.workload.assignment import ClientAssigner
 from repro.workload.catalog import Catalog
-from repro.workload.generator import Query, QueryGenerator, WorkloadConfig
-from repro.workload.trace import QueryTrace
+from repro.workload.generator import QueryGenerator, WorkloadConfig
 
 
 @pytest.fixture
@@ -121,38 +120,6 @@ class TestQueryGenerator:
     def test_generate_batch_rejects_negative_count(self, generator: QueryGenerator):
         with pytest.raises(ValueError):
             generator.generate_batch(-1)
-
-
-class TestQueryTrace:
-    def test_record_and_replay_round_trip(self, generator: QueryGenerator):
-        trace = QueryTrace.record_count(generator, 40)
-        assert len(trace) == 40
-        replayed = list(trace)
-        assert all(isinstance(q, Query) for q in replayed)
-        assert [q.query_id for q in replayed] == sorted(q.query_id for q in replayed)
-
-    def test_trace_metadata(self, generator: QueryGenerator):
-        trace = QueryTrace.record_count(generator, 60)
-        assert trace.duration_s > 0
-        assert set(trace.websites()) <= set(generator.catalog.names())
-        assert all(0 <= loc < 3 for loc in trace.localities())
-
-    def test_save_and_load(self, tmp_path, generator: QueryGenerator):
-        trace = QueryTrace.record_count(generator, 25)
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = QueryTrace.load(path)
-        assert len(loaded) == len(trace)
-        assert loaded.records() == trace.records()
-
-    def test_empty_trace(self):
-        trace = QueryTrace()
-        assert len(trace) == 0
-        assert trace.duration_s == 0.0
-
-    def test_indexing(self, generator: QueryGenerator):
-        trace = QueryTrace.record_count(generator, 5)
-        assert trace[0].time <= trace[4].time
 
 
 class TestClientAssigner:

@@ -116,16 +116,19 @@ class TestAssignTrace:
         assert len(resolved) == len(expected)
         assert list(resolved.iter_queries()) == expected
 
-    def test_dispatcher_replays_in_order(self, topology):
+    def test_replayer_replays_in_order(self, topology):
         _, array_gen = _generators(_config())
         _, array_assigner = self._assigners(topology)
         resolved = array_assigner.assign_trace(array_gen.generate_trace(900.0))
         seen = []
-        fire = resolved.dispatcher(seen.append)
+        fire = resolved.replayer(lambda *row: seen.append(row))
         sim = Simulator(seed=1)
         sim.schedule_trace(resolved.times, fire)
         sim.run()
-        assert seen == list(resolved.iter_queries())
+        assert seen == [
+            (q.query_id, q.time, q.website, q.object_id, q.locality, q.client_host)
+            for q in resolved.iter_queries()
+        ]
 
     def test_overlay_capacity_respected(self, topology):
         _, array_gen = _generators(_config())
