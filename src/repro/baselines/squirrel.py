@@ -160,9 +160,6 @@ class Squirrel:
             self._object_keys[object_id] = key
         return key
 
-    def _home_node_of(self, object_id: ObjectId) -> Optional[int]:
-        return self.ring.successor_of(self._object_key(object_id))
-
     def _route_latency(self, path: List[int]) -> float:
         if len(path) < 2:
             return 0.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
 if TYPE_CHECKING:
     from repro.datastructures.aged_view import AgedEntry
@@ -182,11 +182,6 @@ class BloomFilter:
         return bloom
 
     # -- core operations -------------------------------------------------------
-
-    def _positions(self, item: str) -> Iterator[int]:
-        h1, h2 = _hash_pair(item)
-        for i in range(self._num_hashes):
-            yield (h1 + i * h2) % self._num_bits
 
     def add(self, item: str) -> None:
         self._bits |= _mask_for(self._num_bits, self._num_hashes, item)

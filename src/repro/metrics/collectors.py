@@ -564,11 +564,6 @@ class BandwidthAccountant:
             return 0.0
         return max((b * 8.0) / duration_s for b in self._bytes_per_peer.values())
 
-    def traffic_series(self) -> TimeSeries:
-        """Per-window total background bytes (Figure 5's traffic curve)."""
-        self._sync()
-        return self._series
-
     def bps_series(self) -> List[tuple[float, float]]:
         """Per-window average bps per peer over time."""
         self._sync()

@@ -64,6 +64,13 @@ class TopologyConfig:
                 "locality_weights must have exactly num_localities entries "
                 f"({len(self.locality_weights)} != {self.num_localities})"
             )
+        if self.locality_weights and (
+            not all(math.isfinite(w) and w >= 0 for w in self.locality_weights)
+            or sum(self.locality_weights) <= 0
+        ):
+            raise ValueError(
+                "locality_weights must be finite, non-negative and sum to a positive value"
+            )
 
     def effective_weights(self) -> Tuple[float, ...]:
         """Return the population weights, defaulting to a skewed distribution.
@@ -77,8 +84,6 @@ class TopologyConfig:
         else:
             weights = tuple(1.0 / (i + 1) for i in range(self.num_localities))
         total = sum(weights)
-        if total <= 0:
-            raise ValueError("locality weights must sum to a positive value")
         return tuple(w / total for w in weights)
 
 

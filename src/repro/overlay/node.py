@@ -28,7 +28,7 @@ directly must call :meth:`ChordNode.invalidate_routing_table` afterwards.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.overlay.idspace import IdSpace
 
@@ -157,20 +157,6 @@ class ChordNode:
             return None
         return self.idspace.closest_in_sorted(key, table[start:stop])
 
-    def closest_preceding(self, key: int) -> int:
-        """Chord's ``closest_preceding_finger``: used by tests to cross-check routing."""
-        best = self.node_id
-        best_distance = self.idspace.clockwise_distance(self.node_id, key)
-        for candidate in self.known_nodes():
-            if candidate == self.node_id:
-                continue
-            if self.idspace.in_interval(candidate, self.node_id, key):
-                distance = self.idspace.clockwise_distance(candidate, key)
-                if distance < best_distance:
-                    best = candidate
-                    best_distance = distance
-        return best
-
 
 def rebuild_routing_state(
     nodes: Dict[int, ChordNode], successor_list_size: int = 4
@@ -211,7 +197,3 @@ def rebuild_routing_state(
         node.predecessor = live_ids[(position - 1) % ring_size]
         node.invalidate_routing_table()
 
-
-def iter_live(nodes: Iterable[ChordNode]) -> Iterable[ChordNode]:
-    """Convenience filter over live nodes."""
-    return (node for node in nodes if node.alive)

@@ -192,6 +192,12 @@ class ScenarioSpec:
                 )
         if len(set(self.systems)) != len(self.systems):
             raise ValueError("systems must not repeat")
+        # NaN and +-inf pass every comparison below (and JSON request bodies
+        # may carry them): a non-finite rate or horizon is a run that never
+        # ends, so reject any, program phases and model params included.
+        non_finite = _first_non_finite(self.to_dict())
+        if non_finite is not None:
+            raise ValueError(f"{non_finite[0]} must be finite, got {non_finite[1]!r}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -417,6 +423,24 @@ class ScenarioSpec:
 
 #: the spec's field names, in declaration order (what ``to_dict`` walks)
 _SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(ScenarioSpec))
+
+
+def _first_non_finite(value: object, path: str = "") -> Optional[Tuple[str, float]]:
+    """The first non-finite float in a document: its path
+    (``program[0].rate_multiplier``) and its value."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}" if path else str(key), item) for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{path}[{index}]", item) for index, item in enumerate(value)]
+    else:
+        return None
+    for item_path, item in items:
+        found = _first_non_finite(item, item_path)
+        if found is not None:
+            return found
+    return None
 
 
 def _freeze_value(value: object) -> object:

@@ -14,12 +14,11 @@ which is what the comparative figures require.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from repro.network.topology import Topology
 from repro.sim.rng import RandomStreams
-from repro.workload.generator import Query
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -74,21 +73,8 @@ class ClientAssigner:
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def clients_of(self, website: str, locality: int) -> List[int]:
-        return list(self._clients.get((website, locality), ()))
-
     def num_clients(self, website: str, locality: int) -> int:
         return len(self._clients.get((website, locality), ()))
-
-    def overlay_full(self, website: str, locality: int) -> bool:
-        return self.num_clients(website, locality) >= self._max_clients
-
-    def total_clients(self) -> int:
-        return sum(len(hosts) for hosts in self._clients.values())
-
-    def reserve_host(self, host_id: int) -> None:
-        """Mark a host as unavailable for client assignment (e.g. a directory peer)."""
-        self._reserved.add(host_id)
 
     def _candidates(self, website: str, locality: int) -> List[int]:
         key = (website, locality)
@@ -103,57 +89,17 @@ class ClientAssigner:
 
     # -- assignment ----------------------------------------------------------------
 
-    def assign(self, query: Query) -> Optional[ResolvedQuery]:
-        """Bind ``query`` to an originating host, or ``None`` if nobody can ask it.
-
-        A new client is used when the query prefers one (or when the overlay
-        has no member yet) and the overlay still has room and the locality
-        still has unused hosts; otherwise an existing client is drawn
-        uniformly.  ``None`` is only returned in the degenerate case of an
-        empty locality.
-        """
-        key = (query.website, query.locality)
-        existing = self._clients.get(key, [])
-        candidates = self._candidates(query.website, query.locality)
-
-        wants_new = query.prefers_new_client or not existing
-        can_add_new = bool(candidates) and len(existing) < self._max_clients
-
-        if wants_new and can_add_new:
-            host = candidates.pop()
-            self._clients.setdefault(key, []).append(host)
-        elif existing:
-            host = self._streams.choice("assign:existing", existing)
-        else:
-            return None
-        return ResolvedQuery(
-            query_id=query.query_id,
-            time=query.time,
-            website=query.website,
-            object_id=query.object_id,
-            locality=query.locality,
-            client_host=host,
-            is_new_client=wants_new and can_add_new,
-        )
-
-    def assign_all(self, queries) -> List[ResolvedQuery]:
-        """Assign a whole trace, silently dropping unassignable queries."""
-        resolved = []
-        for query in queries:
-            bound = self.assign(query)
-            if bound is not None:
-                resolved.append(bound)
-        return resolved
-
     def assign_trace(self, trace):
-        """Array-path :meth:`assign_all`: columns in, columns out.
+        """Bind every query of a trace to an originating host: columns in, columns out.
 
         Consumes a :class:`~repro.workload.trace.QueryTraceArrays` and returns
-        a :class:`~repro.workload.trace.ResolvedTraceArrays` whose
-        materialised queries — and the post-call state of the assignment
-        streams — are bit-identical to running :meth:`assign` per query.
-        Unless a query had to be dropped, the result shares the input's
-        time / website / rank / locality columns instead of copying them.
+        a :class:`~repro.workload.trace.ResolvedTraceArrays`.  A new client is
+        used when the query prefers one (or when the overlay has no member
+        yet) and the overlay still has room and the locality still has
+        unused hosts; otherwise an existing client is drawn uniformly.  A
+        query nobody can ask (an empty locality) is dropped.  Unless a query
+        had to be dropped, the result shares the input's time / website /
+        rank / locality columns instead of copying them.
         """
         from repro.workload.trace import ResolvedTraceArrays
 

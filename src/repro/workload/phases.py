@@ -7,7 +7,8 @@ end_s)`` intervals carrying the effective workload parameters of that slice
 of the run.  The :class:`~repro.workload.generator.QueryGenerator` consumes
 spans directly: arrival rates are modulated per span (exact inhomogeneous
 Poisson via residual rescaling at the boundaries), and the per-query draws of
-a span use that span's Zipf exponent and hotspot rotation.
+a span use that span's Zipf exponent and hotspot rotation.  A stationary run
+is the program of one span, ``PhaseSpan(0.0, duration_s)``.
 
 The compiled representation deliberately lives in the workload layer, below
 :mod:`repro.scenarios`: the generator knows nothing about scenario specs,
@@ -54,50 +55,6 @@ class PhaseSpan:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
-
-    @property
-    def is_default(self) -> bool:
-        """True when the span does not modulate the base workload at all."""
-        return (
-            self.rate_multiplier == 1.0
-            and self.zipf_alpha is None
-            and self.hotspot_rotation == 0
-        )
-
-
-def validate_spans(spans: Sequence[PhaseSpan], duration_s: float) -> Tuple[PhaseSpan, ...]:
-    """Check that ``spans`` tile ``[0, duration_s)`` contiguously.
-
-    Returns the spans as a tuple.  An empty sequence is valid and means "one
-    implicit default span over the whole run".
-    """
-    spans = tuple(spans)
-    if not spans:
-        return spans
-    if spans[0].start_s != 0.0:
-        raise ValueError("the first phase span must start at 0")
-    for previous, current in zip(spans, spans[1:]):
-        if current.start_s != previous.end_s:
-            raise ValueError(
-                f"phase spans must be contiguous: span ending at {previous.end_s} "
-                f"is followed by span starting at {current.start_s}"
-            )
-    if spans[-1].end_s != duration_s:
-        raise ValueError(
-            f"phase spans must cover the whole run: last span ends at "
-            f"{spans[-1].end_s}, run duration is {duration_s}"
-        )
-    return spans
-
-
-def spans_are_trivial(spans: Sequence[PhaseSpan]) -> bool:
-    """True when ``spans`` describe exactly the unmodulated base workload.
-
-    A trivial program — empty, or default spans only — must take the
-    historical single-phase generation path so its random draws (and
-    therefore every committed golden) stay byte-identical.
-    """
-    return all(span.is_default for span in spans)
 
 
 def segment_counts(times: Sequence[float], ends: Sequence[float]) -> Tuple[int, ...]:

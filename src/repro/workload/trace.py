@@ -9,8 +9,9 @@ the same information as parallel ``array`` columns (a few bytes per query);
 a simulated run replays them as scalars (:meth:`ResolvedTraceArrays.replayer`)
 and query objects are materialised only on demand.  They are produced
 by :meth:`repro.workload.generator.QueryGenerator.generate_trace` and
-:meth:`repro.workload.assignment.ClientAssigner.assign_trace`, whose draw
-sequences are bit-identical to the object-path equivalents.
+:meth:`repro.workload.assignment.ClientAssigner.assign_trace`, the one trace
+pipeline; ``tests/reference/workload.py`` holds the per-query reference
+their columns and stream states are tested against.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from repro.workload.generator import Query
 class QueryTraceArrays:
     """A generated workload held as parallel array columns.
 
-    Column-for-column equivalent to the :class:`Query` stream produced by
-    :meth:`~repro.workload.generator.QueryGenerator.generate` — ``query(i)``
-    materialises the identical object — but ~20 bytes per query instead of
-    several hundred.
+    Column-for-column equivalent to a stream of :class:`Query` objects —
+    ``query(i)`` materialises the ``i``-th — but ~20 bytes per query instead
+    of several hundred.
     """
 
     __slots__ = (
@@ -77,7 +77,7 @@ class QueryTraceArrays:
         )
 
     def query(self, index: int) -> Query:
-        """Materialise the ``index``-th query (identical to the object path)."""
+        """Materialise the ``index``-th query."""
         website = self.websites[self.website_index[index]]
         return Query(
             query_id=self.first_query_id + index,

@@ -27,6 +27,14 @@ class TestTopologyConfig:
         with pytest.raises(ValueError):
             TopologyConfig(num_localities=3, locality_weights=(0.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(0.0, 0.0, 0.0), (-1.0, 1.0, 1.0), (1.0, float("nan"), 1.0), (1.0, float("inf"), 1.0)],
+    )
+    def test_rejects_unusable_weights_at_construction(self, weights):
+        with pytest.raises(ValueError, match="locality_weights"):
+            TopologyConfig(num_localities=3, locality_weights=weights)
+
     def test_default_weights_are_normalised_and_skewed(self):
         config = TopologyConfig(num_localities=4)
         weights = config.effective_weights()

@@ -16,9 +16,29 @@ import urllib.request
 from pathlib import Path
 from typing import Dict
 
+import pytest
+
+from repro.scenarios.spec import ScenarioSpec
 from repro.service import ReproService, ServiceConfig
 
 TINY_SPEC = {"name": "tiny", "duration_s": 900.0, "num_hosts": 60}
+
+#: inline-spec overrides that used to be accepted: the first five queued a run
+#: that never ended, the rest failed or misbehaved only at run time
+UNRUNNABLE_SPECS: Dict[str, Dict[str, object]] = {
+    "rate-nan": {"query_rate_per_s": float("nan")},
+    "rate-inf": {"query_rate_per_s": float("inf")},
+    "duration-inf": {"duration_s": float("inf")},
+    "gossip-period-nan": {"gossip_period_s": float("nan")},
+    "phase-rate-nan": {"program": [{"duration_s": None, "rate_multiplier": float("nan")}]},
+    "churn-rate-inf": {"churn": {"content_failures_per_hour": float("inf")}},
+    "model-param-nan": {
+        "churn_model": {"name": "poisson", "params": {"tick_period_s": float("nan")}}
+    },
+    "weights-all-zero": {"locality_weights": [0.0, 0.0, 0.0]},
+    "weights-negative": {"locality_weights": [-1.0, 1.0, 1.0]},
+    "zipf-alpha-negative": {"zipf_alpha": -0.5},
+}
 
 
 def status_of(url: str) -> int:
@@ -137,5 +157,39 @@ def test_a_content_length_that_is_not_a_size_is_400_and_closes(tmp_path: Path) -
             head, _, body = received.partition(b"\r\n\r\n")
             assert head.startswith(b"HTTP/1.1 400 "), (declared, head)
             assert json.loads(body) == {"error": f"invalid Content-Length {declared!r}"}
+    finally:
+        service.stop(drain=False)
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE_SPECS))
+def test_an_unrunnable_spec_is_rejected_by_from_dict(case: str) -> None:
+    with pytest.raises(ValueError):
+        ScenarioSpec.from_dict({**TINY_SPEC, **UNRUNNABLE_SPECS[case]})
+
+
+def test_an_unrunnable_inline_spec_is_400_and_queues_nothing(tmp_path: Path) -> None:
+    def executor(_payload: dict, _execution: dict) -> Dict[str, str]:
+        return {"digest.json": "{}\n"}
+
+    config = ServiceConfig(port=0, workers=1, store_dir=tmp_path / "store", timeout_s=None)
+    service = ReproService(config, executor=executor)
+    service.start()
+    try:
+        for case, overrides in UNRUNNABLE_SPECS.items():
+            # json.dumps writes NaN / Infinity literals, which json.loads accepts.
+            request = urllib.request.Request(
+                service.url + "/runs",
+                data=json.dumps({"spec": {**TINY_SPEC, **overrides}}).encode("utf-8"),
+                method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            try:
+                with urllib.request.urlopen(request, timeout=10) as response:
+                    status, body = int(response.status), response.read()
+            except urllib.error.HTTPError as error:
+                status, body = int(error.code), error.read()
+            assert status == 400, case
+            assert json.loads(body)["error"].startswith("invalid run request: "), case
+        assert service.manager.jobs() == []
     finally:
         service.stop(drain=False)

@@ -22,8 +22,10 @@ import pytest
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.rng import RandomStreams, derive_seed, randbelow_many, sample_rows
 from repro.workload.assignment import ClientAssigner
+from repro.workload.catalog import Catalog, Website
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 from repro.workload.zipf import ZipfSampler
+from tests.reference.workload import ReferenceAssigner, ReferenceWorkload
 
 SEEDS = st.integers(0, 2**32)
 
@@ -104,44 +106,53 @@ def test_sample_many_is_repeated_sample(seed, population, alpha, count):
     assert batched.getstate() == single.getstate()
 
 
-WORKLOAD_STREAMS = (
-    "workload:arrival",
-    "workload:website",
-    "workload:zipf",
-    "workload:locality",
-    "workload:originator",
-)
+def _unequal_catalog():
+    sizes = (50, 31, 77, 50, 12, 64, 40, 50, 9)
+    return Catalog(
+        [Website(name=f"site-{i}.example.org", num_objects=n) for i, n in enumerate(sizes)]
+    )
+
+
+WORKLOAD_VARIANTS = {
+    "stationary": (dict(), None),
+    "weighted-localities": (dict(locality_weights=(5.0, 2.0, 1.0)), None),
+    "unequal-catalogue": (dict(), _unequal_catalog),
+}
 
 
 @pytest.mark.parametrize("arrival", ["poisson", "uniform"])
 @pytest.mark.parametrize("seed", [3, 17, 101])
 def test_generate_and_assign_leave_every_stream_where_the_object_path_does(seed, arrival):
-    config = WorkloadConfig(
-        num_websites=9,
-        active_websites=3,  # not a power of two: the rejection loop rejects
-        objects_per_website=50,
-        num_localities=3,
-        query_rate_per_s=2.5,
-        arrival_process=arrival,
-    )
+    # The reference draws one query at a time through the stdlib calls
+    # (expovariate / choice / randint / random / ZipfSampler.sample); the
+    # trace path must produce the same queries and hosts and leave every
+    # stream in the same state, across a follow-on call at start_time > 0.
     topology = Topology(TopologyConfig(num_hosts=200, num_localities=3), RandomStreams(5))
-    object_streams, array_streams = RandomStreams(seed), RandomStreams(seed)
-    object_gen = QueryGenerator(config, object_streams)
-    array_gen = QueryGenerator(config, array_streams)
-    expected = list(object_gen.generate(900.0))  # expovariate / choice / randint / sample
-    trace = array_gen.generate_trace(900.0)
-    assert list(trace.iter_queries()) == expected
-    for name in WORKLOAD_STREAMS:
-        assert (
-            object_streams.stream(name).getstate() == array_streams.stream(name).getstate()
-        ), name
-
-    kwargs = dict(max_clients_per_overlay=12, reserved_hosts={0, 1})
-    object_assigner = ClientAssigner(topology, object_streams, **kwargs)
-    array_assigner = ClientAssigner(topology, array_streams, **kwargs)
-    resolved = array_assigner.assign_trace(trace)
-    assert list(resolved.iter_queries()) == object_assigner.assign_all(expected)
-    assert (
-        object_streams.stream("assign:existing").getstate()
-        == array_streams.stream("assign:existing").getstate()
-    )
+    for variant, (overrides, catalog) in WORKLOAD_VARIANTS.items():
+        config = WorkloadConfig(
+            num_websites=9,
+            active_websites=3,  # not a power of two: the rejection loop rejects
+            objects_per_website=50,
+            num_localities=3,
+            query_rate_per_s=2.5,
+            arrival_process=arrival,
+            **overrides,
+        )
+        object_streams, array_streams = RandomStreams(seed), RandomStreams(seed)
+        object_gen = ReferenceWorkload(config, object_streams, catalog and catalog())
+        array_gen = QueryGenerator(config, array_streams, catalog and catalog())
+        kwargs = dict(max_clients_per_overlay=12, reserved_hosts={0, 1})
+        object_assigner = ReferenceAssigner(topology, object_streams, **kwargs)
+        array_assigner = ClientAssigner(topology, array_streams, **kwargs)
+        for start_time, duration in ((0.0, 900.0), (900.0, 450.0)):
+            expected = list(object_gen.generate(duration, start_time=start_time))
+            trace = array_gen.generate_trace(duration, start_time=start_time)
+            assert expected and list(trace.iter_queries()) == expected, variant
+            resolved = array_assigner.assign_trace(trace)
+            assert list(resolved.iter_queries()) == object_assigner.assign_all(expected), variant
+            assert object_streams.names() == array_streams.names(), variant
+            for name in object_streams.names():
+                assert (
+                    object_streams.stream(name).getstate()
+                    == array_streams.stream(name).getstate()
+                ), (variant, start_time, name)

@@ -2,21 +2,16 @@
 
 The load-bearing invariant: a *homogeneous* program (every span default, or
 all spans sharing the same modulation) must generate byte-identical draws to
-the single-phase path — phase boundaries may never perturb a trace unless
-the phases actually differ.  That is what keeps every pre-program golden
-valid.
+a stationary run, the program of one span — phase boundaries may never
+perturb a trace unless the phases actually differ.  That is what keeps every
+pre-program golden valid.
 """
 
 import pytest
 
 from repro.sim.rng import RandomStreams
 from repro.workload.generator import QueryGenerator, WorkloadConfig
-from repro.workload.phases import (
-    PhaseSpan,
-    segment_counts,
-    spans_are_trivial,
-    validate_spans,
-)
+from repro.workload.phases import PhaseSpan, segment_counts
 
 CFG = WorkloadConfig(
     num_websites=8,
@@ -52,23 +47,6 @@ class TestPhaseSpan:
             PhaseSpan(start_s=0.0, end_s=1.0, rate_multiplier=0.0)
         with pytest.raises(ValueError, match="hotspot_rotation"):
             PhaseSpan(start_s=0.0, end_s=1.0, hotspot_rotation=-1)
-
-    def test_is_default_and_trivial(self):
-        default = PhaseSpan(0.0, 10.0)
-        assert default.is_default
-        assert spans_are_trivial([default, PhaseSpan(10.0, 20.0)])
-        assert spans_are_trivial([])
-        assert not spans_are_trivial([PhaseSpan(0.0, 10.0, rate_multiplier=2.0)])
-
-    def test_validate_spans_requires_contiguity(self):
-        with pytest.raises(ValueError, match="start at 0"):
-            validate_spans([PhaseSpan(1.0, 10.0)], 10.0)
-        with pytest.raises(ValueError, match="contiguous"):
-            validate_spans([PhaseSpan(0.0, 5.0), PhaseSpan(6.0, 10.0)], 10.0)
-        with pytest.raises(ValueError, match="cover the whole run"):
-            validate_spans([PhaseSpan(0.0, 5.0)], 10.0)
-        spans = validate_spans([PhaseSpan(0.0, 5.0), PhaseSpan(5.0, 10.0)], 10.0)
-        assert len(spans) == 2
 
     def test_segment_counts_boundaries_are_half_open(self):
         times = [0.5, 1.0, 1.5, 2.0, 9.0]

@@ -1,9 +1,10 @@
-"""Array-backed trace generation: bit-identity with the object path.
+"""Array-backed trace generation: bit-identity with the per-query reference.
 
-The paper-scale fast path (``generate_trace`` / ``assign_trace`` /
-``ResolvedTraceArrays.dispatcher``) must be a pure representation change:
-same queries, same hosts, same random-stream states — the committed golden
-digests depend on it.
+The trace pipeline (``generate_trace`` / ``assign_trace`` /
+``ResolvedTraceArrays.replayer``) batches its draws per stream; it must
+produce what the one-query-at-a-time reference in
+``tests/reference/workload.py`` produces: same queries, same hosts, same
+random-stream states — the committed golden digests depend on it.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.assignment import ClientAssigner
 from repro.workload.generator import QueryGenerator, WorkloadConfig
+from tests.reference.workload import ReferenceAssigner, ReferenceWorkload
 
 
 def _config(**overrides):
@@ -28,8 +30,9 @@ def _config(**overrides):
 
 
 def _generators(config, seed=17):
+    """(reference, trace) generators over two registries of the same seed."""
     return (
-        QueryGenerator(config, RandomStreams(seed)),
+        ReferenceWorkload(config, RandomStreams(seed)),
         QueryGenerator(config, RandomStreams(seed)),
     )
 
@@ -51,16 +54,27 @@ class TestGenerateTrace:
         assert len(trace) == len(expected)
         assert list(trace.iter_queries()) == expected
 
-    def test_stream_states_identical_after_generation(self):
+    def test_a_trace_prefix_is_the_reference_batch(self):
+        # Queries never depend on the horizon: the first k of a trace are the
+        # first k queries drawn one at a time.
         object_gen, array_gen = _generators(_config())
+        trace = array_gen.generate_trace(600.0)
+        assert object_gen.generate_batch(100) == list(trace.iter_queries())[:100]
+
+    def test_stream_states_identical_after_generation(self):
+        config = _config()
+        object_streams, array_streams = RandomStreams(17), RandomStreams(17)
+        object_gen = ReferenceWorkload(config, object_streams)
+        array_gen = QueryGenerator(config, array_streams)
         list(object_gen.generate(600.0))
         array_gen.generate_trace(600.0)
-        assert object_gen.queries_generated == array_gen.queries_generated
         for name in STREAMS:
             assert (
-                object_gen._streams.stream(name).random()
-                == array_gen._streams.stream(name).random()
+                object_streams.stream(name).getstate() == array_streams.stream(name).getstate()
             ), name
+        # The horizon-crossing draw advanced the query ids on both sides.
+        follow_on = array_gen.generate_trace(10.0, start_time=600.0)
+        assert follow_on.first_query_id == object_gen.queries_generated
 
     @pytest.mark.parametrize(
         "overrides",
@@ -104,7 +118,7 @@ class TestAssignTrace:
     def _assigners(self, topology, seed=29):
         kwargs = dict(max_clients_per_overlay=15, reserved_hosts={0, 1, 2})
         return (
-            ClientAssigner(topology, RandomStreams(seed), **kwargs),
+            ReferenceAssigner(topology, RandomStreams(seed), **kwargs),
             ClientAssigner(topology, RandomStreams(seed), **kwargs),
         )
 
