@@ -123,7 +123,7 @@ serve:
 service-smoke:
 	$(PYTHON) scripts/service_smoke.py --store service-smoke-store
 
-## determinism/invariant static analysis (rules DET001..DET006, in-tree, no deps)
+## determinism/invariant static analysis (rules DET001..DET007, in-tree, no deps)
 analyze:
 	$(PYTHON) -m repro.cli analyze src
 

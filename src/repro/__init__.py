@@ -38,7 +38,7 @@ point; see ``docs/api.md``)::
 
 from repro.core.config import FlowerConfig, GossipConfig, MessageSizeModel
 from repro.core.system import FlowerCDN
-from repro.core.churn import ChurnConfig, ChurnInjector
+from repro.core.churn import ChurnInjector
 from repro.baselines.squirrel import Squirrel, SquirrelConfig, SquirrelStrategy
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup, RunResult
 from repro.metrics.collectors import MetricsCollector, QueryOutcome, QueryRecord
@@ -64,7 +64,6 @@ __all__ = [
     "GossipConfig",
     "MessageSizeModel",
     "FlowerCDN",
-    "ChurnConfig",
     "ChurnInjector",
     "Squirrel",
     "SquirrelConfig",

@@ -11,7 +11,7 @@ from repro.core.dring import DRing
 from repro.core.directory_peer import DirectoryEntry, DirectoryPeer
 from repro.core.content_peer import ContentPeer, GossipMessage
 from repro.core.system import FlowerCDN
-from repro.core.churn import ChurnConfig, ChurnInjector
+from repro.core.churn import ChurnInjector
 from repro.core.replication import ActiveReplicator, ReplicationConfig
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "ContentPeer",
     "GossipMessage",
     "FlowerCDN",
-    "ChurnConfig",
     "ChurnInjector",
     "ActiveReplicator",
     "ReplicationConfig",

@@ -4,43 +4,36 @@ The paper handles three forms of dynamicity: content-peer failures/leaves
 (detected by ageing and keepalives, Section 5.1), directory failures/leaves
 (repaired by the replacement protocol, Section 5.2) and locality changes
 (Section 5.4).  :class:`ChurnInjector` drives all three against a running
-:class:`~repro.core.system.FlowerCDN` on a configurable schedule so the churn
-ablation benchmark and the resilience example can measure their impact.
+:class:`~repro.core.system.FlowerCDN` at the rates of a :class:`ChurnProfile`
+so the churn ablation benchmark and the resilience example can measure their
+impact; :class:`BurstChurnInjector` fails content peers in periodic bursts
+instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, fields
+from typing import Optional
 
 from repro.core.system import FlowerCDN
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import PeriodicInjector
 
 
 @dataclass(frozen=True)
-class ChurnConfig:
-    """Rates of the different churn events.
+class ChurnProfile:
+    """Churn rates (events per hour over the whole system).
 
-    All rates are events per hour over the whole system; an event picks its
-    victim uniformly among the eligible peers.
+    An event picks its victim uniformly among the eligible peers.
     """
 
     content_failures_per_hour: float = 0.0
     directory_failures_per_hour: float = 0.0
     locality_changes_per_hour: float = 0.0
-    #: how often the injector wakes up to decide whether to inject events
-    tick_period_s: float = 60.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "content_failures_per_hour",
-            "directory_failures_per_hour",
-            "locality_changes_per_hour",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.tick_period_s <= 0:
-            raise ValueError("tick_period_s must be positive")
+        for rate in fields(self):
+            if getattr(self, rate.name) < 0:
+                raise ValueError(f"{rate.name} must be non-negative")
 
     @property
     def is_enabled(self) -> bool:
@@ -60,48 +53,31 @@ class ChurnLogEntry:
     target: str
 
 
-class ChurnInjector:
-    """Injects failures, leaves and locality changes into a running system."""
+class ChurnInjector(PeriodicInjector):
+    """Injects failures, leaves and locality changes into a running system,
+    waking every ``tick_period_s`` to decide how many of each happen."""
 
-    __slots__ = ("_system", "_config", "_process", "log")
+    __slots__ = ("_system", "_profile")
+    name = "churn-injector"
+    jitter_stream = "churn:jitter"
 
-    def __init__(self, system: FlowerCDN, config: ChurnConfig) -> None:
+    def __init__(
+        self, system: FlowerCDN, profile: ChurnProfile, tick_period_s: float = 60.0
+    ) -> None:
+        super().__init__(system.sim, tick_period_s)
         self._system = system
-        self._config = config
-        self._process: Optional[PeriodicProcess] = None
-        self.log: List[ChurnLogEntry] = []
-
-    @property
-    def config(self) -> ChurnConfig:
-        return self._config
-
-    @property
-    def events_injected(self) -> int:
-        return len(self.log)
+        self._profile = profile
 
     def start(self) -> None:
-        """Begin injecting events on the configured tick period."""
-        if not self._config.is_enabled or self._process is not None:
-            return
-        self._process = PeriodicProcess(
-            self._system.sim,
-            self._config.tick_period_s,
-            self._tick,
-            name="churn-injector",
-            jitter_stream="churn:jitter",
-        )
-        self._process.start()
-
-    def stop(self) -> None:
-        if self._process is not None:
-            self._process.stop()
-            self._process = None
+        """Begin injecting events (an idle profile never schedules a tick)."""
+        if self._profile.is_enabled:
+            super().start()
 
     # -- injection -----------------------------------------------------------
 
     def _events_this_tick(self, rate_per_hour: float) -> int:
         """Sample how many events of a given kind happen during one tick."""
-        expected = rate_per_hour * self._config.tick_period_s / 3600.0
+        expected = rate_per_hour * self._period / 3600.0
         count = int(expected)
         remainder = expected - count
         if self._system.sim.streams.random("churn:fraction") < remainder:
@@ -110,17 +86,17 @@ class ChurnInjector:
 
     def _tick(self) -> None:
         sim = self._system.sim
-        for _ in range(self._events_this_tick(self._config.content_failures_per_hour)):
+        for _ in range(self._events_this_tick(self._profile.content_failures_per_hour)):
             victim = self._pick_content_peer()
             if victim is not None and self._system.fail_content_peer(victim):
                 self.log.append(ChurnLogEntry(time=sim.now, kind="content_failure", target=victim))
-        for _ in range(self._events_this_tick(self._config.directory_failures_per_hour)):
+        for _ in range(self._events_this_tick(self._profile.directory_failures_per_hour)):
             pair = self._pick_directory_pair()
             if pair is not None and self._system.fail_directory(*pair):
                 self.log.append(
                     ChurnLogEntry(time=sim.now, kind="directory_failure", target=f"{pair}")
                 )
-        for _ in range(self._events_this_tick(self._config.locality_changes_per_hour)):
+        for _ in range(self._events_this_tick(self._profile.locality_changes_per_hour)):
             victim = self._pick_content_peer()
             if victim is None:
                 continue
@@ -148,3 +124,32 @@ class ChurnInjector:
         if not pairs:
             return None
         return self._system.sim.streams.choice("churn:dir-victim", pairs)
+
+
+class BurstChurnInjector(PeriodicInjector):
+    """Periodic bursts of simultaneous content-peer failures."""
+
+    __slots__ = ("_system", "_burst_size")
+    name = "burst-churn"
+    jitter_stream = "churn:burst-jitter"
+
+    def __init__(self, system: FlowerCDN, period_s: float, burst_size: int) -> None:
+        super().__init__(system.sim, period_s)
+        self._system = system
+        self._burst_size = burst_size
+
+    def _tick(self) -> None:
+        system = self._system
+        alive = system.alive_content_peer_ids()
+        if not alive:
+            return
+        victims = system.sim.streams.sample(
+            "churn:burst-victims", alive, min(self._burst_size, len(alive))
+        )
+        for victim in victims:
+            if system.fail_content_peer(victim):
+                self.log.append(
+                    ChurnLogEntry(
+                        time=system.sim.now, kind="burst_content_failure", target=victim
+                    )
+                )

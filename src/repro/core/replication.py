@@ -27,11 +27,11 @@ measures its effect against the unmodified system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.directory_peer import DirectoryPeer
 from repro.core.system import FlowerCDN
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import PeriodicInjector
 from repro.workload.catalog import ObjectId
 
 
@@ -71,41 +71,30 @@ class ReplicationEvent:
     target_peer: str
 
 
-class ActiveReplicator:
+class ActiveReplicator(PeriodicInjector):
     """Periodically pushes popular objects towards sibling content overlays."""
 
-    __slots__ = ("_system", "_config", "_process", "events")
+    __slots__ = ("_system", "_config")
+    name = "active-replication"
+    jitter_stream = "replication:jitter"
 
     def __init__(self, system: FlowerCDN, config: ReplicationConfig | None = None) -> None:
-        self._system = system
         self._config = config or ReplicationConfig()
-        self._process: Optional[PeriodicProcess] = None
-        self.events: List[ReplicationEvent] = []
+        super().__init__(system.sim, self._config.period_s)
+        self._system = system
 
     @property
     def config(self) -> ReplicationConfig:
         return self._config
 
     @property
+    def events(self) -> List[ReplicationEvent]:
+        """Every object pushed so far, in order (the injector's log)."""
+        return self.log
+
+    @property
     def replications_performed(self) -> int:
-        return len(self.events)
-
-    def start(self) -> None:
-        if self._process is not None:
-            return
-        self._process = PeriodicProcess(
-            self._system.sim,
-            self._config.period_s,
-            self._tick,
-            name="active-replication",
-            jitter_stream="replication:jitter",
-        )
-        self._process.start()
-
-    def stop(self) -> None:
-        if self._process is not None:
-            self._process.stop()
-            self._process = None
+        return len(self.log)
 
     # -- one replication round ---------------------------------------------------------
 
@@ -159,7 +148,7 @@ class ActiveReplicator:
                 continue
             receiver.store_object(object_id)
             target.register_client(receiver.peer_id, object_id)
-            self.events.append(
+            self.log.append(
                 ReplicationEvent(
                     time=system.sim.now,
                     website=source.website,

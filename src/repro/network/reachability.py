@@ -364,6 +364,14 @@ class LinkLoss(ReachabilityModel):
         stream: random.Random,
         kinds: Tuple[str, ...] = (),
     ) -> None:
+        self.validate(drop_probability, kinds)
+        self._drop_probability = drop_probability
+        self._stream = stream
+        self._kinds = frozenset(kinds)
+
+    @staticmethod
+    def validate(drop_probability: float, kinds: Tuple[str, ...]) -> None:
+        """Raise ``ValueError`` unless these are a probability and known kinds."""
         if not 0.0 <= drop_probability <= 1.0:
             raise ValueError("drop_probability must be in [0, 1]")
         for kind in kinds:
@@ -371,9 +379,6 @@ class LinkLoss(ReachabilityModel):
                 raise ValueError(
                     f"unknown message kind {kind!r}; expected one of {MESSAGE_KINDS}"
                 )
-        self._drop_probability = drop_probability
-        self._stream = stream
-        self._kinds = frozenset(kinds)
 
     def allows(self, kind, src_host, dst_host, src_id, dst_id, now) -> bool:
         if self._kinds and kind not in self._kinds:

@@ -4,11 +4,10 @@ A :class:`~repro.scenarios.spec.ScenarioSpec` names its dynamicity as
 declarative values: a **churn model** (sustained, rate-driven background
 dynamics — the Section 5 regime) and a **fault model** (discrete, scheduled
 disturbance events such as a correlated locality outage).  Both are resolved
-through registries, entry-point style like the simulator's
-``KNOWN_QUEUE_BACKENDS``: a model is registered under a name, a spec refers
-to it with a :class:`ModelRef` (name + frozen parameters), and the
-:class:`~repro.session.Session` builds and attaches the model's injector to
-the live system at run time.
+through a :class:`ModelRegistry` each, entry-point style: a model is
+registered under a name, a spec refers to it with a :class:`ModelRef` (name +
+frozen parameters), and the :class:`~repro.session.Session` builds and
+attaches the model's injector to the live system at run time.
 
 Model protocol
 --------------
@@ -19,6 +18,10 @@ A model class is constructed from the ``ModelRef`` parameters and exposes::
 
 where the returned injector has ``start()`` / ``stop()`` (and, by
 convention, a ``log`` of :class:`~repro.core.churn.ChurnLogEntry` records).
+The built-in injectors come in two shapes: a
+:class:`~repro.sim.process.PeriodicInjector` ticking on one jittered process
+(``poisson``, ``burst``) and a :class:`ScheduledInjector` firing callbacks at
+fixed times around an optional reachability model (every fault model).
 Returning ``None`` means "this model injects nothing for this spec" — the
 run then carries zero scheduling or random-stream overhead, which is what
 keeps pre-program goldens byte-identical.
@@ -28,6 +31,8 @@ promises that attaching it to each website's flower on its own (one *block*
 of :mod:`repro.core.sharding` at a time) reproduces the undivided run — no
 draw from a stream shared across websites, no victim picked from a global
 list.  A model without the method keeps the run one whole-catalogue block.
+A model aimed at localities defines ``check_spec(self, spec)``, which the
+spec calls when it is built to reject a locality it does not have.
 
 Registering a custom model (e.g. from a test or a plugin)::
 
@@ -45,22 +50,22 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.core.system import FlowerCDN
     from repro.scenarios.spec import ScenarioSpec
 
-from repro.core.churn import ChurnInjector, ChurnLogEntry
+from repro.core.churn import BurstChurnInjector, ChurnInjector, ChurnLogEntry
 from repro.network.reachability import (
-    MESSAGE_KINDS,
     HostOutage,
     LinkLoss,
     LocalityPartition,
     ReachabilityModel,
 )
-from repro.sim.process import PeriodicProcess
+
 
 class Injector(Protocol):
     """What ``attach`` returns when a model has work to do: a start/stop
@@ -107,99 +112,89 @@ class ModelRef:
 
 # -- registries ---------------------------------------------------------------
 
-_CHURN_MODELS: Dict[str, ModelFactory] = {}
-_FAULT_MODELS: Dict[str, ModelFactory] = {}
-#: a registered factory's signature, taken when ``_build`` first needs it
+#: a registered factory's signature, taken when ``build`` first needs it
 _SIGNATURES: Dict[object, inspect.Signature] = {}
 
 
-def register_churn_model(
-    name: str, factory: Optional[ModelFactory] = None, *, overwrite: bool = False
-) -> ModelFactory:
-    """Register a churn-model factory (usable as a decorator)."""
-    return _register(_CHURN_MODELS, "churn", name, factory, overwrite)
+class ModelRegistry:
+    """The model factories of one kind (``"churn"`` or ``"fault"``) by name."""
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self._factories: Dict[str, ModelFactory] = {}
+
+    def register(
+        self, name: str, factory: Optional[ModelFactory] = None, *, overwrite: bool = False
+    ) -> ModelFactory:
+        """Register a model factory (usable as a decorator)."""
+
+        def add(target: Callable) -> Callable:
+            if name in self._factories and not overwrite:
+                raise ValueError(f"{self.kind} model {name!r} is already registered")
+            _SIGNATURES.pop(self._factories.get(name), None)
+            self._factories[name] = target
+            return target
+
+        return add if factory is None else add(factory)
+
+    def unregister(self, name: str) -> None:
+        _SIGNATURES.pop(self._factories.pop(name, None), None)
+
+    def names(self) -> List[str]:
+        return sorted(self._factories)
+
+    def factories(self) -> Dict[str, ModelFactory]:
+        """Registered factories by name (for discovery/CLI listings)."""
+        return dict(sorted(self._factories.items()))
+
+    def build(self, ref: ModelRef) -> object:
+        try:
+            factory = self._factories[ref.name]
+        except KeyError:
+            known = ", ".join(sorted(self._factories))
+            raise ValueError(
+                f"unknown {self.kind} model {ref.name!r}; registered models: {known}"
+            ) from None
+        # Reject mismatched parameters against the factory signature *before*
+        # calling it, so a TypeError raised inside a (possibly third-party)
+        # constructor surfaces as the genuine bug it is instead of being
+        # misreported as a ModelRef-argument mistake.
+        try:
+            signature = _SIGNATURES.get(factory)
+            if signature is None:
+                signature = _SIGNATURES[factory] = inspect.signature(factory)
+            signature.bind(**ref.kwargs)
+        except TypeError as error:
+            raise ValueError(
+                f"invalid parameters for {self.kind} model {ref.name!r}: {error}"
+            ) from None
+        return factory(**ref.kwargs)
 
 
-def register_fault_model(
-    name: str, factory: Optional[ModelFactory] = None, *, overwrite: bool = False
-) -> ModelFactory:
-    """Register a fault-model factory (usable as a decorator)."""
-    return _register(_FAULT_MODELS, "fault", name, factory, overwrite)
+CHURN_MODELS = ModelRegistry("churn")
+FAULT_MODELS = ModelRegistry("fault")
+
+register_churn_model = CHURN_MODELS.register
+unregister_churn_model = CHURN_MODELS.unregister
+churn_model_names = CHURN_MODELS.names
+churn_model_factories = CHURN_MODELS.factories
+build_churn_model = CHURN_MODELS.build
+
+register_fault_model = FAULT_MODELS.register
+unregister_fault_model = FAULT_MODELS.unregister
+fault_model_names = FAULT_MODELS.names
+fault_model_factories = FAULT_MODELS.factories
+build_fault_model = FAULT_MODELS.build
 
 
-def _register(
-    registry: Dict[str, ModelFactory],
-    kind: str,
-    name: str,
-    factory: Optional[ModelFactory],
-    overwrite: bool,
-) -> ModelFactory:
-    def add(target: Callable) -> Callable:
-        if name in registry and not overwrite:
-            raise ValueError(f"{kind} model {name!r} is already registered")
-        _SIGNATURES.pop(registry.get(name), None)
-        registry[name] = target
-        return target
-
-    return add if factory is None else add(factory)
-
-
-def unregister_churn_model(name: str) -> None:
-    _SIGNATURES.pop(_CHURN_MODELS.pop(name, None), None)
-
-
-def unregister_fault_model(name: str) -> None:
-    _SIGNATURES.pop(_FAULT_MODELS.pop(name, None), None)
-
-
-def churn_model_names() -> List[str]:
-    return sorted(_CHURN_MODELS)
-
-
-def fault_model_names() -> List[str]:
-    return sorted(_FAULT_MODELS)
-
-
-def churn_model_factories() -> Dict[str, ModelFactory]:
-    """Registered churn-model factories by name (for discovery/CLI listings)."""
-    return dict(sorted(_CHURN_MODELS.items()))
-
-
-def fault_model_factories() -> Dict[str, ModelFactory]:
-    """Registered fault-model factories by name (for discovery/CLI listings)."""
-    return dict(sorted(_FAULT_MODELS.items()))
-
-
-def build_churn_model(ref: ModelRef) -> object:
-    return _build(_CHURN_MODELS, "churn", ref)
-
-
-def build_fault_model(ref: ModelRef) -> object:
-    return _build(_FAULT_MODELS, "fault", ref)
-
-
-def _build(registry: Dict[str, ModelFactory], kind: str, ref: ModelRef) -> object:
-    try:
-        factory = registry[ref.name]
-    except KeyError:
-        known = ", ".join(sorted(registry))
+def _check_localities(spec: "ScenarioSpec", localities: Tuple[int, ...]) -> None:
+    """Reject a target locality the spec does not have (it would inject nothing)."""
+    missing = [locality for locality in localities if locality >= spec.num_localities]
+    if missing:
         raise ValueError(
-            f"unknown {kind} model {ref.name!r}; registered models: {known}"
-        ) from None
-    # Reject mismatched parameters against the factory signature *before*
-    # calling it, so a TypeError raised inside a (possibly third-party)
-    # constructor surfaces as the genuine bug it is instead of being
-    # misreported as a ModelRef-argument mistake.
-    try:
-        signature = _SIGNATURES.get(factory)
-        if signature is None:
-            signature = _SIGNATURES[factory] = inspect.signature(factory)
-        signature.bind(**ref.kwargs)
-    except TypeError as error:
-        raise ValueError(
-            f"invalid parameters for {kind} model {ref.name!r}: {error}"
-        ) from None
-    return factory(**ref.kwargs)
+            f"locality {missing[0]} is out of range: the spec has "
+            f"{spec.num_localities} localities (0..{spec.num_localities - 1})"
+        )
 
 
 # -- built-in churn models ----------------------------------------------------
@@ -232,59 +227,14 @@ class PoissonChurn:
         self.tick_period_s = tick_period_s
 
     def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
-        config = spec.churn.to_config()
-        if config is None:
+        if not spec.churn.is_enabled:
             return None
-        if self.tick_period_s is not None:
-            config = replace(config, tick_period_s=self.tick_period_s)
-        return ChurnInjector(system, config)
+        if self.tick_period_s is None:
+            return ChurnInjector(system, spec.churn)
+        return ChurnInjector(system, spec.churn, self.tick_period_s)
 
     def website_separable(self, spec: "ScenarioSpec") -> bool:
         return not spec.churn.is_enabled  # an idle profile attaches nothing
-
-
-class BurstChurnInjector:
-    """Periodic bursts of simultaneous content-peer failures."""
-
-    def __init__(self, system: "FlowerCDN", period_s: float, burst_size: int) -> None:
-        self._system = system
-        self._period_s = period_s
-        self._burst_size = burst_size
-        self._process: Optional[PeriodicProcess] = None
-        self.log: List[ChurnLogEntry] = []
-
-    def start(self) -> None:
-        if self._process is not None:
-            return
-        self._process = PeriodicProcess(
-            self._system.sim,
-            self._period_s,
-            self._tick,
-            name="burst-churn",
-            jitter_stream="churn:burst-jitter",
-        )
-        self._process.start()
-
-    def stop(self) -> None:
-        if self._process is not None:
-            self._process.stop()
-            self._process = None
-
-    def _tick(self) -> None:
-        system = self._system
-        alive = system.alive_content_peer_ids()
-        if not alive:
-            return
-        victims = system.sim.streams.sample(
-            "churn:burst-victims", alive, min(self._burst_size, len(alive))
-        )
-        for victim in victims:
-            if system.fail_content_peer(victim):
-                self.log.append(
-                    ChurnLogEntry(
-                        time=system.sim.now, kind="burst_content_failure", target=victim
-                    )
-                )
 
 
 @register_churn_model("burst")
@@ -319,39 +269,57 @@ class NoFaults:
         return True
 
 
-@dataclass
-class ScheduledFaultInjector:
-    """Fires one callback at an absolute simulation time (optionally repeating)."""
+#: what a scheduled injector fires: called with the injector's log to append to
+Fire = Callable[[List[ChurnLogEntry]], None]
 
-    system: object
-    at_s: float
-    fire: Callable[[], None]
-    repeat_every_s: Optional[float] = None
-    _events: list = field(default_factory=list)
-    log: List[ChurnLogEntry] = field(default_factory=list)
+
+class ScheduledInjector:
+    """Fires ``(time, callback)`` pairs at absolute simulation times, with a
+    :class:`~repro.network.reachability.ReachabilityModel` (when given)
+    attached to the system from start to stop.
+
+    A callback is handed the injector's ``log`` rather than closing over the
+    injector: that closure would be a cycle that keeps the whole system out
+    of reach of reference counting after the run.
+    """
+
+    def __init__(
+        self,
+        system: "FlowerCDN",
+        fires: Sequence[Tuple[float, Fire]],
+        model: Optional[ReachabilityModel] = None,
+    ) -> None:
+        self._system = system
+        self._fires = tuple(fires)
+        self.model = model
+        self._events: list = []
+        self.log: List[ChurnLogEntry] = []
 
     def start(self) -> None:
-        sim = self.system.sim
-        if self.repeat_every_s is None:
-            self._events.append(sim.at(self.at_s, self.fire, label="fault"))
-            return
-        # Repeat until the run's horizon: the simulator's end_time when set,
-        # otherwise the configured run duration (harnesses that drive
-        # `sim.run(until=...)` without an end_time must not silently lose
-        # every repeat occurrence).
-        horizon = sim.end_time
-        if horizon is None:
-            horizon = self.system.config.simulation_duration_s
-        time = self.at_s
-        while time <= horizon:
-            self._events.append(sim.at(time, self.fire, label="fault"))
-            time += self.repeat_every_s
+        system = self._system
+        if self.model is not None:
+            system.attach_reachability(self.model)
+        for time, fire in self._fires:
+            self._events.append(system.sim.at(time, partial(fire, self.log), label="fault"))
 
     def stop(self) -> None:
         for event in self._events:
             if not event.cancelled:
-                self.system.sim.cancel(event)
+                self._system.sim.cancel(event)
         self._events.clear()
+        if self.model is not None:
+            self._system.detach_reachability()
+
+
+def _reconcile(
+    system: "FlowerCDN", localities: Tuple[int, ...], log: List[ChurnLogEntry]
+) -> None:
+    """An explicit post-heal reconciliation round (:meth:`FlowerCDN.reconcile`)."""
+    system.reconcile(localities)
+    target = ",".join(str(loc) for loc in localities)
+    log.append(
+        ChurnLogEntry(time=system.sim.now, kind="partition_heal_reconcile", target=target)
+    )
 
 
 @register_fault_model("correlated-locality")
@@ -385,18 +353,26 @@ class CorrelatedLocalityFaults:
         self.include_directories = include_directories
         self.repeat_every_s = repeat_every_s
 
+    def check_spec(self, spec: "ScenarioSpec") -> None:
+        _check_localities(spec, (self.locality,))
+
     def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
-        # The callback writes the log it is handed, not ``injector.log``: a
-        # closure over the injector would be a cycle that keeps the whole
-        # system out of reach of reference counting after the run.
-        log: List[ChurnLogEntry] = []
-        return ScheduledFaultInjector(
-            system=system,
-            at_s=self.at_fraction * system.config.simulation_duration_s,
-            fire=lambda: self._fire(system, log),
-            repeat_every_s=self.repeat_every_s,
-            log=log,
-        )
+        time = self.at_fraction * system.config.simulation_duration_s
+        times = [time]
+        if self.repeat_every_s is not None:
+            # Repeat until the run's horizon: the simulator's end_time when
+            # set, otherwise the configured run duration (harnesses that drive
+            # `sim.run(until=...)` without an end_time must not silently lose
+            # every repeat occurrence).
+            horizon = system.sim.end_time
+            if horizon is None:
+                horizon = system.config.simulation_duration_s
+            times = []
+            while time <= horizon:
+                times.append(time)
+                time += self.repeat_every_s
+        fire = partial(self._fire, system)
+        return ScheduledInjector(system, [(time, fire) for time in times])
 
     def _fire(self, system: "FlowerCDN", log: List[ChurnLogEntry]) -> None:
         sim = system.sim
@@ -424,59 +400,6 @@ class CorrelatedLocalityFaults:
 
 
 # -- reachability-backed fault models ------------------------------------------
-
-
-class ReachabilityInjector:
-    """Attaches a :class:`~repro.network.reachability.ReachabilityModel` to
-    the live system for the duration of a run, optionally scheduling explicit
-    post-heal reconciliation rounds (:meth:`FlowerCDN.reconcile`) at given
-    simulation times.
-    """
-
-    def __init__(
-        self,
-        system: "FlowerCDN",
-        model: ReachabilityModel,
-        reconcile_at: Tuple[float, ...] = (),
-        localities: Optional[Tuple[int, ...]] = None,
-    ) -> None:
-        self._system = system
-        self._model = model
-        self._reconcile_at = tuple(reconcile_at)
-        self._localities = localities
-        self._events: list = []
-        self.log: List[ChurnLogEntry] = []
-
-    @property
-    def model(self) -> ReachabilityModel:
-        return self._model
-
-    def start(self) -> None:
-        system = self._system
-        system.attach_reachability(self._model)
-        for time in self._reconcile_at:
-            self._events.append(system.sim.at(time, self._reconcile, label="fault"))
-
-    def _reconcile(self) -> None:
-        system = self._system
-        system.reconcile(self._localities)
-        target = (
-            ",".join(str(loc) for loc in self._localities)
-            if self._localities is not None
-            else "all"
-        )
-        self.log.append(
-            ChurnLogEntry(
-                time=system.sim.now, kind="partition_heal_reconcile", target=target
-            )
-        )
-
-    def stop(self) -> None:
-        for event in self._events:
-            if not event.cancelled:
-                self._system.sim.cancel(event)
-        self._events.clear()
-        self._system.detach_reachability()
 
 
 @register_fault_model("locality-partition")
@@ -513,6 +436,9 @@ class LocalityPartitionFault:
         self.asymmetric = asymmetric
         self.reconcile_on_heal = reconcile_on_heal
 
+    def check_spec(self, spec: "ScenarioSpec") -> None:
+        _check_localities(spec, self.localities)
+
     def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
         duration = system.config.simulation_duration_s
         start = self.at_fraction * duration
@@ -523,43 +449,13 @@ class LocalityPartitionFault:
             locality_of=system.topology.locality_of,
             asymmetric=self.asymmetric,
         )
-        reconcile_at = (end,) if self.reconcile_on_heal and end < duration else ()
-        return ReachabilityInjector(
-            system, model, reconcile_at=reconcile_at, localities=self.localities
-        )
+        fires = []
+        if self.reconcile_on_heal and end < duration:
+            fires.append((end, partial(_reconcile, system, self.localities)))
+        return ScheduledInjector(system, fires, model)
 
     def website_separable(self, spec: "ScenarioSpec") -> bool:
         return True  # windows and the partition test are pure functions of the clock
-
-
-@register_fault_model("gossip-loss")
-class GossipLoss:
-    """Probabilistic gossip-message loss: each attempted gossip exchange is
-    dropped in transit with ``drop_probability`` — the lossy-network regime
-    the paper's reliable-delivery assumption glosses over.  Knowledge then
-    disseminates only through the surviving exchanges, stressing the same
-    view/summary machinery as ``gossip-starved`` but stochastically.
-
-    It is ``link-loss`` restricted to the ``"gossip"`` kind, drawing from its
-    own ``"fault:gossip-loss"`` stream; drops and deliveries are counted in
-    the system's ``delivery_stats``.
-    """
-
-    def __init__(self, drop_probability: float = 0.2) -> None:
-        if not 0.0 <= drop_probability <= 1.0:
-            raise ValueError("drop_probability must be in [0, 1]")
-        self.drop_probability = drop_probability
-
-    def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
-        if self.drop_probability == 0.0:
-            # No loss means no filter and no stream draws: the run stays
-            # byte-identical to the "none" fault model.
-            return None
-        stream = system.sim.streams.stream("fault:gossip-loss")
-        model = LinkLoss(self.drop_probability, stream, kinds=("gossip",))
-        # No resilience block: the gossip-lossy golden predates it.
-        model.emits_metrics = False
-        return ReachabilityInjector(system, model)
 
 
 @register_fault_model("link-loss")
@@ -571,17 +467,16 @@ class LinkLossFault:
     replication — from the dedicated ``"fault:link-loss"`` stream.
     """
 
+    #: the random stream the drops draw from
+    stream = "fault:link-loss"
+    #: whether the run reports the ``resilience_*`` block for the loss
+    emits_metrics = True
+
     def __init__(
         self, drop_probability: float = 0.05, kinds: Tuple[str, ...] = ()
     ) -> None:
-        if not 0.0 <= drop_probability <= 1.0:
-            raise ValueError("drop_probability must be in [0, 1]")
         kinds = tuple(kinds)
-        unknown = [kind for kind in kinds if kind not in MESSAGE_KINDS]
-        if unknown:
-            raise ValueError(
-                f"unknown message kind(s) {unknown}; known kinds: {MESSAGE_KINDS}"
-            )
+        LinkLoss.validate(drop_probability, kinds)
         self.drop_probability = drop_probability
         self.kinds = kinds
 
@@ -590,9 +485,31 @@ class LinkLossFault:
             # No loss means no gate and no stream draws: the run stays
             # byte-identical to the "none" fault model.
             return None
-        stream = system.sim.streams.stream("fault:link-loss")
+        stream = system.sim.streams.stream(self.stream)
         model = LinkLoss(self.drop_probability, stream, self.kinds)
-        return ReachabilityInjector(system, model)
+        model.emits_metrics = self.emits_metrics
+        return ScheduledInjector(system, (), model)
+
+
+@register_fault_model("gossip-loss")
+class GossipLoss(LinkLossFault):
+    """Probabilistic gossip-message loss: each attempted gossip exchange is
+    dropped in transit with ``drop_probability`` — the lossy-network regime
+    the paper's reliable-delivery assumption glosses over.  Knowledge then
+    disseminates only through the surviving exchanges, stressing the same
+    view/summary machinery as ``gossip-starved`` but stochastically.
+
+    It is ``link-loss`` restricted to the ``"gossip"`` kind, drawing from its
+    own ``"fault:gossip-loss"`` stream; drops and deliveries are counted in
+    the system's ``delivery_stats``.
+    """
+
+    stream = "fault:gossip-loss"
+    # No resilience block: the gossip-lossy golden predates it.
+    emits_metrics = False
+
+    def __init__(self, drop_probability: float = 0.2) -> None:
+        super().__init__(drop_probability, kinds=("gossip",))
 
 
 @register_fault_model("cascading-directory-failures")
@@ -631,6 +548,9 @@ class CascadingDirectoryFailures:
         self.locality = locality
         self.reconcile_on_heal = reconcile_on_heal
 
+    def check_spec(self, spec: "ScenarioSpec") -> None:
+        _check_localities(spec, (self.locality,))
+
     def attach(self, system: "FlowerCDN", spec: "ScenarioSpec") -> Optional[Injector]:
         duration = system.config.simulation_duration_s
         start = self.start_fraction * duration
@@ -654,7 +574,7 @@ class CascadingDirectoryFailures:
             return None
         model = HostOutage(tuple(windows))
         heal = max(end for _, _, end in windows)
-        reconcile_at = (heal,) if self.reconcile_on_heal and heal < duration else ()
-        return ReachabilityInjector(
-            system, model, reconcile_at=reconcile_at, localities=(self.locality,)
-        )
+        fires = []
+        if self.reconcile_on_heal and heal < duration:
+            fires.append((heal, partial(_reconcile, system, (self.locality,))))
+        return ScheduledInjector(system, fires, model)

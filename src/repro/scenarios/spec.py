@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.baselines.squirrel import SquirrelConfig
-from repro.core.churn import ChurnConfig
+from repro.core.churn import ChurnProfile
 from repro.core.config import HOUR, MINUTE, FlowerConfig, GossipConfig
 from repro.experiments.driver import ExperimentSetup
 from repro.network.topology import TopologyConfig
@@ -45,43 +45,7 @@ KNOWN_TIERS = ("standard", "paper-scale")
 KNOWN_QUEUE_BACKENDS = ("heap", "calendar")
 #: DHT substrates the D-ring layer can run on (see repro.core.dring)
 KNOWN_DHT_SUBSTRATES = ("chord", "pastry")
-_CHURN_RATES = (
-    "content_failures_per_hour",
-    "directory_failures_per_hour",
-    "locality_changes_per_hour",
-)
-
-
-@dataclass(frozen=True)
-class ChurnProfile:
-    """Churn rates of a scenario (events per hour over the whole system)."""
-
-    content_failures_per_hour: float = 0.0
-    directory_failures_per_hour: float = 0.0
-    locality_changes_per_hour: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in _CHURN_RATES:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-    @property
-    def is_enabled(self) -> bool:
-        return (
-            self.content_failures_per_hour > 0
-            or self.directory_failures_per_hour > 0
-            or self.locality_changes_per_hour > 0
-        )
-
-    def to_config(self) -> Optional[ChurnConfig]:
-        """The injector configuration, or ``None`` when the profile is idle."""
-        if not self.is_enabled:
-            return None
-        return ChurnConfig(
-            content_failures_per_hour=self.content_failures_per_hour,
-            directory_failures_per_hour=self.directory_failures_per_hour,
-            locality_changes_per_hour=self.locality_changes_per_hour,
-        )
+_CHURN_RATES = tuple(rate.name for rate in fields(ChurnProfile))
 
 
 @dataclass(frozen=True)
@@ -227,10 +191,13 @@ class ScenarioSpec:
                 raise ValueError("churn models only apply to 'flower' scenarios")
             if self.fault_model.name != DEFAULT_FAULT_MODEL:
                 raise ValueError("fault models only apply to 'flower' scenarios")
-        # Resolve the model references eagerly so an unknown model name or a
-        # bad parameter fails at construction time, not mid-run.
-        build_churn_model(self.churn_model)
-        build_fault_model(self.fault_model)
+        # Resolve the model references eagerly so an unknown model name, a
+        # bad parameter or a locality the spec lacks fails at construction
+        # time, not mid-run (or, worse, as a run that injects nothing).
+        for model in (build_churn_model(self.churn_model), build_fault_model(self.fault_model)):
+            check_spec = getattr(model, "check_spec", None)
+            if check_spec is not None:
+                check_spec(self)
         # Compile the program eagerly: phases must tile [0, duration_s).
         self.compiled_program()
         # The remaining fields are validated by the config objects they feed

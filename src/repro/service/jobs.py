@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.sharding import inseparable_reason
 from repro.scenarios.artifacts import run_documents
 from repro.scenarios.parallel import TaskError, default_jobs
 from repro.scenarios.spec import ScenarioSpec
@@ -126,6 +127,11 @@ def canonical_scenario_payload(
     resolved_shards = spec.shards if shards is None else shards
     if resolved_shards < 1:
         raise ValueError("shards must be >= 1")
+    if resolved_shards > 1:
+        # Refuse now what the worker would fail on: blocks to place.
+        reason = inseparable_reason(spec)
+        if reason is not None:
+            raise ValueError(reason)
     return {
         "kind": "scenario",
         "spec": document,

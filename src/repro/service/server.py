@@ -30,6 +30,7 @@ cheap bookkeeping only, all heavy work happens in the
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 from dataclasses import dataclass, field
@@ -271,11 +272,10 @@ class ReproService:
                 scale=1.0 if scale is None else scale,
                 shards=_opt_int(document, "shards"),
             )
-        except (KeyError, TypeError, ValueError) as error:
+            timeout_s = _opt_timeout(document)
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ApiError(400, f"invalid run request: {_error_text(error)}") from None
-        return self._enqueue(
-            payload, label=spec.name, timeout_s=_opt_float(document, "timeout_s")
-        )
+        return self._enqueue(payload, label=spec.name, timeout_s=timeout_s)
 
     def _submit_sweep(self, body: bytes) -> Tuple[int, Dict[str, str], object]:
         document = _parse_json_object(body)
@@ -290,15 +290,11 @@ class ReproService:
                 scale=1.0 if scale is None else scale,
             )
             jobs = _opt_int(document, "jobs")
-        except (KeyError, TypeError, ValueError) as error:
+            timeout_s = _opt_timeout(document)
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ApiError(400, f"invalid sweep request: {_error_text(error)}") from None
         execution = {} if jobs is None else {"jobs": jobs}
-        return self._enqueue(
-            payload,
-            label=name,
-            execution=execution,
-            timeout_s=_opt_float(document, "timeout_s"),
-        )
+        return self._enqueue(payload, label=name, execution=execution, timeout_s=timeout_s)
 
     def _enqueue(
         self,
@@ -579,7 +575,18 @@ def _opt_float(document: Dict[str, object], key: str) -> Optional[float]:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key!r} must be a number")
-    return float(value)
+    number = float(value)  # (a huge integer raises OverflowError: a 400 as well)
+    # JSON bodies may carry NaN / Infinity: neither is a scale or a deadline.
+    if not math.isfinite(number):
+        raise ValueError(f"{key!r} must be finite, got {number!r}")
+    return number
+
+
+def _opt_timeout(document: Dict[str, object]) -> Optional[float]:
+    timeout_s = _opt_float(document, "timeout_s")
+    if timeout_s is not None and timeout_s <= 0:
+        raise ValueError(f"'timeout_s' must be positive, got {timeout_s!r}")
+    return timeout_s
 
 
 def _error_text(error: BaseException) -> str:

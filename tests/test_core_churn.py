@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.churn import ChurnConfig, ChurnInjector
+from repro.core.churn import ChurnInjector, ChurnProfile
 from repro.core.config import FlowerConfig, GossipConfig
 from repro.core.system import FlowerCDN
 from repro.network.topology import Topology, TopologyConfig
@@ -51,23 +51,29 @@ def populate(system: FlowerCDN, count: int = 6) -> None:
         )
 
 
-class TestChurnConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChurnConfig(content_failures_per_hour=-1)
-        with pytest.raises(ValueError):
-            ChurnConfig(tick_period_s=0)
+class TestChurnProfile:
+    def test_validation(self, system):
+        for rate in ("content", "directory"):
+            with pytest.raises(ValueError, match=f"{rate}_failures_per_hour"):
+                ChurnProfile(**{f"{rate}_failures_per_hour": -1})
+        with pytest.raises(ValueError, match="locality_changes_per_hour"):
+            ChurnProfile(locality_changes_per_hour=-1)
+        # The tick period is the injector's process period, checked there.
+        for period in (0.0, -60.0):
+            injector = ChurnInjector(system, ChurnProfile(content_failures_per_hour=1.0), period)
+            with pytest.raises(ValueError, match="period must be positive"):
+                injector.start()
 
     def test_is_enabled(self):
-        assert not ChurnConfig().is_enabled
-        assert ChurnConfig(content_failures_per_hour=1.0).is_enabled
-        assert ChurnConfig(directory_failures_per_hour=1.0).is_enabled
-        assert ChurnConfig(locality_changes_per_hour=1.0).is_enabled
+        assert not ChurnProfile().is_enabled
+        assert ChurnProfile(content_failures_per_hour=1.0).is_enabled
+        assert ChurnProfile(directory_failures_per_hour=1.0).is_enabled
+        assert ChurnProfile(locality_changes_per_hour=1.0).is_enabled
 
 
 class TestChurnInjector:
     def test_disabled_injector_never_starts(self, system):
-        injector = ChurnInjector(system, ChurnConfig())
+        injector = ChurnInjector(system, ChurnProfile())
         injector.start()
         system.sim.run(until=600.0)
         assert injector.events_injected == 0
@@ -75,7 +81,7 @@ class TestChurnInjector:
     def test_content_failures_are_injected(self, system):
         populate(system)
         injector = ChurnInjector(
-            system, ChurnConfig(content_failures_per_hour=120.0, tick_period_s=60.0)
+            system, ChurnProfile(content_failures_per_hour=120.0), tick_period_s=60.0
         )
         injector.start()
         system.sim.run(until=1800.0)
@@ -89,7 +95,7 @@ class TestChurnInjector:
         populate(system)
         injector = ChurnInjector(
             system,
-            ChurnConfig(directory_failures_per_hour=60.0, tick_period_s=60.0),
+            ChurnProfile(directory_failures_per_hour=60.0), tick_period_s=60.0,
         )
         injector.start()
         system.sim.run(until=3000.0)
@@ -103,7 +109,7 @@ class TestChurnInjector:
     def test_locality_changes_move_peers(self, system):
         populate(system)
         injector = ChurnInjector(
-            system, ChurnConfig(locality_changes_per_hour=120.0, tick_period_s=60.0)
+            system, ChurnProfile(locality_changes_per_hour=120.0), tick_period_s=60.0
         )
         injector.start()
         system.sim.run(until=1800.0)
@@ -115,7 +121,7 @@ class TestChurnInjector:
     def test_stop_halts_injection(self, system):
         populate(system)
         injector = ChurnInjector(
-            system, ChurnConfig(content_failures_per_hour=600.0, tick_period_s=30.0)
+            system, ChurnProfile(content_failures_per_hour=600.0), tick_period_s=30.0
         )
         injector.start()
         system.sim.run(until=300.0)
@@ -127,7 +133,7 @@ class TestChurnInjector:
     def test_fractional_rates_average_out(self, system):
         populate(system, count=8)
         injector = ChurnInjector(
-            system, ChurnConfig(content_failures_per_hour=6.0, tick_period_s=60.0)
+            system, ChurnProfile(content_failures_per_hour=6.0), tick_period_s=60.0
         )
         injector.start()
         system.sim.run(until=3600.0)

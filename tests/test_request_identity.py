@@ -34,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.sharding import inseparable_reason
 from repro.scenarios.artifacts import DIGEST_FILENAME
 from repro.scenarios.library import (
     get_scenario,
@@ -87,6 +88,10 @@ def reference_payload(
     resolved_shards = spec.shards if shards is None else shards
     if resolved_shards < 1:
         raise ValueError("shards must be >= 1")
+    # Since the parent: shards a spec cannot use are refused, not queued.
+    reason = inseparable_reason(spec) if resolved_shards > 1 else None
+    if reason is not None:
+        raise ValueError(reason)
     return {
         "kind": "scenario",
         "spec": reference_to_dict(spec),

@@ -1,6 +1,8 @@
 """Tests for the pluggable churn/fault model registries and built-in models."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -16,15 +18,24 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.models import (
-    ReachabilityInjector,
+    ScheduledInjector,
     build_churn_model,
     build_fault_model,
     unregister_churn_model,
     unregister_fault_model,
 )
 from repro.session import Session
+from repro.sim.sharded import run_blocks
 
 TINY_SCALE = 0.1
+
+#: model parameters that make each built-in model act early and often in a
+#: tiny run (the defaults may not act at all before mid-horizon)
+LIVELY_PARAMS = {
+    "burst": {"period_s": 120.0, "burst_size": 2},
+    "correlated-locality": {"at_fraction": 0.25, "fraction": 0.3, "repeat_every_s": 60.0},
+    "link-loss": {"drop_probability": 0.2},
+}
 
 
 class TestModelRef:
@@ -148,7 +159,9 @@ class TestBuiltinChurnModels:
     def test_zero_rate_profile_is_idle(self):
         profile = ChurnProfile()
         assert not profile.is_enabled
-        assert profile.to_config() is None
+        spec = get_scenario("paper-default").scaled(TINY_SCALE)
+        assert spec.churn == profile
+        assert build_churn_model(ModelRef("poisson")).attach(None, spec) is None
 
     def test_poisson_model_reproduces_the_legacy_churn_path(self):
         """Session + poisson model == a bare ``ChurnInjector`` attachment."""
@@ -158,11 +171,10 @@ class TestBuiltinChurnModels:
         spec = get_scenario("heavy-churn").scaled(TINY_SCALE)
         via_session = run_scenario(spec, seed=11).metrics_digest()
 
-        config = spec.churn.to_config()
         legacy, _stats = run_blocks(
             Session.from_spec(spec, seed=11).experiment,
             None,
-            (lambda system: ChurnInjector(system, config),),
+            (lambda system: ChurnInjector(system, spec.churn),),
         )
         fresh = Session.from_spec(spec, seed=11).run_system("flower")
         assert legacy.num_queries == fresh.num_queries
@@ -328,10 +340,108 @@ class TestGossipLossFaultModel:
         session = Session.from_spec(self.make_spec(0.5), seed=7)
         _, system = session.build_flower()
         (injector,) = session.attach_models(system)
-        assert isinstance(injector, ReachabilityInjector)
+        assert isinstance(injector, ScheduledInjector)
         injector.start()
         (other,) = session.attach_models(system)
         with pytest.raises(RuntimeError, match="already attached"):
             other.start()
         injector.stop()
         assert system.reachability is None
+
+
+class TestInjectorLifecycle:
+    """Every churn model with every fault model: start, stop, and after the
+    stop nothing of theirs acts again."""
+
+    @pytest.mark.parametrize("fault", fault_model_names())
+    @pytest.mark.parametrize("churn", churn_model_names())
+    def test_nothing_is_injected_after_stop(self, churn, fault):
+        spec = dataclasses.replace(
+            get_scenario("heavy-churn").scaled(TINY_SCALE),
+            churn_model=ModelRef.of(churn, **LIVELY_PARAMS.get(churn, {})),
+            fault_model=ModelRef.of(fault, **LIVELY_PARAMS.get(fault, {})),
+        )
+        session = Session.from_spec(spec, seed=5)
+        trace = session.resolved_trace()
+        sim, system = session.build_flower()
+        injectors = session.attach_models(system)
+        for injector in injectors:
+            injector.start()
+        sim.schedule_trace(trace.times, trace.replayer(system.process_query), label="query")
+        sim.run(until=spec.duration_s / 2)
+        logged = [list(injector.log) for injector in injectors]
+        for injector in reversed(injectors):
+            injector.stop()
+        sim.run(until=spec.duration_s)
+        assert [list(injector.log) for injector in injectors] == logged
+        assert system.gate is None
+        if churn in ("poisson", "burst"):
+            assert logged[0], f"{churn} injected nothing before mid-horizon"
+        if fault == "correlated-locality":
+            assert logged[-1], "the outage never fired before mid-horizon"
+
+    @pytest.mark.parametrize(
+        "churn, fault",
+        [("poisson", "none"), ("burst", "none"), ("none", "correlated-locality"),
+         ("none", "link-loss")],
+    )
+    def test_a_finished_run_is_freed_by_reference_counting(self, churn, fault):
+        """An injector must not form a cycle with its process or its events:
+        the system it held would then wait for a full garbage collection."""
+        spec = dataclasses.replace(
+            get_scenario("heavy-churn").scaled(TINY_SCALE),
+            churn_model=ModelRef.of(churn, **LIVELY_PARAMS.get(churn, {})),
+            fault_model=ModelRef.of(fault, **LIVELY_PARAMS.get(fault, {})),
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            session = Session.from_spec(spec, seed=5)
+            session.run()
+            assert session.last_injectors
+            system = weakref.ref(session.experiment.last_flower_system)
+            del session
+            assert system() is None
+        finally:
+            gc.enable()
+
+    def test_a_replicator_is_freed_by_reference_counting(self):
+        from repro.core.replication import ActiveReplicator, ReplicationConfig
+
+        config = ReplicationConfig(period_s=120.0, min_requests=1)
+        gc.collect()
+        gc.disable()
+        try:
+            session = Session.from_spec(get_scenario("paper-default").scaled(TINY_SCALE))
+            run_blocks(
+                session.experiment, None, (lambda system: ActiveReplicator(system, config),)
+            )
+            (replicator,) = session.last_injectors
+            assert replicator.events is replicator.log
+            assert replicator.replications_performed == replicator.events_injected > 0
+            system = weakref.ref(session.experiment.last_flower_system)
+            del session, replicator
+            assert system() is None
+        finally:
+            gc.enable()
+
+
+class TestTargetLocalities:
+    """A fault aimed at a locality the spec lacks used to run and inject nothing."""
+
+    @pytest.mark.parametrize(
+        "ref",
+        [
+            ModelRef.of("correlated-locality", locality=3),
+            ModelRef.of("locality-partition", localities=(0, 3)),
+            ModelRef.of("cascading-directory-failures", locality=7),
+        ],
+        ids=lambda ref: ref.name,
+    )
+    def test_a_missing_locality_is_rejected_when_the_spec_is_built(self, ref):
+        with pytest.raises(ValueError, match="out of range: the spec has 3 localities"):
+            ScenarioSpec(name="bad", num_localities=3, fault_model=ref)
+        with pytest.raises(ValueError, match="out of range"):
+            ScenarioSpec.from_dict({"name": "bad", "fault_model": ref.to_dict()})
+        # ... and the same model is fine on a spec that has the locality.
+        ScenarioSpec(name="ok", num_localities=8, num_hosts=800, fault_model=ref)

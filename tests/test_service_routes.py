@@ -14,7 +14,7 @@ import threading
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Tuple
 
 import pytest
 
@@ -38,7 +38,47 @@ UNRUNNABLE_SPECS: Dict[str, Dict[str, object]] = {
     "weights-all-zero": {"locality_weights": [0.0, 0.0, 0.0]},
     "weights-negative": {"locality_weights": [-1.0, 1.0, 1.0]},
     "zipf-alpha-negative": {"zipf_alpha": -0.5},
+    # a fault aimed at a locality the spec lacks ran and injected nothing
+    "outage-locality-missing": {
+        "fault_model": {"name": "correlated-locality", "params": {"locality": 7}}
+    },
+    "partition-locality-missing": {
+        "fault_model": {"name": "locality-partition", "params": {"localities": [7]}}
+    },
+    "cascade-locality-missing": {
+        "fault_model": {"name": "cascading-directory-failures", "params": {"locality": 7}}
+    },
 }
+
+#: request numbers that answered 500, or queued a job that could only fail
+#: (or, with a NaN deadline, could never time out)
+UNRUNNABLE_REQUESTS: Dict[str, Tuple[str, Dict[str, object]]] = {
+    "run-scale-inf": ("/runs", {"scenario": "paper-default", "scale": float("inf")}),
+    "run-scale-huge": ("/runs", {"scenario": "paper-default", "scale": 1e308}),
+    "run-scale-huge-int": ("/runs", {"scenario": "paper-default", "scale": 10**400}),
+    "sweep-scale-nan": ("/sweeps", {"sweep": "ablation-churn", "scale": float("nan")}),
+    "run-timeout-nan": ("/runs", {"scenario": "paper-default", "timeout_s": float("nan")}),
+    "run-timeout-inf": ("/runs", {"scenario": "paper-default", "timeout_s": float("inf")}),
+    "run-timeout-negative": ("/runs", {"scenario": "paper-default", "timeout_s": -1}),
+    "run-timeout-zero": ("/runs", {"scenario": "paper-default", "timeout_s": 0}),
+    "sweep-timeout-nan": ("/sweeps", {"sweep": "ablation-churn", "timeout_s": float("nan")}),
+    "run-shards-inseparable": ("/runs", {"scenario": "heavy-churn", "shards": 2}),
+}
+
+
+def post(service: ReproService, path: str, document: Dict[str, object]) -> Tuple[int, bytes]:
+    # json.dumps writes NaN / Infinity literals, which json.loads accepts.
+    request = urllib.request.Request(
+        service.url + path,
+        data=json.dumps(document).encode("utf-8"),
+        method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return int(response.status), response.read()
+    except urllib.error.HTTPError as error:
+        return int(error.code), error.read()
 
 
 def status_of(url: str) -> int:
@@ -176,20 +216,37 @@ def test_an_unrunnable_inline_spec_is_400_and_queues_nothing(tmp_path: Path) -> 
     service.start()
     try:
         for case, overrides in UNRUNNABLE_SPECS.items():
-            # json.dumps writes NaN / Infinity literals, which json.loads accepts.
-            request = urllib.request.Request(
-                service.url + "/runs",
-                data=json.dumps({"spec": {**TINY_SPEC, **overrides}}).encode("utf-8"),
-                method="POST",
-                headers={"Content-Type": "application/json"},
-            )
-            try:
-                with urllib.request.urlopen(request, timeout=10) as response:
-                    status, body = int(response.status), response.read()
-            except urllib.error.HTTPError as error:
-                status, body = int(error.code), error.read()
+            status, body = post(service, "/runs", {"spec": {**TINY_SPEC, **overrides}})
             assert status == 400, case
             assert json.loads(body)["error"].startswith("invalid run request: "), case
         assert service.manager.jobs() == []
+    finally:
+        service.stop(drain=False)
+
+
+def test_an_unrunnable_request_number_is_400_and_queues_nothing(tmp_path: Path) -> None:
+    def executor(_payload: dict, _execution: dict) -> Dict[str, str]:
+        return {"digest.json": "{}\n"}
+
+    config = ServiceConfig(port=0, workers=1, store_dir=tmp_path / "store", timeout_s=None)
+    service = ReproService(config, executor=executor)
+    service.start()
+    try:
+        for case, (path, document) in UNRUNNABLE_REQUESTS.items():
+            status, body = post(service, path, document)
+            assert status == 400, (case, body)
+            kind = "run" if path == "/runs" else "sweep"
+            assert json.loads(body)["error"].startswith(f"invalid {kind} request: "), case
+        assert service.manager.jobs() == []
+        status, body = post(service, "/runs", UNRUNNABLE_REQUESTS["run-shards-inseparable"][1])
+        assert "not website-separable" in json.loads(body)["error"]
+        # The checks stop at what cannot run: these are queued.
+        for path, document in (
+            ("/runs", {"scenario": "paper-default", "shards": 2, "timeout_s": 0.5}),
+            ("/runs", {"scenario": "heavy-churn", "shards": 1, "scale": 1e-3}),
+            ("/sweeps", {"sweep": "ablation-churn", "scale": 0.1, "timeout_s": 600}),
+        ):
+            assert post(service, path, document)[0] in (200, 202), document
+        assert len(service.manager.jobs()) == 3
     finally:
         service.stop(drain=False)

@@ -112,10 +112,9 @@ class TestBackCompatShims:
         """Attachments no spec can name run as one whole-catalogue block
         below the session, which keeps what they built with the system."""
         spec = get_scenario("heavy-churn").scaled(TINY_SCALE)
-        config = spec.churn.to_config()
         session = Session(spec, seed=7)
         result, stats = run_blocks(
-            session.experiment, None, (lambda system: ChurnInjector(system, config),)
+            session.experiment, None, (lambda system: ChurnInjector(system, spec.churn),)
         )
         assert result.num_queries > 0 and stats is None
         (injector,) = session.last_injectors
