@@ -140,7 +140,8 @@ lint:
 		exit 1; \
 	fi
 
-## mypy typing gate (strict-ish for core/sim/datastructures/scenarios, mypy.ini);
+## mypy typing gate (strict-ish for core/sim/datastructures/scenarios/network/
+## overlay/service, mypy.ini);
 ## CI installs mypy; fails with a hint when it is missing
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \

@@ -187,19 +187,6 @@ class TestMemoryBudgets:
         sim.run()
         assert sim.events_fired == 100_000
 
-    def test_latency_cache_memory_budgets(self):
-        result = suite.bench_memory_latency_cache(300)
-        pairs = 300 * 299 // 2
-        # Dense: 8-byte slots per possible pair (+ row offsets) plus a boxed
-        # float per computed pair — still an order of magnitude leaner than a
-        # ~100 B/entry dict at full fill.
-        assert result["dense_cache_nbytes"] == (
-            8 * (pairs + 300) + 24 * result["dense_cache_entries"]
-        )
-        # The forced-LRU variant is bounded by its capacity (300 entries).
-        assert result["lru_cache_entries"] <= 300
-        assert result["lru_cache_nbytes"] <= 100 * 300
-
     def test_metric_reservoirs_are_allocation_bounded(self):
         result = suite.bench_memory_metrics(50_000)
         retained = result["retained_peak_bytes_per_record"]
@@ -211,7 +198,7 @@ class TestMemoryBudgets:
     def test_memory_section_is_part_of_the_suite_document(self):
         document = suite.run_suite(scenarios=["paper-default"], quick=True)
         memory = document["memory"]
-        assert set(memory) == {"event_queue", "latency_cache", "metrics"}
+        assert set(memory) == {"event_queue", "metrics"}
         assert memory["metrics"]["compact_peak_bytes_per_record"] > 0
 
 

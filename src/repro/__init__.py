@@ -4,7 +4,7 @@ Processing in CDN* (El Dick, Pacitti, Kemme — EDBT 2009).
 The package is organised bottom-up:
 
 * :mod:`repro.sim` — discrete-event simulation engine (PeerSim substitute);
-* :mod:`repro.network` — latency topology and landmark-based localities;
+* :mod:`repro.network` — latency topology, localities and message delivery;
 * :mod:`repro.datastructures` — Bloom filters, aged views, LRU caches;
 * :mod:`repro.overlay` — Chord DHT substrate and key-based routing;
 * :mod:`repro.workload` — synthetic Zipf query workload and traces;

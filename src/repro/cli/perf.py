@@ -9,6 +9,7 @@ from pathlib import Path
 from repro import perf as perf_module
 from repro.cli.usage import usage_error
 from repro.scenarios.library import get_scenario
+from repro.scenarios.spec import is_scale_factor
 
 
 def add_arguments(subparsers) -> None:
@@ -52,8 +53,8 @@ def run(args: argparse.Namespace, out) -> int:
     """The ``perf`` verb: run the suite, optionally gate against the baseline."""
     if args.repeats <= 0:
         return usage_error("--repeats must be positive")
-    if args.scale <= 0:
-        return usage_error("--scale must be positive")
+    if not is_scale_factor(args.scale):
+        return usage_error("--scale must be positive and finite")
     if args.update_baseline and args.check:
         # --check compares against the committed baseline; combining the two
         # would overwrite it first and then vacuously compare a run to itself.

@@ -18,6 +18,7 @@ from repro.scenarios import parallel as parallel_module
 from repro.scenarios.artifacts import export_run_bundle
 from repro.scenarios.library import get_scenario, iter_scenarios
 from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import is_scale_factor
 
 
 def add_arguments(subparsers) -> None:
@@ -164,8 +165,8 @@ def run_show(args: argparse.Namespace, out) -> int:
         spec = get_scenario(args.name)
     except KeyError as error:
         return usage_error(error.args[0])
-    if args.scale <= 0:
-        return usage_error("--scale must be positive")
+    if not is_scale_factor(args.scale):
+        return usage_error("--scale must be positive and finite")
     if args.scale != 1.0:
         spec = spec.scaled(args.scale)
     spans = spec.compiled_program()
@@ -273,8 +274,8 @@ def _run_all(args: argparse.Namespace, out) -> int:
             for name, mismatches in results.items()
         ]
         return 0 if all(reports) else 1
-    if args.scale <= 0:
-        return usage_error("--scale must be positive")
+    if not is_scale_factor(args.scale):
+        return usage_error("--scale must be positive and finite")
     digests = parallel_module.run_scenarios(
         jobs=args.jobs, seed=args.seed, scale=args.scale
     )
@@ -324,8 +325,8 @@ def run_run(args: argparse.Namespace, out) -> int:
             argv.extend(["--shards", str(args.shards)])
         return golden_module.main(argv, out=out)
 
-    if args.scale <= 0:
-        return usage_error("--scale must be positive")
+    if not is_scale_factor(args.scale):
+        return usage_error("--scale must be positive and finite")
     # A spec that must run as one block has nothing to place: the reason is
     # what `python -m repro.scenarios.golden --shards N` skips it with.
     reason = inseparable_reason(spec) if (args.shards or 1) > 1 else None

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from repro.cli.usage import usage_error
 from repro.metrics.report import format_table
+from repro.scenarios.spec import is_scale_factor
 from repro.sweeps import artifacts as sweep_artifacts
 from repro.sweeps import golden as sweep_golden
 from repro.sweeps.engine import run_sweep
@@ -86,8 +87,8 @@ def run_show(args: argparse.Namespace, out) -> int:
         sweep = get_sweep(args.name)
     except KeyError as error:
         return usage_error(error.args[0])
-    if args.scale <= 0:
-        return usage_error("--scale must be positive")
+    if not is_scale_factor(args.scale):
+        return usage_error("--scale must be positive and finite")
     print(format_table(
         ["field", "value"],
         [
@@ -153,8 +154,8 @@ def run_run(args: argparse.Namespace, out) -> int:
         return 0
     if args.check_golden:
         return sweep_golden.main([args.name, "--jobs", str(args.jobs)], out=out)
-    if args.scale <= 0:
-        return usage_error("--scale must be positive")
+    if not is_scale_factor(args.scale):
+        return usage_error("--scale must be positive and finite")
     result = run_sweep(
         args.name,
         jobs=args.jobs,

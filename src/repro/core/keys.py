@@ -165,8 +165,8 @@ class KeyScheme:
         """Algorithm 2's constraint, "same website ID as the key".
 
         The website ID is an identifier's high-order bits, so the identifiers
-        sharing it are one contiguous range — returned as such (calling it is
-        the predicate), which lets a node bisect its routing table for them.
+        sharing it are one contiguous range — returned as such, which lets a
+        node bisect its routing table for them.
         """
         shift = self._locality_bits + self._replica_bits
         low = (self._idspace.validate(key) >> shift) << shift

@@ -1,14 +1,13 @@
-"""Underlying network model: latency topology and landmark-based localities.
+"""Underlying network model: latency topology, localities and delivery.
 
 The paper builds its P2P overlays on top of a BRITE-generated Internet
-topology of 5000 nodes with link latencies between 10 and 500 ms and derives
-``k`` network localities via landmark binning (Ratnasamy et al.).  This
-package provides the equivalent synthetic substrate:
+topology of 5000 nodes with link latencies between 10 and 500 ms, split into
+``k`` non-uniformly populated network localities.  This package provides the
+equivalent synthetic substrate:
 
-* :class:`repro.network.topology.Topology` — peers placed in a latency space,
-  pairwise latencies in [10, 500] ms with low intra-cluster latencies.
-* :class:`repro.network.landmarks.LandmarkBinner` — assigns each peer to one
-  of ``k`` localities from its latency vector to the landmarks.
+* :class:`repro.network.topology.Topology` — hosts placed in clusters of a
+  latency plane, one cluster per locality; pairwise latencies in
+  [10, 500] ms, low inside a cluster, memoised per host pair.
 * :class:`repro.network.latency.LatencyModel` — the query/gossip message
   delay oracle used by the simulator.
 * :class:`repro.network.reachability.ReachabilityModel` — the message
@@ -17,7 +16,6 @@ package provides the equivalent synthetic substrate:
 """
 
 from repro.network.latency import LatencyModel
-from repro.network.landmarks import LandmarkBinner
 from repro.network.reachability import (
     MESSAGE_KINDS,
     DeliveryStats,
@@ -31,7 +29,6 @@ from repro.network.topology import Topology, TopologyConfig
 __all__ = [
     "Topology",
     "TopologyConfig",
-    "LandmarkBinner",
     "LatencyModel",
     "MESSAGE_KINDS",
     "DeliveryStats",

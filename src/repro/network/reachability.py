@@ -297,7 +297,15 @@ class LocalityPartition(ReachabilityModel):
                 break
         return False
 
-    def allows(self, kind, src_host, dst_host, src_id, dst_id, now) -> bool:
+    def allows(
+        self,
+        kind: str,
+        src_host: int,
+        dst_host: int,
+        src_id: Optional[str],
+        dst_id: Optional[str],
+        now: float,
+    ) -> bool:
         if not self._active(now):
             return True
         src_in = self._locality_of(src_host) in self._localities
@@ -341,7 +349,15 @@ class HostOutage(ReachabilityModel):
                 break
         return False
 
-    def allows(self, kind, src_host, dst_host, src_id, dst_id, now) -> bool:
+    def allows(
+        self,
+        kind: str,
+        src_host: int,
+        dst_host: int,
+        src_id: Optional[str],
+        dst_id: Optional[str],
+        now: float,
+    ) -> bool:
         return not (self._down(src_host, now) or self._down(dst_host, now))
 
     def fault_windows(self) -> Tuple[Tuple[float, float], ...]:
@@ -380,7 +396,15 @@ class LinkLoss(ReachabilityModel):
                     f"unknown message kind {kind!r}; expected one of {MESSAGE_KINDS}"
                 )
 
-    def allows(self, kind, src_host, dst_host, src_id, dst_id, now) -> bool:
+    def allows(
+        self,
+        kind: str,
+        src_host: int,
+        dst_host: int,
+        src_id: Optional[str],
+        dst_id: Optional[str],
+        now: float,
+    ) -> bool:
         if self._kinds and kind not in self._kinds:
             return True
         return self._stream.random() >= self._drop_probability

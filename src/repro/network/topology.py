@@ -20,11 +20,16 @@ BRITE-like 10–500 ms band.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.sim.rng import RandomStreams, derive_seed
+from repro.sim.rng import RandomStreams
+
+#: Bound on the pairs the latency memo holds (~100 bytes each, so ~100 MB at
+#: most).  A miss that finds the memo full clears it; the values are pure, so
+#: that only costs recomputation.  The 24 h Squirrel run at 5000 hosts, the
+#: one whole run with no per-block drop, peaks at ~560 k pairs.
+LATENCY_MEMO_BOUND = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -103,73 +108,38 @@ class Topology:
     Latencies are symmetric, deterministic for a given seed and accessed via
     :meth:`latency_ms`.  The per-pair jitter is derived from the host-id pair
     so repeated queries between the same hosts observe the same latency.
+    Each host's locality is the cluster it is placed in.
     """
 
-    #: default bound on the pairwise latency memo (worst case a few tens of MB)
-    DEFAULT_LATENCY_CACHE_SIZE = 1_000_000
-
-    def __init__(
-        self,
-        config: TopologyConfig,
-        streams: RandomStreams,
-        latency_cache_size: int = DEFAULT_LATENCY_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, config: TopologyConfig, streams: RandomStreams) -> None:
         self._config = config
-        self._streams = streams
         self._hosts: List[Host] = []
-        self._centres: List[Tuple[float, float]] = []
         self._by_locality: Dict[int, Sequence[int]] = {}
-        self._build()
-        # Memo of symmetric pair -> latency.  The value is a pure function of
-        # the pair, so entries never go stale; the memo is bounded purely to
-        # cap memory.  Two backends:
-        #
-        # * "dense" — when the full triangular pair matrix fits within the
-        #   configured bound, a flat preallocated table indexed by the
-        #   triangular pair index (``rows[lo] + hi``; ``None`` = not yet
-        #   computed).  8 bytes per *possible* pair plus one boxed float per
-        #   computed one, no per-entry dict overhead, no eviction — and a hit
-        #   is a row-offset add plus one list load, faster than a dict probe.
-        # * "lru"   — for topologies whose pair matrix exceeds the bound
-        #   (~12.5M pairs at 5000 hosts), a capacity-bounded dict with
-        #   least-recently-used eviction; evicted pairs simply recompute to
-        #   the identical value later.
-        if latency_cache_size <= 0:
-            raise ValueError("latency_cache_size must be positive")
-        self._latency_cache_size = latency_cache_size
+        self._build(streams)
+        # Memo of unordered pair -> latency, keyed ``lo * num_hosts + hi``
+        # (bounded by LATENCY_MEMO_BOUND).
+        self._latency_memo: Dict[int, float] = {}
         self._latency_hits = 0
         self._latency_misses = 0
-        num_hosts = len(self._hosts)
-        num_pairs = num_hosts * (num_hosts - 1) // 2
-        if num_pairs <= latency_cache_size:
-            self._latency_dense: Optional[List[Optional[float]]] = [None] * num_pairs
-            # Row offsets: pair (lo, hi) with lo < hi lives at rows[lo] + hi.
-            self._latency_rows: List[int] = [
-                lo * (2 * num_hosts - lo - 1) // 2 - lo - 1 for lo in range(num_hosts)
-            ]
-            self._latency_cache: Optional[Dict[int, float]] = None
-        else:
-            self._latency_dense = None
-            self._latency_rows = []
-            self._latency_cache = {}
 
     # -- construction ------------------------------------------------------
 
-    def _build(self) -> None:
+    def _build(self, streams: RandomStreams) -> None:
         cfg = self._config
-        rng = self._streams.stream(cfg.seed_stream)
+        rng = streams.stream(cfg.seed_stream)
         # Place cluster centres on a circle wide enough that inter-locality
         # distances map to latencies near the upper bound.
         radius = (cfg.max_latency_ms - cfg.min_latency_ms) / 2.0
+        centres: List[Tuple[float, float]] = []
         for i in range(cfg.num_localities):
             angle = 2.0 * math.pi * i / cfg.num_localities
-            self._centres.append((radius * math.cos(angle), radius * math.sin(angle)))
+            centres.append((radius * math.cos(angle), radius * math.sin(angle)))
         members: List[List[int]] = [[] for _ in range(cfg.num_localities)]
 
         weights = cfg.effective_weights()
         for host_id in range(cfg.num_hosts):
             locality = self._pick_locality(rng.random(), weights)
-            cx, cy = self._centres[locality]
+            cx, cy = centres[locality]
             # Gaussian scatter around the centre bounded by the spread.
             dx = rng.gauss(0.0, cfg.intra_locality_spread_ms / 2.0)
             dy = rng.gauss(0.0, cfg.intra_locality_spread_ms / 2.0)
@@ -202,9 +172,6 @@ class Topology:
     def num_localities(self) -> int:
         return self._config.num_localities
 
-    def host(self, host_id: int) -> Host:
-        return self._hosts[host_id]
-
     def hosts(self) -> Sequence[Host]:
         return tuple(self._hosts)
 
@@ -215,140 +182,51 @@ class Topology:
     def locality_of(self, host_id: int) -> int:
         return self._hosts[host_id].locality
 
-    def locality_populations(self) -> Dict[int, int]:
-        return {loc: len(ids) for loc, ids in self._by_locality.items()}
-
-    def landmark_hosts(self) -> List[int]:
-        """Return one representative host per locality (closest to its centre)."""
-        landmarks: List[int] = []
-        for loc in range(self._config.num_localities):
-            members = self._by_locality.get(loc, ())
-            if not members:
-                continue
-            cx, cy = self._centres[loc]
-            best = min(
-                members,
-                key=lambda hid: (self._hosts[hid].x - cx) ** 2 + (self._hosts[hid].y - cy) ** 2,
-            )
-            landmarks.append(best)
-        return landmarks
-
     # -- latency ------------------------------------------------------------
 
     def latency_ms(self, a: int, b: int) -> float:
         """Symmetric latency in milliseconds between hosts ``a`` and ``b``.
 
         Results are memoised per unordered pair: the value is deterministic,
-        so the cache is transparent — it only skips the distance and jitter
+        so the memo is transparent — it only skips the distance and jitter
         arithmetic on repeat queries.
         """
         if a == b:
             return 0.0
         lo, hi = (a, b) if a <= b else (b, a)
-        dense = self._latency_dense
-        if dense is not None:
-            index = self._latency_rows[lo] + hi
-            latency = dense[index]
-            if latency is not None:
-                self._latency_hits += 1
-                return latency
-            self._latency_misses += 1
-            latency = self._compute_latency(lo, hi)
-            dense[index] = latency
-            return latency
         key = lo * len(self._hosts) + hi
-        cache = self._latency_cache
-        latency = cache.pop(key, None)
+        memo = self._latency_memo
+        latency = memo.get(key)
         if latency is not None:
-            # LRU: re-insert at the back (dict preserves insertion order).
             self._latency_hits += 1
-            cache[key] = latency
             return latency
         self._latency_misses += 1
         latency = self._compute_latency(lo, hi)
-        if len(cache) >= self._latency_cache_size:
-            # Evict the least-recently-used entry; any evicted pair is simply
-            # recomputed to the identical value later.
-            del cache[next(iter(cache))]
-        cache[key] = latency
+        if len(memo) >= LATENCY_MEMO_BOUND:
+            memo.clear()
+        memo[key] = latency
         return latency
 
     def _compute_latency(self, lo: int, hi: int) -> float:
-        """The (pure) latency function the memo backends cache."""
+        """The (pure) latency function the memo caches, for ``lo < hi``."""
+        cfg = self._config
         ha, hb = self._hosts[lo], self._hosts[hi]
-        distance = math.hypot(ha.x - hb.x, ha.y - hb.y)
-        latency = self._config.min_latency_ms + distance
-        latency += self._pair_jitter(lo, hi)
-        return max(self._config.min_latency_ms, min(self._config.max_latency_ms, latency))
+        latency = cfg.min_latency_ms + math.hypot(ha.x - hb.x, ha.y - hb.y)
+        # Deterministic, symmetric jitter: an integer hash of the pair folded
+        # into [-jitter, +jitter].
+        h = (lo * 2654435761 + hi * 40503) & 0xFFFFFFFF
+        latency += ((h / 0xFFFFFFFF) * 2.0 - 1.0) * cfg.jitter_ms
+        return max(cfg.min_latency_ms, min(cfg.max_latency_ms, latency))
 
-    def latency_cache_info(self) -> Dict[str, object]:
-        """Hit/miss/size/backend statistics of the pairwise latency memo.
-
-        ``size`` counts the pairs currently cached, ``capacity`` the
-        configured bound on them; ``backend`` reports which representation is
-        active ("dense" triangular array or capacity-bounded "lru" dict).
-        """
-        if self._latency_dense is not None:
-            # Dense entries are filled exactly once and never evicted, so the
-            # miss counter equals the number of populated slots.
-            size = self._latency_misses
-            backend = "dense"
-        else:
-            size = len(self._latency_cache)
-            backend = "lru"
+    def latency_cache_info(self) -> Dict[str, int]:
+        """Hit/miss counters of the pair memo and the pairs it holds now."""
         return {
             "hits": self._latency_hits,
             "misses": self._latency_misses,
-            "size": size,
-            "capacity": self._latency_cache_size,
-            "backend": backend,
+            "size": len(self._latency_memo),
         }
 
     def drop_latency_memo(self) -> None:
-        """Forget the "lru" backend's memoised pairs (they recompute to the same
-        values; counters stay).  The dense table is preallocated and stays."""
-        if self._latency_cache is not None:
-            self._latency_cache.clear()
-
-    def latency_cache_nbytes(self) -> int:
-        """Approximate bytes held by the latency memo (diagnostic)."""
-        if self._latency_dense is not None:
-            # 8-byte table slots (+ row offsets) plus one boxed float per
-            # computed pair.
-            return 8 * (len(self._latency_dense) + len(self._latency_rows)) + (
-                24 * self._latency_misses
-            )
-        # dict-of-float entries: ~100 bytes each including key/value boxing
-        return 100 * len(self._latency_cache)
-
-    def _pair_jitter(self, a: int, b: int) -> float:
-        """Deterministic, symmetric jitter for the (a, b) pair."""
-        lo, hi = (a, b) if a <= b else (b, a)
-        # Simple integer hash folded into [-jitter, +jitter].
-        h = (lo * 2654435761 + hi * 40503) & 0xFFFFFFFF
-        unit = (h / 0xFFFFFFFF) * 2.0 - 1.0
-        return unit * self._config.jitter_ms
-
-    def average_intra_locality_latency(self, locality: int, sample: int = 200) -> float:
-        """Monte-Carlo estimate of the mean latency within ``locality``.
-
-        Uses a call-local RNG derived from the master seed and the call's own
-        parameters, so the estimate depends only on ``(seed, locality,
-        sample)`` — never on how many estimates were requested before (a
-        shared named stream would couple results to call order).
-        """
-        members = self._by_locality.get(locality, ())
-        if len(members) < 2:
-            return 0.0
-        rng = random.Random(
-            derive_seed(
-                self._streams.master_seed,
-                f"{self._config.seed_stream}:est:{locality}:{sample}",
-            )
-        )
-        total, count = 0.0, 0
-        for _ in range(sample):
-            a, b = rng.sample(members, 2)
-            total += self.latency_ms(a, b)
-            count += 1
-        return total / count if count else 0.0
+        """Forget every memoised pair (they recompute to the same values);
+        the hit and miss counters stay."""
+        self._latency_memo.clear()

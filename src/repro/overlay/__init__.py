@@ -9,8 +9,8 @@ that substrate:
   and the ``local_lookup`` primitives of Algorithms 1 and 2;
 * :mod:`repro.overlay.chord` — the ring: join, leave, stabilisation;
 * :mod:`repro.overlay.router` — the key-based routing API (``route(key, msg)``)
-  with hop and latency accounting, supporting both the standard policy and a
-  pluggable website-constrained policy used by D-ring.
+  with hop and latency accounting, supporting both the standard policy and
+  the website-constrained policy (an identifier-range constraint) D-ring uses.
 """
 
 from repro.overlay.idspace import IdSpace

@@ -126,13 +126,6 @@ class ChordRing:
             return None
         return self._nodes[self.idspace.closest_in_sorted(key, live)]
 
-    def owner_matching(self, key: int, predicate) -> Optional[ChordNode]:
-        """The live node closest to ``key`` among nodes whose id satisfies ``predicate``."""
-        candidates = [nid for nid in self.live_ids() if predicate(nid)]
-        if not candidates:
-            return None
-        return self._nodes[self.idspace.closest_in_sorted(key, candidates)]
-
     # -- idealised routing -------------------------------------------------------
 
     def successor_of(self, identifier: int) -> Optional[int]:

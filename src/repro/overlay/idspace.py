@@ -17,13 +17,10 @@ from typing import NamedTuple, Sequence
 
 class IdRange(NamedTuple):
     """The identifiers ``low <= id < high``: a routing constraint a sorted
-    routing table answers by bisection.  Calling it is the predicate form."""
+    routing table answers by bisection."""
 
     low: int
     high: int
-
-    def __call__(self, identifier: int) -> bool:
-        return self.low <= identifier < self.high
 
 
 @dataclass(frozen=True)

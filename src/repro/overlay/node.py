@@ -6,11 +6,10 @@ paper's routing algorithms need are implemented here:
 
 * ``local_lookup(key)`` — Algorithm 1's per-hop step: among the nodes this
   node knows of (including itself), the one numerically closest to the key;
-* ``conditional_local_lookup(key, predicate)`` — Algorithm 2's extra step:
-  the same, restricted to known nodes satisfying a predicate (D-ring uses
-  "same website ID as the key") — and ``lookup_in_range(key, low, high)``,
-  the same step for a predicate that is one contiguous identifier range,
-  which is what D-ring's engineered identifiers make of that constraint.
+* ``lookup_in_range(key, low, high)`` — Algorithm 2's extra step: the same,
+  restricted to known nodes ``low <= id < high``.  D-ring's constraint is
+  "same website ID as the key", and its engineered identifiers make that one
+  contiguous identifier range.
 
 Routing state is bidirectional: alongside the classic clockwise finger table
 each node keeps *backward fingers* (the first live node counter-clockwise
@@ -28,7 +27,7 @@ directly must call :meth:`ChordNode.invalidate_routing_table` afterwards.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.overlay.idspace import IdSpace
 
@@ -138,18 +137,10 @@ class ChordNode:
         """The known node (or self) numerically closest to ``key``."""
         return self.idspace.closest_in_sorted(key, self.routing_table())
 
-    def conditional_local_lookup(
-        self, key: int, predicate: Callable[[int], bool]
-    ) -> Optional[int]:
-        """Closest known node satisfying ``predicate``, or ``None`` if there is none."""
-        candidates = [n for n in self.routing_table() if predicate(n)]
-        if not candidates:
-            return None
-        return self.idspace.closest_in_sorted(key, candidates)
-
     def lookup_in_range(self, key: int, low: int, high: int) -> Optional[int]:
-        """:meth:`conditional_local_lookup` for the predicate ``low <= id < high``:
-        the ids in range are one slice of the sorted table, found by bisection."""
+        """Closest known node with ``low <= id < high``, or ``None`` if there is
+        none: the ids in range are one slice of the sorted table, found by
+        bisection."""
         table = self.routing_table()
         start = bisect_left(table, low)
         stop = bisect_left(table, high, start)

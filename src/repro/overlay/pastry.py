@@ -12,16 +12,16 @@ or failing that to one numerically closer.
 :class:`PastryRing` mirrors the public surface of
 :class:`repro.overlay.chord.ChordRing` (join/leave/fail/stabilize/owner_of/
 live node access), and :class:`PastryNode` exposes the same ``local_lookup`` /
-``conditional_local_lookup`` primitives, so the generic
+``lookup_in_range`` primitives, so the generic
 :class:`repro.overlay.router.KBRRouter` and the D-ring layer work unchanged on
 top of either substrate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.overlay.idspace import IdRange, IdSpace
+from repro.overlay.idspace import IdSpace
 
 
 class PastryNode:
@@ -112,16 +112,12 @@ class PastryNode:
             return self.node_id
         return best
 
-    def conditional_local_lookup(
-        self, key: int, predicate: Callable[[int], bool]
-    ) -> Optional[int]:
-        candidates = sorted(node for node in self.known_nodes() if predicate(node))
+    def lookup_in_range(self, key: int, low: int, high: int) -> Optional[int]:
+        """Closest known node with ``low <= id < high``, or ``None`` if there is none."""
+        candidates = sorted(node for node in self.known_nodes() if low <= node < high)
         if not candidates:
             return None
         return self.idspace.closest_in_sorted(key, candidates)
-
-    def lookup_in_range(self, key: int, low: int, high: int) -> Optional[int]:
-        return self.conditional_local_lookup(key, IdRange(low, high))
 
     def _prefix_length(self, node_id: int, key: int) -> int:
         length = 0
@@ -244,19 +240,13 @@ class PastryRing:
             return None
         return self._nodes[self.idspace.closest_in_sorted(key, live)]
 
-    def owner_matching(self, key: int, predicate) -> Optional[PastryNode]:
-        candidates = [nid for nid in self.live_ids() if predicate(nid)]
-        if not candidates:
-            return None
-        return self._nodes[self.idspace.closest_in_sorted(key, candidates)]
-
     # -- bulk construction ------------------------------------------------------------------
 
     @classmethod
     def build(
         cls,
         idspace: IdSpace,
-        node_ids,
+        node_ids: Iterable[int],
         peer_names: Optional[Dict[int, str]] = None,
         digit_bits: int = 4,
         leaf_set_size: int = 8,

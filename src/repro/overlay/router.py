@@ -10,9 +10,10 @@ Two per-hop policies are available:
 * :attr:`RoutingPolicy.CONSTRAINED` — Algorithm 2: after the local lookup, if
   the candidate does not satisfy the key's constraint (for D-ring: same
   website ID), a conditional local lookup restricted to satisfying nodes is
-  attempted; if none is known, the original candidate is kept.  A constraint
-  given as an :class:`~repro.overlay.idspace.IdRange` is answered by the
-  node's ``lookup_in_range`` (two bisections) instead of a predicate scan.
+  attempted; if none is known, the original candidate is kept.  D-ring's
+  engineered identifiers make that constraint one contiguous
+  :class:`~repro.overlay.idspace.IdRange`, which the node's
+  ``lookup_in_range`` answers with two bisections.
 
 The router accounts hops and per-hop latency (through an optional latency
 callback), which is how the experiments measure *lookup latency*.
@@ -60,7 +61,6 @@ class RouteResult:
 
 
 LatencyCallback = Callable[[str, str], float]
-Constraint = Callable[[int], bool]
 
 
 class KBRRouter:
@@ -105,17 +105,18 @@ class KBRRouter:
         start_node_id: int,
         key: int,
         policy: RoutingPolicy = RoutingPolicy.STANDARD,
-        constraint: Optional[Constraint] = None,
+        constraint: Optional[IdRange] = None,
     ) -> RouteResult:
         """Route a message with ``key`` starting at ``start_node_id``.
 
         Returns a :class:`RouteResult` whose ``destination`` is the node that
         delivered the message.  ``constraint`` is only consulted when
-        ``policy`` is :attr:`RoutingPolicy.CONSTRAINED`.
+        ``policy`` is :attr:`RoutingPolicy.CONSTRAINED`, which requires one.
         """
         self._ring.idspace.validate(key)
-        if policy is RoutingPolicy.CONSTRAINED and constraint is None:
-            raise ValueError("CONSTRAINED routing requires a constraint predicate")
+        constrained = policy is RoutingPolicy.CONSTRAINED
+        if constrained and constraint is None:
+            raise ValueError("CONSTRAINED routing requires an IdRange constraint")
         if start_node_id not in self._ring:
             raise RoutingError(f"start node {start_node_id} is not a live ring member")
 
@@ -123,17 +124,12 @@ class KBRRouter:
         path = [current.node_id]
         latency_total = 0.0
         max_hops = self._hop_bound()
-        constrained = policy is RoutingPolicy.CONSTRAINED
-        bounds = constraint if isinstance(constraint, IdRange) else None
+        low, high = constraint if constraint is not None else (0, 0)
 
         for _ in range(max_hops):
             next_id = current.local_lookup(key)
-            if constrained and next_id != current.node_id and not constraint(next_id):
-                conditional = (
-                    current.conditional_local_lookup(key, constraint)
-                    if bounds is None
-                    else current.lookup_in_range(key, bounds.low, bounds.high)
-                )
+            if constrained and next_id != current.node_id and not low <= next_id < high:
+                conditional = current.lookup_in_range(key, low, high)
                 if conditional is not None:
                     next_id = conditional
 

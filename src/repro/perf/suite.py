@@ -147,7 +147,7 @@ def bench_latency_cache(
     topology = Topology(
         TopologyConfig(num_hosts=num_hosts, num_localities=3), RandomStreams(7)
     )
-    # A small working set of pairs, queried round-robin: the cache-hit regime
+    # A small working set of pairs, queried round-robin: the memo-hit regime
     # the simulation lives in.
     pairs = [((i * 13) % num_hosts, (i * 31 + 7) % num_hosts) for i in range(1024)]
     best = 0.0
@@ -296,27 +296,6 @@ def bench_memory_event_queue(num_events: int = 50_000) -> Dict[str, float]:
     return results
 
 
-def bench_memory_latency_cache(num_hosts: int = 500) -> Dict[str, float]:
-    """Bytes held by the latency memo after touching every pair once."""
-    results: Dict[str, float] = {"num_hosts": num_hosts}
-    for label, cache_size in (
-        ("dense", Topology.DEFAULT_LATENCY_CACHE_SIZE),
-        ("lru", num_hosts),  # force the sparse backend with a small bound
-    ):
-        topology = Topology(
-            TopologyConfig(num_hosts=num_hosts, num_localities=3),
-            RandomStreams(7),
-            latency_cache_size=cache_size,
-        )
-        for a in range(0, num_hosts, 7):
-            for b in range(a + 1, num_hosts, 11):
-                topology.latency_ms(a, b)
-        info = topology.latency_cache_info()
-        results[f"{label}_cache_nbytes"] = topology.latency_cache_nbytes()
-        results[f"{label}_cache_entries"] = info["size"]
-    return results
-
-
 def bench_memory_metrics(num_records: int = 100_000) -> Dict[str, float]:
     """Peak bytes per recorded query: retained columns vs compact reservoirs.
 
@@ -352,12 +331,10 @@ def run_memory_suite(quick: bool = False) -> Dict[str, Dict[str, float]]:
     if quick:
         return {
             "event_queue": bench_memory_event_queue(5_000),
-            "latency_cache": bench_memory_latency_cache(120),
             "metrics": bench_memory_metrics(10_000),
         }
     return {
         "event_queue": bench_memory_event_queue(),
-        "latency_cache": bench_memory_latency_cache(),
         "metrics": bench_memory_metrics(),
     }
 

@@ -293,8 +293,8 @@ class ScenarioSpec:
         simulation); rates, skews and gossip parameters are scale-free and
         stay untouched.  Used by the golden-metrics suite and the fast tests.
         """
-        if factor <= 0:
-            raise ValueError("factor must be positive")
+        if not is_scale_factor(factor):
+            raise ValueError(f"factor must be positive and finite, got {factor!r}")
         num_websites = max(self.active_websites, round(self.num_websites * factor))
         duration_s = max(900.0, self.duration_s * factor)
         capacity = self.content_cache_capacity
@@ -390,6 +390,11 @@ class ScenarioSpec:
 
 #: the spec's field names, in declaration order (what ``to_dict`` walks)
 _SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(ScenarioSpec))
+
+
+def is_scale_factor(value: float) -> bool:
+    """Whether ``value`` can scale a spec: positive and finite."""
+    return math.isfinite(value) and value > 0
 
 
 def _first_non_finite(value: object, path: str = "") -> Optional[Tuple[str, float]]:

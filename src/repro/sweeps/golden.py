@@ -39,6 +39,7 @@ from repro.scenarios.golden import (
     field_mismatches,
     system_mismatches,
 )
+from repro.scenarios.spec import is_scale_factor
 from repro.sweeps.engine import run_sweep
 from repro.sweeps.library import sweep_names
 
@@ -197,8 +198,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     if args.jobs <= 0:
         print("error: --jobs must be positive", file=sys.stderr)
         return 2
-    if args.scale <= 0:
-        print("error: --scale must be positive", file=sys.stderr)
+    if not is_scale_factor(args.scale):
+        print("error: --scale must be positive and finite", file=sys.stderr)
         return 2
     return check_or_update(
         names,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields as dataclass_fields, is_dataclass, rep
 from dataclasses import asdict
 from typing import Dict, Optional, Tuple
 
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, is_scale_factor
 from repro.sim.rng import derive_seed
 
 __all__ = [
@@ -260,8 +260,8 @@ class SweepSpec:
 
             base_spec = get_scenario(self.base)
         base_name = base_spec.name
-        if scale is not None and scale <= 0:
-            raise ValueError("scale must be positive")
+        if scale is not None and not is_scale_factor(scale):
+            raise ValueError(f"scale must be positive and finite, got {scale!r}")
         if scale is not None and scale != 1.0:
             base_spec = base_spec.scaled(scale)
         base_seed = base_spec.seed if seed is None else seed

@@ -260,6 +260,26 @@ class TestScenariosRunShards:
         assert capsys.readouterr().err == "error: --shard-jobs must be >= 1\n"
 
 
+class TestNonFiniteScale:
+    @pytest.mark.parametrize("argv", [
+        ["scenarios", "run", "paper-default", "--scale", "nan"],
+        ["scenarios", "run", "--all", "--scale", "nan"],
+        ["scenarios", "show", "paper-default", "--scale", "inf"],
+        ["perf", "--scale", "nan", "--output", "-"],
+        ["sweep", "run", "table2a-gossip-length", "--scale", "inf"],
+        ["sweep", "show", "table2a-gossip-length", "--scale", "nan"],
+    ])
+    def test_is_one_error_line_and_exit_2(self, argv, capsys):
+        assert cli.main(argv, out=io.StringIO()) == 2
+        assert capsys.readouterr().err == "error: --scale must be positive and finite\n"
+
+    def test_sweep_golden_module_too(self, capsys):
+        from repro.sweeps import golden
+
+        assert golden.main(["--scale", "nan", "table2a-gossip-length"]) == 2
+        assert capsys.readouterr().err == "error: --scale must be positive and finite\n"
+
+
 class TestScenariosShow:
     def test_show_prints_spec_program_and_models(self):
         output = run_cli(["scenarios", "show", "adversarial-hotspots"])

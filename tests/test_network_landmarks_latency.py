@@ -1,9 +1,8 @@
-"""Unit tests for landmark-based locality detection and the latency model."""
+"""Unit tests for the latency model: peer registration and message delay."""
 
 import pytest
 
-from repro.network.landmarks import LandmarkBinner
-from repro.network.latency import LatencyModel, ServerPlacement
+from repro.network.latency import LatencyModel
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.rng import RandomStreams
 
@@ -15,39 +14,20 @@ def topology() -> Topology:
 
 
 class TestLandmarkBinner:
-    def test_default_landmarks_come_from_topology(self, topology: Topology):
-        binner = LandmarkBinner(topology)
-        assert len(binner.landmarks) == topology.num_localities
-
-    def test_requires_at_least_one_landmark(self, topology: Topology):
-        with pytest.raises(ValueError):
-            LandmarkBinner(topology, landmarks=[])
-
-    def test_measurement_has_one_latency_per_landmark(self, topology: Topology):
-        binner = LandmarkBinner(topology)
-        measurement = binner.measure(7)
-        assert len(measurement.latencies_ms) == len(binner.landmarks)
-        assert all(latency >= 0 for latency in measurement.latencies_ms)
-
-    def test_ordering_is_a_permutation(self, topology: Topology):
-        binner = LandmarkBinner(topology)
-        ordering = binner.bin_of(11)
-        assert sorted(ordering) == list(range(len(binner.landmarks)))
-
-    def test_nearest_landmark_matches_minimum_latency(self, topology: Topology):
-        binner = LandmarkBinner(topology)
-        measurement = binner.measure(42)
-        nearest = measurement.nearest_landmark()
-        assert measurement.latencies_ms[nearest] == min(measurement.latencies_ms)
-
     def test_binning_recovers_true_localities(self, topology: Topology):
-        """The paper assumes peers can detect their locality from latency measurements."""
-        binner = LandmarkBinner(topology)
-        assert binner.accuracy() > 0.9
-
-    def test_accuracy_on_subset(self, topology: Topology):
-        binner = LandmarkBinner(topology)
-        assert 0.0 <= binner.accuracy(sample_hosts=range(20)) <= 1.0
+        """The paper assumes peers can detect their locality from latency
+        measurements: binning every host by its nearest landmark (one host per
+        locality) recovers the locality placement assigned it."""
+        landmarks = [
+            topology.hosts_in_locality(locality)[0]
+            for locality in range(topology.num_localities)
+        ]
+        correct = sum(
+            topology.locality_of(min(landmarks, key=lambda mark: topology.latency_ms(host, mark)))
+            == topology.locality_of(host)
+            for host in range(topology.num_hosts)
+        )
+        assert correct / topology.num_hosts > 0.9
 
 
 class TestLatencyModel:
@@ -67,33 +47,10 @@ class TestLatencyModel:
         with pytest.raises(ValueError):
             model.register_peer("a", topology.num_hosts + 5)
 
-    def test_unregister_removes_peer(self, topology: Topology):
-        model = LatencyModel(topology)
-        model.register_peer("a", 1)
-        model.unregister_peer("a")
-        assert not model.is_registered("a")
-
-    def test_locality_of_peer(self, topology: Topology):
-        model = LatencyModel(topology)
-        model.register_peer("a", 3)
-        assert model.locality_of("a") == topology.locality_of(3)
-
     def test_server_latency_defaults_to_max_latency(self, topology: Topology):
         model = LatencyModel(topology)
-        model.register_peer("a", 0)
-        assert model.latency_to_server_ms("a") == topology.config.max_latency_ms
-
-    def test_server_latency_override(self, topology: Topology):
-        model = LatencyModel(topology, ServerPlacement(server_latency_ms=321.0))
-        model.register_peer("a", 0)
-        assert model.latency_to_server_ms("a") == 321.0
-
-    def test_transfer_distance_to_peer_and_server(self, topology: Topology):
-        model = LatencyModel(topology)
-        model.register_peer("requester", 0)
-        model.register_peer("provider", 9)
-        assert model.transfer_distance_ms("requester", "provider") == topology.latency_ms(0, 9)
-        assert model.transfer_distance_ms("requester", None) == model.server_latency_ms
+        assert model.server_latency_ms == topology.config.max_latency_ms
+        assert model.fork().server_latency_ms == topology.config.max_latency_ms
 
     def test_reregistering_peer_moves_it(self, topology: Topology):
         model = LatencyModel(topology)

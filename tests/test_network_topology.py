@@ -53,23 +53,24 @@ class TestTopologyStructure:
             assert 0 <= host.locality < topology.num_localities
 
     def test_locality_populations_cover_all_hosts(self, topology: Topology):
-        populations = topology.locality_populations()
-        assert sum(populations.values()) == topology.num_hosts
-        assert set(populations) == set(range(topology.num_localities))
+        members = [
+            host_id
+            for locality in range(topology.num_localities)
+            for host_id in topology.hosts_in_locality(locality)
+        ]
+        assert sorted(members) == list(range(topology.num_hosts))
 
     def test_populations_are_non_uniform_by_default(self, topology: Topology):
-        populations = topology.locality_populations()
-        assert max(populations.values()) > min(populations.values())
+        populations = [
+            len(topology.hosts_in_locality(locality))
+            for locality in range(topology.num_localities)
+        ]
+        assert max(populations) > min(populations)
 
     def test_hosts_in_locality_consistent_with_locality_of(self, topology: Topology):
         for locality in range(topology.num_localities):
             for host_id in topology.hosts_in_locality(locality):
                 assert topology.locality_of(host_id) == locality
-
-    def test_landmark_hosts_one_per_populated_locality(self, topology: Topology):
-        landmarks = topology.landmark_hosts()
-        assert len(landmarks) == topology.num_localities
-        assert len({topology.locality_of(l) for l in landmarks}) == topology.num_localities
 
     def test_same_seed_reproduces_topology(self):
         config = TopologyConfig(num_hosts=100, num_localities=3)
@@ -97,8 +98,9 @@ class TestLatencies:
                 assert config.min_latency_ms <= latency <= config.max_latency_ms
 
     def test_intra_locality_latency_lower_than_inter(self, topology: Topology):
-        intra = topology.average_intra_locality_latency(0)
         hosts_0 = topology.hosts_in_locality(0)
+        intra_pairs = list(zip(hosts_0, hosts_0[1:50]))
+        intra = sum(topology.latency_ms(a, b) for a, b in intra_pairs) / len(intra_pairs)
         hosts_2 = topology.hosts_in_locality(2)
         inter = sum(
             topology.latency_ms(a, b) for a, b in zip(hosts_0[:50], hosts_2[:50])
@@ -107,8 +109,3 @@ class TestLatencies:
 
     def test_latency_is_deterministic_for_a_pair(self, topology: Topology):
         assert topology.latency_ms(10, 20) == topology.latency_ms(10, 20)
-
-    def test_average_intra_latency_of_singleton_locality_is_zero(self):
-        config = TopologyConfig(num_hosts=1, num_localities=1)
-        topo = Topology(config, RandomStreams(1))
-        assert topo.average_intra_locality_latency(0) == 0.0

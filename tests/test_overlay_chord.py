@@ -52,12 +52,11 @@ class TestChordNode:
         assert node.local_lookup(52) == 50
         assert node.local_lookup(11) == 10
 
-    def test_conditional_local_lookup_filters(self, idspace: IdSpace):
+    def test_lookup_in_range_filters(self, idspace: IdSpace):
         node = ChordNode(10, idspace)
         node.successors = [50, 90]
-        high_only = lambda n: n >= 60  # noqa: E731
-        assert node.conditional_local_lookup(52, high_only) == 90
-        assert node.conditional_local_lookup(52, lambda n: False) is None
+        assert node.lookup_in_range(52, 60, idspace.size) == 90
+        assert node.lookup_in_range(52, 0, 0) is None
 
     def test_back_finger_starts(self, idspace: IdSpace):
         node = ChordNode(10, idspace)
@@ -116,10 +115,6 @@ class TestChordRing:
         assert ring.owner_of(60).node_id == 50
         assert ring.owner_of(75).node_id == 90  # 75 is closer to 90 than to 50
         assert ring.owner_of(255).node_id == 250
-
-    def test_owner_matching_predicate(self, ring: ChordRing):
-        owner = ring.owner_matching(120, lambda nid: nid > 150)
-        assert owner.node_id == 170
 
     def test_owner_of_empty_ring_is_none(self, idspace: IdSpace):
         assert ChordRing(idspace).owner_of(5) is None

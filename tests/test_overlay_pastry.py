@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.dring import DRing
 from repro.core.keys import KeyScheme
-from repro.overlay.idspace import IdSpace
+from repro.overlay.idspace import IdRange, IdSpace
 from repro.overlay.pastry import PastryNode, PastryRing
 from repro.overlay.router import KBRRouter, RoutingPolicy
 
@@ -49,6 +49,14 @@ class TestPastryNode:
         assert 10 not in node.known_nodes()
         assert 30 in node.known_nodes()
 
+    def test_lookup_in_range_filters(self, idspace: IdSpace):
+        node = PastryNode(0, idspace)
+        node.leaf_set = [10, 20]
+        node.routing_table = {0: {2: 30}}
+        assert node.lookup_in_range(22, 15, 40) == 20
+        assert node.lookup_in_range(22, 25, 40) == 30
+        assert node.lookup_in_range(22, 100, 200) is None
+
 
 class TestPastryRing:
     def test_membership_and_ownership(self, ring: PastryRing, idspace: IdSpace):
@@ -84,10 +92,6 @@ class TestPastryRing:
         ring.stabilize()
         assert all(failed not in ring.node(nid).known_nodes() for nid in ring.live_ids())
 
-    def test_owner_matching(self, ring: PastryRing):
-        owner = ring.owner_matching(100, lambda nid: nid > 30000)
-        assert owner is not None and owner.node_id > 30000
-
 
 class TestPastryRouting:
     def test_router_delivers_to_numerically_closest(self, ring: PastryRing, idspace: IdSpace):
@@ -109,9 +113,9 @@ class TestPastryRouting:
             hops.append(router.route(start, key).hops)
         assert sum(hops) / len(hops) <= 6  # log16(64) ≈ 1.5 digits; generous bound
 
-    def test_constrained_routing_works_on_pastry(self, ring: PastryRing):
+    def test_constrained_routing_works_on_pastry(self, ring: PastryRing, idspace: IdSpace):
         router = KBRRouter(ring)
-        constraint = lambda nid: nid >= 32768  # noqa: E731
+        constraint = IdRange(32768, idspace.size)
         result = router.route(
             ring.live_ids()[0], 40000, policy=RoutingPolicy.CONSTRAINED, constraint=constraint
         )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.overlay.chord import ChordRing
-from repro.overlay.idspace import IdSpace
+from repro.overlay.idspace import IdRange, IdSpace
 from repro.overlay.router import KBRRouter, RouteResult, RoutingError, RoutingPolicy
 
 
@@ -102,23 +102,30 @@ class TestConstrainedRouting:
     def test_constrained_delivery_prefers_matching_nodes(self, ring: ChordRing):
         router = KBRRouter(ring)
         # Accept only nodes in the upper half of the ring.
-        constraint = lambda nid: nid >= 128  # noqa: E731
+        constraint = IdRange(128, 256)
         result = router.route(8, 100, policy=RoutingPolicy.CONSTRAINED, constraint=constraint)
         assert result.destination >= 128
 
     def test_constrained_falls_back_when_no_match_known(self, ring: ChordRing):
         router = KBRRouter(ring)
         # An unsatisfiable constraint must still deliver (Algorithm 2 keeps p').
-        result = router.route(8, 100, policy=RoutingPolicy.CONSTRAINED, constraint=lambda n: False)
+        result = router.route(8, 100, policy=RoutingPolicy.CONSTRAINED, constraint=IdRange(0, 0))
         assert result.destination in ring.live_ids()
 
     def test_constrained_same_destination_when_target_matches(self, ring: ChordRing):
         router = KBRRouter(ring)
         unconstrained = router.route(8, 70)
         constrained = router.route(
-            8, 70, policy=RoutingPolicy.CONSTRAINED, constraint=lambda n: True
+            8, 70, policy=RoutingPolicy.CONSTRAINED, constraint=IdRange(0, 256)
         )
         assert constrained.destination == unconstrained.destination
+
+    def test_standard_policy_ignores_the_constraint(self, ring: ChordRing):
+        router = KBRRouter(ring)
+        standard = router.route(8, 100)
+        with_range = router.route(8, 100, constraint=IdRange(128, 256))
+        assert with_range.destination == standard.destination < 128
+        assert with_range.path == standard.path
 
 
 class TestRouteResult:

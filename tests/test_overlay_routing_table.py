@@ -1,11 +1,12 @@
 """The bisected routing table against the flat scan it replaced.
 
-``ChordNode.local_lookup`` / ``conditional_local_lookup`` / ``lookup_in_range``
-(and the Pastry and ring-ownership call sites) pick the numerically closest
-node by bisecting a sorted id list — for Chord nodes a *cached* one.  ``IdSpace.closest_to`` over
-``sorted(known_nodes())`` stays in the tree as the reference; these tests
-hold the two together, with the cache-invalidation paths (join, ``fail``,
-``forget``, ``remember``, ``stabilize``) interleaved with lookups.
+``ChordNode.local_lookup`` / ``lookup_in_range`` (and the Pastry and
+ring-ownership call sites) pick the numerically closest node by bisecting a
+sorted id list — for Chord nodes a *cached* one.  ``IdSpace.closest_to`` over
+``sorted(known_nodes())``, filtered by a predicate, is the reference these
+tests keep; they hold the two together, with the cache-invalidation paths
+(join, ``fail``, ``forget``, ``remember``, ``stabilize``) interleaved with
+lookups.
 """
 
 import random
@@ -97,13 +98,8 @@ def test_lookups_equal_reference_across_membership_changes(initial, ops, keys):
         for node in ring.nodes():
             for key in keys:
                 assert node.local_lookup(key) == reference_lookup(node, key)
-                same_residue = lambda n, k=key: n % 3 == k % 3  # noqa: E731
-                same_prefix = lambda n, k=key: n >> 5 == k >> 5  # noqa: E731
-                for predicate in (same_residue, same_prefix):
-                    assert node.conditional_local_lookup(key, predicate) == (
-                        reference_conditional(node, key, predicate)
-                    )
                 # same_prefix is the contiguous range a D-ring website occupies
+                same_prefix = lambda n, k=key: n >> 5 == k >> 5  # noqa: E731
                 low = key >> 5 << 5
                 assert node.lookup_in_range(key, low, low + 32) == (
                     reference_conditional(node, key, same_prefix)
@@ -140,12 +136,9 @@ def test_range_bisected_constraint_equals_predicate_filter(members, website, key
     # Algorithm 2's constraint on engineered ids: website = high-order bits.
     ring = ring_class.build(SPACE, sorted(members))
     low, high = website << 5, (website + 1) << 5
-    constraint = IdRange(low, high)
-    assert [constraint(n) for n in (low - 1, low, high - 1, high)] == [False, True, True, False]
     for node in ring.nodes():
         expected = reference_conditional(node, key, lambda n: n >> 5 == website)
         assert node.lookup_in_range(key, low, high) == expected
-        assert node.conditional_local_lookup(key, constraint) == expected
         if not any(low <= n < high for n in node.known_nodes()):
             assert expected is None  # a node that knows no same-website entry
         assert node.lookup_in_range(key, low, low) is None  # an empty range
@@ -158,7 +151,8 @@ def test_website_constraint_is_the_range_of_the_keys_website():
         constraint = keys.website_constraint(key)
         assert isinstance(constraint, IdRange)
         for identifier in range(keys.idspace.size):
-            assert constraint(identifier) == (keys.website_id_of(identifier) == website_id)
+            in_range = constraint.low <= identifier < constraint.high
+            assert in_range == (keys.website_id_of(identifier) == website_id)
     with pytest.raises(ValueError):
         keys.website_constraint(keys.idspace.size)
 
@@ -195,10 +189,8 @@ def flat_scan_lookups(monkeypatch):
 
     def install():
         monkeypatch.setattr(ChordNode, "local_lookup", reference_lookup)
-        monkeypatch.setattr(ChordNode, "conditional_local_lookup", reference_conditional)
         monkeypatch.setattr(ChordNode, "lookup_in_range", reference_in_range)
         monkeypatch.setattr(PastryNode, "local_lookup", _pastry_reference_lookup)
-        monkeypatch.setattr(PastryNode, "conditional_local_lookup", reference_conditional)
         monkeypatch.setattr(PastryNode, "lookup_in_range", reference_in_range)
 
     return install

@@ -104,6 +104,11 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             get_scenario("paper-default").scaled(0.0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), float("-inf")])
+    def test_scaled_rejects_non_finite_factor(self, factor):
+        with pytest.raises(ValueError, match="finite"):
+            get_scenario("paper-default").scaled(factor)
+
     def test_locality_bits_cover_the_localities(self):
         spec = get_scenario("multi-locality")
         assert 2 ** spec.locality_bits() >= spec.num_localities

@@ -132,6 +132,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="scale"):
             SweepSpec(name="grid").compile(scale=0.0)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), float("-inf")])
+    def test_compile_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(name="grid").compile(scale=scale)
+
     def test_base_spec_override(self):
         from repro.scenarios.library import get_scenario
 
