@@ -100,6 +100,17 @@ class TestBaselineComparison:
         assert baseline["scenarios"]["paper-default"]["events_per_s"] > 0
 
 
+@pytest.fixture(scope="module")
+def recorded_document():
+    """One quick suite run: the document every ``--check`` test feeds the CLI."""
+    return suite.run_suite(scenarios=["paper-default"], quick=True)
+
+
+def _feed(monkeypatch, document):
+    """Make the CLI's suite run return ``document`` instead of timing anything."""
+    monkeypatch.setattr("repro.perf.run_suite", lambda **_kwargs: copy.deepcopy(document))
+
+
 class TestCli:
     def test_perf_quick_writes_document(self, tmp_path):
         output = tmp_path / "BENCH_core.json"
@@ -112,23 +123,55 @@ class TestCli:
         document = json.loads(output.read_text())
         assert "paper-default" in document["scenarios"]
 
-    def test_perf_check_against_self(self, tmp_path, monkeypatch):
-        """--check against a baseline produced by the same configuration passes."""
+    def test_perf_check_against_self(self, tmp_path, monkeypatch, recorded_document):
+        """--check against a baseline recorded from the very same suite
+        document passes: both CLI calls are fed one recorded run, so no
+        timing noise between two live runs can trip the gate."""
         baseline = tmp_path / "baseline.json"
-        buffer = io.StringIO()
+        _feed(monkeypatch, recorded_document)
         code = cli.main(
             ["perf", "--quick", "--output", str(baseline), "--scenarios", "paper-default"],
-            out=buffer,
+            out=io.StringIO(),
         )
         assert code == 0
+        buffer = io.StringIO()
         code = cli.main(
             [
                 "perf", "--quick", "--scenarios", "paper-default",
                 "--output", "-", "--check", "--baseline", str(baseline),
             ],
-            out=io.StringIO(),
+            out=buffer,
         )
         assert code == 0
+        assert "perf check ok" in buffer.getvalue()
+
+    def test_perf_check_fails_on_twice_the_baseline_timings(
+        self, tmp_path, monkeypatch, recorded_document
+    ):
+        """The counterpart: every scenario of the fresh document took twice
+        the baseline's time (the calibrating event-core micro did not)."""
+        baseline = tmp_path / "baseline.json"
+        suite.write_document(recorded_document, baseline)
+        slower = copy.deepcopy(recorded_document)
+        for result in slower["scenarios"].values():
+            for key in ("trace_s", "run_s", "wall_s"):
+                result[key] *= 2.0
+            for key in ("events_per_s", "queries_per_s"):
+                result[key] /= 2.0
+        _feed(monkeypatch, slower)
+        buffer = io.StringIO()
+        code = cli.main(
+            [
+                "perf", "--quick", "--scenarios", "paper-default",
+                "--output", "-", "--check", "--baseline", str(baseline),
+            ],
+            out=buffer,
+        )
+        assert code == 1
+        report = buffer.getvalue()
+        assert "PERF REGRESSION" in report
+        for name in recorded_document["scenarios"]:
+            assert f"{name}: calibrated events/sec regressed 50.0%" in report
 
     def test_perf_invalid_repeats_rejected(self):
         assert cli.main(["perf", "--repeats", "0"], out=io.StringIO()) == 2

@@ -6,10 +6,13 @@ installed from here (nothing under ``src/`` imports this file) and removed
 again afterwards — print, per path, calls / total ms / µs per call:
 
 * the **miss path** of an existing content peer (Section 4.1, Algorithm 5):
-  ``_content_peer_query`` split by how the query ended (own-store hit, view
-  hit, directory hit, server miss), the view probe inside it with the share
-  of probes that found nothing and the share the view's union mask rejected
-  without a scan, and ``_after_served`` (store + push);
+  ``_content_peer_query`` split by how the query ended (view hit, directory
+  hit, server miss), the view probe inside it with the share of probes that
+  found nothing and the share the view's union mask rejected without a scan,
+  and ``_after_served`` (store + push).  Own-store hits are answered inside
+  the trace replay itself (``FlowerCDN.trace_replay``), so their row is only
+  counted — the Flower rows minus the joins minus the ``_content_peer_query``
+  calls — and not separately timed;
 * the **join** of a new client (Section 3.4): ``_new_client_query`` and its
   three parts — the D-ring route, the two process starts, view seeding;
 * the **gossip tick** (Algorithm 4) and ``build_gossip_message`` inside it;
@@ -46,9 +49,11 @@ from repro.scenarios.artifacts import DIGEST_FILENAME, RESULT_FILENAME, run_docu
 from repro.scenarios.library import get_scenario
 from repro.session import Session
 
+#: the row derived from the others' counts
+OWN_STORE_HIT = "existing peer: own-store hit"
 #: report rows in print order: (label, indent)
 ROWS = (
-    ("existing peer: own-store hit", 0),
+    (OWN_STORE_HIT, 0),
     ("existing peer: view hit", 0),
     ("existing peer: directory hit", 0),
     ("existing peer: server miss", 0),
@@ -117,14 +122,11 @@ class PathCosts:
         server_miss = QueryOutcome.SERVER_MISS
 
         def timed_query(system, peer, website, object_id, locality):
-            own = object_id in peer._objects
             costs._via_directory = False
             started = perf_counter()
             row = query(system, peer, website, object_id, locality)
             elapsed = perf_counter() - started
-            if own:
-                cell = cost["existing peer: own-store hit"]
-            elif row[0] is server_miss:
+            if row[0] is server_miss:
                 cell = cost["existing peer: server miss"]
             elif costs._via_directory:
                 cell = cost["existing peer: directory hit"]
@@ -177,17 +179,28 @@ class PathCosts:
 
     # -- report -------------------------------------------------------------
 
-    def report(self, title: str, wall_s: float) -> str:
+    def report(self, title: str, wall_s: float, rows: int) -> str:
+        """The table; ``rows`` is how many trace rows the Flower run answered."""
+        cost = self.cost
+        own = OWN_STORE_HIT
+        cost[own][0] = rows - sum(
+            cost[label][0] for label in (
+                "join (_new_client_query)", "existing peer: view hit",
+                "existing peer: directory hit", "existing peer: server miss",
+            )
+        )
         lines = [
             f"path costs: {title}  (wrapped job {wall_s:.3f} s)",
             f"{'path':<34}{'calls':>9}{'total ms':>11}{'us/call':>10}",
         ]
         for label, indent in ROWS:
-            calls, seconds = self.cost[label]
+            calls, seconds = cost[label]
             per_call = f"{seconds / calls * 1e6:10.2f}" if calls else f"{'-':>10}"
-            lines.append(
-                f"{'  ' * indent + label:<34}{int(calls):>9}{seconds * 1e3:>11.1f}{per_call}"
-            )
+            total = f"{seconds * 1e3:>11.1f}"
+            if label == own:
+                total, per_call = f"{'-':>11}", f"{'-':>10}"
+            lines.append(f"{'  ' * indent + label:<34}{int(calls):>9}{total}{per_call}")
+        lines.append(f"{own}: rows - joins - _content_peer_query calls, not separately timed")
         probes = int(self.cost["view probe"][0])
         if probes:
             lines.append(
@@ -199,11 +212,14 @@ class PathCosts:
         return "\n".join(lines)
 
 
-def run_job(spec, seed: int) -> Tuple[tuple, float]:
-    """One job, spec in → ``(result.json, digest.json)`` out, and its wall time."""
+def run_job(spec, seed: int) -> Tuple[tuple, int, float]:
+    """One job, spec in → ``(result.json, digest.json)`` out, with the
+    number of Flower rows and its wall time."""
     started = perf_counter()
-    bundle = run_documents(Session(spec, seed=seed).run())
-    return (bundle[RESULT_FILENAME], bundle[DIGEST_FILENAME]), perf_counter() - started
+    result = Session(spec, seed=seed).run()
+    bundle = run_documents(result)
+    documents = (bundle[RESULT_FILENAME], bundle[DIGEST_FILENAME])
+    return documents, result.flower.metrics["num_queries"], perf_counter() - started
 
 
 def main(argv: list) -> int:
@@ -228,12 +244,12 @@ def main(argv: list) -> int:
     costs = PathCosts()
     costs.install()
     try:
-        wrapped, wall_s = run_job(spec, args.seed)
+        wrapped, rows, wall_s = run_job(spec, args.seed)
     finally:
         costs.uninstall()
-    print(costs.report(f"{spec.name}, seed {args.seed}", wall_s))
+    print(costs.report(f"{spec.name}, seed {args.seed}", wall_s, rows))
     if args.check_digest:
-        plain, plain_wall_s = run_job(spec, args.seed)
+        plain, _, plain_wall_s = run_job(spec, args.seed)
         if plain != wrapped:
             print("FAIL: the wrapped run's documents differ from an unwrapped run's")
             return 1

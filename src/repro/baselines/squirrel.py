@@ -10,7 +10,7 @@ the DHT to the home node and then redirected to one of the downloaders.  The
 an extension and exercised by an ablation benchmark.
 
 The implementation mirrors :class:`~repro.core.system.FlowerCDN`'s interface
-(``bootstrap`` / ``handle_query`` returning a
+(``bootstrap``, ``trace_replay`` for a run, ``handle_query`` returning a
 :class:`~repro.metrics.collectors.QueryRecord`) so both systems can be driven
 by the same experiment runner on the same query trace.
 """
@@ -19,9 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
-from repro.metrics.collectors import MetricsCollector, QueryOutcome, QueryRecord
+from repro.metrics.collectors import (
+    OUTCOME_CODES,
+    MetricsCollector,
+    OutcomeColumns,
+    QueryOutcome,
+    QueryRecord,
+)
 from repro.network.latency import LatencyModel
 from repro.network.topology import Topology
 from repro.overlay.chord import ChordRing
@@ -29,6 +35,7 @@ from repro.overlay.idspace import IdSpace
 from repro.sim.engine import Simulator
 from repro.workload.assignment import ResolvedQuery
 from repro.workload.catalog import ObjectId
+from repro.workload.trace import ResolvedTraceArrays
 
 
 class SquirrelStrategy(Enum):
@@ -214,6 +221,43 @@ class Squirrel:
             query.client_host,
         )
         return QueryRecord(query.query_id, query.time, query.website, query.locality, *row)
+
+    def trace_replay(
+        self, trace: ResolvedTraceArrays, rows: OutcomeColumns
+    ) -> Callable[[], None]:
+        """The :meth:`Simulator.schedule_trace` callback that answers the
+        whole trace, row after row, into ``rows`` at the rows' positions.
+
+        Row for row what :meth:`process_query` computes, without a frame of
+        its own: an own-cache hit is answered here (its numbers are the
+        zeros a slot starts with), every other row by the same
+        :meth:`_locate` call.
+        """
+        if not self._bootstrapped:
+            raise RuntimeError("call bootstrap() before handling queries")
+        object_ids = [website.object_ids() for website in trace.websites]
+        website_index, object_rank = trace.website_index, trace.object_rank
+        client_hosts = trace.client_host
+        peer_of_host, peers = self._peers_by_host, self._peers
+        join, locate = self._join, self._locate
+        outcomes, providers, put = rows.outcomes, rows.providers, rows.put
+        peer_hit = OUTCOME_CODES[QueryOutcome.PEER_HIT]
+        next_row = iter(range(len(trace))).__next__
+
+        def answer_next_row() -> None:
+            row = next_row()
+            object_id = object_ids[website_index[row]][object_rank[row]]
+            client_host = client_hosts[row]
+            peer_id = peer_of_host.get(client_host)
+            requester = peers[peer_id] if peer_id is not None else join(client_host)
+            if object_id in requester.cache:
+                outcomes[row] = peer_hit
+                if providers is not None:
+                    providers[row] = requester.peer_id
+            else:
+                put(row, locate(requester, object_id))
+
+        return answer_next_row
 
     def _locate(self, requester: SquirrelPeer, object_id: ObjectId) -> tuple:
         if requester.has_object(object_id):

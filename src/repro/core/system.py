@@ -12,6 +12,8 @@ upkeep that keeps its overlays alive is its base class,
   content overlay (existing content peers, Section 4.1) — and records the
   row the evaluation needs (:meth:`FlowerCDN.handle_query` is its object
   adapter, returning a :class:`~repro.metrics.collectors.QueryRecord`);
+  a run replays its trace through :meth:`FlowerCDN.trace_replay`, which
+  answers row after row the same way straight into outcome columns;
 * content peers created on the way are enrolled in their overlay and given
   the periodic gossip and keepalive processes of Algorithms 4 and 5;
 * an optional :class:`~repro.network.reachability.ReachabilityModel`
@@ -25,7 +27,7 @@ upkeep that keeps its overlays alive is its base class,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import FlowerConfig
 from repro.core.content_peer import ContentPeer
@@ -34,8 +36,10 @@ from repro.core.dring import DRing
 from repro.core.keys import KeyScheme
 from repro.core.maintenance import OverlayMaintenance
 from repro.metrics.collectors import (
+    OUTCOME_CODES,
     BandwidthAccountant,
     MetricsCollector,
+    OutcomeColumns,
     QueryOutcome,
     QueryRecord,
 )
@@ -46,6 +50,7 @@ from repro.overlay.pastry import PastryRing
 from repro.sim.engine import Simulator
 from repro.workload.assignment import ResolvedQuery
 from repro.workload.catalog import Catalog, ObjectId
+from repro.workload.trace import ResolvedTraceArrays
 
 # Bound once: an enum member read is a metaclass attribute lookup, and the
 # query path returns one of these per query.
@@ -278,10 +283,10 @@ class FlowerCDN(OverlayMaintenance):
     ) -> tuple:
         """Process one client query given as scalars and record its metrics.
 
-        The one query path: the trace replay calls it straight from the trace
-        columns.  Returns the outcome row it recorded — ``(outcome,
-        lookup_latency_ms, transfer_distance_ms, overlay_hops, provider,
-        redirection_failures)``, the trailing fields of a
+        The public one-query API (a run answers its trace through
+        :meth:`trace_replay`, on the same paths).  Returns the outcome row it
+        recorded — ``(outcome, lookup_latency_ms, transfer_distance_ms,
+        overlay_hops, provider, redirection_failures)``, the trailing fields of a
         :class:`~repro.metrics.collectors.QueryRecord`.
         """
         if not self._bootstrapped:
@@ -306,6 +311,52 @@ class FlowerCDN(OverlayMaintenance):
             query.client_host,
         )
         return QueryRecord(query.query_id, query.time, query.website, query.locality, *row)
+
+    def trace_replay(
+        self,
+        trace: ResolvedTraceArrays,
+        positions: Sequence[int],
+        rows: OutcomeColumns,
+        slots: Sequence[int],
+    ) -> Callable[[], None]:
+        """The :meth:`Simulator.schedule_trace` callback that answers the
+        trace rows at ``positions``, in that order, into ``rows`` at ``slots``.
+
+        Row for row what :meth:`process_query` computes, without a frame of
+        its own: an own-store hit is answered here (its numbers are the
+        zeros a slot starts with), every other row by the same
+        :meth:`_content_peer_query` / :meth:`_new_client_query` call.
+        """
+        if not self._bootstrapped:
+            raise RuntimeError("call bootstrap() before handling queries")
+        names = [website.name for website in trace.websites]
+        object_ids = [website.object_ids() for website in trace.websites]
+        website_index, object_rank = trace.website_index, trace.object_rank
+        localities, client_hosts = trace.locality, trace.client_host
+        peer_of_host, peers = self._content_by_host, self._content_peers
+        content_peer_query, new_client_query = self._content_peer_query, self._new_client_query
+        outcomes, providers, put = rows.outcomes, rows.providers, rows.put
+        local_hit = OUTCOME_CODES[_LOCAL_HIT]
+        next_row = zip(positions, slots).__next__
+
+        def answer_next_row() -> None:
+            row, slot = next_row()
+            website = website_index[row]
+            name = names[website]
+            object_id = object_ids[website][object_rank[row]]
+            client_host = client_hosts[row]
+            existing_id = peer_of_host.get((name, client_host))
+            peer = peers.get(existing_id) if existing_id is not None else None
+            if peer is None:
+                put(slot, new_client_query(name, object_id, localities[row], client_host))
+            elif object_id in peer._objects:
+                outcomes[slot] = local_hit
+                if providers is not None:
+                    providers[slot] = peer.peer_id
+            else:
+                put(slot, content_peer_query(peer, name, object_id, localities[row]))
+
+        return answer_next_row
 
     # -- existing content peers (Section 4.1) -----------------------------------------
 
@@ -576,7 +627,7 @@ class FlowerCDN(OverlayMaintenance):
         self._content_by_host[(website, host_id)] = peer_id
         members.append(peer_id)
         self.latency.register_peer(peer_id, host_id)
-        self.bandwidth.observe_peer(self.sim.now, peer_id)
+        self.bandwidth.observe_peer(peer_id)
         self._start_content_processes(peer)
         return peer
 

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 from repro.baselines.squirrel import Squirrel, SquirrelConfig
 from repro.core.config import FlowerConfig
 from repro.core.system import FlowerCDN, directory_hosts
-from repro.metrics.collectors import BandwidthAccountant, MetricsCollector
+from repro.metrics.collectors import BandwidthAccountant, MetricsCollector, OutcomeColumns
 from repro.network.latency import LatencyModel
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
@@ -196,7 +196,7 @@ class ExperimentRunner:
 
         Built once and shared by every system run (the comparative figures
         require both systems to process the same stream) and replayed
-        straight from the columns (:meth:`ResolvedTraceArrays.replayer`), so
+        straight from the columns (each system's ``trace_replay``), so
         a paper-scale trace costs ~30 bytes per query resident and no
         per-query object at all; ``iter_queries()`` materialises
         :class:`~repro.workload.assignment.ResolvedQuery` objects on demand.
@@ -242,8 +242,24 @@ class ExperimentRunner:
             compact_metrics=self.setup.compact_metrics,
         )
         system.bootstrap()
-        sim.schedule_trace(trace.times, trace.replayer(system.process_query), label="query")
+        rows = OutcomeColumns(len(trace), keep_providers=not self.setup.compact_metrics)
+        sim.schedule_trace(trace.times, system.trace_replay(trace, rows), label="query")
         duration = self.setup.flower.simulation_duration_s
         sim.run(until=duration)
         sim.discard_pending()
-        return RunResult.from_metrics("Squirrel", duration, system.metrics, sim.events_fired)
+        metrics = self.fold_outcomes(rows, self.setup.squirrel.metrics_window_s)
+        return RunResult.from_metrics("Squirrel", duration, metrics, sim.events_fired)
+
+    def fold_outcomes(self, rows: OutcomeColumns, window_s: float) -> MetricsCollector:
+        """A run's collector: the trace's query columns beside the outcome
+        columns its replay filled, recorded in one fold — the one way a
+        system's rows reach the metrics, Flower-CDN's blocks and Squirrel alike."""
+        trace = self.resolved_trace()
+        metrics = MetricsCollector(
+            window_s=window_s, retain_records=not self.setup.compact_metrics
+        )
+        metrics.record_trace(
+            [website.name for website in trace.websites],
+            trace.query_id, trace.times, trace.website_index, trace.locality, rows,
+        )
+        return metrics

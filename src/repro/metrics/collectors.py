@@ -75,6 +75,8 @@ PENDING_FLUSH_THRESHOLD = 4096
 #: the outcome column stores positions in this tuple
 _OUTCOMES = tuple(QueryOutcome)
 _MISS = _OUTCOMES.index(QueryOutcome.SERVER_MISS)
+#: each outcome's code in the outcome columns
+OUTCOME_CODES: Dict[QueryOutcome, int] = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
 #: a record's fields in ``record_row`` order (which is the field order)
 _ROW_OF = attrgetter(*QueryRecord.__slots__)
 
@@ -82,14 +84,16 @@ _ROW_OF = attrgetter(*QueryRecord.__slots__)
 class OutcomeColumns:
     """The outcome half of a run's query rows, one slot per trace position.
 
-    What the blocks of a run cut by website fill — each through
-    :meth:`record_row`, in place of its system's collector — and one
-    :meth:`MetricsCollector.record_trace` folds: ~25 bytes per query
-    (``providers`` only for a collector that retains records), while the
-    query half of every row stays in the trace.
+    What the blocks of a run cut by website fill — each system's trace
+    replay writes every row it answers at that row's slot, in place of its
+    system's collector — and one :meth:`MetricsCollector.record_trace`
+    folds: ~25 bytes per query (``providers`` only for a collector that
+    retains records), while the query half of every row stays in the trace.
+    A slot starts unanswered with zero numbers, so an answer that is all
+    zeros (an own-store hit) sets just its outcome and provider.
     """
 
-    __slots__ = ("outcomes", "latencies", "distances", "hops", "failures", "providers", "_next")
+    __slots__ = ("outcomes", "latencies", "distances", "hops", "failures", "providers")
 
     def __init__(self, size: int, keep_providers: bool) -> None:
         self.outcomes = array("b", [-1]) * size  # -1: not answered (yet)
@@ -98,39 +102,24 @@ class OutcomeColumns:
         self.hops = array("i", [0]) * size
         self.failures = array("i", [0]) * size
         self.providers: Optional[List[Optional[str]]] = [None] * size if keep_providers else None
-        self._next = iter(()).__next__
 
-    def begin_block(self, positions: Iterable[int]) -> None:
-        """Rows recorded from now on land at ``positions``, in that order."""
-        self._next = iter(positions).__next__
-
-    def record_row(
-        self,
-        query_id: int,
-        time: float,
-        website: str,
-        locality: int,
-        outcome: QueryOutcome,
-        lookup_latency_ms: float,
-        transfer_distance_ms: float,
-        overlay_hops: int = 0,
-        provider: Optional[str] = None,
-        redirection_failures: int = 0,
-    ) -> None:
-        """:meth:`MetricsCollector.record_row`, keeping the outcome fields only."""
-        position = self._next()
-        self.outcomes[position] = _OUTCOMES.index(outcome)
-        self.latencies[position] = lookup_latency_ms
-        self.distances[position] = transfer_distance_ms
-        self.hops[position] = overlay_hops
-        self.failures[position] = redirection_failures
+    def put(self, slot: int, row: tuple) -> None:
+        """Write an outcome row — ``(outcome, lookup_latency_ms,
+        transfer_distance_ms, overlay_hops, provider, redirection_failures)``,
+        what ``process_query`` returns — at ``slot``."""
+        outcome, latency, distance, hops, provider, failures = row
+        self.outcomes[slot] = OUTCOME_CODES[outcome]
+        self.latencies[slot] = latency
+        self.distances[slot] = distance
+        self.hops[slot] = hops
+        self.failures[slot] = failures
         if self.providers is not None:
-            self.providers[position] = provider
+            self.providers[slot] = provider
 
     def adopt(self, packed: "OutcomeColumns", positions: Sequence[int]) -> None:
         """Put the rows of ``packed`` (another process's blocks, in the order
         it ran them) at ``positions``."""
-        for name in self.__slots__[:-1]:
+        for name in self.__slots__:
             mine, theirs = getattr(self, name), getattr(packed, name)
             if mine is not None:
                 for position, value in zip(positions, theirs):
@@ -444,7 +433,6 @@ class BandwidthAccountant:
         self._bytes_per_category: Dict[str, float] = defaultdict(float)
         self._messages_per_category: Dict[str, int] = defaultdict(int)
         self._series = TimeSeries(window_s)
-        self._peer_first_seen: Dict[str, float] = {}
         # record_message() runs on every background message inside the sim
         # loop: validation stays eager (error locality), accumulation is
         # deferred to _sync() like MetricsCollector's.  The buffer is flushed
@@ -466,9 +454,9 @@ class BandwidthAccountant:
         if len(self._pending) >= PENDING_FLUSH_THRESHOLD:
             self._sync()
 
-    def observe_peer(self, time: float, peer: str) -> None:
+    def observe_peer(self, peer: str) -> None:
         """Register a peer that participates even if it never sends traffic."""
-        self._append_pending((time, peer, None, 0, None))
+        self._append_pending((0.0, peer, None, 0, None))
         if len(self._pending) >= PENDING_FLUSH_THRESHOLD:
             self._sync()
 
@@ -478,21 +466,16 @@ class BandwidthAccountant:
         if not pending:
             return
         bytes_per_peer = self._bytes_per_peer
-        first_seen = self._peer_first_seen
         bytes_per_category = self._bytes_per_category
         messages_per_category = self._messages_per_category
         series_add = self._series.add
-        setdefault = first_seen.setdefault
         for time, sender, receiver, num_bytes, category in pending:
             if category is None:
                 # observe_peer(): participation without traffic.
                 bytes_per_peer.setdefault(sender, 0.0)
-                setdefault(sender, time)
                 continue
             bytes_per_peer[sender] += num_bytes
-            setdefault(sender, time)
             bytes_per_peer[receiver] += num_bytes
-            setdefault(receiver, time)
             bytes_per_category[category] += 2 * num_bytes
             messages_per_category[category] += 1
             series_add(time, 2 * num_bytes)
@@ -502,20 +485,15 @@ class BandwidthAccountant:
         """Fold another accountant's totals into this one.
 
         Byte totals are integer-valued floats (exact under addition in any
-        order), first-seen times merge by minimum, and category/series
-        aggregates add exactly — so merging per-shard accountants agrees
-        bitwise with single-process accounting of the union of messages.
+        order), and category/series aggregates add exactly — so merging
+        per-shard accountants agrees bitwise with single-process accounting of
+        the union of messages.
         """
         self._sync()
         other._sync()
         bytes_per_peer = self._bytes_per_peer
-        first_seen = self._peer_first_seen
         for peer, num_bytes in other._bytes_per_peer.items():
             bytes_per_peer[peer] += num_bytes
-        for peer, time in other._peer_first_seen.items():
-            known = first_seen.get(peer)
-            if known is None or time < known:
-                first_seen[peer] = time
         for category, num_bytes in other._bytes_per_category.items():
             self._bytes_per_category[category] += num_bytes
         for category, count in other._messages_per_category.items():

@@ -53,6 +53,12 @@ class _TraceSource:
         return (self.time, self.sequence)
 
 
+def _unsorted(source: _TraceSource, following: float, time: float) -> SimulationError:
+    return SimulationError(
+        f"trace {source.label!r} is not sorted: {following:.6f} follows {time:.6f}"
+    )
+
+
 class Simulator:
     """Deterministic discrete-event simulator.
 
@@ -205,9 +211,7 @@ class Simulator:
         if cursor < source.size:
             following = source.times[cursor]
             if following < time:
-                raise SimulationError(
-                    f"trace {source.label!r} is not sorted: {following:.6f} follows {time:.6f}"
-                )
+                raise _unsorted(source, following, time)
             source.time = following
             if len(self._sources) > 1:
                 self._head = min(self._sources, key=_TraceSource.key)
@@ -281,6 +285,7 @@ class Simulator:
         # order, and pop_before has filtered the horizon).
         pop_before = self._queue.pop_before
         fire_trace = self._fire_trace
+        sources = self._sources
         while not self._stopped:
             # Re-read per event: a callback may register another source.
             source = self._head
@@ -289,9 +294,27 @@ class Simulator:
                 if event is None:
                     break
             else:
-                event = pop_before(source.time, source.sequence)
+                time = source.time
+                event = pop_before(time, source.sequence)
                 if event is None:
-                    fire_trace(source)
+                    if len(sources) > 1:
+                        fire_trace(source)
+                        continue
+                    # The lone source's entry, fired here: `_fire_trace` with
+                    # no other source to pick the next head from.
+                    self._now = time
+                    self._events_fired += 1
+                    cursor = source.cursor + 1
+                    source.cursor = cursor
+                    if cursor < source.size:
+                        following = source.times[cursor]
+                        if following < time:
+                            raise _unsorted(source, following, time)
+                        source.time = following
+                    else:
+                        sources.clear()
+                        self._head = None
+                    source.callback()
                     continue
             self._now = event.time
             # Updated per event (not batched into a local) so callbacks

@@ -30,8 +30,8 @@ positions, and a single collector records trace and outcomes side by side
 rows, in the very order, whatever the plan, so ``result.json`` and
 ``digest.json`` are byte-identical whatever the block plan, the placement or
 the metrics mode.  Bandwidth, delivery-gate and resilience blocks merge by
-the rules in their classes (exact sums, min-first-seen, then one resilience
-summary over the folded series).
+the rules in their classes (exact sums, then one resilience summary over
+the folded series).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ if TYPE_CHECKING:
 
 from repro.core.system import OverlayStats
 from repro.experiments.driver import ExperimentRunner, RunResult, flatten_injectors
-from repro.metrics.collectors import BandwidthAccountant, MetricsCollector, OutcomeColumns
+from repro.metrics.collectors import BandwidthAccountant, OutcomeColumns
 from repro.metrics.resilience import summarise_resilience
 from repro.network.reachability import DeliveryStats
 from repro.scenarios.models import build_churn_model, build_fault_model
@@ -159,12 +159,9 @@ class BlockedRun:
         trace.  The system is dropped on return, the whole catalogue's :attr:`kept`."""
         trace, block = self.runner.resolved_trace(), self.blocks[index]
         whole = block is None
-        positions = None if whole else self.positions[index]
+        positions = self.positions[index]
         sim, system = self.runner.build_flower(None if whole else frozenset(block))
         ring = system.dring.placements()
-        rows.begin_block(slots)
-        # In place of the system's own collector: the run has one, at the fold.
-        system.metrics = rows  # type: ignore[assignment]
         # What is attached to a cut block lives and dies with it (that doing
         # so block by block reproduces the one-block run is inseparable_reason()'s).
         injectors = flatten_injectors(attach(system) for attach in self.attachments)
@@ -172,8 +169,9 @@ class BlockedRun:
             injector.start()
         sim.schedule_trace(
             # (the engine packs a block's times; the whole trace's are used as is)
-            trace.times if positions is None else map(trace.times.__getitem__, positions),
-            trace.replayer(system.process_query, positions),
+            trace.times if whole else map(trace.times.__getitem__, positions),
+            # In place of the system's own collector: the run has one, at the fold.
+            system.trace_replay(trace, positions, rows, slots),
             label="query",
         )
         dispatch_started = _time.perf_counter()  # repro: allow(DET002)
@@ -205,7 +203,7 @@ class BlockedRun:
             num_directory_peers=system.num_directory_peers,
             overlays=system.active_overlays(),
             events_fired=sim.events_fired,
-            num_queries=len(self.positions[index]),
+            num_queries=len(positions),
             dispatch_s=dispatch_s,
         )
 
@@ -235,7 +233,6 @@ class BlockedRun:
             elapsed = _time.perf_counter() - started  # repro: allow(DET002)
             block.fixed_s.append(elapsed - block.dispatch_s)
             tally.absorb(block)
-        rows.begin_block(())  # (or the last block's positions travel with the rows)
         return tally, rows
 
     def fold(
@@ -257,13 +254,7 @@ class BlockedRun:
                 rows.adopt(packed, positions)
                 if tally is not census:
                     census.absorb(tally)
-        metrics = MetricsCollector(
-            window_s=setup.flower.metrics_window_s, retain_records=not setup.compact_metrics
-        )
-        metrics.record_trace(
-            [website.name for website in trace.websites],
-            trace.query_id, trace.times, trace.website_index, trace.locality, rows,
-        )
+        metrics = self.runner.fold_outcomes(rows, setup.flower.metrics_window_s)
         resilience = None
         if census.fault_windows is not None:
             resilience = summarise_resilience(

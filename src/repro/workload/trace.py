@@ -6,8 +6,8 @@ once and replays it to every system.  Half a million
 :class:`Query`/:class:`ResolvedQuery` instances would cost hundreds of
 megabytes, so :class:`QueryTraceArrays` and :class:`ResolvedTraceArrays` hold
 the same information as parallel ``array`` columns (a few bytes per query);
-a simulated run replays them as scalars (:meth:`ResolvedTraceArrays.replayer`)
-and query objects are materialised only on demand.  They are produced
+a simulated run replays them as scalars (each system's ``trace_replay``) and
+query objects are materialised only on demand.  They are produced
 by :meth:`repro.workload.generator.QueryGenerator.generate_trace` and
 :meth:`repro.workload.assignment.ClientAssigner.assign_trace`, the one trace
 pipeline; ``tests/reference/workload.py`` holds the per-query reference
@@ -17,7 +17,7 @@ their columns and stream states are tested against.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from repro.workload.catalog import Website
 from repro.workload.generator import Query
@@ -168,52 +168,3 @@ class ResolvedTraceArrays:
     def iter_queries(self) -> Iterator:
         for index in range(len(self)):
             yield self.resolved_query(index)
-
-    def replayer(
-        self, process: Callable, positions: Optional[Sequence[int]] = None
-    ) -> Callable[[], None]:
-        """A zero-argument callback for :meth:`Simulator.schedule_trace`.
-
-        Each invocation passes the next query (in trace order) to ``process``
-        as scalars read straight from the columns — ``process(query_id, time,
-        website, object_id, locality, client_host)``, the signature of
-        ``FlowerCDN.process_query`` / ``Squirrel.process_query`` — so a
-        replayed query allocates no object of its own.  ``positions``
-        (ascending row indices) replays just those rows, still without
-        copying a column: one block of a run cut by website.
-        """
-        names = [website.name for website in self.websites]
-        object_ids = [website.object_ids() for website in self.websites]
-        columns = (
-            self.query_id,
-            self.times,
-            self.website_index,
-            self.object_rank,
-            self.locality,
-            self.client_host,
-        )
-        if positions is None:
-            rows = zip(*columns)
-
-            def fire() -> None:
-                query_id, time, website, rank, locality, client_host = next(rows)
-                process(
-                    query_id, time, names[website], object_ids[website][rank], locality, client_host
-                )
-
-            return fire
-
-        # Index the shared columns row by row: cheaper than gathering six
-        # sub-columns first, whether eagerly or through six lazy iterators.
-        query_ids, times, website_index, object_rank, localities, client_hosts = columns
-        next_position = iter(positions).__next__
-
-        def fire_at_position() -> None:
-            row = next_position()
-            website = website_index[row]
-            process(
-                query_ids[row], times[row], names[website],
-                object_ids[website][object_rank[row]], localities[row], client_hosts[row],
-            )
-
-        return fire_at_position

@@ -187,7 +187,7 @@ class TestBandwidthAccountant:
     def test_idle_observed_peers_dilute_the_average(self):
         accountant = BandwidthAccountant(window_s=10)
         accountant.record_message(1.0, "a", "b", 125, "gossip")
-        accountant.observe_peer(0.0, "idle")
+        accountant.observe_peer("idle")
         assert accountant.average_bps_per_peer(10) == pytest.approx(200.0 / 3)
 
     def test_categories_are_validated_and_tracked(self):

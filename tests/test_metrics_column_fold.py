@@ -164,14 +164,13 @@ def fold_in_trace_order(records, block_of, retain, processes=1):
             position for block in mine for position, owner in enumerate(block_of) if owner == block
         ]
         packed = rows if processes == 1 else OutcomeColumns(len(positions), keep_providers=retain)
-        packed.begin_block(positions if processes == 1 else range(len(positions)))
-        for position in positions:
+        slots = positions if processes == 1 else range(len(positions))
+        for slot, position in zip(slots, positions):
             record = records[position]
-            packed.record_row(
-                record.query_id, record.time, record.website, record.locality, record.outcome,
-                record.lookup_latency_ms, record.transfer_distance_ms, record.overlay_hops,
-                record.provider, record.redirection_failures,
-            )
+            packed.put(slot, (
+                record.outcome, record.lookup_latency_ms, record.transfer_distance_ms,
+                record.overlay_hops, record.provider, record.redirection_failures,
+            ))
         if processes > 1:
             rows.adopt(packed, positions)
     names = sorted({record.website for record in records})
@@ -245,9 +244,8 @@ def test_record_trace_across_the_flush_threshold_and_its_refusals():
             )
     # A block that died before the horizon leaves rows unanswered: refuse.
     short = OutcomeColumns(3, keep_providers=False)
-    short.begin_block([0, 2])
-    for _ in range(2):
-        short.record_row(0, 0.0, "ws", 0, OUTCOMES[0], 1.0, 1.0)
+    for slot in (0, 2):
+        short.put(slot, (OUTCOMES[0], 1.0, 1.0, 0, None, 0))
     with pytest.raises(RuntimeError, match="unanswered"):
         MetricsCollector(window_s=WINDOW_S).record_trace(
             ["ws"], array("L", range(3)), array("d", [0.0] * 3), array("H", [0] * 3),

@@ -75,6 +75,15 @@ def test_wrapped_run_is_digest_neutral_and_every_path_is_seen(path_costs, capsys
     assert gc.callbacks == callbacks
 
 
+def test_own_store_hits_are_counted_on_the_table1_run(path_costs, capsys):
+    """Answered inside the trace replay, own-store hits are no call to wrap:
+    the row is derived from the others and must not silently read 0."""
+    assert path_costs.main(["--table1-hours", "1.5", "--check-digest"]) == 0
+    report = capsys.readouterr().out
+    assert "ok: wrapped == unwrapped (result.json, digest.json)" in report
+    assert _calls(report, "existing peer: own-store hit") > 0
+
+
 def test_one_target_is_required(path_costs):
     with pytest.raises(SystemExit):
         path_costs.main([])

@@ -24,6 +24,7 @@ from repro.scenarios.models import (
     unregister_churn_model,
     unregister_fault_model,
 )
+from repro.metrics.collectors import OutcomeColumns
 from repro.session import Session
 from repro.sim.sharded import run_blocks
 
@@ -367,7 +368,11 @@ class TestInjectorLifecycle:
         injectors = session.attach_models(system)
         for injector in injectors:
             injector.start()
-        sim.schedule_trace(trace.times, trace.replayer(system.process_query), label="query")
+        every_row = range(len(trace))
+        rows = OutcomeColumns(len(trace), keep_providers=False)
+        sim.schedule_trace(
+            trace.times, system.trace_replay(trace, every_row, rows, every_row), label="query"
+        )
         sim.run(until=spec.duration_s / 2)
         logged = [list(injector.log) for injector in injectors]
         for injector in reversed(injectors):

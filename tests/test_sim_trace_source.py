@@ -178,3 +178,99 @@ def test_unsorted_trace_is_rejected_when_reached():
     sim.schedule_trace([1.0, 3.0, 2.0], lambda: None)
     with pytest.raises(SimulationError, match="not sorted"):
         sim.run()
+
+
+# -- run() fires a lone source inline; step() still goes through _fire_trace ----
+
+#: what a trace entry does when it fires: schedule a queue event now, at the
+#: next entry's exact time, or later; or register another source
+LONE_REACTIONS = st.sampled_from(["now", "next", "later", "source"])
+
+
+@st.composite
+def lone_source_programs(draw):
+    return {
+        "backend": draw(st.sampled_from(["heap", "calendar"])),
+        # few distinct times, so entries tie with each other and with events
+        "trace": sorted(draw(st.lists(st.integers(0, 6).map(lambda k: k * 0.5),
+                                      min_size=1, max_size=20))),
+        "reactions": draw(st.dictionaries(
+            st.integers(0, 19), st.lists(LONE_REACTIONS, min_size=1, max_size=3), max_size=8
+        )),
+        # a second source registered up front (empty: none)
+        "second": sorted(draw(st.lists(st.integers(0, 6).map(lambda k: k * 0.5), max_size=5))),
+        # offsets from `now` of a source registered from inside a callback
+        "inner": sorted(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=4))),
+    }
+
+
+def _replay(program, drive):
+    """Run ``program`` to the end with ``drive``; log each firing's clock and count."""
+    sim = Simulator(seed=1, queue_backend=program["backend"])
+    trace = program["trace"]
+    log = []
+
+    def note(*what):
+        log.append((*what, sim.now, sim.events_fired))
+
+    cursor = [0]
+
+    def on_entry():
+        index = cursor[0]
+        cursor[0] = index + 1
+        note("trace", index)
+        for number, reaction in enumerate(program["reactions"].get(index, ())):
+            label = f"{index}.{number}"
+            if reaction == "source":
+                sim.schedule_trace(
+                    [sim.now + offset for offset in program["inner"]],
+                    lambda label=label: note("inner", label),
+                )
+                continue
+            if reaction == "now":
+                when = sim.now
+            elif reaction == "next":
+                when = trace[index + 1] if index + 1 < len(trace) else sim.now
+            else:
+                when = sim.now + 1.25
+            sim.at(when, lambda label=label: note("event", label))
+
+    sim.schedule_trace(trace, on_entry)
+    sim.schedule_trace(program["second"], lambda: note("second"))
+    drive(sim)
+    log.append(("end", sim.now, sim.events_fired, sim.pending_events))
+    return log
+
+
+def _step_to_the_end(sim):
+    while sim.step():
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(lone_source_programs())
+def test_run_fires_like_a_step_loop_at_ties(program):
+    """``run()`` answers a lone source's entries itself; a ``step()`` loop
+    fires every entry through ``_fire_trace``: same order, clock and count."""
+    assert _replay(program, Simulator.run) == _replay(program, _step_to_the_end)
+
+
+def test_run_fires_a_lone_source_inline_and_several_through_fire_trace(monkeypatch):
+    fired = []
+    original = Simulator._fire_trace
+
+    def counted(self, source):
+        fired.append(source.label)
+        original(self, source)
+
+    monkeypatch.setattr(Simulator, "_fire_trace", counted)
+    sim = Simulator(seed=1)
+    sim.schedule_trace([1.0, 2.0], lambda: None, label="lone")
+    sim.run()
+    assert fired == [] and sim.events_fired == 2
+    sim.schedule_trace([3.0, 4.0], lambda: None, label="a")
+    sim.schedule_trace([3.5], lambda: None, label="b")
+    sim.run()
+    # two sources: the first entries go through _fire_trace; once `b` is
+    # spent, `a` is alone and its last entry fires inline
+    assert fired == ["a", "b"] and sim.events_fired == 5

@@ -1,7 +1,7 @@
 """Array-backed trace generation: bit-identity with the per-query reference.
 
-The trace pipeline (``generate_trace`` / ``assign_trace`` /
-``ResolvedTraceArrays.replayer``) batches its draws per stream; it must
+The trace pipeline (``generate_trace`` / ``assign_trace``, replayed by a
+system's ``trace_replay``) batches its draws per stream; it must
 produce what the one-query-at-a-time reference in
 ``tests/reference/workload.py`` produces: same queries, same hosts, same
 random-stream states — the committed golden digests depend on it.
@@ -9,12 +9,16 @@ random-stream states — the committed golden digests depend on it.
 
 import pytest
 
+from repro.baselines.squirrel import Squirrel, SquirrelConfig
+from repro.metrics.collectors import OUTCOME_CODES, OutcomeColumns, QueryOutcome
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.assignment import ClientAssigner
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 from tests.reference.workload import ReferenceAssigner, ReferenceWorkload
+
+OUTCOMES = tuple(QueryOutcome)
 
 
 def _config(**overrides):
@@ -130,19 +134,33 @@ class TestAssignTrace:
         assert len(resolved) == len(expected)
         assert list(resolved.iter_queries()) == expected
 
-    def test_replayer_replays_in_order(self, topology):
+    def test_a_replay_answers_the_rows_in_trace_order(self, topology):
         _, array_gen = _generators(_config())
         _, array_assigner = self._assigners(topology)
         resolved = array_assigner.assign_trace(array_gen.generate_trace(900.0))
-        seen = []
-        fire = resolved.replayer(lambda *row: seen.append(row))
-        sim = Simulator(seed=1)
-        sim.schedule_trace(resolved.times, fire)
+        replayed, one_by_one = (
+            Squirrel(SquirrelConfig(), Simulator(seed=1), topology) for _ in range(2)
+        )
+        for system in (replayed, one_by_one):
+            system.bootstrap()
+        rows = OutcomeColumns(len(resolved), keep_providers=True)
+        sim = replayed.sim
+        sim.schedule_trace(resolved.times, replayed.trace_replay(resolved, rows))
         sim.run()
-        assert seen == [
-            (q.query_id, q.time, q.website, q.object_id, q.locality, q.client_host)
+        expected = [
+            one_by_one.process_query(
+                q.query_id, q.time, q.website, q.object_id, q.locality, q.client_host
+            )
             for q in resolved.iter_queries()
         ]
+        assert 0 < rows.outcomes.count(OUTCOME_CODES[QueryOutcome.PEER_HIT]) < len(expected)
+        assert [
+            (OUTCOMES[code], latency, distance, hops, provider, failures)
+            for code, latency, distance, hops, provider, failures in zip(
+                rows.outcomes, rows.latencies, rows.distances, rows.hops,
+                rows.providers, rows.failures,
+            )
+        ] == expected
 
     def test_overlay_capacity_respected(self, topology):
         _, array_gen = _generators(_config())
