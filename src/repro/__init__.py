@@ -55,7 +55,7 @@ from repro.scenarios import (
 )
 from repro.session import Session
 from repro.sim.engine import Simulator
-from repro.workload.generator import Query, QueryGenerator, WorkloadConfig
+from repro.workload.generator import QueryGenerator, WorkloadConfig
 
 __version__ = "1.0.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "run_scenario",
     "scenario_names",
     "Simulator",
-    "Query",
     "QueryGenerator",
     "WorkloadConfig",
     "__version__",

@@ -10,9 +10,9 @@ the DHT to the home node and then redirected to one of the downloaders.  The
 an extension and exercised by an ablation benchmark.
 
 The implementation mirrors :class:`~repro.core.system.FlowerCDN`'s interface
-(``bootstrap``, ``trace_replay`` for a run, ``handle_query`` returning a
-:class:`~repro.metrics.collectors.QueryRecord`) so both systems can be driven
-by the same experiment runner on the same query trace.
+(``bootstrap``, ``trace_replay`` for a run, ``process_query`` returning one
+query's outcome row, neither recording anything) so both systems can be
+driven by the same experiment runner on the same query trace.
 """
 
 from __future__ import annotations
@@ -23,17 +23,14 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.metrics.collectors import (
     OUTCOME_CODES,
-    MetricsCollector,
     OutcomeColumns,
     QueryOutcome,
-    QueryRecord,
 )
 from repro.network.latency import LatencyModel
 from repro.network.topology import Topology
 from repro.overlay.chord import ChordRing
 from repro.overlay.idspace import IdSpace
 from repro.sim.engine import Simulator
-from repro.workload.assignment import ResolvedQuery
 from repro.workload.catalog import ObjectId
 from repro.workload.trace import ResolvedTraceArrays
 
@@ -98,7 +95,6 @@ class Squirrel:
         sim: Simulator,
         topology: Topology,
         latency_model: Optional[LatencyModel] = None,
-        compact_metrics: bool = False,
     ) -> None:
         self.config = config
         self.sim = sim
@@ -106,9 +102,6 @@ class Squirrel:
         self.latency = latency_model or LatencyModel(topology)
         self.idspace = IdSpace(config.id_bits)
         self.ring = ChordRing(self.idspace, auto_stabilize=False)
-        self.metrics = MetricsCollector(
-            window_s=config.metrics_window_s, retain_records=not compact_metrics
-        )
 
         self._peers: Dict[str, SquirrelPeer] = {}
         self._peers_by_host: Dict[int, str] = {}
@@ -187,40 +180,22 @@ class Squirrel:
     # -- query processing -------------------------------------------------------------
 
     def process_query(
-        self,
-        query_id: int,
-        time: float,
-        website: str,
-        object_id: ObjectId,
-        locality: int,
-        client_host: int,
+        self, website: str, object_id: ObjectId, locality: int, client_host: int
     ) -> tuple:
         """Process one client query given as scalars through the overlay.
 
-        Same contract as :meth:`FlowerCDN.process_query`: records the query
-        and returns its outcome row ``(outcome, lookup_latency_ms,
-        transfer_distance_ms, overlay_hops, provider, redirection_failures)``.
+        Same contract as :meth:`FlowerCDN.process_query`: returns the outcome
+        row ``(outcome, lookup_latency_ms, transfer_distance_ms, overlay_hops,
+        provider, redirection_failures)`` and records it nowhere.  Squirrel
+        has no locality notion: ``website`` and ``locality`` only shape the
+        call like Flower-CDN's.
         """
         if not self._bootstrapped:
             raise RuntimeError("call bootstrap() before handling queries")
         requester = self.peer_for_host(client_host)
         if requester is None:
             requester = self._join(client_host)
-        row = self._locate(requester, object_id)
-        self.metrics.record_row(query_id, time, website, locality, *row)
-        return row
-
-    def handle_query(self, query: ResolvedQuery) -> QueryRecord:
-        """Object adapter over :meth:`process_query` (same path, same row)."""
-        row = self.process_query(
-            query.query_id,
-            query.time,
-            query.website,
-            query.object_id,
-            query.locality,
-            query.client_host,
-        )
-        return QueryRecord(query.query_id, query.time, query.website, query.locality, *row)
+        return self._locate(requester, object_id)
 
     def trace_replay(
         self, trace: ResolvedTraceArrays, rows: OutcomeColumns
@@ -231,7 +206,9 @@ class Squirrel:
         Row for row what :meth:`process_query` computes, without a frame of
         its own: an own-cache hit is answered here (its numbers are the
         zeros a slot starts with), every other row by the same
-        :meth:`_locate` call.
+        :meth:`_locate` call.  The system records nothing: the run's one
+        fold (:meth:`~repro.experiments.driver.ExperimentRunner.fold_outcomes`)
+        records ``rows``.
         """
         if not self._bootstrapped:
             raise RuntimeError("call bootstrap() before handling queries")

@@ -9,11 +9,11 @@ upkeep that keeps its overlays alive is its base class,
   directory", Section 6.1) and starts their periodic maintenance;
 * :meth:`FlowerCDN.process_query` processes one client query end to end —
   either through the D-ring (new clients, Section 3.4) or inside the client's
-  content overlay (existing content peers, Section 4.1) — and records the
-  row the evaluation needs (:meth:`FlowerCDN.handle_query` is its object
-  adapter, returning a :class:`~repro.metrics.collectors.QueryRecord`);
-  a run replays its trace through :meth:`FlowerCDN.trace_replay`, which
-  answers row after row the same way straight into outcome columns;
+  content overlay (existing content peers, Section 4.1) — and returns the
+  outcome row the evaluation needs, recording it nowhere; a run replays its
+  trace through :meth:`FlowerCDN.trace_replay`, which answers row after row
+  the same way straight into outcome columns that the run's one fold
+  records;
 * content peers created on the way are enrolled in their overlay and given
   the periodic gossip and keepalive processes of Algorithms 4 and 5;
 * an optional :class:`~repro.network.reachability.ReachabilityModel`
@@ -38,17 +38,14 @@ from repro.core.maintenance import OverlayMaintenance
 from repro.metrics.collectors import (
     OUTCOME_CODES,
     BandwidthAccountant,
-    MetricsCollector,
     OutcomeColumns,
     QueryOutcome,
-    QueryRecord,
 )
 from repro.network.latency import LatencyModel
 from repro.network.reachability import DeliveryGate, DeliveryStats, ReachabilityModel
 from repro.network.topology import Topology
 from repro.overlay.pastry import PastryRing
 from repro.sim.engine import Simulator
-from repro.workload.assignment import ResolvedQuery
 from repro.workload.catalog import Catalog, ObjectId
 from repro.workload.trace import ResolvedTraceArrays
 
@@ -113,7 +110,6 @@ class FlowerCDN(OverlayMaintenance):
         topology: Topology,
         latency_model: Optional[LatencyModel] = None,
         catalog: Optional[Catalog] = None,
-        compact_metrics: bool = False,
         owned_websites: Optional[frozenset] = None,
         dring: Optional[DRing] = None,
     ) -> None:
@@ -153,9 +149,6 @@ class FlowerCDN(OverlayMaintenance):
         self._directory_fallback = config.content_miss_fallback == "directory"
         self.dring = dring if dring is not None else DRing(
             self.keys, latency_callback=self._peer_latency, ring=substrate
-        )
-        self.metrics = MetricsCollector(
-            window_s=config.metrics_window_s, retain_records=not compact_metrics
         )
         self.bandwidth = BandwidthAccountant(window_s=config.metrics_window_s)
         self._reserved_hosts: Set[int] = set()
@@ -273,44 +266,24 @@ class FlowerCDN(OverlayMaintenance):
     # ------------------------------------------------------------------ query processing
 
     def process_query(
-        self,
-        query_id: int,
-        time: float,
-        website: str,
-        object_id: ObjectId,
-        locality: int,
-        client_host: int,
+        self, website: str, object_id: ObjectId, locality: int, client_host: int
     ) -> tuple:
-        """Process one client query given as scalars and record its metrics.
+        """Process one client query given as scalars and return its outcome row.
 
         The public one-query API (a run answers its trace through
-        :meth:`trace_replay`, on the same paths).  Returns the outcome row it
-        recorded — ``(outcome, lookup_latency_ms, transfer_distance_ms,
-        overlay_hops, provider, redirection_failures)``, the trailing fields of a
-        :class:`~repro.metrics.collectors.QueryRecord`.
+        :meth:`trace_replay`, on the same paths).  The row —
+        ``(outcome, lookup_latency_ms, transfer_distance_ms, overlay_hops,
+        provider, redirection_failures)``, the trailing fields of a
+        :class:`~repro.metrics.collectors.QueryRecord` — is recorded nowhere:
+        the caller keeps it, as a run's fold keeps the rows of its replay.
         """
         if not self._bootstrapped:
             raise RuntimeError("call bootstrap() before handling queries")
         existing_id = self._content_by_host.get((website, client_host))
         peer = self._content_peers.get(existing_id) if existing_id is not None else None
         if peer is not None:
-            row = self._content_peer_query(peer, website, object_id, locality)
-        else:
-            row = self._new_client_query(website, object_id, locality, client_host)
-        self.metrics.record_row(query_id, time, website, locality, *row)
-        return row
-
-    def handle_query(self, query: ResolvedQuery) -> QueryRecord:
-        """Object adapter over :meth:`process_query` (same path, same row)."""
-        row = self.process_query(
-            query.query_id,
-            query.time,
-            query.website,
-            query.object_id,
-            query.locality,
-            query.client_host,
-        )
-        return QueryRecord(query.query_id, query.time, query.website, query.locality, *row)
+            return self._content_peer_query(peer, website, object_id, locality)
+        return self._new_client_query(website, object_id, locality, client_host)
 
     def trace_replay(
         self,
@@ -325,7 +298,10 @@ class FlowerCDN(OverlayMaintenance):
         Row for row what :meth:`process_query` computes, without a frame of
         its own: an own-store hit is answered here (its numbers are the
         zeros a slot starts with), every other row by the same
-        :meth:`_content_peer_query` / :meth:`_new_client_query` call.
+        :meth:`_content_peer_query` / :meth:`_new_client_query` call.  The
+        system records nothing: the run's one fold
+        (:meth:`~repro.experiments.driver.ExperimentRunner.fold_outcomes`)
+        records ``rows``.
         """
         if not self._bootstrapped:
             raise RuntimeError("call bootstrap() before handling queries")

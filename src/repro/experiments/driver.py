@@ -184,7 +184,6 @@ class ExperimentRunner:
             self.topology,
             latency_model=LatencyModel(self.topology) if ring is None else ring.latency.fork(),
             catalog=self.catalog,
-            compact_metrics=self.setup.compact_metrics,
             owned_websites=owned_websites,
             dring=None if ring is None else ring.dring,
         )
@@ -196,10 +195,9 @@ class ExperimentRunner:
 
         Built once and shared by every system run (the comparative figures
         require both systems to process the same stream) and replayed
-        straight from the columns (each system's ``trace_replay``), so
-        a paper-scale trace costs ~30 bytes per query resident and no
-        per-query object at all; ``iter_queries()`` materialises
-        :class:`~repro.workload.assignment.ResolvedQuery` objects on demand.
+        straight from the columns (each system's ``trace_replay``, whose
+        rows :meth:`fold_outcomes` records), so a paper-scale trace costs
+        ~30 bytes per query resident and no per-query object at all.
         """
         if self._trace is not None:
             return self._trace
@@ -239,7 +237,6 @@ class ExperimentRunner:
             sim,
             self.topology,
             latency_model=LatencyModel(self.topology),
-            compact_metrics=self.setup.compact_metrics,
         )
         system.bootstrap()
         rows = OutcomeColumns(len(trace), keep_providers=not self.setup.compact_metrics)
@@ -252,8 +249,9 @@ class ExperimentRunner:
 
     def fold_outcomes(self, rows: OutcomeColumns, window_s: float) -> MetricsCollector:
         """A run's collector: the trace's query columns beside the outcome
-        columns its replay filled, recorded in one fold — the one way a
-        system's rows reach the metrics, Flower-CDN's blocks and Squirrel alike."""
+        columns its replay filled, recorded in one fold — the only way a
+        system's rows reach the metrics, Flower-CDN's blocks and Squirrel
+        alike, since no system owns a collector."""
         trace = self.resolved_trace()
         metrics = MetricsCollector(
             window_s=window_s, retain_records=not self.setup.compact_metrics

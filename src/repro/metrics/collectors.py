@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.histogram import Histogram
 from repro.metrics.timeseries import TimeSeries
@@ -49,10 +49,10 @@ class QueryRecord:
     """Everything the evaluation needs to know about one processed query.
 
     The object form of one collector row: built on demand by
-    :attr:`MetricsCollector.records` and by the ``handle_query`` adapters,
-    never on the simulated query path.  Deliberately *not* frozen (a frozen
-    ``__init__`` routes every field through ``object.__setattr__``);
-    ``unsafe_hash`` keeps value-object hashing.  Treat instances as immutable.
+    :attr:`MetricsCollector.records`, never on the simulated query path.
+    Deliberately *not* frozen (a frozen ``__init__`` routes every field
+    through ``object.__setattr__``); ``unsafe_hash`` keeps value-object
+    hashing.  Treat instances as immutable.
     """
 
     query_id: int
@@ -85,10 +85,10 @@ class OutcomeColumns:
     """The outcome half of a run's query rows, one slot per trace position.
 
     What the blocks of a run cut by website fill — each system's trace
-    replay writes every row it answers at that row's slot, in place of its
-    system's collector — and one :meth:`MetricsCollector.record_trace`
-    folds: ~25 bytes per query (``providers`` only for a collector that
-    retains records), while the query half of every row stays in the trace.
+    replay writes every row it answers at that row's slot — and one
+    :meth:`MetricsCollector.record_trace` folds: ~25 bytes per query
+    (``providers`` only for a collector that retains records), while the
+    query half of every row stays in the trace.
     A slot starts unanswered with zero numbers, so an answer that is all
     zeros (an own-store hit) sets just its outcome and provider.
     """
@@ -215,10 +215,6 @@ class MetricsCollector:
     def record(self, record: QueryRecord) -> None:
         self.record_row(*_ROW_OF(record))
 
-    def record_all(self, records: Iterable[QueryRecord]) -> None:
-        for record in records:
-            self.record(record)
-
     def _fold(self) -> None:
         """Fold not-yet-aggregated rows into the derived structures.
 
@@ -282,10 +278,11 @@ class MetricsCollector:
         outcomes: "OutcomeColumns",
     ) -> None:
         """Record a whole run at once, in trace order: the trace's query
-        columns beside the outcome columns its blocks filled.
+        columns beside the outcome columns its replay filled — the one way a
+        run's rows are recorded (no system owns a collector).
 
-        Row for row the :meth:`record_row` calls of one system that answered
-        the trace undivided, so every aggregate — and :attr:`records` — comes
+        Row for row the :meth:`record_row` calls that append each query's
+        row in trace order, so every aggregate — and :attr:`records` — comes
         out the same to the bit however the run was cut.  Needs a fresh
         collector: the website codes become the trace's own indices.
         """
@@ -312,10 +309,6 @@ class MetricsCollector:
             self._fold()
 
     # -- aggregates ---------------------------------------------------------------
-
-    @property
-    def retains_records(self) -> bool:
-        return self._retain
 
     @property
     def num_queries(self) -> int:

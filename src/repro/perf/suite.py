@@ -299,9 +299,9 @@ def bench_memory_event_queue(num_events: int = 50_000) -> Dict[str, float]:
 def bench_memory_metrics(num_records: int = 100_000) -> Dict[str, float]:
     """Peak bytes per recorded query: retained columns vs compact reservoirs.
 
-    Rows are recorded exactly as ``process_query`` does — scalars in, no
-    record object — so the retained mode pays for its columns while the
-    compact mode truncates them at each fold.
+    Rows are appended one ``record_row`` call each — scalars in, no record
+    object — so the retained mode pays for its columns while the compact
+    mode truncates them at each fold.
     """
     results: Dict[str, float] = {"num_records": num_records}
     hit, miss = QueryOutcome.LOCAL_OVERLAY_HIT, QueryOutcome.SERVER_MISS

@@ -290,6 +290,8 @@ class ReproService:
                 scale=1.0 if scale is None else scale,
             )
             jobs = _opt_int(document, "jobs")
+            if jobs is not None and jobs < 1:
+                raise ValueError(f"'jobs' must be positive, got {jobs!r}")
             timeout_s = _opt_timeout(document)
         except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise ApiError(400, f"invalid sweep request: {_error_text(error)}") from None

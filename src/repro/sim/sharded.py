@@ -19,9 +19,10 @@ row of the trace; being the whole run, its system and injectors are kept for
 inspection.
 
 ``shards=N`` only *places* the blocks of a cut plan over ``N`` worker
-processes (:func:`repro.scenarios.parallel.map_tasks`), each running its
-blocks one at a time with the same block runner; forked workers inherit the
-parent's environment instead of rebuilding it.
+processes (:func:`repro.scenarios.parallel.map_tasks`; never more than there
+are blocks), each running its blocks one at a time with the same block
+runner; forked workers inherit the parent's environment instead of
+rebuilding it.
 
 Merging is one fold in trace order: every block writes its outcome rows into
 :class:`~repro.metrics.collectors.OutcomeColumns` at its queries' trace
@@ -62,8 +63,8 @@ Plan = Optional[Sequence[Sequence[str]]]
 class ShardRunStats:
     """Coordinator-side accounting of one placed run (perf reporting).
 
-    One entry per worker process — a *shard* of the block list — in every
-    per-shard tuple.
+    One entry per worker process — a *shard* of the block list, never an
+    empty one, so never more than there are blocks — in every per-shard tuple.
     """
 
     #: ``sim.run`` calls a block makes (``benchmarks/e2e`` still reads it)
@@ -170,7 +171,6 @@ class BlockedRun:
         sim.schedule_trace(
             # (the engine packs a block's times; the whole trace's are used as is)
             trace.times if whole else map(trace.times.__getitem__, positions),
-            # In place of the system's own collector: the run has one, at the fold.
             system.trace_replay(trace, positions, rows, slots),
             label="query",
         )
@@ -237,15 +237,16 @@ class BlockedRun:
 
     def fold(
         self,
-        placements: Sequence[Sequence[int]],
+        placements: Optional[Sequence[Sequence[int]]],
         outcomes: Sequence[Tuple[BlockTally, OutcomeColumns]],
     ) -> Tuple[RunResult, BlockTally]:
         """The one fold: every process's tally into one, all rows into one
-        collector in trace order."""
+        collector in trace order.  ``placements`` is ``None`` for the one
+        outcome of a whole run, whose rows already sit at their positions."""
         setup, trace = self.runner.setup, self.runner.resolved_trace()
         duration = setup.flower.simulation_duration_s
         census, rows = outcomes[0]
-        if len(outcomes) > 1:
+        if placements is not None:
             rows = OutcomeColumns(len(trace), keep_providers=not setup.compact_metrics)
             for indices, (tally, packed) in zip(placements, outcomes):
                 positions = array("I")
@@ -268,8 +269,6 @@ class BlockedRun:
             bandwidth=census.bandwidth,
             resilience=resilience,
         )
-        if self.kept is not None:
-            self.kept[0].metrics = metrics  # the kept system reads like any finished one
         return result, census
 
 
@@ -317,12 +316,16 @@ def run_blocks(
     """
     global _placed_run
     run = BlockedRun(runner, plan, attachments)
-    placements = [tuple(range(shard, len(run.blocks), shards)) for shard in range(shards)]
+    placements: Optional[List[Tuple[int, ...]]] = None
     stats: Optional[ShardRunStats] = None
     if shards == 1:
-        outcomes = [run.run_placement(placements[0], whole_run=True)]
+        outcomes = [run.run_placement(range(len(run.blocks)), whole_run=True)]
     else:
         from repro.scenarios.parallel import map_tasks
+
+        # A placement past the last block would hold no work: none is built.
+        count = min(shards, len(run.blocks))
+        placements = [tuple(range(shard, len(run.blocks), count)) for shard in range(count)]
 
         wall_started = _time.perf_counter()  # repro: allow(DET002)
         _placed_run = run
@@ -333,7 +336,7 @@ def run_blocks(
             _placed_run = None
         tallies = [tally for tally, _rows in outcomes]
         stats = ShardRunStats(
-            num_shards=shards,
+            num_shards=count,
             wall_s=_time.perf_counter() - wall_started,  # repro: allow(DET002)
             setup_s_per_shard=tuple(sum(tally.fixed_s) for tally in tallies),
             dispatch_s_per_shard=tuple(tally.dispatch_s for tally in tallies),

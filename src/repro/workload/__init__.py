@@ -11,14 +11,13 @@ the targeted website, drawn from a random locality.
 
 from repro.workload.catalog import Catalog, ObjectId, Website
 from repro.workload.zipf import ZipfSampler
-from repro.workload.generator import Query, QueryGenerator, WorkloadConfig
+from repro.workload.generator import QueryGenerator, WorkloadConfig
 
 __all__ = [
     "Catalog",
     "Website",
     "ObjectId",
     "ZipfSampler",
-    "Query",
     "QueryGenerator",
     "WorkloadConfig",
 ]

@@ -14,31 +14,10 @@ which is what the comparative figures require.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.network.topology import Topology
 from repro.sim.rng import RandomStreams
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ResolvedQuery:
-    """A query bound to a concrete originating host.
-
-    Constructed transiently once per dispatched event on the array fast
-    path.  Deliberately *not* frozen — a frozen ``__init__`` routes every
-    field through ``object.__setattr__``, a measurable dispatch-phase cost;
-    ``unsafe_hash`` keeps value-object hashing.  Treat instances as
-    immutable.
-    """
-
-    query_id: int
-    time: float
-    website: str
-    object_id: str
-    locality: int
-    client_host: int
-    is_new_client: bool
 
 
 class ClientAssigner:

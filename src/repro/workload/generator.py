@@ -25,7 +25,7 @@ from math import inf, log
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.rng import RandomStreams, randbelow_many
-from repro.workload.catalog import Catalog, ObjectId, Website
+from repro.workload.catalog import Catalog, Website
 from repro.workload.phases import PhaseSpan, segment_counts
 from repro.workload.zipf import ZipfSampler
 
@@ -63,32 +63,6 @@ class WorkloadConfig:
             raise ValueError("arrival_process must be 'poisson' or 'uniform'")
         if self.locality_weights and len(self.locality_weights) != self.num_localities:
             raise ValueError("locality_weights must have num_localities entries")
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Query:
-    """One client query for an object of a website.
-
-    Materialised on demand from a trace's columns.  Deliberately *not*
-    frozen: a frozen dataclass's ``__init__`` routes every field through
-    ``object.__setattr__``, which is several times slower — measurable when
-    a whole paper-scale trace is materialised.  ``unsafe_hash`` keeps the
-    value-object hashing the frozen variant provided; treat instances as
-    immutable.
-    """
-
-    query_id: int
-    time: float
-    website: str
-    object_id: ObjectId
-    locality: int
-    prefers_new_client: bool
-
-    def __str__(self) -> str:
-        return (
-            f"Query#{self.query_id}(t={self.time:.3f}s, ws={self.website}, "
-            f"obj={self.object_id.rsplit('/', 1)[-1]}, loc={self.locality})"
-        )
 
 
 class QueryGenerator:

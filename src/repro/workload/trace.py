@@ -2,13 +2,13 @@
 
 Experiments that compare two systems (Flower-CDN vs Squirrel, Figures 6-8)
 must feed *exactly the same* query stream to both; a run builds its trace
-once and replays it to every system.  Half a million
-:class:`Query`/:class:`ResolvedQuery` instances would cost hundreds of
-megabytes, so :class:`QueryTraceArrays` and :class:`ResolvedTraceArrays` hold
-the same information as parallel ``array`` columns (a few bytes per query);
-a simulated run replays them as scalars (each system's ``trace_replay``) and
-query objects are materialised only on demand.  They are produced
-by :meth:`repro.workload.generator.QueryGenerator.generate_trace` and
+once and replays it to every system.  Half a million per-query objects would
+cost hundreds of megabytes, so :class:`QueryTraceArrays` and
+:class:`ResolvedTraceArrays` hold the queries as parallel ``array`` columns
+(a few bytes per query); a simulated run replays them as scalars (each
+system's ``trace_replay``) and its one fold records the outcome rows beside
+the query columns.  They are produced by
+:meth:`repro.workload.generator.QueryGenerator.generate_trace` and
 :meth:`repro.workload.assignment.ClientAssigner.assign_trace`, the one trace
 pipeline; ``tests/reference/workload.py`` holds the per-query reference
 their columns and stream states are tested against.
@@ -17,18 +17,16 @@ their columns and stream states are tested against.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from repro.workload.catalog import Website
-from repro.workload.generator import Query
 
 
 class QueryTraceArrays:
     """A generated workload held as parallel array columns.
 
-    Column-for-column equivalent to a stream of :class:`Query` objects —
-    ``query(i)`` materialises the ``i``-th — but ~20 bytes per query instead
-    of several hundred.
+    One column per field of a generated query (its id is
+    ``first_query_id`` plus its position), ~20 bytes per query.
     """
 
     __slots__ = (
@@ -76,28 +74,12 @@ class QueryTraceArrays:
             )
         )
 
-    def query(self, index: int) -> Query:
-        """Materialise the ``index``-th query."""
-        website = self.websites[self.website_index[index]]
-        return Query(
-            query_id=self.first_query_id + index,
-            time=self.times[index],
-            website=website.name,
-            object_id=website.object_id(self.object_rank[index]),
-            locality=self.locality[index],
-            prefers_new_client=bool(self.prefers_new[index]),
-        )
-
-    def iter_queries(self) -> Iterator[Query]:
-        for index in range(len(self)):
-            yield self.query(index)
-
 
 class ResolvedTraceArrays:
     """A client-assigned workload held as parallel array columns.
 
-    The array counterpart of a ``List[ResolvedQuery]``; built by
-    :meth:`repro.workload.assignment.ClientAssigner.assign_trace`.
+    A generated trace's columns with each query bound to its originating
+    host; built by :meth:`repro.workload.assignment.ClientAssigner.assign_trace`.
     """
 
     __slots__ = (
@@ -149,22 +131,3 @@ class ResolvedTraceArrays:
                 self.is_new,
             )
         )
-
-    def resolved_query(self, index: int):
-        """Materialise the ``index``-th resolved query on demand."""
-        from repro.workload.assignment import ResolvedQuery
-
-        website = self.websites[self.website_index[index]]
-        return ResolvedQuery(
-            query_id=self.query_id[index],
-            time=self.times[index],
-            website=website.name,
-            object_id=website.object_id(self.object_rank[index]),
-            locality=self.locality[index],
-            client_host=self.client_host[index],
-            is_new_client=bool(self.is_new[index]),
-        )
-
-    def iter_queries(self) -> Iterator:
-        for index in range(len(self)):
-            yield self.resolved_query(index)

@@ -4,24 +4,103 @@
 every random draw per stream into array columns.  This module draws the same
 workload the plain way — one query at a time, through the stdlib calls
 (``expovariate``, ``choice``, ``randint``, ``random``, ``shuffle``) and
-``ZipfSampler.sample`` — and shares no code with them beyond the value types
-(``Query``, ``ResolvedQuery``) and the named streams of ``RandomStreams``.
-Tests compare queries and post-call stream states against it.
+``ZipfSampler.sample`` — and shares no code with them beyond the catalogue
+and the named streams of ``RandomStreams``.  Tests compare queries and
+post-call stream states against it.
 
 It covers the stationary workload (no program): a homogeneous program is
 checked against a one-span run by the phase tests.
+
+It also holds the object forms of a query — :class:`Query`,
+:class:`ResolvedQuery` — with the materialisers that read them off a
+trace's columns (:func:`trace_queries`, :func:`resolved_queries`), and
+:func:`answer`, which puts one materialised query to a system's one-query
+API and keeps the row in a collector the caller owns.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.metrics.collectors import MetricsCollector, QueryRecord
 from repro.network.topology import Topology
 from repro.sim.rng import RandomStreams
-from repro.workload.assignment import ResolvedQuery
 from repro.workload.catalog import Catalog, ObjectId, Website
-from repro.workload.generator import Query, WorkloadConfig
+from repro.workload.generator import WorkloadConfig
+from repro.workload.trace import QueryTraceArrays, ResolvedTraceArrays
 from repro.workload.zipf import ZipfSampler
+
+
+@dataclass(frozen=True)
+class Query:
+    """One client query for an object of a website."""
+
+    query_id: int
+    time: float
+    website: str
+    object_id: ObjectId
+    locality: int
+    prefers_new_client: bool
+
+
+@dataclass(frozen=True)
+class ResolvedQuery:
+    """A query bound to a concrete originating host."""
+
+    query_id: int
+    time: float
+    website: str
+    object_id: ObjectId
+    locality: int
+    client_host: int
+    is_new_client: bool
+
+
+def trace_queries(trace: QueryTraceArrays) -> List[Query]:
+    """Every query of a generated trace, in trace order."""
+    queries = []
+    for index in range(len(trace)):
+        website = trace.websites[trace.website_index[index]]
+        queries.append(Query(
+            query_id=trace.first_query_id + index,
+            time=trace.times[index],
+            website=website.name,
+            object_id=website.object_id(trace.object_rank[index]),
+            locality=trace.locality[index],
+            prefers_new_client=bool(trace.prefers_new[index]),
+        ))
+    return queries
+
+
+def resolved_queries(trace: ResolvedTraceArrays) -> List[ResolvedQuery]:
+    """Every query of a client-assigned trace, in trace order."""
+    queries = []
+    for index in range(len(trace)):
+        website = trace.websites[trace.website_index[index]]
+        queries.append(ResolvedQuery(
+            query_id=trace.query_id[index],
+            time=trace.times[index],
+            website=website.name,
+            object_id=website.object_id(trace.object_rank[index]),
+            locality=trace.locality[index],
+            client_host=trace.client_host[index],
+            is_new_client=bool(trace.is_new[index]),
+        ))
+    return queries
+
+
+def answer(
+    system, query: ResolvedQuery, metrics: Optional[MetricsCollector] = None
+) -> QueryRecord:
+    """``query`` put to ``system.process_query`` (a ``FlowerCDN`` or a
+    ``Squirrel``), as a :class:`QueryRecord`; its row is also appended to
+    ``metrics`` when one is given."""
+    row = system.process_query(query.website, query.object_id, query.locality, query.client_host)
+    record = QueryRecord(query.query_id, query.time, query.website, query.locality, *row)
+    if metrics is not None:
+        metrics.record(record)
+    return record
 
 
 class ReferenceWorkload:

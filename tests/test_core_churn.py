@@ -8,7 +8,7 @@ from repro.core.system import FlowerCDN
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workload.assignment import ResolvedQuery
+from tests.reference.workload import ResolvedQuery, answer
 
 
 @pytest.fixture
@@ -42,7 +42,8 @@ def populate(system: FlowerCDN, count: int = 6) -> None:
     website = system.catalog.websites[0]
     free = [h for h in system.topology.hosts_in_locality(0) if h not in system.reserved_hosts]
     for i in range(count):
-        system.handle_query(
+        answer(
+            system,
             ResolvedQuery(
                 query_id=i, time=0.0, website=website.name,
                 object_id=website.object_id(i % website.num_objects),

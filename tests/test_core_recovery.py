@@ -12,7 +12,7 @@ from repro.core.system import FlowerCDN
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams, derive_seed
-from repro.workload.assignment import ResolvedQuery
+from tests.reference.workload import ResolvedQuery, answer
 
 
 @pytest.fixture
@@ -57,7 +57,8 @@ def enroll(system: FlowerCDN, locality: int = 0, offset: int = 0) -> ContentPeer
         if h not in system.reserved_hosts
     ]
     host = hosts[offset]
-    system.handle_query(
+    answer(
+        system,
         ResolvedQuery(
             query_id=offset,
             time=float(offset),
@@ -201,7 +202,8 @@ class TestJitterStreamsAcrossReEnrolment:
             ]
             for index, host in enumerate(hosts[:400]):
                 website = websites[index % len(websites)]
-                system.handle_query(
+                answer(
+                    system,
                     ResolvedQuery(
                         query_id=enrolled, time=0.0, website=website.name,
                         object_id=website.object_id(index % 50), locality=locality,

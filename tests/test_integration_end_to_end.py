@@ -12,6 +12,7 @@ from repro.metrics.collectors import QueryOutcome
 from repro.scenarios import ScenarioSpec
 from repro.session import Session
 from repro.sim.sharded import run_blocks
+from tests.reference.workload import resolved_queries
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +59,14 @@ class TestWorkloadIntegrity:
         assert flower.num_queries == len(runner.resolved_trace())
 
     def test_only_active_websites_get_queries(self, runner, setup):
-        websites = {q.website for q in runner.resolved_trace().iter_queries()}
+        websites = {q.website for q in resolved_queries(runner.resolved_trace())}
         assert len(websites) == setup.workload.active_websites
 
     def test_clients_respect_the_overlay_cap(self, runner, setup):
         from collections import defaultdict
 
         clients = defaultdict(set)
-        for q in runner.resolved_trace().iter_queries():
+        for q in resolved_queries(runner.resolved_trace()):
             clients[(q.website, q.locality)].add(q.client_host)
         assert all(
             len(hosts) <= setup.flower.max_content_overlay_size for hosts in clients.values()

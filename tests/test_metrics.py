@@ -140,7 +140,8 @@ class TestMetricsCollector:
 
     def test_outcome_fractions(self):
         collector = MetricsCollector(window_s=10)
-        collector.record_all(make_record(i) for i in range(3))
+        for i in range(3):
+            collector.record(make_record(i))
         fractions = collector.outcome_fractions()
         assert fractions[QueryOutcome.LOCAL_OVERLAY_HIT] == pytest.approx(1.0)
 
@@ -312,8 +313,7 @@ class TestCompactMetricsCollector:
     def test_retained_mode_still_exposes_records(self):
         retained = MetricsCollector()
         retained.record(make_record())
-        assert retained.retains_records
-        assert len(retained.records) == 1
+        assert retained.records == (make_record(),)
 
 
 class TestBandwidthPendingFlush:

@@ -41,7 +41,7 @@ from repro.session import Session
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.sharded import run_blocks
-from repro.workload.assignment import ResolvedQuery
+from tests.reference.workload import ResolvedQuery, answer
 
 TINY_SCALE = 0.1
 
@@ -215,7 +215,8 @@ def enroll_peer(system: FlowerCDN, locality: int = 0):
         h for h in system.topology.hosts_in_locality(locality)
         if h not in system.reserved_hosts
     )
-    system.handle_query(
+    answer(
+        system,
         ResolvedQuery(
             query_id=0,
             time=0.0,
@@ -290,7 +291,8 @@ class TestDeliveryGate:
         website = peer.website
         directory_before = system.directory_for(website, 0)
         system.attach_reachability(_BlockKinds("query", "redirect"))
-        record = system.handle_query(
+        record = answer(
+            system,
             ResolvedQuery(
                 query_id=1,
                 time=10.0,

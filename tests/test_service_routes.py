@@ -63,6 +63,10 @@ UNRUNNABLE_REQUESTS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "run-timeout-zero": ("/runs", {"scenario": "paper-default", "timeout_s": 0}),
     "sweep-timeout-nan": ("/sweeps", {"sweep": "ablation-churn", "timeout_s": float("nan")}),
     "run-shards-inseparable": ("/runs", {"scenario": "heavy-churn", "shards": 2}),
+    # jobs is not in the request digest: a doomed job would also take down
+    # a well-formed identical request that joined it while it was queued
+    "sweep-jobs-zero": ("/sweeps", {"sweep": "ablation-churn", "scale": 0.05, "jobs": 0}),
+    "sweep-jobs-negative": ("/sweeps", {"sweep": "ablation-churn", "scale": 0.05, "jobs": -1}),
 }
 
 
@@ -240,6 +244,10 @@ def test_an_unrunnable_request_number_is_400_and_queues_nothing(tmp_path: Path) 
         assert service.manager.jobs() == []
         status, body = post(service, "/runs", UNRUNNABLE_REQUESTS["run-shards-inseparable"][1])
         assert "not website-separable" in json.loads(body)["error"]
+        for case in ("sweep-jobs-zero", "sweep-jobs-negative"):
+            status, body = post(service, "/sweeps", UNRUNNABLE_REQUESTS[case][1])
+            assert "'jobs' must be positive" in json.loads(body)["error"], case
+        assert service.manager.jobs() == []
         # The checks stop at what cannot run: these are queued.
         for path, document in (
             ("/runs", {"scenario": "paper-default", "shards": 2, "timeout_s": 0.5}),

@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.sharding import inseparable_reason, plan_blocks, queryable_websites
+from repro.scenarios.artifacts import run_documents
 from repro.scenarios.library import get_scenario
 from repro.scenarios.models import ModelRef
 from repro.scenarios.runner import ScenarioResult, run_scenario, summarise_system
@@ -150,16 +151,33 @@ class TestShardPlanning:
                 queryable_websites(spec)
             )
 
-    def test_plan_is_deterministic_and_shards_may_be_empty(self):
+    def test_plan_is_deterministic_and_no_placement_is_empty(self):
         spec = get_scenario("paper-default").scaled(0.25)
         assert plan_blocks(spec) == plan_blocks(spec)
-        # More shards than blocks: the surplus workers are dealt nothing.
-        shards = len(plan_blocks(spec)) + 2
-        session = Session(spec, seed=SEED, shards=shards, shard_jobs=1)
+        # More shards than blocks: a surplus placement would hold no work, so
+        # none is built.
+        blocks = len(plan_blocks(spec))
+        session = Session(spec, seed=SEED, shards=blocks + 2, shard_jobs=1)
         session.run_system("flower")
         stats = session.last_shard_stats
-        assert len(stats.queries_per_shard) == shards
-        assert stats.queries_per_shard.count(0) == stats.events_per_shard.count(0) == 2
+        assert stats.num_shards == len(stats.queries_per_shard) == blocks
+        assert 0 not in stats.queries_per_shard
+        assert 0 not in stats.events_per_shard
+
+    @pytest.mark.parametrize("active_websites", [1, 2])
+    def test_surplus_shards_move_no_byte(self, active_websites):
+        spec = replace(
+            get_scenario("paper-default").scaled(0.1), active_websites=active_websites
+        )
+        blocks = len(plan_blocks(spec))
+        assert blocks == active_websites
+        reference = run_documents(Session(spec, seed=SEED).run())
+        # (shard_jobs=1: every placement runs inline, so a large count starts
+        # no process)
+        for shards in (blocks + 1, 1000):
+            session = Session(spec, seed=SEED, shards=shards, shard_jobs=1)
+            assert run_documents(session.run()) == reference
+            assert len(session.last_shard_stats.queries_per_shard) == blocks
 
     def test_rotating_programs_expand_the_queryable_set(self):
         spec = get_scenario("partition-heal-reconcile").scaled(0.25)

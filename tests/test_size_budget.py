@@ -36,3 +36,19 @@ def test_no_further_run_loop_replays_a_trace():
         "experiments/driver.py": 1,  # run_squirrel
         "perf/suite.py": 2,  # the queue micro-benchmarks
     }
+
+
+def test_one_recording_path():
+    """A run's rows reach the metrics only through its one fold
+    (``ExperimentRunner.fold_outcomes``): no module calls the one-query API
+    ``process_query``, and no system builds a collector of its own."""
+    sources = {
+        path.relative_to(SRC).as_posix(): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert [name for name, text in sources.items() if ".process_query(" in text] == []
+    assert [
+        name
+        for name, text in sources.items()
+        if name.startswith(("core/", "baselines/")) and "MetricsCollector(" in text
+    ] == []

@@ -1,11 +1,12 @@
 """The public one-query API agrees with the replay a run makes.
 
 A run answers its trace through each system's ``trace_replay`` callback,
-straight into outcome columns; ``process_query`` — one query in, one row
-recorded — is the public API no production run calls.  Feeding the resolved
-trace row by row through ``process_query`` must give the rows the run
-recorded: for a plain spec, a gated one (a partition fault model attached to
-every block) and both halves of a Squirrel head-to-head.
+straight into outcome columns that the run's one fold records;
+``process_query`` — one query in, one row returned, nothing recorded — is the
+public API no production run calls.  Feeding the resolved trace row by row
+through ``process_query`` into a collector of the test's own must give the
+rows the run recorded: for a plain spec, a gated one (a partition fault
+model attached to every block) and both halves of a Squirrel head-to-head.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.squirrel import Squirrel
+from repro.metrics.collectors import MetricsCollector
 from repro.network.latency import LatencyModel
 from repro.scenarios.library import get_scenario
 from repro.session import Session
 from repro.sim.engine import Simulator
+from tests.reference.workload import answer, resolved_queries
 
 SCALE = 0.25
 SEED = 42
@@ -46,20 +49,17 @@ def one_query_at_a_time(session: Session, system_name: str):
         system.bootstrap()
     for injector in injectors:
         injector.start()
-    queries = trace.iter_queries()
+    queries = iter(resolved_queries(trace))
+    metrics = MetricsCollector()
 
     def answer_next_query() -> None:
-        query = next(queries)
-        system.process_query(
-            query.query_id, query.time, query.website, query.object_id,
-            query.locality, query.client_host,
-        )
+        answer(system, next(queries), metrics)
 
     sim.schedule_trace(trace.times, answer_next_query, label="query")
     sim.run(until=duration)
     for injector in reversed(injectors):
         injector.stop()
-    return system.metrics.records
+    return metrics.records
 
 
 @pytest.mark.parametrize("name, system_name", CASES)

@@ -1,7 +1,7 @@
 """Unit tests for the query generator and client assignment.
 
-Behaviour is checked on the one trace pipeline: ``generate_trace`` (whose
-``iter_queries`` materialises the queries) and ``assign_trace``.
+Behaviour is checked on the one trace pipeline: ``generate_trace`` and
+``assign_trace``, whose queries ``tests/reference/workload.py`` materialises.
 """
 
 import pytest
@@ -11,6 +11,7 @@ from repro.sim.rng import RandomStreams
 from repro.workload.assignment import ClientAssigner
 from repro.workload.catalog import Catalog
 from repro.workload.generator import QueryGenerator, WorkloadConfig
+from tests.reference.workload import resolved_queries, trace_queries
 
 
 @pytest.fixture
@@ -30,7 +31,7 @@ def generator(workload_config: WorkloadConfig) -> QueryGenerator:
 
 
 def queries(generator: QueryGenerator, duration_s: float):
-    return list(generator.generate_trace(duration_s).iter_queries())
+    return trace_queries(generator.generate_trace(duration_s))
 
 
 class TestWorkloadConfig:
@@ -135,7 +136,7 @@ class TestClientAssigner:
     def test_new_clients_come_from_the_query_locality(self, topology, generator):
         assigner = ClientAssigner(topology, RandomStreams(3), max_clients_per_overlay=10)
         trace = generator.generate_trace(10.0)
-        resolved = list(assigner.assign_trace(trace).iter_queries())
+        resolved = resolved_queries(assigner.assign_trace(trace))
         assert len(resolved) == len(trace)
         for bound in resolved:
             assert topology.locality_of(bound.client_host) == bound.locality
@@ -150,7 +151,7 @@ class TestClientAssigner:
 
     def test_existing_clients_are_reused(self, topology, generator):
         assigner = ClientAssigner(topology, RandomStreams(3), max_clients_per_overlay=3)
-        resolved = list(assigner.assign_trace(generator.generate_trace(40.0)).iter_queries())
+        resolved = resolved_queries(assigner.assign_trace(generator.generate_trace(40.0)))
         reused = [r for r in resolved if not r.is_new_client]
         assert reused, "with a tiny overlay cap most queries must reuse existing clients"
         new_hosts = {r.client_host for r in resolved if r.is_new_client}
@@ -161,7 +162,7 @@ class TestClientAssigner:
         assigner = ClientAssigner(
             topology, RandomStreams(3), max_clients_per_overlay=10, reserved_hosts=reserved
         )
-        resolved = assigner.assign_trace(generator.generate_trace(60.0)).iter_queries()
+        resolved = resolved_queries(assigner.assign_trace(generator.generate_trace(60.0)))
         assert all(r.client_host not in reserved for r in resolved)
 
     def test_invalid_cap_rejected(self, topology):

@@ -25,7 +25,12 @@ from repro.workload.assignment import ClientAssigner
 from repro.workload.catalog import Catalog, Website
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 from repro.workload.zipf import ZipfSampler
-from tests.reference.workload import ReferenceAssigner, ReferenceWorkload
+from tests.reference.workload import (
+    ReferenceAssigner,
+    ReferenceWorkload,
+    resolved_queries,
+    trace_queries,
+)
 
 SEEDS = st.integers(0, 2**32)
 
@@ -147,9 +152,9 @@ def test_generate_and_assign_leave_every_stream_where_the_object_path_does(seed,
         for start_time, duration in ((0.0, 900.0), (900.0, 450.0)):
             expected = list(object_gen.generate(duration, start_time=start_time))
             trace = array_gen.generate_trace(duration, start_time=start_time)
-            assert expected and list(trace.iter_queries()) == expected, variant
+            assert expected and trace_queries(trace) == expected, variant
             resolved = array_assigner.assign_trace(trace)
-            assert list(resolved.iter_queries()) == object_assigner.assign_all(expected), variant
+            assert resolved_queries(resolved) == object_assigner.assign_all(expected), variant
             assert object_streams.names() == array_streams.names(), variant
             for name in object_streams.names():
                 assert (

@@ -12,6 +12,7 @@ import pytest
 from repro.sim.rng import RandomStreams
 from repro.workload.generator import QueryGenerator, WorkloadConfig
 from repro.workload.phases import PhaseSpan, segment_counts
+from tests.reference.workload import trace_queries
 
 CFG = WorkloadConfig(
     num_websites=8,
@@ -147,7 +148,7 @@ class TestProgramModulation:
             PhaseSpan(900.0, 1800.0, hotspot_rotation=4),
         ]
         trace = make_trace(program)
-        last = trace.query(len(trace) - 1)
+        last = trace_queries(trace)[-1]
         assert last.website in {w.name for w in trace.websites}
         assert last.website in last.object_id
 

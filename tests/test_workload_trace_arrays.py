@@ -16,7 +16,12 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workload.assignment import ClientAssigner
 from repro.workload.generator import QueryGenerator, WorkloadConfig
-from tests.reference.workload import ReferenceAssigner, ReferenceWorkload
+from tests.reference.workload import (
+    ReferenceAssigner,
+    ReferenceWorkload,
+    resolved_queries,
+    trace_queries,
+)
 
 OUTCOMES = tuple(QueryOutcome)
 
@@ -56,14 +61,14 @@ class TestGenerateTrace:
         expected = list(object_gen.generate(1200.0))
         trace = array_gen.generate_trace(1200.0)
         assert len(trace) == len(expected)
-        assert list(trace.iter_queries()) == expected
+        assert trace_queries(trace) == expected
 
     def test_a_trace_prefix_is_the_reference_batch(self):
         # Queries never depend on the horizon: the first k of a trace are the
         # first k queries drawn one at a time.
         object_gen, array_gen = _generators(_config())
         trace = array_gen.generate_trace(600.0)
-        assert object_gen.generate_batch(100) == list(trace.iter_queries())[:100]
+        assert object_gen.generate_batch(100) == trace_queries(trace)[:100]
 
     def test_stream_states_identical_after_generation(self):
         config = _config()
@@ -94,13 +99,13 @@ class TestGenerateTrace:
         object_gen, array_gen = _generators(config, seed=23)
         expected = list(object_gen.generate(600.0))
         trace = array_gen.generate_trace(600.0)
-        assert list(trace.iter_queries()) == expected
+        assert trace_queries(trace) == expected
 
     def test_start_time_offset(self):
         object_gen, array_gen = _generators(_config())
         expected = list(object_gen.generate(300.0, start_time=100.0))
         trace = array_gen.generate_trace(300.0, start_time=100.0)
-        assert list(trace.iter_queries()) == expected
+        assert trace_queries(trace) == expected
 
     def test_invalid_duration_rejected(self):
         _, array_gen = _generators(_config())
@@ -132,7 +137,7 @@ class TestAssignTrace:
         expected = object_assigner.assign_all(object_gen.generate(1800.0))
         resolved = array_assigner.assign_trace(array_gen.generate_trace(1800.0))
         assert len(resolved) == len(expected)
-        assert list(resolved.iter_queries()) == expected
+        assert resolved_queries(resolved) == expected
 
     def test_a_replay_answers_the_rows_in_trace_order(self, topology):
         _, array_gen = _generators(_config())
@@ -148,10 +153,8 @@ class TestAssignTrace:
         sim.schedule_trace(resolved.times, replayed.trace_replay(resolved, rows))
         sim.run()
         expected = [
-            one_by_one.process_query(
-                q.query_id, q.time, q.website, q.object_id, q.locality, q.client_host
-            )
-            for q in resolved.iter_queries()
+            one_by_one.process_query(q.website, q.object_id, q.locality, q.client_host)
+            for q in resolved_queries(resolved)
         ]
         assert 0 < rows.outcomes.count(OUTCOME_CODES[QueryOutcome.PEER_HIT]) < len(expected)
         assert [
