@@ -9,6 +9,7 @@ the initial value and the origin-server distance.
 """
 
 from repro.experiments.locality import run_locality_experiment
+from repro.network.topology import MAX_LATENCY_MS
 from repro.metrics.report import format_series
 
 
@@ -31,5 +32,4 @@ def test_fig8a_transfer_distance_over_time(benchmark, bench_scenario, report):
     # After the warm-up the transfer distance settles below its initial level ...
     assert curve[-1] <= curve[0]
     # ... and well below the origin-server distance (the topology's max latency).
-    server_distance = bench_scenario.to_setup().topology.max_latency_ms
-    assert curve[-1] < 0.5 * server_distance
+    assert curve[-1] < 0.5 * MAX_LATENCY_MS

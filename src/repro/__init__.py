@@ -36,10 +36,10 @@ point; see ``docs/api.md``)::
     print(session.run_system("flower").hit_ratio, session.last_injectors[0].events_injected)
 """
 
-from repro.core.config import FlowerConfig, GossipConfig, MessageSizeModel
+from repro.core.config import FlowerConfig, GossipConfig
 from repro.core.system import FlowerCDN
 from repro.core.churn import ChurnInjector
-from repro.baselines.squirrel import Squirrel, SquirrelConfig, SquirrelStrategy
+from repro.baselines.squirrel import Squirrel
 from repro.experiments.driver import ExperimentRunner, ExperimentSetup, RunResult
 from repro.metrics.collectors import MetricsCollector, QueryOutcome, QueryRecord
 from repro.network.topology import Topology, TopologyConfig
@@ -62,12 +62,9 @@ __version__ = "1.0.0"
 __all__ = [
     "FlowerConfig",
     "GossipConfig",
-    "MessageSizeModel",
     "FlowerCDN",
     "ChurnInjector",
     "Squirrel",
-    "SquirrelConfig",
-    "SquirrelStrategy",
     "ExperimentRunner",
     "ExperimentSetup",
     "RunResult",

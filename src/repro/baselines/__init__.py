@@ -5,10 +5,8 @@ PODC 2002) in its *directory* variant: for every object, the DHT node whose
 identifier is closest to the hash of the object's URL stores a small
 directory of pointers to recent downloaders; every query is routed through
 the DHT to that node, which redirects the client to one of the downloaders.
-The *home-store* variant (the object itself is replicated at the home node)
-is also provided as an extension.
 """
 
-from repro.baselines.squirrel import Squirrel, SquirrelConfig, SquirrelStrategy
+from repro.baselines.squirrel import Squirrel
 
-__all__ = ["Squirrel", "SquirrelConfig", "SquirrelStrategy"]
+__all__ = ["Squirrel"]

@@ -5,9 +5,7 @@ locality or interest awareness.  The paper compares against Squirrel's
 *directory* strategy (Section 6.1): for each requested object, the peer whose
 identifier is closest to ``hash(url)`` — the *home node* — keeps a small
 directory of pointers to recent downloaders; every query is routed through
-the DHT to the home node and then redirected to one of the downloaders.  The
-*home-store* strategy (the home node caches the object itself) is provided as
-an extension and exercised by an ablation benchmark.
+the DHT to the home node and then redirected to one of the downloaders.
 
 The implementation mirrors :class:`~repro.core.system.FlowerCDN`'s interface
 (``bootstrap``, ``trace_replay`` for a run, ``process_query`` returning one
@@ -18,7 +16,6 @@ driven by the same experiment runner on the same query trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.metrics.collectors import (
@@ -35,38 +32,12 @@ from repro.workload.catalog import ObjectId
 from repro.workload.trace import ResolvedTraceArrays
 
 
-class SquirrelStrategy(Enum):
-    """Squirrel's two object-location strategies."""
-
-    DIRECTORY = "directory"
-    HOME_STORE = "home_store"
-
-
-@dataclass(frozen=True)
-class SquirrelConfig:
-    """Configuration of the Squirrel baseline."""
-
-    id_bits: int = 32
-    strategy: SquirrelStrategy = SquirrelStrategy.DIRECTORY
-    #: maximum number of downloader pointers kept per object (directory strategy)
-    directory_capacity: int = 4
-    #: optional bound on a peer's cache; None matches the paper's assumption
-    cache_capacity: Optional[int] = None
-    metrics_window_s: float = 3600.0
-    #: maximum stale pointers tried before falling back to the origin server
-    max_redirection_attempts: int = 3
-
-    def __post_init__(self) -> None:
-        if not 8 <= self.id_bits <= 160:
-            raise ValueError("id_bits must be in [8, 160]")
-        if self.directory_capacity <= 0:
-            raise ValueError("directory_capacity must be positive")
-        if self.cache_capacity is not None and self.cache_capacity <= 0:
-            raise ValueError("cache_capacity must be positive or None")
-        if self.metrics_window_s <= 0:
-            raise ValueError("metrics_window_s must be positive")
-        if self.max_redirection_attempts <= 0:
-            raise ValueError("max_redirection_attempts must be positive")
+#: identifier length of the Squirrel ring
+ID_BITS = 32
+#: downloader pointers a home node keeps per object
+DIRECTORY_CAPACITY = 4
+#: stale pointers tried before falling back to the origin server
+MAX_REDIRECTION_ATTEMPTS = 3
 
 
 @dataclass
@@ -91,16 +62,14 @@ class Squirrel:
 
     def __init__(
         self,
-        config: SquirrelConfig,
         sim: Simulator,
         topology: Topology,
         latency_model: Optional[LatencyModel] = None,
     ) -> None:
-        self.config = config
         self.sim = sim
         self.topology = topology
         self.latency = latency_model or LatencyModel(topology)
-        self.idspace = IdSpace(config.id_bits)
+        self.idspace = IdSpace(ID_BITS)
         self.ring = ChordRing(self.idspace, auto_stabilize=False)
 
         self._peers: Dict[str, SquirrelPeer] = {}
@@ -110,9 +79,6 @@ class Squirrel:
         #: node.  Keyed by object id: when membership changes move the home
         #: node, this models the key handoff a real DHT performs on join.
         self._directories: Dict[ObjectId, List[str]] = {}
-        #: objects replicated at their home node (home-store strategy), with the
-        #: same perfect-handoff assumption.
-        self._home_store: Set[ObjectId] = set()
         #: memoised object-id -> ring key mapping: ``hash_key`` is a SHA-256
         #: digest per call, and paper-scale replays look the same few thousand
         #: objects up hundreds of thousands of times.  Pure memo — the DHT key
@@ -240,17 +206,25 @@ class Squirrel:
         if requester.has_object(object_id):
             return (QueryOutcome.PEER_HIT, 0.0, 0.0, 0, requester.peer_id, 0)
 
-        # Route through the DHT from the requester to the object's home node.
+        # Route through the DHT from the requester to the object's home node,
+        # whose directory redirects to a recent downloader: at most
+        # MAX_REDIRECTION_ATTEMPTS pointers are tried, each stale one dropped.
         path = self.ring.ideal_route(requester.node_id, self._object_key(object_id))
         latency = self._route_latency(path)
-        hops = max(0, len(path) - 1)
-        home_node = path[-1]
-        home_peer = self._peers[self._peers_by_node[home_node]]
-
-        provider, extra_latency, failures = self._locate_at_home(
-            home_node, home_peer, object_id
-        )
-        latency += extra_latency
+        home_host = self._peers[self._peers_by_node[path[-1]]].host_id
+        directory = self._directories.setdefault(object_id, [])
+        provider: Optional[SquirrelPeer] = None
+        failures = 0
+        for pointer in directory[:MAX_REDIRECTION_ATTEMPTS]:
+            downloader = self._peers.get(pointer)
+            if downloader is not None:
+                latency += self._host_latency(home_host, downloader.host_id)
+            if downloader is None or not downloader.alive or not downloader.has_object(object_id):
+                directory.remove(pointer)
+                failures += 1
+                continue
+            provider = downloader
+            break
 
         if provider is not None:
             distance = self._host_latency(requester.host_id, provider.host_id)
@@ -262,44 +236,10 @@ class Squirrel:
             outcome = QueryOutcome.SERVER_MISS
             provider_id = None
 
-        self._record_download(home_node, requester, object_id)
-        requester.store_object(object_id)
-        return (outcome, latency, distance, hops, provider_id, failures)
-
-    def _locate_at_home(
-        self, home_node: int, home_peer: SquirrelPeer, object_id: ObjectId
-    ) -> tuple[Optional[SquirrelPeer], float, int]:
-        """Find a provider using the home node's directory (or its own store)."""
-        latency = 0.0
-        failures = 0
-        if self.config.strategy is SquirrelStrategy.HOME_STORE:
-            if object_id in self._home_store:
-                # Perfect key handoff: the current home node holds the replica.
-                home_peer.store_object(object_id)
-                return home_peer, latency, failures
-            return None, latency, failures
-
-        pointers = self._directories.get(object_id, [])
-        for pointer in list(pointers)[: self.config.max_redirection_attempts]:
-            downloader = self._peers.get(pointer)
-            if downloader is not None:
-                latency += self._host_latency(home_peer.host_id, downloader.host_id)
-            if downloader is None or not downloader.alive or not downloader.has_object(object_id):
-                pointers.remove(pointer)
-                failures += 1
-                continue
-            return downloader, latency, failures
-        return None, latency, failures
-
-    def _record_download(self, home_node: int, requester: SquirrelPeer, object_id: ObjectId) -> None:
-        """Register the requester as a recent downloader (or store the object)."""
-        if self.config.strategy is SquirrelStrategy.HOME_STORE:
-            self._home_store.add(object_id)
-            home_peer = self._peers[self._peers_by_node[home_node]]
-            home_peer.store_object(object_id)
-            return
-        directory = self._directories.setdefault(object_id, [])
+        # The requester becomes the object's most recent downloader.
         if requester.peer_id in directory:
             directory.remove(requester.peer_id)
         directory.insert(0, requester.peer_id)
-        del directory[self.config.directory_capacity:]
+        del directory[DIRECTORY_CAPACITY:]
+        requester.store_object(object_id)
+        return (outcome, latency, distance, max(0, len(path) - 1), provider_id, failures)

@@ -5,7 +5,7 @@ D-ring (one directory peer per website/locality pair) with gossip-maintained
 content overlays on top of the simulation, network and DHT substrates.
 """
 
-from repro.core.config import FlowerConfig, GossipConfig, MessageSizeModel
+from repro.core.config import FlowerConfig, GossipConfig
 from repro.core.keys import DRingKey, KeyScheme
 from repro.core.dring import DRing
 from repro.core.directory_peer import DirectoryEntry, DirectoryPeer
@@ -17,7 +17,6 @@ from repro.core.replication import ActiveReplicator, ReplicationConfig
 __all__ = [
     "FlowerConfig",
     "GossipConfig",
-    "MessageSizeModel",
     "DRingKey",
     "KeyScheme",
     "DRing",

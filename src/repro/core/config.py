@@ -46,43 +46,38 @@ class GossipConfig:
             raise ValueError("dead_age must be positive")
 
 
-@dataclass(frozen=True)
-class MessageSizeModel:
-    """Wire sizes used for background-bandwidth accounting.
+#: Bloom-filter bits per object (Table 1: summary size = 8 * nb-ob bits)
+SUMMARY_BITS_PER_OBJECT = 8
+#: maximum providers a query tries after redirection failures
+MAX_REDIRECTION_ATTEMPTS = 3
 
-    The paper accounts gossip and push traffic in bits per second per peer;
-    these constants define how large each protocol message is.  Summary sizes
-    are derived from the Bloom-filter configuration (8 bits per object,
-    Table 1), the rest are conventional field sizes.
-    """
+# Wire sizes for background-bandwidth accounting.  The paper accounts gossip
+# and push traffic in bits per second per peer; these are the conventional
+# field sizes each protocol message is built of.  Summary sizes follow from
+# the Bloom-filter size.
+HEADER_BYTES = 20
+ADDRESS_BYTES = 6
+AGE_BYTES = 4
+OBJECT_ID_BYTES = 20
 
-    header_bytes: int = 20
-    address_bytes: int = 6
-    age_bytes: int = 4
-    object_id_bytes: int = 20
 
-    def summary_bytes(self, summary_bits: int) -> int:
-        return (summary_bits + 7) // 8
+def summary_bytes(summary_bits: int) -> int:
+    return (summary_bits + 7) // 8
 
-    def view_entry_bytes(self, summary_bits: int) -> int:
-        return self.address_bytes + self.age_bytes + self.summary_bytes(summary_bits)
 
-    def gossip_message_bytes(self, summary_bits: int, gossip_length: int) -> int:
-        """Size of one gossip message: own summary + ``Lgossip`` view entries."""
-        return (
-            self.header_bytes
-            + self.summary_bytes(summary_bits)
-            + gossip_length * self.view_entry_bytes(summary_bits)
-        )
+def gossip_message_bytes(summary_bits: int, gossip_length: int) -> int:
+    """Size of one gossip message: own summary + ``Lgossip`` view entries,
+    each an address, an age and a summary."""
+    summary = summary_bytes(summary_bits)
+    return HEADER_BYTES + summary + gossip_length * (ADDRESS_BYTES + AGE_BYTES + summary)
 
-    def push_message_bytes(self, num_changes: int) -> int:
-        return self.header_bytes + num_changes * self.object_id_bytes
 
-    def keepalive_bytes(self) -> int:
-        return self.header_bytes
+def push_message_bytes(num_changes: int) -> int:
+    return HEADER_BYTES + num_changes * OBJECT_ID_BYTES
 
-    def summary_refresh_bytes(self, summary_bits: int) -> int:
-        return self.header_bytes + self.summary_bytes(summary_bits)
+
+def summary_refresh_bytes(summary_bits: int) -> int:
+    return HEADER_BYTES + summary_bytes(summary_bits)
 
 
 @dataclass(frozen=True)
@@ -105,31 +100,14 @@ class FlowerConfig:
     #: evaluation) or "pastry" (the other substrate named in Section 3.1)
     dht_substrate: str = "chord"
 
-    # -- summaries -------------------------------------------------------------
-    #: Bloom-filter bits per object (Table 1: summary size = 8 * nb-ob bits)
-    summary_bits_per_object: int = 8
-
     # -- gossip -------------------------------------------------------------------
     gossip: GossipConfig = field(default_factory=GossipConfig)
-    message_sizes: MessageSizeModel = field(default_factory=MessageSizeModel)
 
     # -- query processing --------------------------------------------------------
     #: where a content peer sends a query its view cannot resolve:
     #: "server" (default, what the paper's sensitivity to gossip parameters
     #: implies) or "directory" (ablation: fall back to the directory peer).
     content_miss_fallback: str = "server"
-    #: maximum providers tried after redirection failures before giving up
-    max_redirection_attempts: int = 3
-    #: latency charged for a redirection/directory attempt that times out
-    #: because the target is unreachable (only relevant with a reachability
-    #: model attached)
-    redirect_timeout_ms: float = 500.0
-    #: initial suspicion backoff after a contact times out: the contact is
-    #: skipped during redirection for this long (doubling per consecutive
-    #: timeout)
-    suspicion_backoff_s: float = 60.0
-    #: upper bound of the doubling suspicion backoff
-    suspicion_backoff_max_s: float = 1800.0
     #: optional bound on a content peer's cache (None = unbounded, the paper's
     #: assumption); when set, an LRU policy evicts the oldest objects.
     content_cache_capacity: int | None = None
@@ -157,20 +135,8 @@ class FlowerConfig:
             raise ValueError("website_bits must be positive")
         if self.dht_substrate not in ("chord", "pastry"):
             raise ValueError("dht_substrate must be 'chord' or 'pastry'")
-        if self.summary_bits_per_object <= 0:
-            raise ValueError("summary_bits_per_object must be positive")
         if self.content_miss_fallback not in ("server", "directory"):
             raise ValueError("content_miss_fallback must be 'server' or 'directory'")
-        if self.max_redirection_attempts <= 0:
-            raise ValueError("max_redirection_attempts must be positive")
-        if self.redirect_timeout_ms <= 0:
-            raise ValueError("redirect_timeout_ms must be positive")
-        if self.suspicion_backoff_s <= 0:
-            raise ValueError("suspicion_backoff_s must be positive")
-        if self.suspicion_backoff_max_s < self.suspicion_backoff_s:
-            raise ValueError(
-                "suspicion_backoff_max_s must be >= suspicion_backoff_s"
-            )
         if self.content_cache_capacity is not None and self.content_cache_capacity <= 0:
             raise ValueError("content_cache_capacity must be positive or None")
         if self.simulation_duration_s <= 0:
@@ -188,7 +154,7 @@ class FlowerConfig:
     @property
     def summary_bits(self) -> int:
         """Bloom-filter size for content and directory summaries."""
-        return self.summary_bits_per_object * self.objects_per_website
+        return SUMMARY_BITS_PER_OBJECT * self.objects_per_website
 
     @property
     def num_directory_peers(self) -> int:

@@ -25,9 +25,6 @@ class DRingKey:
     website_id: int
     locality_id: int
     raw: int
-    #: replica index within the (website, locality) pair; always 0 for the
-    #: basic scheme, meaningful only with the Section 5.3 scaling-up extension
-    replica_id: int = 0
 
     def __int__(self) -> int:
         return self.raw
@@ -36,31 +33,25 @@ class DRingKey:
 class KeyScheme:
     """Encodes and decodes D-ring identifiers for a given bit layout.
 
-    The basic layout is ``websiteID || localityID`` (Section 3.1).  Section
-    5.3's scaling-up extension appends ``replica_bits`` extra low-order bits so
-    several directory peers can serve the same (website, locality) pair while
-    preserving the website and locality identification; with the default
-    ``replica_bits = 0`` the basic scheme is used.
+    The layout is ``websiteID || localityID`` (Section 3.1): one directory
+    peer per (website, locality) pair.  Section 5.3's scaling-up extension,
+    which the paper describes but does not evaluate, is not modelled.
     """
 
     __slots__ = (
         "_website_bits",
         "_locality_bits",
-        "_replica_bits",
         "_idspace",
         "_decode_cache",
         "_website_id_cache",
     )
 
-    def __init__(self, website_bits: int, locality_bits: int, replica_bits: int = 0) -> None:
+    def __init__(self, website_bits: int, locality_bits: int) -> None:
         if website_bits <= 0 or locality_bits <= 0:
             raise ValueError("website_bits and locality_bits must be positive")
-        if replica_bits < 0:
-            raise ValueError("replica_bits must be non-negative")
         self._website_bits = website_bits
         self._locality_bits = locality_bits
-        self._replica_bits = replica_bits
-        self._idspace = IdSpace(website_bits + locality_bits + replica_bits)
+        self._idspace = IdSpace(website_bits + locality_bits)
         self._decode_cache: dict = {}
         self._website_id_cache: dict = {}
 
@@ -75,10 +66,6 @@ class KeyScheme:
         return self._locality_bits
 
     @property
-    def replica_bits(self) -> int:
-        return self._replica_bits
-
-    @property
     def idspace(self) -> IdSpace:
         return self._idspace
 
@@ -89,11 +76,6 @@ class KeyScheme:
     @property
     def max_websites(self) -> int:
         return 1 << self._website_bits
-
-    @property
-    def max_replicas(self) -> int:
-        """Directory peers allowed per (website, locality) pair (Section 5.3)."""
-        return 1 << self._replica_bits
 
     # -- hashing and encoding ----------------------------------------------------
 
@@ -108,27 +90,17 @@ class KeyScheme:
             self._website_id_cache[website_url] = website_id
         return website_id
 
-    def encode(self, website_id: int, locality: int, replica: int = 0) -> int:
-        """Concatenate website, locality (and replica) IDs into a peer ID / search key."""
+    def encode(self, website_id: int, locality: int) -> int:
+        """Concatenate website and locality IDs into a peer ID / search key."""
         if not 0 <= website_id < self.max_websites:
             raise ValueError(f"website_id {website_id} outside {self._website_bits}-bit subspace")
         if not 0 <= locality < self.max_localities:
             raise ValueError(f"locality {locality} outside {self._locality_bits}-bit subspace")
-        if not 0 <= replica < self.max_replicas:
-            raise ValueError(f"replica {replica} outside {self._replica_bits}-bit subspace")
-        base = (website_id << self._locality_bits) | locality
-        return (base << self._replica_bits) | replica
+        return (website_id << self._locality_bits) | locality
 
-    def key_for(self, website_url: str, locality: int, replica: int = 0) -> int:
-        """The search key (= directory peer ID) for ``(website, locality[, replica])``."""
-        return self.encode(self.website_id(website_url), locality, replica)
-
-    def replica_ids_for(self, website_url: str, locality: int) -> List[int]:
-        """All directory identifiers of one (website, locality) pair (Section 5.3)."""
-        website_id = self.website_id(website_url)
-        return [
-            self.encode(website_id, locality, replica) for replica in range(self.max_replicas)
-        ]
+    def key_for(self, website_url: str, locality: int) -> int:
+        """The search key (= directory peer ID) for ``(website, locality)``."""
+        return self.encode(self.website_id(website_url), locality)
 
     # -- decoding ---------------------------------------------------------------
 
@@ -139,13 +111,10 @@ class KeyScheme:
         if cached is not None:
             return cached
         self._idspace.validate(identifier)
-        replica = identifier & (self.max_replicas - 1)
-        base = identifier >> self._replica_bits
         key = DRingKey(
-            website_id=base >> self._locality_bits,
-            locality_id=base & (self.max_localities - 1),
+            website_id=identifier >> self._locality_bits,
+            locality_id=identifier & (self.max_localities - 1),
             raw=identifier,
-            replica_id=replica,
         )
         if len(self._decode_cache) < 1 << 16:
             self._decode_cache[identifier] = key
@@ -168,7 +137,7 @@ class KeyScheme:
         sharing it are one contiguous range — returned as such, which lets a
         node bisect its routing table for them.
         """
-        shift = self._locality_bits + self._replica_bits
+        shift = self._locality_bits
         low = (self._idspace.validate(key) >> shift) << shift
         return IdRange(low, low + (1 << shift))
 

@@ -21,7 +21,13 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.core.config import FlowerConfig
+from repro.core.config import (
+    HEADER_BYTES,
+    FlowerConfig,
+    gossip_message_bytes,
+    push_message_bytes,
+    summary_refresh_bytes,
+)
 from repro.core.content_peer import ContentPeer
 from repro.core.directory_peer import DirectoryPeer
 from repro.network.reachability import DeliveryGate
@@ -61,15 +67,11 @@ class OverlayMaintenance:
         self.gate: Optional[DeliveryGate] = None
         self._last_gate: Optional[DeliveryGate] = None
         self._push_threshold = config.gossip.push_threshold
-        self._push_message_bytes = config.message_sizes.push_message_bytes
         # Fixed-size background messages, priced once instead of per tick.
-        self._gossip_message_bytes = config.message_sizes.gossip_message_bytes(
+        self._gossip_message_bytes = gossip_message_bytes(
             config.summary_bits, config.gossip.gossip_length
         )
-        self._keepalive_bytes = config.message_sizes.keepalive_bytes()
-        self._summary_refresh_bytes = config.message_sizes.summary_refresh_bytes(
-            config.summary_bits
-        )
+        self._summary_refresh_bytes = summary_refresh_bytes(config.summary_bits)
         # Gossip subset draws are scoped per content overlay: identically-named
         # streams yield identical sequences in any process, which is what makes
         # a blocked run reproduce the whole-catalogue draw sequences exactly.
@@ -221,8 +223,9 @@ class OverlayMaintenance:
         ):
             return False
         directory.handle_keepalive(peer.peer_id)
+        # A keepalive is a bare header.
         self.bandwidth.record_message(
-            self.sim.now, peer.peer_id, directory.peer_id, self._keepalive_bytes, "keepalive"
+            self.sim.now, peer.peer_id, directory.peer_id, HEADER_BYTES, "keepalive"
         )
         return True
 
@@ -287,7 +290,7 @@ class OverlayMaintenance:
         added, removed = peer.take_delta()
         directory.apply_delta(peer.peer_id, added, removed)
         peer.note_directory(directory.peer_id)
-        size = self._push_message_bytes(len(added) + len(removed))
+        size = push_message_bytes(len(added) + len(removed))
         self.bandwidth.record_message(self.sim.now, peer.peer_id, directory.peer_id, size, "push")
 
     def reconcile(self, localities: Optional[Tuple[int, ...]] = None) -> None:

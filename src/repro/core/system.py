@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import FlowerConfig
+from repro.core.config import MAX_REDIRECTION_ATTEMPTS, FlowerConfig
 from repro.core.content_peer import ContentPeer
 from repro.core.directory_peer import DirectoryPeer
 from repro.core.dring import DRing
@@ -42,7 +42,12 @@ from repro.metrics.collectors import (
     QueryOutcome,
 )
 from repro.network.latency import LatencyModel
-from repro.network.reachability import DeliveryGate, DeliveryStats, ReachabilityModel
+from repro.network.reachability import (
+    REDIRECT_TIMEOUT_MS,
+    DeliveryGate,
+    DeliveryStats,
+    ReachabilityModel,
+)
 from repro.network.topology import Topology
 from repro.overlay.pastry import PastryRing
 from repro.sim.engine import Simulator
@@ -141,10 +146,9 @@ class FlowerCDN(OverlayMaintenance):
         self._host_latency = self.topology.latency_ms
         # Per-query constants, bound once instead of chased through attribute
         # chains in the hottest function (`_content_peer_query`).
-        self._max_redirects = config.max_redirection_attempts
         #: Algorithm 3's retry bound: the redirect budget plus one visit per
         #: directory of the deployment — whichever block of it this system staffs
-        self._flow_bound = self._max_redirects + len(self.catalog) * config.num_localities
+        self._flow_bound = MAX_REDIRECTION_ATTEMPTS + len(self.catalog) * config.num_localities
         self._server_latency_ms = self.latency.server_latency_ms
         self._directory_fallback = config.content_miss_fallback == "directory"
         self.dring = dring if dring is not None else DRing(
@@ -205,7 +209,7 @@ class FlowerCDN(OverlayMaintenance):
         """Install the message-delivery gate (at most one model per system)."""
         if self.gate is not None:
             raise RuntimeError("a reachability model is already attached")
-        self.gate = self._last_gate = DeliveryGate(model, self.sim, self.config)
+        self.gate = self._last_gate = DeliveryGate(model, self.sim)
 
     def detach_reachability(self) -> Optional[ReachabilityModel]:
         """Remove the delivery gate, keeping it for end-of-run reports."""
@@ -350,9 +354,9 @@ class FlowerCDN(OverlayMaintenance):
         peer_host = peer.host_id
         candidates = peer.resolve_locally(object_id)
         gate = self.gate
-        attempts = self._max_redirects
+        attempts = MAX_REDIRECTION_ATTEMPTS
         blocked_attempts = 0
-        # At most max_redirection_attempts tries; under a gate a contact in
+        # At most MAX_REDIRECTION_ATTEMPTS tries; under a gate a contact in
         # suspicion backoff is skipped without spending one.
         for contact in candidates:
             if not attempts:
@@ -366,7 +370,7 @@ class FlowerCDN(OverlayMaintenance):
             ):
                 # The redirected request times out in transit: the peer
                 # pays the timeout, suspects the contact, and retries.
-                latency += gate.redirect_timeout_ms
+                latency += REDIRECT_TIMEOUT_MS
                 failures += 1
                 blocked_attempts += 1
                 gate.suspect(contact)
@@ -533,7 +537,7 @@ class FlowerCDN(OverlayMaintenance):
                     # Timed-out redirection: the entry is not known stale, so
                     # it is kept (no remove_client) and the next candidate is
                     # tried within the same attempt budget.
-                    latency += gate.redirect_timeout_ms
+                    latency += REDIRECT_TIMEOUT_MS
                     excluded.add(target)
                     failures += 1
                     continue
@@ -566,7 +570,7 @@ class FlowerCDN(OverlayMaintenance):
                     # The neighbour is alive but unreachable: do not drop it
                     # (that would mis-trigger Section 5.2 repair); mark it
                     # visited so this query stops re-selecting it.
-                    latency += gate.redirect_timeout_ms
+                    latency += REDIRECT_TIMEOUT_MS
                     failures += 1
                     excluded.add(target)
                     continue

@@ -16,10 +16,10 @@ parameter ratios at a scale that runs in seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.baselines.squirrel import Squirrel, SquirrelConfig
+from repro.baselines.squirrel import Squirrel
 from repro.core.config import FlowerConfig
 from repro.core.system import FlowerCDN, directory_hosts
 from repro.metrics.collectors import BandwidthAccountant, MetricsCollector, OutcomeColumns
@@ -41,7 +41,6 @@ class ExperimentSetup:
     flower: FlowerConfig
     topology: TopologyConfig
     workload: WorkloadConfig
-    squirrel: SquirrelConfig = field(default_factory=SquirrelConfig)
     seed: int = 42
     #: event-queue backend for the simulators ("heap" or "calendar"); both
     #: produce byte-identical runs
@@ -232,19 +231,14 @@ class ExperimentRunner:
         """Run the Squirrel baseline over the same trace."""
         trace = self.resolved_trace()  # built before the live system exists
         sim = self._new_simulator()
-        system = Squirrel(
-            self.setup.squirrel,
-            sim,
-            self.topology,
-            latency_model=LatencyModel(self.topology),
-        )
+        system = Squirrel(sim, self.topology, latency_model=LatencyModel(self.topology))
         system.bootstrap()
         rows = OutcomeColumns(len(trace), keep_providers=not self.setup.compact_metrics)
         sim.schedule_trace(trace.times, system.trace_replay(trace, rows), label="query")
         duration = self.setup.flower.simulation_duration_s
         sim.run(until=duration)
         sim.discard_pending()
-        metrics = self.fold_outcomes(rows, self.setup.squirrel.metrics_window_s)
+        metrics = self.fold_outcomes(rows, self.setup.flower.metrics_window_s)
         return RunResult.from_metrics("Squirrel", duration, metrics, sim.events_fired)
 
     def fold_outcomes(self, rows: OutcomeColumns, window_s: float) -> MetricsCollector:

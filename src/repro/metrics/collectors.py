@@ -72,6 +72,11 @@ class QueryRecord:
 #: compact collector, which a fold truncates
 PENDING_FLUSH_THRESHOLD = 4096
 
+#: bins of the lookup-latency and transfer-distance histograms: width in ms
+#: and count, before an overflow bin
+LATENCY_BIN_MS, LATENCY_BINS = 150.0, 10
+DISTANCE_BIN_MS, DISTANCE_BINS = 100.0, 6
+
 #: the outcome column stores positions in this tuple
 _OUTCOMES = tuple(QueryOutcome)
 _MISS = _OUTCOMES.index(QueryOutcome.SERVER_MISS)
@@ -144,10 +149,6 @@ class MetricsCollector:
     def __init__(
         self,
         window_s: float = 3600.0,
-        latency_bin_ms: float = 150.0,
-        latency_bins: int = 10,
-        distance_bin_ms: float = 100.0,
-        distance_bins: int = 6,
         retain_records: bool = True,
     ) -> None:
         #: one column per QueryRecord field, in field order; websites and
@@ -164,8 +165,8 @@ class MetricsCollector:
         self._hit_series = TimeSeries(window_s)
         self._latency_series = TimeSeries(window_s)
         self._distance_series = TimeSeries(window_s)
-        self._latency_histogram = Histogram(latency_bin_ms, latency_bins)
-        self._distance_histogram = Histogram(distance_bin_ms, distance_bins)
+        self._latency_histogram = Histogram(LATENCY_BIN_MS, LATENCY_BINS)
+        self._distance_histogram = Histogram(DISTANCE_BIN_MS, DISTANCE_BINS)
         self._outcome_counts = [0] * len(_OUTCOMES)
         self._retain = retain_records
         #: rows [0, _folded_upto) of the columns are already in the aggregates

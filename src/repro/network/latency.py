@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.network.topology import Topology
+from repro.network.topology import MAX_LATENCY_MS, Topology
 
 
 class LatencyModel:
@@ -23,7 +23,6 @@ class LatencyModel:
     def __init__(self, topology: Topology) -> None:
         self._topology = topology
         self._peer_hosts: Dict[str, int] = {}
-        self._server_latency_ms = topology.config.max_latency_ms
 
     @property
     def topology(self) -> Topology:
@@ -32,7 +31,7 @@ class LatencyModel:
     @property
     def server_latency_ms(self) -> float:
         """Latency between any peer and an origin web server, in ms."""
-        return self._server_latency_ms
+        return MAX_LATENCY_MS
 
     # -- peer registration ---------------------------------------------------
 

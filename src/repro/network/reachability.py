@@ -37,11 +37,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 if TYPE_CHECKING:
-    from repro.core.config import FlowerConfig
     from repro.sim.engine import Simulator
 
 __all__ = [
     "MESSAGE_KINDS",
+    "REDIRECT_TIMEOUT_MS",
+    "SUSPICION_BACKOFF_S",
+    "SUSPICION_BACKOFF_MAX_S",
     "DeliveryStats",
     "DeliveryGate",
     "ReachabilityModel",
@@ -175,32 +177,34 @@ class ReachabilityModel:
         return ()
 
 
+#: latency a query is charged for a redirection or directory attempt that
+#: times out because its target is unreachable
+REDIRECT_TIMEOUT_MS = 500.0
+#: how long a contact that timed out is skipped during redirection, doubling
+#: per consecutive timeout ...
+SUSPICION_BACKOFF_S = 60.0
+#: ... up to this bound
+SUSPICION_BACKOFF_MAX_S = 1800.0
+
+
 class DeliveryGate:
     """What a system keeps while a model is attached: the model, the
-    per-kind :class:`DeliveryStats`, the contact-suspicion backoff and the
-    redirect timeout.
+    per-kind :class:`DeliveryStats` and the contact-suspicion backoff.
 
     The system consults it through its ``gate`` attribute and keeps it after
     detachment for end-of-run reporting (:attr:`stats`,
-    :meth:`fault_windows`).  The timeout and the suspicion backoff come from
-    the system's configuration; every decision reads the simulation clock.
+    :meth:`fault_windows`).  The timeout (:data:`REDIRECT_TIMEOUT_MS`) and
+    the backoff (:data:`SUSPICION_BACKOFF_S` doubling up to
+    :data:`SUSPICION_BACKOFF_MAX_S`) are this module's constants; every
+    decision reads the simulation clock.
     """
 
-    __slots__ = (
-        "model", "stats", "redirect_timeout_ms", "_clock", "_backoff_s", "_backoff_max_s",
-        "_suspected_until", "_streak",
-    )
+    __slots__ = ("model", "stats", "_clock", "_suspected_until", "_streak")
 
-    def __init__(
-        self, model: ReachabilityModel, clock: "Simulator", config: "FlowerConfig"
-    ) -> None:
+    def __init__(self, model: ReachabilityModel, clock: "Simulator") -> None:
         self.model = model
         self.stats = DeliveryStats()
-        #: what a message lost in transit costs its sender before it gives up
-        self.redirect_timeout_ms = config.redirect_timeout_ms
         self._clock = clock
-        self._backoff_s = config.suspicion_backoff_s
-        self._backoff_max_s = config.suspicion_backoff_max_s
         #: contact id -> earliest retry time, and timeouts in a row
         self._suspected_until: Dict[str, float] = {}
         self._streak: Dict[str, int] = {}
@@ -225,7 +229,7 @@ class DeliveryGate:
         """A query gives up on an unreachable directory path for the origin
         server: counted, and the timeout it waited returned."""
         self.stats.server_fallbacks += 1
-        return self.redirect_timeout_ms
+        return REDIRECT_TIMEOUT_MS
 
     def skips(self, contact: str) -> bool:
         """Whether ``contact`` is under suspicion backoff (a counted skip)."""
@@ -239,7 +243,7 @@ class DeliveryGate:
         """Back off from a contact that timed out: doubling suspicion window."""
         streak = self._streak.get(contact, 0) + 1
         self._streak[contact] = streak
-        backoff = min(self._backoff_s * (2 ** (streak - 1)), self._backoff_max_s)
+        backoff = min(SUSPICION_BACKOFF_S * (2 ** (streak - 1)), SUSPICION_BACKOFF_MAX_S)
         self._suspected_until[contact] = self._clock.now + backoff
 
     def clear_suspicion(self, contact: Optional[str] = None) -> None:

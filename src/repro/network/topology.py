@@ -8,8 +8,8 @@ non-uniformly populated localities.  We reproduce that with a planar model:
 * each host is placed around the centre of its (non-uniformly chosen)
   cluster with a configurable spread;
 * the latency between two hosts is an affine function of their Euclidean
-  distance, clamped to the configured ``[min_latency, max_latency]`` range
-  plus a small random per-pair perturbation.
+  distance plus a small per-pair perturbation, clamped to the
+  ``[MIN_LATENCY_MS, MAX_LATENCY_MS]`` range.
 
 The result has exactly the property the paper's evaluation relies on:
 intra-locality latencies are small (tens of milliseconds), inter-locality
@@ -31,6 +31,13 @@ from repro.sim.rng import RandomStreams
 #: one whole run with no per-block drop, peaks at ~560 k pairs.
 LATENCY_MEMO_BOUND = 1_000_000
 
+#: bounds on pairwise latency (the paper's BRITE band: 10 to 500 ms); the
+#: upper bound is also the latency to an origin server
+MIN_LATENCY_MS = 10.0
+MAX_LATENCY_MS = 500.0
+#: amplitude of the symmetric per-pair perturbation
+JITTER_MS = 5.0
+
 
 @dataclass(frozen=True)
 class TopologyConfig:
@@ -39,31 +46,21 @@ class TopologyConfig:
     Attributes:
         num_hosts: number of underlying hosts (the paper uses 5000).
         num_localities: number of network localities ``k`` (paper: 6).
-        min_latency_ms: lower bound on pairwise latency (paper: 10 ms).
-        max_latency_ms: upper bound on pairwise latency (paper: 500 ms).
         intra_locality_spread_ms: typical latency radius inside one locality.
         locality_weights: optional relative population weights, one per
             locality; localities are non-uniformly populated by default.
-        jitter_ms: amplitude of the symmetric per-pair random perturbation.
-        seed_stream: name of the random stream used for placement.
     """
 
     num_hosts: int = 5000
     num_localities: int = 6
-    min_latency_ms: float = 10.0
-    max_latency_ms: float = 500.0
     intra_locality_spread_ms: float = 80.0
     locality_weights: Tuple[float, ...] = ()
-    jitter_ms: float = 5.0
-    seed_stream: str = "topology"
 
     def __post_init__(self) -> None:
         if self.num_hosts <= 0:
             raise ValueError("num_hosts must be positive")
         if self.num_localities <= 0:
             raise ValueError("num_localities must be positive")
-        if self.min_latency_ms <= 0 or self.max_latency_ms <= self.min_latency_ms:
-            raise ValueError("latency bounds must satisfy 0 < min < max")
         if self.locality_weights and len(self.locality_weights) != self.num_localities:
             raise ValueError(
                 "locality_weights must have exactly num_localities entries "
@@ -126,10 +123,10 @@ class Topology:
 
     def _build(self, streams: RandomStreams) -> None:
         cfg = self._config
-        rng = streams.stream(cfg.seed_stream)
+        rng = streams.stream("topology")
         # Place cluster centres on a circle wide enough that inter-locality
         # distances map to latencies near the upper bound.
-        radius = (cfg.max_latency_ms - cfg.min_latency_ms) / 2.0
+        radius = (MAX_LATENCY_MS - MIN_LATENCY_MS) / 2.0
         centres: List[Tuple[float, float]] = []
         for i in range(cfg.num_localities):
             angle = 2.0 * math.pi * i / cfg.num_localities
@@ -209,14 +206,13 @@ class Topology:
 
     def _compute_latency(self, lo: int, hi: int) -> float:
         """The (pure) latency function the memo caches, for ``lo < hi``."""
-        cfg = self._config
         ha, hb = self._hosts[lo], self._hosts[hi]
-        latency = cfg.min_latency_ms + math.hypot(ha.x - hb.x, ha.y - hb.y)
+        latency = MIN_LATENCY_MS + math.hypot(ha.x - hb.x, ha.y - hb.y)
         # Deterministic, symmetric jitter: an integer hash of the pair folded
         # into [-jitter, +jitter].
         h = (lo * 2654435761 + hi * 40503) & 0xFFFFFFFF
-        latency += ((h / 0xFFFFFFFF) * 2.0 - 1.0) * cfg.jitter_ms
-        return max(cfg.min_latency_ms, min(cfg.max_latency_ms, latency))
+        latency += ((h / 0xFFFFFFFF) * 2.0 - 1.0) * JITTER_MS
+        return max(MIN_LATENCY_MS, min(MAX_LATENCY_MS, latency))
 
     def latency_cache_info(self) -> Dict[str, int]:
         """Hit/miss counters of the pair memo and the pairs it holds now."""

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.baselines.squirrel import SquirrelConfig
 from repro.core.churn import ChurnProfile
 from repro.core.config import HOUR, MINUTE, FlowerConfig, GossipConfig
 from repro.experiments.driver import ExperimentSetup
@@ -133,6 +132,14 @@ class ScenarioSpec:
     shards: int = 1
 
     def __post_init__(self) -> None:
+        # Request bodies are JSON: a 50.5 or a ``true`` must not reach a
+        # config that slices or counts with it.
+        for name, (kinds, what), optional in _SCALAR_FIELDS:
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if not self.name:
             raise ValueError("scenario name must be non-empty")
         if not self.systems:
@@ -258,9 +265,8 @@ class ScenarioSpec:
 
     def to_setup(self, seed: Optional[int] = None) -> ExperimentSetup:
         """Compose the :class:`ExperimentSetup` this scenario describes."""
-        flower = self.to_flower_config()
         return ExperimentSetup(
-            flower=flower,
+            flower=self.to_flower_config(),
             topology=TopologyConfig(
                 num_hosts=self.num_hosts,
                 num_localities=self.num_localities,
@@ -276,7 +282,6 @@ class ScenarioSpec:
                 arrival_process=self.arrival_process,
                 locality_weights=self.locality_weights,
             ),
-            squirrel=SquirrelConfig(metrics_window_s=flower.metrics_window_s),
             seed=self.seed if seed is None else seed,
             queue_backend=self.queue_backend,
             compact_metrics=self.compact_metrics,
@@ -353,6 +358,8 @@ class ScenarioSpec:
         churn = kwargs.get("churn")
         if isinstance(churn, Mapping):
             kwargs["churn"] = ChurnProfile(**{str(k): v for k, v in churn.items()})
+        elif churn is not None and not isinstance(churn, ChurnProfile):
+            raise ValueError("churn must be a mapping of churn rates")
         for key in ("churn_model", "fault_model"):
             ref = kwargs.get(key)
             if isinstance(ref, str):
@@ -365,6 +372,8 @@ class ScenarioSpec:
                     str(ref.get("name", "")),
                     **{str(k): _freeze_value(v) for k, v in params.items()},
                 )
+            elif ref is not None and not isinstance(ref, ModelRef):
+                raise ValueError(f"{key} must be a model name or a {{name, params}} mapping")
         program = kwargs.get("program")
         if program is not None:
             if not isinstance(program, (list, tuple)):
@@ -390,6 +399,21 @@ class ScenarioSpec:
 
 #: the spec's field names, in declaration order (what ``to_dict`` walks)
 _SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(ScenarioSpec))
+#: the types a scalar field's value may have, by annotation (an int is a
+#: valid float, a bool is neither)
+_SCALAR_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+}
+#: (name, (types, what), optional) of each scalar field: ``None`` is valid
+#: only where the annotation is ``Optional[...]``
+_SCALAR_FIELDS = tuple(
+    (spec_field.name, _SCALAR_KINDS[kind], kind != spec_field.type)
+    for spec_field in fields(ScenarioSpec)
+    for kind in [str(spec_field.type).removeprefix("Optional[").removesuffix("]")]
+    if kind in _SCALAR_KINDS
+)
 
 
 def is_scale_factor(value: float) -> bool:

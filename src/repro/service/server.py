@@ -59,6 +59,8 @@ from repro.service.store import RunStore
 __all__ = ["ServiceConfig", "ReproService"]
 
 _MAX_BODY_BYTES = 4 * 1024 * 1024
+#: the header of a response after which the server closes the connection
+_CLOSE = {"Connection": "close"}
 _RUN_PATH = re.compile(r"^/runs/(?P<id>[0-9a-f]{16,64})(?P<rest>/.*)?$")
 
 
@@ -474,12 +476,14 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(declared)
         except ValueError:
             length = -1
+        # Either way the body stays unread, so nothing after it on this
+        # connection can be parsed as the next request: answer and close.
         if length < 0:
-            # The body's end is unknown: nothing after it can be parsed.
             self.close_connection = True
-            raise ApiError(400, f"invalid Content-Length {declared!r}")
+            raise ApiError(400, f"invalid Content-Length {declared!r}", _CLOSE)
         if length > _MAX_BODY_BYTES:
-            raise ApiError(413, f"request body too large ({length} bytes)")
+            self.close_connection = True
+            raise ApiError(413, f"request body too large ({length} bytes)", _CLOSE)
         return self.rfile.read(length) if length else b""
 
     def _respond(self, status: int, headers: Dict[str, str], document: object) -> None:

@@ -9,7 +9,8 @@ Reproduces the paper's workload model (Section 6.1):
 * the query originates from a random locality; whether the originator is a
   brand-new client or an existing content peer of the website is decided by
   the system driving the simulation (it depends on overlay membership), so
-  the generator exposes only a *preference* drawn from ``new_client_bias``.
+  the generator exposes only a *preference*, true with probability
+  ``NEW_CLIENT_BIAS``.
 
 :meth:`QueryGenerator.generate_trace` is the one generator: it draws a whole
 run as array columns, span by span of a scenario program (a stationary run is
@@ -29,6 +30,9 @@ from repro.workload.catalog import Catalog, Website
 from repro.workload.phases import PhaseSpan, segment_counts
 from repro.workload.zipf import ZipfSampler
 
+#: probability that a query prefers a brand-new client as its originator
+NEW_CLIENT_BIAS = 0.5
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -40,7 +44,6 @@ class WorkloadConfig:
     num_localities: int = 6
     query_rate_per_s: float = 6.0
     zipf_alpha: float = 0.8
-    new_client_bias: float = 0.5
     arrival_process: str = "poisson"  # "poisson" or "uniform"
     locality_weights: Sequence[float] = ()
 
@@ -57,8 +60,6 @@ class WorkloadConfig:
             raise ValueError("query_rate_per_s must be positive")
         if self.zipf_alpha < 0:
             raise ValueError("zipf_alpha must be non-negative")
-        if not 0.0 <= self.new_client_bias <= 1.0:
-            raise ValueError("new_client_bias must be in [0, 1]")
         if self.arrival_process not in ("poisson", "uniform"):
             raise ValueError("arrival_process must be 'poisson' or 'uniform'")
         if self.locality_weights and len(self.locality_weights) != self.num_localities:
@@ -204,8 +205,7 @@ class QueryGenerator:
                 "H", randbelow_many(self._locality_rng, cfg.num_localities, count)
             )
         originator = self._originator_rng.random
-        bias = cfg.new_client_bias
-        prefers_new = array("b", [originator() < bias for _ in range(count)])
+        prefers_new = array("b", [originator() < NEW_CLIENT_BIAS for _ in range(count)])
 
         first_query_id = self._next_id
         self._next_id += count

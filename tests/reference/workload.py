@@ -27,7 +27,7 @@ from repro.metrics.collectors import MetricsCollector, QueryRecord
 from repro.network.topology import Topology
 from repro.sim.rng import RandomStreams
 from repro.workload.catalog import Catalog, ObjectId, Website
-from repro.workload.generator import WorkloadConfig
+from repro.workload.generator import NEW_CLIENT_BIAS, WorkloadConfig
 from repro.workload.trace import QueryTraceArrays, ResolvedTraceArrays
 from repro.workload.zipf import ZipfSampler
 
@@ -165,7 +165,7 @@ class ReferenceWorkload:
             website=website.name,
             object_id=self._pick_object(website),
             locality=self._pick_locality(),
-            prefers_new_client=self._originator_rng.random() < self.config.new_client_bias,
+            prefers_new_client=self._originator_rng.random() < NEW_CLIENT_BIAS,
         )
         self._next_id += 1
         return query

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.squirrel import Squirrel, SquirrelConfig, SquirrelStrategy
+from repro.baselines.squirrel import DIRECTORY_CAPACITY, Squirrel
 from repro.metrics.collectors import MetricsCollector, QueryOutcome
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
@@ -20,7 +20,7 @@ def topology() -> Topology:
 
 @pytest.fixture
 def squirrel(topology: Topology) -> Squirrel:
-    system = Squirrel(SquirrelConfig(id_bits=16), Simulator(seed=2), topology)
+    system = Squirrel(Simulator(seed=2), topology)
     system.bootstrap()
     return system
 
@@ -37,25 +37,9 @@ def query(query_id: int, host: int, object_index: int = 0, time: float = 0.0) ->
     )
 
 
-class TestSquirrelConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"id_bits": 4},
-            {"directory_capacity": 0},
-            {"cache_capacity": 0},
-            {"metrics_window_s": 0},
-            {"max_redirection_attempts": 0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SquirrelConfig(**kwargs)
-
-
 class TestDirectoryStrategy:
     def test_requires_bootstrap(self, topology):
-        system = Squirrel(SquirrelConfig(), Simulator(seed=1), topology)
+        system = Squirrel(Simulator(seed=1), topology)
         with pytest.raises(RuntimeError):
             answer(system, query(0, 0))
 
@@ -97,13 +81,12 @@ class TestDirectoryStrategy:
             assert record.lookup_latency_ms > 0
 
     def test_directory_capacity_bounds_pointers(self, topology):
-        system = Squirrel(SquirrelConfig(id_bits=16, directory_capacity=2),
-                          Simulator(seed=3), topology)
+        system = Squirrel(Simulator(seed=3), topology)
         system.bootstrap()
-        for host in range(5):
+        for host in range(DIRECTORY_CAPACITY + 1):
             answer(system, query(host, host=host, object_index=0))
         pointers = list(system._directories.values())  # noqa: SLF001
-        assert pointers and all(len(p) <= 2 for p in pointers)
+        assert [len(p) for p in pointers] == [DIRECTORY_CAPACITY]
 
     def test_stale_pointer_is_dropped_after_failure(self, squirrel):
         answer(squirrel, query(0, host=0))
@@ -135,31 +118,6 @@ class TestDirectoryStrategy:
         assert metrics.num_queries == 6
         assert row[0] is QueryOutcome.PEER_HIT  # host 5 asks for what hosts 0-2 hold
         assert len(row) == 6
-
-
-class TestHomeStoreStrategy:
-    @pytest.fixture
-    def home_store(self, topology) -> Squirrel:
-        system = Squirrel(
-            SquirrelConfig(id_bits=16, strategy=SquirrelStrategy.HOME_STORE),
-            Simulator(seed=4),
-            topology,
-        )
-        system.bootstrap()
-        return system
-
-    def test_home_node_serves_after_first_miss(self, home_store):
-        answer(home_store, query(0, host=0))
-        record = answer(home_store, query(1, host=1))
-        assert record.outcome is QueryOutcome.PEER_HIT
-        assert record.provider is not None and record.provider.startswith("sq@")
-
-    def test_home_node_caches_the_object_itself(self, home_store):
-        answer(home_store, query(0, host=0))
-        record = answer(home_store, query(1, host=1))
-        provider_host = int(record.provider.split("@")[1])
-        provider = home_store.peer_for_host(provider_host)
-        assert provider.has_object("http://site-000.example.org/object/0")
 
 
 class TestMembership:

@@ -2,7 +2,19 @@
 
 import pytest
 
-from repro.core.config import HOUR, MINUTE, FlowerConfig, GossipConfig, MessageSizeModel
+from repro.core.config import (
+    ADDRESS_BYTES,
+    AGE_BYTES,
+    HEADER_BYTES,
+    HOUR,
+    MINUTE,
+    FlowerConfig,
+    GossipConfig,
+    gossip_message_bytes,
+    push_message_bytes,
+    summary_bytes,
+    summary_refresh_bytes,
+)
 from repro.core.keys import KeyScheme
 
 
@@ -34,21 +46,17 @@ class TestGossipConfig:
 
 class TestMessageSizeModel:
     def test_gossip_message_size_scales_with_gossip_length(self):
-        sizes = MessageSizeModel()
-        small = sizes.gossip_message_bytes(summary_bits=800, gossip_length=5)
-        large = sizes.gossip_message_bytes(summary_bits=800, gossip_length=20)
+        small = gossip_message_bytes(summary_bits=800, gossip_length=5)
+        large = gossip_message_bytes(summary_bits=800, gossip_length=20)
         assert large > small
-        assert large - small == 15 * sizes.view_entry_bytes(800)
+        assert large - small == 15 * (ADDRESS_BYTES + AGE_BYTES + 100)
 
     def test_push_size_scales_with_changes(self):
-        sizes = MessageSizeModel()
-        assert sizes.push_message_bytes(10) - sizes.push_message_bytes(0) == 10 * 20
+        assert push_message_bytes(10) - push_message_bytes(0) == 10 * 20
 
     def test_summary_bytes_rounds_up(self):
-        sizes = MessageSizeModel()
-        assert sizes.summary_bytes(9) == 2
-        assert sizes.keepalive_bytes() == sizes.header_bytes
-        assert sizes.summary_refresh_bytes(800) == sizes.header_bytes + 100
+        assert summary_bytes(9) == 2
+        assert summary_refresh_bytes(800) == HEADER_BYTES + 100
 
 
 class TestFlowerConfig:
@@ -79,9 +87,7 @@ class TestFlowerConfig:
             {"max_content_overlay_size": 0},
             {"num_localities": 20, "locality_bits": 3},
             {"website_bits": 0},
-            {"summary_bits_per_object": 0},
             {"content_miss_fallback": "random"},
-            {"max_redirection_attempts": 0},
             {"content_cache_capacity": 0},
             {"simulation_duration_s": 0},
             {"metrics_window_s": 0},
@@ -158,48 +164,3 @@ class TestKeyScheme:
         identifier = keys.key_for("http://x.org", 5)
         assert keys.locality_of(identifier) == 5
         assert keys.website_id_of(identifier) == keys.website_id("http://x.org")
-
-
-class TestScalingUpKeys:
-    """Section 5.3: extra low-order bits allow several directory peers per pair."""
-
-    @pytest.fixture
-    def keys(self) -> KeyScheme:
-        return KeyScheme(website_bits=10, locality_bits=3, replica_bits=2)
-
-    def test_replica_bits_extend_the_identifier_space(self, keys: KeyScheme):
-        assert keys.idspace.bits == 15
-        assert keys.max_replicas == 4
-        basic = KeyScheme(website_bits=10, locality_bits=3)
-        assert basic.max_replicas == 1
-
-    def test_negative_replica_bits_rejected(self):
-        with pytest.raises(ValueError):
-            KeyScheme(website_bits=10, locality_bits=3, replica_bits=-1)
-
-    def test_encode_decode_round_trip_with_replicas(self, keys: KeyScheme):
-        for replica in range(keys.max_replicas):
-            identifier = keys.encode(37, 5, replica)
-            decoded = keys.decode(identifier)
-            assert decoded.website_id == 37
-            assert decoded.locality_id == 5
-            assert decoded.replica_id == replica
-
-    def test_replica_out_of_range_rejected(self, keys: KeyScheme):
-        with pytest.raises(ValueError):
-            keys.encode(1, 1, keys.max_replicas)
-
-    def test_replicas_preserve_website_and_locality_identification(self, keys: KeyScheme):
-        """The paper requires the extra bits at the end to preserve both IDs."""
-        ids = keys.replica_ids_for("http://x.org", 5)
-        assert len(ids) == keys.max_replicas
-        for identifier in ids:
-            assert keys.website_id_of(identifier) == keys.website_id("http://x.org")
-            assert keys.locality_of(identifier) == 5
-        # Replica identifiers of one pair are consecutive on the ring.
-        assert [b - a for a, b in zip(ids, ids[1:])] == [1] * (len(ids) - 1)
-
-    def test_replica_zero_matches_basic_scheme_layout(self):
-        basic = KeyScheme(website_bits=10, locality_bits=3)
-        extended = KeyScheme(website_bits=10, locality_bits=3, replica_bits=2)
-        assert extended.encode(9, 2, 0) == basic.encode(9, 2) << 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network.latency import LatencyModel
-from repro.network.topology import Topology, TopologyConfig
+from repro.network.topology import MAX_LATENCY_MS, Topology, TopologyConfig
 from repro.sim.rng import RandomStreams
 
 
@@ -49,8 +49,8 @@ class TestLatencyModel:
 
     def test_server_latency_defaults_to_max_latency(self, topology: Topology):
         model = LatencyModel(topology)
-        assert model.server_latency_ms == topology.config.max_latency_ms
-        assert model.fork().server_latency_ms == topology.config.max_latency_ms
+        assert model.server_latency_ms == MAX_LATENCY_MS
+        assert model.fork().server_latency_ms == MAX_LATENCY_MS
 
     def test_reregistering_peer_moves_it(self, topology: Topology):
         model = LatencyModel(topology)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import repro.network.topology as topology_module
 from repro.core.sharding import plan_blocks
 from repro.network.latency import LatencyModel
-from repro.network.topology import Topology, TopologyConfig
+from repro.network.topology import MAX_LATENCY_MS, MIN_LATENCY_MS, Topology, TopologyConfig
 from repro.scenarios.library import get_scenario
 from repro.session import Session
 from repro.sim.rng import RandomStreams
@@ -56,13 +56,12 @@ class TestLatencyCache:
         assert topology.latency_cache_info()["size"] == 0
 
     def test_values_within_bounds_via_cache(self, topology):
-        config = topology.config
         for a in range(0, 300, 17):
             for b in range(1, 300, 23):
                 if a == b:
                     continue
                 latency = topology.latency_ms(a, b)
-                assert config.min_latency_ms <= latency <= config.max_latency_ms
+                assert MIN_LATENCY_MS <= latency <= MAX_LATENCY_MS
         # Warm queries replay the same values.
         assert topology.latency_ms(0, 1) == topology.latency_ms(1, 0)
 

@@ -20,6 +20,9 @@ from repro.core.system import FlowerCDN
 from repro.metrics.collectors import QueryOutcome
 from repro.network.reachability import (
     MESSAGE_KINDS,
+    REDIRECT_TIMEOUT_MS,
+    SUSPICION_BACKOFF_MAX_S,
+    SUSPICION_BACKOFF_S,
     DeliveryGate,
     DeliveryStats,
     HostOutage,
@@ -257,11 +260,11 @@ class TestDeliveryGate:
         with pytest.raises(RuntimeError, match="already attached"):
             system.attach_reachability(ReachabilityModel())
 
-    def test_suspicion_backoff_doubles_and_saturates(self, config: FlowerConfig):
-        base = config.suspicion_backoff_s
-        cap = config.suspicion_backoff_max_s
+    def test_suspicion_backoff_doubles_and_saturates(self):
+        base = SUSPICION_BACKOFF_S
+        cap = SUSPICION_BACKOFF_MAX_S
         clock = SimpleNamespace(now=0.0)
-        gate = DeliveryGate(ReachabilityModel(), clock, config)
+        gate = DeliveryGate(ReachabilityModel(), clock)
 
         for _ in range(20):
             gate.suspect("c(x)@1")
@@ -304,7 +307,7 @@ class TestDeliveryGate:
             )
         )
         assert record.outcome is QueryOutcome.SERVER_MISS
-        assert record.lookup_latency_ms >= system.config.redirect_timeout_ms
+        assert record.lookup_latency_ms >= REDIRECT_TIMEOUT_MS
         assert system.delivery_stats.server_fallbacks == 1
         # Graceful degradation: the directory is alive-but-unreachable and
         # must NOT be replaced via the Section 5.2 protocol.

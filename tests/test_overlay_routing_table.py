@@ -145,9 +145,9 @@ def test_range_bisected_constraint_equals_predicate_filter(members, website, key
 
 
 def test_website_constraint_is_the_range_of_the_keys_website():
-    keys = KeyScheme(website_bits=4, locality_bits=3, replica_bits=1)
+    keys = KeyScheme(website_bits=4, locality_bits=3)
     for website_id in (0, 5, keys.max_websites - 1):  # both ends of the id space
-        key = keys.encode(website_id, 2, 1)
+        key = keys.encode(website_id, 2)
         constraint = keys.website_constraint(key)
         assert isinstance(constraint, IdRange)
         for identifier in range(keys.idspace.size):

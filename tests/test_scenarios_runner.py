@@ -84,7 +84,6 @@ class TestScenarioSpec:
         assert setup.topology.num_hosts == spec.num_hosts
         assert setup.workload.query_rate_per_s == spec.query_rate_per_s
         assert setup.seed == spec.seed
-        assert setup.squirrel.metrics_window_s == setup.flower.metrics_window_s
 
     def test_to_setup_seed_override(self):
         setup = get_scenario("paper-default").to_setup(seed=9)

@@ -50,6 +50,21 @@ UNRUNNABLE_SPECS: Dict[str, Dict[str, object]] = {
     },
 }
 
+#: inline specs of the wrong shape: the first three answered 500 (an
+#: AttributeError out of the handler), the rest were queued and ran or failed
+#: in the worker; each maps to the field its 400 must name
+MALFORMED_SPECS: Dict[str, Tuple[str, Dict[str, object]]] = {
+    "churn-list": ("churn", {"churn": [1, 2]}),
+    "churn-model-number": ("churn_model", {"churn_model": 5}),
+    "fault-model-list": ("fault_model", {"fault_model": [1]}),
+    "view-size-fraction": ("view_size", {"view_size": 50.5}),
+    "num-hosts-fraction": ("num_hosts", {"num_hosts": 600.5}),
+    "seed-string": ("seed", {"seed": "42"}),
+    "shards-bool": ("shards", {"shards": True}),
+    "duration-bool": ("duration_s", {"duration_s": True}),
+    "name-number": ("name", {"name": 5}),
+}
+
 #: request numbers that answered 500, or queued a job that could only fail
 #: (or, with a NaN deadline, could never time out)
 UNRUNNABLE_REQUESTS: Dict[str, Tuple[str, Dict[str, object]]] = {
@@ -226,6 +241,57 @@ def test_an_unrunnable_inline_spec_is_400_and_queues_nothing(tmp_path: Path) -> 
         assert service.manager.jobs() == []
     finally:
         service.stop(drain=False)
+
+
+@pytest.fixture(scope="module")
+def idle_service(tmp_path_factory: pytest.TempPathFactory):
+    def executor(_payload: dict, _execution: dict) -> Dict[str, str]:
+        return {"digest.json": "{}\n"}
+
+    store = tmp_path_factory.mktemp("idle") / "store"
+    service = ReproService(
+        ServiceConfig(port=0, workers=1, store_dir=store, timeout_s=None), executor=executor
+    )
+    service.start()
+    yield service
+    service.stop(drain=False)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_a_malformed_inline_spec_is_400_naming_the_field(
+    idle_service: ReproService, case: str
+) -> None:
+    field, overrides = MALFORMED_SPECS[case]
+    status, body = post(idle_service, "/runs", {"spec": {**TINY_SPEC, **overrides}})
+    assert status == 400, body
+    error = json.loads(body)["error"]
+    assert error.startswith("invalid run request: ") and field in error, error
+    assert idle_service.manager.jobs() == []
+
+
+def test_an_int_is_a_valid_float_field() -> None:
+    spec = ScenarioSpec.from_dict({"name": "x", "duration_s": 900})
+    assert spec.duration_s == 900
+
+
+def test_a_body_too_large_is_413_and_closes(idle_service: ReproService) -> None:
+    # The oversized body is never read: before the fix its first bytes were
+    # parsed as a second request on the same connection (here a GET that
+    # was answered too).
+    request = (
+        "POST /runs HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {5 * 1024 * 1024}\r\n\r\n"
+        "GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+    )
+    with socket.create_connection(("127.0.0.1", idle_service.port), timeout=10) as connection:
+        connection.sendall(request.encode("ascii"))
+        received = b""
+        while chunk := connection.recv(65536):
+            received += chunk
+    assert received.count(b"HTTP/1.1 ") == 1, received
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ") and b"Connection: close" in head, head
+    assert json.loads(body) == {"error": f"request body too large ({5 * 1024 * 1024} bytes)"}
 
 
 def test_an_unrunnable_request_number_is_400_and_queues_nothing(tmp_path: Path) -> None:

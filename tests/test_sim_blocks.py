@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 import repro.experiments.driver as driver
 import repro.sim.sharded as sharded
-from repro.core.config import HOUR
+from repro.core.config import HOUR, MAX_REDIRECTION_ATTEMPTS
 from repro.core.content_peer import ContentPeer
 from repro.core.sharding import inseparable_reason, plan_blocks
 from repro.core.system import InfeasibleScenarioError
@@ -143,7 +143,7 @@ def test_algorithm3_retry_bound_does_not_depend_on_the_block_plan():
     website = session.experiment.catalog.websites[0]
     wanted = website.object_id(0)
     # More stale entries than a block staffs directories, fewer than the deployment.
-    stale = config.max_redirection_attempts + config.num_localities
+    stale = MAX_REDIRECTION_ATTEMPTS + config.num_localities
     assert stale + 1 <= config.max_content_overlay_size
 
     def served(owned):

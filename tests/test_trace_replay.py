@@ -43,7 +43,7 @@ def one_query_at_a_time(session: Session, system_name: str):
     else:
         sim = Simulator(seed=setup.seed, end_time=duration, queue_backend=setup.queue_backend)
         system = Squirrel(
-            setup.squirrel, sim, session.experiment.topology,
+            sim, session.experiment.topology,
             latency_model=LatencyModel(session.experiment.topology),
         )
         system.bootstrap()

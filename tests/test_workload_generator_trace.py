@@ -47,8 +47,6 @@ class TestWorkloadConfig:
         with pytest.raises(ValueError, match="zipf_alpha"):
             WorkloadConfig(zipf_alpha=-0.1)
         with pytest.raises(ValueError):
-            WorkloadConfig(new_client_bias=1.5)
-        with pytest.raises(ValueError):
             WorkloadConfig(arrival_process="bursty")
         with pytest.raises(ValueError):
             WorkloadConfig(num_localities=2, locality_weights=(1.0,))

@@ -9,7 +9,7 @@ random-stream states — the committed golden digests depend on it.
 
 import pytest
 
-from repro.baselines.squirrel import Squirrel, SquirrelConfig
+from repro.baselines.squirrel import Squirrel
 from repro.metrics.collectors import OUTCOME_CODES, OutcomeColumns, QueryOutcome
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
@@ -91,7 +91,6 @@ class TestGenerateTrace:
             dict(arrival_process="uniform"),
             dict(locality_weights=(5.0, 2.0, 1.0)),
             dict(zipf_alpha=0.0),
-            dict(new_client_bias=1.0),
         ],
     )
     def test_variants_identical(self, overrides):
@@ -144,7 +143,7 @@ class TestAssignTrace:
         _, array_assigner = self._assigners(topology)
         resolved = array_assigner.assign_trace(array_gen.generate_trace(900.0))
         replayed, one_by_one = (
-            Squirrel(SquirrelConfig(), Simulator(seed=1), topology) for _ in range(2)
+            Squirrel(Simulator(seed=1), topology) for _ in range(2)
         )
         for system in (replayed, one_by_one):
             system.bootstrap()
