@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.baselines.squirrel import DIRECTORY_CAPACITY, Squirrel
+from repro.baselines.squirrel import (
+    DIRECTORY_CAPACITY,
+    ID_BITS,
+    MAX_REDIRECTION_ATTEMPTS,
+    Squirrel,
+)
 from repro.metrics.collectors import MetricsCollector, QueryOutcome
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
@@ -96,6 +101,23 @@ class TestDirectoryStrategy:
         assert record.outcome is QueryOutcome.SERVER_MISS
         assert record.redirection_failures >= 1
 
+    def test_redirection_gives_up_after_max_attempts(self, squirrel):
+        downloaders = list(range(DIRECTORY_CAPACITY))
+        for host in downloaders:
+            answer(squirrel, query(host, host=host))
+        for host in downloaders:
+            squirrel.peer_for_host(host).alive = False
+        requester = DIRECTORY_CAPACITY
+        record = answer(squirrel, query(requester, host=requester))
+        assert record.outcome is QueryOutcome.SERVER_MISS
+        assert record.redirection_failures == MAX_REDIRECTION_ATTEMPTS
+        # the tried pointers are dropped, the untried oldest one stays
+        [pointers] = squirrel._directories.values()  # noqa: SLF001
+        assert pointers == [
+            squirrel.peer_for_host(requester).peer_id,
+            squirrel.peer_for_host(downloaders[0]).peer_id,
+        ]
+
     def test_metrics_recorded_per_query(self, squirrel):
         metrics = MetricsCollector()
         answer(squirrel, query(0, host=0), metrics)
@@ -133,3 +155,12 @@ class TestMembership:
             answer(squirrel, query(host, host=host))
         node_ids = [peer.node_id for peer in squirrel._peers.values()]  # noqa: SLF001
         assert len(node_ids) == len(set(node_ids))
+
+    def test_node_ids_fit_the_ring(self, squirrel):
+        for host in range(40):
+            answer(squirrel, query(host, host=host))
+        assert squirrel.idspace.bits == ID_BITS
+        assert all(
+            0 <= peer.node_id < 1 << ID_BITS
+            for peer in squirrel._peers.values()  # noqa: SLF001
+        )

@@ -8,6 +8,7 @@ from repro.core.config import (
     HEADER_BYTES,
     HOUR,
     MINUTE,
+    SUMMARY_BITS_PER_OBJECT,
     FlowerConfig,
     GossipConfig,
     gossip_message_bytes,
@@ -58,6 +59,11 @@ class TestMessageSizeModel:
         assert summary_bytes(9) == 2
         assert summary_refresh_bytes(800) == HEADER_BYTES + 100
 
+    def test_empty_messages_are_a_bare_header(self):
+        assert push_message_bytes(0) == HEADER_BYTES
+        assert summary_refresh_bytes(0) == HEADER_BYTES
+        assert gossip_message_bytes(summary_bits=0, gossip_length=0) == HEADER_BYTES
+
 
 class TestFlowerConfig:
     def test_table1_defaults(self):
@@ -75,6 +81,12 @@ class TestFlowerConfig:
         assert config.id_bits == config.locality_bits + config.website_bits
         assert config.summary_bits == 8 * config.objects_per_website
         assert config.num_directory_peers == 600
+
+    @pytest.mark.parametrize("objects", [1, 9, 500])
+    def test_summary_is_table1_bits_per_object(self, objects):
+        assert SUMMARY_BITS_PER_OBJECT == 8
+        config = FlowerConfig(objects_per_website=objects)
+        assert config.summary_bits == SUMMARY_BITS_PER_OBJECT * objects
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -155,6 +167,19 @@ class TestKeyScheme:
         assert not keys.same_website(a0, b0)
         low, high = keys.website_constraint(a0)
         assert low <= a5 < high and not low <= b0 < high
+
+    def test_website_constraint_is_the_websites_locality_block(self, keys: KeyScheme):
+        ids = keys.directory_ids_for("http://a.org", num_localities=keys.max_localities)
+        for identifier in ids:
+            low, high = keys.website_constraint(identifier)
+            assert low == keys.website_id("http://a.org") << keys.locality_bits
+            assert list(range(low, high)) == ids
+
+    def test_decode_rejects_identifiers_outside_the_space(self, keys: KeyScheme):
+        with pytest.raises(ValueError):
+            keys.decode(1 << keys.idspace.bits)
+        with pytest.raises(ValueError):
+            keys.decode(-1)
 
     def test_website_id_is_deterministic(self, keys: KeyScheme):
         assert keys.website_id("http://x.org") == keys.website_id("http://x.org")

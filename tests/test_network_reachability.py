@@ -287,6 +287,12 @@ class TestDeliveryGate:
         assert not gate.skips("c(y)@2")
         assert gate.stats.suspicion_skips == 2
 
+    def test_fall_back_counts_and_charges_the_timeout(self):
+        gate = DeliveryGate(ReachabilityModel(), SimpleNamespace(now=0.0))
+        assert gate.fall_back() == REDIRECT_TIMEOUT_MS
+        assert gate.fall_back() == REDIRECT_TIMEOUT_MS
+        assert gate.stats.server_fallbacks == 2
+
     def test_unreachable_directory_degrades_to_server_without_replacement(
         self, system: FlowerCDN
     ):

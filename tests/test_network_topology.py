@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.network.topology import MAX_LATENCY_MS, MIN_LATENCY_MS, Topology, TopologyConfig
+from repro.network.topology import (
+    JITTER_MS,
+    MAX_LATENCY_MS,
+    MIN_LATENCY_MS,
+    Topology,
+    TopologyConfig,
+)
 from repro.sim.rng import RandomStreams
 
 
@@ -16,6 +22,9 @@ class TestTopologyConfig:
     def test_rejects_invalid_host_count(self):
         with pytest.raises(ValueError):
             TopologyConfig(num_hosts=0)
+
+    def test_latency_band_leaves_room_for_the_jitter(self):
+        assert 0 < MIN_LATENCY_MS < MIN_LATENCY_MS + 2 * JITTER_MS < MAX_LATENCY_MS
 
     def test_rejects_mismatched_weights(self):
         with pytest.raises(ValueError):
