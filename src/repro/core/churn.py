@@ -32,7 +32,10 @@ class ChurnProfile:
 
     def __post_init__(self) -> None:
         for rate in fields(self):
-            if getattr(self, rate.name) < 0:
+            value = getattr(self, rate.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{rate.name} must be a number, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{rate.name} must be non-negative")
 
     @property

@@ -110,9 +110,6 @@ class ColumnarView:
     def __iter__(self) -> Iterator[AgedEntry]:
         return iter(self.entries())
 
-    def contacts(self) -> Sequence[str]:
-        return tuple(row[1] for row in self._rows)
-
     def get(self, contact: str) -> Optional[AgedEntry]:
         row = self._pos.get(contact)
         if row is None:
@@ -134,13 +131,6 @@ class ColumnarView:
         if bits is None:
             return None
         return BloomFilter.from_bits(bits, self.num_bits, self.num_hashes)
-
-    # -- columnar accessors -------------------------------------------------
-
-    def export_columns(self) -> List[ViewColumn]:
-        """Every entry as ``(contact, age, packed_summary)``, in view order."""
-        clock = self.clock
-        return [(row[1], clock + row[0], row[2]) for row in self._rows]
 
     # -- mutation ------------------------------------------------------------
 
@@ -213,9 +203,11 @@ class ColumnarView:
     ) -> None:
         """Section 4.2's view seeding: merge another peer's view and its owner.
 
-        Exactly ``merge_columns((source.export_columns() + [owner])[:capacity],
-        self_contact)``, read off ``source``'s rows (re-based from its clock
-        onto this one) instead of an exported column list, and with the
+        Exactly ``merge_columns((columns + [owner])[:capacity], self_contact)``
+        where ``columns`` is ``source``'s entries as ``(contact, age,
+        packed_summary)`` in view order (the ``export_columns`` oracle in
+        ``tests/reference/``), read off ``source``'s rows (re-based from its
+        clock onto this one) instead of an exported column list, and with the
         source's union taken over in one OR instead of one per payload.
         """
         limit = len(source._rows) + 1 if self.capacity is None else self.capacity

@@ -28,8 +28,6 @@ class GossipConfig:
     push_threshold: float = 0.1
     #: interval between keepalive messages from content peers to their directory
     keepalive_period_s: float = 30 * MINUTE
-    #: age (in gossip periods) after which a directory entry / view entry is dead
-    dead_age: int = 4
 
     def __post_init__(self) -> None:
         if self.gossip_period_s <= 0:
@@ -42,10 +40,12 @@ class GossipConfig:
             raise ValueError("push_threshold must be in (0, 1]")
         if self.keepalive_period_s <= 0:
             raise ValueError("keepalive_period_s must be positive")
-        if self.dead_age <= 0:
-            raise ValueError("dead_age must be positive")
 
 
+#: age (in gossip periods) after which a directory entry is dead (Tdead)
+DEAD_AGE = 4
+#: bits reserved for the website ID (m2) of a D-ring identifier
+WEBSITE_BITS = 29
 #: Bloom-filter bits per object (Table 1: summary size = 8 * nb-ob bits)
 SUMMARY_BITS_PER_OBJECT = 8
 #: maximum providers a query tries after redirection failures
@@ -94,8 +94,6 @@ class FlowerConfig:
     # -- identifier space ----------------------------------------------------
     #: bits reserved for the locality ID (m1); 2**m1 must be >= num_localities
     locality_bits: int = 3
-    #: bits reserved for the website ID (m2)
-    website_bits: int = 29
     #: structured overlay the D-ring is embedded in: "chord" (the paper's
     #: evaluation) or "pastry" (the other substrate named in Section 3.1)
     dht_substrate: str = "chord"
@@ -131,8 +129,6 @@ class FlowerConfig:
             raise ValueError(
                 f"locality_bits={self.locality_bits} cannot encode {self.num_localities} localities"
             )
-        if self.website_bits <= 0:
-            raise ValueError("website_bits must be positive")
         if self.dht_substrate not in ("chord", "pastry"):
             raise ValueError("dht_substrate must be 'chord' or 'pastry'")
         if self.content_miss_fallback not in ("server", "directory"):
@@ -145,11 +141,6 @@ class FlowerConfig:
             raise ValueError("metrics_window_s must be positive")
 
     # -- derived quantities ------------------------------------------------------
-
-    @property
-    def id_bits(self) -> int:
-        """Total identifier length ``m = m1 + m2``."""
-        return self.locality_bits + self.website_bits
 
     @property
     def summary_bits(self) -> int:
@@ -176,4 +167,3 @@ class FlowerConfig:
             "Gossip length (Lgossip)": gossip.gossip_length,
             "Simulation duration (s)": self.simulation_duration_s,
         }
-

@@ -19,7 +19,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.columns import SUMMARY_NUM_HASHES, ColumnarView, ViewColumn
 from repro.core.config import FlowerConfig
-from repro.datastructures.bloom import BloomFilter, MaskTable, mask_table
+from repro.datastructures.bloom import MaskTable, mask_table
 from repro.datastructures.lru import LRUCache
 from repro.workload.catalog import ObjectId
 
@@ -35,10 +35,6 @@ class GossipMessage(NamedTuple):
     sender: str
     summary_bits: int
     view_subset: Tuple[ViewColumn, ...]
-
-    @property
-    def num_entries(self) -> int:
-        return len(self.view_subset)
 
 
 @dataclass(slots=True)
@@ -56,7 +52,6 @@ class ContentPeer:
     _objects: Set[ObjectId] = field(default_factory=set, init=False, repr=False)
     _cache: Optional[LRUCache] = field(default=None, init=False, repr=False)
     _view: ColumnarView = field(init=False, repr=False)
-    _directory_age: int = field(default=0, init=False, repr=False)
     _pending_added: Set[ObjectId] = field(default_factory=set, init=False, repr=False)
     _pending_removed: Set[ObjectId] = field(default_factory=set, init=False, repr=False)
     #: packed Bloom summary of ``_objects``; ``None`` after a removal, which
@@ -115,14 +110,6 @@ class ContentPeer:
         self._pending_removed.discard(object_id)
         self._pending_added.add(object_id)
 
-    def drop_object(self, object_id: ObjectId) -> None:
-        if object_id not in self._objects:
-            return
-        self._objects.discard(object_id)
-        if self._cache is not None:
-            self._cache.remove(object_id)
-        self._record_removed(object_id)
-
     def _record_removed(self, object_id: ObjectId) -> None:
         self._packed_summary = None  # a Bloom mask cannot express a removal
         self._pending_added.discard(object_id)
@@ -138,12 +125,6 @@ class ContentPeer:
                 bits |= masks[object_id]
             self._packed_summary = bits
         return bits
-
-    def content_summary(self) -> BloomFilter:
-        """The content summary in object form (diagnostics; gossip ships the bits)."""
-        return BloomFilter.from_bits(
-            self.summary_bits(), self.config.summary_bits, SUMMARY_NUM_HASHES
-        )
 
     # -- view management ------------------------------------------------------
 
@@ -170,16 +151,10 @@ class ContentPeer:
     def note_directory(self, directory_peer_id: str) -> None:
         """Track the current directory peer of the overlay (special view entry)."""
         self.directory_peer_id = directory_peer_id
-        self._directory_age = 0
 
     def increment_ages(self) -> None:
         """The periodic (per ``Tgossip``) ageing of every view entry."""
         self._view.increment_ages()
-        self._directory_age += 1
-
-    @property
-    def directory_age(self) -> int:
-        return self._directory_age
 
     # -- local query resolution (Section 4.1) ------------------------------------
 
@@ -225,27 +200,6 @@ class ContentPeer:
 
     # -- Algorithm 5: push behaviour ---------------------------------------------------
 
-    def pending_change_fraction(self) -> float:
-        """Fraction of the content list affected by unpushed changes.
-
-        NOTE: ``OverlayMaintenance._maybe_push`` inlines this computation (together
-        with :meth:`needs_push`) on its hot path — keep the two in sync.
-        """
-        if not self._objects and not self._pending_removed:
-            return 0.0
-        base = max(1, len(self._objects))
-        return (len(self._pending_added) + len(self._pending_removed)) / base
-
-    def needs_push(self) -> bool:
-        """True when the accumulated changes reach the push threshold.
-
-        NOTE: inlined by ``OverlayMaintenance._maybe_push`` — keep the two in sync.
-        """
-        changes = len(self._pending_added) + len(self._pending_removed)
-        if changes == 0:
-            return False
-        return self.pending_change_fraction() >= self.config.gossip.push_threshold
-
     def take_delta(self) -> Tuple[Sequence[ObjectId], Sequence[ObjectId]]:
         """Extract the delta list ``(added, removed)`` and reset the change
         counter (Algorithm 5).  Each side is in sorted order — which a side of
@@ -257,7 +211,6 @@ class ContentPeer:
         )
         added.clear()
         removed.clear()
-        self._directory_age = 0
         self.pushes_sent += 1
         return delta
 
@@ -271,6 +224,3 @@ class ContentPeer:
 
     def fail(self) -> None:
         self.alive = False
-
-    def recover(self) -> None:
-        self.alive = True

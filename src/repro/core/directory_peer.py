@@ -9,8 +9,10 @@ index lookup → summary lookup → origin server.
 
 Two tables keep the per-period and per-query work off the index itself:
 entry ages live in a stamp column under one epoch clock, so ageing the whole
-index is a single increment, and ``lookup_index`` resolves through an
-object → holders inverted table instead of scanning every entry's object set.
+index is a single increment, and Algorithm 3 (:meth:`DirectoryPeer.redirect`)
+resolves through an object → holders inverted table instead of scanning every
+entry's object set.  ``tests/reference/directory.py`` holds the plain sorted
+forms of its two lookups, the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import islice
 from typing import Container, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.columns import ViewColumn
-from repro.core.config import FlowerConfig
+from repro.core.config import DEAD_AGE, FlowerConfig
 from repro.datastructures.bloom import BloomFilter
 from repro.workload.catalog import ObjectId
 
@@ -86,10 +88,6 @@ class DirectoryPeer:
     def entry(self, peer_id: str) -> Optional[DirectoryEntry]:
         entry = self._index.get(peer_id)
         return None if entry is None else self._synced_entry(entry)
-
-    def age_of(self, peer_id: str) -> Optional[int]:
-        stamp = self._stamps.get(peer_id)
-        return None if stamp is None else self._clock - stamp
 
     def member_columns(self, limit: int, exclude: Optional[str] = None) -> List[ViewColumn]:
         """The first ``limit`` members other than ``exclude`` as address-only view
@@ -183,11 +181,8 @@ class DirectoryPeer:
 
     def evict_dead_entries(self) -> List[str]:
         """Remove entries whose age exceeded ``Tdead`` (Section 5.1)."""
-        dead_age = self.config.gossip.dead_age
         clock = self._clock
-        dead = [
-            peer_id for peer_id, stamp in self._stamps.items() if clock - stamp > dead_age
-        ]
+        dead = [peer_id for peer_id, stamp in self._stamps.items() if clock - stamp > DEAD_AGE]
         for peer_id in dead:
             self.remove_client(peer_id)
         return dead
@@ -216,35 +211,10 @@ class DirectoryPeer:
     def store_neighbor_summary(self, neighbor_peer_id: str, summary: BloomFilter) -> None:
         self._summaries[neighbor_peer_id] = summary
 
-    def neighbor_summaries(self) -> Dict[str, BloomFilter]:
-        return dict(self._summaries)
-
     def drop_neighbor(self, neighbor_peer_id: str) -> None:
         self._summaries.pop(neighbor_peer_id, None)
 
     # -- Algorithm 3: query processing -----------------------------------------------
-
-    def lookup_index(self, object_id: ObjectId) -> List[str]:
-        """Content peers of this overlay whose index entry lists ``object_id``.
-
-        Results are ordered youngest entry first, so redirections prefer peers
-        heard from recently (fewer redirection failures under churn).
-        """
-        holder_set = self._holders.get(object_id)
-        if not holder_set:
-            return []
-        clock = self._clock
-        stamps = self._stamps
-        holders = sorted((clock - stamps[peer_id], peer_id) for peer_id in holder_set)
-        return [peer_id for _, peer_id in holders]
-
-    def lookup_summaries(self, object_id: ObjectId) -> List[str]:
-        """Neighbouring directory peers whose summary may contain ``object_id``."""
-        return sorted(
-            neighbor
-            for neighbor, summary in self._summaries.items()
-            if summary.might_contain(object_id)
-        )
 
     def redirect(
         self, object_id: ObjectId, excluded: Container[str] = ()
@@ -256,8 +226,10 @@ class DirectoryPeer:
         first neighbour whose summary may contain it, else ``("server",
         None)``.  ``excluded`` holds targets already tried (redirection
         failures or the directory peers the query already visited) so retries
-        make progress.  The first admissible element of :meth:`lookup_index` /
-        :meth:`lookup_summaries`, found in one walk without sorting either.
+        make progress.  The first admissible element of the youngest-first
+        holder list and of the sorted matching-neighbour list (the
+        ``lookup_index`` / ``lookup_summaries`` oracles in ``tests/reference/``),
+        found in one walk without sorting either.
         """
         self.queries_processed += 1
         self._request_counts[object_id] = self._request_counts.get(object_id, 0) + 1

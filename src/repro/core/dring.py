@@ -78,10 +78,6 @@ class DRing:
         return self._ring
 
     @property
-    def router(self) -> KBRRouter:
-        return self._router
-
-    @property
     def size(self) -> int:
         return len(self._ring)
 
@@ -199,10 +195,6 @@ class DRing:
             if placement is not None and placement not in neighbors:
                 neighbors.append(placement)
         return neighbors
-
-    def website_directories(self, website: str) -> List[DirectoryPlacement]:
-        by_locality = self._by_website.get(website, {})
-        return [by_locality[locality] for locality in sorted(by_locality)]
 
     def random_bootstrap_node(self, rng: random.Random) -> Optional[int]:
         """A random live D-ring node, used as the entry point of new clients."""

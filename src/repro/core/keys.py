@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List
 
 from repro.overlay.idspace import IdRange, IdSpace
 
@@ -56,10 +55,6 @@ class KeyScheme:
         self._website_id_cache: dict = {}
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def website_bits(self) -> int:
-        return self._website_bits
 
     @property
     def locality_bits(self) -> int:
@@ -120,15 +115,8 @@ class KeyScheme:
             self._decode_cache[identifier] = key
         return key
 
-    def website_id_of(self, identifier: int) -> int:
-        return self.decode(identifier).website_id
-
     def locality_of(self, identifier: int) -> int:
         return self.decode(identifier).locality_id
-
-    def same_website(self, a: int, b: int) -> bool:
-        """True when two identifiers carry the same website ID."""
-        return self.website_id_of(a) == self.website_id_of(b)
 
     def website_constraint(self, key: int) -> IdRange:
         """Algorithm 2's constraint, "same website ID as the key".
@@ -140,12 +128,3 @@ class KeyScheme:
         shift = self._locality_bits
         low = (self._idspace.validate(key) >> shift) << shift
         return IdRange(low, low + (1 << shift))
-
-    def directory_ids_for(self, website_url: str, num_localities: int) -> List[int]:
-        """All directory peer IDs of one website, in locality order (Figure 3)."""
-        if not 0 < num_localities <= self.max_localities:
-            raise ValueError(
-                f"num_localities must be in (0, {self.max_localities}], got {num_localities}"
-            )
-        website_id = self.website_id(website_url)
-        return [self.encode(website_id, loc) for loc in range(num_localities)]

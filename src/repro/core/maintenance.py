@@ -261,8 +261,8 @@ class OverlayMaintenance:
 
     def _maybe_push(self, peer: ContentPeer) -> None:
         """Algorithm 5: push the delta list once the change threshold is reached."""
-        # Inlined needs_push(): this guard runs after every served object, and
-        # the two extra Python frames measurably slow the query hot path.
+        # The changed fraction of the content list, read off the peer's fields
+        # in place: this guard runs after every served object.
         removed = peer._pending_removed
         changes = len(peer._pending_added) + len(removed)
         if changes == 0:

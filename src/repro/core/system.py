@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.config import MAX_REDIRECTION_ATTEMPTS, FlowerConfig
+from repro.core.config import MAX_REDIRECTION_ATTEMPTS, WEBSITE_BITS, FlowerConfig
 from repro.core.content_peer import ContentPeer
 from repro.core.directory_peer import DirectoryPeer
 from repro.core.dring import DRing
@@ -135,7 +135,7 @@ class FlowerCDN(OverlayMaintenance):
         self.catalog = catalog or Catalog.synthetic(
             config.num_websites, config.objects_per_website
         )
-        self.keys = KeyScheme(config.website_bits, config.locality_bits)
+        self.keys = KeyScheme(WEBSITE_BITS, config.locality_bits)
         if config.dht_substrate == "pastry":
             substrate = PastryRing(self.keys.idspace)
         else:
@@ -194,11 +194,6 @@ class FlowerCDN(OverlayMaintenance):
         )
 
     # ------------------------------------------------------------------ reachability
-
-    @property
-    def reachability(self) -> Optional[ReachabilityModel]:
-        """The attached delivery model (``None``: every message is delivered)."""
-        return None if self.gate is None else self.gate.model
 
     @property
     def delivery_stats(self) -> Optional[DeliveryStats]:

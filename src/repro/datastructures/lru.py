@@ -10,7 +10,7 @@ churn/ablation experiments.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Generic, Optional, Tuple, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -24,38 +24,12 @@ class LRUCache(Generic[K, V]):
             raise ValueError(f"capacity must be positive or None, got {capacity}")
         self._capacity = capacity
         self._data: "OrderedDict[K, V]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @property
-    def capacity(self) -> Optional[int]:
-        return self._capacity
 
     def __len__(self) -> int:
         return len(self._data)
 
     def __contains__(self, key: K) -> bool:
         return key in self._data
-
-    def __iter__(self) -> Iterator[K]:
-        return iter(self._data)
-
-    def keys(self) -> Tuple[K, ...]:
-        return tuple(self._data)
-
-    def get(self, key: K) -> Optional[V]:
-        """Return the value for ``key`` (marking it recently used) or ``None``."""
-        if key not in self._data:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._data.move_to_end(key)
-        return self._data[key]
-
-    def peek(self, key: K) -> Optional[V]:
-        """Return the value without affecting recency or hit statistics."""
-        return self._data.get(key)
 
     def put(self, key: K, value: V) -> Optional[Tuple[K, V]]:
         """Insert ``key``; returns the evicted ``(key, value)`` pair if any."""
@@ -65,18 +39,5 @@ class LRUCache(Generic[K, V]):
             return None
         self._data[key] = value
         if self._capacity is not None and len(self._data) > self._capacity:
-            evicted = self._data.popitem(last=False)
-            self.evictions += 1
-            return evicted
+            return self._data.popitem(last=False)
         return None
-
-    def remove(self, key: K) -> bool:
-        return self._data.pop(key, None) is not None
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

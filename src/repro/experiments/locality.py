@@ -65,9 +65,6 @@ class LocalityResults:
             / self.flower_run.average_transfer_distance_ms
         )
 
-    def flower_fraction_fast_lookups(self, threshold_ms: float = 150.0) -> float:
-        return self.flower_latency_histogram.fraction_below(threshold_ms)
-
     def squirrel_fraction_slow_lookups(self, threshold_ms: float = 1050.0) -> float:
         return self.squirrel_latency_histogram.fraction_above(threshold_ms)
 

@@ -39,10 +39,6 @@ class QueryOutcome(Enum):
     #: the P2P system could not provide the object; served by the origin server
     SERVER_MISS = "server_miss"
 
-    @property
-    def is_hit(self) -> bool:
-        return self is not QueryOutcome.SERVER_MISS
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class QueryRecord:
@@ -402,17 +398,6 @@ class MetricsCollector:
         self._fold()
         return self._distance_histogram
 
-    def steady_state_latency_ms(self, warmup_s: float) -> float:
-        """Mean of per-window lookup latencies after the warm-up period."""
-        self._fold()
-        values = self._latency_series.values_after(warmup_s)
-        return sum(values) / len(values) if values else 0.0
-
-    def steady_state_distance_ms(self, warmup_s: float) -> float:
-        self._fold()
-        values = self._distance_series.values_after(warmup_s)
-        return sum(values) / len(values) if values else 0.0
-
 
 class BandwidthAccountant:
     """Background-traffic accounting (gossip, push, keepalive, summary refresh)."""
@@ -506,10 +491,6 @@ class BandwidthAccountant:
         self._sync()
         return sum(self._bytes_per_peer.values())
 
-    def total_bytes_by_category(self) -> Dict[str, float]:
-        self._sync()
-        return dict(self._bytes_per_category)
-
     def messages_by_category(self) -> Dict[str, int]:
         self._sync()
         return dict(self._messages_per_category)
@@ -527,14 +508,6 @@ class BandwidthAccountant:
             (total_bytes * 8.0) / duration_s for total_bytes in self._bytes_per_peer.values()
         ]
         return math.fsum(per_peer_bps) / len(per_peer_bps)
-
-    def peak_bps_per_peer(self, duration_s: float) -> float:
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        self._sync()
-        if not self._bytes_per_peer:
-            return 0.0
-        return max((b * 8.0) / duration_s for b in self._bytes_per_peer.values())
 
     def bps_series(self) -> List[tuple[float, float]]:
         """Per-window average bps per peer over time."""

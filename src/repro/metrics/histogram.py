@@ -9,7 +9,7 @@ here mirrors that presentation: uniform bins plus an overflow bin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,6 @@ class Histogram:
         self._counts = [0] * (num_bins + 1)  # last slot is the overflow bin
         self._total = 0
         self._sum = 0.0
-        self._min: float | None = None
-        self._max: float | None = None
 
     # -- recording -------------------------------------------------------------
 
@@ -65,11 +63,6 @@ class Histogram:
             value_sum += value
         self._sum = value_sum
         self._total += len(values)
-        if self._min is None or low < self._min:
-            self._min = low
-        high = max(values)
-        if self._max is None or high > self._max:
-            self._max = high
 
     # -- aggregates ---------------------------------------------------------------
 
@@ -80,14 +73,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self._sum / self._total if self._total else 0.0
-
-    @property
-    def min(self) -> float:
-        return self._min if self._min is not None else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max if self._max is not None else 0.0
 
     def bins(self) -> List[HistogramBin]:
         result: List[HistogramBin] = []
@@ -131,6 +116,3 @@ class Histogram:
         if self._total == 0:
             return [(b.label, 0.0) for b in self.bins()]
         return [(b.label, b.count / self._total) for b in self.bins()]
-
-    def as_dict(self) -> Dict[str, int]:
-        return {b.label: b.count for b in self.bins()}

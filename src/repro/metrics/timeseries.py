@@ -39,14 +39,6 @@ class TimeSeries:
     def window_s(self) -> float:
         return self._window_s
 
-    @property
-    def total_count(self) -> int:
-        return self._total_count
-
-    @property
-    def overall_mean(self) -> float:
-        return self._total_sum / self._total_count if self._total_count else 0.0
-
     def merge_from(self, other: "TimeSeries") -> None:
         """Fold another series' windows into this one (bucket-wise sums).
 

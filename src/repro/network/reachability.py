@@ -103,10 +103,6 @@ class DeliveryStats:
         self.blocked[kind] = self.blocked.get(kind, 0) + 1
 
     @property
-    def total_delivered(self) -> int:
-        return sum(self.delivered.values())
-
-    @property
     def total_blocked(self) -> int:
         return sum(self.blocked.values())
 

@@ -6,7 +6,7 @@ non-uniformly populated localities.  We reproduce that with a planar model:
 
 * each locality is a cluster centre placed in a 2-D latency plane;
 * each host is placed around the centre of its (non-uniformly chosen)
-  cluster with a configurable spread;
+  cluster with a fixed spread;
 * the latency between two hosts is an affine function of their Euclidean
   distance plus a small per-pair perturbation, clamped to the
   ``[MIN_LATENCY_MS, MAX_LATENCY_MS]`` range.
@@ -37,6 +37,8 @@ MIN_LATENCY_MS = 10.0
 MAX_LATENCY_MS = 500.0
 #: amplitude of the symmetric per-pair perturbation
 JITTER_MS = 5.0
+#: typical latency radius of a host around its locality's centre
+INTRA_LOCALITY_SPREAD_MS = 80.0
 
 
 @dataclass(frozen=True)
@@ -46,14 +48,12 @@ class TopologyConfig:
     Attributes:
         num_hosts: number of underlying hosts (the paper uses 5000).
         num_localities: number of network localities ``k`` (paper: 6).
-        intra_locality_spread_ms: typical latency radius inside one locality.
         locality_weights: optional relative population weights, one per
             locality; localities are non-uniformly populated by default.
     """
 
     num_hosts: int = 5000
     num_localities: int = 6
-    intra_locality_spread_ms: float = 80.0
     locality_weights: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -138,8 +138,8 @@ class Topology:
             locality = self._pick_locality(rng.random(), weights)
             cx, cy = centres[locality]
             # Gaussian scatter around the centre bounded by the spread.
-            dx = rng.gauss(0.0, cfg.intra_locality_spread_ms / 2.0)
-            dy = rng.gauss(0.0, cfg.intra_locality_spread_ms / 2.0)
+            dx = rng.gauss(0.0, INTRA_LOCALITY_SPREAD_MS / 2.0)
+            dy = rng.gauss(0.0, INTRA_LOCALITY_SPREAD_MS / 2.0)
             host = Host(host_id=host_id, locality=locality, x=cx + dx, y=cy + dy)
             self._hosts.append(host)
             members[locality].append(host_id)

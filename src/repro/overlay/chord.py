@@ -128,20 +128,6 @@ class ChordRing:
 
     # -- idealised routing -------------------------------------------------------
 
-    def successor_of(self, identifier: int) -> Optional[int]:
-        """First live node clockwise from ``identifier`` (inclusive), or ``None``."""
-        live = self.live_ids()
-        if not live:
-            return None
-        lo, hi = 0, len(live)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if live[mid] < identifier:
-                lo = mid + 1
-            else:
-                hi = mid
-        return live[lo % len(live)]
-
     def ideal_route(self, start_node_id: int, key: int) -> List[int]:
         """Chord route under perfectly converged finger tables.
 
@@ -160,10 +146,9 @@ class ChordRing:
             return [start_node_id]
 
         # The per-hop circular arithmetic is inlined (identifiers are already
-        # normalised members of the space, so `in_interval(finger, current,
-        # key, inclusive_end=True)` reduces to one modular-distance compare):
-        # this loop runs O(log n) bisects per hop on the Squirrel dispatch
-        # hot path, and the helper-call overhead used to dominate it.
+        # normalised members of the space, so "finger in (current, key]" is
+        # one modular-distance compare): this loop runs O(log n) bisects per
+        # hop on the Squirrel dispatch hot path.
         n = len(live)
         size = self.idspace.size
         bisect_left = bisect.bisect_left

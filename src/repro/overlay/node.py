@@ -106,31 +106,6 @@ class ChordNode:
         if self.predecessor == node_id:
             self.predecessor = None
 
-    def remember(self, node_id: int) -> None:
-        """Opportunistically place ``node_id`` into any finger slot it improves."""
-        if node_id == self.node_id:
-            return
-        self._table = None
-        for index in range(self.idspace.bits):
-            start = self.finger_start(index)
-            current = self.fingers[index]
-            if current is None:
-                self.fingers[index] = node_id
-            # Prefer the node closest after the finger start (classic Chord).
-            elif self.idspace.clockwise_distance(start, node_id) < self.idspace.clockwise_distance(
-                start, current
-            ):
-                self.fingers[index] = node_id
-            back_start = self.back_finger_start(index)
-            back_current = self.back_fingers[index]
-            if back_current is None:
-                self.back_fingers[index] = node_id
-            # Mirror image: prefer the node closest *before* the backward start.
-            elif self.idspace.clockwise_distance(node_id, back_start) < self.idspace.clockwise_distance(
-                back_current, back_start
-            ):
-                self.back_fingers[index] = node_id
-
     # -- lookups (Algorithms 1 and 2 primitives) ------------------------------
 
     def local_lookup(self, key: int) -> int:
@@ -187,4 +162,3 @@ def rebuild_routing_state(
         ]
         node.predecessor = live_ids[(position - 1) % ring_size]
         node.invalidate_routing_table()
-

@@ -55,10 +55,6 @@ class RouteResult:
         """Number of overlay hops traversed (path transitions)."""
         return max(0, len(self.path) - 1)
 
-    @property
-    def source(self) -> int:
-        return self.path[0] if self.path else self.destination
-
 
 LatencyCallback = Callable[[str, str], float]
 
@@ -155,7 +151,3 @@ class KBRRouter:
         raise RoutingError(
             f"message for key {key} exceeded {max_hops} hops; routing state is inconsistent"
         )
-
-    def lookup(self, start_node_id: int, raw_key: str) -> RouteResult:
-        """Convenience wrapper hashing ``raw_key`` before routing (Squirrel-style)."""
-        return self.route(start_node_id, self._ring.idspace.hash_key(raw_key))

@@ -37,6 +37,12 @@ class WorkloadPhase:
     hotspot_rotation: int = 0
 
     def __post_init__(self) -> None:
+        for name, (kinds, what), optional in _PHASE_NUMBERS:
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"phase {name} must be {what}, got {value!r}")
         if self.duration_s is not None and self.duration_s <= 0:
             raise ValueError("phase duration_s must be positive or None")
         if self.rate_multiplier <= 0:
@@ -64,6 +70,16 @@ class WorkloadPhase:
             "zipf_alpha": self.zipf_alpha,
             "hotspot_rotation": self.hotspot_rotation,
         }
+
+
+#: (name, (types, what), optional) of each phase field; request bodies are
+#: JSON, where a ``true`` is not a number
+_PHASE_NUMBERS = (
+    ("duration_s", ((int, float), "a number"), True),
+    ("rate_multiplier", ((int, float), "a number"), False),
+    ("zipf_alpha", ((int, float), "a number"), True),
+    ("hotspot_rotation", (int, "an integer"), False),
+)
 
 
 def compile_program(

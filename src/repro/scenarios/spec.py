@@ -138,8 +138,11 @@ class ScenarioSpec:
             value = getattr(self, name)
             if value is None and optional:
                 continue
-            if isinstance(value, bool) or not isinstance(value, kinds):
+            if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
+        for weight in self.locality_weights:
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                raise ValueError(f"locality_weights must be numbers, got {weight!r}")
         if not self.name:
             raise ValueError("scenario name must be non-empty")
         if not self.systems:
@@ -400,8 +403,9 @@ class ScenarioSpec:
 #: the spec's field names, in declaration order (what ``to_dict`` walks)
 _SPEC_FIELDS = tuple(spec_field.name for spec_field in fields(ScenarioSpec))
 #: the types a scalar field's value may have, by annotation (an int is a
-#: valid float, a bool is neither)
+#: valid float, a bool is neither, and only a bool is a bool)
 _SCALAR_KINDS = {
+    "bool": (bool, "a boolean"),
     "int": (int, "an integer"),
     "float": ((int, float), "a number"),
     "str": (str, "a string"),

@@ -97,11 +97,6 @@ class CalendarEventQueue:
         """Entries physically stored, live and cancelled (diagnostic)."""
         return self._entries
 
-    @property
-    def dead_entries(self) -> int:
-        """Cancelled entries still awaiting lazy removal (diagnostic)."""
-        return self._dead
-
     # -- internal plumbing -------------------------------------------------
 
     def _insert(self, entry: tuple) -> None:

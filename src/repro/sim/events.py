@@ -118,11 +118,6 @@ class EventQueue:
         """Entries physically in the heap, live and cancelled (diagnostic)."""
         return len(self._heap)
 
-    @property
-    def dead_entries(self) -> int:
-        """Cancelled entries still awaiting lazy removal (diagnostic)."""
-        return self._dead
-
     def push(self, time: float, callback: Callable[[], Any], label: str = "") -> Event:
         """Schedule ``callback`` at ``time`` and return the event handle."""
         if time < 0:

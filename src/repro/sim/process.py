@@ -71,15 +71,6 @@ class PeriodicProcess:
             self._handle.cancel()
             self._handle = None
 
-    def restart(self, period: Optional[float] = None) -> None:
-        """Stop and start again, optionally with a new period."""
-        self.stop()
-        if period is not None:
-            if period <= 0:
-                raise ValueError(f"period must be positive, got {period}")
-            self._period = period
-        self.start()
-
 
 class PeriodicInjector:
     """A start/stop handle that runs ``_tick`` every ``period`` seconds on a

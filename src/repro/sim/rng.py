@@ -112,10 +112,6 @@ class RandomStreams:
         #: value at a time (see :meth:`one_shot_uniform`)
         self._one_shot_draws: Dict[str, int] = {}
 
-    @property
-    def master_seed(self) -> int:
-        return self._master_seed
-
     def stream(self, name: str) -> random.Random:
         """Return the stream registered under ``name``, creating it on demand."""
         rng = self._streams.get(name)

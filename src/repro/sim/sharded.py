@@ -77,10 +77,6 @@ class ShardRunStats:
     queries_per_shard: Tuple[int, ...]
 
     @property
-    def total_events(self) -> int:
-        return sum(self.events_per_shard)
-
-    @property
     def critical_path_s(self) -> float:
         """The slowest shard's dispatch time: the lockstep-parallel bound."""
         return max(self.dispatch_s_per_shard) if self.dispatch_s_per_shard else 0.0

@@ -52,9 +52,6 @@ class ClientAssigner:
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def num_clients(self, website: str, locality: int) -> int:
-        return len(self._clients.get((website, locality), ()))
-
     def _candidates(self, website: str, locality: int) -> List[int]:
         key = (website, locality)
         if key not in self._available:

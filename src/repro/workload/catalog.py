@@ -53,9 +53,6 @@ class Website:
     def objects(self) -> Iterator[ObjectId]:
         return iter(self.object_ids())
 
-    def owns(self, object_id: ObjectId) -> bool:
-        return object_id.startswith(f"{self.url}/object/")
-
 
 @dataclass
 class Catalog:
@@ -98,13 +95,3 @@ class Catalog:
 
     def names(self) -> Sequence[str]:
         return tuple(site.name for site in self.websites)
-
-    def website_of_object(self, object_id: ObjectId) -> Website:
-        """Resolve an object URL back to its website."""
-        for site in self.websites:
-            if site.owns(object_id):
-                return site
-        raise KeyError(f"object {object_id!r} does not belong to any catalogued website")
-
-    def total_objects(self) -> int:
-        return sum(site.num_objects for site in self.websites)

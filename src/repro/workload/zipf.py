@@ -37,11 +37,8 @@ class ZipfSampler:
             raise ValueError(f"population_size must be positive, got {population_size}")
         if alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {alpha}")
-        self._population_size = population_size
-        self._alpha = alpha
         weights = [1.0 / ((rank + 1) ** alpha) for rank in range(population_size)]
         total = sum(weights)
-        self._probabilities = [weight / total for weight in weights]
         self._cdf = self._build_cdf(weights, total)
         self._guide = self._build_guide(self._cdf)
 
@@ -72,22 +69,6 @@ class ZipfSampler:
                 rank += 1
             guide.append(rank)
         return guide
-
-    # -- accessors -----------------------------------------------------------
-
-    @property
-    def population_size(self) -> int:
-        return self._population_size
-
-    @property
-    def alpha(self) -> float:
-        return self._alpha
-
-    def probability(self, rank: int) -> float:
-        """Probability mass of ``rank`` (0-based)."""
-        if not 0 <= rank < self._population_size:
-            raise IndexError(f"rank {rank} outside [0, {self._population_size})")
-        return self._probabilities[rank]
 
     # -- sampling ------------------------------------------------------------
 
@@ -129,16 +110,3 @@ class ZipfSampler:
                 rank += 1
             append(rank)
         return ranks
-
-    def expected_unique_fraction(self, num_draws: int) -> float:
-        """Expected fraction of the population touched after ``num_draws`` draws.
-
-        Used by tests and by the experiment harness to sanity-check how fast a
-        content overlay can possibly converge to a full replica set.
-        """
-        if num_draws < 0:
-            raise ValueError("num_draws must be non-negative")
-        touched = 0.0
-        for probability in self._probabilities:
-            touched += 1.0 - (1.0 - probability) ** num_draws
-        return touched / self._population_size

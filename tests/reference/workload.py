@@ -15,7 +15,8 @@ It also holds the object forms of a query — :class:`Query`,
 :class:`ResolvedQuery` — with the materialisers that read them off a
 trace's columns (:func:`trace_queries`, :func:`resolved_queries`), and
 :func:`answer`, which puts one materialised query to a system's one-query
-API and keeps the row in a collector the caller owns.
+API and keeps the row in a collector the caller owns.  :func:`zipf_masses`
+is the analytic popularity law ``ZipfSampler`` draws from.
 """
 
 from __future__ import annotations
@@ -264,3 +265,10 @@ class ReferenceAssigner:
             if bound is not None:
                 resolved.append(bound)
         return resolved
+
+
+def zipf_masses(population_size: int, alpha: float) -> List[float]:
+    """Zipf(``alpha``) probability mass of every rank in ``[0, population_size)``."""
+    weights = [1.0 / ((rank + 1) ** alpha) for rank in range(population_size)]
+    total = sum(weights)
+    return [weight / total for weight in weights]

@@ -20,10 +20,9 @@ def system() -> FlowerCDN:
         num_localities=2,
         max_content_overlay_size=10,
         locality_bits=2,
-        website_bits=10,
         gossip=GossipConfig(
             gossip_period_s=60.0, view_size=5, gossip_length=3, push_threshold=0.2,
-            keepalive_period_s=60.0, dead_age=3,
+            keepalive_period_s=60.0,
         ),
         simulation_duration_s=3600.0,
         metrics_window_s=600.0,

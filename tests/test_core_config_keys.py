@@ -37,7 +37,7 @@ class TestGossipConfig:
             {"push_threshold": 0},
             {"push_threshold": 1.5},
             {"keepalive_period_s": 0},
-            {"dead_age": 0},
+            {"view_size": 5},  # below the default gossip_length of 10
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -78,7 +78,6 @@ class TestFlowerConfig:
 
     def test_derived_quantities(self):
         config = FlowerConfig()
-        assert config.id_bits == config.locality_bits + config.website_bits
         assert config.summary_bits == 8 * config.objects_per_website
         assert config.num_directory_peers == 600
 
@@ -98,11 +97,11 @@ class TestFlowerConfig:
             {"num_localities": 0},
             {"max_content_overlay_size": 0},
             {"num_localities": 20, "locality_bits": 3},
-            {"website_bits": 0},
             {"content_miss_fallback": "random"},
             {"content_cache_capacity": 0},
             {"simulation_duration_s": 0},
             {"metrics_window_s": 0},
+            {"dht_substrate": "kademlia"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -143,33 +142,32 @@ class TestKeyScheme:
 
     def test_directory_ids_are_consecutive(self, keys: KeyScheme):
         """Section 3.1: directory peers of one website occupy successive IDs."""
-        ids = keys.directory_ids_for("http://a.example.org", num_localities=6)
-        assert len(ids) == 6
+        ids = [keys.key_for("http://a.example.org", locality) for locality in range(6)]
         assert [b - a for a, b in zip(ids, ids[1:])] == [1] * 5
 
     def test_directory_ids_bounds(self, keys: KeyScheme):
         with pytest.raises(ValueError):
-            keys.directory_ids_for("http://a.org", num_localities=0)
+            keys.key_for("http://a.org", -1)
         with pytest.raises(ValueError):
-            keys.directory_ids_for("http://a.org", num_localities=9)
+            keys.key_for("http://a.org", keys.max_localities)
 
     def test_key_for_matches_directory_id(self, keys: KeyScheme):
         """The search key of (ws, loc) equals the ID of d(ws, loc)."""
-        ids = keys.directory_ids_for("http://a.example.org", num_localities=4)
-        for locality, expected in enumerate(ids):
-            assert keys.key_for("http://a.example.org", locality) == expected
+        website_id = keys.website_id("http://a.example.org")
+        for locality in range(4):
+            assert keys.key_for("http://a.example.org", locality) == keys.encode(
+                website_id, locality
+            )
 
-    def test_same_website_predicate(self, keys: KeyScheme):
+    def test_website_constraint_separates_websites(self, keys: KeyScheme):
         a0 = keys.key_for("http://a.org", 0)
         a5 = keys.key_for("http://a.org", 5)
         b0 = keys.key_for("http://b.org", 0)
-        assert keys.same_website(a0, a5)
-        assert not keys.same_website(a0, b0)
         low, high = keys.website_constraint(a0)
         assert low <= a5 < high and not low <= b0 < high
 
     def test_website_constraint_is_the_websites_locality_block(self, keys: KeyScheme):
-        ids = keys.directory_ids_for("http://a.org", num_localities=keys.max_localities)
+        ids = [keys.key_for("http://a.org", locality) for locality in range(keys.max_localities)]
         for identifier in ids:
             low, high = keys.website_constraint(identifier)
             assert low == keys.website_id("http://a.org") << keys.locality_bits
@@ -185,7 +183,7 @@ class TestKeyScheme:
         assert keys.website_id("http://x.org") == keys.website_id("http://x.org")
         assert 0 <= keys.website_id("http://x.org") < keys.max_websites
 
-    def test_locality_of_and_website_id_of(self, keys: KeyScheme):
+    def test_locality_of(self, keys: KeyScheme):
         identifier = keys.key_for("http://x.org", 5)
         assert keys.locality_of(identifier) == 5
-        assert keys.website_id_of(identifier) == keys.website_id("http://x.org")
+        assert keys.decode(identifier).website_id == keys.website_id("http://x.org")

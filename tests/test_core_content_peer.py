@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.core.columns import SUMMARY_NUM_HASHES
 from repro.core.config import FlowerConfig, GossipConfig
 from repro.core.content_peer import ContentPeer, GossipMessage
+from repro.core.maintenance import OverlayMaintenance
 from repro.datastructures.bloom import BloomFilter
 
 
@@ -18,10 +20,9 @@ def config() -> FlowerConfig:
         num_localities=2,
         max_content_overlay_size=10,
         locality_bits=2,
-        website_bits=10,
         gossip=GossipConfig(
             gossip_period_s=60.0, view_size=6, gossip_length=3, push_threshold=0.25,
-            keepalive_period_s=60.0, dead_age=3,
+            keepalive_period_s=60.0,
         ),
     )
 
@@ -34,6 +35,11 @@ def make_peer(config: FlowerConfig, name: str = "c1", host: int = 0) -> ContentP
 
 def obj(i: int) -> str:
     return f"http://site-000.example.org/object/{i}"
+
+
+def summary_of(peer: ContentPeer, config: FlowerConfig) -> BloomFilter:
+    """A peer's packed summary as the Bloom filter it encodes."""
+    return BloomFilter.from_bits(peer.summary_bits(), config.summary_bits, SUMMARY_NUM_HASHES)
 
 
 def col(contact: str, age: int = 0, payload: BloomFilter = None):
@@ -54,37 +60,27 @@ class TestContentStorage:
         peer.store_object(obj(1))
         assert peer.num_objects == 1
 
-    def test_drop_object(self, config):
-        peer = make_peer(config)
-        peer.store_object(obj(1))
-        peer.drop_object(obj(1))
-        assert not peer.has_object(obj(1))
-        peer.drop_object(obj(2))  # dropping an absent object is a no-op
-
-    def test_content_summary_contains_stored_objects(self, config):
+    def test_summary_contains_stored_objects(self, config):
         peer = make_peer(config)
         for i in range(5):
             peer.store_object(obj(i))
-        summary = peer.content_summary()
-        assert all(summary.might_contain(obj(i)) for i in range(5))
+        summary = summary_of(peer, config)
+        assert all(obj(i) in summary for i in range(5))
 
-    def test_content_summary_cache_invalidated_on_change(self, config):
+    def test_summary_absorbs_a_stored_object(self, config):
         peer = make_peer(config)
         peer.store_object(obj(1))
-        first = peer.content_summary()
-        assert first == peer.content_summary()
+        first = peer.summary_bits()
+        assert first == peer.summary_bits()
         peer.store_object(obj(2))
-        second = peer.content_summary()
+        second = peer.summary_bits()
         assert second != first
-        assert second.might_contain(obj(2))
-        assert not first.might_contain(obj(2))  # handed-out summaries are snapshots
-        peer.drop_object(obj(2))
-        assert peer.content_summary() == first  # a drop forces the rebuild
+        assert second == BloomFilter.from_items([obj(1), obj(2)], config.summary_bits)._bits
 
     def test_lru_capacity_evicts_and_reports_removal(self):
         config = FlowerConfig(
             num_websites=2, active_websites=1, objects_per_website=20, num_localities=2,
-            locality_bits=2, website_bits=10, content_cache_capacity=2,
+            locality_bits=2, content_cache_capacity=2,
         )
         peer = make_peer(config)
         peer.store_object(obj(1))
@@ -92,6 +88,11 @@ class TestContentStorage:
         peer.store_object(obj(3))
         assert peer.num_objects == 2
         assert not peer.has_object(obj(1))
+        # the eviction forces a rebuild: a Bloom mask cannot express a removal
+        assert peer.summary_bits() == (
+            BloomFilter.from_items([obj(2), obj(3)], config.summary_bits)._bits
+        )
+        assert peer.take_delta() == ([obj(2), obj(3)], (obj(1),))
 
 
 class TestView:
@@ -106,20 +107,11 @@ class TestView:
         peer.initialize_view([col(f"p{i}", age=i) for i in range(20)])
         assert len(peer.view) == config.gossip.view_size
 
-    def test_increment_ages_also_ages_directory_entry(self, config):
+    def test_increment_ages_ages_view_entries(self, config):
         peer = make_peer(config)
-        peer.note_directory("d0")
         peer.initialize_view([col("p1", 0)])
         peer.increment_ages()
         assert peer.view.get("p1").age == 1
-        assert peer.directory_age == 1
-
-    def test_note_directory_resets_age(self, config):
-        peer = make_peer(config)
-        peer.note_directory("d0")
-        peer.increment_ages()
-        peer.note_directory("d0")
-        assert peer.directory_age == 0
 
     def test_forget_contact(self, config):
         peer = make_peer(config)
@@ -129,6 +121,13 @@ class TestView:
         assert "p1" not in peer.view
         peer.forget_contact("d0")
         assert peer.directory_peer_id is None
+
+    def test_forgetting_a_replaced_directory_keeps_the_current_one(self, config):
+        peer = make_peer(config)
+        peer.note_directory("d0")
+        peer.note_directory("d1")
+        peer.forget_contact("d0")
+        assert peer.directory_peer_id == "d1"
 
 
 class TestLocalResolution:
@@ -169,9 +168,9 @@ class TestGossip:
         message = peer.build_gossip_message(rng=random.Random(0))
         assert isinstance(message, GossipMessage)
         assert message.sender == peer.peer_id
-        assert message.num_entries == config.gossip.gossip_length
-        assert message.summary_bits == peer.content_summary()._bits
-        assert peer.content_summary().might_contain(obj(1))
+        assert len(message.view_subset) == config.gossip.gossip_length
+        assert message.summary_bits == peer.summary_bits()
+        assert obj(1) in summary_of(peer, config)
 
     def test_exchange_adds_partner_with_fresh_summary(self, config):
         alice = make_peer(config, "alice", 0)
@@ -184,7 +183,7 @@ class TestGossip:
         assert "alice" in bob.view
         assert "bob" in alice.view
         assert alice.view.get("bob").age == 0
-        assert alice.view.get("bob").payload.might_contain(obj(2))
+        assert obj(2) in alice.view.get("bob").payload
         assert bob.gossip_received == 1
 
     def test_exchange_disseminates_third_party_entries(self, config):
@@ -206,13 +205,36 @@ class TestGossip:
         assert "alice" not in alice.view
 
 
+class _PushGuard:
+    """Just enough of :class:`OverlayMaintenance` to run its Algorithm 5 guard
+    (``_maybe_push``) on one peer: every push it decides on is recorded."""
+
+    def __init__(self, config: FlowerConfig) -> None:
+        self._push_threshold = config.gossip.push_threshold
+        self.deltas = []
+
+    def _current_directory(self, website, locality, detector=None):
+        return "d0"
+
+    def _push(self, peer, directory):
+        self.deltas.append(peer.take_delta())
+
+    maybe_push = OverlayMaintenance._maybe_push
+
+
+def pushes(peer: ContentPeer, config: FlowerConfig) -> bool:
+    guard = _PushGuard(config)
+    guard.maybe_push(peer)
+    return bool(guard.deltas)
+
+
 class TestPush:
-    def test_needs_push_respects_threshold(self, config):
+    def test_push_respects_threshold(self, config):
         peer = make_peer(config)
-        assert not peer.needs_push()
+        assert not pushes(peer, config)
         peer.store_object(obj(1))
         # one change over one object = 100% >= 25% threshold
-        assert peer.needs_push()
+        assert pushes(peer, config)
 
     def test_threshold_is_relative_to_content_size(self, config):
         peer = make_peer(config)
@@ -221,31 +243,24 @@ class TestPush:
         peer.take_delta()  # flush
         peer.store_object(obj(9))
         # 1 change / 9 objects ≈ 11% < 25%
-        assert not peer.needs_push()
+        assert not pushes(peer, config)
         peer.store_object(obj(10))
         peer.store_object(obj(11))
-        assert peer.needs_push()
+        assert pushes(peer, config)
 
     def test_take_delta_carries_delta_and_resets(self, config):
         peer = make_peer(config)
         for rank in (3, 1, 2):
             peer.store_object(obj(rank))
-        peer.drop_object(obj(2))
         added, removed = peer.take_delta()
-        assert list(added) == sorted([obj(1), obj(3)])
-        assert list(removed) == [obj(2)]
-        assert not peer.needs_push()
+        assert list(added) == sorted([obj(1), obj(2), obj(3)])
+        assert list(removed) == []
+        assert not pushes(peer, config)
         assert peer.pushes_sent == 1
-        assert peer.directory_age == 0
-
-    def test_pending_change_fraction_empty_peer(self, config):
-        assert make_peer(config).pending_change_fraction() == 0.0
 
 
 class TestLifecycle:
-    def test_fail_and_recover(self, config):
+    def test_fail(self, config):
         peer = make_peer(config)
         peer.fail()
         assert not peer.alive
-        peer.recover()
-        assert peer.alive

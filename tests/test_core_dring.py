@@ -42,9 +42,9 @@ class TestPlacement:
         with pytest.raises(ValueError):
             dring.register_directory(WEBSITES[0], 0, "other")
 
-    def test_website_directories_ordered_by_locality(self, dring: DRing):
-        placements = dring.website_directories(WEBSITES[1])
-        assert [p.locality for p in placements] == list(range(NUM_LOCALITIES))
+    def test_every_locality_of_a_website_is_placed(self, dring: DRing):
+        placements = [p for p in dring.placements() if p.website == WEBSITES[1]]
+        assert sorted(p.locality for p in placements) == list(range(NUM_LOCALITIES))
 
     def test_directory_peer_id_lookup(self, dring: DRing):
         assert dring.directory_peer_id(WEBSITES[0], 1) == f"d({WEBSITES[0]},1)"

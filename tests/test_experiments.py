@@ -170,7 +170,7 @@ class TestFigureExperiments:
         result = run_locality_experiment(tiny_spec())
         assert result.lookup_latency_speedup > 1.5
         assert result.transfer_distance_reduction > 1.5
-        assert result.flower_fraction_fast_lookups(300.0) > 0.3
+        assert result.flower_latency_histogram.fraction_below(300.0) > 0.3
         assert (
             result.flower_fraction_close_transfers(100.0)
             > result.squirrel_fraction_close_transfers(100.0)

@@ -40,10 +40,6 @@ class ReferenceHistogram(Histogram):
         self._counts[min(index, self._num_bins)] += 1
         self._total += 1
         self._sum += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
 
 
 class ReferenceFold:
@@ -79,7 +75,7 @@ def _series_state(series):
 
 
 def _histogram_state(histogram):
-    return (histogram._counts, histogram._total, histogram._sum, histogram._min, histogram._max)
+    return (histogram._counts, histogram._total, histogram._sum)
 
 
 def assert_same_aggregates(collector, reference):

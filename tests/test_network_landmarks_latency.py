@@ -9,7 +9,7 @@ from repro.sim.rng import RandomStreams
 
 @pytest.fixture
 def topology() -> Topology:
-    config = TopologyConfig(num_hosts=240, num_localities=4, intra_locality_spread_ms=20.0)
+    config = TopologyConfig(num_hosts=240, num_localities=4)
     return Topology(config, RandomStreams(21))
 
 

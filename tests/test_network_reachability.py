@@ -149,7 +149,7 @@ class TestDeliveryStats:
         stats.count_delivered("gossip")
         stats.count_delivered("gossip")
         stats.count_blocked("redirect")
-        assert stats.total_delivered == 2
+        assert sum(stats.delivered.values()) == 2
         assert stats.total_blocked == 1
         document = stats.to_dict()
         assert document["delivered"] == {"gossip": 2}
@@ -185,11 +185,10 @@ def config() -> FlowerConfig:
         num_localities=3,
         max_content_overlay_size=8,
         locality_bits=2,
-        website_bits=12,
         content_miss_fallback="directory",
         gossip=GossipConfig(
             gossip_period_s=60.0, view_size=6, gossip_length=3, push_threshold=0.2,
-            keepalive_period_s=60.0, dead_age=3,
+            keepalive_period_s=60.0,
         ),
         simulation_duration_s=3600.0,
         metrics_window_s=300.0,
@@ -237,9 +236,9 @@ class TestDeliveryGate:
     def test_attach_detach_round_trip(self, system: FlowerCDN):
         model = ReachabilityModel()
         system.attach_reachability(model)
-        assert system.reachability is model
+        assert system.gate.model is model
         assert system.detach_reachability() is model
-        assert system.reachability is None
+        assert system.gate is None
         # stats survive detachment for end-of-run reporting
         assert system.delivery_stats is not None
 
@@ -248,7 +247,7 @@ class TestDeliveryGate:
         system.attach_reachability(partition)
         gate = system.gate
         system.detach_reachability()
-        assert system.gate is None and system.reachability is None
+        assert system.gate is None
         assert system.delivery_stats is gate.stats
         assert system.resilience_windows() == ((100.0, 200.0),)
         system.attach_reachability(_SilentAllowAll())

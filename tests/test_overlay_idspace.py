@@ -3,13 +3,12 @@
 import pytest
 
 from repro.overlay.idspace import IdSpace
+from tests.reference.overlay import closest_to
 
 
 class TestBasics:
-    def test_size_and_max_id(self):
-        space = IdSpace(bits=8)
-        assert space.size == 256
-        assert space.max_id == 255
+    def test_size(self):
+        assert IdSpace(bits=8).size == 256
 
     def test_bits_bounds(self):
         with pytest.raises(ValueError):
@@ -39,12 +38,6 @@ class TestBasics:
 
 
 class TestDistances:
-    def test_clockwise_distance(self):
-        space = IdSpace(bits=4)
-        assert space.clockwise_distance(2, 5) == 3
-        assert space.clockwise_distance(14, 2) == 4
-        assert space.clockwise_distance(7, 7) == 0
-
     def test_circular_distance_is_shorter_way(self):
         space = IdSpace(bits=4)
         assert space.circular_distance(0, 15) == 1
@@ -57,50 +50,45 @@ class TestDistances:
             assert space.circular_distance(a, b) == space.circular_distance(b, a)
 
 
-class TestIntervals:
-    def test_open_interval_without_wrap(self):
-        space = IdSpace(bits=4)
-        assert space.in_interval(5, 3, 8)
-        assert not space.in_interval(3, 3, 8)
-        assert not space.in_interval(8, 3, 8)
-        assert not space.in_interval(10, 3, 8)
-
-    def test_interval_with_wrap_around(self):
-        space = IdSpace(bits=4)
-        assert space.in_interval(15, 12, 3)
-        assert space.in_interval(1, 12, 3)
-        assert not space.in_interval(7, 12, 3)
-
-    def test_inclusive_boundaries(self):
-        space = IdSpace(bits=4)
-        assert space.in_interval(3, 3, 8, inclusive_start=True)
-        assert space.in_interval(8, 3, 8, inclusive_end=True)
-
-    def test_degenerate_interval(self):
-        space = IdSpace(bits=4)
-        # (x, x) with exclusive bounds means "the whole ring except x".
-        assert space.in_interval(5, 9, 9)
-        assert not space.in_interval(9, 9, 9)
-        assert space.in_interval(9, 9, 9, inclusive_start=True)
-
-
-class TestClosestTo:
+class TestClosestInSorted:
     def test_exact_match_wins(self):
         space = IdSpace(bits=8)
-        assert space.closest_to(100, [3, 100, 200]) == 100
+        assert space.closest_in_sorted(100, [3, 100, 200]) == 100
 
     def test_numerically_closest_across_wrap(self):
         space = IdSpace(bits=8)
-        assert space.closest_to(1, [250, 120]) == 250  # distance 7 vs 119
+        assert space.closest_in_sorted(1, [120, 250]) == 250  # distance 7 vs 119
 
     def test_tie_broken_clockwise(self):
         space = IdSpace(bits=8)
         # 10 is equidistant from 5 and 15; the clockwise candidate (15) wins.
-        assert space.closest_to(10, [5, 15]) == 15
+        assert space.closest_in_sorted(10, [5, 15]) == 15
 
     def test_empty_candidates_raise(self):
         with pytest.raises(ValueError):
-            IdSpace(bits=8).closest_to(1, [])
+            IdSpace(bits=8).closest_in_sorted(1, [])
 
     def test_single_candidate(self):
-        assert IdSpace(bits=8).closest_to(0, [77]) == 77
+        assert IdSpace(bits=8).closest_in_sorted(0, [77]) == 77
+
+
+class TestClosestTo:
+    """The plain-minimum oracle ``closest_in_sorted`` is compared against
+    holds to the same rules on unsorted candidates."""
+
+    def test_exact_match_wins(self):
+        assert closest_to(IdSpace(bits=8), 100, [3, 100, 200]) == 100
+
+    def test_numerically_closest_across_wrap(self):
+        assert closest_to(IdSpace(bits=8), 1, [250, 120]) == 250  # distance 7 vs 119
+
+    def test_tie_broken_clockwise(self):
+        # 10 is equidistant from 5 and 15; the clockwise candidate (15) wins.
+        assert closest_to(IdSpace(bits=8), 10, [15, 5]) == 15
+
+    def test_empty_candidates_raise(self):
+        with pytest.raises(ValueError):
+            closest_to(IdSpace(bits=8), 1, [])
+
+    def test_single_candidate(self):
+        assert closest_to(IdSpace(bits=8), 0, [77]) == 77

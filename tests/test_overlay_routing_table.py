@@ -2,11 +2,11 @@
 
 ``ChordNode.local_lookup`` / ``lookup_in_range`` (and the Pastry and
 ring-ownership call sites) pick the numerically closest node by bisecting a
-sorted id list — for Chord nodes a *cached* one.  ``IdSpace.closest_to`` over
-``sorted(known_nodes())``, filtered by a predicate, is the reference these
-tests keep; they hold the two together, with the cache-invalidation paths
-(join, ``fail``, ``forget``, ``remember``, ``stabilize``) interleaved with
-lookups.
+sorted id list — for Chord nodes a *cached* one.  ``closest_to``
+(``tests/reference/overlay.py``) over ``sorted(known_nodes())``, filtered by
+a predicate, is the reference these tests keep; they hold the two together,
+with the cache-invalidation paths (join, ``fail``, ``forget``,
+``stabilize``) interleaved with lookups.
 """
 
 import random
@@ -22,6 +22,7 @@ from repro.overlay.idspace import IdRange, IdSpace
 from repro.overlay.node import ChordNode
 from repro.overlay.pastry import PastryNode, PastryRing
 from repro.overlay.router import KBRRouter
+from tests.reference.overlay import closest_to
 
 BITS = 8
 SPACE = IdSpace(BITS)
@@ -42,15 +43,15 @@ ids = st.integers(0, SPACE.size - 1)
 def test_closest_in_sorted_equals_closest_to(case):
     bits, members, key = case
     space = IdSpace(bits)
-    assert space.closest_in_sorted(key, sorted(members)) == space.closest_to(key, sorted(members))
+    assert space.closest_in_sorted(key, sorted(members)) == closest_to(space, key, sorted(members))
 
 
 def test_closest_in_sorted_tie_goes_clockwise():
     # 10 is 6 away from both 4 and 16: closest_to prefers the clockwise one.
-    assert SPACE.closest_to(10, [4, 16]) == 16
+    assert closest_to(SPACE, 10, [4, 16]) == 16
     assert SPACE.closest_in_sorted(10, [4, 16]) == 16
     # ... also across the wrap: 0 is 3 away from 253 and from 3.
-    assert SPACE.closest_in_sorted(0, [3, 253]) == SPACE.closest_to(0, [3, 253]) == 3
+    assert SPACE.closest_in_sorted(0, [3, 253]) == closest_to(SPACE, 0, [3, 253]) == 3
     with pytest.raises(ValueError):
         SPACE.closest_in_sorted(1, [])
 
@@ -59,12 +60,12 @@ def test_closest_in_sorted_tie_goes_clockwise():
 
 
 def reference_lookup(node, key):
-    return node.idspace.closest_to(key, sorted(node.known_nodes()))
+    return closest_to(node.idspace, key, sorted(node.known_nodes()))
 
 
 def reference_conditional(node, key, predicate):
     candidates = sorted(n for n in node.known_nodes() if predicate(n))
-    return node.idspace.closest_to(key, candidates) if candidates else None
+    return closest_to(node.idspace, key, candidates) if candidates else None
 
 
 def reference_in_range(node, key, low, high):
@@ -77,7 +78,6 @@ ring_ops = st.lists(
         st.tuples(st.just("fail"), ids, ids),
         st.tuples(st.just("leave"), ids, ids),
         st.tuples(st.just("forget"), ids, ids),
-        st.tuples(st.just("remember"), ids, ids),
         st.tuples(st.just("stabilize"), ids, ids),
     ),
     max_size=30,
@@ -118,8 +118,6 @@ def test_lookups_equal_reference_across_membership_changes(initial, ops, keys):
         elif op == "forget":
             node = ring.node(_pick([n.node_id for n in ring.nodes()], a))
             node.forget(_pick(node.routing_table(), b))
-        elif op == "remember":
-            ring.node(_pick([n.node_id for n in ring.nodes()], a)).remember(b)
         else:
             ring.stabilize()
         check()
@@ -152,7 +150,7 @@ def test_website_constraint_is_the_range_of_the_keys_website():
         assert isinstance(constraint, IdRange)
         for identifier in range(keys.idspace.size):
             in_range = constraint.low <= identifier < constraint.high
-            assert in_range == (keys.website_id_of(identifier) == website_id)
+            assert in_range == (keys.decode(identifier).website_id == website_id)
     with pytest.raises(ValueError):
         keys.website_constraint(keys.idspace.size)
 
@@ -175,7 +173,7 @@ def _pastry_reference_lookup(node, key):
     known = sorted(node.known_nodes())
     own_prefix = node.shared_prefix_length(key)
     better = [n for n in known if n != node.node_id and node._prefix_length(n, key) > own_prefix]
-    best = node.idspace.closest_to(key, better if better else known)
+    best = closest_to(node.idspace, key, better if better else known)
     if node.idspace.circular_distance(key, best) > node.idspace.circular_distance(
         key, node.node_id
     ):

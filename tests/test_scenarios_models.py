@@ -330,7 +330,7 @@ class TestGossipLossFaultModel:
     def test_filter_detaches_after_the_run(self):
         session = Session.from_spec(self.make_spec(0.5), seed=7)
         session.run()
-        assert session.experiment.last_flower_system.reachability is None
+        assert session.experiment.last_flower_system.gate is None
 
     def test_runs_are_deterministic(self):
         first = run_scenario(self.make_spec(0.3), seed=11).metrics_digest()
@@ -347,7 +347,7 @@ class TestGossipLossFaultModel:
         with pytest.raises(RuntimeError, match="already attached"):
             other.start()
         injector.stop()
-        assert system.reachability is None
+        assert system.gate is None
 
 
 class TestInjectorLifecycle:

@@ -45,8 +45,49 @@ EXPECTED_LIBRARY = {
     "cache-bounded-peers",
 }
 
+#: request-body shapes where JSON puts a flag for a number, a number for a
+#: flag or a string for either; each maps to the field its error must name
+WRONG_KINDS = {
+    "compact-metrics-string": ("compact_metrics", {"compact_metrics": "no"}),
+    "compact-metrics-int": ("compact_metrics", {"compact_metrics": 1}),
+    "locality-weight-bool": ("locality_weights", {"locality_weights": [True, 1, 1]}),
+    "locality-weight-string": ("locality_weights", {"locality_weights": ["1", 1, 1]}),
+    "content-rate-bool": (
+        "content_failures_per_hour", {"churn": {"content_failures_per_hour": True}}
+    ),
+    "directory-rate-string": (
+        "directory_failures_per_hour", {"churn": {"directory_failures_per_hour": "2"}}
+    ),
+    "locality-rate-bool": (
+        "locality_changes_per_hour", {"churn": {"locality_changes_per_hour": False}}
+    ),
+    "phase-rotation-bool": ("hotspot_rotation", {"program": [{"hotspot_rotation": True}]}),
+    "phase-rotation-fraction": ("hotspot_rotation", {"program": [{"hotspot_rotation": 1.5}]}),
+    "phase-rate-bool": ("rate_multiplier", {"program": [{"rate_multiplier": True}]}),
+    "phase-duration-bool": ("phase duration_s", {"program": [{"duration_s": False}]}),
+    "phase-alpha-string": ("zipf_alpha", {"program": [{"zipf_alpha": "0.8"}]}),
+}
+
 
 class TestScenarioSpec:
+    @pytest.mark.parametrize("case", sorted(WRONG_KINDS))
+    def test_a_value_of_the_wrong_kind_is_rejected_naming_the_field(self, case):
+        field, document = WRONG_KINDS[case]
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec.from_dict(dict(document, name="bad"))
+
+    def test_json_numbers_and_flags_of_the_right_kind_are_accepted(self):
+        spec = ScenarioSpec.from_dict({
+            "name": "ok",
+            "compact_metrics": True,
+            "locality_weights": [1, 2.5, 1],
+            "churn": {"content_failures_per_hour": 2, "directory_failures_per_hour": 0.5},
+            "program": [{"rate_multiplier": 2, "zipf_alpha": 1, "hotspot_rotation": 3}],
+        })
+        assert spec.compact_metrics is True
+        assert spec.churn.content_failures_per_hour == 2
+        assert spec.program[0].hotspot_rotation == 3
+
     def test_invalid_system_rejected(self):
         with pytest.raises(ValueError, match="unknown system"):
             ScenarioSpec(name="bad", systems=("flower", "akamai"))

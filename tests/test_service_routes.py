@@ -63,6 +63,12 @@ MALFORMED_SPECS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "shards-bool": ("shards", {"shards": True}),
     "duration-bool": ("duration_s", {"duration_s": True}),
     "name-number": ("name", {"name": 5}),
+    "compact-metrics-string": ("compact_metrics", {"compact_metrics": "no"}),
+    "locality-weight-bool": ("locality_weights", {"locality_weights": [True, 1, 1]}),
+    "churn-rate-bool": (
+        "content_failures_per_hour", {"churn": {"content_failures_per_hour": True}}
+    ),
+    "phase-rotation-bool": ("hotspot_rotation", {"program": [{"hotspot_rotation": True}]}),
 }
 
 #: request numbers that answered 500, or queued a job that could only fail

@@ -108,7 +108,7 @@ class TestCompaction:
         # instead of carrying 200 tombstones to the end of the run, and the
         # residual dead fraction stays below the compaction threshold.
         assert queue.heap_size < 300
-        assert queue.dead_entries <= 0.5 * queue.heap_size + 1
+        assert queue.heap_size - len(queue) <= 0.5 * queue.heap_size + 1
         assert len(queue) == 100
 
     def test_compaction_preserves_order_and_liveness(self):

@@ -40,23 +40,13 @@ class TestPeriodicProcess:
         assert ticks == [5.0, 10.0]
         assert not process.running
 
-    def test_restart_with_new_period(self):
-        sim = Simulator()
-        ticks = []
-        process = PeriodicProcess(sim, 5.0, lambda: ticks.append(sim.now))
-        process.start()
-        sim.run(until=11.0)
-        process.restart(period=2.0)
-        sim.run(until=16.0)
-        assert ticks[:2] == [5.0, 10.0]
-        assert all(b - a == pytest.approx(2.0) for a, b in zip(ticks[2:], ticks[3:]))
-
     def test_kth_start_sees_the_kth_draw_of_its_jitter_stream(self, recording_simulator):
         """Restarts draw what a retained stream would, without retaining one."""
         sim = recording_simulator(seed=3)
         process = PeriodicProcess(sim, 10.0, lambda: None, jitter_stream="jitter:x")
         for _ in range(4):
-            process.restart()
+            process.stop()
+            process.start()
         retained = random.Random(derive_seed(3, "jitter:x"))
         assert [start for _, start in sim.starts] == [
             retained.uniform(0.0, 10.0) for _ in range(4)
@@ -75,9 +65,6 @@ class TestPeriodicProcess:
         sim = Simulator()
         with pytest.raises(ValueError):
             PeriodicProcess(sim, 0.0, lambda: None)
-        process = PeriodicProcess(sim, 5.0, lambda: None)
-        with pytest.raises(ValueError):
-            process.restart(period=-1.0)
 
 
 class TestRandomStreams:

@@ -8,6 +8,21 @@ from repro.workload.catalog import Catalog, Website
 from repro.workload.zipf import ZipfSampler
 
 
+def cdf_steps(cdf):
+    """The probability mass of each rank: the steps of its cumulative table."""
+    return [high - low for low, high in zip([0.0] + cdf, cdf)]
+
+
+class FixedDraw:
+    """A stand-in ``random.Random`` whose every draw is ``u``."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
 class TestWebsite:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -17,9 +32,7 @@ class TestWebsite:
 
     def test_object_ids_are_urls_of_the_site(self):
         site = Website(name="w.org", num_objects=3)
-        assert site.object_id(0) == "http://w.org/object/0"
-        assert site.owns(site.object_id(2))
-        assert not site.owns("http://other.org/object/2")
+        assert site.object_ids() == tuple(f"http://w.org/object/{i}" for i in range(3))
 
     def test_object_index_bounds(self):
         site = Website(name="w.org", num_objects=3)
@@ -37,7 +50,7 @@ class TestCatalog:
     def test_synthetic_catalog_shape(self):
         catalog = Catalog.synthetic(num_websites=7, objects_per_website=11)
         assert len(catalog) == 7
-        assert catalog.total_objects() == 77
+        assert sum(site.num_objects for site in catalog.websites) == 77
         assert len(catalog.names()) == 7
 
     def test_synthetic_requires_positive_count(self):
@@ -57,13 +70,6 @@ class TestCatalog:
         with pytest.raises(KeyError):
             catalog.website("missing.org")
 
-    def test_website_of_object(self):
-        catalog = Catalog.synthetic(3, 5)
-        site = catalog.websites[2]
-        assert catalog.website_of_object(site.object_id(4)).name == site.name
-        with pytest.raises(KeyError):
-            catalog.website_of_object("http://unknown.org/object/0")
-
 
 class TestZipfSampler:
     def test_validation(self):
@@ -73,19 +79,25 @@ class TestZipfSampler:
             ZipfSampler(10, alpha=-1)
 
     def test_probabilities_sum_to_one(self):
-        sampler = ZipfSampler(50, alpha=0.8)
-        total = sum(sampler.probability(rank) for rank in range(50))
-        assert total == pytest.approx(1.0)
+        cdf = ZipfSampler(50, alpha=0.8)._cdf
+        assert len(cdf) == 50
+        assert cdf[-1] == 1.0  # exactly: a draw u < 1 always finds a rank
+        assert sum(cdf_steps(cdf)) == pytest.approx(1.0)
 
     def test_probability_decreases_with_rank(self):
-        sampler = ZipfSampler(100, alpha=0.8)
-        probabilities = [sampler.probability(rank) for rank in range(100)]
-        assert all(a >= b for a, b in zip(probabilities, probabilities[1:]))
+        steps = cdf_steps(ZipfSampler(100, alpha=0.8)._cdf)
+        assert all(step > 0.0 for step in steps)
+        assert all(a >= b - 1e-12 for a, b in zip(steps, steps[1:]))
 
-    def test_probability_rank_bounds(self):
-        sampler = ZipfSampler(10)
-        with pytest.raises(IndexError):
-            sampler.probability(10)
+    def test_alpha_zero_is_uniform(self):
+        for step in cdf_steps(ZipfSampler(4, alpha=0.0)._cdf):
+            assert step == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("population", [1, 7, 100])
+    def test_extreme_draws_map_to_the_end_ranks(self, population):
+        sampler = ZipfSampler(population, alpha=0.8)
+        assert sampler.sample(FixedDraw(0.0)) == 0
+        assert sampler.sample(FixedDraw(1.0 - 2.0 ** -53)) == population - 1
 
     def test_samples_within_population(self):
         sampler = ZipfSampler(20, alpha=1.0)
@@ -99,19 +111,3 @@ class TestZipfSampler:
         ranks = sampler.sample_many(rng, 3000)
         top_ten = sum(1 for rank in ranks if rank < 10)
         assert top_ten / len(ranks) > 0.3  # heavy head, as in web workloads
-
-    def test_alpha_zero_is_uniform(self):
-        sampler = ZipfSampler(4, alpha=0.0)
-        for rank in range(4):
-            assert sampler.probability(rank) == pytest.approx(0.25)
-
-    def test_expected_unique_fraction_monotone(self):
-        sampler = ZipfSampler(50, alpha=0.8)
-        fractions = [sampler.expected_unique_fraction(n) for n in (0, 10, 100, 1000)]
-        assert fractions[0] == 0.0
-        assert all(a <= b for a, b in zip(fractions, fractions[1:]))
-        assert fractions[-1] <= 1.0
-
-    def test_expected_unique_fraction_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ZipfSampler(5).expected_unique_fraction(-1)

@@ -61,7 +61,7 @@ class TestQueryGenerator:
     def test_objects_belong_to_their_website(self, generator: QueryGenerator):
         for query in queries(generator, 20.0):
             site = generator.catalog.website(query.website)
-            assert site.owns(query.object_id)
+            assert query.object_id in site.object_ids()
 
     def test_localities_within_range(self, generator: QueryGenerator, workload_config):
         for query in queries(generator, 40.0):
@@ -142,10 +142,12 @@ class TestClientAssigner:
     def test_overlay_size_is_capped(self, topology, generator):
         cap = 5
         assigner = ClientAssigner(topology, RandomStreams(3), max_clients_per_overlay=cap)
-        assigner.assign_trace(generator.generate_trace(100.0))
-        for website in {site.name for site in generator.active_websites}:
-            for locality in range(3):
-                assert assigner.num_clients(website, locality) <= cap
+        resolved = assigner.assign_trace(generator.generate_trace(100.0))
+        clients = {}
+        for i in range(len(resolved)):
+            overlay = (resolved.website_index[i], resolved.locality[i])
+            clients.setdefault(overlay, set()).add(resolved.client_host[i])
+        assert clients and all(len(hosts) <= cap for hosts in clients.values())
 
     def test_existing_clients_are_reused(self, topology, generator):
         assigner = ClientAssigner(topology, RandomStreams(3), max_clients_per_overlay=3)

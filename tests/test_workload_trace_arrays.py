@@ -168,8 +168,8 @@ class TestAssignTrace:
         _, array_gen = _generators(_config())
         _, array_assigner = self._assigners(topology)
         resolved = array_assigner.assign_trace(array_gen.generate_trace(3600.0))
-        for website, locality in {
-            (resolved.websites[resolved.website_index[i]].name, resolved.locality[i])
-            for i in range(len(resolved))
-        }:
-            assert array_assigner.num_clients(website, locality) <= 15
+        clients = {}
+        for i in range(len(resolved)):
+            overlay = (resolved.website_index[i], resolved.locality[i])
+            clients.setdefault(overlay, set()).add(resolved.client_host[i])
+        assert clients and all(len(hosts) <= 15 for hosts in clients.values())

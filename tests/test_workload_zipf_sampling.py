@@ -6,11 +6,12 @@ import random
 import pytest
 
 from repro.workload.zipf import ZipfSampler
+from tests.reference.workload import zipf_masses
 
 
 class TestStatistics:
     def test_draws_match_analytic_masses_chi_squared(self):
-        """Draws must follow the analytic probability() masses.
+        """Draws must follow the analytic Zipf masses.
 
         Chi-squared goodness of fit with dof = n - 1 = 49; the statistic
         concentrates around dof with standard deviation sqrt(2*dof) ~ 9.9, so
@@ -24,9 +25,9 @@ class TestStatistics:
         counts = [0] * population
         for rank in sampler.sample_many(rng, draws):
             counts[rank] += 1
+        masses = zipf_masses(population, 0.8)
         chi_squared = sum(
-            (counts[rank] - draws * sampler.probability(rank)) ** 2
-            / (draws * sampler.probability(rank))
+            (counts[rank] - draws * masses[rank]) ** 2 / (draws * masses[rank])
             for rank in range(population)
         )
         assert chi_squared < 98.5, f"chi-squared {chi_squared:.1f} too large for dof 49"
@@ -88,9 +89,9 @@ class TestCdfEquivalence:
 
 
 class TestValidation:
-    def test_probabilities_are_the_cdf_steps(self):
+    def test_masses_are_the_cdf_steps(self):
         sampler = ZipfSampler(30, 0.8)
         previous = 0.0
-        for rank in range(30):
-            assert sampler.probability(rank) == pytest.approx(sampler._cdf[rank] - previous)
+        for rank, mass in enumerate(zipf_masses(30, 0.8)):
+            assert mass == pytest.approx(sampler._cdf[rank] - previous)
             previous = sampler._cdf[rank]
