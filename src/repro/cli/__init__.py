@@ -23,8 +23,9 @@ The experiment commands accept the scale options (``--duration-hours``,
 ``--paper-scale`` switches to the full Table 1 configuration instead.  Both
 paths construct their configuration through the declarative scenario layer
 (:mod:`repro.scenarios`), which is the single source of truth for parameter
-sets; ``scenarios run`` additionally supports the golden-metrics workflow
-(``--check-golden`` / ``--update-golden``, see ``docs/scenarios.md``).
+sets.  The golden-metrics workflow has its own command lines,
+``python -m repro.scenarios.golden`` and ``python -m repro.sweeps.golden``
+(see ``docs/scenarios.md``).
 """
 
 from __future__ import annotations

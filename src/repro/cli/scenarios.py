@@ -69,21 +69,12 @@ def add_arguments(subparsers) -> None:
     run_verb.add_argument("--shard-jobs", type=int, default=None, metavar="N",
                           help="worker processes for --shards (default: CPU "
                                "affinity count; 1 runs shards inline)")
-    run_verb.add_argument("--check-golden", action="store_true",
-                          help="run at the pinned golden scale/seed and compare "
-                               "against the committed golden file")
-    run_verb.add_argument("--update-goldens", "--update-golden",
-                          dest="update_goldens", action="store_true",
-                          help="rewrite the scenario's committed golden file")
     run_verb.set_defaults(run=run_run)
     diff_verb = verbs.add_parser(
         "diff", help="compare two metrics digests (files produced by `scenarios run`)"
     )
     diff_verb.add_argument("left", type=str, help="baseline digest JSON file")
     diff_verb.add_argument("right", type=str, help="candidate digest JSON file")
-    diff_verb.add_argument("--exact", action="store_true",
-                           help="require byte-identical metrics instead of the "
-                                "golden tolerance bands")
     diff_verb.add_argument("--all-metrics", action="store_true",
                            help="print unchanged metrics too")
     diff_verb.set_defaults(run=run_diff)
@@ -249,31 +240,19 @@ def run_diff(args: argparse.Namespace, out) -> int:
         right = diffing_module.load_digest(Path(args.right))
     except (OSError, ValueError, json.JSONDecodeError) as error:
         return usage_error(error)
-    diff = diffing_module.diff_digests(left, right, exact=args.exact)
-    print(diffing_module.format_diff(diff, all_rows=args.all_metrics), file=out)
-    return 1 if diff.out_of_tolerance else 0
+    rows = golden_module.differing_leaves(left, right, unchanged=args.all_metrics)
+    print(diffing_module.format_rows(rows), file=out)
+    return 1 if any(row_left != row_right for _, row_left, row_right in rows) else 0
 
 
 def _run_all(args: argparse.Namespace, out) -> int:
     """The ``scenarios run --all [--jobs N]`` path (parallel execution)."""
     if args.name is not None:
         return usage_error("--all cannot be combined with a scenario name")
-    if args.table or args.update_goldens:
-        return usage_error("--all supports JSON digests and --check-golden only")
+    if args.table:
+        return usage_error("--all prints JSON digests only")
     if args.jobs is not None and args.jobs <= 0:
         return usage_error("--jobs must be positive")
-    if args.check_golden:
-        if args.seed is not None or args.scale != 1.0:
-            return usage_error(
-                "golden digests are pinned to the golden scale and "
-                "seed; --seed/--scale cannot be combined with --check-golden"
-            )
-        results = parallel_module.check_goldens(jobs=args.jobs)
-        reports = [
-            golden_module.report_check(name, mismatches, out)
-            for name, mismatches in results.items()
-        ]
-        return 0 if all(reports) else 1
     if not is_scale_factor(args.scale):
         return usage_error("--scale must be positive and finite")
     digests = parallel_module.run_scenarios(
@@ -294,37 +273,10 @@ def run_run(args: argparse.Namespace, out) -> int:
         return usage_error(error.args[0])
     if args.jobs is not None:
         return usage_error("--jobs only applies to --all")
-    if (args.update_goldens or args.check_golden) and (
-        args.seed is not None or args.scale != 1.0 or args.table
-    ):
-        return usage_error(
-            "golden digests are pinned to the golden scale and seed; "
-            "--seed/--scale/--table cannot be combined with "
-            "--check-golden/--update-goldens"
-        )
     if args.shards is not None and args.shards < 1:
         return usage_error("--shards must be >= 1")
     if args.shard_jobs is not None and args.shard_jobs < 1:
         return usage_error("--shard-jobs must be >= 1")
-    if args.update_goldens and args.shards is not None:
-        return usage_error(
-            "goldens are produced by the single-process path; "
-            "--shards runs must match them, not define them (use "
-            "--check-golden to verify equivalence)"
-        )
-    if args.update_goldens:
-        path = golden_module.write_golden(args.name)
-        print(f"updated {path}", file=out)
-        return 0
-    if args.check_golden:
-        # Golden digests are pinned to a fixed scale and seed; --scale/--seed
-        # do not apply here.  --shards passes through: the committed golden
-        # doubles as the equivalence oracle for block placement.
-        argv = [args.name]
-        if args.shards is not None and args.shards != 1:
-            argv.extend(["--shards", str(args.shards)])
-        return golden_module.main(argv, out=out)
-
     if not is_scale_factor(args.scale):
         return usage_error("--scale must be positive and finite")
     # A spec that must run as one block has nothing to place: the reason is

@@ -10,7 +10,6 @@ from repro.cli.usage import usage_error
 from repro.metrics.report import format_table
 from repro.scenarios.spec import is_scale_factor
 from repro.sweeps import artifacts as sweep_artifacts
-from repro.sweeps import golden as sweep_golden
 from repro.sweeps.engine import run_sweep
 from repro.sweeps.library import get_sweep, iter_sweeps
 
@@ -46,12 +45,6 @@ def add_arguments(subparsers) -> None:
     run_verb.add_argument("--table", action="store_true",
                           help="print a human-readable table instead of the "
                                "JSON digest")
-    run_verb.add_argument("--check-golden", action="store_true",
-                          help="run at the pinned golden scale/seed and "
-                               "compare against the committed sweep golden")
-    run_verb.add_argument("--update-goldens", "--update-golden",
-                          dest="update_goldens", action="store_true",
-                          help="rewrite the sweep's committed golden file")
     run_verb.set_defaults(run=run_run)
 
 
@@ -137,23 +130,6 @@ def run_run(args: argparse.Namespace, out) -> int:
         return usage_error(error.args[0])
     if args.jobs <= 0:
         return usage_error("--jobs must be positive")
-    if args.check_golden and args.update_goldens:
-        return usage_error("--check-golden cannot be combined with --update-goldens")
-    if (args.update_goldens or args.check_golden) and (
-        args.seed_override is not None or args.scale != 1.0 or args.table
-        or args.out
-    ):
-        return usage_error(
-            "sweep goldens are pinned to the golden scale and seed; "
-            "--seed/--scale/--table/--out cannot be combined with "
-            "--check-golden/--update-goldens"
-        )
-    if args.update_goldens:
-        path = sweep_golden.write_sweep_golden(args.name, jobs=args.jobs)
-        print(f"updated {path}", file=out)
-        return 0
-    if args.check_golden:
-        return sweep_golden.main([args.name, "--jobs", str(args.jobs)], out=out)
     if not is_scale_factor(args.scale):
         return usage_error("--scale must be positive and finite")
     result = run_sweep(

@@ -128,10 +128,6 @@ class ContentPeer:
 
     # -- view management ------------------------------------------------------
 
-    @property
-    def view(self) -> ColumnarView:
-        return self._view
-
     def initialize_view(self, columns: Iterable[ViewColumn]) -> None:
         """Seed the view from the serving peer's view or the directory index.
 

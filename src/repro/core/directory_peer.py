@@ -82,9 +82,6 @@ class DirectoryPeer:
         """True once the content overlay reached its maximum size ``Sco``."""
         return len(self._index) >= self.config.max_content_overlay_size
 
-    def members(self) -> Sequence[str]:
-        return tuple(self._index)
-
     def entry(self, peer_id: str) -> Optional[DirectoryEntry]:
         entry = self._index.get(peer_id)
         return None if entry is None else self._synced_entry(entry)

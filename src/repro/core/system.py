@@ -155,15 +155,9 @@ class FlowerCDN(OverlayMaintenance):
             self.keys, latency_callback=self._peer_latency, ring=substrate
         )
         self.bandwidth = BandwidthAccountant(window_s=config.metrics_window_s)
-        self._reserved_hosts: Set[int] = set()
         self._bootstrapped = False
 
     # ------------------------------------------------------------------ utils
-
-    @property
-    def reserved_hosts(self) -> Set[int]:
-        """Hosts used by directory peers (unavailable for client assignment)."""
-        return set(self._reserved_hosts)
 
     @property
     def num_content_peers(self) -> int:
@@ -235,7 +229,6 @@ class FlowerCDN(OverlayMaintenance):
             for index, website in enumerate(self.catalog):
                 for locality in range(num_localities):
                     host_id = hosts[locality][index]
-                    self._reserved_hosts.add(host_id)
                     if place:
                         peer_id = f"d({website.name},{locality})#0"
                         self.latency.register_peer(peer_id, host_id)

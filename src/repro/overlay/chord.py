@@ -16,7 +16,7 @@ Section 3.2).
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.overlay.idspace import IdSpace
 from repro.overlay.node import ChordNode, rebuild_routing_state
@@ -58,10 +58,6 @@ class ChordRing:
     def __contains__(self, node_id: int) -> bool:
         node = self._nodes.get(node_id)
         return node is not None and node.alive
-
-    def nodes(self) -> Sequence[ChordNode]:
-        """All nodes ever added, live or not (diagnostics)."""
-        return tuple(self._nodes.values())
 
     def live_ids(self) -> List[int]:
         cached = self._live_cache

@@ -19,7 +19,7 @@ top of either substrate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.overlay.idspace import IdSpace
 
@@ -191,9 +191,6 @@ class PastryRing:
 
     def live_ids(self) -> List[int]:
         return sorted(node_id for node_id, node in self._nodes.items() if node.alive)
-
-    def nodes(self) -> Sequence[PastryNode]:
-        return tuple(self._nodes.values())
 
     def node(self, node_id: int) -> PastryNode:
         try:

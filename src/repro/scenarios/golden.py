@@ -3,21 +3,17 @@
 Every library scenario has a committed golden file (``tests/goldens/<name>.json``)
 holding its rounded metrics digest at a fixed reduced scale and seed.  The
 golden suite re-runs each scenario and compares the fresh digest against the
-committed one **with per-metric tolerances**, so any refactor of the hot path
-(``core/system.py``, ``sim/engine.py``, overlay routing, workload generation)
-is regression-checked end to end:
-
-* a pure refactor reproduces the digest exactly (runs are deterministic);
-* a small intentional behaviour change stays inside the tolerances;
-* a real regression (hit ratio collapse, latency blow-up, lost queries)
-  fails with a per-metric diff.
+committed one **exactly**, leaf by leaf (:func:`differing_leaves`).  Runs are
+deterministic, so a refactor of the hot path (``core/system.py``,
+``sim/engine.py``, overlay routing, workload generation) reproduces every
+digest byte for byte, and a behaviour change fails with one line per moved
+value until its goldens are refreshed in the same commit.
 
 Workflow::
 
-    python -m repro.scenarios.golden --check            # CI / make test
-    python -m repro.scenarios.golden --update           # refresh after an
+    python -m repro.scenarios.golden                    # check the standard tier
+    python -m repro.scenarios.golden --update [NAME...] # refresh after an
                                                         # intentional change
-    python -m repro.cli scenarios run NAME --check-golden
 
 ``make goldens`` wraps ``--update``.  See ``docs/scenarios.md``.
 """
@@ -28,9 +24,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from repro.core.sharding import inseparable_reason
 from repro.scenarios.library import get_scenario, scenario_names
@@ -48,53 +43,6 @@ GOLDEN_SCALE = 0.25
 GOLDEN_SEED = 42
 #: decimal places kept in golden digests
 GOLDEN_PRECISION = 6
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Acceptance band for one metric: ``|actual - expected|`` must not
-    exceed ``max(absolute, relative * |expected|)``."""
-
-    relative: float = 0.0
-    absolute: float = 0.0
-
-    def allows(self, expected: float, actual: float) -> bool:
-        return abs(actual - expected) <= max(self.absolute, self.relative * abs(expected))
-
-
-EXACT = Tolerance()
-
-#: default per-metric tolerances; anything not listed is compared exactly,
-#: and ``fraction_*`` metrics share the FRACTION band
-DEFAULT_TOLERANCES: Dict[str, Tolerance] = {
-    "num_queries": EXACT,  # the trace itself must not change silently
-    "hit_ratio": Tolerance(absolute=0.02),
-    "average_lookup_latency_ms": Tolerance(relative=0.05, absolute=5.0),
-    "average_transfer_distance_ms": Tolerance(relative=0.05, absolute=5.0),
-    "background_bps_per_peer": Tolerance(relative=0.05, absolute=1.0),
-    "redirection_failures": Tolerance(relative=0.25, absolute=10.0),
-    "average_overlay_hops": Tolerance(relative=0.10, absolute=0.2),
-    # phase aggregates are means over few windows, hence slightly looser
-    "phase:hit_ratio": Tolerance(absolute=0.03),
-    "phase:lookup_latency_ms": Tolerance(relative=0.08, absolute=10.0),
-    "phase:transfer_distance_ms": Tolerance(relative=0.08, absolute=10.0),
-    # resilience block (faulted runs only); the window-based metrics aggregate
-    # few windows, the counters shift with any hot-path change near the fault
-    "resilience_hit_ratio_pre_fault": Tolerance(absolute=0.03),
-    "resilience_availability_during_fault": Tolerance(absolute=0.03),
-    "resilience_time_to_recover_s": Tolerance(relative=0.5, absolute=300.0),
-    "resilience_messages_blocked": Tolerance(relative=0.25, absolute=20.0),
-    "resilience_retries_exhausted": Tolerance(relative=0.5, absolute=10.0),
-    "resilience_server_fallbacks": Tolerance(relative=0.25, absolute=20.0),
-}
-FRACTION_TOLERANCE = Tolerance(absolute=0.02)
-
-
-def _tolerance_for(metric: str, phase: bool = False) -> Tolerance:
-    if metric.startswith("fraction_"):
-        return FRACTION_TOLERANCE
-    key = f"phase:{metric}" if phase else metric
-    return DEFAULT_TOLERANCES.get(key, EXACT)
 
 
 # -- locations ---------------------------------------------------------------
@@ -166,126 +114,71 @@ def load_golden(name: str, golden_dir: Optional[Path] = None) -> Dict[str, objec
 # -- comparison --------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class MetricDelta:
-    """One metric's two values and the tolerance band that applies to it.
+class _Missing:
+    """The value a document holds at a path only the other document has."""
 
-    The single comparison primitive: the golden gates (:func:`compare_digests`,
-    :func:`repro.sweeps.golden.compare_sweep_digests`) render out-of-band
-    deltas as messages, ``repro scenarios diff`` renders every delta as a row.
+    def __repr__(self) -> str:
+        return "missing"
+
+
+MISSING = _Missing()
+
+
+def _leaves(document: object, path: Tuple = ()) -> Iterator[Tuple[Tuple, object]]:
+    """``(path, value)`` of every scalar and every empty container of a JSON
+    document; a path is its dict keys and list indices from the root."""
+    if isinstance(document, dict) and document:
+        for key, value in document.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(document, list) and document:
+        for index, value in enumerate(document):
+            yield from _leaves(value, path + (index,))
+    else:
+        yield path, document
+
+
+def _dotted(path: Tuple) -> str:
+    text = ""
+    for part in path:
+        if isinstance(part, int):
+            text += f"[{part}]"
+        else:
+            text += f".{part}" if text else str(part)
+    return text
+
+
+def differing_leaves(
+    left: object, right: object, unchanged: bool = False
+) -> List[Tuple[str, object, object]]:
+    """``(dotted path, left value, right value)`` of every leaf on which two
+    JSON documents differ, :data:`MISSING` standing for the side that lacks
+    the path (e.g. ``cells[0].systems.flower.metrics.hit_ratio``).
+
+    The one comparison of the golden gates and ``repro scenarios diff``: the
+    list is empty exactly when ``left == right``.  Rows follow ``left``'s
+    order, then the paths only ``right`` has; ``unchanged`` adds the leaves
+    both documents hold equal.
     """
-
-    metric: str  # dotted path, e.g. "flower.metrics.hit_ratio"
-    left: Optional[float]  # None: the metric is absent on that side
-    right: Optional[float]
-    tolerance: Tolerance
-
-    @property
-    def delta(self) -> Optional[float]:
-        if self.left is None or self.right is None:
-            return None
-        return self.right - self.left
-
-    @property
-    def relative_delta(self) -> Optional[float]:
-        if self.left is None or self.right is None or self.left == 0:
-            return None
-        return (self.right - self.left) / abs(self.left)
-
-    @property
-    def within_tolerance(self) -> bool:
-        if self.left is None or self.right is None:
-            return False
-        return self.tolerance.allows(float(self.left), float(self.right))
-
-
-def system_deltas(
-    system: str,
-    left: Dict[str, object],
-    right: Dict[str, object],
-    exact: bool = False,
-) -> Iterator[MetricDelta]:
-    """One system's metric block, then its phase blocks in sorted order.
-
-    ``left``/``right`` are the system's digest entries (``{}`` for a side the
-    system is absent from).  ``exact`` replaces every band with :data:`EXACT`.
-    """
-    left_phases = left.get("phases", {})
-    right_phases = right.get("phases", {})
-    blocks = [("metrics", False, left.get("metrics", {}), right.get("metrics", {}))]
-    blocks.extend(
-        (f"phases.{phase}", True, left_phases.get(phase, {}), right_phases.get(phase, {}))
-        for phase in sorted(set(left_phases) | set(right_phases))
-    )
-    for block, is_phase, left_metrics, right_metrics in blocks:
-        for metric in sorted(set(left_metrics) | set(right_metrics)):
-            left_value = left_metrics.get(metric)
-            right_value = right_metrics.get(metric)
-            if metric.startswith("fraction_"):
-                # Outcome fractions only appear in a digest when the outcome
-                # was observed at least once; a rare outcome drifting to/from
-                # zero is an ordinary tolerance question, not a missing metric.
-                left_value = 0.0 if left_value is None else left_value
-                right_value = 0.0 if right_value is None else right_value
-            yield MetricDelta(
-                metric=f"{system}.{block}.{metric}",
-                left=left_value,
-                right=right_value,
-                tolerance=EXACT if exact else _tolerance_for(metric, phase=is_phase),
-            )
-
-
-def field_mismatches(
-    expected: Dict[str, object],
-    actual: Dict[str, object],
-    fields: Sequence[str],
-    prefix: str = "",
-) -> List[str]:
-    """The fields (compared exactly) on which two documents differ."""
-    return [
-        f"{prefix}{field}: golden={expected.get(field)!r} actual={actual.get(field)!r}"
-        for field in fields
-        if expected.get(field) != actual.get(field)
-    ]
-
-
-def system_mismatches(
-    expected: Dict[str, Dict[str, object]],
-    actual: Dict[str, Dict[str, object]],
-    prefix: str = "",
-) -> List[str]:
-    """The golden-gate view of the deltas between two ``systems`` mappings."""
-    mismatches: List[str] = []
-    for system in sorted(set(expected) | set(actual)):
-        if system not in actual:
-            mismatches.append(f"{prefix}{system}: missing from the fresh run")
-            continue
-        if system not in expected:
-            mismatches.append(f"{prefix}{system}: not present in the golden")
-            continue
-        for delta in system_deltas(system, expected[system], actual[system]):
-            if delta.right is None:
-                mismatches.append(f"{prefix}{delta.metric}: missing from the fresh run")
-            elif delta.left is None:
-                mismatches.append(f"{prefix}{delta.metric}: not present in the golden")
-            elif not delta.within_tolerance:
-                band = f"abs={delta.tolerance.absolute}"
-                if not delta.metric.rpartition(".")[2].startswith("fraction_"):
-                    band = f"rel={delta.tolerance.relative} {band}"
-                mismatches.append(
-                    f"{prefix}{delta.metric}: golden={delta.left} "
-                    f"actual={delta.right} (tolerance {band})"
-                )
-    return mismatches
+    left_leaves = dict(_leaves(left))
+    right_leaves = dict(_leaves(right))
+    paths = list(left_leaves) + [path for path in right_leaves if path not in left_leaves]
+    rows = []
+    for path in paths:
+        left_value = left_leaves.get(path, MISSING)
+        right_value = right_leaves.get(path, MISSING)
+        if unchanged or left_value != right_value:
+            rows.append((_dotted(path), left_value, right_value))
+    return rows
 
 
 def compare_digests(
     expected: Dict[str, object], actual: Dict[str, object]
 ) -> List[str]:
-    """Per-metric differences between two digests (empty list = match)."""
-    return field_mismatches(expected, actual, ("scenario", "seed", "scale")) + (
-        system_mismatches(expected.get("systems", {}), actual.get("systems", {}))
-    )
+    """One ``path: golden=X actual=Y`` line per differing leaf (empty = match)."""
+    return [
+        f"{path}: golden={left!r} actual={right!r}"
+        for path, left, right in differing_leaves(expected, actual)
+    ]
 
 
 def verify_golden(
@@ -300,17 +193,6 @@ def verify_golden(
 
 
 # -- command line (used by `make goldens` / CI) ------------------------------
-
-
-def report_check(name: str, mismatches: Sequence[str], out: TextIO) -> bool:
-    """Print one golden check's outcome the way every gate does; True = ok."""
-    if mismatches:
-        print(f"FAIL {name}:", file=out)
-        for mismatch in mismatches:
-            print(f"  {mismatch}", file=out)
-        return False
-    print(f"ok   {name}", file=out)
-    return True
 
 
 def check_or_update(
@@ -332,7 +214,13 @@ def check_or_update(
             print(f"FAIL {name}: {error}", file=out)
             failures += 1
             continue
-        failures += not report_check(name, mismatches, out)
+        if mismatches:
+            print(f"FAIL {name}:", file=out)
+            for mismatch in mismatches:
+                print(f"  {mismatch}", file=out)
+            failures += 1
+        else:
+            print(f"ok   {name}", file=out)
     return 1 if failures else 0
 
 

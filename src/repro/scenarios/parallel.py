@@ -3,8 +3,7 @@
 Scenario runs are deterministic, share nothing, and are CPU-bound — the ideal
 shape for process-level parallelism.  ``repro scenarios run --all --jobs N``
 uses :func:`run_scenarios` to execute the whole library (or any subset) over
-a worker pool, and the golden suite can be verified the same way with
-:func:`check_goldens`.
+a worker pool.
 
 Workers re-import :mod:`repro`, so results are exactly what a sequential run
 produces (every worker builds its own topology/trace from ``(spec, seed)``).
@@ -137,14 +136,6 @@ def _run_one(args: tuple) -> tuple:
     return name, golden_module.result_digest(result, scale=scale)
 
 
-def _check_one(name: str) -> tuple:
-    try:
-        mismatches = golden_module.verify_golden(name)
-    except FileNotFoundError as error:
-        mismatches = [str(error)]
-    return name, mismatches
-
-
 # -- public API ---------------------------------------------------------------
 
 
@@ -181,9 +172,3 @@ def run_scenarios(
     tasks = [(name, seed, scale) for name in resolve_names(names)]
     return dict(map_tasks(_run_one, tasks, jobs=jobs))
 
-
-def check_goldens(
-    names: Optional[Sequence[str]] = None, jobs: Optional[int] = None
-) -> Dict[str, List[str]]:
-    """Verify committed goldens in parallel; name -> list of mismatches."""
-    return dict(map_tasks(_check_one, resolve_names(names), jobs=jobs))

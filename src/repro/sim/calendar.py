@@ -89,10 +89,6 @@ class CalendarEventQueue:
         return self._live > 0
 
     @property
-    def bucket_width(self) -> float:
-        return self._width
-
-    @property
     def heap_size(self) -> int:
         """Entries physically stored, live and cancelled (diagnostic)."""
         return self._entries

@@ -7,7 +7,7 @@ gives run *families* the same treatment: a frozen
 ``ScenarioSpec`` per grid cell with deterministic per-cell seeds, executes
 through the :class:`~repro.session.Session` facade — sequentially or over a
 process pool, byte-identically — and folds into a
-:class:`~repro.sweeps.engine.SweepResult` table with tolerance-checked
+:class:`~repro.sweeps.engine.SweepResult` table with exactly checked
 goldens (:mod:`repro.sweeps.golden`) and CSV/JSON/markdown artifact export
 (:mod:`repro.sweeps.artifacts`).  The paper's multi-run experiments (the
 Table 2 grids, the ablations, Figure 6) are registered in

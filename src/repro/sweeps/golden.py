@@ -4,23 +4,19 @@ Every registered sweep has a committed golden file
 (``tests/goldens/sweeps/<name>.json``) holding its full
 :meth:`~repro.sweeps.engine.SweepResult.to_dict` digest at the pinned golden
 scale and seed (the same 0.25 / 42 the scenario goldens use).  Verification
-re-runs the whole grid and compares **structure exactly** (cell count, axis
-assignments, per-cell seeds) and **metrics with the scenario-golden
-tolerances** — so a hot-path refactor is regression-checked across entire
-parameter families, not just single runs.  Per-cell SHA-256 digests are
-committed for byte-identity forensics but deliberately excluded from the
-tolerance comparison (a within-tolerance drift must not fail the gate
-twice).
+re-runs the whole grid and compares the two documents **exactly**, with the
+leaf walk the scenario goldens use
+(:func:`repro.scenarios.golden.compare_digests`): the grid's structure, every
+cell's metrics and phases and its SHA-256 ``digest`` — so a hot-path refactor
+is regression-checked across entire parameter families, not just single runs.
 
 Workflow::
 
-    python -m repro.sweeps.golden                 # check all sweep goldens
-    python -m repro.sweeps.golden --update        # refresh after an
-                                                  # intentional change
-    python -m repro.cli sweep run NAME --check-golden
+    python -m repro.sweeps.golden [NAME...]           # check (all by default)
+    python -m repro.sweeps.golden --update [NAME...]  # refresh after an
+                                                      # intentional change
 
-``make goldens-sweeps`` / ``make check-goldens-sweeps`` wrap the two module
-invocations.  See ``docs/sweeps.md``.
+``make goldens-sweeps`` wraps ``--update``.  See ``docs/sweeps.md``.
 """
 
 from __future__ import annotations
@@ -36,8 +32,7 @@ from repro.scenarios.golden import (
     GOLDEN_SCALE,
     GOLDEN_SEED,
     check_or_update,
-    field_mismatches,
-    system_mismatches,
+    compare_digests,
 )
 from repro.scenarios.spec import is_scale_factor
 from repro.sweeps.engine import run_sweep
@@ -50,7 +45,6 @@ __all__ = [
     "compute_sweep_digest",
     "write_sweep_golden",
     "load_sweep_golden",
-    "compare_sweep_digests",
     "verify_sweep_golden",
     "main",
 ]
@@ -120,40 +114,6 @@ def load_sweep_golden(
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-# -- comparison ---------------------------------------------------------------
-
-
-def compare_sweep_digests(
-    expected: Dict[str, object], actual: Dict[str, object]
-) -> List[str]:
-    """Differences between two sweep digests (empty list = match).
-
-    Grid structure — the sweep identity, axes, cell assignments, labels and
-    seeds — must match exactly; each cell's systems are compared with the
-    per-metric tolerances of the scenario goldens; per-cell ``digest``
-    hashes are informational and never compared here.
-    """
-    mismatches = field_mismatches(
-        expected, actual, ("sweep", "base", "base_seed", "scale", "seed_policy", "axes")
-    )
-    expected_cells = expected.get("cells", [])
-    actual_cells = actual.get("cells", [])
-    if len(expected_cells) != len(actual_cells):
-        mismatches.append(
-            f"cells: golden has {len(expected_cells)}, fresh run has {len(actual_cells)}"
-        )
-        return mismatches
-    for index, (want, got) in enumerate(zip(expected_cells, actual_cells)):
-        where = f"cell[{index}]."
-        mismatches += field_mismatches(
-            want, got, ("coordinates", "assignments", "labels", "seed"), prefix=where
-        )
-        mismatches += system_mismatches(
-            want.get("systems", {}), got.get("systems", {}), prefix=where
-        )
-    return mismatches
-
-
 def verify_sweep_golden(
     name: str,
     golden_dir: Optional[Path] = None,
@@ -163,7 +123,7 @@ def verify_sweep_golden(
     """Re-run the whole grid at ``scale`` and diff against the committed file."""
     expected = load_sweep_golden(name, golden_dir, scale=scale)
     actual = compute_sweep_digest(name, jobs=jobs, scale=scale)
-    return compare_sweep_digests(expected, actual)
+    return compare_digests(expected, actual)
 
 
 # -- command line (used by `make goldens-sweeps` / CI) ------------------------

@@ -6,7 +6,7 @@ push-threshold ablations, and the Figure 6 Flower-CDN-vs-Squirrel hit-ratio
 comparison.  The benchmark suite (``benchmarks/test_table2*``,
 ``test_ablation_churn``, ``test_ablation_push_threshold``, ``test_fig6_*``)
 sources its configurations from here, and every sweep has a committed
-tolerance-checked golden under ``tests/goldens/sweeps/`` (see
+exactly checked golden under ``tests/goldens/sweeps/`` (see
 :mod:`repro.sweeps.golden`).
 
 All paper sweeps use ``seed_policy="shared"`` — common random numbers, the

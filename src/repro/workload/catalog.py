@@ -35,12 +35,6 @@ class Website:
     def url(self) -> str:
         return f"http://{self.name}"
 
-    def object_id(self, index: int) -> ObjectId:
-        """The URL of the ``index``-th object of this website."""
-        if not 0 <= index < self.num_objects:
-            raise IndexError(f"object index {index} outside [0, {self.num_objects})")
-        return self.object_ids()[index]
-
     def object_ids(self) -> tuple:
         """Every object URL, indexed by rank (the cached table itself)."""
         ids = self._ids

@@ -67,7 +67,7 @@ def trace_queries(trace: QueryTraceArrays) -> List[Query]:
             query_id=trace.first_query_id + index,
             time=trace.times[index],
             website=website.name,
-            object_id=website.object_id(trace.object_rank[index]),
+            object_id=website.object_ids()[trace.object_rank[index]],
             locality=trace.locality[index],
             prefers_new_client=bool(trace.prefers_new[index]),
         ))
@@ -83,7 +83,7 @@ def resolved_queries(trace: ResolvedTraceArrays) -> List[ResolvedQuery]:
             query_id=trace.query_id[index],
             time=trace.times[index],
             website=website.name,
-            object_id=website.object_id(trace.object_rank[index]),
+            object_id=website.object_ids()[trace.object_rank[index]],
             locality=trace.locality[index],
             client_host=trace.client_host[index],
             is_new_client=bool(trace.is_new[index]),
@@ -155,7 +155,7 @@ class ReferenceWorkload:
         return self._website_rng.choice(self.active)
 
     def _pick_object(self, website: Website) -> ObjectId:
-        return website.object_id(self._samplers[website.name].sample(self._zipf_rng))
+        return website.object_ids()[self._samplers[website.name].sample(self._zipf_rng)]
 
     def next_query(self, current_time: float) -> Query:
         """The next query; its ``time`` is ``current_time`` + one inter-arrival."""

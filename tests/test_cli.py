@@ -394,28 +394,6 @@ class TestSweepVerbs:
         ) == 2
         capsys.readouterr()
 
-    def test_run_golden_flags_are_pinned(self, capsys):
-        code = cli.main(
-            ["sweep", "run", "table2a-gossip-length", "--check-golden",
-             "--scale", "0.1"],
-            out=io.StringIO(),
-        )
-        assert code == 2
-        assert "pinned" in capsys.readouterr().err
-        code = cli.main(
-            ["sweep", "run", "table2a-gossip-length", "--check-golden",
-             "--update-goldens"],
-            out=io.StringIO(),
-        )
-        assert code == 2
-        capsys.readouterr()
-
-    def test_run_check_golden_passes_on_committed_goldens(self):
-        output = run_cli(
-            ["sweep", "run", "table2a-gossip-length", "--check-golden", "--jobs", "2"]
-        )
-        assert "ok   table2a-gossip-length" in output
-
     def test_verbless_sweep_exits_2_with_the_list_hint(self, capsys):
         out = io.StringIO()
         assert cli.main(["sweep"], out=out) == 2
@@ -432,12 +410,3 @@ class TestSweepVerbs:
                 cli.main(argv, out=io.StringIO())
             assert exit_info.value.code == 2
         capsys.readouterr()
-
-    def test_run_rejects_out_with_golden_flags(self, capsys, tmp_path):
-        code = cli.main(
-            ["sweep", "run", "table2a-gossip-length", "--check-golden",
-             "--out", str(tmp_path)],
-            out=io.StringIO(),
-        )
-        assert code == 2
-        assert "--out" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from repro.core.system import FlowerCDN
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+from tests.reference.directory import reserved_hosts
 from tests.reference.workload import ResolvedQuery, answer
 
 
@@ -39,13 +40,13 @@ def system() -> FlowerCDN:
 
 def populate(system: FlowerCDN, count: int = 6) -> None:
     website = system.catalog.websites[0]
-    free = [h for h in system.topology.hosts_in_locality(0) if h not in system.reserved_hosts]
+    free = [h for h in system.topology.hosts_in_locality(0) if h not in reserved_hosts(system)]
     for i in range(count):
         answer(
             system,
             ResolvedQuery(
                 query_id=i, time=0.0, website=website.name,
-                object_id=website.object_id(i % website.num_objects),
+                object_id=website.object_ids()[i % website.num_objects],
                 locality=0, client_host=free[i], is_new_client=True,
             )
         )

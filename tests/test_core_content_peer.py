@@ -99,26 +99,26 @@ class TestView:
     def test_initialize_view_excludes_self(self, config):
         peer = make_peer(config, name="me")
         peer.initialize_view([col("me", 0), col("other", 0)])
-        assert "me" not in peer.view
-        assert "other" in peer.view
+        assert "me" not in peer._view
+        assert "other" in peer._view
 
     def test_view_respects_capacity(self, config):
         peer = make_peer(config)
         peer.initialize_view([col(f"p{i}", age=i) for i in range(20)])
-        assert len(peer.view) == config.gossip.view_size
+        assert len(peer._view) == config.gossip.view_size
 
     def test_increment_ages_ages_view_entries(self, config):
         peer = make_peer(config)
         peer.initialize_view([col("p1", 0)])
         peer.increment_ages()
-        assert peer.view.get("p1").age == 1
+        assert peer._view.get("p1").age == 1
 
     def test_forget_contact(self, config):
         peer = make_peer(config)
         peer.note_directory("d0")
         peer.initialize_view([col("p1", 0)])
         peer.forget_contact("p1")
-        assert "p1" not in peer.view
+        assert "p1" not in peer._view
         peer.forget_contact("d0")
         assert peer.directory_peer_id is None
 
@@ -180,10 +180,10 @@ class TestGossip:
         message = alice.build_gossip_message()
         reply = bob.handle_gossip(message)
         alice.apply_gossip(reply)
-        assert "alice" in bob.view
-        assert "bob" in alice.view
-        assert alice.view.get("bob").age == 0
-        assert obj(2) in alice.view.get("bob").payload
+        assert "alice" in bob._view
+        assert "bob" in alice._view
+        assert alice._view.get("bob").age == 0
+        assert obj(2) in alice._view.get("bob").payload
         assert bob.gossip_received == 1
 
     def test_exchange_disseminates_third_party_entries(self, config):
@@ -193,7 +193,7 @@ class TestGossip:
         alice.initialize_view([col("carol", age=1, payload=carol_summary)])
         reply = bob.handle_gossip(alice.build_gossip_message())
         alice.apply_gossip(reply)
-        assert "carol" in bob.view
+        assert "carol" in bob._view
         assert bob.resolve_locally(obj(9)) == ["carol"]
 
     def test_view_never_contains_self_after_gossip(self, config):
@@ -202,7 +202,7 @@ class TestGossip:
         bob.initialize_view([col("alice", age=2)])
         reply = bob.handle_gossip(alice.build_gossip_message())
         alice.apply_gossip(reply)
-        assert "alice" not in alice.view
+        assert "alice" not in alice._view
 
 
 class _PushGuard:

@@ -12,6 +12,7 @@ from repro.core.system import FlowerCDN
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams, derive_seed
+from tests.reference.directory import reserved_hosts
 from tests.reference.workload import ResolvedQuery, answer
 
 
@@ -53,7 +54,7 @@ def enroll(system: FlowerCDN, locality: int = 0, offset: int = 0) -> ContentPeer
     website = system.catalog.websites[0].name
     hosts = [
         h for h in system.topology.hosts_in_locality(locality)
-        if h not in system.reserved_hosts
+        if h not in reserved_hosts(system)
     ]
     host = hosts[offset]
     answer(
@@ -62,7 +63,7 @@ def enroll(system: FlowerCDN, locality: int = 0, offset: int = 0) -> ContentPeer
             query_id=offset,
             time=float(offset),
             website=website,
-            object_id=system.catalog.websites[0].object_id(offset),
+            object_id=system.catalog.websites[0].object_ids()[offset],
             locality=locality,
             client_host=host,
             is_new_client=True,
@@ -194,10 +195,11 @@ class TestJitterStreamsAcrossReEnrolment:
         sim, system = Session.from_name("paper-default-full-scale").build_flower()
         websites = system.catalog.websites[: system.config.active_websites]
         enrolled = 0
+        reserved = reserved_hosts(system)
         for locality in range(system.config.num_localities):
             hosts = [
                 host for host in system.topology.hosts_in_locality(locality)
-                if host not in system.reserved_hosts
+                if host not in reserved
             ]
             for index, host in enumerate(hosts[:400]):
                 website = websites[index % len(websites)]
@@ -205,7 +207,7 @@ class TestJitterStreamsAcrossReEnrolment:
                     system,
                     ResolvedQuery(
                         query_id=enrolled, time=0.0, website=website.name,
-                        object_id=website.object_id(index % 50), locality=locality,
+                        object_id=website.object_ids()[index % 50], locality=locality,
                         client_host=host, is_new_client=True,
                     )
                 )

@@ -8,7 +8,7 @@ from repro.core.system import FlowerCDN
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from tests.reference.directory import lookup_index
+from tests.reference.directory import lookup_index, reserved_hosts
 from tests.reference.workload import ResolvedQuery, answer
 
 
@@ -42,7 +42,7 @@ def issue_queries(system: FlowerCDN, locality: int, object_index: int, count: in
     website = system.catalog.websites[0]
     free = [
         h for h in system.topology.hosts_in_locality(locality)
-        if h not in system.reserved_hosts
+        if h not in reserved_hosts(system)
     ]
     for i in range(count):
         answer(
@@ -51,7 +51,7 @@ def issue_queries(system: FlowerCDN, locality: int, object_index: int, count: in
                 query_id=locality * 1000 + object_index * 100 + i,
                 time=system.sim.now,
                 website=website.name,
-                object_id=website.object_id(object_index),
+                object_id=website.object_ids()[object_index],
                 locality=locality,
                 client_host=free[i],
                 is_new_client=True,
@@ -80,7 +80,7 @@ class TestPopularityTracking:
         website = system.catalog.websites[0].name
         directory = system.directory_for(website, 0)
         popular = directory.popular_objects(top_k=1)
-        assert popular == [system.catalog.websites[0].object_id(4)]
+        assert popular == [system.catalog.websites[0].object_ids()[4]]
         assert directory.request_count(popular[0]) >= 5
 
     def test_popular_objects_handles_empty_and_zero_k(self, system):
@@ -104,13 +104,13 @@ class TestActiveReplicator:
 
         assert replicator.replications_performed > 0
         target_directory = system.directory_for(website.name, 1)
-        assert website.object_id(4) in target_directory.indexed_objects()
+        assert website.object_ids()[4] in target_directory.indexed_objects()
         # The copy physically exists at a content peer of the target overlay.
-        holders = lookup_index(target_directory, website.object_id(4))
+        holders = lookup_index(target_directory, website.object_ids()[4])
         assert holders
         holder = system.content_peer(holders[0])
         assert holder.locality == 1
-        assert holder.has_object(website.object_id(4))
+        assert holder.has_object(website.object_ids()[4])
 
     def test_objects_below_request_threshold_are_not_replicated(self, system):
         issue_queries(system, locality=0, object_index=4, count=1)
@@ -155,7 +155,7 @@ class TestActiveReplicator:
         pushes_of_object = [
             event
             for event in replicator.events
-            if event.object_id == website.object_id(4) and event.target_locality == 1
+            if event.object_id == website.object_ids()[4] and event.target_locality == 1
         ]
         assert len(pushes_of_object) <= 1
 

@@ -8,7 +8,7 @@ from repro.metrics.collectors import MetricsCollector, QueryOutcome
 from repro.network.topology import Topology, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from tests.reference.directory import lookup_index
+from tests.reference.directory import lookup_index, reserved_hosts
 from tests.reference.workload import ResolvedQuery, answer
 
 
@@ -53,13 +53,13 @@ def website_name(system: FlowerCDN, index: int = 0) -> str:
 
 
 def object_of(system: FlowerCDN, site_index: int = 0, object_index: int = 0) -> str:
-    return system.catalog.websites[site_index].object_id(object_index)
+    return system.catalog.websites[site_index].object_ids()[object_index]
 
 
 def free_host(system: FlowerCDN, locality: int, offset: int = 0) -> int:
     hosts = [
         h for h in system.topology.hosts_in_locality(locality)
-        if h not in system.reserved_hosts
+        if h not in reserved_hosts(system)
     ]
     return hosts[offset]
 
@@ -103,7 +103,7 @@ class TestBootstrap:
             for w in system.catalog
             for loc in range(system.config.num_localities)
         }
-        assert system.reserved_hosts == directory_hosts
+        assert reserved_hosts(system) == directory_hosts
 
     def test_queries_require_bootstrap(self, config, topology):
         sim = Simulator(seed=1)

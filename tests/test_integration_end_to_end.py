@@ -133,7 +133,7 @@ class TestSystemConsistency:
                 if directory is None:
                     continue
                 members = set(system.overlay_members(website.name, locality))
-                assert set(directory.members()) <= members
+                assert set(tuple(directory._index)) <= members
 
     def test_content_peers_hold_only_their_websites_objects(self, runner, flower):
         system = runner.last_flower_system

@@ -44,6 +44,7 @@ from repro.session import Session
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.sharded import run_blocks
+from tests.reference.directory import reserved_hosts
 from tests.reference.workload import ResolvedQuery, answer
 
 TINY_SCALE = 0.1
@@ -215,7 +216,7 @@ def enroll_peer(system: FlowerCDN, locality: int = 0):
     website = system.catalog.websites[0].name
     host = next(
         h for h in system.topology.hosts_in_locality(locality)
-        if h not in system.reserved_hosts
+        if h not in reserved_hosts(system)
     )
     answer(
         system,
@@ -223,7 +224,7 @@ def enroll_peer(system: FlowerCDN, locality: int = 0):
             query_id=0,
             time=0.0,
             website=website,
-            object_id=system.catalog.websites[0].object_id(0),
+            object_id=system.catalog.websites[0].object_ids()[0],
             locality=locality,
             client_host=host,
             is_new_client=True,
@@ -305,7 +306,7 @@ class TestDeliveryGate:
                 query_id=1,
                 time=10.0,
                 website=website,
-                object_id=system.catalog.websites[0].object_id(1),
+                object_id=system.catalog.websites[0].object_ids()[1],
                 locality=0,
                 client_host=peer.host_id,
                 is_new_client=False,

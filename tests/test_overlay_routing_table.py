@@ -95,7 +95,7 @@ def test_lookups_equal_reference_across_membership_changes(initial, ops, keys):
     ring.auto_stabilize = False  # joins and leaves leave stale state behind
 
     def check():
-        for node in ring.nodes():
+        for node in ring._nodes.values():
             for key in keys:
                 assert node.local_lookup(key) == reference_lookup(node, key)
                 # same_prefix is the contiguous range a D-ring website occupies
@@ -116,7 +116,7 @@ def test_lookups_equal_reference_across_membership_changes(initial, ops, keys):
             if victim is not None and len(live) > 1:
                 getattr(ring, op)(victim)
         elif op == "forget":
-            node = ring.node(_pick([n.node_id for n in ring.nodes()], a))
+            node = ring.node(_pick([n.node_id for n in ring._nodes.values()], a))
             node.forget(_pick(node.routing_table(), b))
         else:
             ring.stabilize()
@@ -134,7 +134,7 @@ def test_range_bisected_constraint_equals_predicate_filter(members, website, key
     # Algorithm 2's constraint on engineered ids: website = high-order bits.
     ring = ring_class.build(SPACE, sorted(members))
     low, high = website << 5, (website + 1) << 5
-    for node in ring.nodes():
+    for node in ring._nodes.values():
         expected = reference_conditional(node, key, lambda n: n >> 5 == website)
         assert node.lookup_in_range(key, low, high) == expected
         if not any(low <= n < high for n in node.known_nodes()):

@@ -2,11 +2,11 @@
 
 import io
 import json
-
-import pytest
+import re
 
 from repro import cli
 from repro.scenarios import diffing
+from repro.scenarios.golden import differing_leaves
 
 
 def _digest(hit_ratio=0.7, latency=150.0, queries=1000, scenario="paper-default"):
@@ -31,57 +31,44 @@ def _digest(hit_ratio=0.7, latency=150.0, queries=1000, scenario="paper-default"
     }
 
 
-class TestDiffDigests:
-    def test_identical_digests_have_no_changes(self):
-        diff = diffing.diff_digests(_digest(), _digest())
-        assert diff.changed == []
-        assert diff.out_of_tolerance == []
+def _format(left, right, all_rows=False):
+    return diffing.format_rows(differing_leaves(left, right, unchanged=all_rows))
 
-    def test_within_tolerance_change_is_reported_but_passes(self):
-        diff = diffing.diff_digests(_digest(hit_ratio=0.70), _digest(hit_ratio=0.71))
-        changed = [d.metric for d in diff.changed]
-        assert "flower.metrics.hit_ratio" in changed
-        assert all(d.within_tolerance for d in diff.changed if "hit_ratio" in d.metric)
 
-    def test_out_of_tolerance_change_is_flagged(self):
-        diff = diffing.diff_digests(_digest(hit_ratio=0.70), _digest(hit_ratio=0.40))
-        failing = [d.metric for d in diff.out_of_tolerance]
-        assert "flower.metrics.hit_ratio" in failing
+class TestFormatRows:
+    def test_identical_digests_print_no_differences(self):
+        assert _format(_digest(), _digest()) == "no differences"
 
-    def test_exact_mode_flags_any_change(self):
-        diff = diffing.diff_digests(
-            _digest(hit_ratio=0.70), _digest(hit_ratio=0.700001), exact=True
+    def test_a_number_carries_its_delta_and_relative_delta(self):
+        text = _format(_digest(latency=100.0), _digest(latency=110.0))
+        assert text == (
+            "! systems.flower.metrics.average_lookup_latency_ms  100.0 -> 110.0"
+            "  delta +10 (+10.00%)"
         )
-        assert diff.out_of_tolerance
 
-    def test_deltas_carry_values_and_relative_change(self):
-        diff = diffing.diff_digests(_digest(latency=100.0), _digest(latency=110.0))
-        delta = next(d for d in diff.deltas if d.metric.endswith("lookup_latency_ms"))
-        assert delta.left == 100.0 and delta.right == 110.0
-        assert delta.delta == pytest.approx(10.0)
-        assert delta.relative_delta == pytest.approx(0.10)
+    def test_header_fields_are_ordinary_rows(self):
+        text = _format(_digest(), _digest(scenario="flash-crowd"))
+        assert text == "! scenario  'paper-default' -> 'flash-crowd'"
 
-    def test_missing_fraction_compares_as_zero(self):
-        left = _digest()
+    def test_a_vanished_metric_is_missing_with_no_delta(self):
         right = _digest()
         del right["systems"]["flower"]["metrics"]["fraction_local_overlay_hit"]
-        diff = diffing.diff_digests(left, right)
-        delta = next(d for d in diff.deltas if "fraction_local" in d.metric)
-        assert delta.right == 0.0
-        assert not delta.within_tolerance  # 0.7 -> 0.0 is far outside the band
+        assert _format(_digest(), right) == (
+            "! systems.flower.metrics.fraction_local_overlay_hit  0.7 -> missing"
+        )
 
-    def test_cross_scenario_context_is_reported_not_rejected(self):
-        diff = diffing.diff_digests(_digest(), _digest(scenario="flash-crowd"))
-        assert diff.context["scenario"] == ("paper-default", "flash-crowd")
+    def test_a_zero_baseline_has_no_relative_delta(self):
+        assert _format(_digest(queries=0), _digest(queries=5)) == (
+            "! systems.flower.metrics.num_queries  0 -> 5  delta +5"
+        )
 
-    def test_format_lists_only_changes_by_default(self):
-        text = diffing.format_diff(diffing.diff_digests(_digest(), _digest(hit_ratio=0.71)))
+    def test_lists_only_changes_unless_all_rows(self):
+        text = _format(_digest(), _digest(hit_ratio=0.71))
         assert "hit_ratio" in text
         assert "num_queries" not in text
-        full = diffing.format_diff(
-            diffing.diff_digests(_digest(), _digest(hit_ratio=0.71)), all_rows=True
-        )
-        assert "num_queries" in full
+        full = _format(_digest(), _digest(hit_ratio=0.71), all_rows=True)
+        assert "  systems.flower.metrics.num_queries" in full
+        assert "! systems.flower.metrics.hit_ratio" in full
 
 
 class TestDiffCli:
@@ -89,27 +76,22 @@ class TestDiffCli:
         path.write_text(json.dumps(digest), encoding="utf-8")
         return str(path)
 
-    def test_within_tolerance_exits_zero(self, tmp_path):
+    def test_equal_digests_exit_zero(self, tmp_path):
         left = self._write(tmp_path / "a.json", _digest())
-        right = self._write(tmp_path / "b.json", _digest(hit_ratio=0.705))
+        right = self._write(tmp_path / "b.json", _digest())
         out = io.StringIO()
         assert cli.main(["scenarios", "diff", left, right], out=out) == 0
+        assert out.getvalue() == "no differences\n"
+        out = io.StringIO()
+        assert cli.main(["scenarios", "diff", left, right, "--all-metrics"], out=out) == 0
         assert "hit_ratio" in out.getvalue()
 
-    def test_out_of_tolerance_exits_one(self, tmp_path):
-        left = self._write(tmp_path / "a.json", _digest())
-        right = self._write(tmp_path / "b.json", _digest(hit_ratio=0.4))
-        out = io.StringIO()
-        assert cli.main(["scenarios", "diff", left, right], out=out) == 1
-        assert "!" in out.getvalue()
-
-    def test_exact_flag(self, tmp_path):
+    def test_any_change_exits_one(self, tmp_path):
         left = self._write(tmp_path / "a.json", _digest())
         right = self._write(tmp_path / "b.json", _digest(hit_ratio=0.700001))
-        assert cli.main(["scenarios", "diff", left, right], out=io.StringIO()) == 0
-        assert (
-            cli.main(["scenarios", "diff", left, right, "--exact"], out=io.StringIO()) == 1
-        )
+        out = io.StringIO()
+        assert cli.main(["scenarios", "diff", left, right], out=out) == 1
+        assert "! systems.flower.metrics.hit_ratio" in out.getvalue()
 
     def test_missing_file_is_a_usage_error(self, tmp_path):
         left = self._write(tmp_path / "a.json", _digest())
@@ -119,13 +101,29 @@ class TestDiffCli:
             == 2
         )
 
-    def test_non_digest_json_rejected(self, tmp_path):
+    def test_non_digest_json_rejected(self, tmp_path, capsys):
         left = self._write(tmp_path / "a.json", _digest())
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"not": "a digest"}), encoding="utf-8")
-        assert (
-            cli.main(["scenarios", "diff", left, str(bogus)], out=io.StringIO()) == 2
-        )
+        for document in ({"not": "a digest"}, {"systems": [1, 2]}, {"systems": {"flower": 1}}, [1]):
+            bogus = self._write(tmp_path / "bogus.json", document)
+            out = io.StringIO()
+            assert cli.main(["scenarios", "diff", left, bogus], out=out) == 2
+            assert out.getvalue() == ""
+            assert "not a scenario metrics digest" in capsys.readouterr().err
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"systems": {"a": ' + "[" * 100_000 + "]" * 100_000 + "}}")
+        assert cli.main(["scenarios", "diff", left, str(deep)], out=io.StringIO()) == 2
+        assert "nests deeper" in capsys.readouterr().err
+
+    def test_a_string_metric_is_compared_by_equality(self, tmp_path):
+        odd = _digest()
+        odd["systems"]["flower"]["metrics"]["hit_ratio"] = "x"
+        left = self._write(tmp_path / "a.json", _digest())
+        right = self._write(tmp_path / "b.json", odd)
+        out = io.StringIO()
+        assert cli.main(["scenarios", "diff", left, right], out=out) == 1
+        assert out.getvalue() == "! systems.flower.metrics.hit_ratio  0.7 -> 'x'\n"
+        out = io.StringIO()
+        assert cli.main(["scenarios", "diff", right, right], out=out) == 0
 
     def test_diff_of_two_real_runs(self, tmp_path):
         """End to end: run a scenario twice at different seeds and diff."""
@@ -139,6 +137,5 @@ class TestDiffCli:
         left = self._write(tmp_path / "a.json", json.loads(a.getvalue()))
         right = self._write(tmp_path / "b.json", json.loads(b.getvalue()))
         out = io.StringIO()
-        code = cli.main(["scenarios", "diff", left, right], out=out)
-        assert code in (0, 1)  # different seeds legitimately differ
-        assert "num_queries" in out.getvalue() or "no metric differences" in out.getvalue()
+        assert cli.main(["scenarios", "diff", left, right], out=out) == 1
+        assert re.search(r"^! seed +42 -> 43  delta \+1 ", out.getvalue(), re.MULTILINE)

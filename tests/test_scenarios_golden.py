@@ -1,8 +1,8 @@
 """Golden-metrics regression suite.
 
 Every library scenario is re-run at the pinned golden scale/seed and its
-rounded metrics digest is compared against the committed file under
-``tests/goldens/`` with per-metric tolerances.  A pure refactor of the hot
+rounded metrics digest is compared exactly, leaf by leaf, against the
+committed file under ``tests/goldens/``.  A pure refactor of the hot
 path (core/system.py, sim/engine.py, overlay routing, workload generation)
 must keep these green; an intentional behaviour change is recorded by
 running ``make goldens`` (``python -m repro.scenarios.golden --update``) and
@@ -75,16 +75,12 @@ class TestCompareDigests:
     def test_identical_digests_match(self):
         assert golden.compare_digests(_digest(), _digest()) == []
 
-    def test_within_tolerance_passes(self):
-        # hit_ratio tolerance is ±0.02 absolute; latency ±5% relative.
-        assert golden.compare_digests(
-            _digest(hit_ratio=0.700, latency=150.0),
-            _digest(hit_ratio=0.715, latency=155.0),
-        ) == []
-
-    def test_out_of_tolerance_fails_with_metric_name(self):
-        mismatches = golden.compare_digests(_digest(hit_ratio=0.70), _digest(hit_ratio=0.60))
-        assert any("hit_ratio" in m for m in mismatches)
+    def test_any_moved_metric_fails_with_its_path(self):
+        mismatches = golden.compare_digests(_digest(hit_ratio=0.70), _digest(hit_ratio=0.700001))
+        assert mismatches == [
+            "systems.flower.metrics.hit_ratio: golden=0.7 actual=0.700001",
+            "systems.flower.phases.steady.hit_ratio: golden=0.7 actual=0.700001",
+        ]
 
     def test_num_queries_is_exact(self):
         mismatches = golden.compare_digests(_digest(queries=1000), _digest(queries=1001))
@@ -96,15 +92,12 @@ class TestCompareDigests:
         mismatches = golden.compare_digests(_digest(), actual)
         assert any("missing" in m for m in mismatches)
 
-    def test_vanished_rare_fraction_compares_as_zero(self):
-        # An outcome fraction only appears when observed; a tiny fraction
-        # disappearing entirely must be judged by tolerance, not "missing".
+    def test_a_vanished_fraction_is_missing_not_zero(self):
         expected = _digest()
-        expected["systems"]["flower"]["metrics"]["fraction_remote_overlay_hit"] = 0.0102
-        assert golden.compare_digests(expected, _digest()) == []
-        expected["systems"]["flower"]["metrics"]["fraction_remote_overlay_hit"] = 0.05
-        mismatches = golden.compare_digests(expected, _digest())
-        assert any("fraction_remote_overlay_hit" in m for m in mismatches)
+        expected["systems"]["flower"]["metrics"]["fraction_remote_overlay_hit"] = 0.0
+        assert golden.compare_digests(expected, _digest()) == [
+            "systems.flower.metrics.fraction_remote_overlay_hit: golden=0.0 actual=missing"
+        ]
 
     def test_missing_metric_reported(self):
         actual = _digest()
@@ -116,13 +109,6 @@ class TestCompareDigests:
         actual = _digest()
         actual["seed"] = 43
         assert golden.compare_digests(_digest(), actual)
-
-    def test_tolerance_band(self):
-        tolerance = golden.Tolerance(relative=0.1, absolute=1.0)
-        assert tolerance.allows(100.0, 109.0)
-        assert not tolerance.allows(100.0, 112.0)
-        assert golden.EXACT.allows(5.0, 5.0)
-        assert not golden.EXACT.allows(5.0, 5.0001)
 
 
 class TestGoldenWorkflow:

@@ -111,13 +111,6 @@ class TestMapTasks:
         assert "\n" not in str(error)
 
 
-class TestCheckGoldens:
-    def test_all_goldens_pass_in_parallel(self):
-        results = parallel.check_goldens(jobs=2)
-        failing = {name: m for name, m in results.items() if m}
-        assert not failing, failing
-
-
 class TestCli:
     def _run(self, args):
         buffer = io.StringIO()
@@ -147,10 +140,3 @@ class TestCli:
     def test_missing_name_without_all_rejected(self):
         code = cli.main(["scenarios", "run"], out=io.StringIO())
         assert code == 2
-
-    def test_check_golden_all(self):
-        code, output = self._run(
-            ["scenarios", "run", "--all", "--check-golden", "--jobs", "1"]
-        )
-        assert code == 0
-        assert output.count("ok") >= 8

@@ -258,14 +258,6 @@ class TestScenarioCli:
         assert "cold-start — flower" in output
         assert "hit_ratio" in output
 
-    def test_golden_flags_reject_overridden_seed_and_scale(self, capsys):
-        code = cli.main(
-            ["scenarios", "run", "cold-start", "--check-golden", "--seed", "7"],
-            out=io.StringIO(),
-        )
-        assert code == 2
-        assert "pinned" in capsys.readouterr().err
-
     def test_unknown_scenario_is_a_clean_error(self, capsys):
         code = cli.main(["scenarios", "run", "no-such-thing"], out=io.StringIO())
         assert code == 2

@@ -42,6 +42,7 @@ from repro.scenarios.artifacts import DIGEST_FILENAME, RESULT_FILENAME, run_docu
 from repro.scenarios.library import get_scenario, iter_scenarios, scenario_names
 from repro.scenarios.runner import ScenarioResult, summarise_system
 from repro.session import Session
+from tests.reference.directory import reserved_hosts
 from tests.reference.workload import ResolvedQuery, answer
 
 SEEDS = (42, 7, 1234)
@@ -141,7 +142,7 @@ def test_algorithm3_retry_bound_does_not_depend_on_the_block_plan():
     session = Session(SPECS["paper-default"], seed=42)
     config = session.experiment.setup.flower
     website = session.experiment.catalog.websites[0]
-    wanted = website.object_id(0)
+    wanted = website.object_ids()[0]
     # More stale entries than a block staffs directories, fewer than the deployment.
     stale = MAX_REDIRECTION_ATTEMPTS + config.num_localities
     assert stale + 1 <= config.max_content_overlay_size
@@ -151,7 +152,7 @@ def test_algorithm3_retry_bound_does_not_depend_on_the_block_plan():
         directory = system.directory_for(website.name, 0)
         clients = [
             host for host in system.topology.hosts_in_locality(0)
-            if host not in system.reserved_hosts
+            if host not in reserved_hosts(system)
         ]
 
         def query(query_id, host):

@@ -85,16 +85,16 @@ class TestOrderEquivalence:
 class TestCalendarInternals:
     def test_width_tunes_on_first_bulk_extend(self):
         calendar = CalendarEventQueue()
-        default_width = calendar.bucket_width
+        default_width = calendar._width
         calendar.extend((float(i), lambda: None) for i in range(1000))
-        assert calendar.bucket_width != default_width
+        assert calendar._width != default_width
         # ~4 events per bucket over a 0..999 span
-        assert 1.0 <= calendar.bucket_width <= 16.0
+        assert 1.0 <= calendar._width <= 16.0
 
     def test_explicit_width_is_not_retuned(self):
         calendar = CalendarEventQueue(bucket_width=2.5)
         calendar.extend((float(i), lambda: None) for i in range(1000))
-        assert calendar.bucket_width == 2.5
+        assert calendar._width == 2.5
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError):

@@ -122,23 +122,24 @@ def _is_exempt(node: ast.AST) -> bool:
     return False
 
 
-def _definitions(tree: ast.AST) -> Iterator[Tuple[str, ast.AST]]:
-    """``(qualified name, node)`` of every function, method and class."""
-    def walk(node: ast.AST, prefix: str) -> Iterator[Tuple[str, ast.AST]]:
+def _definitions(tree: ast.AST) -> Iterator[Tuple[str, ast.AST, bool]]:
+    """``(qualified name, node, is a member)`` of every function, method and
+    class; a member is defined directly in a class body."""
+    def walk(node: ast.AST, prefix: str, in_class: bool) -> Iterator[Tuple[str, ast.AST, bool]]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 qualname = prefix + child.name
-                yield qualname, child
-                yield from walk(child, qualname + ".")
+                yield qualname, child, in_class
+                yield from walk(child, qualname + ".", isinstance(child, ast.ClassDef))
             else:
-                yield from walk(child, prefix)
+                yield from walk(child, prefix, in_class)
 
-    return walk(tree, "")
+    return walk(tree, "", False)
 
 
-def _references(tree: ast.AST) -> Iterator[Tuple[str, int]]:
-    """``(name, line)`` of every name, attribute, import alias and
-    identifier-shaped string, leaving out the ``__all__`` lists."""
+def _references(tree: ast.AST) -> Iterator[Tuple[str, int, bool]]:
+    """``(name, line, is a bare name)`` of every name, attribute, import alias
+    and identifier-shaped string, leaving out the ``__all__`` lists."""
     exports = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -149,41 +150,46 @@ def _references(tree: ast.AST) -> Iterator[Tuple[str, int]]:
         if id(node) in exports:
             continue
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], getattr(node, "lineno", 0)
+            yield node.name.rsplit(".", 1)[-1], getattr(node, "lineno", 0), False
             if node.asname:
-                yield node.asname, getattr(node, "lineno", 0)
+                yield node.asname, getattr(node, "lineno", 0), False
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if _IDENTIFIER.fullmatch(node.value):
-                yield node.value, node.lineno
+                yield node.value, node.lineno, False
 
 
 def uncalled_definitions(modules: Mapping[str, str], texts: Iterable[str] = ()) -> List[str]:
     """``path:qualname`` of every definition in a ``src/`` module of
     ``modules`` (path -> source) whose name nothing references outside its
-    own definition — in any of ``modules`` or as an identifier in ``texts``."""
+    own definition — in any of ``modules`` or as an identifier in ``texts``.
+
+    A member of a class is reached through its instance or class, so only an
+    attribute, an import alias or a string names it: a local variable that
+    happens to share its name is not a caller."""
     trees = {path: ast.parse(source) for path, source in modules.items()}
-    references: Dict[str, List[Tuple[str, int]]] = {}
+    references: Dict[str, List[Tuple[str, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            references.setdefault(name, []).append((path, line))
+        for name, line, bare in _references(tree):
+            references.setdefault(name, []).append((path, line, bare))
     for text in texts:
         for name in _IDENTIFIER.findall(text):
-            references.setdefault(name, []).append(("", 0))
+            references.setdefault(name, []).append(("", 0, False))
     uncalled = []
     for path, tree in trees.items():
         if not path.startswith("src/"):
             continue
-        for qualname, node in _definitions(tree):
+        for qualname, node, member in _definitions(tree):
             if _is_exempt(node):
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             if not any(
-                where != path or not first <= line <= node.end_lineno
-                for where, line in references.get(node.name, ())
+                (where != path or not first <= line <= node.end_lineno)
+                and not (member and bare)
+                for where, line, bare in references.get(node.name, ())
             ):
                 uncalled.append(f"{path}:{qualname}")
     return uncalled
@@ -267,6 +273,19 @@ def test_a_method_is_flagged_by_its_qualified_name_until_an_attribute_names_it()
     module = "class Peer:\n    def fail(self):\n        self.alive = False\n\nPEER = Peer()\n"
     assert uncalled_definitions({"src/repro/m.py": module}) == ["src/repro/m.py:Peer.fail"]
     assert uncalled_definitions({"src/repro/m.py": module + "PEER.fail()\n"}) == []
+
+
+def test_a_local_variable_sharing_a_method_name_is_not_a_caller():
+    module = (
+        "class Peer:\n    def view(self):\n        return self._view\n\n"
+        "def build(peer):\n    view = peer._view\n    return view\n\n"
+        "PEER = Peer()\nBUILT = build(PEER)\n"
+    )
+    assert uncalled_definitions({"src/repro/m.py": module}) == ["src/repro/m.py:Peer.view"]
+    assert uncalled_definitions({"src/repro/m.py": module + "VIEW = PEER.view()\n"}) == []
+    # a function, unlike a member, is called by its bare name
+    function = "def view():\n    return 1\n\nVIEW = view()\n"
+    assert uncalled_definitions({"src/repro/m.py": function}) == []
 
 
 def test_an_import_alias_counts_as_a_caller():

@@ -2,8 +2,9 @@
 
 Every registered sweep re-runs its whole grid at the pinned golden
 scale/seed and the digest is compared against the committed file under
-``tests/goldens/sweeps/`` — exact on structure (axes, assignments, seeds),
-tolerance-banded on metrics.  A hot-path refactor must keep these green
+``tests/goldens/sweeps/`` — exactly, leaf by leaf: structure (axes,
+assignments, seeds), metrics and each cell's SHA-256 ``digest`` alike.  A
+hot-path refactor must keep these green
 across entire parameter families; an intentional change is recorded with
 ``make goldens-sweeps`` and committed.
 """
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.scenarios.golden import compare_digests
 from repro.sweeps import golden as sweep_golden
 from repro.sweeps.library import sweep_names
 
@@ -105,50 +107,44 @@ def _digest():
 
 class TestCompareSweepDigests:
     def test_identical_digests_match(self):
-        assert sweep_golden.compare_sweep_digests(_digest(), _digest()) == []
-
-    def test_metrics_compared_with_tolerances(self):
-        actual = _digest()
-        actual["cells"][0]["systems"]["flower"]["metrics"]["hit_ratio"] = 0.715
-        assert sweep_golden.compare_sweep_digests(_digest(), actual) == []
-        actual["cells"][0]["systems"]["flower"]["metrics"]["hit_ratio"] = 0.60
-        mismatches = sweep_golden.compare_sweep_digests(_digest(), actual)
-        assert any("hit_ratio" in m for m in mismatches)
+        assert compare_digests(_digest(), _digest()) == []
 
     def test_cell_structure_is_exact(self):
         actual = _digest()
         actual["cells"][0]["assignments"] = {"gossip_length": 10}
         assert any(
             "assignments" in m
-            for m in sweep_golden.compare_sweep_digests(_digest(), actual)
+            for m in compare_digests(_digest(), actual)
         )
         actual = _digest()
         actual["cells"][0]["seed"] = 43
         assert any(
-            "seed" in m for m in sweep_golden.compare_sweep_digests(_digest(), actual)
+            "seed" in m for m in compare_digests(_digest(), actual)
         )
 
     def test_cell_count_mismatch_reported(self):
         actual = _digest()
         actual["cells"].append(copy.deepcopy(actual["cells"][0]))
-        mismatches = sweep_golden.compare_sweep_digests(_digest(), actual)
+        mismatches = compare_digests(_digest(), actual)
         assert any("cells" in m for m in mismatches)
 
-    def test_per_cell_hash_is_informational_only(self):
+    def test_per_cell_hash_is_compared(self):
         actual = _digest()
         actual["cells"][0]["digest"] = "different-hash"
-        assert sweep_golden.compare_sweep_digests(_digest(), actual) == []
+        assert compare_digests(_digest(), actual) == [
+            "cells[0].digest: golden='abc' actual='different-hash'"
+        ]
 
     def test_missing_system_reported(self):
         actual = _digest()
         actual["cells"][0]["systems"] = {}
-        mismatches = sweep_golden.compare_sweep_digests(_digest(), actual)
+        mismatches = compare_digests(_digest(), actual)
         assert any("missing" in m for m in mismatches)
 
     def test_axes_are_exact(self):
         actual = _digest()
         actual["axes"][0]["values"] = [[7]]
-        mismatches = sweep_golden.compare_sweep_digests(_digest(), actual)
+        mismatches = compare_digests(_digest(), actual)
         assert any("axes" in m for m in mismatches)
 
 
@@ -162,7 +158,7 @@ class TestGoldenWorkflow:
         path = tmp_path / "table2a-gossip-length.json"
         path.write_text(json.dumps(committed, indent=2, sort_keys=True) + "\n")
         reloaded = sweep_golden.load_sweep_golden("table2a-gossip-length", tmp_path)
-        assert sweep_golden.compare_sweep_digests(reloaded, committed) == []
+        assert compare_digests(reloaded, committed) == []
 
     def test_main_reports_ok_for_committed_goldens(self):
         buffer = io.StringIO()
@@ -197,4 +193,4 @@ class TestGoldenWorkflow:
         assert digest["sweep"] == "table2a-gossip-length"
         assert digest["scale"] == sweep_golden.SWEEP_GOLDEN_SCALE
         committed = sweep_golden.load_sweep_golden("table2a-gossip-length", GOLDEN_DIR)
-        assert sweep_golden.compare_sweep_digests(committed, digest) == []
+        assert compare_digests(committed, digest) == []

@@ -34,13 +34,6 @@ class TestWebsite:
         site = Website(name="w.org", num_objects=3)
         assert site.object_ids() == tuple(f"http://w.org/object/{i}" for i in range(3))
 
-    def test_object_index_bounds(self):
-        site = Website(name="w.org", num_objects=3)
-        with pytest.raises(IndexError):
-            site.object_id(3)
-        with pytest.raises(IndexError):
-            site.object_id(-1)
-
     def test_objects_iterates_all(self):
         site = Website(name="w.org", num_objects=5)
         assert len(list(site.objects())) == 5
