@@ -246,3 +246,18 @@ def test_a_dropped_cell_is_missing_leaf_by_leaf():
     rows = differing_leaves(sweep_digest(), grown)
     assert rows and all(path.startswith("cells[1].") for path, _, _ in rows)
     assert all(left is MISSING for _, left, _ in rows)
+
+
+def test_a_leaf_that_becomes_a_container_is_missing_on_both_sides():
+    assert differing_leaves({"a": 1}, {"a": {"b": 1}}) == [
+        ("a", 1, MISSING),
+        ("a.b", MISSING, 1),
+    ]
+
+
+def test_an_emptied_container_is_a_leaf_of_its_own():
+    assert differing_leaves({"a": [1, 2]}, {"a": []}) == [
+        ("a[0]", 1, MISSING),
+        ("a[1]", 2, MISSING),
+        ("a", MISSING, []),
+    ]

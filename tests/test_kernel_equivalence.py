@@ -7,9 +7,12 @@ and ``BloomFilter`` in the tree, the per-entry probe, mask and column export in
 ``tests/reference/views.py``).
 Two layers of evidence that the columns changed nothing but speed:
 
-* **end to end** — the goldens were produced by the per-object backend this
-  one replaced, and ``test_scenarios_golden.py`` requires every standard-tier
-  scenario to reproduce its committed digest exactly;
+* **end to end** — every standard-tier scenario, run at the golden
+  scale/seed, writes its committed golden file *byte for byte*.  The goldens
+  were produced by the per-object backend this one replaced.  The golden gate
+  of ``test_scenarios_golden.py`` compares parsed leaves, under which ``1`` and
+  ``1.0`` are equal; this test also holds every number's JSON form and the
+  file's layout;
 * **per structure** — property tests drive the columnar view, the packed
   Bloom summaries and the directory peer's stamp/holder tables through
   random operation sequences in lockstep with ``AgedView``, ``BloomFilter``
@@ -19,7 +22,9 @@ Two layers of evidence that the columns changed nothing but speed:
 
 import random
 from operator import attrgetter
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +34,25 @@ from repro.core.content_peer import ContentPeer
 from repro.core.directory_peer import DirectoryPeer
 from repro.datastructures.aged_view import AgedEntry, AgedView
 from repro.datastructures.bloom import BloomFilter
+from repro.scenarios import golden
+from repro.scenarios.library import scenario_names
 from tests.reference.directory import lookup_index
 from tests.reference.views import entries_maybe_containing, export_columns, mask_for
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+
+# -- end to end: every standard scenario, byte-identical ----------------------
+
+
+@pytest.mark.parametrize("name", sorted(scenario_names(tier="standard")))
+def test_kernel_reproduces_committed_golden_exactly(name, tmp_path):
+    fresh = golden.write_golden(name, tmp_path).read_bytes()
+    committed = golden.golden_path(name, GOLDEN_DIR).read_bytes()
+    assert fresh == committed, (
+        f"the columnar backend diverged from the committed golden for {name!r}; "
+        "it must stay byte-identical to the object backend that produced it"
+    )
 
 
 # -- property: columnar view vs aged view -------------------------------------

@@ -4,6 +4,8 @@ import io
 import json
 import re
 
+import pytest
+
 from repro import cli
 from repro.scenarios import diffing
 from repro.scenarios.golden import differing_leaves
@@ -35,18 +37,28 @@ def _format(left, right, all_rows=False):
     return diffing.format_rows(differing_leaves(left, right, unchanged=all_rows))
 
 
-class TestFormatRows:
-    def test_identical_digests_print_no_differences(self):
+class TestDiffDigests:
+    def test_identical_digests_have_no_changes(self):
         assert _format(_digest(), _digest()) == "no differences"
 
-    def test_a_number_carries_its_delta_and_relative_delta(self):
+    def test_exact_mode_flags_any_change(self):
+        text = _format(_digest(hit_ratio=0.70), _digest(hit_ratio=0.700001))
+        assert [line.split()[1] for line in text.splitlines()] == [
+            "systems.flower.metrics.hit_ratio",
+            "systems.flower.metrics.fraction_local_overlay_hit",
+            "systems.flower.phases.steady.hit_ratio",
+            "systems.flower.phases.warmup.hit_ratio",
+        ]
+        assert all(line.startswith("! ") for line in text.splitlines())
+
+    def test_deltas_carry_values_and_relative_change(self):
         text = _format(_digest(latency=100.0), _digest(latency=110.0))
         assert text == (
             "! systems.flower.metrics.average_lookup_latency_ms  100.0 -> 110.0"
             "  delta +10 (+10.00%)"
         )
 
-    def test_header_fields_are_ordinary_rows(self):
+    def test_cross_scenario_context_is_reported_not_rejected(self):
         text = _format(_digest(), _digest(scenario="flash-crowd"))
         assert text == "! scenario  'paper-default' -> 'flash-crowd'"
 
@@ -62,7 +74,7 @@ class TestFormatRows:
             "! systems.flower.metrics.num_queries  0 -> 5  delta +5"
         )
 
-    def test_lists_only_changes_unless_all_rows(self):
+    def test_format_lists_only_changes_by_default(self):
         text = _format(_digest(), _digest(hit_ratio=0.71))
         assert "hit_ratio" in text
         assert "num_queries" not in text
@@ -92,6 +104,17 @@ class TestDiffCli:
         out = io.StringIO()
         assert cli.main(["scenarios", "diff", left, right], out=out) == 1
         assert "! systems.flower.metrics.hit_ratio" in out.getvalue()
+
+    def test_exact_flag(self, tmp_path, capsys):
+        # Exact is the only mode: a move in the sixth decimal is a row, and
+        # the flag that used to ask for it is no longer an option.
+        left = self._write(tmp_path / "a.json", _digest())
+        right = self._write(tmp_path / "b.json", _digest(hit_ratio=0.700001))
+        assert cli.main(["scenarios", "diff", left, right], out=io.StringIO()) == 1
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["scenarios", "diff", left, right, "--exact"], out=io.StringIO())
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --exact" in capsys.readouterr().err
 
     def test_missing_file_is_a_usage_error(self, tmp_path):
         left = self._write(tmp_path / "a.json", _digest())

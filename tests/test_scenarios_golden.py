@@ -149,6 +149,37 @@ class TestGoldenWorkflow:
         assert "not website-separable" in lines[0]
         assert lines[1:] == ["ok   cold-start"]
 
+    # Usage errors are read from stdout and stderr together: which stream
+    # carries them is not part of these checks.
+
+    def test_main_rejects_fewer_than_one_shard(self, capsys):
+        buffer = io.StringIO()
+        assert golden.main(["cold-start", "--shards", "0"], out=buffer) == 2
+        assert "error: --shards must be >= 1" in buffer.getvalue() + capsys.readouterr().err
+
+    def test_main_rejects_a_sharded_update(self, tmp_path, capsys):
+        # Goldens are produced by the single-process path; nothing is written.
+        buffer = io.StringIO()
+        code = golden.main(
+            ["cold-start", "--update", "--shards", "2", "--golden-dir", str(tmp_path)],
+            out=buffer,
+        )
+        assert code == 2
+        text = buffer.getvalue() + capsys.readouterr().err
+        assert "error: --shards cannot be combined with --update" in text
+        assert list(tmp_path.iterdir()) == []
+
+    def test_main_rejects_unknown_scenarios_before_running_any(self, tmp_path, capsys):
+        buffer = io.StringIO()
+        code = golden.main(
+            ["cold-start", "no-such-scenario", "--update", "--golden-dir", str(tmp_path)],
+            out=buffer,
+        )
+        assert code == 2
+        text = buffer.getvalue() + capsys.readouterr().err
+        assert "error: unknown scenario(s): no-such-scenario;" in text
+        assert list(tmp_path.iterdir()) == []
+
     def test_main_update_writes_files(self, tmp_path):
         buffer = io.StringIO()
         code = golden.main(

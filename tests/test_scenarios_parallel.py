@@ -6,7 +6,8 @@ import pytest
 
 from repro import cli
 from repro.core.system import InfeasibleScenarioError
-from repro.scenarios import parallel
+from repro.scenarios import golden, parallel
+from repro.scenarios.library import scenario_names
 
 
 #: small, fast scenarios used to keep the multiprocessing tests cheap
@@ -111,6 +112,21 @@ class TestMapTasks:
         assert "\n" not in str(error)
 
 
+class TestCheckGoldens:
+    def test_all_goldens_pass_in_parallel(self):
+        # The standard tier computed across two worker processes reproduces
+        # every committed golden, exactly as the sequential gate does.
+        digests = parallel.run_scenarios(
+            jobs=2, seed=golden.GOLDEN_SEED, scale=golden.GOLDEN_SCALE
+        )
+        failing = {
+            name: mismatches
+            for name, digest in digests.items()
+            if (mismatches := golden.compare_digests(golden.load_golden(name), digest))
+        }
+        assert not failing, failing
+
+
 class TestCli:
     def _run(self, args):
         buffer = io.StringIO()
@@ -140,3 +156,12 @@ class TestCli:
     def test_missing_name_without_all_rejected(self):
         code = cli.main(["scenarios", "run"], out=io.StringIO())
         assert code == 2
+
+    def test_check_golden_all(self):
+        # With no names the golden command line checks the whole standard
+        # tier, one ok line per scenario in library order.
+        out = io.StringIO()
+        assert golden.main([], out=out) == 0
+        assert out.getvalue().splitlines() == [
+            f"ok   {name}" for name in scenario_names(tier="standard")
+        ]
